@@ -2,7 +2,11 @@ module Design = Css_netlist.Design
 module Io = Css_netlist.Io
 module Graph = Css_sta.Graph
 module Extract = Css_seqgraph.Extract
+module Evaluator = Css_eval.Evaluator
+module Macromodel = Css_cache.Macromodel
+module Point = Css_geometry.Point
 module Diag = Css_util.Diag
+module Fnv = Css_util.Fnv
 
 let log_src = Logs.Src.create "css.persist" ~doc:"durable flow checkpoints"
 
@@ -45,58 +49,80 @@ let with_signal_handlers f =
   Fun.protect ~finally:(fun () -> uninstall_handlers saved) f
 
 (* ------------------------------------------------------------------ *)
-(* The checkpoint state record                                         *)
+(* The run-state record                                                *)
 
-type trace_entry = {
-  te_round : int;
-  te_phase : string;
-  te_iter : int;
-  te_wns_early : float;
-  te_tns_early : float;
-  te_wns_late : float;
-  te_tns_late : float;
+type trace_point = {
+  round : int;
+  phase : string;
+  iter : int;
+  wns_early : float;
+  tns_early : float;
+  wns_late : float;
+  tns_late : float;
 }
 
-(* The flow's best in-memory checkpoint, persisted field-for-field: the
-   restore arrays are indexed by the dense cell ids the design text
-   round-trip preserves, and the evaluator report is stored rather than
-   re-derived so the resumed run's final rollback compares the exact
-   same floats an uninterrupted run would. *)
-type best = {
-  pb_label : string;
-  pb_ffs : int array;
-  pb_latencies : float array;
-  pb_lcb_of : int array;
-  pb_x : float array;  (* position per cell id *)
-  pb_y : float array;
-  pb_masters : string array;
-  pb_report : Css_eval.Evaluator.report;
+(* A restorable snapshot of everything the OPT passes mutate, scored by
+   the independent evaluator (which sees the physically realized state —
+   realization zeroes the scheduled latencies it hosts). The restore
+   arrays are indexed by the dense cell ids the design-text round-trip
+   preserves, and the evaluator report is stored rather than re-derived
+   so a resumed run's final rollback compares the exact same floats an
+   uninterrupted run would. *)
+type checkpoint = {
+  label : string;
+  ck_ffs : Design.cell_id array;
+  ck_latencies : float array;  (* scheduled, per entry of [ck_ffs] *)
+  ck_lcb_of : Design.cell_id array;  (* -1 when unresolved *)
+  ck_positions : Point.t array;  (* per cell id *)
+  ck_masters : string array;  (* per cell id *)
+  ck_report : Evaluator.report;
 }
+
+type progress = {
+  mutable phases_done : int;
+  mutable hold_done : bool;
+  mutable iterations : int;
+  mutable edges : int;
+  mutable cones : int;
+  mutable stall_best : float;
+  mutable stall_count : int;
+  mutable stop : string option;
+  hpwl_before : float;
+  css_seconds : float;
+  opt_seconds : float;
+  mutable degradations_rev : string list;
+  mutable trace_rev : trace_point list;
+  mutable best : checkpoint option;
+}
+
+let fresh_progress ~hpwl_before =
+  {
+    phases_done = 0;
+    hold_done = false;
+    iterations = 0;
+    edges = 0;
+    cones = 0;
+    stall_best = neg_infinity;
+    stall_count = 0;
+    stop = None;
+    hpwl_before;
+    css_seconds = 0.0;
+    opt_seconds = 0.0;
+    degradations_rev = [];
+    trace_rev = [];
+    best = None;
+  }
 
 type state = {
   ps_algo : string;
   ps_design : string;
   ps_rounds : int;
-  ps_phases_done : int;
-  ps_hold_done : bool;
-  ps_iterations : int;
-  ps_edges : int;
-  ps_cones : int;
-  ps_stall_best : float;
-  ps_stall_count : int;
-  ps_stop : string option;
-  ps_hpwl_before : float;
-  ps_anchor_x : float array;  (* max-displacement anchor per cell id *)
-  ps_anchor_y : float array;
-  ps_css_seconds : float;
-  ps_opt_seconds : float;
+  ps_progress : progress;
+  ps_anchors : Point.t array;  (* max-displacement anchor per cell id *)
   ps_rung : int;
-  ps_degradations : string list;
-  ps_trace : trace_entry list;
-  ps_best : best option;
   ps_design_text : string;
   ps_engines : (string * Extract.snapshot) list;
-  ps_cache : Css_cache.Macromodel.entry_snap list;
+  ps_cache : Macromodel.entry_snap list;
       (* macromodel cache entries, LRU first (recency order survives) *)
 }
 
@@ -112,16 +138,9 @@ let magic = "css-checkpoint"
 let version = 2
 let min_version = 1
 let fstr = Io.float_to_string
-
-(* FNV-1a 64: tiny, dependency-free, and plenty to reject the failure
-   modes that matter here (truncation survived by the structure check,
-   bit rot, concurrent partial overwrite) — this is an integrity check,
-   not an authenticity one. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime) s;
-  !h
+let join f a = String.concat " " (Array.to_list (Array.map f a))
+let xs points = join (fun (p : Point.t) -> fstr p.Point.x) points
+let ys points = join (fun (p : Point.t) -> fstr p.Point.y) points
 
 let enc_launcher = function
   | Graph.Launch_ff c -> Printf.sprintf "f%d" c
@@ -132,60 +151,59 @@ let enc_endpoint = function
   | Graph.End_port p -> Printf.sprintf "p%d" p
 
 let body_of_state st =
+  let p = st.ps_progress in
   let b = Buffer.create (String.length st.ps_design_text + 4096) in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "algo %s" st.ps_algo;
   line "design %s" st.ps_design;
   line "rounds %d" st.ps_rounds;
-  line "phases-done %d" st.ps_phases_done;
-  line "hold-done %d" (if st.ps_hold_done then 1 else 0);
-  line "iterations %d" st.ps_iterations;
-  line "edges %d" st.ps_edges;
-  line "cones %d" st.ps_cones;
-  line "stall-best %s" (fstr st.ps_stall_best);
-  line "stall-count %d" st.ps_stall_count;
-  line "stop %s" (match st.ps_stop with None -> "-" | Some s -> s);
-  line "hpwl-before %s" (fstr st.ps_hpwl_before);
+  line "phases-done %d" p.phases_done;
+  line "hold-done %d" (if p.hold_done then 1 else 0);
+  line "iterations %d" p.iterations;
+  line "edges %d" p.edges;
+  line "cones %d" p.cones;
+  line "stall-best %s" (fstr p.stall_best);
+  line "stall-count %d" p.stall_count;
+  line "stop %s" (match p.stop with None -> "-" | Some s -> s);
+  line "hpwl-before %s" (fstr p.hpwl_before);
   (* movement anchors: a reparsed design re-anchors at its parsed
      positions, so the original run's legality reference is carried
      explicitly *)
-  line "anchors %d" (Array.length st.ps_anchor_x);
-  line "ax %s" (String.concat " " (Array.to_list (Array.map fstr st.ps_anchor_x)));
-  line "ay %s" (String.concat " " (Array.to_list (Array.map fstr st.ps_anchor_y)));
-  line "css-seconds %s" (fstr st.ps_css_seconds);
-  line "opt-seconds %s" (fstr st.ps_opt_seconds);
+  line "anchors %d" (Array.length st.ps_anchors);
+  line "ax %s" (xs st.ps_anchors);
+  line "ay %s" (ys st.ps_anchors);
+  line "css-seconds %s" (fstr p.css_seconds);
+  line "opt-seconds %s" (fstr p.opt_seconds);
   line "rung %d" st.ps_rung;
-  line "degraded %d" (List.length st.ps_degradations);
-  List.iter (fun d -> line "d %s" d) st.ps_degradations;
-  line "trace %d" (List.length st.ps_trace);
+  line "degraded %d" (List.length p.degradations_rev);
+  List.iter (fun d -> line "d %s" d) (List.rev p.degradations_rev);
+  line "trace %d" (List.length p.trace_rev);
   List.iter
     (fun t ->
-      line "t %d %s %d %s %s %s %s" t.te_round t.te_phase t.te_iter (fstr t.te_wns_early)
-        (fstr t.te_tns_early) (fstr t.te_wns_late) (fstr t.te_tns_late))
-    st.ps_trace;
-  (match st.ps_best with
+      line "t %d %s %d %s %s %s %s" t.round t.phase t.iter (fstr t.wns_early) (fstr t.tns_early)
+        (fstr t.wns_late) (fstr t.tns_late))
+    (List.rev p.trace_rev);
+  (match p.best with
   | None -> line "best -"
-  | Some bc ->
-    let floats a = String.concat " " (Array.to_list (Array.map fstr a)) in
-    let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
-    let r = bc.pb_report in
-    line "best %s" bc.pb_label;
-    line "bn %d %d %d" (Array.length bc.pb_ffs) (Array.length bc.pb_x)
-      (List.length r.Css_eval.Evaluator.constraint_errors);
-    line "bf %s" (ints bc.pb_ffs);
-    line "bl %s" (floats bc.pb_latencies);
-    line "bb %s" (ints bc.pb_lcb_of);
-    line "bx %s" (floats bc.pb_x);
-    line "by %s" (floats bc.pb_y);
-    line "bm %s" (String.concat " " (Array.to_list bc.pb_masters));
+  | Some cp ->
+    let r = cp.ck_report in
+    line "best %s" cp.label;
+    line "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_positions)
+      (List.length r.Evaluator.constraint_errors);
+    line "bf %s" (join string_of_int cp.ck_ffs);
+    line "bl %s" (join fstr cp.ck_latencies);
+    line "bb %s" (join string_of_int cp.ck_lcb_of);
+    line "bx %s" (xs cp.ck_positions);
+    line "by %s" (ys cp.ck_positions);
+    line "bm %s" (String.concat " " (Array.to_list cp.ck_masters));
     line "br %s %s %s %s %d %d %s"
-      (fstr r.Css_eval.Evaluator.wns_early)
-      (fstr r.Css_eval.Evaluator.tns_early)
-      (fstr r.Css_eval.Evaluator.wns_late)
-      (fstr r.Css_eval.Evaluator.tns_late)
-      r.Css_eval.Evaluator.num_early_violations r.Css_eval.Evaluator.num_late_violations
-      (fstr r.Css_eval.Evaluator.hpwl);
-    List.iter (fun e -> line "be %s" e) r.Css_eval.Evaluator.constraint_errors);
+      (fstr r.Evaluator.wns_early)
+      (fstr r.Evaluator.tns_early)
+      (fstr r.Evaluator.wns_late)
+      (fstr r.Evaluator.tns_late)
+      r.Evaluator.num_early_violations r.Evaluator.num_late_violations
+      (fstr r.Evaluator.hpwl);
+    List.iter (fun e -> line "be %s" e) r.Evaluator.constraint_errors);
   line "design-text %d" (String.length st.ps_design_text);
   Buffer.add_string b st.ps_design_text;
   Buffer.add_char b '\n';
@@ -205,9 +223,7 @@ let body_of_state st =
             (enc_endpoint e.Extract.es_endpoint) (fstr e.Extract.es_delay)
             (fstr e.Extract.es_weight))
         sn.Extract.sn_edges;
-      if Array.length sn.Extract.sn_bound > 0 then
-        line "bound %s"
-          (String.concat " " (Array.to_list (Array.map fstr sn.Extract.sn_bound)));
+      if Array.length sn.Extract.sn_bound > 0 then line "bound %s" (join fstr sn.Extract.sn_bound);
       if Array.length sn.Extract.sn_expanded > 0 then
         line "expanded %s"
           (String.init (Array.length sn.Extract.sn_expanded) (fun i ->
@@ -215,16 +231,20 @@ let body_of_state st =
     st.ps_engines;
   line "cache %d" (List.length st.ps_cache);
   List.iter
-    (fun (c : Css_cache.Macromodel.entry_snap) ->
-      line "c %d %016Lx %d %d %d" c.Css_cache.Macromodel.cs_key c.cs_hash c.cs_visited
+    (fun (c : Macromodel.entry_snap) ->
+      line "c %d %016Lx %d %d %d" c.Macromodel.cs_key c.cs_hash c.cs_visited
         (Array.length c.cs_members) (Array.length c.cs_nodes);
-      line "m %s" (String.concat " " (Array.to_list (Array.map string_of_int c.cs_members)));
-      line "n %s" (String.concat " " (Array.to_list (Array.map string_of_int c.cs_nodes)));
-      line "dl %s" (String.concat " " (Array.to_list (Array.map fstr c.cs_delays))))
+      line "m %s" (join string_of_int c.cs_members);
+      line "n %s" (join string_of_int c.cs_nodes);
+      line "dl %s" (join fstr c.cs_delays))
     st.ps_cache;
   line "end";
   Buffer.contents b
 
+(* The body hash is FNV-1a 64 ({!Css_util.Fnv}): plenty to reject the
+   failure modes that matter here (truncation survived by the structure
+   check, bit rot, concurrent partial overwrite) — this is an integrity
+   check, not an authenticity one. *)
 let save ~dir st =
   let body = body_of_state st in
   let final = path ~dir in
@@ -232,7 +252,7 @@ let save ~dir st =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let oc = open_out_bin tmp in
   (try
-     Printf.fprintf oc "%s %d\nhash %016Lx\n" magic version (fnv1a64 body);
+     Printf.fprintf oc "%s %d\nhash %016Lx\n" magic version (Fnv.of_string body);
      output_string oc body;
      flush oc;
      (* flush the data to the device before the rename publishes it: a
@@ -245,7 +265,8 @@ let save ~dir st =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp final;
-  Log.debug (fun m -> m "checkpoint saved: %s (%d phases done)" final st.ps_phases_done)
+  Log.debug (fun m ->
+      m "checkpoint saved: %s (%d phases done)" final st.ps_progress.phases_done)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -304,6 +325,25 @@ let float_field cur key = float_of cur key (field cur key)
 
 let split_ws s = String.split_on_char ' ' s |> List.filter (fun t -> t <> "")
 
+let check_count cur key ~expected got =
+  if got <> expected then
+    bad ~file:cur.file "CKPT-005"
+      (Printf.sprintf "%s: expected %d entries, got %d" key expected got)
+
+(* One space-separated array line whose length an earlier count
+   announced; [conv] parses each token. *)
+let array_field cur key n conv =
+  let toks = Array.of_list (split_ws (field cur key)) in
+  check_count cur key ~expected:n (Array.length toks);
+  Array.map (conv cur key) toks
+
+let string_of _ _ s = s
+
+let hex64 cur key s =
+  match Int64.of_string_opt ("0x" ^ s) with
+  | Some h -> h
+  | None -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "malformed %s" key)
+
 let dec_launcher cur s =
   let n = String.length s in
   if n < 2 then bad ~file:cur.file "CKPT-005" (Printf.sprintf "bad launcher '%s'" s)
@@ -334,87 +374,59 @@ let parse_body ~version:v cur =
   let ps_algo = field cur "algo" in
   let ps_design = field cur "design" in
   let ps_rounds = int_field cur "rounds" in
-  let ps_phases_done = int_field cur "phases-done" in
-  let ps_hold_done = int_field cur "hold-done" <> 0 in
-  let ps_iterations = int_field cur "iterations" in
-  let ps_edges = int_field cur "edges" in
-  let ps_cones = int_field cur "cones" in
-  let ps_stall_best = float_field cur "stall-best" in
-  let ps_stall_count = int_field cur "stall-count" in
-  let ps_stop = match field cur "stop" with "-" -> None | s -> Some s in
-  let ps_hpwl_before = float_field cur "hpwl-before" in
+  let phases_done = int_field cur "phases-done" in
+  let hold_done = int_field cur "hold-done" <> 0 in
+  let iterations = int_field cur "iterations" in
+  let edges = int_field cur "edges" in
+  let cones = int_field cur "cones" in
+  let stall_best = float_field cur "stall-best" in
+  let stall_count = int_field cur "stall-count" in
+  let stop = match field cur "stop" with "-" -> None | s -> Some s in
+  let hpwl_before = float_field cur "hpwl-before" in
   let nanchors = int_field cur "anchors" in
-  let anchor_array key =
-    let toks = Array.of_list (split_ws (field cur key)) in
-    if Array.length toks <> nanchors then
-      bad ~file:cur.file "CKPT-005"
-        (Printf.sprintf "%s: expected %d anchors, got %d" key nanchors (Array.length toks))
-    else Array.map (float_of cur key) toks
-  in
-  let ps_anchor_x = anchor_array "ax" in
-  let ps_anchor_y = anchor_array "ay" in
-  let ps_css_seconds = float_field cur "css-seconds" in
-  let ps_opt_seconds = float_field cur "opt-seconds" in
+  let ax = array_field cur "ax" nanchors float_of in
+  let ay = array_field cur "ay" nanchors float_of in
+  let css_seconds = float_field cur "css-seconds" in
+  let opt_seconds = float_field cur "opt-seconds" in
   let ps_rung = int_field cur "rung" in
   let ndeg = int_field cur "degraded" in
-  let ps_degradations = List.init ndeg (fun _ -> field cur "d") in
+  let degradations = List.init ndeg (fun _ -> field cur "d") in
   let ntrace = int_field cur "trace" in
-  let ps_trace =
+  let trace =
     List.init ntrace (fun _ ->
         match split_ws (field cur "t") with
         | [ r; phase; i; we; te; wl; tl ] ->
           {
-            te_round = int_of cur "t.round" r;
-            te_phase = phase;
-            te_iter = int_of cur "t.iter" i;
-            te_wns_early = float_of cur "t.wns_early" we;
-            te_tns_early = float_of cur "t.tns_early" te;
-            te_wns_late = float_of cur "t.wns_late" wl;
-            te_tns_late = float_of cur "t.tns_late" tl;
+            round = int_of cur "t.round" r;
+            phase;
+            iter = int_of cur "t.iter" i;
+            wns_early = float_of cur "t.wns_early" we;
+            tns_early = float_of cur "t.tns_early" te;
+            wns_late = float_of cur "t.wns_late" wl;
+            tns_late = float_of cur "t.tns_late" tl;
           }
         | _ -> bad ~file:cur.file "CKPT-005" "malformed trace entry")
   in
-  let ps_best =
+  let best =
     match field cur "best" with
     | "-" -> None
     | label ->
-      let counts = split_ws (field cur "bn") in
       let nffs, ncells, nerrs =
-        match counts with
+        match split_ws (field cur "bn") with
         | [ a; b'; c ] -> (int_of cur "bn.ffs" a, int_of cur "bn.cells" b', int_of cur "bn.errs" c)
         | _ -> bad ~file:cur.file "CKPT-005" "malformed bn line"
       in
-      let int_array key n =
-        let toks = Array.of_list (split_ws (field cur key)) in
-        if Array.length toks <> n then
-          bad ~file:cur.file "CKPT-005"
-            (Printf.sprintf "%s: expected %d entries, got %d" key n (Array.length toks))
-        else Array.map (int_of cur key) toks
-      in
-      let float_array key n =
-        let toks = Array.of_list (split_ws (field cur key)) in
-        if Array.length toks <> n then
-          bad ~file:cur.file "CKPT-005"
-            (Printf.sprintf "%s: expected %d entries, got %d" key n (Array.length toks))
-        else Array.map (float_of cur key) toks
-      in
-      let pb_ffs = int_array "bf" nffs in
-      let pb_latencies = float_array "bl" nffs in
-      let pb_lcb_of = int_array "bb" nffs in
-      let pb_x = float_array "bx" ncells in
-      let pb_y = float_array "by" ncells in
-      let pb_masters =
-        let toks = Array.of_list (split_ws (field cur "bm")) in
-        if Array.length toks <> ncells then
-          bad ~file:cur.file "CKPT-005"
-            (Printf.sprintf "bm: expected %d masters, got %d" ncells (Array.length toks))
-        else toks
-      in
-      let pb_report =
+      let ck_ffs = array_field cur "bf" nffs int_of in
+      let ck_latencies = array_field cur "bl" nffs float_of in
+      let ck_lcb_of = array_field cur "bb" nffs int_of in
+      let bx = array_field cur "bx" ncells float_of in
+      let by = array_field cur "by" ncells float_of in
+      let ck_masters = array_field cur "bm" ncells string_of in
+      let report =
         match split_ws (field cur "br") with
         | [ we; te; wl; tl; nev; nlv; hpwl ] ->
           {
-            Css_eval.Evaluator.wns_early = float_of cur "br.wns_early" we;
+            Evaluator.wns_early = float_of cur "br.wns_early" we;
             tns_early = float_of cur "br.tns_early" te;
             wns_late = float_of cur "br.wns_late" wl;
             tns_late = float_of cur "br.tns_late" tl;
@@ -428,14 +440,13 @@ let parse_body ~version:v cur =
       let errs = List.init nerrs (fun _ -> field cur "be") in
       Some
         {
-          pb_label = label;
-          pb_ffs;
-          pb_latencies;
-          pb_lcb_of;
-          pb_x;
-          pb_y;
-          pb_masters;
-          pb_report = { pb_report with Css_eval.Evaluator.constraint_errors = errs };
+          label;
+          ck_ffs;
+          ck_latencies;
+          ck_lcb_of;
+          ck_positions = Array.map2 Point.make bx by;
+          ck_masters;
+          ck_report = { report with Evaluator.constraint_errors = errs };
         }
   in
   let n = int_field cur "design-text" in
@@ -460,25 +471,13 @@ let parse_body ~version:v cur =
                   }
                 | _ -> bad ~file:cur.file "CKPT-005" "malformed edge entry")
           in
-          let bound =
-            if nbound = 0 then [||]
-            else
-              let toks = Array.of_list (split_ws (field cur "bound")) in
-              if Array.length toks <> nbound then
-                bad ~file:cur.file "CKPT-005"
-                  (Printf.sprintf "bound: expected %d floats, got %d" nbound
-                     (Array.length toks))
-              else Array.map (float_of cur "bound") toks
-          in
+          let bound = if nbound = 0 then [||] else array_field cur "bound" nbound float_of in
           let expanded =
             if nexpanded = 0 then [||]
             else
               let s = field cur "expanded" in
-              if String.length s <> nexpanded then
-                bad ~file:cur.file "CKPT-005"
-                  (Printf.sprintf "expanded: expected %d flags, got %d" nexpanded
-                     (String.length s))
-              else Array.init nexpanded (fun i -> s.[i] = '1')
+              check_count cur "expanded" ~expected:nexpanded (String.length s);
+              Array.init nexpanded (fun i -> s.[i] = '1')
           in
           ( slot,
             {
@@ -500,35 +499,13 @@ let parse_body ~version:v cur =
       List.init ncache (fun _ ->
           match split_ws (field cur "c") with
           | [ key; hash; visited; nmembers; nifaces ] ->
-            let nmembers = int_of cur "c.members" nmembers in
             let nifaces = int_of cur "c.ifaces" nifaces in
-            let counted name kind n toks =
-              if List.length toks <> n then
-                bad ~file:cur.file "CKPT-005"
-                  (Printf.sprintf "%s: expected %d %s, got %d" name n kind (List.length toks))
-              else toks
-            in
-            let members =
-              Array.of_list
-                (List.map (int_of cur "m") (counted "m" "members" nmembers (split_ws (field cur "m"))))
-            in
-            let nodes =
-              Array.of_list
-                (List.map (int_of cur "n") (counted "n" "nodes" nifaces (split_ws (field cur "n"))))
-            in
-            let delays =
-              Array.of_list
-                (List.map (float_of cur "dl")
-                   (counted "dl" "delays" nifaces (split_ws (field cur "dl"))))
-            in
-            let hash =
-              match Int64.of_string_opt ("0x" ^ hash) with
-              | Some h -> h
-              | None -> bad ~file:cur.file "CKPT-005" "malformed cache entry hash"
-            in
+            let members = array_field cur "m" (int_of cur "c.members" nmembers) int_of in
+            let nodes = array_field cur "n" nifaces int_of in
+            let delays = array_field cur "dl" nifaces float_of in
             {
-              Css_cache.Macromodel.cs_key = int_of cur "c.key" key;
-              cs_hash = hash;
+              Macromodel.cs_key = int_of cur "c.key" key;
+              cs_hash = hex64 cur "cache entry hash" hash;
               cs_visited = int_of cur "c.visited" visited;
               cs_members = members;
               cs_nodes = nodes;
@@ -544,23 +521,25 @@ let parse_body ~version:v cur =
     ps_algo;
     ps_design;
     ps_rounds;
-    ps_phases_done;
-    ps_hold_done;
-    ps_iterations;
-    ps_edges;
-    ps_cones;
-    ps_stall_best;
-    ps_stall_count;
-    ps_stop;
-    ps_hpwl_before;
-    ps_anchor_x;
-    ps_anchor_y;
-    ps_css_seconds;
-    ps_opt_seconds;
+    ps_progress =
+      {
+        phases_done;
+        hold_done;
+        iterations;
+        edges;
+        cones;
+        stall_best;
+        stall_count;
+        stop;
+        hpwl_before;
+        css_seconds;
+        opt_seconds;
+        degradations_rev = List.rev degradations;
+        trace_rev = List.rev trace;
+        best;
+      };
+    ps_anchors = Array.map2 Point.make ax ay;
     ps_rung;
-    ps_degradations;
-    ps_trace;
-    ps_best;
     ps_design_text;
     ps_engines;
     ps_cache;
@@ -590,18 +569,14 @@ let load ~dir =
         else v
       | _ -> bad ~file "CKPT-002" "not a css-checkpoint file (bad magic)"
     in
-    let stored_hash =
-      match Int64.of_string_opt ("0x" ^ field cur "hash") with
-      | Some h -> h
-      | None -> bad ~file "CKPT-005" "malformed hash line"
-    in
+    let stored_hash = hex64 cur "hash line" (field cur "hash") in
     let body = String.sub cur.buf cur.pos (String.length cur.buf - cur.pos) in
     (* structure first: a torn tail reports as truncation (CKPT-004),
        not as the hash mismatch it would also cause *)
     let st = parse_body ~version:v cur in
     if cur.pos <> String.length cur.buf then
       bad ~file "CKPT-005" "trailing bytes after end marker";
-    let actual = fnv1a64 body in
+    let actual = Fnv.of_string body in
     if actual <> stored_hash then
       bad ~file "CKPT-003"
         (Printf.sprintf "content hash mismatch (stored %016Lx, computed %016Lx)" stored_hash

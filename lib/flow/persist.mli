@@ -4,13 +4,13 @@
     {2 File format}
 
     One checkpoint lives at [<dir>/checkpoint.ckpt] (see {!path}): a
-    versioned header, an FNV-1a 64 content hash, then a line-oriented
-    body carrying the complete resumable flow state — loop position,
-    watchdog counters, the serialized design (via {!Css_netlist.Io}'s
-    shortest-round-trip floats, so reloading perturbs no bit), the best
-    in-memory checkpoint, and one {!Css_seqgraph.Extract.snapshot} per
-    live extraction engine. The format is documented in
-    [docs/ROBUSTNESS.md].
+    versioned header, an FNV-1a 64 content hash ({!Css_util.Fnv}), then
+    a line-oriented body carrying the complete resumable flow state —
+    the run's {!progress}, the serialized design (via
+    {!Css_netlist.Io}'s shortest-round-trip floats, so reloading
+    perturbs no bit), the movement anchors, and one
+    {!Css_seqgraph.Extract.snapshot} per live extraction engine. The
+    format is documented in [docs/ROBUSTNESS.md].
 
     {2 Crash safety}
 
@@ -25,9 +25,10 @@
     - [CKPT-003] — content hash mismatch (bit rot, partial overwrite)
     - [CKPT-004] — truncated (short read mid-structure)
     - [CKPT-005] — malformed section or field
-    - [CKPT-006] — reserved for run/checkpoint mismatch, emitted by
-      {!Flow.resume} when the checkpoint belongs to a different
-      design/algorithm than the one requested *)
+    - [CKPT-006] — checkpoint/build mismatch, emitted by
+      {!Session.reopen} (and so {!Flow.resume}) when the checkpoint
+      names an unknown algorithm or engine slot, its design does not
+      parse, or its arrays do not fit the design it carries *)
 
 (** {1 Cooperative interruption} *)
 
@@ -72,35 +73,66 @@ val uninstall_handlers : handlers -> unit
     platforms without these signals [f] just runs. *)
 val with_signal_handlers : (unit -> 'a) -> 'a
 
-(** {1 Checkpoint state} *)
+(** {1 The run-state record}
 
-(** One flow trajectory sample ({!Flow.trace_point}, decoupled to keep
-    this module independent of [Flow]). *)
-type trace_entry = {
-  te_round : int;
-  te_phase : string;
-  te_iter : int;
-  te_wns_early : float;
-  te_tns_early : float;
-  te_wns_late : float;
-  te_tns_late : float;
+    Everything a run can resume from is declared here, once: the
+    session holds one {!progress} record for its current run, a
+    checkpoint file carries it verbatim, and a reopened session adopts
+    the loaded record as its own. *)
+
+(** One sample of the optimization trajectory, for Fig. 8. *)
+type trace_point = {
+  round : int;
+  phase : string;  (** "start", "early-css", "early-opt", "late-css", "late-opt" *)
+  iter : int;  (** scheduler iteration within the phase; 0 for OPT points *)
+  wns_early : float;
+  tns_early : float;
+  wns_late : float;
+  tns_late : float;
 }
 
-(** The flow's best in-memory checkpoint, persisted field-for-field.
-    Restore arrays are indexed by the dense cell ids the design-text
-    round-trip preserves; the evaluator report is stored (not
-    re-derived) so a resumed run's final rollback compares the exact
-    floats an uninterrupted run would. *)
-type best = {
-  pb_label : string;
-  pb_ffs : int array;
-  pb_latencies : float array;  (** scheduled, per entry of [pb_ffs] *)
-  pb_lcb_of : int array;  (** -1 when unresolved *)
-  pb_x : float array;  (** position per cell id *)
-  pb_y : float array;
-  pb_masters : string array;  (** master name per cell id *)
-  pb_report : Css_eval.Evaluator.report;
+(** The rollback checkpoint: a restorable snapshot of everything the OPT
+    passes mutate, scored by the independent evaluator. Restore arrays
+    are indexed by the dense cell ids the design-text round-trip
+    preserves; the evaluator report is stored (not re-derived) so a
+    resumed run's final rollback compares the exact floats an
+    uninterrupted run would. *)
+type checkpoint = {
+  label : string;
+  ck_ffs : Css_netlist.Design.cell_id array;
+  ck_latencies : float array;  (** scheduled, per entry of [ck_ffs] *)
+  ck_lcb_of : Css_netlist.Design.cell_id array;  (** -1 when unresolved *)
+  ck_positions : Css_geometry.Point.t array;  (** position per cell id *)
+  ck_masters : string array;  (** master name per cell id *)
+  ck_report : Css_eval.Evaluator.report;
 }
+
+(** The per-run values a checkpoint carries. A session resets them
+    (with {!fresh_progress}) at the start of every run and delta
+    request; everything that belongs to the session rather than to one
+    run (degradation rung, pool, cache) lives outside. *)
+type progress = {
+  mutable phases_done : int;  (** completed main-loop phases (resume cursor) *)
+  mutable hold_done : bool;  (** the final hold touch-up phase completed *)
+  mutable iterations : int;  (** scheduler iterations, all phases *)
+  mutable edges : int;  (** non-engine (FPM) edge accumulator *)
+  mutable cones : int;
+  mutable stall_best : float;  (** best live-timer worst slack seen *)
+  mutable stall_count : int;  (** phases since it improved *)
+  mutable stop : string option;  (** watchdog verdict, once set *)
+  hpwl_before : float;  (** HPWL of the design at run start *)
+  css_seconds : float;
+      (** CSS wall-clock accumulated before the live session's clock
+          started (a resumed run's earlier share) *)
+  opt_seconds : float;
+  mutable degradations_rev : string list;  (** ladder steps, newest first *)
+  mutable trace_rev : trace_point list;  (** newest first *)
+  mutable best : checkpoint option;  (** best-scoring rollback checkpoint *)
+}
+
+(** [fresh_progress ~hpwl_before] is the state of a run that has not
+    started a phase yet. *)
+val fresh_progress : hpwl_before:float -> progress
 
 (** Everything needed to continue a flow run from a completed-phase
     boundary. Partial phases are never represented: the flow persists
@@ -108,33 +140,20 @@ type best = {
     any phase that was in flight when the process died — determinism
     makes the redo bitwise-identical. *)
 type state = {
-  ps_algo : string;  (** {!Flow.algo_name} of the running algorithm *)
+  ps_algo : string;  (** {!Session.algo_name} of the running algorithm *)
   ps_design : string;  (** design name, for mismatch detection *)
   ps_rounds : int;  (** configured round count at save time *)
-  ps_phases_done : int;  (** completed main-loop phases *)
-  ps_hold_done : bool;  (** the final hold touch-up phase completed *)
-  ps_iterations : int;
-  ps_edges : int;  (** non-engine (FPM) edge accumulator *)
-  ps_cones : int;
-  ps_stall_best : float;
-  ps_stall_count : int;
-  ps_stop : string option;
-  ps_hpwl_before : float;  (** HPWL of the original input design *)
-  ps_anchor_x : float array;
+  ps_progress : progress;  (** the run's progress; file order is chronological *)
+  ps_anchors : Css_geometry.Point.t array;
       (** max-displacement anchor per cell id ([Design.cell_orig_pos] of
           the interrupted run): a reparsed design re-anchors at its
           parsed positions, so the legality reference must travel *)
-  ps_anchor_y : float array;
-  ps_css_seconds : float;  (** accumulated before this checkpoint *)
-  ps_opt_seconds : float;
   ps_rung : int;  (** degradation-ladder position *)
-  ps_degradations : string list;  (** chronological ladder steps *)
-  ps_trace : trace_entry list;  (** chronological *)
-  ps_best : best option;  (** best in-memory checkpoint, if any *)
   ps_design_text : string;  (** the current design, serialized *)
   ps_engines : (string * Css_seqgraph.Extract.snapshot) list;
-      (** live engine snapshots keyed ["ours-early"], ["ours-late"],
-          ["iccss-early"], ["iccss-late"] *)
+      (** live engine snapshots keyed by {!Session}'s engine slot names
+          (["ours-early"], ["ours-late"], ["iccss-early"],
+          ["iccss-late"]) *)
   ps_cache : Css_cache.Macromodel.entry_snap list;
       (** macromodel-cache entries, LRU first (so restoring in order
           rebuilds the recency ranking); empty in version-1 checkpoints,

@@ -42,7 +42,7 @@ let algo_of_name = function
   | "FPM" -> Some Fpm
   | _ -> None
 
-type trace_point = {
+type trace_point = Persist.trace_point = {
   round : int;
   phase : string;
   iter : int;
@@ -85,8 +85,6 @@ type config = {
   final_eval : bool;
   eco_fallback_frac : float;
   deadline_seconds : float option;
-  phase_deadline_seconds : float option;
-  stall_phases : int;
   on_phase_end : (round:int -> phase:string -> Design.t -> unit) option;
   obs : Obs.t;
   tracer : Tracer.t;
@@ -114,8 +112,6 @@ let default_config =
     final_eval = true;
     eco_fallback_frac = 0.25;
     deadline_seconds = None;
-    phase_deadline_seconds = None;
-    stall_phases = 4;
     on_phase_end = None;
     obs = Obs.null;
     tracer = Tracer.null;
@@ -131,32 +127,36 @@ let default_config =
 let clone design =
   Io.of_string_exn ~library:(Design.library design) (Io.to_string design)
 
-(* A restorable snapshot of everything the OPT passes mutate, scored by
-   the independent evaluator (which sees the physically realized state —
-   realization zeroes the scheduled latencies it hosts). *)
-type checkpoint = {
-  label : string;
-  ck_ffs : Design.cell_id array;
-  ck_latencies : float array;  (* scheduled, per entry of [ck_ffs] *)
-  ck_lcb_of : Design.cell_id array;  (* -1 when unresolved *)
-  ck_positions : Point.t array;  (* per cell id *)
-  ck_masters : string array;  (* per cell id *)
-  ck_report : Evaluator.report;
-  ck_score : float;  (* min of both corners' WNS *)
-  ck_tns : float;  (* tie-break: sum of both corners' TNS *)
-}
+(* Consecutive phases without live-timer worst-slack improvement before
+   the flow stops with [stop_reason = "stalled"]. *)
+let stall_phases = 4
 
-(* The extraction engines persist across rounds — the partial sequential
+(* {2 Engine slots}
+
+   The extraction engines persist across rounds — the partial sequential
    graph keeps growing incrementally over the whole run, as in the paper,
    instead of being rebuilt per phase. A delta request drops them (their
    stored weights are stale against the edited design) and lets the next
-   schedule re-extract against the warm timer. *)
-type engines = {
-  mutable ours_early : Extract.t option;
-  mutable ours_late : Extract.t option;
-  mutable iccss_early : Extract.t option;
-  mutable iccss_late : Extract.t option;
+   schedule re-extract against the warm timer. A slot's name keys its
+   engine's snapshot in a checkpoint. *)
+type slot = {
+  name : string;
+  kind : Extract.engine;
+  corner : Timer.corner;
+  mutable live : Extract.t option;
 }
+
+let slot_table () =
+  List.map
+    (fun (name, kind, corner) -> { name; kind; corner; live = None })
+    [
+      ("ours-early", Extract.Essential, Timer.Early);
+      ("ours-late", Extract.Essential, Timer.Late);
+      ("iccss-early", Extract.Iccss, Timer.Early);
+      ("iccss-late", Extract.Iccss, Timer.Late);
+    ]
+
+let slot_names = List.map (fun s -> s.name) (slot_table ())
 
 type t = {
   mutable cfg : config;  (* the [timer] sub-config can change via Apply_sdc *)
@@ -164,7 +164,7 @@ type t = {
   engine0 : [ `Ours | `Iccss | `Fpm ];  (* the algorithm's native engine *)
   mutable timer : Timer.t;  (* replaced by the from-scratch fallback *)
   mutable verts : Vertex.t;
-  engines : engines;
+  slots : slot list;
   mutable pool : Pool.t option;
       (* shared by all engines; shut down at {!close}, or earlier by the
          degradation ladder *)
@@ -176,25 +176,12 @@ type t = {
   budget : Budget.t option;  (* armed only when a limit is configured *)
   mutable css_clock : Wall_clock.t;
   mutable opt_clock : Wall_clock.t;
-  mutable css_base : float;  (* seconds accumulated before a resume *)
-  mutable opt_base : float;
   mutable t0 : float;  (* start of the current run / delta request *)
-  mutable hpwl_before : float;  (* HPWL at the start of the current run *)
-  mutable edges : int;
-  mutable cones : int;
-  mutable iterations : int;
-  mutable best : checkpoint option;
-  mutable stall_best : float;  (* best live-timer worst slack seen *)
-  mutable stall_count : int;  (* phases since it improved *)
-  mutable stop : string option;  (* watchdog verdict, once set *)
-  mutable trace_rev : trace_point list;
-  mutable phases_done : int;  (* completed main-loop phases (resume cursor) *)
-  mutable hold_done : bool;  (* the final hold touch-up phase completed *)
+  mutable run : Persist.progress;  (* everything a checkpoint carries about this run *)
   mutable hold_attempted : bool;
       (* at most one hold attempt per run; never persisted — a resumed run
          may retry a hold that an interrupt cut short *)
   mutable rung : int;  (* degradation-ladder position, 0 = full fidelity *)
-  mutable degradations_rev : string list;
   mutable iter_polls : int;  (* scheduler should_stop polls, for fault injection *)
   mutable resumed : bool;  (* the current run continues a loaded checkpoint *)
   mutable validation : Diag.t list;  (* ingress findings for the current design *)
@@ -244,7 +231,7 @@ let snapshot_point st ~round ~phase ~iter =
       tns_late = Timer.tns st.timer Timer.Late;
     }
   in
-  st.trace_rev <- pt :: st.trace_rev;
+  st.run.trace_rev <- pt :: st.run.trace_rev;
   if Obs.enabled st.cfg.obs then
     Obs.snapshot st.cfg.obs ~label:"flow.point"
       [
@@ -260,7 +247,7 @@ let snapshot_point st ~round ~phase ~iter =
 let record_scheduler_trace st ~round ~phase (res : Scheduler.result) =
   List.iter
     (fun (it : Scheduler.iteration) ->
-      st.trace_rev <-
+      st.run.trace_rev <-
         {
           round;
           phase;
@@ -270,7 +257,7 @@ let record_scheduler_trace st ~round ~phase (res : Scheduler.result) =
           wns_late = it.Scheduler.wns_late;
           tns_late = it.Scheduler.tns_late;
         }
-        :: st.trace_rev)
+        :: st.run.trace_rev)
     res.Scheduler.trace
 
 let targets_of verts latencies =
@@ -289,38 +276,21 @@ let targets_of verts latencies =
    re-derives them in one sweep at the start of each CSS phase. *)
 let refresh_weights st graph = Seq_graph.refresh_weights graph st.timer
 
-let ours_engine st corner =
-  let get, set =
-    match corner with
-    | Timer.Early -> ((fun () -> st.engines.ours_early), fun e -> st.engines.ours_early <- Some e)
-    | Timer.Late -> ((fun () -> st.engines.ours_late), fun e -> st.engines.ours_late <- Some e)
-  in
-  match get () with
+(* The live engine in [kind]'s slot for [corner], extracted from scratch
+   on first use. *)
+let engine_for st kind corner =
+  let slot = List.find (fun s -> s.kind = kind && s.corner = corner) st.slots in
+  match slot.live with
   | Some e -> e
   | None ->
     let e =
-      Extract.run ~obs:st.cfg.obs ?pool:st.pool ?cache:st.cache ~engine:Extract.Essential
-        st.timer st.verts ~corner
+      Extract.run ~obs:st.cfg.obs ?pool:st.pool ?cache:st.cache ~engine:kind st.timer st.verts
+        ~corner
     in
-    set e;
+    slot.live <- Some e;
     e
 
-let iccss_engine st corner =
-  let get, set =
-    match corner with
-    | Timer.Early ->
-      ((fun () -> st.engines.iccss_early), fun e -> st.engines.iccss_early <- Some e)
-    | Timer.Late -> ((fun () -> st.engines.iccss_late), fun e -> st.engines.iccss_late <- Some e)
-  in
-  match get () with
-  | Some e -> e
-  | None ->
-    let e =
-      Extract.run ~obs:st.cfg.obs ?pool:st.pool ?cache:st.cache ~engine:Extract.Iccss st.timer
-        st.verts ~corner
-    in
-    set e;
-    e
+let live_engines st = List.filter_map (fun s -> s.live) st.slots
 
 (* {2 Watchdogs} *)
 
@@ -330,9 +300,9 @@ let past_deadline st =
   match st.cfg.deadline_seconds with None -> false | Some d -> elapsed st > d
 
 let set_stop st reason =
-  if st.stop = None then begin
+  if st.run.stop = None then begin
     Log.warn (fun m -> m "flow stopping: %s" reason);
-    st.stop <- Some reason;
+    st.run.stop <- Some reason;
     Obs.snapshot st.cfg.obs ~label:"flow.stop"
       [ ("reason", Obs.Json.String reason); ("elapsed_seconds", Obs.Json.Float (elapsed st)) ]
   end
@@ -360,7 +330,7 @@ let rung_applicable st = function
   | _ -> true
 
 let rec degrade st ~reason =
-  if st.stop = None && st.rung < 4 then begin
+  if st.run.stop = None && st.rung < 4 then begin
     let rung = st.rung + 1 in
     st.rung <- rung;
     if not (rung_applicable st rung) then degrade st ~reason
@@ -370,14 +340,7 @@ let rec degrade st ~reason =
       | 2 ->
         Option.iter Pool.shutdown st.pool;
         st.pool <- None;
-        List.iter
-          (fun eo -> Option.iter (fun e -> Extract.set_pool e None) eo)
-          [
-            st.engines.ours_early;
-            st.engines.ours_late;
-            st.engines.iccss_early;
-            st.engines.iccss_late;
-          ]
+        List.iter (fun e -> Extract.set_pool e None) (live_engines st)
       | 4 -> set_stop st ("budget-" ^ reason)
       | _ -> ());
       (* under memory pressure, shed half the macromodel cache and
@@ -386,7 +349,7 @@ let rec degrade st ~reason =
         Option.iter (fun c -> Macromodel.trim c ~frac:0.5) st.cache;
         Gc.compact ()
       end;
-      st.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.degradations_rev;
+      st.run.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.run.degradations_rev;
       Obs.incr (Obs.counter st.cfg.obs "flow.degradations");
       if Obs.enabled st.cfg.obs then
         Obs.snapshot st.cfg.obs ~label:"flow.degrade"
@@ -403,9 +366,9 @@ let rec degrade st ~reason =
 (* Phase-boundary governor: the cooperative interrupt flag wins, then the
    budget — [Hard] stops the flow, [Soft] takes one ladder step. *)
 let governor st =
-  if st.stop = None then begin
+  if st.run.stop = None then begin
     (match st.cfg.debug_interrupt_after_phase with
-    | Some n when st.phases_done >= n -> Persist.request_interrupt ()
+    | Some n when st.run.phases_done >= n -> Persist.request_interrupt ()
     | _ -> ());
     if Persist.interrupted () then set_stop st "interrupted"
     else
@@ -428,24 +391,19 @@ let interrupt_cause st =
       match Budget.poll b with Budget.Hard reason -> "budget-" ^ reason | _ -> "budget-wall")
     | _ -> "interrupted"
 
-(* The scheduler's own deadline is the tightest of: its configured one,
-   the per-phase budget, and whatever remains of the flow budget — so a
-   phase in flight also honors the flow-level watchdog. The budget adds
-   two more hooks: rung 1+ shrinks the best-state ring, and [should_stop]
-   aborts mid-phase on a signal or hard budget. *)
+(* The scheduler's own deadline is the tighter of its configured one and
+   whatever remains of the flow budget — so a phase in flight also honors
+   the flow-level watchdog. The budget adds two more hooks: rung 1+
+   shrinks the best-state ring, and [should_stop] aborts mid-phase on a
+   signal or hard budget. *)
 let scheduler_config st =
   let remaining =
     match st.cfg.deadline_seconds with
     | None -> None
     | Some d -> Some (Float.max 0.0 (d -. elapsed st))
   in
-  let phase_budget =
-    match st.cfg.scheduler.Scheduler.deadline_seconds with
-    | Some _ as d -> d
-    | None -> st.cfg.phase_deadline_seconds
-  in
   let eff =
-    match (phase_budget, remaining) with
+    match (st.cfg.scheduler.Scheduler.deadline_seconds, remaining) with
     | None, r -> r
     | (Some _ as d), None -> d
     | Some a, Some b -> Some (Float.min a b)
@@ -502,7 +460,7 @@ let take_checkpoint st ~label =
   let report = evaluate_now st in
   let ffs = Design.ffs design in
   {
-    label;
+    Persist.label;
     ck_ffs = ffs;
     ck_latencies = Array.map (fun ff -> Design.scheduled_latency design ff) ffs;
     ck_lcb_of =
@@ -512,13 +470,17 @@ let take_checkpoint st ~label =
       Array.init (Design.num_cells design) (fun c ->
           (Design.cell_master design c).Css_liberty.Cell.name);
     ck_report = report;
-    ck_score = Float.min report.Evaluator.wns_early report.Evaluator.wns_late;
-    ck_tns = report.Evaluator.tns_early +. report.Evaluator.tns_late;
   }
 
-let better ~score ~tns (cp : checkpoint) =
-  score > cp.ck_score +. 1e-9
-  || (score >= cp.ck_score -. 1e-9 && tns > cp.ck_tns +. 1e-9)
+(* A checkpoint's score is the min of both corners' WNS, the tie-break
+   the sum of both corners' TNS — both read off the stored report, so a
+   resumed run compares exactly the floats the interrupted one did. *)
+let score (r : Evaluator.report) = Float.min r.Evaluator.wns_early r.Evaluator.wns_late
+let tns (r : Evaluator.report) = r.Evaluator.tns_early +. r.Evaluator.tns_late
+
+let better report (cp : Persist.checkpoint) =
+  let s = score report and best = score cp.ck_report in
+  s > best +. 1e-9 || (s >= best -. 1e-9 && tns report > tns cp.ck_report +. 1e-9)
 
 (* Full incremental resync after arbitrary design mutation (restore or
    the [on_phase_end] hook): every wire delay and every clock latency is
@@ -530,7 +492,7 @@ let resync st =
   Timer.update_moved_cells st.timer !cells;
   Timer.update_latencies st.timer (Array.to_list (Design.ffs design))
 
-let restore st (cp : checkpoint) =
+let restore st (cp : Persist.checkpoint) =
   let design = Timer.design st.timer in
   Array.iteri
     (fun c master ->
@@ -550,112 +512,40 @@ let restore st (cp : checkpoint) =
 
 let consider_checkpoint st ~label =
   let cp = take_checkpoint st ~label in
-  (match st.best with
-  | Some best when not (better ~score:cp.ck_score ~tns:cp.ck_tns best) -> ()
+  match st.run.best with
+  | Some best when not (better cp.ck_report best) -> ()
   | _ ->
-    st.best <- Some cp;
+    st.run.best <- Some cp;
     Obs.incr (Obs.counter st.cfg.obs "flow.checkpoints");
-    Log.debug (fun m -> m "checkpoint %s: score %.2f" label cp.ck_score));
-  cp
+    Log.debug (fun m -> m "checkpoint %s: score %.2f" label (score cp.ck_report))
 
 (* {2 Durable checkpoints}
 
-   The in-memory state maps field-for-field onto [Persist.state]; the
-   best checkpoint's evaluator report is carried verbatim (never
-   re-derived) and its score/tie-break are recomputed on resume with the
-   same float expressions [take_checkpoint] uses, so a resumed run's
-   rollback decisions are bitwise those of an uninterrupted one. *)
-
-let trace_entry_of_point (p : trace_point) =
-  {
-    Persist.te_round = p.round;
-    te_phase = p.phase;
-    te_iter = p.iter;
-    te_wns_early = p.wns_early;
-    te_tns_early = p.tns_early;
-    te_wns_late = p.wns_late;
-    te_tns_late = p.tns_late;
-  }
-
-let point_of_trace_entry (e : Persist.trace_entry) =
-  {
-    round = e.Persist.te_round;
-    phase = e.Persist.te_phase;
-    iter = e.Persist.te_iter;
-    wns_early = e.Persist.te_wns_early;
-    tns_early = e.Persist.te_tns_early;
-    wns_late = e.Persist.te_wns_late;
-    tns_late = e.Persist.te_tns_late;
-  }
-
-let best_of_checkpoint (cp : checkpoint) =
-  {
-    Persist.pb_label = cp.label;
-    pb_ffs = cp.ck_ffs;
-    pb_latencies = cp.ck_latencies;
-    pb_lcb_of = cp.ck_lcb_of;
-    pb_x = Array.map (fun (p : Point.t) -> p.Point.x) cp.ck_positions;
-    pb_y = Array.map (fun (p : Point.t) -> p.Point.y) cp.ck_positions;
-    pb_masters = cp.ck_masters;
-    pb_report = cp.ck_report;
-  }
-
-let checkpoint_of_best (b : Persist.best) =
-  let report = b.Persist.pb_report in
-  {
-    label = b.Persist.pb_label;
-    ck_ffs = b.Persist.pb_ffs;
-    ck_latencies = b.Persist.pb_latencies;
-    ck_lcb_of = b.Persist.pb_lcb_of;
-    ck_positions =
-      Array.init (Array.length b.Persist.pb_x) (fun i ->
-          Point.make b.Persist.pb_x.(i) b.Persist.pb_y.(i));
-    ck_masters = b.Persist.pb_masters;
-    ck_report = report;
-    ck_score = Float.min report.Evaluator.wns_early report.Evaluator.wns_late;
-    ck_tns = report.Evaluator.tns_early +. report.Evaluator.tns_late;
-  }
-
-let engine_snapshots st =
-  let add key eo acc = match eo with None -> acc | Some e -> (key, Extract.snapshot e) :: acc in
-  add "ours-early" st.engines.ours_early
-    (add "ours-late" st.engines.ours_late
-       (add "iccss-early" st.engines.iccss_early (add "iccss-late" st.engines.iccss_late [])))
+   A checkpoint is the run's progress record as it stands — the live
+   CSS/OPT clocks folded into its accumulated seconds — plus what a
+   reopened session needs to rebuild its design, engines and cache. *)
 
 let persist_state st =
+  let design = Timer.design st.timer in
   {
     Persist.ps_algo = algo_name st.algo;
-    ps_design = Design.name (Timer.design st.timer);
+    ps_design = Design.name design;
     ps_rounds = st.cfg.rounds;
-    ps_phases_done = st.phases_done;
-    ps_hold_done = st.hold_done;
-    ps_iterations = st.iterations;
-    ps_edges = st.edges;
-    ps_cones = st.cones;
-    ps_stall_best = st.stall_best;
-    ps_stall_count = st.stall_count;
-    ps_stop = st.stop;
-    ps_hpwl_before = st.hpwl_before;
-    ps_anchor_x =
-      (let design = Timer.design st.timer in
-       Array.init (Design.num_cells design) (fun c -> (Design.cell_orig_pos design c).Point.x));
-    ps_anchor_y =
-      (let design = Timer.design st.timer in
-       Array.init (Design.num_cells design) (fun c -> (Design.cell_orig_pos design c).Point.y));
-    ps_css_seconds = st.css_base +. Wall_clock.elapsed st.css_clock;
-    ps_opt_seconds = st.opt_base +. Wall_clock.elapsed st.opt_clock;
+    ps_progress =
+      {
+        st.run with
+        css_seconds = st.run.css_seconds +. Wall_clock.elapsed st.css_clock;
+        opt_seconds = st.run.opt_seconds +. Wall_clock.elapsed st.opt_clock;
+      };
+    ps_anchors = Array.init (Design.num_cells design) (Design.cell_orig_pos design);
     ps_rung = st.rung;
-    ps_degradations = List.rev st.degradations_rev;
-    ps_trace = List.rev_map trace_entry_of_point st.trace_rev;
-    ps_best = Option.map best_of_checkpoint st.best;
-    ps_design_text = Io.to_string (Timer.design st.timer);
-    ps_engines = engine_snapshots st;
+    ps_design_text = Io.to_string design;
+    ps_engines =
+      List.filter_map
+        (fun s -> Option.map (fun e -> (s.name, Extract.snapshot e)) s.live)
+        st.slots;
     ps_cache = (match st.cache with None -> [] | Some c -> Macromodel.snapshot c);
   }
-
-let snapshot st =
-  check_open st "snapshot";
-  persist_state st
 
 let save st ~dir =
   check_open st "save";
@@ -704,15 +594,15 @@ let css_opt_phase st ~round ~corner =
       let res = Scheduler.run ~config:sched_config ~obs:st.cfg.obs st.timer extraction in
       if res.Scheduler.stop_reason = Scheduler.Interrupted then None
       else begin
-        st.iterations <- st.iterations + res.Scheduler.iterations;
+        st.run.iterations <- st.run.iterations + res.Scheduler.iterations;
         record_scheduler_trace st ~round ~phase:(phase ^ "-css") res;
         Some (targets_of st.verts res.Scheduler.target_latency)
       end
     in
     match engine with
-    | `Ours -> run_scheduler (ours_engine st corner) ~on_cap_hit:(fun _ -> ())
+    | `Ours -> run_scheduler (engine_for st Extract.Essential corner) ~on_cap_hit:(fun _ -> ())
     | `Iccss ->
-      let eng = iccss_engine st corner in
+      let eng = engine_for st Extract.Iccss corner in
       run_scheduler eng
         ~on_cap_hit:(fun v ->
           match Vertex.ff_of st.verts v with
@@ -720,8 +610,8 @@ let css_opt_phase st ~round ~corner =
           | None -> ())
     | `Fpm ->
       let res, stats = Css_baselines.Fpm.run ~obs:st.cfg.obs ?pool:st.pool st.timer in
-      st.edges <- st.edges + stats.Extract.edges_extracted;
-      st.cones <- st.cones + stats.Extract.cone_nodes;
+      st.run.edges <- st.run.edges + stats.Extract.edges_extracted;
+      st.run.cones <- st.run.cones + stats.Extract.cone_nodes;
       snapshot_point st ~round ~phase:(phase ^ "-css") ~iter:1;
       Some (targets_of res.Css_baselines.Fpm.vertices res.Css_baselines.Fpm.target_latency)
   in
@@ -771,26 +661,27 @@ let css_opt_phase st ~round ~corner =
     resync st
   | None -> ());
   if scored_checkpoints st then
-    ignore (consider_checkpoint st ~label:(Printf.sprintf "round-%d-%s" round phase));
+    consider_checkpoint st ~label:(Printf.sprintf "round-%d-%s" round phase);
   (* stall watchdog on the live timer's worst slack (cheap; the
      evaluator-scored checkpoint above is the rollback authority) *)
+  let run = st.run in
   let worst = Float.min (Timer.wns st.timer Timer.Early) (Timer.wns st.timer Timer.Late) in
-  if worst > st.stall_best +. 1e-9 then begin
-    st.stall_best <- worst;
-    st.stall_count <- 0
+  if worst > run.stall_best +. 1e-9 then begin
+    run.stall_best <- worst;
+    run.stall_count <- 0
   end
   else begin
-    st.stall_count <- st.stall_count + 1;
-    if st.stall_count >= st.cfg.stall_phases && st.stop = None then begin
+    run.stall_count <- run.stall_count + 1;
+    if run.stall_count >= stall_phases && run.stop = None then begin
       Log.warn (fun m ->
           m "round %d %s: %d phases without worst-slack progress, stopping" round phase
-            st.stall_count);
-      st.stop <- Some "stalled"
+            run.stall_count);
+      run.stop <- Some "stalled"
     end
   end;
-  if past_deadline st && st.stop = None then begin
+  if past_deadline st && run.stop = None then begin
     Log.warn (fun m -> m "round %d %s: flow deadline exceeded, stopping" round phase);
-    st.stop <- Some "deadline"
+    run.stop <- Some "deadline"
   end;
   true
 
@@ -803,10 +694,10 @@ let corner_of_index st i =
   match (st.algo, i) with (Ours | Iccss_plus), 1 -> Timer.Late | _ -> Timer.Early
 
 let want_hold st =
-  (not st.hold_done)
+  (not st.run.hold_done)
   && (match st.algo with Ours | Iccss_plus -> true | Ours_early | Fpm -> false)
   && Timer.wns st.timer Timer.Early < 0.0
-  && (match st.stop with None | Some "stalled" -> true | _ -> false)
+  && (match st.run.stop with None | Some "stalled" -> true | _ -> false)
 
 (* One phase of the positional continuation: phase k of the main loop is
    corner [k mod ncorners] of round [k / ncorners + 1], then the hold
@@ -817,19 +708,20 @@ let want_hold st =
    to [`Done] computes bitwise what the recursion did. *)
 let step st =
   check_open st "step";
+  let run = st.run in
   let nc = ncorners st in
-  let r = (st.phases_done / nc) + 1 in
-  let ci = st.phases_done mod nc in
-  if st.stop = None && (ci > 0 || (r <= st.cfg.rounds && not (clean st))) then begin
+  let r = (run.phases_done / nc) + 1 in
+  let ci = run.phases_done mod nc in
+  if run.stop = None && (ci > 0 || (r <= st.cfg.rounds && not (clean st))) then begin
     let corner = corner_of_index st ci in
     let label =
       Printf.sprintf "round-%d-%s" r
         (match corner with Timer.Early -> "early" | Timer.Late -> "late")
     in
     governor st;
-    if st.stop = None then
+    if run.stop = None then
       if css_opt_phase st ~round:r ~corner then begin
-        st.phases_done <- st.phases_done + 1;
+        run.phases_done <- run.phases_done + 1;
         persist_checkpoint st
       end;
     `Phase label
@@ -842,10 +734,10 @@ let step st =
     st.hold_attempted <- true;
     governor st;
     if
-      (match st.stop with None | Some "stalled" -> true | _ -> false)
+      (match run.stop with None | Some "stalled" -> true | _ -> false)
       && css_opt_phase st ~round:(st.cfg.rounds + 1) ~corner:Timer.Early
     then begin
-      st.hold_done <- true;
+      run.hold_done <- true;
       persist_checkpoint st
     end;
     `Phase "hold"
@@ -858,40 +750,35 @@ let rec drain st = match step st with `Phase _ -> drain st | `Done -> ()
    are summed into locals, so a later delta request on the same session
    starts its own accumulation from fresh engines. *)
 let finalize st =
+  let run = st.run in
   let stop_reason =
-    match st.stop with Some s -> s | None -> if clean st then "clean" else "max-rounds"
+    match run.stop with Some s -> s | None -> if clean st then "clean" else "max-rounds"
   in
-  let edges = ref st.edges and cones = ref st.cones in
-  let add_stats = function
-    | Some e ->
-      let s = Extract.stats e in
-      edges := !edges + s.Extract.edges_extracted;
-      cones := !cones + s.Extract.cone_nodes
-    | None -> ()
+  let edges, cones =
+    List.fold_left
+      (fun (edges, cones) e ->
+        let s = Extract.stats e in
+        (edges + s.Extract.edges_extracted, cones + s.Extract.cone_nodes))
+      (run.edges, run.cones) (live_engines st)
   in
-  add_stats st.engines.ours_early;
-  add_stats st.engines.ours_late;
-  add_stats st.engines.iccss_early;
-  add_stats st.engines.iccss_late;
   let final_report = if st.cfg.final_eval then evaluate_now st else live_report st in
   let report, rolled_back =
     if not (scored_checkpoints st) then (final_report, false)
     else
-      let score = Float.min final_report.Evaluator.wns_early final_report.Evaluator.wns_late in
-      let tns = final_report.Evaluator.tns_early +. final_report.Evaluator.tns_late in
-      match st.best with
-      | Some cp when not (better ~score ~tns cp) && cp.ck_score > score +. 1e-9 ->
+      match run.best with
+      | Some cp
+        when (not (better final_report cp)) && score cp.ck_report > score final_report +. 1e-9 ->
         Log.warn (fun m ->
             m "final state (score %.2f) worse than checkpoint %s (score %.2f): rolling back"
-              score cp.label cp.ck_score);
+              (score final_report) cp.label (score cp.ck_report));
         restore st cp;
         Obs.incr (Obs.counter st.cfg.obs "flow.rollbacks");
         if Obs.enabled st.cfg.obs then
           Obs.snapshot st.cfg.obs ~label:"flow.rollback"
             [
               ("checkpoint", Obs.Json.String cp.label);
-              ("checkpoint_score", Obs.Json.Float cp.ck_score);
-              ("final_score", Obs.Json.Float score);
+              ("checkpoint_score", Obs.Json.Float (score cp.ck_report));
+              ("final_score", Obs.Json.Float (score final_report));
             ];
         (cp.ck_report, true)
       | _ -> (final_report, false)
@@ -907,20 +794,20 @@ let finalize st =
     algo = algo_name st.algo;
     benchmark = Design.name (Timer.design st.timer);
     report;
-    css_seconds = st.css_base +. Wall_clock.elapsed st.css_clock;
-    opt_seconds = st.opt_base +. Wall_clock.elapsed st.opt_clock;
+    css_seconds = run.css_seconds +. Wall_clock.elapsed st.css_clock;
+    opt_seconds = run.opt_seconds +. Wall_clock.elapsed st.opt_clock;
     total_seconds;
-    extracted_edges = !edges;
-    cone_nodes = !cones;
-    css_iterations = st.iterations;
+    extracted_edges = edges;
+    cone_nodes = cones;
+    css_iterations = run.iterations;
     hpwl_increase_pct =
-      Css_geometry.Hpwl.increase_pct ~before:st.hpwl_before ~after:report.Evaluator.hpwl;
+      Css_geometry.Hpwl.increase_pct ~before:run.hpwl_before ~after:report.Evaluator.hpwl;
     stop_reason;
     rolled_back;
-    degradations = List.rev st.degradations_rev;
+    degradations = List.rev run.degradations_rev;
     resumed = st.resumed;
     validation = st.validation;
-    trace = List.rev st.trace_rev;
+    trace = List.rev run.trace_rev;
   }
 
 let finish st =
@@ -930,8 +817,21 @@ let finish st =
 
 (* {2 Opening and resuming} *)
 
-let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
+(* The first act of every run: the start trajectory point, and the input
+   itself as the first checkpoint — a hardened run can never end worse
+   than what it was given. *)
+let start_run st =
+  snapshot_point st ~round:0 ~phase:"start" ~iter:0;
+  if scored_checkpoints st then consider_checkpoint st ~label:"start";
+  persist_checkpoint st
+
+let create ~(config : config) ~algo ~validation ?resume design =
   let total_t0 = Wall_clock.now () in
+  let run =
+    match resume with
+    | Some ps -> ps.Persist.ps_progress
+    | None -> Persist.fresh_progress ~hpwl_before:(Design.total_hpwl design)
+  in
   let timer = Timer.build ~config:config.timer ~obs:config.obs design in
   let resume_rung = match resume with Some r -> r.Persist.ps_rung | None -> 0 in
   let jobs_eff = if resume_rung >= 2 then 1 else config.jobs in
@@ -964,30 +864,16 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
       engine0;
       timer;
       verts = Vertex.of_design design;
-      engines = { ours_early = None; ours_late = None; iccss_early = None; iccss_late = None };
+      slots = slot_table ();
       pool;
       cache;
       budget;
       css_clock = Wall_clock.create ();
       opt_clock = Wall_clock.create ();
-      css_base = (match resume with Some r -> r.Persist.ps_css_seconds | None -> 0.0);
-      opt_base = (match resume with Some r -> r.Persist.ps_opt_seconds | None -> 0.0);
       t0 = total_t0;
-      hpwl_before;
-      edges = (match resume with Some r -> r.Persist.ps_edges | None -> 0);
-      cones = (match resume with Some r -> r.Persist.ps_cones | None -> 0);
-      iterations = (match resume with Some r -> r.Persist.ps_iterations | None -> 0);
-      best = None;
-      stall_best = (match resume with Some r -> r.Persist.ps_stall_best | None -> neg_infinity);
-      stall_count = (match resume with Some r -> r.Persist.ps_stall_count | None -> 0);
-      stop = (match resume with Some r -> r.Persist.ps_stop | None -> None);
-      trace_rev = [];
-      phases_done = (match resume with Some r -> r.Persist.ps_phases_done | None -> 0);
-      hold_done = (match resume with Some r -> r.Persist.ps_hold_done | None -> false);
+      run;
       hold_attempted = false;
       rung = resume_rung;
-      degradations_rev =
-        (match resume with Some r -> List.rev r.Persist.ps_degradations | None -> []);
       iter_polls = 0;
       resumed = Option.is_some resume;
       validation;
@@ -996,44 +882,24 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
   in
   (try
      match resume with
-     | None ->
-       snapshot_point st ~round:0 ~phase:"start" ~iter:0;
-       (* the input itself is the first checkpoint: a hardened run can
-          never end worse than what it was given *)
-       if scored_checkpoints st then ignore (consider_checkpoint st ~label:"start");
-       persist_checkpoint st
+     | None -> start_run st
      | Some ps ->
        (* the reparsed design anchored movement legality at checkpoint-time
           positions; put back the anchors the interrupted run judged
           against *)
-       Array.iteri
-         (fun c x ->
-           Design.set_cell_orig_pos design c (Point.make x ps.Persist.ps_anchor_y.(c)))
-         ps.Persist.ps_anchor_x;
-       st.trace_rev <- List.rev_map point_of_trace_entry ps.Persist.ps_trace;
-       st.best <- Option.map checkpoint_of_best ps.Persist.ps_best;
+       Array.iteri (Design.set_cell_orig_pos design) ps.Persist.ps_anchors;
        List.iter
-         (fun (key, snap) ->
-           let corner =
-             if String.length key > 5 && String.sub key (String.length key - 5) 5 = "early"
-             then Timer.Early
-             else Timer.Late
-           in
-           let e =
-             Extract.restore ~obs:config.obs ?pool:st.pool ?cache:st.cache snap st.timer
-               st.verts ~corner
-           in
-           match key with
-           | "ours-early" -> st.engines.ours_early <- Some e
-           | "ours-late" -> st.engines.ours_late <- Some e
-           | "iccss-early" -> st.engines.iccss_early <- Some e
-           | "iccss-late" -> st.engines.iccss_late <- Some e
-           | _ -> Log.warn (fun m -> m "ignoring unknown engine snapshot %S" key))
+         (fun (name, snap) ->
+           let slot = List.find (fun s -> s.name = name) st.slots in
+           slot.live <-
+             Some
+               (Extract.restore ~obs:config.obs ?pool:st.pool ?cache:st.cache snap st.timer
+                  st.verts ~corner:slot.corner))
          ps.Persist.ps_engines;
        Obs.incr (Obs.counter config.obs "flow.resumes");
        Log.info (fun m ->
            m "resumed %s on %s at phase %d (rung %d)" ps.Persist.ps_algo ps.Persist.ps_design
-             ps.Persist.ps_phases_done ps.Persist.ps_rung)
+             run.phases_done ps.Persist.ps_rung)
    with e ->
      (* opening failed after the pool spawned: don't leak domains *)
      Option.iter Pool.shutdown st.pool;
@@ -1050,8 +916,41 @@ let open_ ?(config = default_config) ~algo design =
     end
     else []
   in
-  let hpwl_before = Design.total_hpwl design in
-  create ~config ~algo ~validation ~hpwl_before design
+  create ~config ~algo ~validation design
+
+let ckpt_error fmt = Printf.ksprintf (fun m -> Diag.error ~code:"CKPT-006" m) fmt
+
+(* A hash-valid checkpoint can still disagree with the design it
+   carries (a hand-edited or foreign file). Every index [create] and
+   [restore] dereference must exist, so a bad file is reported instead
+   of raising mid-restore. The best checkpoint may cover fewer cells
+   than the design: CTS guidance adds LCBs after it was taken. *)
+let shape_errors design (ps : Persist.state) =
+  let ncells = Design.num_cells design in
+  let cell c = c >= 0 && c < ncells in
+  let anchors =
+    let n = Array.length ps.Persist.ps_anchors in
+    if n = ncells then []
+    else [ ckpt_error "checkpoint carries %d movement anchors for a design of %d cells" n ncells ]
+  in
+  let best =
+    match ps.Persist.ps_progress.best with
+    | Some cp
+      when Array.length cp.ck_ffs <> Array.length (Design.ffs design)
+           || Array.exists (fun ff -> not (cell ff && Design.is_ff design ff)) cp.ck_ffs
+           || Array.exists (fun lcb -> lcb <> -1 && not (cell lcb)) cp.ck_lcb_of
+           || Array.length cp.ck_positions > ncells ->
+      [ ckpt_error "best checkpoint %S does not fit a design of %d cells" cp.label ncells ]
+    | _ -> []
+  in
+  let engines =
+    List.filter_map
+      (fun (name, _) ->
+        if List.mem name slot_names then None
+        else Some (ckpt_error "checkpoint engine slot %S is not one this build knows" name))
+      ps.Persist.ps_engines
+  in
+  anchors @ best @ engines
 
 let reopen ?(config = default_config) ~library ~dir () =
   match Persist.load ~dir with
@@ -1059,26 +958,19 @@ let reopen ?(config = default_config) ~library ~dir () =
   | Ok ps -> (
     match algo_of_name ps.Persist.ps_algo with
     | None ->
-      Error
-        [
-          Diag.error ~code:"CKPT-006"
-            (Printf.sprintf "checkpoint algorithm %S is not one this build knows"
-               ps.Persist.ps_algo);
-        ]
+      Error [ ckpt_error "checkpoint algorithm %S is not one this build knows" ps.Persist.ps_algo ]
     | Some algo -> (
       match Io.of_string ~source:(Persist.path ~dir) ~library ps.Persist.ps_design_text with
       | Error diags ->
-        Error
-          (Diag.error ~code:"CKPT-006"
-             "checkpoint design does not parse against this cell library"
-          :: diags)
-      | Ok (design, _) ->
-        (* the checkpoint's configured horizon wins: continuation must
-           count rounds the way the interrupted run did *)
-        let config = { config with rounds = ps.Persist.ps_rounds } in
-        Ok
-          (create ~config ~algo ~validation:[] ~hpwl_before:ps.Persist.ps_hpwl_before
-             ~resume:ps design)))
+        Error (ckpt_error "checkpoint design does not parse against this cell library" :: diags)
+      | Ok (design, _) -> (
+        match shape_errors design ps with
+        | _ :: _ as errors -> Error errors
+        | [] ->
+          (* the checkpoint's configured horizon wins: continuation must
+             count rounds the way the interrupted run did *)
+          let config = { config with rounds = ps.Persist.ps_rounds } in
+          Ok (create ~config ~algo ~validation:[] ~resume:ps design))))
 
 let close st =
   if not st.closed then begin
@@ -1308,33 +1200,15 @@ type delta_outcome = {
    The budget, its degradation rung, and the pool survive: they belong
    to the session, not to one request. *)
 let reset_for_run st =
-  st.engines.ours_early <- None;
-  st.engines.ours_late <- None;
-  st.engines.iccss_early <- None;
-  st.engines.iccss_late <- None;
-  st.phases_done <- 0;
-  st.hold_done <- false;
+  List.iter (fun s -> s.live <- None) st.slots;
+  st.run <- Persist.fresh_progress ~hpwl_before:(Design.total_hpwl (Timer.design st.timer));
   st.hold_attempted <- false;
-  st.stop <- None;
-  st.stall_best <- neg_infinity;
-  st.stall_count <- 0;
-  st.best <- None;
-  st.trace_rev <- [];
-  st.edges <- 0;
-  st.cones <- 0;
-  st.iterations <- 0;
   st.iter_polls <- 0;
-  st.css_base <- 0.0;
-  st.opt_base <- 0.0;
   st.css_clock <- Wall_clock.create ();
   st.opt_clock <- Wall_clock.create ();
-  st.degradations_rev <- [];
   st.resumed <- false;
   st.t0 <- Wall_clock.now ();
-  st.hpwl_before <- Design.total_hpwl (Timer.design st.timer);
-  snapshot_point st ~round:0 ~phase:"start" ~iter:0;
-  if scored_checkpoints st then ignore (consider_checkpoint st ~label:"start");
-  persist_checkpoint st
+  start_run st
 
 let apply_delta st deltas =
   check_open st "apply_delta";

@@ -25,16 +25,48 @@
     is bitwise the answer of a fresh [Flow.run] on the post-delta design
     given the same configuration — the warm incrementally-updated timer
     is exact, not approximate ({!Css_oracle.Oracles.check_eco_identity}
-    enforces this). All hardening described in {!Flow} (validation,
-    watchdogs, checkpoint/rollback, budgets, persistence) applies
-    per-run inside the session. *)
+    enforces this).
+
+    {2 Hardening}
+
+    Every run inside a session is guarded end to end (see
+    [docs/ROBUSTNESS.md]):
+
+    - {b ingress validation}: {!Css_netlist.Validate.run} checks and (by
+      default) repairs the design before any timing is built; a fatally
+      degenerate design raises {!Css_netlist.Validate.Invalid} instead
+      of corrupting a run;
+    - {b watchdogs}: a flow-level wall-clock deadline, forwarded to the
+      scheduler as the remaining budget, and a cross-phase stall
+      detector (four consecutive phases without worst-slack
+      improvement stop the run as ["stalled"]);
+    - {b checkpoint / rollback}: after validation and after every phase
+      the evaluator scores the physically realized state and the
+      best-scoring checkpoint (latencies, positions, masters, FF-LCB
+      binding) is kept; if the run ends worse than its best checkpoint,
+      the design is restored and the result reports [rolled_back =
+      true]. A run can therefore never end worse than its input;
+    - {b resource governance}: an optional {!Css_util.Budget} (wall
+      clock + resident set) polled at phase and scheduler-iteration
+      boundaries. Soft pressure walks a degradation ladder — shrink the
+      scheduler's best-state ring, drop the worker pool, switch to the
+      cheapest extraction, early-stop — one rung per poll; a hard limit
+      stops the flow with its best result and [stop_reason =
+      "budget-wall"/"budget-rss"];
+    - {b crash-safe persistence}: with [checkpoint_dir] set, the full
+      resumable state ({!Persist.progress} plus design, engines and
+      cache) is written atomically after every completed phase, and
+      {!reopen} continues a killed run to a final result bitwise
+      identical to an uninterrupted one. [handle_signals] routes
+      SIGINT/SIGTERM to a cooperative stop whose last act is that same
+      durable checkpoint. *)
 
 type t
 
-(** {1 Types shared with {!Flow}}
+(** {1 Types}
 
-    {!Flow} re-exports all of these; see its documentation for the
-    field-by-field story. *)
+    {!Flow} includes this module, so every type below is also a [Flow]
+    type. *)
 
 type algo =
   | Ours  (** iterative essential extraction, both corners *)
@@ -47,10 +79,11 @@ val algo_name : algo -> string
 (** [algo_of_name s] inverts {!algo_name}; [None] on unknown names. *)
 val algo_of_name : string -> algo option
 
-type trace_point = {
+(** One sample of the optimization trajectory, for Fig. 8. *)
+type trace_point = Persist.trace_point = {
   round : int;
-  phase : string;
-  iter : int;
+  phase : string;  (** "start", "early-css", "early-opt", "late-css", "late-opt" *)
+  iter : int;  (** scheduler iteration within the phase; 0 for OPT points *)
   wns_early : float;
   tns_early : float;
   wns_late : float;
@@ -60,33 +93,57 @@ type trace_point = {
 type result = {
   algo : string;
   benchmark : string;
-  report : Css_eval.Evaluator.report;
+  report : Css_eval.Evaluator.report;  (** final, physically realized state *)
   css_seconds : float;
   opt_seconds : float;
   total_seconds : float;
   extracted_edges : int;
   cone_nodes : int;
   css_iterations : int;
-  hpwl_increase_pct : float;
+  hpwl_increase_pct : float;  (** vs. the design at run start *)
   stop_reason : string;
+      (** why the round loop ended: ["clean"] (no violations left),
+          ["max-rounds"], ["stalled"], ["deadline"], ["interrupted"]
+          (SIGINT/SIGTERM or a debug interrupt), or
+          ["budget-wall"]/["budget-rss"] (hard budget limit) *)
   rolled_back : bool;
+      (** the final state scored worse than an earlier checkpoint and the
+          design was restored to that checkpoint; [report] is the
+          checkpoint's evaluation *)
   degradations : string list;
-  resumed : bool;
+      (** chronological ladder steps taken under soft budget pressure,
+          as ["<step>(<reason>)"] — e.g. ["drop-pool(wall)"]; empty when
+          the budget never tripped *)
+  resumed : bool;  (** this result continues a reopened checkpoint *)
   validation : Css_util.Diag.t list;
-  trace : trace_point list;
+      (** everything ingress validation found (repaired or warned);
+          empty when [validate = false] or the design was pristine *)
+  trace : trace_point list;  (** chronological *)
 }
 
 type config = {
-  rounds : int;
-  timer : Css_sta.Timer.config;
+  rounds : int;  (** CSS+OPT rounds per corner (default 3) *)
+  timer : Css_sta.Timer.config;  (** analysis corner setup (derates, uncertainties) *)
   scheduler : Css_core.Scheduler.config;
   reconnect : Css_opt.Reconnect.config;
   cell_move : Css_opt.Cell_move.config;
   use_resize : bool;
+      (** also run the gate-sizing passes in each OPT phase (the paper's
+          "logic path optimization" extension; default false) *)
   use_cts : bool;
+      (** realize latency targets by inserting new LCBs via
+          {!Css_opt.Cts_guide} before falling back to reconnection
+          (the paper's "guide clock tree synthesis" extension;
+          default false) *)
   validate : bool;
+      (** run {!Css_netlist.Validate.run} at {!open_} (default true);
+          raises {!Css_netlist.Validate.Invalid} on fatal degeneracy *)
   repair : bool;
+      (** let ingress validation repair what it safely can
+          (default true); with [false] repairable findings are fatal *)
   rollback : bool;
+      (** checkpoint after every phase and restore the best-scoring
+          state if the run ends worse (default true) *)
   final_eval : bool;
       (** score the final state with the independent evaluator (default
           true — the paper-scoring contract). [false] synthesizes the
@@ -100,15 +157,45 @@ type config = {
       (** {!apply_delta} falls back to a from-scratch timer rebuild when
           a delta batch touches more than this fraction of all cells
           (default 0.25); the incremental path must stay cheaper than
-          what it replaces *)
+          what it replaces. Unused by one-shot runs. *)
   deadline_seconds : float option;
-  phase_deadline_seconds : float option;
-  stall_phases : int;
+      (** flow-level wall-clock budget; checked between phases and
+          forwarded (as the remaining budget, min-combined with
+          {!Css_core.Scheduler.config.deadline_seconds}) to the scheduler
+          so a phase in flight also stops (default [None]) *)
   on_phase_end : (round:int -> phase:string -> Css_netlist.Design.t -> unit) option;
+      (** test/fault-injection hook called after each phase completes,
+          before the phase is scored for checkpointing; the session
+          resyncs the timer afterwards, so the hook may mutate placement
+          and latencies freely (default [None]) *)
   obs : Css_util.Obs.t;
+      (** observability sink threaded through the timer, the extraction
+          engines, the scheduler and the OPT passes. The session itself
+          contributes ["<phase>-css"] / ["<phase>-opt"] spans, one
+          ["flow.point"] snapshot per trajectory sample, the
+          [opt.reconnect.*] / [opt.cell_move.*] counters, and the
+          [flow.checkpoints] / [flow.rollbacks] counters.
+          Default {!Css_util.Obs.null} (zero overhead). *)
   tracer : Css_util.Tracer.t;
+      (** streaming event tracer threaded into the worker pool (one
+          ["pool.chunk"] span per claimed chunk, on the worker's own
+          track) and the budget governor (["budget.wall_s"] /
+          ["budget.rss_bytes"] counter lanes). Stop reasons, degradation
+          rungs and checkpoint-write durations reach the tracer as
+          instants via [obs] snapshot mirroring, so attach the same
+          tracer to [obs] with {!Css_util.Obs.attach_tracer}. {!close}
+          flushes (but does not close) the tracer, including on signal
+          interrupts. Default {!Css_util.Tracer.null} (zero overhead). *)
   jobs : int;
+      (** worker domains for parallel extraction (default 1 =
+          sequential). With [jobs > 1] the session owns a
+          {!Css_util.Pool.t} shared by all extraction engines and shuts
+          it down at {!close}; results are bit-identical at any value
+          (see {!Css_seqgraph.Extract.run}). *)
   budget : Css_util.Budget.limits;
+      (** wall-clock / RSS budget driving the degradation ladder and the
+          hard stop (default {!Css_util.Budget.no_limits} = no budget,
+          zero polling overhead) *)
   cache_bytes : int;
       (** byte budget for the cone macromodel cache (default 64 MiB);
           [0] disables caching entirely. The cache is shared by all
@@ -116,15 +203,26 @@ type config = {
           answers), persists into checkpoints, and is trimmed by the
           degradation ladder under RSS pressure. Results are bitwise
           identical with the cache on or off — the identity oracle
-          asserts it. *)
+          asserts it; see [docs/PERFORMANCE.md]. *)
   checkpoint_dir : string option;
+      (** write a durable {!Persist} checkpoint here after every
+          completed phase; {!reopen} continues from it
+          (default [None] = no persistence) *)
   handle_signals : bool;
-      (** consumed by [Flow.run]/[Flow.resume] (they wrap the drive in
+      (** route SIGINT/SIGTERM to the cooperative interrupt flag for the
+          duration of [Flow.run]/[Flow.resume] (default false). Consumed
+          only by those wrappers (they wrap the drive in
           {!Persist.with_signal_handlers}); the session itself never
           installs handlers — a daemon owns signal dispatch via
           {!Persist.install_handlers} *)
   debug_interrupt_after_phase : int option;
+      (** fault injection: raise the interrupt flag once this many
+          phases completed — a clean phase-boundary kill (default
+          [None]; tests only) *)
   debug_interrupt_after_iteration : int option;
+      (** fault injection: raise the interrupt flag after this many
+          scheduler [should_stop] polls — a mid-phase kill (default
+          [None]; tests only) *)
 }
 
 val default_config : config
@@ -268,15 +366,13 @@ val stage :
 (** {1 Persistence}
 
     Sessions are crash-safe through the same {!Persist} checkpoints the
-    one-shot flow uses: {!snapshot}/{!save} capture the full resumable
-    state at the current phase boundary, and {!reopen} rebuilds a
-    session that continues bitwise — a killed daemon resumes its
-    sessions exactly where their last completed phase left them. *)
+    one-shot flow uses: {!save} captures the full resumable state at the
+    current phase boundary, and {!reopen} rebuilds a session that
+    continues bitwise — a killed daemon resumes its sessions exactly
+    where their last completed phase left them. *)
 
-(** [snapshot t] is the full durable state at the current boundary. *)
-val snapshot : t -> Persist.state
-
-(** [save t ~dir] writes {!snapshot} atomically under [dir].
+(** [save t ~dir] atomically writes the full durable state at the
+    current boundary under [dir].
     @raise Sys_error when the directory cannot be created or written. *)
 val save : t -> dir:string -> unit
 
@@ -284,7 +380,10 @@ val save : t -> dir:string -> unit
     into a fresh session positioned mid-run: {!finish} continues to the
     bitwise result of the uninterrupted run, and the session then keeps
     serving deltas. [config.rounds] is overridden by the checkpoint's
-    horizon. Errors carry {!Persist}'s [CKPT-*] codes. *)
+    horizon. Errors carry {!Persist}'s [CKPT-*] codes; [CKPT-006] also
+    reports a checkpoint whose shape does not fit the design it carries
+    (anchor count, best-checkpoint arrays, unknown engine slots), so one
+    bad file never raises out of a daemon's restore loop. *)
 val reopen :
   ?config:config ->
   library:Css_liberty.Library.t ->

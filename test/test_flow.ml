@@ -174,13 +174,14 @@ let test_persist_roundtrip () =
   match Persist.load ~dir with
   | Error ds -> Alcotest.failf "load failed: %s" (match ds with d :: _ -> d.Diag.message | [] -> "?")
   | Ok ps ->
+    let run = ps.Persist.ps_progress in
     checks "algo" "Ours" ps.Persist.ps_algo;
     checks "design name" (Design.name design) ps.Persist.ps_design;
-    checkb "phases recorded" true (ps.Persist.ps_phases_done >= 1);
-    checkb "best carried" true (ps.Persist.ps_best <> None);
+    checkb "phases recorded" true (run.Persist.phases_done >= 1);
+    checkb "best carried" true (run.best <> None);
     checkb "engines carried" true (ps.Persist.ps_engines <> []);
-    checkb "trace carried" true (List.length ps.Persist.ps_trace > 1);
-    checki "anchors sized" (Design.num_cells design) (Array.length ps.Persist.ps_anchor_x)
+    checkb "trace carried" true (List.length run.trace_rev > 1);
+    checki "anchors sized" (Design.num_cells design) (Array.length ps.Persist.ps_anchors)
 
 let load_code dir =
   match Persist.load ~dir with
@@ -266,7 +267,7 @@ let test_interrupt_persists_and_resumes () =
   match Persist.load ~dir with
   | Error _ -> Alcotest.fail "no checkpoint after interrupt"
   | Ok ps -> (
-    checki "exactly one phase persisted" 1 ps.Persist.ps_phases_done;
+    checki "exactly one phase persisted" 1 ps.Persist.ps_progress.Persist.phases_done;
     match
       Flow.resume
         ~config:{ Flow.default_config with Flow.checkpoint_dir = Some dir }
@@ -287,10 +288,107 @@ let test_resume_from_garbage_dir () =
   | Error (d :: _) -> checks "code" "CKPT-001" d.Diag.code
   | Error [] -> Alcotest.fail "no diagnostics"
 
-(* {2 The macromodel cache inside a warm session} *)
-
 module Session = Css_flow.Session
 module Obs = Css_util.Obs
+
+(* {2 The checkpoint format}
+
+   [data/micro.ckpt] was written from [Generator.micro] with [Ours] and
+   [rounds = 1]. It pins the on-disk format: regenerate it only together
+   with a format version bump. *)
+
+let fixture = "data/micro.ckpt"
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+let write_file f s = Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+
+(* A fresh checkpoint directory holding [text]. *)
+let ckpt_dir text =
+  let dir = fresh_dir () in
+  write_file (Persist.path ~dir) text;
+  dir
+
+(* The body below the two header lines (magic + version, hash). *)
+let body_of text =
+  let first = String.index text '\n' in
+  let second = String.index_from text (first + 1) '\n' in
+  String.sub text (second + 1) (String.length text - second - 1)
+
+(* [body] under a version header, with its content hash recomputed. *)
+let with_header ~version body =
+  Printf.sprintf "css-checkpoint %d\nhash %016Lx\n%s" version (Css_util.Fnv.of_string body) body
+
+let index_of s sub =
+  let n = String.length sub in
+  let rec go i = if String.sub s i n = sub then i else go (i + 1) in
+  go 0
+
+let test_golden_checkpoint () =
+  let golden = read_file fixture in
+  match Persist.load ~dir:(ckpt_dir golden) with
+  | Error _ -> Alcotest.fail "the golden checkpoint does not load"
+  | Ok st -> (
+    let out = fresh_dir () in
+    Persist.save ~dir:out st;
+    checkb "load then save reproduces the fixture byte for byte" true
+      (read_file (Persist.path ~dir:out) = golden);
+    checkb "the fixture carries cache entries" true (st.Persist.ps_cache <> []);
+    (* version 1 predates the cache section: same body without it *)
+    let body = body_of golden in
+    let cache_at = index_of body "\ncache " + 1 in
+    let v1 = with_header ~version:1 (String.sub body 0 cache_at ^ "end\n") in
+    match Persist.load ~dir:(ckpt_dir v1) with
+    | Error ds ->
+      Alcotest.failf "version 1 rejected: %s" (match ds with d :: _ -> d.Diag.message | [] -> "?")
+    | Ok st1 ->
+      checki "version 1 loads with an empty cache" 0 (List.length st1.Persist.ps_cache);
+      checkb "version 1 keeps everything else" true
+        ({ st1 with Persist.ps_cache = st.Persist.ps_cache } = st))
+
+(* Hash-valid checkpoints whose arrays do not fit their own design must
+   be refused with CKPT-006 by [reopen], never raise out of it. *)
+let test_reopen_shape_check () =
+  let golden = read_file fixture in
+  let library = Design.library (Generator.micro ()) in
+  let reopen text = Session.reopen ~library ~dir:(ckpt_dir text) () in
+  (match reopen golden with
+  | Ok s -> Session.close s
+  | Error _ -> Alcotest.fail "the golden checkpoint does not reopen");
+  let edit f =
+    let lines = String.split_on_char '\n' (body_of golden) in
+    with_header ~version:2 (String.concat "\n" (List.map f lines))
+  in
+  let starts pfx l =
+    String.length l >= String.length pfx && String.sub l 0 (String.length pfx) = pfx
+  in
+  let rename_slot l =
+    let pfx = "engine ours-early " in
+    if starts pfx l then "engine ours-middle " ^ String.sub l 18 (String.length l - 18)
+    else l
+  in
+  let cases =
+    [
+      ( "one extra movement anchor",
+        edit (fun l ->
+            if starts "anchors " l then "anchors 27"
+            else if starts "ax " l || starts "ay " l then l ^ " 0"
+            else l) );
+      ( "a best-checkpoint FF that is an LCB",
+        edit (fun l -> if starts "bf " l then "bf 0 3 4" else l) );
+      ("an unknown engine slot", edit rename_slot);
+    ]
+  in
+  List.iter
+    (fun (what, text) ->
+      match reopen text with
+      | Ok s ->
+        Session.close s;
+        Alcotest.failf "%s: reopened" what
+      | Error ds ->
+        checkb (what ^ ": CKPT-006") true
+          (ds <> [] && List.for_all (fun d -> d.Diag.code = "CKPT-006") ds))
+    cases
+
+(* {2 The macromodel cache inside a warm session} *)
 
 (* A warm session answering a latency-only delta must not re-walk a
    single cone: latency edits never stamp a delay, so every extraction
@@ -383,6 +481,8 @@ let () =
           Alcotest.test_case "interrupt persists and resumes" `Quick
             test_interrupt_persists_and_resumes;
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
+          Alcotest.test_case "golden checkpoint round-trips" `Quick test_golden_checkpoint;
+          Alcotest.test_case "reopen shape check (CKPT-006)" `Quick test_reopen_shape_check;
         ] );
       ( "cache",
         [
