@@ -163,6 +163,10 @@ type t = {
   algo : algo;
   engine0 : [ `Ours | `Iccss | `Fpm ];  (* the algorithm's native engine *)
   mutable timer : Timer.t;  (* replaced by the from-scratch fallback *)
+  mutable scorer : Evaluator.scorer option;
+      (* checkpoint scoring's own timer over the live timer's graph,
+         made at the first scored checkpoint; dropped with the live
+         timer and under memory pressure, rebuilt on the next one *)
   mutable verts : Vertex.t;
   slots : slot list;
   mutable pool : Pool.t option;
@@ -343,10 +347,11 @@ let rec degrade st ~reason =
         List.iter (fun e -> Extract.set_pool e None) (live_engines st)
       | 4 -> set_stop st ("budget-" ^ reason)
       | _ -> ());
-      (* under memory pressure, shed half the macromodel cache and
-         return what the runtime can *)
+      (* under memory pressure, shed half the macromodel cache and the
+         scoring timer, and return what the runtime can *)
       if reason = "rss" then begin
         Option.iter (fun c -> Macromodel.trim c ~frac:0.5) st.cache;
+        st.scorer <- None;
         Gc.compact ()
       end;
       st.run.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.run.degradations_rev;
@@ -429,10 +434,26 @@ let scheduler_config st =
 
 (* {2 Checkpoint / rollback} *)
 
-let evaluate_now st =
-  Evaluator.evaluate
-    ~config:{ Evaluator.default_config with Evaluator.timer = st.cfg.timer }
-    (Timer.design st.timer)
+let eval_config st = { Evaluator.default_config with Evaluator.timer = st.cfg.timer }
+
+(* The final sign-off: a fresh evaluator timer, independent of any
+   incremental state. *)
+let evaluate_now st = Evaluator.evaluate ~config:(eval_config st) (Timer.design st.timer)
+
+(* Checkpoint scoring: the same report, kept up to date incrementally. *)
+let score_now st =
+  let s =
+    match st.scorer with
+    | Some s -> s
+    | None ->
+      let s =
+        Evaluator.scorer ~config:(eval_config st) ~obs:st.cfg.obs ~graph:(Timer.graph st.timer)
+          (Timer.design st.timer)
+      in
+      st.scorer <- Some s;
+      s
+  in
+  Evaluator.score s
 
 (* The cheap stand-in for {!evaluate_now} when [final_eval = false]: the
    live timer's view of the schedule (scheduled latencies still count,
@@ -450,14 +471,15 @@ let live_report st =
     constraint_errors = [];
   }
 
-(* Checkpoint scoring needs the independent evaluator (it builds its own
-   timer per call); without it there is nothing trustworthy to roll back
-   to, so [final_eval = false] also disables rollback scoring. *)
+(* Checkpoint scoring needs the independent evaluator (its own timer,
+   apart from the live one); without it there is nothing trustworthy
+   to roll back to, so [final_eval = false] also disables rollback
+   scoring. *)
 let scored_checkpoints st = st.cfg.rollback && st.cfg.final_eval
 
 let take_checkpoint st ~label =
   let design = Timer.design st.timer in
-  let report = evaluate_now st in
+  let report = score_now st in
   let ffs = Design.ffs design in
   {
     Persist.label;
@@ -863,6 +885,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
       algo;
       engine0;
       timer;
+      scorer = None;
       verts = Vertex.of_design design;
       slots = slot_table ();
       pool;
@@ -977,6 +1000,7 @@ let close st =
     st.closed <- true;
     Option.iter Pool.shutdown st.pool;
     st.pool <- None;
+    st.scorer <- None;
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)
@@ -1237,6 +1261,7 @@ let apply_delta st deltas =
          timing state from scratch inside the warm session *)
       st.cfg <- { st.cfg with timer = sg.sg_timer };
       st.timer <- Timer.build ~config:sg.sg_timer ~obs:st.cfg.obs sg.sg_design;
+      st.scorer <- None;
       st.verts <- Vertex.of_design sg.sg_design;
       if sg.sg_replaced then st.validation <- sg.sg_diags;
       Obs.incr (Obs.counter st.cfg.obs "session.delta_rebuild")

@@ -143,7 +143,10 @@ type config = {
           (default true); with [false] repairable findings are fatal *)
   rollback : bool;
       (** checkpoint after every phase and restore the best-scoring
-          state if the run ends worse (default true) *)
+          state if the run ends worse (default true). Checkpoints are
+          scored by one incremental {!Css_eval.Evaluator.scorer} per
+          session, bitwise equal to a fresh evaluation; the final
+          sign-off is always a fresh one. *)
   final_eval : bool;
       (** score the final state with the independent evaluator (default
           true — the paper-scoring contract). [false] synthesizes the

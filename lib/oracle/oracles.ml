@@ -4,6 +4,7 @@ module Sdc = Css_netlist.Sdc
 module Validate = Css_netlist.Validate
 module Library = Css_liberty.Library
 module Diag = Css_util.Diag
+module Obs = Css_util.Obs
 module Pool = Css_util.Pool
 module Timer = Css_sta.Timer
 module Macromodel = Css_cache.Macromodel
@@ -46,6 +47,39 @@ let latencies_of design =
   |> Array.to_list
   |> List.map (fun ff -> (Design.cell_name design ff, Design.scheduled_latency design ff))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let report_diffs ~label (a : Evaluator.report) (b : Evaluator.report) =
+  let float name x y =
+    if Int64.bits_of_float x = Int64.bits_of_float y then []
+    else [ Printf.sprintf "%s: %s %.17g vs %.17g" label name x y ]
+  and int name x y = if x = y then [] else [ Printf.sprintf "%s: %s %d vs %d" label name x y ] in
+  List.concat
+    [
+      float "wns_early" a.Evaluator.wns_early b.Evaluator.wns_early;
+      float "tns_early" a.Evaluator.tns_early b.Evaluator.tns_early;
+      float "wns_late" a.Evaluator.wns_late b.Evaluator.wns_late;
+      float "tns_late" a.Evaluator.tns_late b.Evaluator.tns_late;
+      int "num_early_violations" a.Evaluator.num_early_violations
+        b.Evaluator.num_early_violations;
+      int "num_late_violations" a.Evaluator.num_late_violations b.Evaluator.num_late_violations;
+      float "hpwl" a.Evaluator.hpwl b.Evaluator.hpwl;
+      (if a.Evaluator.constraint_errors = b.Evaluator.constraint_errors then []
+       else
+         [
+           Printf.sprintf "%s: constraint_errors differ ([%s] vs [%s])" label
+             (String.concat "; " a.Evaluator.constraint_errors)
+             (String.concat "; " b.Evaluator.constraint_errors);
+         ]);
+    ]
+
+(* An independent copy for a reference evaluation: the text round trip
+   keeps every float exactly, and the movement anchors, which the text
+   format does not carry, are copied over. *)
+let fresh_copy design =
+  let copy = Flow.clone design in
+  Design.iter_cells design (fun c ->
+      Design.set_cell_orig_pos copy c (Design.cell_orig_pos design c));
+  copy
 
 let with_optional_pool jobs f =
   match jobs with
@@ -502,6 +536,42 @@ let check_cache_eco_identity ?(config = Flow.default_config)
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)
+(* Scorer identity *)
+
+(* The incremental scorer must be an optimization, never an
+   approximation: one long-lived scorer, brought up to date after every
+   phase of a real flow (moves, reconnections, resizing, CTS growth, the
+   final rollback), must report bitwise what a fresh evaluation of an
+   independent copy reports. *)
+let check_scorer_identity ?(config = Flow.default_config) ?(obs = Obs.null) design ~algo =
+  let failures = ref [] in
+  let eval_config = { Evaluator.default_config with Evaluator.timer = config.Flow.timer } in
+  let d = Flow.clone design in
+  let scorer = Evaluator.scorer ~config:eval_config ~obs d in
+  let scored = ref 0 in
+  let check label =
+    incr scored;
+    let reference = Evaluator.evaluate ~config:eval_config (fresh_copy d) in
+    failures := List.rev_append (report_diffs ~label reference (Evaluator.score scorer)) !failures
+  in
+  let hook ~round ~phase _ = check (Printf.sprintf "round %d %s" round phase) in
+  ignore
+    (Flow.run
+       ~config:
+         {
+           config with
+           Flow.on_phase_end = Some hook;
+           Flow.checkpoint_dir = None;
+           Flow.handle_signals = false;
+           Flow.debug_interrupt_after_phase = None;
+           Flow.debug_interrupt_after_iteration = None;
+         }
+       ~algo d);
+  check "after the run";
+  if !scored < 2 then failures := "the flow ran no phase: nothing was compared" :: !failures;
+  List.rev !failures
+
+(* ------------------------------------------------------------------ *)
 (* Graceful-degradation pipeline *)
 
 type verdict =
@@ -565,7 +635,16 @@ let pipeline ?(rounds = 1) ?deadline (corpus : Fault_seq.corpus) =
                 Error
                   (Printf.sprintf "flow accepted a schedule worse than its input (%.3f < %.3f)"
                      (score after) (score before))
-              else Ok (Survived after)))))
+              else
+                (* the report contract: whether final or rolled back, the
+                   returned report is what re-evaluating the returned
+                   design produces *)
+                match
+                  report_diffs ~label:"returned report vs re-evaluation"
+                    (Evaluator.evaluate design) after
+                with
+                | [] -> Ok (Survived after)
+                | diffs -> Error (String.concat "\n" diffs)))))
   with
   | verdict -> verdict
   | exception e ->

@@ -67,6 +67,13 @@ val schedule :
   corner:Css_sta.Timer.corner ->
   run
 
+(** [report_diffs ~label a b] lists, each prefixed by [label], the
+    fields where evaluator report [b] differs from [a]: floats by
+    [Int64.bits_of_float], counts and [constraint_errors] by equality.
+    Empty means bitwise equal. *)
+val report_diffs :
+  label:string -> Css_eval.Evaluator.report -> Css_eval.Evaluator.report -> string list
+
 (** [check_parity ?wns_tol ?tns_rel_tol ?tns_abs_tol ~reference
     candidate] compares two runs at their {e scheduled} corner. Only
     that corner's WNS is theoretically pinned — every engine must reach
@@ -188,6 +195,24 @@ val check_cache_eco_identity :
   algo:Css_flow.Flow.algo ->
   string list
 
+(** [check_scorer_identity ?config ?obs design ~algo] proves the
+    incremental {!Css_eval.Evaluator.scorer} exact: it runs the flow on a
+    clone of [design] and, at every [on_phase_end] hook and once more
+    after the run (past any rollback), scores the clone with one
+    long-lived scorer and compares the report field by field
+    ({!report_diffs}) against [Evaluator.evaluate] of an independent
+    copy (text round trip plus movement anchors). [config]'s
+    [on_phase_end], persistence and debug knobs are overridden; its
+    [timer] is the scoring config. [obs] (default null) is the scorer's,
+    so a caller can read [eval.rebuilds] to see the rebuild path taken
+    (e.g. with [use_cts]). *)
+val check_scorer_identity :
+  ?config:Css_flow.Flow.config ->
+  ?obs:Css_util.Obs.t ->
+  Css_netlist.Design.t ->
+  algo:Css_flow.Flow.algo ->
+  string list
+
 (** How a corrupted input was absorbed by the pipeline. *)
 type verdict =
   | Rejected of string
@@ -203,8 +228,10 @@ type verdict =
     apply, then a rollback-guarded flow run, scoring the result against
     the input. [Ok verdict] means every stage behaved gracefully;
     [Error msg] is an oracle violation — an unhandled exception, a
-    rejection without error-severity coded diagnostics, a NaN score, or
-    a flow result worse than its input. [rounds] (default 1) and
+    rejection without error-severity coded diagnostics, a NaN score, a
+    flow result worse than its input, or a returned report (final or
+    rolled back) not bitwise equal to [Evaluator.evaluate] of the
+    returned design. [rounds] (default 1) and
     [deadline] (default none) bound the flow. *)
 val pipeline :
   ?rounds:int ->

@@ -201,7 +201,10 @@ let design t = t.design
 let num_nodes t = Array.length t.node_pin
 let num_arcs t = Array.length t.a_from
 
-let node_of_pin t p = if t.node_of_pin.(p) < 0 then None else Some t.node_of_pin.(p)
+(* pins added after the build (CTS-inserted LCBs) are not in the graph *)
+let node_of_pin t p =
+  if p >= Array.length t.node_of_pin || t.node_of_pin.(p) < 0 then None
+  else Some t.node_of_pin.(p)
 
 let pin_of_node t n = t.node_pin.(n)
 let level t n = t.level.(n)

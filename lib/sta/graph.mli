@@ -48,7 +48,8 @@ val num_nodes : t -> int
 val num_arcs : t -> int
 
 (** [node_of_pin t p] is the node for data pin [p], or [None] for clock
-    pins and other excluded pins. O(1); allocates the option. *)
+    pins, other excluded pins, and pins created after the build (e.g.
+    by CTS). O(1); allocates the option. *)
 val node_of_pin : t -> Css_netlist.Design.pin_id -> node option
 
 (** [pin_of_node t n] is the design pin behind node [n]. O(1). *)

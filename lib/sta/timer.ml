@@ -823,8 +823,8 @@ let k_worst_paths t corner e ~k =
    numbering) even across ECO rebuilds that reuse the same address. *)
 let next_timer_id = Atomic.make 1
 
-let build ?(config = default_config) ?(obs = Obs.null) design =
-  let graph = Graph.build design in
+let build ?(config = default_config) ?(obs = Obs.null) ?graph design =
+  let graph = match graph with Some g -> g | None -> Graph.build design in
   let n = Graph.num_nodes graph in
   let sz = max n 1 in
   let out_start, out_arcs = Graph.csr_out graph in

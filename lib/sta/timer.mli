@@ -42,12 +42,17 @@ type stats = {
 
 type t
 
-(** [build ?config ?obs design] constructs the graph and runs a full
-    propagation. [obs] (default {!Css_util.Obs.null}) receives the
+(** [build ?config ?obs ?graph design] constructs the graph and runs a
+    full propagation. [obs] (default {!Css_util.Obs.null}) receives the
     [timer.*] counters: full/incremental propagations, per-node forward
     and backward recomputations, and cone nodes visited — the paper's
-    "Update" cost, reported per iteration by the scheduler. *)
-val build : ?config:config -> ?obs:Css_util.Obs.t -> Css_netlist.Design.t -> t
+    "Update" cost, reported per iteration by the scheduler. [graph]
+    (default [Graph.build design]) lets a second timer over [design]
+    share a live timer's data graph instead of building a copy; it must
+    be [design]'s current graph, which {!resize_cell} through either
+    timer keeps current for both. *)
+val build :
+  ?config:config -> ?obs:Css_util.Obs.t -> ?graph:Graph.t -> Css_netlist.Design.t -> t
 
 val graph : t -> Graph.t
 val design : t -> Css_netlist.Design.t

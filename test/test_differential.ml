@@ -18,6 +18,11 @@ module Mutator = Css_benchgen.Mutator
 module Fault_seq = Css_benchgen.Fault_seq
 module Timer = Css_sta.Timer
 module Oracles = Css_oracle.Oracles
+module Obs = Css_util.Obs
+module Point = Css_geometry.Point
+module Evaluator = Css_eval.Evaluator
+module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 
 let library = Css_liberty.Library.default
 let checkb = Alcotest.check Alcotest.bool
@@ -135,6 +140,99 @@ let cache_eco_prop =
       match Oracles.check_cache_eco_identity ~deltas design ~algo:Css_flow.Flow.Ours with
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
+
+(* {2 The incremental scorer: bitwise a fresh evaluation} *)
+
+let scorer_algos = [ Flow.Ours; Flow.Ours_early; Flow.Iccss_plus; Flow.Fpm ]
+
+(* the acceptance sweep: 3 profiles x 4 algorithms, one long-lived
+   scorer against a fresh evaluation after every phase *)
+let test_scorer_identity_sweep () =
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun algo ->
+          let design = Generator.generate profile in
+          fail_all
+            (Printf.sprintf "scorer/%s/%s" profile.Profile.name (Flow.algo_name algo))
+            (Oracles.check_scorer_identity design ~algo))
+        scorer_algos)
+    (profiles 5150)
+
+let counter obs name = Obs.value (Obs.counter obs name)
+
+(* gate sizing stays on the incremental path; CTS grows the netlist and
+   must take the rebuild path *)
+let test_scorer_identity_resize_cts () =
+  let design = Generator.generate (List.nth (profiles 6160) 1) in
+  let run label config =
+    let obs = Obs.create () in
+    fail_all label (Oracles.check_scorer_identity ~config ~obs design ~algo:Flow.Ours);
+    obs
+  in
+  let resize = run "scorer/resize" { Flow.default_config with Flow.use_resize = true } in
+  checkb "resize scored incrementally" true
+    (counter resize "eval.rebuilds" = 1 && counter resize "eval.scores" > 2);
+  let cts = run "scorer/cts" { Flow.default_config with Flow.use_cts = true } in
+  checkb "CTS growth rebuilt the scorer" true (counter cts "eval.rebuilds" > 1)
+
+(* Delta batches into a session with rollback on. Every phase end
+   pushes the flip-flops further off the die, so each run rolls back to
+   its start checkpoint, which the session's own scorer took right after
+   the batch: incrementally for placement and latency deltas, from a
+   new scorer after a netlist replacement or an analysis-corner change.
+   The rolled-back report must be bitwise a fresh evaluation of the
+   restored design. *)
+let test_scorer_under_deltas () =
+  let design = Generator.generate { Profile.tiny with Profile.seed = 31337 } in
+  let rng = Random.State.make [| 31337; 5 |] in
+  let batches =
+    List.init 4 (fun _ -> Oracles.random_deltas rng design ~n:3)
+    @ [
+        [ Session.Replace_design (Io.to_string design) ];
+        [ Session.Apply_sdc "set_clock_uncertainty -setup 3\n" ];
+        Oracles.random_deltas rng design ~n:3;
+      ]
+  in
+  let sabotage ~round:_ ~phase:_ d =
+    Array.iter
+      (fun ff ->
+        let p = Design.cell_pos d ff in
+        Design.move_cell d ff (Point.make (p.Point.x +. 5.0e5) p.Point.y))
+      (Design.ffs d)
+  in
+  let obs = Obs.create () in
+  let config =
+    { Session.default_config with Session.rounds = 1; obs; on_phase_end = Some sabotage }
+  in
+  let session = Session.open_ ~config ~algo:Flow.Ours (Flow.clone design) in
+  let rollbacks = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Session.close session)
+    (fun () ->
+      let check label (r : Session.result) =
+        if r.Session.rolled_back then incr rollbacks;
+        let config =
+          { Evaluator.default_config with Evaluator.timer = (Session.config session).Session.timer }
+        in
+        fail_all label
+          (Oracles.report_diffs ~label
+             (Evaluator.evaluate ~config (Session.design session))
+             r.Session.report)
+      in
+      check "initial run" (Session.finish session);
+      List.iteri
+        (fun k batch ->
+          let label = Printf.sprintf "batch %d" k in
+          match Session.apply_delta session batch with
+          | Ok o -> check label o.Session.d_result
+          | Error ds ->
+            Alcotest.failf "%s rejected: %s" label
+              (String.concat "; " (List.map Css_util.Diag.to_string ds)))
+        batches);
+  checkb "every run rolled back" true (!rollbacks = List.length batches + 1);
+  checkb "incremental scores" true (counter obs "eval.scores" > 2 * counter obs "eval.rebuilds");
+  checkb "replacement and corner change rebuilt" true (counter obs "eval.rebuilds" >= 3)
 
 (* {2 The fault corpus: random fault sequences, shrunk on failure} *)
 
@@ -333,6 +431,14 @@ let () =
             test_cache_identity_sweep;
           QCheck_alcotest.to_alcotest cache_mutator_prop;
           QCheck_alcotest.to_alcotest cache_eco_prop;
+        ] );
+      ( "scorer",
+        [
+          Alcotest.test_case "identity sweep (3 profiles x 4 algos)" `Quick
+            test_scorer_identity_sweep;
+          Alcotest.test_case "identity with resize and CTS" `Quick
+            test_scorer_identity_resize_cts;
+          Alcotest.test_case "session deltas with rollback" `Quick test_scorer_under_deltas;
         ] );
       ( "resume",
         [

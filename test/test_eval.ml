@@ -6,21 +6,149 @@ module Evaluator = Css_eval.Evaluator
 module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
 module Point = Css_geometry.Point
+module Library = Css_liberty.Library
+module Io = Css_netlist.Io
+module Mutator = Css_benchgen.Mutator
+module Rng = Css_util.Rng
+module Obs = Css_util.Obs
+module Oracles = Css_oracle.Oracles
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf eps = Alcotest.check (Alcotest.float eps)
 
+(* exact float equality: a zero tolerance *)
+let checkx = checkf 0.0
+
 let test_matches_fresh_timer () =
   let design = Generator.generate Profile.tiny in
   let timer = Timer.build design in
   let r = Evaluator.evaluate design in
-  checkf 1e-6 "early wns" (Timer.wns timer Timer.Early) r.Evaluator.wns_early;
-  checkf 1e-6 "late wns" (Timer.wns timer Timer.Late) r.Evaluator.wns_late;
-  checkf 1e-6 "early tns" (Timer.tns timer Timer.Early) r.Evaluator.tns_early;
-  checkf 1e-6 "late tns" (Timer.tns timer Timer.Late) r.Evaluator.tns_late;
-  checkf 1e-6 "hpwl" (Design.total_hpwl design) r.Evaluator.hpwl;
+  checkx "early wns" (Timer.wns timer Timer.Early) r.Evaluator.wns_early;
+  checkx "late wns" (Timer.wns timer Timer.Late) r.Evaluator.wns_late;
+  checkx "early tns" (Timer.tns timer Timer.Early) r.Evaluator.tns_early;
+  checkx "late tns" (Timer.tns timer Timer.Late) r.Evaluator.tns_late;
+  checkx "hpwl" (Design.total_hpwl design) r.Evaluator.hpwl;
   checkb "no constraint errors on a fresh design" true (r.Evaluator.constraint_errors = [])
+
+(* Regression: the stashed scheduled latencies must come back even when
+   scoring raises, here on a grafted combinational cycle. *)
+let test_evaluate_restores_latencies_on_failure () =
+  let text = Io.to_string (Generator.generate Profile.tiny) in
+  let text, outcome = Mutator.corrupt Mutator.Comb_loop (Rng.create 3) text in
+  checkb "cycle grafted" true (outcome = `Applied);
+  let design =
+    match Io.of_string ~policy:Io.Recover ~library:Library.default text with
+    | Ok (d, _) -> d
+    | Error _ -> Alcotest.fail "corrupted design did not parse"
+  in
+  let ff = (Design.ffs design).(0) in
+  Design.set_scheduled_latency design ff 42.0;
+  (match Evaluator.evaluate design with
+  | _ -> Alcotest.fail "evaluate accepted a combinational cycle"
+  | exception Failure _ -> ());
+  checkx "scheduled latency restored" 42.0 (Design.scheduled_latency design ff)
+
+(* {2 The incremental scorer} *)
+
+let same_report ~label expected got =
+  match Oracles.report_diffs ~label expected got with
+  | [] -> ()
+  | diffs -> Alcotest.fail (String.concat "\n" diffs)
+
+let counter obs name = Obs.value (Obs.counter obs name)
+
+(* Each edit kind the flow makes between two checkpoints, and no edit
+   at all, scored by one long-lived scorer and compared to a fresh
+   evaluation. *)
+let test_scorer_tracks_edits () =
+  let design = Generator.generate Profile.tiny in
+  let obs = Obs.create () in
+  let s = Evaluator.scorer ~obs design in
+  let check label = same_report ~label (Evaluator.evaluate design) (Evaluator.score s) in
+  check "first score";
+  let fwd = counter obs "timer.forward_visits" and bwd = counter obs "timer.backward_visits" in
+  check "unchanged design";
+  checki "idle re-score: no forward recomputation" fwd (counter obs "timer.forward_visits");
+  checki "idle re-score: no backward recomputation" bwd (counter obs "timer.backward_visits");
+  let comb = ref (-1) in
+  Design.iter_cells design (fun c ->
+      if !comb < 0 && (Design.cell_master design c).Css_liberty.Cell.name = "INV_X1" then
+        comb := c);
+  checkb "an INV_X1 to edit" true (!comb >= 0);
+  let ff = (Design.ffs design).(0) in
+  let nudge c =
+    let p = Design.cell_pos design c in
+    Design.move_cell design c (Point.make (p.Point.x +. 37.5) (p.Point.y -. 12.25))
+  in
+  nudge !comb;
+  nudge ff;
+  check "move_cell";
+  let lcbs = Design.lcbs design in
+  let other = Array.find_opt (fun l -> l <> Design.lcb_of_ff design ff) lcbs in
+  Design.reconnect_ff_to_lcb design ~ff ~lcb:(Option.get other);
+  check "reconnect_ff_to_lcb";
+  nudge lcbs.(0);
+  check "LCB moved";
+  Design.swap_master design !comb "INV_X4";
+  check "swap_master";
+  checki "all of the above incremental" 1 (counter obs "eval.rebuilds");
+  (* CTS-style growth: a new LCB on the clock root, hosting one FF *)
+  let root_net = Design.pin_net_id design (Design.port_pin design (Design.clock_root_id design)) in
+  let lcb =
+    Design.add_cell design ~name:"extra_lcb" ~master:"LCB" ~pos:(Design.cell_pos design ff)
+  in
+  Design.net_add_sink design root_net (Design.cell_pin design lcb "CKI");
+  ignore
+    (Design.add_net design ~name:"extra_ck" ~driver:(Design.cell_pin design lcb "CKO") ~sinks:[]);
+  Design.reconnect_ff_to_lcb design ~ff ~lcb;
+  check "add_cell/add_net";
+  checki "growth rebuilds" 2 (counter obs "eval.rebuilds");
+  (* physical-only scoring: a scheduled latency changes nothing *)
+  Design.set_scheduled_latency design ff 35.0;
+  check "set_scheduled_latency (ignored)";
+  checkx "scheduled latency kept" 35.0 (Design.scheduled_latency design ff);
+  checki "scores" 8 (counter obs "eval.scores")
+
+let test_scorer_include_scheduled () =
+  let design = Generator.generate Profile.tiny in
+  let config = { Evaluator.default_config with Evaluator.include_scheduled = true } in
+  let s = Evaluator.scorer ~config design in
+  let check label =
+    same_report ~label (Evaluator.evaluate ~config design) (Evaluator.score s)
+  in
+  check "first score";
+  Array.iteri
+    (fun i ff -> if i mod 3 = 0 then Design.set_scheduled_latency design ff (float_of_int (7 * i)))
+    (Design.ffs design);
+  check "set_scheduled_latency (counted)"
+
+(* The session's arrangement: the scorer shares the live timer's graph,
+   whose arc models the live timer's [resize_cell] keeps current. *)
+let test_scorer_shares_live_graph () =
+  let design = Generator.generate Profile.tiny in
+  let live = Timer.build design in
+  let s = Evaluator.scorer ~graph:(Timer.graph live) design in
+  let check label = same_report ~label (Evaluator.evaluate design) (Evaluator.score s) in
+  let invs = ref [] in
+  Design.iter_cells design (fun c ->
+      if (Design.cell_master design c).Css_liberty.Cell.name = "INV_X1" then invs := c :: !invs);
+  (match !invs with
+  | a :: b :: _ ->
+    Timer.resize_cell live a "INV_X4";
+    check "resized before the first build";
+    Timer.resize_cell live b "INV_X4";
+    let p = Design.cell_pos design a in
+    Design.move_cell design a (Point.make (p.Point.x -. 20.0) p.Point.y);
+    Timer.update_moved_cells live [ a ];
+    check "resized and moved through the live timer"
+  | _ -> Alcotest.fail "tiny has fewer than two INV_X1 cells");
+  Design.set_scheduled_latency design (Design.ffs design).(1) 25.0;
+  Timer.update_latencies live [ (Design.ffs design).(1) ];
+  check "live timer scheduled a latency";
+  checkx "live timer unaffected by scoring"
+    (Timer.wns (Timer.build design) Timer.Late)
+    (Timer.wns live Timer.Late)
 
 let test_ignores_scheduled_latencies_by_default () =
   let design = Generator.micro () in
@@ -126,6 +254,8 @@ let () =
       ( "evaluator",
         [
           Alcotest.test_case "matches fresh timer" `Quick test_matches_fresh_timer;
+          Alcotest.test_case "latencies restored when scoring raises" `Quick
+            test_evaluate_restores_latencies_on_failure;
           Alcotest.test_case "ignores scheduled latencies" `Quick
             test_ignores_scheduled_latencies_by_default;
           Alcotest.test_case "include-scheduled mode" `Quick test_include_scheduled_mode;
@@ -133,6 +263,13 @@ let () =
           Alcotest.test_case "fanout violation" `Quick test_detects_fanout_violation;
           Alcotest.test_case "violation counts (micro)" `Quick test_violation_counts;
           Alcotest.test_case "summary renders" `Quick test_summary_renders;
+        ] );
+      ( "scorer",
+        [
+          Alcotest.test_case "tracks every edit kind" `Quick test_scorer_tracks_edits;
+          Alcotest.test_case "include-scheduled latency edits" `Quick
+            test_scorer_include_scheduled;
+          Alcotest.test_case "shares a live timer's graph" `Quick test_scorer_shares_live_graph;
         ] );
       ( "report",
         [

@@ -234,6 +234,39 @@ let test_flow_rollback () =
     re.Evaluator.wns_late;
   checkb "never worse than the input" true (score r.Flow.report >= score before -. 1e-6)
 
+(* Regression: a CTS run whose rollback (or phase hook) resyncs the live
+   timer over the LCBs CTS inserted used to index past the timing
+   graph's pin table. The LCBs stay after the rollback, so the report
+   matches a re-evaluation in every field but HPWL, which the leftover
+   LCBs' clock-root pins can only raise. *)
+let test_flow_rollback_after_cts () =
+  let module Profile = Css_benchgen.Profile in
+  let profile = Profile.scale 0.12 (Option.get (Profile.by_name "sb18")) in
+  let design = Generator.generate { profile with Profile.seed = 2 } in
+  let cells = Design.num_cells design in
+  let sabotage ~round:_ ~phase d =
+    if phase = "late" then
+      Array.iter
+        (fun ff ->
+          let p = Design.cell_pos d ff in
+          Design.move_cell d ff (Point.make (p.Point.x +. 5.0e6) p.Point.y))
+        (Design.ffs d)
+  in
+  let config =
+    { Flow.default_config with Flow.rounds = 1; use_cts = true; on_phase_end = Some sabotage }
+  in
+  let r = Flow.run ~config ~algo:Flow.Ours design in
+  checkb "CTS inserted LCBs" true (Design.num_cells design > cells);
+  checkb "rolled back" true r.Flow.rolled_back;
+  let re = Evaluator.evaluate design in
+  (match
+     Css_oracle.Oracles.report_diffs ~label:"rolled back past CTS" re
+       { r.Flow.report with Evaluator.hpwl = re.Evaluator.hpwl }
+   with
+  | [] -> ()
+  | diffs -> Alcotest.fail (String.concat "\n" diffs));
+  checkb "leftover LCBs only add HPWL" true (re.Evaluator.hpwl >= r.Flow.report.Evaluator.hpwl)
+
 let test_flow_no_rollback_when_clean () =
   let design = Generator.micro () in
   let r = Flow.run ~algo:Flow.Ours design in
@@ -510,6 +543,7 @@ let () =
       ( "rollback",
         [
           Alcotest.test_case "regressing phase rolls back" `Quick test_flow_rollback;
+          Alcotest.test_case "rollback after CTS insertion" `Quick test_flow_rollback_after_cts;
           Alcotest.test_case "clean run keeps result" `Quick test_flow_no_rollback_when_clean;
           Alcotest.test_case "validation surfaces in result" `Quick
             test_flow_validation_diags_surface;
