@@ -138,9 +138,31 @@ let magic = "css-checkpoint"
 let version = 2
 let min_version = 1
 let fstr = Io.float_to_string
-let join f a = String.concat " " (Array.to_list (Array.map f a))
-let xs points = join (fun (p : Point.t) -> fstr p.Point.x) points
-let ys points = join (fun (p : Point.t) -> fstr p.Point.y) points
+
+(* Array lines go straight into the buffer: one [Printf] and one
+   [s ^ "\n"] copy per line would copy every ~100 kB array line twice.
+   The key is always followed by a space, so an empty array reads
+   ["key \n"], as the parser's [field] expects. *)
+let add_array b key a add =
+  Buffer.add_string b key;
+  Buffer.add_char b ' ';
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ' ';
+      add i x)
+    a;
+  Buffer.add_char b '\n'
+
+let add_floats b key a = add_array b key a (fun _ x -> Buffer.add_string b (fstr x))
+let add_ints b key a = add_array b key a (fun _ i -> Buffer.add_string b (string_of_int i))
+
+(* Cell coordinates share the design text's memo slots: a cell's anchor
+   and best-checkpoint position usually equal its current position. *)
+let add_xs memo b key points =
+  add_array b key points (fun c (p : Point.t) -> Io.Memo.add_x memo b c p.Point.x)
+
+let add_ys memo b key points =
+  add_array b key points (fun c (p : Point.t) -> Io.Memo.add_y memo b c p.Point.y)
 
 let enc_launcher = function
   | Graph.Launch_ff c -> Printf.sprintf "f%d" c
@@ -150,10 +172,10 @@ let enc_endpoint = function
   | Graph.End_ff c -> Printf.sprintf "f%d" c
   | Graph.End_port p -> Printf.sprintf "p%d" p
 
-let body_of_state st =
+let body_of_state ?(memo = Io.Memo.create ()) st =
   let p = st.ps_progress in
   let b = Buffer.create (String.length st.ps_design_text + 4096) in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
   line "algo %s" st.ps_algo;
   line "design %s" st.ps_design;
   line "rounds %d" st.ps_rounds;
@@ -170,8 +192,8 @@ let body_of_state st =
      positions, so the original run's legality reference is carried
      explicitly *)
   line "anchors %d" (Array.length st.ps_anchors);
-  line "ax %s" (xs st.ps_anchors);
-  line "ay %s" (ys st.ps_anchors);
+  add_xs memo b "ax" st.ps_anchors;
+  add_ys memo b "ay" st.ps_anchors;
   line "css-seconds %s" (fstr p.css_seconds);
   line "opt-seconds %s" (fstr p.opt_seconds);
   line "rung %d" st.ps_rung;
@@ -190,12 +212,12 @@ let body_of_state st =
     line "best %s" cp.label;
     line "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_positions)
       (List.length r.Evaluator.constraint_errors);
-    line "bf %s" (join string_of_int cp.ck_ffs);
-    line "bl %s" (join fstr cp.ck_latencies);
-    line "bb %s" (join string_of_int cp.ck_lcb_of);
-    line "bx %s" (xs cp.ck_positions);
-    line "by %s" (ys cp.ck_positions);
-    line "bm %s" (String.concat " " (Array.to_list cp.ck_masters));
+    add_ints b "bf" cp.ck_ffs;
+    add_floats b "bl" cp.ck_latencies;
+    add_ints b "bb" cp.ck_lcb_of;
+    add_xs memo b "bx" cp.ck_positions;
+    add_ys memo b "by" cp.ck_positions;
+    add_array b "bm" cp.ck_masters (fun _ m -> Buffer.add_string b m);
     line "br %s %s %s %s %d %d %s"
       (fstr r.Evaluator.wns_early)
       (fstr r.Evaluator.tns_early)
@@ -223,7 +245,7 @@ let body_of_state st =
             (enc_endpoint e.Extract.es_endpoint) (fstr e.Extract.es_delay)
             (fstr e.Extract.es_weight))
         sn.Extract.sn_edges;
-      if Array.length sn.Extract.sn_bound > 0 then line "bound %s" (join fstr sn.Extract.sn_bound);
+      if Array.length sn.Extract.sn_bound > 0 then add_floats b "bound" sn.Extract.sn_bound;
       if Array.length sn.Extract.sn_expanded > 0 then
         line "expanded %s"
           (String.init (Array.length sn.Extract.sn_expanded) (fun i ->
@@ -234,9 +256,9 @@ let body_of_state st =
     (fun (c : Macromodel.entry_snap) ->
       line "c %d %016Lx %d %d %d" c.Macromodel.cs_key c.cs_hash c.cs_visited
         (Array.length c.cs_members) (Array.length c.cs_nodes);
-      line "m %s" (join string_of_int c.cs_members);
-      line "n %s" (join string_of_int c.cs_nodes);
-      line "dl %s" (join fstr c.cs_delays))
+      add_ints b "m" c.cs_members;
+      add_ints b "n" c.cs_nodes;
+      add_floats b "dl" c.cs_delays)
     st.ps_cache;
   line "end";
   Buffer.contents b
@@ -245,8 +267,8 @@ let body_of_state st =
    failure modes that matter here (truncation survived by the structure
    check, bit rot, concurrent partial overwrite) — this is an integrity
    check, not an authenticity one. *)
-let save ~dir st =
-  let body = body_of_state st in
+let save ?memo ~dir st =
+  let body = body_of_state ?memo st in
   let final = path ~dir in
   let tmp = final ^ ".tmp" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

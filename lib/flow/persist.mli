@@ -163,10 +163,15 @@ type state = {
 (** [path ~dir] is [<dir>/checkpoint.ckpt]. *)
 val path : dir:string -> string
 
-(** [save ~dir st] atomically replaces the checkpoint (tmp + fsync +
-    rename), creating [dir] if missing. @raise Sys_error when the
-    directory cannot be created or written. *)
-val save : dir:string -> state -> unit
+(** [save ?memo ~dir st] atomically replaces the checkpoint (tmp +
+    fsync + rename), creating [dir] if missing. The anchors and the best
+    checkpoint's positions go through [memo] (default: a fresh one),
+    whose slots the design text's cell coordinates share when the same
+    memo wrote it; the bytes are the same whichever memo is passed.
+    @raise Sys_error when the directory cannot be created or written;
+    the previous checkpoint is then left as it was and the temporary
+    file removed. *)
+val save : ?memo:Css_netlist.Io.Memo.t -> dir:string -> state -> unit
 
 (** [load ~dir] reads and verifies the checkpoint. On [Error], the
     single diagnostic carries one of the [CKPT-*] codes above. *)

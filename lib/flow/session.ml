@@ -167,6 +167,9 @@ type t = {
       (* checkpoint scoring's own timer over the live timer's graph,
          made at the first scored checkpoint; dropped with the live
          timer and under memory pressure, rebuilt on the next one *)
+  mutable memo : Io.Memo.t option;
+      (* durable writes' float-text memo, made at the first write and
+         dropped at {!close}: a run that never writes never holds it *)
   mutable verts : Vertex.t;
   slots : slot list;
   mutable pool : Pool.t option;
@@ -547,7 +550,17 @@ let consider_checkpoint st ~label =
    CSS/OPT clocks folded into its accumulated seconds — plus what a
    reopened session needs to rebuild its design, engines and cache. *)
 
-let persist_state st =
+let memo st =
+  match st.memo with
+  | Some m -> m
+  | None ->
+    let m = Io.Memo.create () in
+    st.memo <- Some m;
+    m
+
+(* The design text is written first, so the anchors and best-checkpoint
+   positions [Persist.save] writes next hit the slots it just filled. *)
+let persist_state st ~memo =
   let design = Timer.design st.timer in
   {
     Persist.ps_algo = algo_name st.algo;
@@ -561,7 +574,7 @@ let persist_state st =
       };
     ps_anchors = Array.init (Design.num_cells design) (Design.cell_orig_pos design);
     ps_rung = st.rung;
-    ps_design_text = Io.to_string design;
+    ps_design_text = Io.to_string ~memo design;
     ps_engines =
       List.filter_map
         (fun s -> Option.map (fun e -> (s.name, Extract.snapshot e)) s.live)
@@ -571,7 +584,8 @@ let persist_state st =
 
 let save st ~dir =
   check_open st "save";
-  Persist.save ~dir (persist_state st)
+  let memo = memo st in
+  Persist.save ~memo ~dir (persist_state st ~memo)
 
 (* Persistence failure degrades to an in-memory-only run, never a crash:
    the checkpoint is a safety net, not a correctness dependency. *)
@@ -581,12 +595,20 @@ let persist_checkpoint st =
   | Some dir -> (
     try
       let t0 = Wall_clock.now () in
-      Persist.save ~dir (persist_state st);
+      let memo = memo st in
+      let misses0 = Io.Memo.misses memo in
+      Persist.save ~memo ~dir (persist_state st ~memo);
       let dt = Wall_clock.now () -. t0 in
       Obs.incr (Obs.counter st.cfg.obs "flow.persisted");
       Obs.snapshot st.cfg.obs ~label:"flow.checkpoint"
-        [ ("write_seconds", Obs.Json.Float dt) ]
-    with Sys_error msg -> Log.warn (fun m -> m "checkpoint save failed: %s" msg))
+        [
+          ("write_seconds", Obs.Json.Float dt);
+          ("bytes", Obs.Json.Int (Unix.stat (Persist.path ~dir)).Unix.st_size);
+          ("floats_formatted", Obs.Json.Int (Io.Memo.misses memo - misses0));
+        ]
+    with Sys_error msg ->
+      Obs.incr (Obs.counter st.cfg.obs "flow.persist_failed");
+      Log.warn (fun m -> m "checkpoint save failed: %s" msg))
 
 (* One CSS phase with the algorithm's engine (possibly degraded), followed
    by physical realization and hold repair. Returns [false] when the
@@ -886,6 +908,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
       engine0;
       timer;
       scorer = None;
+      memo = None;
       verts = Vertex.of_design design;
       slots = slot_table ();
       pool;
@@ -1001,6 +1024,7 @@ let close st =
     Option.iter Pool.shutdown st.pool;
     st.pool <- None;
     st.scorer <- None;
+    st.memo <- None;
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)

@@ -2,11 +2,6 @@ module Point = Css_geometry.Point
 module Rect = Css_geometry.Rect
 module Diag = Css_util.Diag
 
-let pin_ref t p =
-  match Design.pin_owner t p with
-  | Design.Cell_pin (c, pin_name) -> Printf.sprintf "%s:%s" (Design.cell_name t c) pin_name
-  | Design.Port_pin port -> Printf.sprintf "port:%s" (Design.port_name t port)
-
 (* shortest decimal form that parses back to the exact same float: the
    text format doubles as Flow.clone's deep-copy channel and as the
    checkpoint baseline of the differential oracles, so serialization
@@ -17,9 +12,73 @@ let fstr x =
 
 let float_to_string = fstr
 
-let to_string t =
-  let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+module Memo = struct
+  (* Slot [2·cell + axis] holds the bits of the last float formatted
+     there and [fstr] of it. Every slot satisfies
+     [text = fstr (Int64.float_of_bits bits)] from creation on (they
+     start as NaN), so a hit on equal bits returns exactly what a miss
+     would have formatted. Bits, not [=]: 0.0 and -0.0 compare equal but
+     print differently, and NaN never equals itself. *)
+  type t = {
+    mutable bits : Float.Array.t;
+    mutable text : string array;
+    mutable misses : int;
+  }
+
+  let nan_text = fstr Float.nan
+  let create () = { bits = Float.Array.make 0 Float.nan; text = [||]; misses = 0 }
+  let misses m = m.misses
+
+  let reserve m need =
+    let n = Array.length m.text in
+    if need > n then begin
+      let n' = max need (2 * n) in
+      let bits = Float.Array.make n' Float.nan and text = Array.make n' nan_text in
+      Float.Array.blit m.bits 0 bits 0 n;
+      Array.blit m.text 0 text 0 n;
+      m.bits <- bits;
+      m.text <- text
+    end
+
+  let add m buf slot x =
+    reserve m (slot + 1);
+    if Int64.equal (Int64.bits_of_float (Float.Array.get m.bits slot)) (Int64.bits_of_float x)
+    then Buffer.add_string buf m.text.(slot)
+    else begin
+      let s = fstr x in
+      Float.Array.set m.bits slot x;
+      m.text.(slot) <- s;
+      m.misses <- m.misses + 1;
+      Buffer.add_string buf s
+    end
+
+  let add_x m buf c x = add m buf (2 * c) x
+  let add_y m buf c y = add m buf ((2 * c) + 1) y
+end
+
+let add_pin_ref buf t p =
+  match Design.pin_owner t p with
+  | Design.Cell_pin (c, pin_name) ->
+    Buffer.add_string buf (Design.cell_name t c);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf pin_name
+  | Design.Port_pin port ->
+    Buffer.add_string buf "port:";
+    Buffer.add_string buf (Design.port_name t port)
+
+(* Cell and net lines, one per cell and per net, go straight into the
+   buffer: no [Printf] and no line copies. *)
+let to_string ?(memo = Memo.create ()) t =
+  let buf = Buffer.create (64 * (Design.num_cells t + Design.num_nets t) + 256) in
+  Memo.reserve memo (2 * Design.num_cells t);
+  let line fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string buf s;
+        Buffer.add_char buf '\n')
+      fmt
+  in
+  let add = Buffer.add_string buf and sp () = Buffer.add_char buf ' ' in
   line "design %s period %s" (Design.name t) (fstr (Design.clock_period t));
   let die = Design.die t in
   line "die %s %s %s %s" (fstr die.Rect.lx) (fstr die.Rect.ly) (fstr die.Rect.hx)
@@ -30,15 +89,27 @@ let to_string t =
         (match Design.port_dir t p with Design.In -> "in" | Design.Out -> "out")
         (fstr pos.Point.x) (fstr pos.Point.y));
   Design.iter_cells t (fun c ->
-      let pos = Design.cell_pos t c in
-      line "cell %s %s %s %s" (Design.cell_name t c)
-        (Design.cell_master t c).Css_liberty.Cell.name (fstr pos.Point.x) (fstr pos.Point.y));
+      add "cell ";
+      add (Design.cell_name t c);
+      sp ();
+      add (Design.cell_master t c).Css_liberty.Cell.name;
+      sp ();
+      Memo.add_x memo buf c (Design.cell_x t c);
+      sp ();
+      Memo.add_y memo buf c (Design.cell_y t c);
+      Buffer.add_char buf '\n');
   Design.iter_nets t (fun n ->
       match Design.net_driver t n with
       | None -> ()
       | Some d ->
-        let refs = List.map (pin_ref t) (d :: Design.net_sinks t n) in
-        line "net %s %s" (Design.net_name t n) (String.concat " " refs));
+        add "net ";
+        add (Design.net_name t n);
+        sp ();
+        add_pin_ref buf t d;
+        Design.iter_net_sinks t n (fun p ->
+            sp ();
+            add_pin_ref buf t p);
+        Buffer.add_char buf '\n');
   (match Design.clock_root t with
   | None -> ()
   | Some p -> line "clockroot %s" (Design.port_name t p));

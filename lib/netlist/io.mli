@@ -32,11 +32,43 @@
     round-trips. *)
 val float_to_string : float -> string
 
+(** A float-text memo for writers that serialize the same design over
+    and over (a durable session rewrites its checkpoint after every
+    phase, and between two writes only a few cells move).
+
+    The memo has one slot per cell coordinate, [2·cell + axis]. A slot
+    holds the bit pattern of the last float written through it and that
+    float's {!float_to_string} text. The contract is exact text: the
+    stored text is reused only when [Int64.bits_of_float] of the new
+    value equals the stored bits, never on [=] ([0.0 = -0.0], yet they
+    print ["0"] and ["-0"]; [nan <> nan]). Every other value is a miss
+    and goes through {!float_to_string}, so memoized output is
+    byte-identical to unmemoized output by construction. Slots grow on
+    demand when the design gains cells. *)
+module Memo : sig
+  type t
+
+  (** [create ()] is an empty memo: every first write to a slot misses. *)
+  val create : unit -> t
+
+  (** [misses m] counts the floats [m] has formatted since [create]. *)
+  val misses : t -> int
+
+  (** [add_x m buf c x] appends the text of [x], the x coordinate of
+      cell [c] (slot [2c]), to [buf]. *)
+  val add_x : t -> Buffer.t -> Design.cell_id -> float -> unit
+
+  (** [add_y m buf c y] is {!add_x} for the y coordinate (slot [2c+1]). *)
+  val add_y : t -> Buffer.t -> Design.cell_id -> float -> unit
+end
+
 (** [save t path] writes the design. *)
 val save : Design.t -> string -> unit
 
-(** [to_string t] is the serialized form. *)
-val to_string : Design.t -> string
+(** [to_string ?memo t] is the serialized form. Cell coordinates go
+    through [memo] (default: a fresh one, so a plain call formats every
+    float once); the text is the same whichever memo is passed. *)
+val to_string : ?memo:Memo.t -> Design.t -> string
 
 (** Recover-or-abort policy for malformed lines:
     - [Abort] (default): stop at the first error and return [Error].

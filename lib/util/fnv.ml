@@ -13,7 +13,11 @@ let mix_int64 h x =
 let mix_int h x = mix_int64 h (Int64.of_int x)
 let mix_float h x = mix_int64 h (Int64.bits_of_float x)
 
+(* a loop, not [String.iter]: a ref captured by a closure escapes, and
+   every byte would box a fresh Int64 *)
 let of_string s =
   let h = ref basis in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := mix_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h

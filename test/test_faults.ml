@@ -482,6 +482,71 @@ let test_flow_validation_diags_surface () =
   checkb "validation diagnostics surfaced" true
     (List.exists (fun (d : Diag.t) -> d.Diag.code = "VAL-003") r.Flow.validation)
 
+(* {2 A failed durable write}
+
+   The temporary file of the atomic checkpoint write is a symlink to
+   /dev/full, so the write fails with ENOSPC after the file opened. The
+   previous checkpoint must survive untouched and loadable, the link
+   must be cleaned up, and a durable session must keep serving: a lost
+   write costs durability, never the answer. *)
+
+module Session = Css_flow.Session
+module Persist = Css_flow.Persist
+module Obs = Css_util.Obs
+
+let exists_no_follow path =
+  match Unix.lstat path with _ -> true | exception Unix.Unix_error _ -> false
+
+let test_failed_checkpoint_write () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = Filename.temp_dir "css-faults" "" in
+  let obs = Obs.create () in
+  let config =
+    {
+      Session.default_config with
+      Session.rounds = 1;
+      jobs = 1;
+      final_eval = false;
+      rollback = false;
+      obs;
+      checkpoint_dir = Some dir;
+    }
+  in
+  let failed () =
+    Option.value ~default:0 (List.assoc_opt "flow.persist_failed" (Obs.counters obs))
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let final = Persist.path ~dir in
+  let tmp = final ^ ".tmp" in
+  let design = Generator.micro () in
+  let s = Session.open_ ~config ~algo:Session.Ours design in
+  Fun.protect
+    ~finally:(fun () ->
+      Session.close s;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      ignore (Session.finish s);
+      let before = read final in
+      Unix.symlink "/dev/full" tmp;
+      (match Session.save s ~dir with
+      | () -> Alcotest.fail "a checkpoint write to /dev/full succeeded"
+      | exception Sys_error msg ->
+        checkb ("save raises ENOSPC: " ^ msg) true (contains ~sub:"No space left on device" msg));
+      checkb "the tmp link is removed" false (exists_no_follow tmp);
+      checkb "the previous checkpoint is intact" true (read final = before);
+      checkb "the previous checkpoint loads" true (Result.is_ok (Persist.load ~dir));
+      Alcotest.check Alcotest.int "a direct save is not a session failure" 0 (failed ());
+      (* the next durable request: its first write fails, the rest land *)
+      Unix.symlink "/dev/full" tmp;
+      let ff = Design.cell_name design (Design.ffs design).(0) in
+      (match Session.apply_delta s [ Session.Set_latency { ff; latency = 2.0 } ] with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "the durable request failed with its checkpoint write");
+      Alcotest.check Alcotest.int "flow.persist_failed counts the lost write" 1 (failed ());
+      checkb "the tmp link is removed after the request" false (exists_no_follow tmp);
+      checkb "the request's checkpoint loads" true (Result.is_ok (Persist.load ~dir)))
+
 let () =
   let netlist_cases =
     List.map
@@ -549,5 +614,10 @@ let () =
             test_flow_validation_diags_surface;
           Alcotest.test_case "timer consistent after roll back" `Quick
             test_rollback_timer_consistency;
+        ] );
+      ( "persistence",
+        [
+          Alcotest.test_case "failed checkpoint write keeps the previous one" `Quick
+            test_failed_checkpoint_write;
         ] );
     ]

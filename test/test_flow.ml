@@ -344,6 +344,54 @@ let test_golden_checkpoint () =
       checkb "version 1 keeps everything else" true
         ({ st1 with Persist.ps_cache = st.Persist.ps_cache } = st))
 
+(* Empty arrays keep their "key " line: the golden state with every
+   array emptied saves, loads back equal and re-saves byte for byte. *)
+let test_empty_arrays_round_trip () =
+  match Persist.load ~dir:(ckpt_dir (read_file fixture)) with
+  | Error _ -> Alcotest.fail "the golden checkpoint does not load"
+  | Ok st -> (
+    let p = st.Persist.ps_progress in
+    let empty =
+      {
+        st with
+        Persist.ps_anchors = [||];
+        ps_progress =
+          {
+            p with
+            Persist.best =
+              Option.map
+                (fun cp ->
+                  {
+                    cp with
+                    Persist.ck_ffs = [||];
+                    ck_latencies = [||];
+                    ck_lcb_of = [||];
+                    ck_positions = [||];
+                    ck_masters = [||];
+                  })
+                p.Persist.best;
+          };
+        ps_cache =
+          List.map
+            (fun (c : Css_cache.Macromodel.entry_snap) ->
+              { c with cs_members = [||]; cs_nodes = [||]; cs_delays = [||] })
+            st.Persist.ps_cache;
+      }
+    in
+    let dir = fresh_dir () in
+    Persist.save ~dir empty;
+    let text = read_file (Persist.path ~dir) in
+    checkb "an empty anchor array is written as 'ax '" true (index_of text "\nax \nay \n" > 0);
+    match Persist.load ~dir with
+    | Error ds ->
+      Alcotest.failf "empty arrays do not load: %s"
+        (match ds with d :: _ -> d.Diag.message | [] -> "?")
+    | Ok st' ->
+      checkb "loads back equal" true (st' = empty);
+      let out = fresh_dir () in
+      Persist.save ~dir:out st';
+      checkb "re-saves byte for byte" true (read_file (Persist.path ~dir:out) = text))
+
 (* Hash-valid checkpoints whose arrays do not fit their own design must
    be refused with CKPT-006 by [reopen], never raise out of it. *)
 let test_reopen_shape_check () =
@@ -387,6 +435,130 @@ let test_reopen_shape_check () =
         checkb (what ^ ": CKPT-006") true
           (ds <> [] && List.for_all (fun d -> d.Diag.code = "CKPT-006") ds))
     cases
+
+(* {2 Checkpoint byte identity}
+
+   A durable session formats each cell coordinate through its own
+   float-text memo, so a checkpoint is written incrementally. What lands
+   on disk must still be exactly what a fresh memo writes: the file
+   equals [Persist.save] of its own [Persist.load], and a [Session.save]
+   of the live state carries the design text of a fresh [Io.to_string]
+   and the live movement anchors bit for bit. *)
+
+module Io = Css_netlist.Io
+module Oracles = Css_oracle.Oracles
+
+let check_durable_identity what s ~dir =
+  let file = read_file (Persist.path ~dir) in
+  (match Persist.load ~dir with
+  | Error _ -> Alcotest.failf "%s: the checkpoint does not load" what
+  | Ok st ->
+    let out = fresh_dir () in
+    Persist.save ~dir:out st;
+    checkb (what ^ ": checkpoint = save (load checkpoint)") true
+      (read_file (Persist.path ~dir:out) = file));
+  let live = fresh_dir () in
+  Session.save s ~dir:live;
+  match Persist.load ~dir:live with
+  | Error _ -> Alcotest.failf "%s: Session.save does not load" what
+  | Ok st ->
+    let d = Session.design s in
+    checkb (what ^ ": design text = fresh Io.to_string") true
+      (st.Persist.ps_design_text = Io.to_string d);
+    let bits (p : Css_geometry.Point.t) =
+      (Int64.bits_of_float p.Css_geometry.Point.x, Int64.bits_of_float p.Css_geometry.Point.y)
+    in
+    checkb (what ^ ": anchors bitwise") true
+      (Array.map bits st.Persist.ps_anchors
+      = Array.init (Design.num_cells d) (fun c -> bits (Design.cell_orig_pos d c)))
+
+(* the daemon's session settings *)
+let daemon_config ~dir =
+  {
+    Session.default_config with
+    Session.rounds = 1;
+    jobs = 1;
+    final_eval = false;
+    rollback = false;
+    checkpoint_dir = Some dir;
+  }
+
+(* the [flow.checkpoint] snapshots' [bytes] and [floats_formatted] *)
+let write_stats obs =
+  List.filter_map
+    (fun (label, _, fields) ->
+      match (label, List.assoc_opt "bytes" fields, List.assoc_opt "floats_formatted" fields) with
+      | "flow.checkpoint", Some (Obs.Json.Int b), Some (Obs.Json.Int f) -> Some (b, f)
+      | _ -> None)
+    (Obs.snapshots obs)
+
+let test_durable_checkpoint_identity () =
+  let design = Generator.generate { Profile.tiny with Profile.seed = 4242 } in
+  let rng = Random.State.make [| 4242 |] in
+  let dir = fresh_dir () in
+  let obs = Obs.create () in
+  let s =
+    Session.open_ ~config:{ (daemon_config ~dir) with Session.obs } ~algo:Session.Ours
+      (Flow.clone design)
+  in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      ignore (Session.finish s);
+      check_durable_identity "initial run" s ~dir;
+      (match write_stats obs with
+      | (_, first) :: (_ :: _ as rest) ->
+        checki "the first write formats every cell coordinate" (2 * Design.num_cells design) first;
+        checkb "later writes format only what moved" true
+          (List.for_all (fun (_, f) -> f < Design.num_cells design) rest);
+        checki "bytes = the file's size" (String.length (read_file (Persist.path ~dir)))
+          (fst (List.nth rest (List.length rest - 1)))
+      | _ -> Alcotest.fail "expected several flow.checkpoint snapshots");
+      (* a cell that moves, then returns to its anchor *)
+      let ff = (Design.ffs design).(0) in
+      let name = Design.cell_name design ff and home = Design.cell_orig_pos design ff in
+      let move x y = Session.Move_cell { cell = name; x; y } in
+      let batches =
+        List.map (fun d -> [ d ]) (Oracles.random_deltas rng design ~n:6)
+        @ [
+            [ Session.Replace_design (Io.to_string design) ];
+            [ Session.Apply_sdc "set_clock_uncertainty -setup 3\n" ];
+            [ move (home.Css_geometry.Point.x +. 40.0) home.Css_geometry.Point.y ];
+            [ move home.Css_geometry.Point.x home.Css_geometry.Point.y ];
+          ]
+      in
+      List.iteri
+        (fun i batch ->
+          match Session.apply_delta s batch with
+          | Ok _ -> check_durable_identity (Printf.sprintf "request %d" i) s ~dir
+          | Error ds ->
+            Alcotest.failf "request %d rejected: %s" i
+              (String.concat "; " (List.map Diag.to_string ds)))
+        batches);
+  (* CTS appends cells mid-run, so the memo's slots must grow; rollback
+     writes the best checkpoint's positions ([bx]/[by]) through the same
+     slots *)
+  List.iter
+    (fun (what, config) ->
+      let dir = fresh_dir () in
+      let d = Flow.clone design in
+      let n0 = Design.num_cells d in
+      let s =
+        Session.open_ ~config:{ (config (daemon_config ~dir)) with Session.rounds = 2 }
+          ~algo:Session.Ours d
+      in
+      Fun.protect
+        ~finally:(fun () -> Session.close s)
+        (fun () ->
+          ignore (Session.finish s);
+          check_durable_identity what s ~dir;
+          let file = read_file (Persist.path ~dir) in
+          if what = "cts" then checkb "CTS added cells" true (Design.num_cells d > n0)
+          else checkb "best-checkpoint positions written" true (index_of file "\nbx " > 0)))
+    [
+      ("cts", fun c -> { c with Session.use_cts = true });
+      ("rollback", fun c -> { c with Session.rollback = true; final_eval = true });
+    ]
 
 (* {2 The macromodel cache inside a warm session} *)
 
@@ -482,7 +654,10 @@ let () =
             test_interrupt_persists_and_resumes;
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
           Alcotest.test_case "golden checkpoint round-trips" `Quick test_golden_checkpoint;
+          Alcotest.test_case "empty arrays round-trip" `Quick test_empty_arrays_round_trip;
           Alcotest.test_case "reopen shape check (CKPT-006)" `Quick test_reopen_shape_check;
+          Alcotest.test_case "durable checkpoints are byte-identical" `Quick
+            test_durable_checkpoint_identity;
         ] );
       ( "cache",
         [

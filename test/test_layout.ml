@@ -45,6 +45,78 @@ let test_round_trip_after_flow_byte_identical () =
   checkb "post-flow round trip byte-identical" true (String.equal s1 s2)
 
 (* ------------------------------------------------------------------ *)
+(* The memoized writer: one memo across many writes of an edited design
+   must give, write after write, exactly the text of a fresh one *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_memo_writer_tracks_edits () =
+  let d = gen 17 in
+  let memo = Io.Memo.create () in
+  let check what =
+    let text = Io.to_string ~memo d in
+    checkb (what ^ ": memoized text = fresh text") true (String.equal text (Io.to_string d));
+    text
+  in
+  let misses () = Io.Memo.misses memo in
+  ignore (check "first write");
+  checki "first write formats every cell coordinate" (2 * Design.num_cells d) (misses ());
+  let m0 = misses () in
+  ignore (check "idle rewrite");
+  checki "idle rewrite formats no cell coordinate" m0 (misses ());
+  let cell_named master =
+    let found = ref (-1) in
+    Design.iter_cells d (fun c ->
+        if !found < 0 && (Design.cell_master d c).Css_liberty.Cell.name = master then found := c);
+    checkb ("a " ^ master ^ " to edit") true (!found >= 0);
+    !found
+  in
+  let inv = cell_named "INV_X1" and ff = (Design.ffs d).(0) in
+  let home = Design.cell_pos d inv in
+  Design.move_cell d inv (Css_geometry.Point.make (home.Css_geometry.Point.x +. 37.5) 12.25);
+  let m = misses () in
+  ignore (check "move_cell");
+  checki "a moved cell formats its two coordinates" (m + 2) (misses ());
+  Design.move_cell d inv home;
+  ignore (check "move back");
+  (* 0.0 and -0.0 are [=] but print differently: the slot must key on bits *)
+  let at x = Css_geometry.Point.make x home.Css_geometry.Point.y in
+  let inv_line x = Printf.sprintf "\ncell %s INV_X1 %s " (Design.cell_name d inv) x in
+  Design.move_cell d inv (at 0.0);
+  checkb "x = 0.0 prints as 0" true (contains (check "x = 0.0") (inv_line "0"));
+  Design.move_cell d inv (at (-0.0));
+  checkb "x = -0.0 prints as -0" true (contains (check "x = -0.0") (inv_line "-0"));
+  Design.move_cell d inv (at 0.0);
+  checkb "x = 0.0 again prints as 0" true (contains (check "x = 0.0 again") (inv_line "0"));
+  Design.set_scheduled_latency d ff 12.5;
+  ignore (check "set_scheduled_latency");
+  Design.set_latency_bounds d ff ~lo:1.0 ~hi:40.0;
+  ignore (check "set_latency_bounds");
+  Design.clear_latency_bounds d ff;
+  ignore (check "clear_latency_bounds");
+  let lcbs = Design.lcbs d in
+  let other = Array.find_opt (fun l -> l <> Design.lcb_of_ff d ff) lcbs in
+  Design.reconnect_ff_to_lcb d ~ff ~lcb:(Option.get other);
+  ignore (check "reconnect_ff_to_lcb");
+  Design.swap_master d inv "INV_X4";
+  ignore (check "swap_master");
+  (* CTS-style growth: new cells get new slots *)
+  let root_net = Design.pin_net_id d (Design.port_pin d (Design.clock_root_id d)) in
+  let lcb = Design.add_cell d ~name:"extra_lcb" ~master:"LCB" ~pos:(Design.cell_pos d ff) in
+  Design.net_add_sink d root_net (Design.cell_pin d lcb "CKI");
+  ignore (Design.add_net d ~name:"extra_ck" ~driver:(Design.cell_pin d lcb "CKO") ~sinks:[]);
+  Design.reconnect_ff_to_lcb d ~ff ~lcb;
+  let m = misses () in
+  ignore (check "add_cell/add_net");
+  checki "the added cell formats its two coordinates" (m + 2) (misses ());
+  let m = misses () in
+  ignore (check "idle rewrite after growth");
+  checki "idle rewrite after growth formats no cell coordinate" m (misses ())
+
+(* ------------------------------------------------------------------ *)
 (* id stability: fingerprints over every id space *)
 
 (* everything an id is allowed to mean. [pin_net_id] is excluded from
@@ -249,6 +321,7 @@ let () =
           Alcotest.test_case "byte-identical after flow" `Slow
             test_round_trip_after_flow_byte_identical;
           Alcotest.test_case "ids survive round trip" `Quick test_ids_survive_round_trip;
+          Alcotest.test_case "memoized writer tracks edits" `Quick test_memo_writer_tracks_edits;
         ] );
       ( "id-stability",
         [

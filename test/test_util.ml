@@ -411,6 +411,22 @@ let test_budget_elapsed_and_remaining () =
   | Some r -> checkb "remaining in (0, 3600]" true (r > 0.0 && r <= 3600.0)
   | None -> Alcotest.failf "expected Some remaining"
 
+(* The published FNV-1a 64 test vectors: checkpoint hashes on disk
+   depend on these exact values. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.check Alcotest.string (Printf.sprintf "fnv1a64 %S" s) h
+        (Printf.sprintf "%016Lx" (Css_util.Fnv.of_string s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+(* [of_string] agrees with folding the bytes one by one. *)
+let test_fnv_matches_mix_byte () =
+  let s = String.init 1000 (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let folded = ref Css_util.Fnv.basis in
+  String.iter (fun c -> folded := Css_util.Fnv.mix_byte !folded (Char.code c)) s;
+  checkb "of_string = fold mix_byte" true (Int64.equal !folded (Css_util.Fnv.of_string s))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -487,5 +503,10 @@ let () =
           Alcotest.test_case "wall wins over rss" `Quick test_budget_wall_wins_over_rss;
           Alcotest.test_case "rss soft" `Quick test_budget_rss_soft;
           Alcotest.test_case "elapsed and remaining" `Quick test_budget_elapsed_and_remaining;
+        ] );
+      ( "fnv",
+        [
+          Alcotest.test_case "published vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "of_string folds mix_byte" `Quick test_fnv_matches_mix_byte;
         ] );
     ]
