@@ -358,25 +358,18 @@ let bench_jobs =
   | Some s -> max 1 (int_of_string s)
   | None -> Css_util.Pool.default_jobs ()
 
-(* Wall-clock of one extraction phase run until a round stops growing
-   the graph. ([Extract.round] can keep reporting work on an endpoint
-   whose worst slack no sequential in-edge explains — e.g. a primary
-   input launch — so "returns 0" is not a termination test without the
-   scheduler moving latencies in between.) Results are bit-identical
-   with or without the pool; only the clock differs. *)
+(* Extraction rounds until one changes nothing: with the timer fixed, a
+   re-walked endpoint only refreshes what the first walk stored. *)
+let extract_until_quiet eng = while (Extract.round eng).Extract.added > 0 do () done
+
+(* Wall-clock of one extraction phase run until it is quiet. Results are
+   bit-identical with or without the pool; only the clock differs. *)
 let time_extraction ?pool p engine =
   let design = Generator.generate p in
   let timer = Timer.build design in
   let verts = Vertex.of_design design in
   let t0 = Css_util.Wall_clock.now () in
-  let eng = Extract.run ?pool ~engine timer verts ~corner:Timer.Late in
-  let continue_ = ref true in
-  while !continue_ do
-    let before = Css_seqgraph.Seq_graph.num_edges (Extract.graph eng) in
-    let n = Extract.round eng in
-    if n = 0 || Css_seqgraph.Seq_graph.num_edges (Extract.graph eng) = before then
-      continue_ := false
-  done;
+  extract_until_quiet (Extract.run ?pool ~engine timer verts ~corner:Timer.Late);
   (Css_util.Wall_clock.now () -. t0) *. 1000.0
 
 (* Cold-vs-warm extraction through the macromodel cache: a first
@@ -392,14 +385,7 @@ let cache_cold_warm p engine =
   let cache = Macromodel.create () in
   let run_once () =
     let t0 = Css_util.Wall_clock.now () in
-    let eng = Extract.run ~cache ~engine timer verts ~corner:Timer.Late in
-    let continue_ = ref true in
-    while !continue_ do
-      let before = Css_seqgraph.Seq_graph.num_edges (Extract.graph eng) in
-      let n = Extract.round eng in
-      if n = 0 || Css_seqgraph.Seq_graph.num_edges (Extract.graph eng) = before then
-        continue_ := false
-    done;
+    extract_until_quiet (Extract.run ~cache ~engine timer verts ~corner:Timer.Late);
     (Css_util.Wall_clock.now () -. t0) *. 1000.0
   in
   let cold_ms = run_once () in
@@ -429,52 +415,19 @@ let json_engine_run p engine_name =
   let design = Generator.generate p in
   let obs = Obs.create () in
   let timer = Timer.build ~obs design in
-  let verts = Vertex.of_design design in
   let t0 = Css_util.Wall_clock.now () in
-  let extraction, stats_of =
+  let extraction, stats =
     match engine_name with
-    | "iterative-essential" ->
-      let eng = Extract.run ~engine:Extract.Essential ~obs timer verts ~corner:Timer.Late in
-      ( {
-          Scheduler.extract = (fun () -> Extract.round eng);
-          graph = Extract.graph eng;
-          on_cap_hit = (fun _ -> ());
-        },
-        fun () -> Extract.stats eng )
-    | "iccss-callback" ->
-      let eng = Extract.run ~engine:Extract.Iccss ~obs timer verts ~corner:Timer.Late in
-      ( {
-          Scheduler.extract = (fun () -> Extract.round eng);
-          graph = Extract.graph eng;
-          on_cap_hit =
-            (fun v ->
-              match Vertex.ff_of verts v with
-              | Some ff -> ignore (Extract.constraint_edges eng ff)
-              | None -> ());
-        },
-        fun () -> Extract.stats eng )
+    | "iterative-essential" -> Css_core.Engine.ours ~obs timer ~corner:Timer.Late
+    | "iccss-callback" -> Css_baselines.Iccss_plus.extraction ~obs timer ~corner:Timer.Late
     | _ ->
       (* full extraction up front; the scheduler sees it as one huge
          first round *)
-      let feng = Extract.run ~obs ~engine:Extract.Full timer verts ~corner:Timer.Late in
-      let graph = Extract.graph feng and fstats = Extract.stats feng in
-      let first = ref true in
-      ( {
-          Scheduler.extract =
-            (fun () ->
-              if !first then begin
-                first := false;
-                fstats.Extract.edges_extracted
-              end
-              else 0);
-          graph;
-          on_cap_hit = (fun _ -> ());
-        },
-        fun () -> fstats )
+      Css_core.Engine.full ~obs timer ~corner:Timer.Late
   in
   let result = Scheduler.run ~obs timer extraction in
   let wall_ms = (Css_util.Wall_clock.now () -. t0) *. 1000.0 in
-  (result, stats_of (), wall_ms, obs, timer, Design.num_cells design)
+  (result, stats, wall_ms, obs, timer, Design.num_cells design)
 
 let json_designs =
   match Sys.getenv_opt "CSS_BENCH_DESIGNS" with

@@ -56,11 +56,11 @@ let () =
      second round with no timing change walks nothing. *)
   let verts = Vertex.of_design design in
   let engine = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
-  let added1 = Extract.round engine in
+  let added1 = (Extract.round engine).Extract.added in
   let e_stats = Extract.stats engine in
   Printf.printf "\nessential extraction round 1: %d edges, %d gate-level nodes walked\n" added1
     e_stats.Extract.cone_nodes;
-  let added2 = Extract.round engine in
+  let added2 = (Extract.round engine).Extract.added in
   Printf.printf "round 2 (nothing changed):    %d edges, %d nodes walked (cumulative)\n" added2
     e_stats.Extract.cone_nodes;
 
@@ -73,7 +73,7 @@ let () =
     Timer.update_latencies timer [ ff ];
     Printf.printf "\nraised launcher %s by 60 ps;\n" (Design.cell_name design ff)
   | None -> ());
-  let added3 = Extract.round engine in
+  let added3 = (Extract.round engine).Extract.added in
   Printf.printf "round 3 extracts only the newly violated endpoints: %d new edges, %d nodes\n"
     added3 e_stats.Extract.cone_nodes;
   show "after the perturbation" timer

@@ -2,6 +2,7 @@ module Timer = Css_sta.Timer
 module Design = Css_netlist.Design
 module Vertex = Css_seqgraph.Vertex
 module Seq_graph = Css_seqgraph.Seq_graph
+module Extract = Css_seqgraph.Extract
 module Obs = Css_util.Obs
 
 let log_src = Logs.Src.create "css.scheduler" ~doc:"iterative clock skew scheduler"
@@ -32,7 +33,7 @@ let default_config =
   }
 
 type extraction = {
-  extract : unit -> int;
+  extract : unit -> Extract.outcome;
   graph : Seq_graph.t;
   on_cap_hit : Vertex.id -> unit;
 }
@@ -44,6 +45,7 @@ type iteration = {
   wns_late : float;
   tns_late : float;
   edges_in_graph : int;
+  edges_new : int;
   handled_cycle : bool;
   max_increment : float;
 }
@@ -103,7 +105,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
   let l_star = Array.make n 0.0 in
   let trace = ref [] in
   let cycles = ref 0 in
-  let record ~index ~handled_cycle ~max_increment =
+  let record ~index ~edges_new ~handled_cycle ~max_increment =
     let it =
       {
         index;
@@ -112,6 +114,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
         wns_late = Timer.wns timer Timer.Late;
         tns_late = Timer.tns timer Timer.Late;
         edges_in_graph = Seq_graph.num_edges graph;
+        edges_new;
         handled_cycle;
         max_increment;
       }
@@ -133,6 +136,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
           ("wns_late", Obs.Json.Float it.wns_late);
           ("tns_late", Obs.Json.Float it.tns_late);
           ("edges_in_graph", Obs.Json.Int it.edges_in_graph);
+          ("edges_new", Obs.Json.Int edges_new);
           ("handled_cycle", Obs.Json.Bool handled_cycle);
           ("max_increment", Obs.Json.Float max_increment);
         ]
@@ -265,7 +269,9 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
     end
     else begin
       let t_extract = Css_util.Wall_clock.now () in
-      let added = ext.extract () in
+      let edges_before = Seq_graph.num_edges graph in
+      let round = ext.extract () in
+      let edges_new = Seq_graph.num_edges graph - edges_before in
       if observed then Css_util.Histo.observe h_extract (Css_util.Wall_clock.now () -. t_extract);
       let t_solve = Css_util.Wall_clock.now () in
       let solve_done () =
@@ -291,7 +297,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
         solve_done ();
         apply cyc.Cycle.increments;
         let max_increment = Array.fold_left Float.max 0.0 cyc.Cycle.increments in
-        record ~index:k ~handled_cycle:true ~max_increment;
+        record ~index:k ~edges_new ~handled_cycle:true ~max_increment;
         (* cycle handling always makes structural progress (members are
            pinned), so it never counts as a stall *)
         ignore (progressed ~at_iter:k);
@@ -307,10 +313,13 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
         let max_increment = Array.fold_left Float.max 0.0 tp.Two_pass.l in
         if max_increment <= config.eps then begin
           solve_done ();
-          record ~index:k ~handled_cycle:false ~max_increment;
-          (* a rate-limited extractor may still be mid-discovery: zero
-             increments only terminate once extraction is quiescent too *)
-          if added > 0 then iterate (k + 1) else (k, Converged)
+          record ~index:k ~edges_new ~handled_cycle:false ~max_increment;
+          (* zero increments end the phase only once extraction is
+             quiescent: a round that changed the constraint set (inserted
+             or rebound an edge) gets one more round to confirm, and a
+             rate-limited round that left endpoints unwalked never ends it *)
+          if round.Extract.added > 0 || round.Extract.truncated then iterate (k + 1)
+          else (k, Converged)
         end
         else begin
           (* IC-CSS+ pays for constraint-edge extraction when the Eq. (11)
@@ -332,7 +341,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
                 neg_edges.Seq_graph.v_n max_increment
                 (match corner with Timer.Late -> "late" | Timer.Early -> "early")
                 (Timer.tns timer corner));
-          record ~index:k ~handled_cycle:false ~max_increment;
+          record ~index:k ~edges_new ~handled_cycle:false ~max_increment;
           if progressed ~at_iter:k then iterate (k + 1) else (k, Stalled)
         end
     end

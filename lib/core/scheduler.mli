@@ -54,9 +54,10 @@ val default_config : config
 
 (** How the scheduler obtains sequential edges. *)
 type extraction = {
-  extract : unit -> int;
+  extract : unit -> Css_seqgraph.Extract.outcome;
       (** run one extraction round against the timer's current state;
-          returns the number of edges added *)
+          a zero-increment iteration ends the run {!Converged} only when
+          the round's outcome changed nothing and was not truncated *)
   graph : Css_seqgraph.Seq_graph.t;  (** the partial sequential graph *)
   on_cap_hit : Css_seqgraph.Vertex.id -> unit;
       (** called when a vertex's Eq. (11) cross-corner cap was the binding
@@ -71,13 +72,16 @@ type iteration = {
   wns_late : float;
   tns_late : float;
   edges_in_graph : int;
+  edges_new : int;  (** edges this iteration's extraction round added to the graph *)
   handled_cycle : bool;
   max_increment : float;
 }
 
 (** Why the repeat loop ended. *)
 type stop_reason =
-  | Converged  (** no increment above [eps] and extraction quiescent *)
+  | Converged
+      (** no increment above [eps] and extraction quiescent: the round
+          neither inserted nor rebound an edge and was not truncated *)
   | Max_iterations  (** the [max_iterations] safety cap fired *)
   | Stalled  (** [stall_iterations] iterations without TNS progress *)
   | Deadline  (** the [deadline_seconds] wall-clock watchdog fired *)
@@ -111,6 +115,7 @@ type result = {
     [bound_refreshes] (the Eq. (5)/(11) reads that replace constraint
     -edge extraction), [latency_increments] (vertices raised on line
     11) — and one ["sched.iter"] snapshot per iteration carrying both
-    corners' WNS/TNS, the partial graph's edge count, and the maximum
+    corners' WNS/TNS, the partial graph's edge count, the edges the
+    iteration's extraction round added ([edges_new]) and the maximum
     increment (the Fig. 8 trajectory). *)
 val run : ?config:config -> ?obs:Css_util.Obs.t -> Css_sta.Timer.t -> extraction -> result

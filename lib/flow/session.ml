@@ -267,6 +267,29 @@ let record_scheduler_trace st ~round ~phase (res : Scheduler.result) =
         :: st.run.trace_rev)
     res.Scheduler.trace
 
+(* One ["sched.phase"] snapshot per scheduler run: how the phase ended
+   and how many of its iterations raised no latency. *)
+let note_scheduler_phase st ~round ~phase ~eps (res : Scheduler.result) =
+  let obs = st.cfg.obs in
+  if Obs.enabled obs then begin
+    let zero =
+      List.length
+        (List.filter
+           (fun (it : Scheduler.iteration) ->
+             (not it.Scheduler.handled_cycle) && it.Scheduler.max_increment <= eps)
+           res.Scheduler.trace)
+    in
+    Obs.snapshot obs ~label:"sched.phase"
+      [
+        ("round", Obs.Json.Int round);
+        ("corner", Obs.Json.String phase);
+        ("stop_reason", Obs.Json.String (Scheduler.stop_reason_name res.Scheduler.stop_reason));
+        ("iterations", Obs.Json.Int res.Scheduler.iterations);
+        ("zero_increment_iterations", Obs.Json.Int zero);
+        ("ring_restored", Obs.Json.Bool res.Scheduler.ring_restored);
+      ]
+  end
+
 let targets_of verts latencies =
   let acc = ref [] in
   Array.iteri
@@ -636,6 +659,7 @@ let css_opt_phase st ~round ~corner =
         }
       in
       let res = Scheduler.run ~config:sched_config ~obs:st.cfg.obs st.timer extraction in
+      note_scheduler_phase st ~round ~phase ~eps:sched_config.Scheduler.eps res;
       if res.Scheduler.stop_reason = Scheduler.Interrupted then None
       else begin
         st.run.iterations <- st.run.iterations + res.Scheduler.iterations;

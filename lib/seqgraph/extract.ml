@@ -10,11 +10,16 @@ module M = Css_cache.Macromodel
 
 type stats = {
   mutable edges_extracted : int;
+  mutable edges_new : int;
+  mutable re_extractions : int;
   mutable cone_nodes : int;
   mutable rounds : int;
 }
 
-let fresh_stats () = { edges_extracted = 0; cone_nodes = 0; rounds = 0 }
+let fresh_stats () =
+  { edges_extracted = 0; edges_new = 0; re_extractions = 0; cone_nodes = 0; rounds = 0 }
+
+type outcome = { added : int; truncated : bool }
 
 type engine = Full | Essential | Iccss
 
@@ -23,7 +28,8 @@ let engine_name = function Full -> "full" | Essential -> "essential" | Iccss -> 
 (* Per-engine observability handles, resolved once per engine instance so
    the extraction loops bump counters without name lookups. *)
 type obs_counters = {
-  o_edges : Obs.counter;  (* edges materialized into the graph *)
+  o_edges : Obs.counter;  (* edges that grew the graph *)
+  o_re : Obs.counter;  (* kept candidates that landed on a stored pair *)
   o_candidates : Obs.counter;  (* cone results examined (kept or not) *)
   o_endpoints : Obs.counter;  (* endpoints / vertices cone-walked *)
   o_cone : Obs.counter;
@@ -38,6 +44,7 @@ type obs_counters = {
 let resolve_obs obs engine =
   {
     o_edges = Obs.counter obs (Printf.sprintf "extract.%s.edges" engine);
+    o_re = Obs.counter obs (Printf.sprintf "extract.%s.re_extractions" engine);
     o_candidates = Obs.counter obs (Printf.sprintf "extract.%s.candidate_edges" engine);
     o_endpoints = Obs.counter obs (Printf.sprintf "extract.%s.endpoints_walked" engine);
     o_cone = Obs.counter obs (Printf.sprintf "extract.%s.cone_nodes" engine);
@@ -157,9 +164,12 @@ let cone_cached t ctx ~corner ~forward root notes =
    candidates in their sequential enumeration order and applying cache
    notes in cone order, then flush the accumulated stats and counters
    once (per-worker-flush rule: workers never touch [stats], the timer,
-   the cache structure or the [Obs] context). *)
+   the cache structure or the [Obs] context). Returns the number of kept
+   candidates that changed the graph's constraint set (inserted or
+   rebound); refreshing a stored path does not count. *)
 let merge ?(keep = fun _ -> true) t shards =
-  let added = ref 0 and visited = ref 0 and cands = ref 0 and walks = ref 0 in
+  let inserted = ref 0 and rebound = ref 0 and kept = ref 0 in
+  let visited = ref 0 and cands = ref 0 and walks = ref 0 in
   Array.iter
     (fun sh ->
       visited := !visited + sh.sh_visited;
@@ -185,21 +195,29 @@ let merge ?(keep = fun _ -> true) t shards =
         (fun c ->
           incr cands;
           if keep c then begin
-            ignore
-              (Seq_graph.add_edge t.graph ~launcher:c.c_launcher ~endpoint:c.c_endpoint
-                 ~delay:c.c_delay ~weight:c.c_weight);
-            incr added
+            incr kept;
+            match
+              Seq_graph.add_edge t.graph ~launcher:c.c_launcher ~endpoint:c.c_endpoint
+                ~delay:c.c_delay ~weight:c.c_weight
+            with
+            | Seq_graph.Inserted -> incr inserted
+            | Seq_graph.Rebound -> incr rebound
+            | Seq_graph.Refreshed -> ()
           end)
         sh.sh_cands)
     shards;
-  t.stats.edges_extracted <- t.stats.edges_extracted + !added;
+  let re = !kept - !inserted in
+  t.stats.edges_extracted <- t.stats.edges_extracted + !inserted;
+  t.stats.edges_new <- t.stats.edges_new + !inserted;
+  t.stats.re_extractions <- t.stats.re_extractions + re;
   t.stats.cone_nodes <- t.stats.cone_nodes + !visited;
-  Obs.add t.oc.o_edges !added;
+  Obs.add t.oc.o_edges !inserted;
+  Obs.add t.oc.o_re re;
   Obs.add t.oc.o_candidates !cands;
   Obs.add t.oc.o_cone !visited;
   Obs.add t.oc.o_walks !walks;
   Timer.note_cone_visits t.timer !visited;
-  !added
+  !inserted + !rebound
 
 (* ------------------------------------------------------------------ *)
 (* Full extraction                                                     *)
@@ -240,19 +258,26 @@ let full_extract t =
    selection runs sequentially against the pre-round graph — each
    endpoint appears at most once in [violated_endpoints], so this
    round's insertions can never change another endpoint's test and the
-   cut is the same one the fully sequential loop makes. *)
+   cut is the same one the fully sequential loop makes. Past [limit]
+   walks the round is truncated: the first endpoint that still needs a
+   walk says so, and the rest are not tested. *)
 let essential_round ?(limit = max_int) t =
   t.stats.rounds <- t.stats.rounds + 1;
   Obs.incr t.oc.o_rounds;
   let corner = Seq_graph.corner t.graph in
   let selected = ref [] in
   let walked = ref 0 in
+  let truncated = ref false in
   List.iter
     (fun (endpoint, slack) ->
-      let known = Seq_graph.min_weight_from_endpoint t.graph endpoint in
-      if !walked < limit && slack < known -. 1e-6 then begin
-        incr walked;
-        selected := endpoint :: !selected
+      if not !truncated then begin
+        let known = Seq_graph.min_weight_from_endpoint t.graph endpoint in
+        if slack < known -. 1e-6 then
+          if !walked < limit then begin
+            incr walked;
+            selected := endpoint :: !selected
+          end
+          else truncated := true
       end)
     (Timer.violated_endpoints t.timer corner);
   let selected = Array.of_list (List.rev !selected) in
@@ -275,7 +300,7 @@ let essential_round ?(limit = max_int) t =
         in
         { sh_cands = cands; sh_visited = visited; sh_walks = walks; sh_notes = !notes })
   in
-  merge ~keep:(fun c -> c.c_weight < 0.0) t shards
+  { added = merge ~keep:(fun c -> c.c_weight < 0.0) t shards; truncated = !truncated }
 
 (* ------------------------------------------------------------------ *)
 (* IC-CSS callback extraction (Albrecht, adapted)                      *)
@@ -542,14 +567,14 @@ type snapshot = {
 let snapshot t =
   let edges = ref [] in
   Seq_graph.iter_edges t.graph (fun id ->
-      edges :=
-        {
-          es_launcher = Seq_graph.launcher t.graph id;
-          es_endpoint = Seq_graph.endpoint t.graph id;
-          es_delay = Seq_graph.delay t.graph id;
-          es_weight = Seq_graph.weight t.graph id;
-        }
-        :: !edges);
+      let launcher = Seq_graph.launcher t.graph id in
+      let es_delay = Seq_graph.delay t.graph id and es_weight = Seq_graph.weight t.graph id in
+      let entry endpoint = { es_launcher = launcher; es_endpoint = endpoint; es_delay; es_weight } in
+      edges := entry (Seq_graph.endpoint t.graph id) :: !edges;
+      (* equal weight never rebinds: replaying these only indexes them *)
+      List.iter
+        (fun endpoint -> edges := entry endpoint :: !edges)
+        (Seq_graph.collapsed_endpoints t.graph id));
   {
     sn_engine = t.kind;
     sn_edges = List.rev !edges;
@@ -590,6 +615,7 @@ let restore ?(obs = Obs.null) ?pool ?cache snap timer verts ~corner =
            ~delay:e.es_delay ~weight:e.es_weight))
     snap.sn_edges;
   t.stats.edges_extracted <- snap.sn_edges_extracted;
+  t.stats.edges_new <- Seq_graph.num_edges t.graph;
   t.stats.cone_nodes <- snap.sn_cone_nodes;
   t.stats.rounds <- snap.sn_rounds;
   t
@@ -598,10 +624,10 @@ let round ?limit t =
   match t.kind with
   | Full ->
     ignore limit;
-    let n = t.pending_first in
+    let added = t.pending_first in
     t.pending_first <- 0;
-    n
+    { added; truncated = false }
   | Essential -> essential_round ?limit t
   | Iccss ->
     ignore limit;
-    iccss_round t
+    { added = iccss_round t; truncated = false }

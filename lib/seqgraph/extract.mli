@@ -29,16 +29,21 @@
 
     {2 Stats and observability}
 
-    All engines share a {!stats} record; [edges_extracted] is the number
-    the paper's Table I reports as "#Extract Edge". The record is
+    All engines share a {!stats} record. [edges_extracted] is the number
+    the paper's Table I reports as "#Extract Edge": the edges that grew
+    the graph ([edges_new]) plus, for IC-CSS, the constraint edges its
+    callback enumerates. [re_extractions] counts kept candidates that
+    landed on an already stored vertex pair (a re-walked endpoint, or a
+    port path collapsing onto another port's supernode pair). The record is
     {b single-writer}: only the thread driving {!round} mutates it (in
     the deterministic merge) — pool workers accumulate privately and
     never touch it, nor the [?obs] context (counters are flushed once
     per round by the submitter, so {!Css_util.Obs.null} stays
     allocation-free). Engines report into the [extract.<engine>.*]
-    counter namespace: [edges] (materialized), [candidate_edges] (cone
-    results examined, kept or not — for {!Essential} the gap between the
-    two is the over-extraction avoided), [endpoints_walked],
+    counter namespace: [edges] (graph growth), [re_extractions],
+    [candidate_edges] (cone results examined, kept or not — for
+    {!Essential} the gap between candidates and kept edges is the
+    over-extraction avoided), [endpoints_walked],
     [cone_nodes], [rounds] and [cone_walks] (real cone traversals — a
     cache hit serves an endpoint without a walk, so
     [endpoints_walked - cone_walks] is the work the macromodel cache
@@ -57,7 +62,13 @@
     — keys embed root, corner and direction. *)
 
 type stats = {
-  mutable edges_extracted : int;  (** edges materialized into the graph *)
+  mutable edges_extracted : int;
+      (** the paper's "#Extract Edge": [edges_new], plus the constraint
+          edges {!constraint_edges} charges to [Iccss] *)
+  mutable edges_new : int;  (** kept edges that grew the graph *)
+  mutable re_extractions : int;
+      (** kept edges that landed on an already stored vertex pair (not
+          checkpointed: a restored engine counts from its restore on) *)
   mutable cone_nodes : int;  (** gate-level nodes visited while extracting *)
   mutable rounds : int;  (** extraction rounds performed *)
 }
@@ -96,21 +107,32 @@ val run :
   corner:Css_sta.Timer.corner ->
   t
 
+(** What one {!round} did. *)
+type outcome = {
+  added : int;
+      (** [Essential] and [Full]: kept edges that changed the graph's
+          constraint set — inserted, or rebinding a collapsed pair to a
+          worse path (a re-extracted path that only refreshes its stored
+          values does not count). [Iccss]: vertices newly expanded. *)
+  truncated : bool;
+      (** the round stopped at its [?limit] with endpoints still needing
+          a walk, so [added = 0] does not mean extraction is quiescent *)
+}
+
 (** [round ?limit t] performs one extraction round against the timer's
-    current state and returns the work done:
+    current state:
 
     - [Essential]: every violated endpoint whose worst slack is not
       explained by an already-extracted edge is cone-walked (at most
-      [limit] of them — the DESIGN.md A1 ablation; default unlimited),
-      and the negative-slack edges found are added. Returns edges added.
-      Call after each timing propagation.
+      [limit] of them — the DESIGN.md A1 ablation and the flow's
+      cheap-extraction rung; default unlimited), and the negative-slack
+      edges found are added. Call after each timing propagation.
     - [Iccss]: fires the callback for every vertex that is critical
       under current latencies and not yet expanded — *all* of its
-      outgoing sequential edges are materialized. Returns the number of
-      vertices newly expanded ([limit] is ignored).
-    - [Full]: the graph was built by {!run}; the first call returns the
-      edge count, subsequent calls return 0 ([limit] is ignored). *)
-val round : ?limit:int -> t -> int
+      outgoing sequential edges are materialized ([limit] is ignored).
+    - [Full]: the graph was built by {!run}; the first call reports its
+      edge count, subsequent calls report 0 ([limit] is ignored). *)
+val round : ?limit:int -> t -> outcome
 
 (** [constraint_edges t ff] fires IC-CSS's Section III-E(ii) callback:
     all cross-corner constraint edges of [ff] (its incoming early paths
@@ -151,7 +173,10 @@ type edge_snap = {
 
 type snapshot = {
   sn_engine : engine;
-  sn_edges : edge_snap list;  (** insertion order *)
+  sn_edges : edge_snap list;
+      (** insertion order, each edge followed by one entry per endpoint
+          collapsed onto it (same launcher, delay and weight: replaying
+          it only re-indexes the endpoint) *)
   sn_edges_extracted : int;
   sn_cone_nodes : int;
   sn_rounds : int;
@@ -165,9 +190,10 @@ val snapshot : t -> snapshot
 (** [restore ?obs ?pool snap timer verts ~corner] rebuilds a live engine
     from a snapshot against a (reparsed) design's timer and vertex
     registry: replays the edges in order into a fresh graph and restores
-    the engine-specific state without re-running any extraction (in
-    particular [Full]'s exhaustive pass and [Iccss]'s bound DP do not
-    rerun). The snapshot's dense cell/port ids must come from a design
+    the stats ([edges_new] is the replayed edge count, [re_extractions]
+    restarts at 0) and the engine-specific state without re-running any
+    extraction (in particular [Full]'s exhaustive pass and [Iccss]'s
+    bound DP do not rerun). The snapshot's dense cell/port ids must come from a design
     text round-trip of the same design ({!Css_flow.Flow.clone}
     semantics), which preserves them. *)
 val restore :

@@ -31,7 +31,8 @@ type t = {
   ew : Fvec.t;
   edelay : Fvec.t;
   elaunch : Ivec.t;  (* encoded launcher per edge *)
-  eend : Ivec.t;  (* encoded endpoint per edge *)
+  eend : Ivec.t;  (* encoded endpoint per edge: the binding path's *)
+  eseen : int list Css_util.Vec.t;  (* encoded endpoints landed on the edge, newest first *)
   by_pair : (int, edge_id) Hashtbl.t;  (* src * nverts + dst -> edge *)
   out_adj : edge_id list array;
   in_adj : edge_id list array;
@@ -50,6 +51,7 @@ let create verts ~corner =
     edelay = Fvec.create ();
     elaunch = Ivec.create ();
     eend = Ivec.create ();
+    eseen = Css_util.Vec.create ();
     by_pair = Hashtbl.create 256;
     out_adj = Array.make n [];
     in_adj = Array.make n [];
@@ -75,6 +77,19 @@ let orient t ~launcher ~endpoint =
   let ev = Vertex.of_endpoint t.verts endpoint in
   match t.corner with Timer.Late -> (lv, ev) | Timer.Early -> (ev, lv)
 
+type outcome = Inserted | Rebound | Refreshed
+
+(* Every endpoint whose paths landed on an edge is indexed there, not
+   only the binding one: a port path that collapses onto another port's
+   supernode pair is explained by that pair's (worse or equal) weight. *)
+let index_endpoint t ee id =
+  let seen = Css_util.Vec.get t.eseen id in
+  if not (List.mem ee seen) then begin
+    Css_util.Vec.set t.eseen id (ee :: seen);
+    let prev = Option.value ~default:[] (Hashtbl.find_opt t.by_endpoint ee) in
+    Hashtbl.replace t.by_endpoint ee (id :: prev)
+  end
+
 let add_edge t ~launcher ~endpoint ~delay ~weight =
   let src, dst = orient t ~launcher ~endpoint in
   let key = (src * t.nverts) + dst in
@@ -85,15 +100,24 @@ let add_edge t ~launcher ~endpoint ~delay ~weight =
       (* same timing path re-extracted: the new values are the current
          truth (placement or sizing may have changed the path delay) *)
       Fvec.set t.ew id weight;
-      Fvec.set t.edelay id delay
+      Fvec.set t.edelay id delay;
+      Refreshed
     end
-    else if weight < Fvec.get t.ew id then begin
-      (* a different launcher/endpoint pair collapsing onto the same
-         supernode vertices: keep the worse path *)
-      Fvec.set t.ew id weight;
-      Fvec.set t.edelay id delay
-    end;
-    id
+    else begin
+      index_endpoint t ee id;
+      if weight < Fvec.get t.ew id then begin
+        (* a different launcher/endpoint pair collapsing onto the same
+           supernode vertices binds the pair now: keep the worse path,
+           labels and delay together, so [recompute_weight] re-derives
+           the path that is stored *)
+        Ivec.set t.elaunch id el;
+        Ivec.set t.eend id ee;
+        Fvec.set t.ew id weight;
+        Fvec.set t.edelay id delay;
+        Rebound
+      end
+      else Refreshed
+    end
   | None ->
     let id = Ivec.push t.esrc src in
     ignore (Ivec.push t.edst dst);
@@ -104,9 +128,14 @@ let add_edge t ~launcher ~endpoint ~delay ~weight =
     Hashtbl.replace t.by_pair key id;
     t.out_adj.(src) <- id :: t.out_adj.(src);
     t.in_adj.(dst) <- id :: t.in_adj.(dst);
-    let prev = Option.value ~default:[] (Hashtbl.find_opt t.by_endpoint ee) in
-    Hashtbl.replace t.by_endpoint ee (id :: prev);
-    id
+    ignore (Css_util.Vec.push t.eseen []);
+    index_endpoint t ee id;
+    Inserted
+
+let collapsed_endpoints t id =
+  let binding = Ivec.get t.eend id in
+  List.rev (Css_util.Vec.get t.eseen id)
+  |> List.filter_map (fun ee -> if ee = binding then None else Some (dec_endpoint ee))
 
 let find t ~src ~dst = Hashtbl.find_opt t.by_pair ((src * t.nverts) + dst)
 

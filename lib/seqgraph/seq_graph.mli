@@ -65,19 +65,41 @@ val endpoint : t -> edge_id -> Css_sta.Graph.endpoint
 
 (** {1 Construction and lookup} *)
 
+(** What {!add_edge} did to the graph's constraint set. *)
+type outcome =
+  | Inserted  (** a new vertex pair: the graph grew by one edge *)
+  | Rebound
+      (** a different timing path with a smaller weight now binds an
+          already stored (collapsed supernode) pair: its weight, delay
+          and launcher/endpoint labels were replaced *)
+  | Refreshed
+      (** the pair's binding path is unchanged: either the same path was
+          re-extracted (its weight and delay are overwritten with the new
+          values, the current truth) or a different path with an equal or
+          larger weight collapsed onto it (only its endpoint is indexed) *)
+
 (** [add_edge t ~launcher ~endpoint ~delay ~weight] inserts the edge in
-    scheduling orientation. A re-extraction of the *same* timing path
-    refreshes the stored weight and delay (the new values are the current
-    truth); a different path collapsing onto the same vertex pair (port
-    paths through a supernode) only replaces a smaller-weight entry.
-    Returns the edge id. Amortized O(1). *)
+    scheduling orientation and reports what changed. Different timing
+    paths can collapse onto one vertex pair (port paths through a
+    supernode); the pair keeps the worst of them, labels and delay
+    together, so {!recompute_weight} always re-derives the stored path.
+    Every endpoint that lands on a pair is indexed there for
+    {!min_weight_from_endpoint}, whether or not its path binds.
+    Amortized O(1) plus the pair's collapsed endpoint count. *)
 val add_edge :
   t ->
   launcher:Css_sta.Graph.launcher ->
   endpoint:Css_sta.Graph.endpoint ->
   delay:float ->
   weight:float ->
-  edge_id
+  outcome
+
+(** [collapsed_endpoints t id] lists, in first-seen order, the endpoints
+    whose paths landed on edge [id] without binding it (other port
+    paths through the same supernode pair). Empty for most edges.
+    Snapshots replay them after the edge so a restored graph explains
+    the same endpoints. *)
+val collapsed_endpoints : t -> edge_id -> Css_sta.Graph.endpoint list
 
 (** [find t ~src ~dst] is the stored edge between the pair, if any. O(1);
     allocates the option. *)
@@ -99,8 +121,9 @@ val out_edges : t -> Vertex.id -> edge_id list
 val in_edges : t -> Vertex.id -> edge_id list
 
 (** [min_weight_from_endpoint t e] is the smallest current weight among
-    stored edges whose timing endpoint is [e] ([infinity] when none) —
-    used to decide whether a violated endpoint needs re-extraction.
+    stored edges that a path to [e] landed on, binding or collapsed
+    ([infinity] when none) — used to decide whether a violated endpoint
+    needs re-extraction.
     O(edges sharing the endpoint). *)
 val min_weight_from_endpoint : t -> Css_sta.Graph.endpoint -> float
 

@@ -114,7 +114,9 @@ let diff_bench ~th base_records cur_records =
         metric "wall_ms" ~worse_sign:1.0 ~threshold:(Some th.max_wall_pct);
         metric "peak_rss_bytes" ~worse_sign:1.0 ~threshold:(Some th.max_rss_pct);
         metric "cells_per_sec" ~worse_sign:(-1.0) ~threshold:None;
-        metric "iterations" ~worse_sign:1.0 ~threshold:None;
+        (* scheduler iterations are deterministic: any increase is a
+           behaviour change (e.g. a phase crawling to its iteration cap) *)
+        metric "iterations" ~worse_sign:1.0 ~threshold:(Some 0.0);
         (* edge ratio: prefer the precomputed field, else derive *)
         (match (num_field bj "edge_ratio", num_field cj "edge_ratio") with
         | Some b, Some c ->

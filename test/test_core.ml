@@ -14,6 +14,7 @@ module Two_pass = Css_core.Two_pass
 module Cycle = Css_core.Cycle
 module Scheduler = Css_core.Scheduler
 module Engine = Css_core.Engine
+module Extract = Css_seqgraph.Extract
 module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
 
@@ -385,6 +386,29 @@ let test_optimum_gap_shape () =
   checkb "bound at least as good as current" true (bound >= wns -. 1e-6);
   checkb "bound non-positive" true (bound <= 0.0)
 
+(* A round cut short by [?limit] leaves endpoints unwalked, so even a
+   zero-increment iteration after it must not end the run [Converged].
+   The sb18 preset's port paths collapse onto shared (FF, <OUT>) pairs,
+   so a one-endpoint round can walk an endpoint that adds no edge. *)
+let test_scheduler_truncated_round_never_converges () =
+  let design = Generator.generate (Option.get (Profile.by_name "sb18")) in
+  let timer = Timer.build design in
+  let verts = Vertex.of_design design in
+  let engine = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
+  let graph = Extract.graph engine in
+  let extraction =
+    { Scheduler.extract = (fun () -> Extract.round ~limit:1 engine); graph; on_cap_hit = ignore }
+  in
+  let config = { Scheduler.default_config with Scheduler.max_iterations = 5000 } in
+  let result = Scheduler.run ~config timer extraction in
+  Alcotest.(check string) "ends converged" "converged"
+    (Scheduler.stop_reason_name result.Scheduler.stop_reason);
+  List.iter
+    (fun (endpoint, slack) ->
+      checkb "every violated endpoint is explained" true
+        (slack >= Seq_graph.min_weight_from_endpoint graph endpoint -. 1e-6))
+    (Timer.violated_endpoints timer Timer.Late)
+
 (* ------------------------------------------------------------------ *)
 (* Bounds *)
 
@@ -660,5 +684,7 @@ let () =
             test_scheduler_ring_never_worse_than_best;
           Alcotest.test_case "ring restore matches design" `Quick
             test_scheduler_ring_restore_matches_design;
+          Alcotest.test_case "truncated round never converges" `Quick
+            test_scheduler_truncated_round_never_converges;
         ] );
     ]

@@ -94,6 +94,46 @@ let test_extracted_below_full_graph () =
   checkb "counter matches engine stats" true
     (List.assoc_opt "extract.essential.edges" (Css_util.Obs.counters obs) = Some extracted)
 
+(* The zero-increment crawl: with the css_opt defaults on the sb18
+   preset, every scheduler phase must end on its own, and at most one of
+   its iterations may raise no latency while the graph stays unchanged
+   (the round that confirms extraction is quiescent). *)
+let test_no_zero_increment_crawl () =
+  let design = Generator.generate (Option.get (Profile.by_name "sb18")) in
+  let obs = Css_util.Obs.create () in
+  ignore (Flow.run ~config:{ Flow.default_config with Flow.obs } ~algo:Flow.Ours design);
+  let module J = Css_util.Obs.Json in
+  let field fields name = List.assoc name fields in
+  let snaps label =
+    List.filter_map
+      (fun (l, _, fields) -> if l = label then Some fields else None)
+      (Css_util.Obs.snapshots obs)
+  in
+  let phases = snaps "sched.phase" in
+  checkb "phases reported" true (phases <> []);
+  List.iter
+    (fun fields ->
+      checkb "phase ends on its own" true
+        (field fields "stop_reason" <> J.String "max-iterations"))
+    phases;
+  let eps = Css_core.Scheduler.default_config.Css_core.Scheduler.eps in
+  let idle fields =
+    match (field fields "max_increment", field fields "edges_new") with
+    | J.Float inc, J.Int 0 -> inc <= eps && field fields "handled_cycle" = J.Bool false
+    | _ -> false
+  in
+  (* iteration indices restart at 1 with every phase *)
+  let per_phase =
+    List.fold_left
+      (fun acc fields ->
+        match (field fields "iter", acc) with
+        | J.Int 1, _ | _, [] -> (if idle fields then 1 else 0) :: acc
+        | _, n :: rest -> (if idle fields then n + 1 else n) :: rest)
+      [] (snaps "sched.iter")
+  in
+  checki "one trace per phase" (List.length phases) (List.length per_phase);
+  List.iter (fun n -> checkb "at most one idle iteration per phase" true (n <= 1)) per_phase
+
 let test_ours_early_beats_fpm () =
   let a = Lazy.force ours_early and b = Lazy.force fpm in
   checkb "early TNS at least as good" true
@@ -636,6 +676,7 @@ let () =
             test_ours_extracts_fewer_edges_than_iccss;
           Alcotest.test_case "extracted below full graph" `Quick
             test_extracted_below_full_graph;
+          Alcotest.test_case "no zero-increment crawl" `Quick test_no_zero_increment_crawl;
           Alcotest.test_case "ours-early beats fpm" `Quick test_ours_early_beats_fpm;
           Alcotest.test_case "early-only leaves late" `Quick test_ours_early_leaves_late_untouched;
           Alcotest.test_case "trace structure" `Quick test_trace_structure;

@@ -119,16 +119,14 @@ let run_engine ~jobs engine design =
   let verts = Vertex.of_design design in
   let go pool =
     let eng = Extract.run ~obs ?pool ~engine timer verts ~corner:Timer.Late in
-    (* loop until a round stops growing the graph — [round] can keep
-       reporting re-walked endpoints whose slack no sequential in-edge
-       explains, so "returns 0" alone is not a termination test *)
+    (* loop until a round changes nothing: with the timer fixed, a
+       second walk of an endpoint only refreshes what the first stored *)
     let fired = ref [] in
     let continue_ = ref true in
     while !continue_ do
-      let before = Seq_graph.num_edges (Extract.graph eng) in
-      let n = Extract.round eng in
+      let n = (Extract.round eng).Extract.added in
       fired := n :: !fired;
-      if n = 0 || Seq_graph.num_edges (Extract.graph eng) = before then continue_ := false
+      if n = 0 then continue_ := false
     done;
     let edges = ref [] in
     let g = Extract.graph eng in

@@ -9,7 +9,7 @@ module Regress = Css_util.Regress
 let checkb name expected got = Alcotest.(check bool) name expected got
 
 let bench_record ?(design = "sb18") ?(engine = "full") ?(wall = 1000.0) ?(rss = 1_000_000)
-    ?(cps = 50_000.0) ?extra () =
+    ?(cps = 50_000.0) ?(iterations = 86) ?extra () =
   Json.Obj
     ([
        ("design", Json.String design);
@@ -17,7 +17,7 @@ let bench_record ?(design = "sb18") ?(engine = "full") ?(wall = 1000.0) ?(rss = 
        ("wall_ms", Json.Float wall);
        ("peak_rss_bytes", Json.Int rss);
        ("cells_per_sec", Json.Float cps);
-       ("iterations", Json.Int 86);
+       ("iterations", Json.Int iterations);
      ]
     @ Option.value ~default:[] extra)
 
@@ -66,6 +66,19 @@ let test_throughput_informational () =
       (Float.abs (row.Regress.r_delta_pct -. 50.0) < 0.01);
     checkb "no threshold" true (row.Regress.r_threshold_pct = None)
   | None -> Alcotest.fail "cells_per_sec row missing"
+
+let test_iterations_gated () =
+  (* the scheduler's iteration count is deterministic: one extra
+     iteration is a behaviour change and fails the gate, fewer pass *)
+  let base = Json.List [ bench_record () ] in
+  let r = Regress.diff ~baseline:base ~current:(Json.List [ bench_record ~iterations:87 () ]) () in
+  checkb "one more iteration trips" false (Regress.ok r);
+  (match Regress.regressions r with
+  | [ row ] -> Alcotest.(check string) "metric" "iterations" row.Regress.r_metric
+  | rows -> Alcotest.failf "expected 1 regression, got %d" (List.length rows));
+  checkb "fewer iterations ok" true
+    (Regress.ok
+       (Regress.diff ~baseline:base ~current:(Json.List [ bench_record ~iterations:48 () ]) ()))
 
 let test_zero_means_not_measured () =
   (* rss 0 (non-Linux baseline) must yield an informational row, not a
@@ -185,6 +198,7 @@ let () =
         [
           Alcotest.test_case "bench pass and fail" `Quick test_bench_pass_and_fail;
           Alcotest.test_case "throughput informational" `Quick test_throughput_informational;
+          Alcotest.test_case "iterations gated" `Quick test_iterations_gated;
           Alcotest.test_case "zero means not measured" `Quick test_zero_means_not_measured;
           Alcotest.test_case "new field informational" `Quick test_new_field_informational;
           Alcotest.test_case "missing record fails gate" `Quick test_missing_record_fails_gate;

@@ -62,11 +62,13 @@ let test_orientation () =
   let ffs = Design.ffs design in
   let launcher = Graph.Launch_ff ffs.(0) and endpoint = Graph.End_ff ffs.(1) in
   let late = Seq_graph.create verts ~corner:Timer.Late in
-  let e = Seq_graph.add_edge late ~launcher ~endpoint ~delay:10.0 ~weight:(-5.0) in
+  ignore (Seq_graph.add_edge late ~launcher ~endpoint ~delay:10.0 ~weight:(-5.0));
+  let e = List.hd (Seq_graph.edge_ids late) in
   checki "late: src = launcher" (Vertex.of_ff verts ffs.(0)) (Seq_graph.src late e);
   checki "late: dst = endpoint" (Vertex.of_ff verts ffs.(1)) (Seq_graph.dst late e);
   let early = Seq_graph.create verts ~corner:Timer.Early in
-  let e2 = Seq_graph.add_edge early ~launcher ~endpoint ~delay:10.0 ~weight:(-5.0) in
+  ignore (Seq_graph.add_edge early ~launcher ~endpoint ~delay:10.0 ~weight:(-5.0));
+  let e2 = List.hd (Seq_graph.edge_ids early) in
   checki "early: src = endpoint" (Vertex.of_ff verts ffs.(1)) (Seq_graph.src early e2);
   checki "early: dst = launcher" (Vertex.of_ff verts ffs.(0)) (Seq_graph.dst early e2)
 
@@ -104,6 +106,103 @@ let test_parallel_edge_semantics () =
   in
   checkf 1e-9 "worst port path kept" (-8.0) (Seq_graph.weight g e2)
 
+let test_add_edge_outcomes () =
+  let design, _ = tiny_timer () in
+  let verts = Vertex.of_design design in
+  let ffs = Design.ffs design in
+  let g = Seq_graph.create verts ~corner:Timer.Late in
+  let outcome name expected got =
+    let show = function
+      | Seq_graph.Inserted -> "inserted"
+      | Seq_graph.Rebound -> "rebound"
+      | Seq_graph.Refreshed -> "refreshed"
+    in
+    Alcotest.(check string) name (show expected) (show got)
+  in
+  let add launcher endpoint w = Seq_graph.add_edge g ~launcher ~endpoint ~delay:1.0 ~weight:w in
+  let ff0 = Graph.Launch_ff ffs.(0) and ff1 = Graph.End_ff ffs.(1) in
+  outcome "new pair" Seq_graph.Inserted (add ff0 ff1 (-2.0));
+  outcome "same path again" Seq_graph.Refreshed (add ff0 ff1 (-9.0));
+  let out0 = Graph.End_port 0 and out1 = Graph.End_port 1 in
+  outcome "port path" Seq_graph.Inserted (add ff0 out0 (-3.0));
+  outcome "milder port path collapses" Seq_graph.Refreshed (add ff0 out1 (-1.0));
+  outcome "worse port path binds" Seq_graph.Rebound (add ff0 out1 (-4.0));
+  checki "two pairs" 2 (Seq_graph.num_edges g)
+
+(* Two output ports reached from one FF collapse onto the single
+   (FF, <OUT>) pair. Both endpoints must be explained by it, and the pair
+   must carry the binding path's labels with its delay, so a weight
+   refresh re-derives that path's slack. *)
+let test_collapsed_port_pair () =
+  let design, timer = tiny_timer () in
+  let verts = Vertex.of_design design in
+  let port_paths ff =
+    List.filter
+      (fun (e, _) -> match e with Graph.End_port _ -> true | Graph.End_ff _ -> false)
+      (fst (Timer.cone_from_launcher timer Timer.Late (Graph.Launch_ff ff)))
+  in
+  let ff, paths =
+    match
+      List.find_map
+        (fun ff -> match port_paths ff with _ :: _ :: _ as ps -> Some (ff, ps) | _ -> None)
+        (Array.to_list (Design.ffs design))
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "tiny has no FF reaching two output ports"
+  in
+  let launcher = Graph.Launch_ff ff in
+  let slack (endpoint, delay) = Timer.edge_slack timer Timer.Late ~launcher ~endpoint ~delay in
+  let a, b =
+    match List.sort (fun p q -> Float.compare (slack q) (slack p)) paths with
+    | mild :: worst :: _ -> (mild, worst)
+    | _ -> assert false
+  in
+  let g = Seq_graph.create verts ~corner:Timer.Late in
+  List.iter
+    (fun ((endpoint, delay) as p) ->
+      ignore (Seq_graph.add_edge g ~launcher ~endpoint ~delay ~weight:(slack p)))
+    [ a; b ];
+  checki "one collapsed pair" 1 (Seq_graph.num_edges g);
+  let id = List.hd (Seq_graph.edge_ids g) in
+  checkb "binding endpoint labels the pair" true (Seq_graph.endpoint g id = fst b);
+  checkf 1e-9 "binding delay" (snd b) (Seq_graph.delay g id);
+  List.iter
+    (fun (endpoint, _) ->
+      checkf 1e-9 "known = the pair's weight" (slack b)
+        (Seq_graph.min_weight_from_endpoint g endpoint))
+    [ a; b ];
+  checkb "the other port is listed as collapsed" true
+    (Seq_graph.collapsed_endpoints g id = [ fst a ]);
+  Seq_graph.set_weight g id 0.0;
+  Seq_graph.refresh_weights g timer;
+  checkf 1e-9 "refresh re-derives the binding path" (slack b) (Seq_graph.weight g id)
+
+(* A snapshot replays collapsed endpoints, so a restored engine explains
+   exactly the endpoints the live one does and its next round walks
+   nothing. *)
+let test_snapshot_keeps_collapsed_endpoints () =
+  (* tiny has no collapsed port pairs; the sb18 preset's first round does *)
+  let design = Generator.generate (Option.get (Profile.by_name "sb18")) in
+  let timer = Timer.build design in
+  let verts = Vertex.of_design design in
+  let live = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
+  ignore (Extract.round live);
+  let g = Extract.graph live in
+  checkb "some pair has a collapsed endpoint" true
+    (List.exists (fun id -> Seq_graph.collapsed_endpoints g id <> []) (Seq_graph.edge_ids g));
+  let restored = Extract.restore (Extract.snapshot live) timer verts ~corner:Timer.Late in
+  let rg = Extract.graph restored in
+  checki "same edges" (Seq_graph.num_edges g) (Seq_graph.num_edges rg);
+  List.iter
+    (fun (endpoint, _) ->
+      checkb "same known weight" true
+        (Seq_graph.min_weight_from_endpoint g endpoint
+        = Seq_graph.min_weight_from_endpoint rg endpoint))
+    (Timer.violated_endpoints timer Timer.Late);
+  checkb "snapshot round-trips" true (Extract.snapshot restored = Extract.snapshot live);
+  checki "restored round walks nothing" 0 (Extract.round restored).Extract.added;
+  checki "restored stats: growth" (Seq_graph.num_edges rg) (Extract.stats restored).Extract.edges_new
+
 let test_adjacency () =
   let design, _ = tiny_timer () in
   let verts = Vertex.of_design design in
@@ -130,10 +229,10 @@ let test_eq10_update () =
   let verts = Vertex.of_design design in
   let ffs = Design.ffs design in
   let g = Seq_graph.create verts ~corner:Timer.Late in
-  let e =
-    Seq_graph.add_edge g ~launcher:(Graph.Launch_ff ffs.(0)) ~endpoint:(Graph.End_ff ffs.(1))
-      ~delay:1.0 ~weight:(-10.0)
-  in
+  ignore
+    (Seq_graph.add_edge g ~launcher:(Graph.Launch_ff ffs.(0)) ~endpoint:(Graph.End_ff ffs.(1))
+       ~delay:1.0 ~weight:(-10.0));
+  let e = List.hd (Seq_graph.edge_ids g) in
   let deltas = Array.make (Vertex.num verts) 0.0 in
   deltas.(Vertex.of_ff verts ffs.(1)) <- 4.0;
   deltas.(Vertex.of_ff verts ffs.(0)) <- 1.0;
@@ -216,10 +315,10 @@ let test_essential_skips_explained_endpoints () =
   let design, timer = tiny_timer () in
   let verts = Vertex.of_design design in
   let essential = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
-  let added1 = Extract.round essential in
+  let added1 = (Extract.round essential).Extract.added in
   let cones1 = (Extract.stats essential).Extract.cone_nodes in
   (* a second round with unchanged timing walks nothing new *)
-  let added2 = Extract.round essential in
+  let added2 = (Extract.round essential).Extract.added in
   let cones2 = (Extract.stats essential).Extract.cone_nodes in
   checkb "first round found edges" true (added1 > 0);
   checki "second round adds nothing" 0 added2;
@@ -245,7 +344,7 @@ let test_iccss_extracts_critical_outgoing () =
   let design, timer = tiny_timer () in
   let verts = Vertex.of_design design in
   let iccss = Extract.run ~engine:Extract.Iccss timer verts ~corner:Timer.Late in
-  let fired = Extract.round iccss in
+  let fired = (Extract.round iccss).Extract.added in
   checkb "some vertices critical" true (fired > 0);
   let g = Extract.graph iccss in
   (* IC-CSS materializes non-essential edges too *)
@@ -253,7 +352,7 @@ let test_iccss_extracts_critical_outgoing () =
   Seq_graph.iter_edges g (fun e -> if Seq_graph.weight g e >= 0.0 then has_positive := true);
   checkb "positives included (over-extraction)" true !has_positive;
   (* second call does not re-expand *)
-  let fired2 = Extract.round iccss in
+  let fired2 = (Extract.round iccss).Extract.added in
   checki "no re-expansion without latency change" 0 fired2;
   ignore design
 
@@ -277,7 +376,7 @@ let test_iccss_criticality_grows_with_latency () =
   let ffs = Design.ffs design in
   Array.iter (fun ff -> Design.set_scheduled_latency design ff 300.0) ffs;
   Timer.update_latencies timer (Array.to_list ffs);
-  let fired = Extract.round iccss in
+  let fired = (Extract.round iccss).Extract.added in
   checkb "large latencies trigger more expansion" true (fired > 0)
 
 let () =
@@ -292,6 +391,8 @@ let () =
         [
           Alcotest.test_case "orientation" `Quick test_orientation;
           Alcotest.test_case "parallel edge semantics" `Quick test_parallel_edge_semantics;
+          Alcotest.test_case "add_edge outcomes" `Quick test_add_edge_outcomes;
+          Alcotest.test_case "collapsed port pair" `Quick test_collapsed_port_pair;
           Alcotest.test_case "adjacency" `Quick test_adjacency;
           Alcotest.test_case "Eq.(10) update" `Quick test_eq10_update;
           Alcotest.test_case "Eq.(10) matches timer" `Quick test_eq10_matches_timer;
@@ -304,6 +405,8 @@ let () =
           Alcotest.test_case "essential early corner" `Quick test_essential_early_corner;
           Alcotest.test_case "essential skips explained" `Quick
             test_essential_skips_explained_endpoints;
+          Alcotest.test_case "snapshot keeps collapsed endpoints" `Quick
+            test_snapshot_keeps_collapsed_endpoints;
           Alcotest.test_case "essential < IC-CSS edges" `Quick
             test_essential_extracts_fewer_than_iccss;
           Alcotest.test_case "IC-CSS critical expansion" `Quick
