@@ -22,3 +22,20 @@ val margin :
     iteration's latency increment ([0.] for supernodes). *)
 val hard_cap :
   Css_sta.Timer.t -> Css_seqgraph.Vertex.t -> Css_sta.Timer.corner -> Css_seqgraph.Vertex.id -> float
+
+(** [fill timer verts corner g ~fixed ~margin ~hard_cap] writes
+    [margin.(v)] and [hard_cap.(v)] — the values of {!margin} and
+    {!hard_cap} — for every vertex [v] of [g] ({!Css_mmwc.Csr.vert})
+    that is not [fixed], and returns the number of bounds read (two per
+    such vertex). Other slots are left as they were. The scheduler's
+    per-iteration form: O(vertices of [g]), allocation-free under
+    release inlining. *)
+val fill :
+  Css_sta.Timer.t ->
+  Css_seqgraph.Vertex.t ->
+  Css_sta.Timer.corner ->
+  Css_mmwc.Csr.t ->
+  fixed:(int -> bool) ->
+  margin:float array ->
+  hard_cap:float array ->
+  int

@@ -9,7 +9,8 @@ let make ~r_unit ~c_unit =
   if r_unit <= 0.0 || c_unit <= 0.0 then invalid_arg "Wire.make: parameters must be positive";
   { r_unit; c_unit }
 
-let delay t ~r_drive ~len =
+(* inlined: the clock-latency read on the timer's hot path calls it *)
+let[@inline] delay t ~r_drive ~len =
   if len <= 0.0 then 0.0
   else (r_drive *. t.c_unit *. len) +. (t.r_unit *. t.c_unit *. len *. len /. 2.0)
 

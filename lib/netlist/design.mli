@@ -306,6 +306,11 @@ val set_latency_bounds : t -> cell_id -> lo:float -> hi:float -> unit
     O(1) expected — bounds live in a sparse hash table, not a column. *)
 val latency_bounds : t -> cell_id -> float * float
 
+(** [latency_hi t ff] is the window's upper bound, [infinity] when
+    unset — {!latency_bounds} without the option and the tuple, for the
+    scheduler's per-iteration cap reads. O(1) expected. *)
+val latency_hi : t -> cell_id -> float
+
 (** [clear_latency_bounds t ff] restores the default window. *)
 val clear_latency_bounds : t -> cell_id -> unit
 

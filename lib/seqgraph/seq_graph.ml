@@ -181,17 +181,27 @@ type view = {
   v_w : float array;
 }
 
-let select t pred =
-  let src = Ivec.create () and dst = Ivec.create () in
-  let w = Fvec.create () in
-  for id = 0 to num_edges t - 1 do
+let select ?reuse t pred =
+  let m = num_edges t in
+  let src, dst, w =
+    match reuse with
+    | Some v when Array.length v.v_src >= m -> (v.v_src, v.v_dst, v.v_w)
+    | Some _ | None ->
+      let cap =
+        match reuse with Some v -> max m (2 * Array.length v.v_src) | None -> max m 1
+      in
+      (Array.make cap 0, Array.make cap 0, Array.make cap 0.0)
+  in
+  let k = ref 0 in
+  for id = 0 to m - 1 do
     if pred id then begin
-      ignore (Ivec.push src (Ivec.unsafe_get t.esrc id));
-      ignore (Ivec.push dst (Ivec.unsafe_get t.edst id));
-      ignore (Fvec.push w (Fvec.unsafe_get t.ew id))
+      Array.unsafe_set src !k (Ivec.unsafe_get t.esrc id);
+      Array.unsafe_set dst !k (Ivec.unsafe_get t.edst id);
+      Array.unsafe_set w !k (Fvec.unsafe_get t.ew id);
+      incr k
     end
   done;
-  { v_n = Ivec.length src; v_src = Ivec.to_array src; v_dst = Ivec.to_array dst; v_w = Fvec.to_array w }
+  { v_n = !k; v_src = src; v_dst = dst; v_w = w }
 
 let view_of_list triples =
   let n = List.length triples in

@@ -156,9 +156,13 @@ type view = {
   v_w : float array;  (** weight per selected edge, flat floats *)
 }
 
-(** [select t pred] packs the edges satisfying [pred] (given the edge
-    id), in insertion order. O(edges). *)
-val select : t -> (edge_id -> bool) -> view
+(** [select ?reuse t pred] packs the edges satisfying [pred] (given the
+    edge id), in insertion order. O(edges). The columns may be longer
+    than [v_n]. With [reuse], the columns of that earlier view are
+    overwritten in place when they are long enough for every edge (the
+    earlier view is then stale), so a scheduler selecting every
+    iteration allocates only when the graph has outgrown them. *)
+val select : ?reuse:view -> t -> (edge_id -> bool) -> view
 
 (** [view_of_list triples] packs explicit [(src, dst, weight)] triples —
     solver tests construct inputs without building a graph. *)

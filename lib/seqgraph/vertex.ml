@@ -27,6 +27,8 @@ let of_ff t ff =
 
 let ff_of t v = if is_super t v then None else Some t.ffs.(v)
 
+let ff_id t v = if is_super t v then -1 else t.ffs.(v)
+
 let of_launcher t = function
   | Css_sta.Graph.Launch_ff ff -> of_ff t ff
   | Css_sta.Graph.Launch_port _ -> t.input_super

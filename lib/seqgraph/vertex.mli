@@ -38,6 +38,10 @@ val of_ff : t -> Css_netlist.Design.cell_id -> id
     O(1); allocates the option. *)
 val ff_of : t -> id -> Css_netlist.Design.cell_id option
 
+(** [ff_id t v] is {!ff_of} without the option: the flip-flop behind
+    [v], or [-1] for supernodes. O(1), allocation-free. *)
+val ff_id : t -> id -> Css_netlist.Design.cell_id
+
 (** [of_launcher t l] maps a timing-graph launcher to its vertex (input
     ports collapse onto the input supernode). O(1). *)
 val of_launcher : t -> Css_sta.Graph.launcher -> id

@@ -43,6 +43,8 @@ type t = {
   endpoints : int array;
   node_launcher : int array;  (* encoded; -1 = not a source *)
   node_endpoint : int array;  (* encoded; -1 = not an endpoint *)
+  ff_q : int array;  (* cell -> Q node, -1 for non-FFs; cells at build time *)
+  ff_d : int array;  (* cell -> D node *)
 }
 
 let ck_pin = "CK"
@@ -152,6 +154,8 @@ let build design =
   let q_tok = Design.pin_name_token design "Q" in
   let d_tok = Design.pin_name_token design "D" in
   let sources = Ivec.create () and endpoints = Ivec.create () in
+  let ff_q = Array.make (Design.num_cells design) (-1) in
+  let ff_d = Array.make (Design.num_cells design) (-1) in
   Array.iteri
     (fun nd p ->
       let c = Design.pin_cell_id design p in
@@ -170,10 +174,12 @@ let build design =
         let tok = Design.pin_name_id design p in
         if tok = q_tok then begin
           node_launcher.(nd) <- enc_ff c;
+          ff_q.(c) <- nd;
           ignore (Ivec.push sources nd)
         end
         else if tok = d_tok then begin
           node_endpoint.(nd) <- enc_ff c;
+          ff_d.(c) <- nd;
           ignore (Ivec.push endpoints nd)
         end
       end)
@@ -195,6 +201,8 @@ let build design =
     endpoints = Ivec.to_array endpoints;
     node_launcher;
     node_endpoint;
+    ff_q;
+    ff_d;
   }
 
 let design t = t.design
@@ -266,13 +274,20 @@ let is_source t n = t.node_launcher.(n) >= 0
 let is_endpoint t n = t.node_endpoint.(n) >= 0
 
 let node_of_pin_exn t p =
-  match node_of_pin t p with
-  | Some n -> n
-  | None -> invalid_arg "Graph: pin is not in the data graph"
+  if p >= Array.length t.node_of_pin || t.node_of_pin.(p) < 0 then
+    invalid_arg "Graph: pin is not in the data graph"
+  else t.node_of_pin.(p)
 
-let ff_q_node t ff = node_of_pin_exn t (Design.cell_pin t.design ff "Q")
+(* FFs present at the build resolve by one array read; any other cell
+   (added later, e.g. by CTS, or not an FF) takes the pin-name lookup and
+   fails there exactly as a lookup always has *)
+let ff_q_node t ff =
+  if ff < Array.length t.ff_q && t.ff_q.(ff) >= 0 then t.ff_q.(ff)
+  else node_of_pin_exn t (Design.cell_pin t.design ff "Q")
 
-let ff_d_node t ff = node_of_pin_exn t (Design.cell_pin t.design ff "D")
+let ff_d_node t ff =
+  if ff < Array.length t.ff_d && t.ff_d.(ff) >= 0 then t.ff_d.(ff)
+  else node_of_pin_exn t (Design.cell_pin t.design ff "D")
 
 let source_of_launcher t = function
   | Launch_ff ff -> ff_q_node t ff

@@ -107,14 +107,19 @@ val is_source : t -> node -> bool
 val is_endpoint : t -> node -> bool
 
 (** [source_of_launcher t l] is the launch node of [l] (Q pin or port pin).
-    O(#pins of the FF). *)
+    O(1) as {!ff_q_node}. *)
 val source_of_launcher : t -> launcher -> node
 
-(** [node_of_endpoint t e] is the capture node of [e]. O(#pins of the FF). *)
+(** [node_of_endpoint t e] is the capture node of [e]. O(1) as
+    {!ff_d_node}. *)
 val node_of_endpoint : t -> endpoint -> node
 
-(** [ff_q_node t ff] / [ff_d_node t ff] are the FF's graph nodes.
-    O(#pins of [ff]). *)
+(** [ff_q_node t ff] / [ff_d_node t ff] are the FF's graph nodes. O(1)
+    (an array read) for the FFs present at {!build}; any other cell —
+    one added after the build, e.g. by CTS — falls back to the pin-name
+    lookup, O(#pins of [ff]).
+    @raise Not_found if [ff] has no Q (resp. D) pin.
+    @raise Invalid_argument if that pin is not in the graph. *)
 val ff_q_node : t -> Css_netlist.Design.cell_id -> node
 
 val ff_d_node : t -> Css_netlist.Design.cell_id -> node
