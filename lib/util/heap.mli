@@ -1,7 +1,7 @@
 (** Binary min-heap with a user-supplied ordering.
 
-    Used by the parametric arborescence construction (edges popped in
-    ascending weight order) and by the STA worklists. *)
+    Used by the timer's k-worst-path enumeration (prefixes popped in
+    criticality order). *)
 
 type 'a t
 

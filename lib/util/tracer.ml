@@ -193,7 +193,9 @@ let flush_track t track_idx =
       Mutex.unlock t.lock
     end
 
-let record t ~track kind name arg =
+(* Inlined down to the callers of [sample]: a float argument passed to a
+   call is boxed, and the record path must not allocate. *)
+let[@inline] record t ~track kind name arg =
   if t.on then begin
     let ntracks = Array.length t.tracks in
     let track = if track >= 0 && track < ntracks then track else 0 in
@@ -212,7 +214,7 @@ let record t ~track kind name arg =
 let span_begin t ~track name = record t ~track 0 name 0.0
 let span_end t ~track name = record t ~track 1 name 0.0
 let instant t ~track ?(arg = 0.0) name = record t ~track 2 name arg
-let sample t ~track name v = record t ~track 3 name v
+let[@inline] sample t ~track name v = record t ~track 3 name v
 
 let fold_tracks t f =
   Array.fold_left (fun acc tr -> acc + f tr) 0 t.tracks

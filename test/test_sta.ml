@@ -96,6 +96,27 @@ let test_graph_ff_nodes () =
   | Graph.End_ff c -> checki "endpoint id" ff1 c
   | Graph.End_port _ -> Alcotest.fail "wrong endpoint"
 
+(* FFs present at the build resolve by array read; a cell added later
+   takes the pin-name lookup and fails there as it always has *)
+let test_graph_ff_nodes_after_build () =
+  let d, ff1, ff2, inv = two_ff_design () in
+  let g = Graph.build d in
+  let via_pin ff name = Graph.node_of_pin g (Design.cell_pin d ff name) in
+  List.iter
+    (fun ff ->
+      checkb "q = pin lookup" true (Some (Graph.ff_q_node g ff) = via_pin ff "Q");
+      checkb "d = pin lookup" true (Some (Graph.ff_d_node g ff) = via_pin ff "D"))
+    [ ff1; ff2 ];
+  let late_ff = Design.add_cell d ~name:"ff3" ~master:"DFF" ~pos:(p 700. 700.) in
+  let not_in_graph = Invalid_argument "Graph: pin is not in the data graph" in
+  Alcotest.check_raises "late FF Q" not_in_graph (fun () -> ignore (Graph.ff_q_node g late_ff));
+  Alcotest.check_raises "late FF D" not_in_graph (fun () -> ignore (Graph.ff_d_node g late_ff));
+  let late_lcb = Design.add_cell d ~name:"lcb2" ~master:"LCB" ~pos:(p 700. 100.) in
+  Alcotest.check_raises "late LCB has no Q" Not_found (fun () ->
+      ignore (Graph.ff_q_node g late_lcb));
+  Alcotest.check_raises "combinational cell has no D" Not_found (fun () ->
+      ignore (Graph.ff_d_node g inv))
+
 (* ------------------------------------------------------------------ *)
 (* Propagation semantics *)
 
@@ -304,6 +325,182 @@ let test_incremental_ff_move_updates_latency () =
   checkb "moving an FF changes its clock arrival" true (after > before);
   checkb "matches full rebuild" true (states_equal t (Timer.build d))
 
+(* Random interleavings of the three update entry points. After every
+   step the incremental state must equal a fresh full build bit for bit,
+   and each sweep must recompute exactly the nodes it has to: its seeds
+   plus the fan-out (forward) or fan-in (backward) of every node whose
+   state changed. Those sets are rebuilt here from the before/after
+   states, so a visit count equal to the set's size means no node was
+   recomputed twice in one direction of one update. *)
+
+type node_state = { fwd : float * float * float; bwd : float * float }
+
+let node_states t =
+  Array.init (Graph.num_nodes (Timer.graph t)) (fun n ->
+      {
+        fwd = (Timer.arrival t Timer.Late n, Timer.arrival t Timer.Early n, Timer.slew t n);
+        bwd = (Timer.required t Timer.Late n, Timer.required t Timer.Early n);
+      })
+
+(* the seeds [Timer.update_moved_cells] derives from a set of cells *)
+let moved_seeds d g cells =
+  let fwd = ref [] and bwd = ref [] in
+  let add l pin = Option.iter (fun n -> l := n :: !l) (Graph.node_of_pin g pin) in
+  let nets = Hashtbl.create 8 in
+  List.iter
+    (fun c ->
+      let m = Design.cell_master d c in
+      List.iter
+        (fun pn ->
+          let net = Design.pin_net_id d (Design.cell_pin d c pn) in
+          if net >= 0 then Hashtbl.replace nets net ())
+        (m.Cell.inputs @ m.Cell.outputs);
+      if Design.is_ff d c then begin
+        add fwd (Design.cell_pin d c "Q");
+        add bwd (Design.cell_pin d c "D")
+      end)
+    cells;
+  Hashtbl.iter
+    (fun net () ->
+      let drv = Design.net_driver_id d net in
+      if drv >= 0 && Graph.node_of_pin g drv <> None then begin
+        add fwd drv;
+        add bwd drv;
+        let c = Design.pin_cell_id d drv in
+        if c >= 0 then
+          List.iter (fun pn -> add bwd (Design.cell_pin d c pn)) (Design.cell_master d c).Cell.inputs;
+        Design.iter_net_sinks d net (fun sink ->
+            add fwd sink;
+            add bwd sink)
+      end)
+    nets;
+  (!fwd, !bwd)
+
+let resize_partner = function
+  | "INV_X1" -> Some "INV_X4"
+  | "INV_X4" -> Some "INV_X1"
+  | "BUF_X2" -> Some "BUF_X4"
+  | "BUF_X4" -> Some "BUF_X2"
+  | "NAND2_X1" -> Some "NAND2_X2"
+  | "NAND2_X2" -> Some "NAND2_X1"
+  | "NOR2_X1" -> Some "NOR2_X2"
+  | "NOR2_X2" -> Some "NOR2_X1"
+  | _ -> None
+
+let prop_interleaved_updates =
+  QCheck.Test.make ~name:"interleaved updates = full, each node once" ~count:12
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let d = Generator.generate Profile.tiny in
+      let t = Timer.build d in
+      let g = Timer.graph t in
+      let rng = Css_util.Rng.create seed in
+      let ffs = Design.ffs d in
+      let movable = ref [] in
+      Design.iter_cells d (fun c -> if not (Design.is_lcb d c) then movable := c :: !movable);
+      let movable = Array.of_list !movable in
+      let pick a = a.(Css_util.Rng.int rng (Array.length a)) in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        let before = node_states t in
+        let stats = Timer.stats t in
+        let f0 = stats.Timer.forward_visits and b0 = stats.Timer.backward_visits in
+        let fwd_seeds, bwd_seeds =
+          match Css_util.Rng.int rng 3 with
+          | 0 ->
+            let changed = List.sort_uniq compare (List.init 3 (fun _ -> pick ffs)) in
+            List.iter
+              (fun ff ->
+                Design.set_scheduled_latency d ff
+                  (Design.scheduled_latency d ff +. Css_util.Rng.float_in rng (-20.) 40.))
+              changed;
+            Timer.update_latencies t changed;
+            (List.map (Graph.ff_q_node g) changed, List.map (Graph.ff_d_node g) changed)
+          | 1 ->
+            let c = pick movable in
+            let pos = Design.cell_pos d c in
+            Design.move_cell d c
+              (Rect.clamp (Design.die d)
+                 (p (pos.Point.x +. Css_util.Rng.float_in rng (-150.) 150.)
+                    (pos.Point.y +. Css_util.Rng.float_in rng (-150.) 150.)));
+            let seeds = moved_seeds d g [ c ] in
+            Timer.update_moved_cells t [ c ];
+            seeds
+          | _ -> (
+            let c = pick movable in
+            match resize_partner (Design.cell_master d c).Cell.name with
+            | None -> ([], [])
+            | Some m ->
+              let seeds = moved_seeds d g [ c ] in
+              Timer.resize_cell t c m;
+              seeds)
+        in
+        let after = node_states t in
+        let changed sel = List.filter (fun n -> sel before.(n) <> sel after.(n)) (List.init (Array.length after) Fun.id) in
+        let fwd_changed = changed (fun s -> s.fwd) and bwd_changed = changed (fun s -> s.bwd) in
+        let expect seeds changed neighbours =
+          let set = Hashtbl.create 64 in
+          List.iter (fun n -> Hashtbl.replace set n ()) seeds;
+          List.iter (fun n -> neighbours n (fun m -> Hashtbl.replace set m ())) changed;
+          Hashtbl.length set
+        in
+        let fwd_expected =
+          expect fwd_seeds fwd_changed (fun n f -> Graph.iter_out g n (fun _ m -> f m))
+        in
+        let bwd_expected =
+          expect (fwd_changed @ bwd_seeds) bwd_changed (fun n f -> Graph.iter_in g n (fun _ m -> f m))
+        in
+        let fresh = node_states (Timer.build d) in
+        if after <> fresh then ok := false;
+        if stats.Timer.forward_visits - f0 <> fwd_expected then ok := false;
+        if stats.Timer.backward_visits - b0 <> bwd_expected then ok := false
+      done;
+      !ok)
+
+(* Dev-profile builds pass [-opaque], which blocks cross-module
+   inlining: every float-returning call across a module boundary then
+   boxes its result (2 minor words). Calibrated on a trivial [Fvec]
+   read, as in test_layout, so the budget below is strict under release
+   inlining and tolerates only the boxing in dev. *)
+let float_box_words =
+  let fv = Css_util.Fvec.make 16 0.5 in
+  let acc = [| 0.0 |] in
+  for i = 0 to 15 do
+    acc.(0) <- acc.(0) +. Css_util.Fvec.get fv i
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 15 do
+    acc.(0) <- acc.(0) +. Css_util.Fvec.get fv i
+  done;
+  (Gc.minor_words () -. before) /. 16.0
+
+(* A latency update allocates a constant (its seed closures), whatever
+   the size of the cones it re-propagates: the worklist, the changed
+   buffer and the scratch floats are all the timer's own. *)
+let test_update_latencies_allocation_free () =
+  let d = Generator.generate Profile.tiny in
+  let t = Timer.build d in
+  let ffs = Array.to_list (Design.ffs d) in
+  let raise_all delta =
+    List.iter (fun ff -> Design.set_scheduled_latency d ff (Design.scheduled_latency d ff +. delta)) ffs
+  in
+  raise_all 3.0;
+  Timer.update_latencies t ffs;
+  let stats = Timer.stats t in
+  let visits0 = stats.Timer.forward_visits + stats.Timer.backward_visits in
+  raise_all 5.0;
+  let before = Gc.minor_words () in
+  Timer.update_latencies t ffs;
+  let allocated = Gc.minor_words () -. before in
+  let visits = stats.Timer.forward_visits + stats.Timer.backward_visits - visits0 in
+  (* dev boxes the cross-module float reads of a node's arcs and clock
+     (pin coordinates, latencies): about four per visit, eight allowed *)
+  let budget = (float_of_int visits *. 8.0 *. float_box_words) +. 256.0 in
+  checkb (Printf.sprintf "update re-propagated (%d visits)" visits) true (visits > 100);
+  checkb
+    (Printf.sprintf "update_latencies allocation-free (%.0f minor words, budget %.0f)" allocated
+       budget)
+    true (allocated <= budget)
+
 (* ------------------------------------------------------------------ *)
 (* Cone enumeration *)
 
@@ -423,6 +620,7 @@ let () =
           Alcotest.test_case "levels monotone" `Quick test_graph_levels_monotone;
           Alcotest.test_case "topo permutation" `Quick test_graph_topo_is_permutation;
           Alcotest.test_case "ff nodes" `Quick test_graph_ff_nodes;
+          Alcotest.test_case "ff nodes after build" `Quick test_graph_ff_nodes_after_build;
         ] );
       ( "propagation",
         [
@@ -442,6 +640,9 @@ let () =
           Alcotest.test_case "move update = full" `Quick test_incremental_move_update_equals_full;
           Alcotest.test_case "ff move updates latency" `Quick
             test_incremental_ff_move_updates_latency;
+          QCheck_alcotest.to_alcotest prop_interleaved_updates;
+          Alcotest.test_case "update_latencies allocation-free" `Quick
+            test_update_latencies_allocation_free;
         ] );
       ( "cones",
         [
