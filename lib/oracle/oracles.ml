@@ -239,8 +239,20 @@ let check_cache_identity ?config ?(jobs = [ 1 ]) ?(engines = all_engines)
             lr)
       reference.latencies candidate.latencies
   in
+  (* what the cache saw: lookup outcomes and every entry's content
+     hash, which must not depend on the job count *)
+  let account cache =
+    let hashes =
+      List.sort compare
+        (List.map
+           (fun s -> (s.Macromodel.cs_key, s.Macromodel.cs_hash))
+           (Macromodel.snapshot cache))
+    in
+    (Macromodel.hits cache, Macromodel.rehash_hits cache, Macromodel.misses cache, hashes)
+  in
   List.iter
     (fun engine ->
+      let first = ref None in
       List.iter
         (fun j ->
           let label phase =
@@ -253,7 +265,16 @@ let check_cache_identity ?config ?(jobs = [ 1 ]) ?(engines = all_engines)
           (* same cache, new timer: every surviving entry is
              stamp-unverified and must pass the content-hash tier *)
           let warm = schedule ?config ~jobs:j ~cache engine design ~corner in
-          compare_runs ~label:(label "warm") reference warm)
+          compare_runs ~label:(label "warm") reference warm;
+          let ((hits, rehash, misses, hashes) as acc) = account cache in
+          match !first with
+          | None -> first := Some (j, acc)
+          | Some (j0, (hits0, rehash0, misses0, hashes0)) ->
+            if (hits, rehash, misses) <> (hits0, rehash0, misses0) then
+              fail "%s: hits/rehash/misses %d/%d/%d, jobs=%d saw %d/%d/%d" (label "warm") hits
+                rehash misses j0 hits0 rehash0 misses0;
+            if hashes <> hashes0 then
+              fail "%s: entry content hashes differ from jobs=%d's" (label "warm") j0)
         jobs)
     engines;
   List.rev !failures

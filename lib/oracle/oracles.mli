@@ -119,7 +119,9 @@ val check_jobs_identity :
     {!Css_cache.Macromodel} of [cache_bytes], default 64 MiB) {e and} a
     warm-cache run that reuses the same cache against a new timer — the
     latter forces every entry through the rebind + content-hash
-    revalidation tier. *)
+    revalidation tier. Across the entries of [jobs], each engine's
+    cache must end with the same hit, rehash-hit and miss counts and the
+    same per-entry content hashes as at the first job count. *)
 val check_cache_identity :
   ?config:Css_core.Scheduler.config ->
   ?jobs:int list ->
