@@ -1,5 +1,7 @@
-(* The benchmark harness: regenerates every evaluation artifact of the
-   paper on the synthetic superblue-like suite.
+(* The paper-reproduction harness: regenerates every evaluation artifact
+   of the paper on the synthetic superblue-like suite. Timing for
+   performance work is perfbench's job (perfbench/README.md); the
+   seconds printed here are plain wall-clock of a dev build.
 
      TABLE I   — per-benchmark comparison of FPM, Ours-Early, IC-CSS+ and
                  Ours against the initial ("Contest 1st") state, with the
@@ -9,38 +11,23 @@
                  speedup, total speedup, extracted-edge reduction.
      FIG 8     — the per-iteration WNS/TNS trajectory on sb18.
      FIG 2     — extraction-engine comparison (essential vs IC-CSS
-                 callback vs full) on one design.
-     JSON      — BENCH_css.json, the machine-readable artifact: one
-                 record per (design, engine) with per-iteration traces
-                 and Obs counters (schema in docs/OBSERVABILITY.md).
-     ABLATIONS — the DESIGN.md A1/A2/A4 design-choice studies.
-     BECHAMEL  — micro-benchmarks of the computational kernels.
+                 callback vs full) on one design, with sequential vs
+                 parallel and cold vs warm-cache extraction times.
+     OPTIMALITY, ABLATIONS, EXTENSIONS — the DESIGN.md section 5/6
+                 studies.
+     PAPER SCALE — Flow.run on the ~1M-cell "-paper" variants (only).
 
    Environment:
      CSS_BENCH_SCALE   scale factor on benchmark sizes (default 1.0)
      CSS_BENCH_FAST    if set, only sb18 and sb16 are run in Table I
-                       (the JSON section always runs its three designs)
      CSS_BENCH_SEEDS   replicate each benchmark with N extra seeds and
                        report mean values in Table I (default 1)
      CSS_BENCH_CSV     write the Table I rows to this CSV file
-     CSS_BENCH_JSON    path of the JSON artifact (default BENCH_css.json)
-     CSS_BENCH_DESIGNS comma-separated design list for the JSON section
-                       (default sb1,sb7,sb16,sb18; "-paper" suffixed
-                       names select the Profile.paper variants)
-     CSS_BENCH_ENGINES comma-separated engine subset for the JSON
-                       section ("full" always runs: it is the edge-ratio
-                       denominator; default all three engines)
-     CSS_BENCH_JOBS    worker domains for the parallel-extraction
-                       speedup measurement in the JSON section (default:
-                       the runtime's recommended domain count)
-     CSS_BENCH_JSON_ONLY   if set, run only the JSON section
      CSS_BENCH_PAPER_ONLY  if set, run only the paper-scale section
-                           (Flow.run on the "-paper" profile variants)
      CSS_BENCH_PAPER_DESIGNS comma-separated designs for the paper-scale
                            section (default sb18-paper)
-     CSS_BENCH_SKIP_BECHAMEL   if set, skip the micro-benchmarks
-     CSS_BENCH_REQUIRE_CACHE   if set, fail (exit 1) when any engine's
-                               warm macromodel-cache hit ratio is 0 *)
+     CSS_BENCH_JSON    where the paper-scale section writes its Obs stats
+                       dump (default BENCH_css.json) *)
 
 module Design = Css_netlist.Design
 module Timer = Css_sta.Timer
@@ -313,50 +300,7 @@ let fig8 () =
 (* ------------------------------------------------------------------ *)
 (* FIG 2 — extraction comparison                                       *)
 
-let fig2 () =
-  section "FIG 2 — sequential graph extraction: essential vs IC-CSS vs full";
-  let p = sb18 () in
-  let t = Table.create [ "engine"; "#edges extracted"; "gate-level nodes walked"; "scope" ] in
-  Table.set_aligns t Table.[ Left; Right; Right; Left ];
-  let design = Generator.generate p in
-  let timer = Timer.build design in
-  let verts = Vertex.of_design design in
-  let essential = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
-  ignore (Extract.round essential);
-  let es = Extract.stats essential in
-  Table.add_row t
-    [ "iterative essential (ours)"; string_of_int es.Extract.edges_extracted;
-      string_of_int es.Extract.cone_nodes; "only negative edges" ];
-  let design2 = Generator.generate p in
-  let timer2 = Timer.build design2 in
-  let verts2 = Vertex.of_design design2 in
-  let iccss = Extract.run ~engine:Extract.Iccss timer2 verts2 ~corner:Timer.Late in
-  ignore (Extract.round iccss);
-  let is = Extract.stats iccss in
-  Table.add_row t
-    [ "IC-CSS callback [Albrecht]"; string_of_int is.Extract.edges_extracted;
-      string_of_int is.Extract.cone_nodes; "all edges of critical vertices" ];
-  let design3 = Generator.generate p in
-  let timer3 = Timer.build design3 in
-  let verts3 = Vertex.of_design design3 in
-  let fs = Extract.stats (Extract.run ~engine:Extract.Full timer3 verts3 ~corner:Timer.Late) in
-  Table.add_row t
-    [ "full extraction"; string_of_int fs.Extract.edges_extracted;
-      string_of_int fs.Extract.cone_nodes; "everything" ];
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_css.json — machine-readable engine comparison                 *)
-
-module Obs = Css_util.Obs
-
-let json_path =
-  match Sys.getenv_opt "CSS_BENCH_JSON" with Some p -> p | None -> "BENCH_css.json"
-
-let bench_jobs =
-  match Sys.getenv_opt "CSS_BENCH_JOBS" with
-  | Some s -> max 1 (int_of_string s)
-  | None -> Css_util.Pool.default_jobs ()
+let jobs = Css_util.Pool.default_jobs ()
 
 (* Extraction rounds until one changes nothing: with the timer fixed, a
    re-walked endpoint only refreshes what the first walk stored. *)
@@ -406,185 +350,61 @@ let cache_cold_warm p engine =
   in
   (cold_ms, warm_ms, ratio)
 
-(* One CSS-only run (late corner) of one extraction engine on a fresh
-   copy of [p], instrumented with an Obs context. Returns the scheduler
-   result, the engine's extraction statistics, wall-clock milliseconds,
-   the obs context, the timer (for final WNS/TNS reads) and the cell
-   count (the cells/sec numerator). *)
-let json_engine_run p engine_name =
-  let design = Generator.generate p in
-  let obs = Obs.create () in
-  let timer = Timer.build ~obs design in
-  let t0 = Css_util.Wall_clock.now () in
-  let extraction, stats =
-    match engine_name with
-    | "iterative-essential" -> Css_core.Engine.ours ~obs timer ~corner:Timer.Late
-    | "iccss-callback" -> Css_baselines.Iccss_plus.extraction ~obs timer ~corner:Timer.Late
-    | _ ->
-      (* full extraction up front; the scheduler sees it as one huge
-         first round *)
-      Css_core.Engine.full ~obs timer ~corner:Timer.Late
-  in
-  let result = Scheduler.run ~obs timer extraction in
-  let wall_ms = (Css_util.Wall_clock.now () -. t0) *. 1000.0 in
-  (result, stats, wall_ms, obs, timer, Design.num_cells design)
-
-let json_designs =
-  match Sys.getenv_opt "CSS_BENCH_DESIGNS" with
-  | Some s -> String.split_on_char ',' s |> List.filter (fun x -> x <> "")
-  | None -> [ "sb1"; "sb7"; "sb16"; "sb18" ]
-
-let write_json entries =
-  let module J = Obs.Json in
-  (* atomic (tmp+rename): a bench run killed mid-write must not leave a
-     truncated artifact for the CI gate to choke on *)
-  Css_util.Json.write_file json_path (fun oc ->
-      output_string oc "[\n";
-      List.iteri
-        (fun i e ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc (J.to_string e))
-        entries;
-      output_string oc "\n]\n");
-  Printf.printf "wrote %s (%d records; schema in docs/OBSERVABILITY.md)\n%!" json_path
-    (List.length entries)
-
-(* per-record latency histograms (the obs context is per engine run), in
-   the same shape as a stats dump's "histograms" object so css_stats
-   compares p95s across bench artifacts *)
-let histograms_field obs =
-  ( "histograms",
-    Obs.Json.Obj
-      (List.map (fun (n, h) -> (n, Css_util.Histo.to_json h)) (Obs.histograms obs)) )
-
-let bench_json () =
-  section "BENCH_css.json — machine-readable per-iteration engine comparison";
-  let module J = Obs.Json in
-  let pool =
-    if bench_jobs > 1 then Some (Css_util.Pool.create ~jobs:bench_jobs ()) else None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Css_util.Pool.shutdown pool) @@ fun () ->
-  let bench_profiles =
-    List.map
-      (fun name ->
-        let p = Option.get (Profile.by_name name) in
-        if scale = 1.0 then p else Profile.scale scale p)
-      json_designs
-  in
+(* Edge and cone-node counts come from the first round on the initial
+   state; the timing columns run each engine until quiet: sequentially,
+   on [jobs] worker domains, and cold then warm through the cache. *)
+let fig2 () =
+  section "FIG 2 — sequential graph extraction: essential vs IC-CSS vs full";
+  let p = sb18 () in
   let t =
     Table.create
-      [ "design"; "engine"; "iters"; "#edges"; "#full"; "ratio"; "wall ms"; "ext speedup" ]
+      [ "engine"; "#edges extracted"; "gate-level nodes walked"; "scope"; "seq ms";
+        Printf.sprintf "par ms @%d" jobs; "cold ms"; "warm ms"; "hit ratio" ]
   in
-  Table.set_aligns t Table.[ Left; Left; Right; Right; Right; Right; Right; Right ];
-  let entries =
-    List.concat_map
-      (fun (p : Profile.t) ->
-        (* the full engine first: its extraction count is the
-           denominator [edges_full] for every engine on this design *)
-        let engines =
-          match Sys.getenv_opt "CSS_BENCH_ENGINES" with
-          | None -> [ "full"; "iterative-essential"; "iccss-callback" ]
-          | Some s ->
-            (* [full] always runs — it is the ratio denominator *)
-            let wanted = String.split_on_char ',' s |> List.filter (fun x -> x <> "") in
-            "full" :: List.filter (fun e -> e <> "full") wanted
-        in
-        let runs = List.map (fun e -> (e, json_engine_run p e)) engines in
-        let edges_full =
-          match List.assoc "full" runs with _, s, _, _, _, _ -> s.Extract.edges_extracted
-        in
-        List.map
-          (fun (engine_name, (result, stats, wall_ms, obs, timer, cells)) ->
-            let edges = stats.Extract.edges_extracted in
-            let variant =
-              match engine_name with
-              | "iterative-essential" -> Extract.Essential
-              | "iccss-callback" -> Extract.Iccss
-              | _ -> Extract.Full
-            in
-            let extract_seq_ms = time_extraction p variant in
-            let extract_par_ms =
-              match pool with
-              | Some _ -> time_extraction ?pool p variant
-              | None -> extract_seq_ms
-            in
-            let extract_speedup = extract_seq_ms /. Float.max extract_par_ms 1e-9 in
-            let cache_cold_ms, cache_warm_ms, cache_hit_ratio = cache_cold_warm p variant in
-            if Sys.getenv_opt "CSS_BENCH_REQUIRE_CACHE" <> None && cache_hit_ratio <= 0.0 then begin
-              Printf.eprintf
-                "bench: macromodel cache hit ratio is 0 on %s/%s (CSS_BENCH_REQUIRE_CACHE)\n"
-                p.Profile.name engine_name;
-              exit 1
-            end;
-            Table.add_row t
-              [
-                p.Profile.name;
-                engine_name;
-                string_of_int result.Scheduler.iterations;
-                string_of_int edges;
-                string_of_int edges_full;
-                Printf.sprintf "%.1f%%" (100.0 *. float_of_int edges /. float_of_int (max 1 edges_full));
-                Printf.sprintf "%.1f" wall_ms;
-                Printf.sprintf "%.2fx @%d" extract_speedup bench_jobs;
-              ];
-            let per_iter =
-              J.List
-                (List.map
-                   (fun (it : Scheduler.iteration) ->
-                     J.Obj
-                       [
-                         ("iter", J.Int it.Scheduler.index);
-                         ("wns_early", J.Float it.Scheduler.wns_early);
-                         ("tns_early", J.Float it.Scheduler.tns_early);
-                         ("wns_late", J.Float it.Scheduler.wns_late);
-                         ("tns_late", J.Float it.Scheduler.tns_late);
-                         ("edges_in_graph", J.Int it.Scheduler.edges_in_graph);
-                         ("max_increment", J.Float it.Scheduler.max_increment);
-                       ])
-                   result.Scheduler.trace)
-            in
-            J.Obj
-              [
-                ("design", J.String p.Profile.name);
-                ("engine", J.String engine_name);
-                ("iterations", J.Int result.Scheduler.iterations);
-                ( "stop_reason",
-                  J.String (Scheduler.stop_reason_name result.Scheduler.stop_reason) );
-                ("edges_extracted", J.Int edges);
-                ("edges_full", J.Int edges_full);
-                ("wns_late", J.Float (Timer.wns timer Timer.Late));
-                ("wns_early", J.Float (Timer.wns timer Timer.Early));
-                ("tns", J.Float (Timer.tns timer Timer.Late));
-                ("wall_ms", J.Float wall_ms);
-                ("cells", J.Int cells);
-                ("cells_per_sec", J.Float (float_of_int cells /. Float.max (wall_ms /. 1000.0) 1e-9));
-                ("peak_rss_bytes", J.Int (Css_util.Rusage.peak_rss_bytes ()));
-                ("jobs", J.Int bench_jobs);
-                ("extract_seq_ms", J.Float extract_seq_ms);
-                ("extract_par_ms", J.Float extract_par_ms);
-                ("extract_speedup", J.Float extract_speedup);
-                ("cache_cold_ms", J.Float cache_cold_ms);
-                ("cache_warm_ms", J.Float cache_warm_ms);
-                ("cache_hit_ratio", J.Float cache_hit_ratio);
-                ("per_iter", per_iter);
-                ("counters", J.Obj (List.map (fun (n, v) -> (n, J.Int v)) (Obs.counters obs)));
-                histograms_field obs;
-              ])
-          runs)
-      bench_profiles
-  in
-  Table.print t;
-  write_json entries
+  Table.set_aligns t
+    Table.[ Left; Right; Right; Left; Right; Right; Right; Right; Right ];
+  let pool = if jobs > 1 then Some (Css_util.Pool.create ~jobs ()) else None in
+  Fun.protect ~finally:(fun () -> Option.iter Css_util.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (name, engine, scope) ->
+      let design = Generator.generate p in
+      let timer = Timer.build design in
+      let verts = Vertex.of_design design in
+      let eng = Extract.run ~engine timer verts ~corner:Timer.Late in
+      (* the full engine extracts everything up front *)
+      if engine <> Extract.Full then ignore (Extract.round eng);
+      let st = Extract.stats eng in
+      let seq_ms = time_extraction p engine in
+      let par_ms = if pool = None then seq_ms else time_extraction ?pool p engine in
+      let cold_ms, warm_ms, hit_ratio = cache_cold_warm p engine in
+      Table.add_row t
+        [ name; string_of_int st.Extract.edges_extracted; string_of_int st.Extract.cone_nodes;
+          scope; Printf.sprintf "%.1f" seq_ms; Printf.sprintf "%.1f" par_ms;
+          Printf.sprintf "%.1f" cold_ms; Printf.sprintf "%.1f" warm_ms;
+          Printf.sprintf "%.3f" hit_ratio ])
+    [
+      ("iterative essential (ours)", Extract.Essential, "only negative edges");
+      ("IC-CSS callback [Albrecht]", Extract.Iccss, "all edges of critical vertices");
+      ("full extraction", Extract.Full, "everything");
+    ];
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* PAPER SCALE — end-to-end Flow.run at superblue cell counts          *)
 
 (* The curves the paper draws (CSS speedup, essential-edge ratio) are
    measured on 0.77M-1.9M-cell designs; this section reproduces them on
-   the "-paper" profile variants (Profile.paper). One record per design:
+   the "-paper" profile variants (Profile.paper). One row per design:
    the full flow wall-clock, the throughput it implies (cells/sec), the
    process peak RSS, and the extraction-engine edge ratio measured on
-   the initial (pre-schedule) state — the number Fig. 2 is about. *)
+   the initial (pre-schedule) state — the number Fig. 2 is about. The
+   flows share one Obs context, whose stats dump (spans, counters,
+   histograms; diffable with css_stats) goes to CSS_BENCH_JSON. *)
+
+module Obs = Css_util.Obs
+
+let json_path =
+  match Sys.getenv_opt "CSS_BENCH_JSON" with Some p -> p | None -> "BENCH_css.json"
 
 let paper_designs =
   match Sys.getenv_opt "CSS_BENCH_PAPER_DESIGNS" with
@@ -605,7 +425,6 @@ let paper_budget () =
 
 let paper_scale () =
   section "PAPER SCALE — Flow.run end-to-end at superblue cell counts";
-  let module J = Obs.Json in
   let budget = paper_budget () in
   (match budget.Css_util.Budget.rss_bytes with
   | Some b -> Printf.printf "memory budget: %d MB RSS (probed from MemAvailable)\n%!" (b / (1024 * 1024))
@@ -616,76 +435,51 @@ let paper_scale () =
         "ess/full edges" ]
   in
   Table.set_aligns t Table.[ Left; Right; Right; Right; Right; Right; Right; Right; Right ];
-  let entries =
-    List.map
-      (fun name ->
-        let p = Option.get (Profile.by_name name) in
-        (* extraction edge ratio on the initial state, before any
-           latency moves (a fresh design: Flow.run mutates its input) *)
-        let ratio_design = Generator.generate p in
-        let ratio_timer = Timer.build ratio_design in
-        let ratio_verts = Vertex.of_design ratio_design in
-        let ess = Extract.run ~engine:Extract.Essential ratio_timer ratio_verts ~corner:Timer.Late in
-        ignore (Extract.round ess);
-        let edges_essential = (Extract.stats ess).Extract.edges_extracted in
-        let full = Extract.run ~engine:Extract.Full ratio_timer ratio_verts ~corner:Timer.Late in
-        let edges_full = (Extract.stats full).Extract.edges_extracted in
-        let design = Generator.generate p in
-        let cells = Design.num_cells design in
-        let ffs = Array.length (Design.ffs design) in
-        let initial = Evaluator.evaluate design in
-        let obs = Obs.create () in
-        let t0 = Css_util.Wall_clock.now () in
-        let config = { Flow.default_config with Flow.budget; Flow.obs = obs } in
-        let r = Flow.run ~config ~algo:Flow.Ours design in
-        let wall_s = Css_util.Wall_clock.now () -. t0 in
-        if r.Flow.degradations <> [] then
-          Printf.printf "%s: budget degradations: %s (stop %s)\n%!" name
-            (String.concat ", " r.Flow.degradations)
-            r.Flow.stop_reason;
-        let cells_per_sec = float_of_int cells /. Float.max wall_s 1e-9 in
-        let peak_rss = Css_util.Rusage.peak_rss_bytes () in
-        Table.add_row t
-          [
-            name;
-            string_of_int cells;
-            string_of_int ffs;
-            Printf.sprintf "%.1f" wall_s;
-            Printf.sprintf "%.0f" cells_per_sec;
-            string_of_int (peak_rss / (1024 * 1024));
-            fmt_f initial.Evaluator.tns_late;
-            fmt_f r.Flow.report.Evaluator.tns_late;
-            Printf.sprintf "%d/%d (%.1f%%)" edges_essential edges_full
-              (100.0 *. float_of_int edges_essential /. float_of_int (max 1 edges_full));
-          ];
-        J.Obj
-          [
-            ("design", J.String name);
-            ("engine", J.String "flow-ours");
-            ("cells", J.Int cells);
-            ("ffs", J.Int ffs);
-            ("wall_ms", J.Float (wall_s *. 1000.0));
-            ("cells_per_sec", J.Float cells_per_sec);
-            ("peak_rss_bytes", J.Int peak_rss);
-            ("tns_late_initial", J.Float initial.Evaluator.tns_late);
-            ("tns_late_final", J.Float r.Flow.report.Evaluator.tns_late);
-            ("tns_early_initial", J.Float initial.Evaluator.tns_early);
-            ("tns_early_final", J.Float r.Flow.report.Evaluator.tns_early);
-            ("edges_extracted", J.Int edges_essential);
-            ("edges_full", J.Int edges_full);
-            ( "edge_ratio",
-              J.Float (float_of_int edges_essential /. float_of_int (max 1 edges_full)) );
-            ("stop_reason", J.String r.Flow.stop_reason);
-            ( "degradations",
-              J.List (List.map (fun d -> J.String d) r.Flow.degradations) );
-            ( "rss_budget_bytes",
-              J.Int (Option.value ~default:0 budget.Css_util.Budget.rss_bytes) );
-            histograms_field obs;
-          ])
-      paper_designs
-  in
+  let obs = Obs.create () in
+  List.iter
+    (fun name ->
+      let p = Option.get (Profile.by_name name) in
+      (* extraction edge ratio on the initial state, before any
+         latency moves (a fresh design: Flow.run mutates its input) *)
+      let ratio_design = Generator.generate p in
+      let ratio_timer = Timer.build ratio_design in
+      let ratio_verts = Vertex.of_design ratio_design in
+      let ess = Extract.run ~engine:Extract.Essential ratio_timer ratio_verts ~corner:Timer.Late in
+      ignore (Extract.round ess);
+      let edges_essential = (Extract.stats ess).Extract.edges_extracted in
+      let full = Extract.run ~engine:Extract.Full ratio_timer ratio_verts ~corner:Timer.Late in
+      let edges_full = (Extract.stats full).Extract.edges_extracted in
+      let design = Generator.generate p in
+      let cells = Design.num_cells design in
+      let ffs = Array.length (Design.ffs design) in
+      let initial = Evaluator.evaluate design in
+      let t0 = Css_util.Wall_clock.now () in
+      let config = { Flow.default_config with Flow.budget; Flow.obs = obs } in
+      let r = Flow.run ~config ~algo:Flow.Ours design in
+      let wall_s = Css_util.Wall_clock.now () -. t0 in
+      if r.Flow.degradations <> [] then
+        Printf.printf "%s: budget degradations: %s (stop %s)\n%!" name
+          (String.concat ", " r.Flow.degradations)
+          r.Flow.stop_reason;
+      let cells_per_sec = float_of_int cells /. Float.max wall_s 1e-9 in
+      let peak_rss = Css_util.Rusage.peak_rss_bytes () in
+      Table.add_row t
+        [
+          name;
+          string_of_int cells;
+          string_of_int ffs;
+          Printf.sprintf "%.1f" wall_s;
+          Printf.sprintf "%.0f" cells_per_sec;
+          string_of_int (peak_rss / (1024 * 1024));
+          fmt_f initial.Evaluator.tns_late;
+          fmt_f r.Flow.report.Evaluator.tns_late;
+          Printf.sprintf "%d/%d (%.1f%%)" edges_essential edges_full
+            (100.0 *. float_of_int edges_essential /. float_of_int (max 1 edges_full));
+        ])
+    paper_designs;
   Table.print t;
-  entries
+  Obs.write_json obs json_path;
+  Printf.printf "wrote %s (Obs stats dump)\n%!" json_path
 
 (* ------------------------------------------------------------------ *)
 (* ABLATIONS                                                           *)
@@ -798,87 +592,18 @@ let extensions () =
   run "+ both" { base_cfg with Flow.use_resize = true; Flow.use_cts = true };
   Table.print t
 
-(* ------------------------------------------------------------------ *)
-(* BECHAMEL micro-benchmarks                                           *)
-
-let bechamel_kernels () =
-  section "BECHAMEL — computational kernels";
-  let open Bechamel in
-  let p = Profile.scale 0.25 (Option.get (Profile.by_name "sb18")) in
-  let design = Generator.generate p in
-  let timer = Timer.build design in
-  let verts = Vertex.of_design design in
-  let ffs = Design.ffs design in
-  let rng = Css_util.Rng.create 5 in
-  let test_full_prop =
-    Test.make ~name:"full timing propagation" (Staged.stage (fun () -> Timer.propagate timer))
-  in
-  let test_incremental =
-    Test.make ~name:"incremental latency update"
-      (Staged.stage (fun () ->
-           let ff = ffs.(Css_util.Rng.int rng (Array.length ffs)) in
-           Design.set_scheduled_latency design ff (Css_util.Rng.float rng 20.0);
-           Timer.update_latencies timer [ ff ]))
-  in
-  let test_cone =
-    let g = Timer.graph timer in
-    let endpoints = Css_sta.Graph.endpoints g in
-    Test.make ~name:"fan-in cone extraction"
-      (Staged.stage (fun () ->
-           let e = endpoints.(Css_util.Rng.int rng (Array.length endpoints)) in
-           ignore (Timer.cone_to_endpoint timer Timer.Late (Css_sta.Graph.endpoint_of_node g e))))
-  in
-  let test_essential_round =
-    Test.make ~name:"essential extraction round"
-      (Staged.stage (fun () ->
-           let engine = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
-           ignore (Extract.round engine)))
-  in
-  let mmwc_graph =
-    Css_mmwc.Digraph.make ~n:50
-      (List.init 200 (fun i -> (i mod 50, i * 7 mod 50, float_of_int (i mod 13) -. 6.0)))
-  in
-  let test_karp =
-    Test.make ~name:"Karp min-mean cycle (50v/200e)"
-      (Staged.stage (fun () -> ignore (Css_mmwc.Karp.min_mean_cycle mmwc_graph)))
-  in
-  let test_howard =
-    Test.make ~name:"Howard min-mean cycle (50v/200e)"
-      (Staged.stage (fun () -> ignore (Css_mmwc.Howard.min_mean_cycle mmwc_graph)))
-  in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [ test_full_prop; test_incremental; test_cone; test_essential_round; test_karp; test_howard ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "%-44s %14s\n" "kernel" "ns/run";
-  Printf.printf "------------------------------------------------------------\n";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some (est :: _) -> Printf.printf "%-44s %14.1f\n" name est
-      | Some [] | None -> Printf.printf "%-44s %14s\n" name "n/a")
-    results
-
 let () =
   Printf.printf "Clock skew scheduling benchmark harness\n";
   Printf.printf "(paper: A Fast, Iterative Clock Skew Scheduling Algorithm with Dynamic\n";
   Printf.printf " Sequential Graph Extraction, DAC 2025 — synthetic reproduction)\n";
-  if Sys.getenv_opt "CSS_BENCH_PAPER_ONLY" <> None then write_json (paper_scale ())
-  else if Sys.getenv_opt "CSS_BENCH_JSON_ONLY" <> None then bench_json ()
+  if Sys.getenv_opt "CSS_BENCH_PAPER_ONLY" <> None then paper_scale ()
   else begin
     let all = table_i () in
     summary all;
     fig8 ();
     fig2 ();
-    bench_json ();
     optimality_gap ();
     ablations ();
-    extensions ();
-    if Sys.getenv_opt "CSS_BENCH_SKIP_BECHAMEL" = None then bechamel_kernels ()
+    extensions ()
   end;
   Printf.printf "\ndone.\n"

@@ -1,39 +1,36 @@
 #!/usr/bin/env bash
-# Build and run the benchmark harness in one command, leaving the
-# machine-readable artifact BENCH_css.json at the repository root
-# (schema: docs/OBSERVABILITY.md).
+# Build and run the paper-reproduction harness (bench/main.ml) in one
+# command. Performance is measured by perfbench (perfbench/README.md),
+# not here.
 #
 # Usage:
-#   bench/run.sh          full harness (Table I on all designs, figures,
-#                         ablations, micro-benchmarks)
-#   bench/run.sh --fast   Table I on sb16/sb18 only, no micro-benchmarks
-#                         (the JSON section always runs its three designs)
+#   bench/run.sh          full harness (Table I on all designs, summary,
+#                         Fig 8, Fig 2, optimality, ablations, extensions)
+#   bench/run.sh --fast   the same with Table I on sb16/sb18 only
 #   bench/run.sh --smoke  CI smoke test: build everything, run the CLI
-#                         end-to-end on the tiny benchmark, then a
-#                         bounded bench pass (sb18 at 10x, ~58k cells,
-#                         full + iterative-essential engines only) that
-#                         writes BENCH_css.json so CI can upload the
-#                         perf trajectory per PR (tens of seconds)
+#                         end-to-end on the tiny benchmark, check that
+#                         --jobs 1 and --jobs 2 give byte-identical
+#                         results, that malformed input exits 2, and
+#                         that --trace-out writes a trace (seconds)
 #   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
 #                         on the ~1M-cell "-paper" profile variants,
-#                         recording cells/sec, peak RSS and the
-#                         essential/full edge ratio into BENCH_css.json
-#                         (a few minutes; see docs/PERFORMANCE.md).
+#                         printing cells/sec, peak RSS and the
+#                         essential/full edge ratio, and writing the
+#                         flows' Obs stats dump to CSS_BENCH_JSON
+#                         (default BENCH_css.json at the repository root;
+#                         a few minutes; see docs/PERFORMANCE.md).
 #                         Before running, the harness probes available
 #                         memory (MemAvailable via Css_util.Rusage) and
 #                         arms an RSS budget at current RSS + 80% of
 #                         what is available: on a machine too small for
 #                         the design the flow degrades (serial
 #                         extraction, cheaper engine, early stop with
-#                         the best checkpointed result — recorded in the
-#                         JSON "degradations"/"stop_reason" fields)
-#                         instead of getting OOM-killed mid-measurement;
-#                         see docs/ROBUSTNESS.md
+#                         the best checkpointed result — printed with
+#                         its stop reason) instead of getting OOM-killed
+#                         mid-measurement; see docs/ROBUSTNESS.md
 #
-# All CSS_BENCH_* environment knobs documented in bench/main.ml pass
-# through; CSS_BENCH_JSON overrides the artifact path and CSS_BENCH_JOBS
-# sets the worker-domain count for the parallel-extraction speedup
-# measurement (default: the runtime's recommended domain count).
+# The CSS_BENCH_* environment knobs documented in bench/main.ml pass
+# through.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,31 +72,17 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: tracer spill file left behind after successful export" >&2
     exit 1
   fi
-  # bounded bench pass at the largest profile CI can afford: sb18 at
-  # 10x (~58k cells), skipping the slow IC-CSS over-extraction engine.
-  # Leaves BENCH_css.json (with cells_per_sec / peak_rss_bytes /
-  # cache_hit_ratio / histograms fields) for CI to upload as the per-PR
-  # perf artifact and to diff against bench/baseline_smoke.json with
-  # css_stats --gate. CSS_BENCH_REQUIRE_CACHE makes the harness itself
-  # fail if the warm macromodel-cache pass ever stops hitting.
-  CSS_BENCH_JSON_ONLY=1 CSS_BENCH_SCALE=10 CSS_BENCH_DESIGNS=sb18 \
-    CSS_BENCH_ENGINES=full,iterative-essential \
-    CSS_BENCH_REQUIRE_CACHE=1 \
-    CSS_BENCH_JSON="${CSS_BENCH_JSON:-$PWD/BENCH_css.json}" \
-    dune exec bench/main.exe
   echo "smoke: ok"
   exit 0
 fi
 
 if [ "${1:-}" = "--paper" ]; then
   export CSS_BENCH_PAPER_ONLY=1
+  export CSS_BENCH_JSON="${CSS_BENCH_JSON:-$PWD/BENCH_css.json}"
 fi
 if [ "${1:-}" = "--fast" ]; then
   export CSS_BENCH_FAST=1
-  export CSS_BENCH_SKIP_BECHAMEL=1
 fi
-export CSS_BENCH_JSON="${CSS_BENCH_JSON:-$PWD/BENCH_css.json}"
 
 dune build bench/main.exe
 dune exec bench/main.exe
-echo "artifact: $CSS_BENCH_JSON"

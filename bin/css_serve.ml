@@ -70,7 +70,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "final-eval" ] ~doc:"Score every request with the independent evaluator (slow; default reports from the live timer).")
   in
   let rollback =
-    Arg.(value & flag & info [ "rollback" ] ~doc:"Enable checkpoint/rollback scoring per request (implies evaluator runs).")
+    Arg.(value & flag & info [ "rollback" ] ~doc:"Enable checkpoint/rollback scoring per request (implies --final-eval).")
   in
   let stats_json =
     let doc = "Write the daemon's Obs dump (service.* counters, per-op histograms) here at exit." in

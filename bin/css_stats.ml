@@ -1,8 +1,8 @@
-(* css_stats — diff two stats/bench JSON artifacts and gate on
-   regressions. A thin cmdliner shell over Css_util.Regress: parse the
-   two files, print the regression table, and (with --gate) exit
-   nonzero when a gated metric moved past its threshold or a baseline
-   record went missing.
+(* css_stats — diff two perfbench result lines or stats dumps and gate
+   on regressions. A thin cmdliner shell over Css_util.Regress: parse
+   the two files, print the regression table, and (with --gate) exit
+   nonzero when a gated metric regressed or a baseline metric went
+   missing.
 
    Exit codes: 0 = ok (or regressions found but --gate not given),
    1 = --gate and the gate failed, 2 = unreadable/unrecognized input. *)
@@ -12,46 +12,25 @@ module Regress = Css_util.Regress
 open Cmdliner
 
 let baseline =
-  let doc = "Baseline stats/bench JSON ($(b,--stats-json) dump or BENCH_css.json array)." in
+  let doc = "Baseline perfbench result line or $(b,--stats-json) dump." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE" ~doc)
 
 let current =
-  let doc = "Current stats/bench JSON to compare against $(docv,BASELINE); same shape." in
+  let doc = "Current artifact to compare against $(docv,BASELINE); same shape." in
   Arg.(required & pos 1 (some file) None & info [] ~docv:"CURRENT" ~doc)
 
 let gate_flag =
   let doc =
-    "Exit 1 when any gated metric regresses past its threshold or a baseline record is \
-     missing from the current artifact — the CI perf gate."
+    "Exit 1 when any gated metric regresses or a baseline metric is missing from the \
+     current artifact — the CI perf gate."
   in
   Arg.(value & flag & info [ "gate" ] ~doc)
 
-let max_wall_pct =
-  let doc = "Allowed wall-time regression (wall_ms, span totals), percent." in
-  Arg.(
-    value
-    & opt float Regress.default_thresholds.Regress.max_wall_pct
-    & info [ "max-wall-pct" ] ~docv:"PCT" ~doc)
-
-let max_rss_pct =
-  let doc = "Allowed peak-RSS regression, percent." in
-  Arg.(
-    value
-    & opt float Regress.default_thresholds.Regress.max_rss_pct
-    & info [ "max-rss-pct" ] ~docv:"PCT" ~doc)
-
-let max_p95_pct =
-  let doc = "Allowed histogram-p95 / edge-ratio shift, percent." in
-  Arg.(
-    value
-    & opt float Regress.default_thresholds.Regress.max_p95_pct
-    & info [ "max-p95-pct" ] ~docv:"PCT" ~doc)
-
 let inflate_pct =
   let doc =
-    "Gate self-test: scale the current artifact's wall/RSS metrics up by $(docv) percent \
-     before diffing. CI diffs a baseline against its own inflated copy to prove the gate \
-     demonstrably fails on a synthetic regression."
+    "Gate self-test: scale the current artifact's time, size and count metrics up by \
+     $(docv) percent before diffing. CI diffs a baseline against its own inflated copy to \
+     prove the gate demonstrably fails on a synthetic regression."
   in
   Arg.(value & opt (some float) None & info [ "inflate" ] ~docv:"PCT" ~doc)
 
@@ -61,17 +40,22 @@ let load path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> Json.of_string (really_input_string ic (in_channel_length ic)))
 
-let main base_path cur_path gate max_wall max_rss max_p95 inflate =
+(* perfbench lines are judged by the metric table in BENCHMARK.json,
+   read from the working directory (the repository root, where
+   perfbench/run.py runs too) *)
+let benchmark_json = "BENCHMARK.json"
+
+let main base_path cur_path gate inflate =
   try
     let baseline = load base_path in
     let current = load cur_path in
     let current =
       match inflate with None -> current | Some pct -> Regress.inflate ~pct current
     in
-    let thresholds =
-      { Regress.max_wall_pct = max_wall; max_rss_pct = max_rss; max_p95_pct = max_p95 }
+    let benchmark =
+      if Sys.file_exists benchmark_json then Some (load benchmark_json) else None
     in
-    let report = Regress.diff ~thresholds ~baseline ~current () in
+    let report = Regress.diff ?benchmark ~baseline ~current () in
     print_string (Regress.render report);
     if gate && not (Regress.ok report) then 1 else 0
   with
@@ -83,22 +67,23 @@ let main base_path cur_path gate max_wall max_rss max_p95 inflate =
     2
 
 let cmd =
-  let doc = "diff two css_opt stats/bench JSON artifacts and gate on perf regressions" in
+  let doc = "diff two perfbench result lines or stats dumps and gate on perf regressions" in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Compares two artifacts of the same shape — either two $(b,--stats-json) dumps or \
-         two BENCH_css.json arrays — and prints one row per comparable metric with its \
-         delta signed in the worse direction. Wall, RSS and percentile metrics carry gating \
-         thresholds; throughput and counter rows are informational. See \
-         docs/OBSERVABILITY.md for the run-diffing walkthrough.";
+        "Compares two artifacts of the same shape — either two perfbench result lines (the \
+         JSON line $(b,python3 perfbench/run.py) ends with) or two $(b,--stats-json) dumps \
+         — and prints one row per comparable metric with its delta signed in the worse \
+         direction.";
+      `P
+        "Perfbench lines are judged by BENCHMARK.json in the working directory: each \
+         end-to-end metric within its bound, no per-layer count or ratio worse, the run \
+         correct with no failed operation. Stats dumps gate span totals and histogram p95s. \
+         See docs/OBSERVABILITY.md for the run-diffing walkthrough.";
     ]
   in
   let info = Cmd.info "css_stats" ~doc ~man in
-  Cmd.v info
-    Term.(
-      const main $ baseline $ current $ gate_flag $ max_wall_pct $ max_rss_pct $ max_p95_pct
-      $ inflate_pct)
+  Cmd.v info Term.(const main $ baseline $ current $ gate_flag $ inflate_pct)
 
 let () = exit (Cmd.eval' cmd)

@@ -10,11 +10,15 @@ let log_src = Logs.Src.create "css.scheduler" ~doc:"iterative clock skew schedul
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* increments at or below this end the loop *)
+let eps = 1e-6
+
+(* consecutive iterations without TNS progress before the loop stops *)
+let stall_iterations = 6
+
 type config = {
   max_iterations : int;
-  eps : float;
   verify_weights : bool;
-  stall_iterations : int;
   nonneg_rule : bool;
   deadline_seconds : float option;
   best_ring : int;
@@ -24,9 +28,7 @@ type config = {
 let default_config =
   {
     max_iterations = 100;
-    eps = 1e-6;
     verify_weights = false;
-    stall_iterations = 6;
     nonneg_rule = true;
     deadline_seconds = None;
     best_ring = 4;
@@ -272,7 +274,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
   let stall = ref 0 in
   let progressed ~at_iter =
     let tns = Timer.tns timer corner in
-    if tns > !best_tns +. Float.max 0.1 config.eps then begin
+    if tns > !best_tns +. Float.max 0.1 eps then begin
       best_tns := tns;
       stall := 0;
       ring_push ~at_iter;
@@ -280,7 +282,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
     end
     else begin
       incr stall;
-      !stall < config.stall_iterations
+      !stall < stall_iterations
     end
   in
   let t0 = Css_util.Wall_clock.now () in
@@ -315,7 +317,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
          them would re-detect already-handled cycles forever. *)
       let neg_edges =
         Seq_graph.select ?reuse:!selected graph (fun id ->
-            Seq_graph.weight graph id < -.config.eps
+            Seq_graph.weight graph id < -.eps
             && not (fixed.(Seq_graph.src graph id) && fixed.(Seq_graph.dst graph id)))
       in
       selected := Some neg_edges;
@@ -351,7 +353,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
         in
         Obs.incr o_two_pass;
         let max_increment = max_increment tp.Two_pass.l in
-        if max_increment <= config.eps then begin
+        if max_increment <= eps then begin
           solve_done ();
           record ~index:k ~edges_new ~handled_cycle:false ~max_increment;
           (* zero increments end the phase only once extraction is
@@ -399,7 +401,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
     match stop_reason with
     | Stalled | Max_iterations -> (
       match ring_best () with
-      | Some entry when entry.tns > Timer.tns timer corner +. config.eps ->
+      | Some entry when entry.tns > Timer.tns timer corner +. eps ->
         Log.info (fun m ->
             m "restoring best-ring state from iter %d (%s TNS %.2f over %.2f)" entry.at_iter
               corner_name entry.tns (Timer.tns timer corner));

@@ -19,15 +19,14 @@
     Latencies are applied as scheduled (virtual) latencies on the design;
     the slack-optimization phase later realizes them physically. *)
 
+(** Increments at or below [eps] (1e-6 ps) terminate the loop. *)
+val eps : float
+
 type config = {
   max_iterations : int;  (** safety cap on the repeat loop *)
-  eps : float;  (** increments below this terminate the loop *)
   verify_weights : bool;
       (** re-derive every stored edge weight from the timer each iteration
           instead of trusting the Eq. (10) update — a debugging mode *)
-  stall_iterations : int;
-      (** stop after this many consecutive iterations without TNS
-          improvement at the scheduling corner *)
   nonneg_rule : bool;
       (** enforce the Section III-C2 admission rule [w < w^out] during
           arborescence construction; disabling it is the DESIGN.md A4
@@ -83,12 +82,14 @@ type stop_reason =
       (** no increment above [eps] and extraction quiescent: the round
           neither inserted nor rebound an edge and was not truncated *)
   | Max_iterations  (** the [max_iterations] safety cap fired *)
-  | Stalled  (** [stall_iterations] iterations without TNS progress *)
+  | Stalled
+      (** six consecutive iterations without TNS improvement at the
+          scheduling corner *)
   | Deadline  (** the [deadline_seconds] wall-clock watchdog fired *)
   | Interrupted  (** [should_stop] returned [true] (signal / hard budget) *)
 
 (** [stop_reason_name r] is the stable string form used in logs and the
-    [BENCH_css.json] artifact: ["converged"], ["max-iterations"],
+    [sched.phase] snapshots: ["converged"], ["max-iterations"],
     ["stalled"], ["deadline"] or ["interrupted"]. *)
 val stop_reason_name : stop_reason -> string
 

@@ -74,9 +74,6 @@ type result = {
 type config = {
   rounds : int;
   timer : Timer.config;
-  scheduler : Scheduler.config;
-  reconnect : Reconnect.config;
-  cell_move : Cell_move.config;
   use_resize : bool;
   use_cts : bool;
   validate : bool;
@@ -101,9 +98,6 @@ let default_config =
   {
     rounds = 3;
     timer = Timer.default_config;
-    scheduler = Scheduler.default_config;
-    reconnect = Reconnect.default_config;
-    cell_move = Cell_move.default_config;
     use_resize = false;
     use_cts = false;
     validate = true;
@@ -269,14 +263,14 @@ let record_scheduler_trace st ~round ~phase (res : Scheduler.result) =
 
 (* One ["sched.phase"] snapshot per scheduler run: how the phase ended
    and how many of its iterations raised no latency. *)
-let note_scheduler_phase st ~round ~phase ~eps (res : Scheduler.result) =
+let note_scheduler_phase st ~round ~phase (res : Scheduler.result) =
   let obs = st.cfg.obs in
   if Obs.enabled obs then begin
     let zero =
       List.length
         (List.filter
            (fun (it : Scheduler.iteration) ->
-             (not it.Scheduler.handled_cycle) && it.Scheduler.max_increment <= eps)
+             (not it.Scheduler.handled_cycle) && it.Scheduler.max_increment <= Scheduler.eps)
            res.Scheduler.trace)
     in
     Obs.snapshot obs ~label:"sched.phase"
@@ -422,29 +416,21 @@ let interrupt_cause st =
       match Budget.poll b with Budget.Hard reason -> "budget-" ^ reason | _ -> "budget-wall")
     | _ -> "interrupted"
 
-(* The scheduler's own deadline is the tighter of its configured one and
-   whatever remains of the flow budget — so a phase in flight also honors
-   the flow-level watchdog. The budget adds two more hooks: rung 1+
-   shrinks the best-state ring, and [should_stop] aborts mid-phase on a
-   signal or hard budget. *)
+(* The scheduler's deadline is whatever remains of the flow budget — so
+   a phase in flight also honors the flow-level watchdog. The budget adds
+   two more hooks: rung 1+ shrinks the best-state ring, and
+   [should_stop] aborts mid-phase on a signal or hard budget. *)
 let scheduler_config st =
   let remaining =
     match st.cfg.deadline_seconds with
     | None -> None
     | Some d -> Some (Float.max 0.0 (d -. elapsed st))
   in
-  let eff =
-    match (st.cfg.scheduler.Scheduler.deadline_seconds, remaining) with
-    | None, r -> r
-    | (Some _ as d), None -> d
-    | Some a, Some b -> Some (Float.min a b)
-  in
-  let base = { st.cfg.scheduler with Scheduler.deadline_seconds = eff } in
+  let base = { Scheduler.default_config with Scheduler.deadline_seconds = remaining } in
   let base =
     if st.rung >= 1 then { base with Scheduler.best_ring = min base.Scheduler.best_ring 1 }
     else base
   in
-  let user_stop = base.Scheduler.should_stop in
   let should_stop () =
     st.iter_polls <- st.iter_polls + 1;
     (match st.cfg.debug_interrupt_after_iteration with
@@ -454,7 +440,6 @@ let scheduler_config st =
     || (match st.budget with
        | Some b -> ( match Budget.poll b with Budget.Hard _ -> true | _ -> false)
        | None -> false)
-    || (match user_stop with Some f -> f () | None -> false)
   in
   { base with Scheduler.should_stop = Some should_stop }
 
@@ -659,7 +644,7 @@ let css_opt_phase st ~round ~corner =
         }
       in
       let res = Scheduler.run ~config:sched_config ~obs:st.cfg.obs st.timer extraction in
-      note_scheduler_phase st ~round ~phase ~eps:sched_config.Scheduler.eps res;
+      note_scheduler_phase st ~round ~phase res;
       if res.Scheduler.stop_reason = Scheduler.Interrupted then None
       else begin
         st.run.iterations <- st.run.iterations + res.Scheduler.iterations;
@@ -703,8 +688,8 @@ let css_opt_phase st ~round ~corner =
     end
     else targets
   in
-  let rstats = Reconnect.realize ~config:st.cfg.reconnect st.timer ~targets in
-  let mstats = Cell_move.repair_early ~config:st.cfg.cell_move st.timer in
+  let rstats = Reconnect.realize st.timer ~targets in
+  let mstats = Cell_move.repair_early st.timer in
   let obs = st.cfg.obs in
   Obs.add (Obs.counter obs "opt.reconnect.attempted") rstats.Reconnect.attempted;
   Obs.add (Obs.counter obs "opt.reconnect.reconnected") rstats.Reconnect.reconnected;

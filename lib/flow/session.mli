@@ -124,9 +124,6 @@ type result = {
 type config = {
   rounds : int;  (** CSS+OPT rounds per corner (default 3) *)
   timer : Css_sta.Timer.config;  (** analysis corner setup (derates, uncertainties) *)
-  scheduler : Css_core.Scheduler.config;
-  reconnect : Css_opt.Reconnect.config;
-  cell_move : Css_opt.Cell_move.config;
   use_resize : bool;
       (** also run the gate-sizing passes in each OPT phase (the paper's
           "logic path optimization" extension; default false) *)

@@ -7,7 +7,6 @@ type t = {
   early_derate : float option;
   latency_bounds : (string * float * float) list;
   max_displacement : float option;
-  lcb_fanout_limit : int option;
 }
 
 let empty =
@@ -18,7 +17,6 @@ let empty =
     early_derate = None;
     latency_bounds = [];
     max_displacement = None;
-    lcb_fanout_limit = None;
   }
 
 type policy =
@@ -70,7 +68,11 @@ let parse ?source ?(policy = Abort) s =
     | [ "set_max_displacement"; v ] ->
       acc := { !acc with max_displacement = Some (number lineno v) }
     | [ "set_lcb_fanout_limit"; v ] ->
-      acc := { !acc with lcb_fanout_limit = Some (int_of_float (number lineno v)) }
+      ignore (number lineno v);
+      Diag.emit col
+        (Diag.warning ?file:source ~line:lineno ~code:"SDC-006"
+           "set_lcb_fanout_limit is ignored: the LCB fanout caps of reconnection and \
+            evaluation are set in their configurations")
     | cmd :: _ ->
       fail ~code:"SDC-001"
         ?hint:(Diag.did_you_mean cmd known_commands)

@@ -12,7 +12,7 @@
     set_timing_derate -early 0.9
     set_latency_bounds ff12 0 150        # Eq. (5) window, ps
     set_max_displacement 400             # placement ECO budget, DBU
-    set_lcb_fanout_limit 50
+    set_lcb_fanout_limit 50              # accepted, ignored (SDC-006 warning)
     v}
 
     [create_clock] cannot change a built design's period (the period is
@@ -28,7 +28,6 @@ type t = {
   early_derate : float option;
   latency_bounds : (string * float * float) list;  (** cell name, lo, hi *)
   max_displacement : float option;
-  lcb_fanout_limit : int option;
 }
 
 (** [empty] constrains nothing. *)
@@ -42,8 +41,10 @@ type policy =
   | Recover
 
 (** [parse ?source ?policy s] reads the constraint text, collecting
-    {!Css_util.Diag.t} diagnostics (codes [SDC-000..SDC-005]) instead of
-    raising. Unknown commands carry a nearest-command hint. *)
+    {!Css_util.Diag.t} diagnostics (codes [SDC-000..SDC-006]) instead of
+    raising. Unknown commands carry a nearest-command hint.
+    [set_lcb_fanout_limit] is accepted but not applied: it yields an
+    [SDC-006] warning. *)
 val parse :
   ?source:string ->
   ?policy:policy ->

@@ -142,28 +142,30 @@ let rec rm_rf path =
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 
-let session_config t ~(p : Protocol.open_params) ~dir : Session.config =
+let session_config (cfg : config) ~(p : Protocol.open_params) ~dir : Session.config =
   let dfl v o = Option.value ~default:v o in
+  let rollback = dfl cfg.rollback p.Protocol.o_rollback in
   {
     Session.default_config with
-    rounds = dfl t.cfg.rounds p.Protocol.o_rounds;
-    jobs = dfl t.cfg.jobs p.Protocol.o_jobs;
-    final_eval = dfl t.cfg.final_eval p.Protocol.o_final_eval;
-    rollback = dfl t.cfg.rollback p.Protocol.o_rollback;
-    obs = t.cfg.obs;
-    tracer = t.cfg.tracer;
+    rounds = dfl cfg.rounds p.Protocol.o_rounds;
+    jobs = dfl cfg.jobs p.Protocol.o_jobs;
+    (* a checkpoint is scored by the evaluator: rollback needs it *)
+    final_eval = rollback || dfl cfg.final_eval p.Protocol.o_final_eval;
+    rollback;
+    obs = cfg.obs;
+    tracer = cfg.tracer;
     checkpoint_dir = dir;
     handle_signals = false;
-    cache_bytes = dfl t.cfg.cache_mb p.Protocol.o_cache_mb * 1024 * 1024;
+    cache_bytes = dfl cfg.cache_mb p.Protocol.o_cache_mb * 1024 * 1024;
     budget =
       {
         Budget.no_limits with
         Budget.wall_seconds =
-          (match p.Protocol.o_wall_seconds with Some _ as s -> s | None -> t.cfg.wall_seconds);
+          (match p.Protocol.o_wall_seconds with Some _ as s -> s | None -> cfg.wall_seconds);
         rss_bytes =
           (match p.Protocol.o_rss_mb with
           | Some mb -> Some (mb * 1024 * 1024)
-          | None -> Option.map (fun mb -> mb * 1024 * 1024) t.cfg.rss_mb);
+          | None -> Option.map (fun mb -> mb * 1024 * 1024) cfg.rss_mb);
       };
   }
 
@@ -214,7 +216,7 @@ let handle_open t (p : Protocol.open_params) =
       | Ok (design, parse_diags) -> (
         let dir = session_dir t p.Protocol.o_session in
         Option.iter mkdir_p dir;
-        let sc = session_config t ~p ~dir in
+        let sc = session_config t.cfg ~p ~dir in
         match Session.open_ ~config:sc ~algo design with
         | exception Validate.Invalid diags -> Protocol.error_of_diags diags
         | session ->
@@ -450,7 +452,7 @@ let restore_sessions t =
                   | _ -> None);
               }
             in
-            let sc = session_config t ~p ~dir:(Some dir) in
+            let sc = session_config t.cfg ~p ~dir:(Some dir) in
             (match Session.reopen ~config:sc ~library:t.cfg.library ~dir () with
             | Error diags ->
               Log.warn (fun m ->

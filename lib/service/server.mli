@@ -39,7 +39,9 @@ type config = {
   rounds : int;  (** default rounds for [open] requests that omit it *)
   jobs : int;  (** default per-session worker count *)
   final_eval : bool;  (** default {!Css_flow.Session.config.final_eval} (daemon default [false]) *)
-  rollback : bool;  (** default rollback (daemon default [false]) *)
+  rollback : bool;
+      (** default rollback (daemon default [false]); rollback implies
+          final evaluation, which scores the checkpoints *)
   wall_seconds : float option;  (** default per-session wall budget *)
   rss_mb : int option;  (** default per-session RSS budget *)
   cache_mb : int;
@@ -54,6 +56,14 @@ type config = {
 }
 
 val default_config : config
+
+(** [session_config cfg ~p ~dir] is the session configuration an [open]
+    request [p] gets: its knobs over [cfg]'s defaults, checkpoints
+    under [dir]. Rollback, from either, turns final evaluation on:
+    {!Css_flow.Session} rolls back only to evaluator-scored
+    checkpoints. *)
+val session_config :
+  config -> p:Protocol.open_params -> dir:string option -> Css_flow.Session.config
 
 (** [serve ?on_ready cfg] binds the socket, restores any persisted
     sessions, installs the signal handler and serves until a [shutdown]

@@ -23,7 +23,7 @@
     - {!create_trace}: human-readable lines pushed to an [out_channel] as
       spans close and snapshots arrive.
     - {!create}: in-memory collection, dumped as JSON ({!to_json},
-      {!write_json}) in the [BENCH_css.json] schema.
+      {!write_json}) in the stats-dump schema of docs/OBSERVABILITY.md.
 
     A trace context also collects, so every live context can be dumped. *)
 

@@ -1,33 +1,29 @@
-(* Perf-regression diffing between two stats/bench JSON artifacts.
+(* Perf-regression diffing between two JSON artifacts.
 
    Two input shapes, auto-detected:
-   - a BENCH_css.json array (bench/main.ml): records keyed by
-     design/engine carrying wall_ms, cells_per_sec, peak_rss_bytes,
-     edge_ratio and per-phase histograms;
+   - a perfbench result line (the last line of perfbench/run.py): an
+     object with "correct", "failed" and "metrics" (name -> {value,
+     unit}), judged against the metric table of BENCHMARK.json;
    - an Obs stats dump (--stats-json / Obs.write_json): an object with
      "counters", "spans", "histograms".
 
    Each comparable metric becomes a row with a signed delta in the
    *worse* direction (positive = regression) and an optional gating
-   threshold; [gate] fails when any gated row exceeds its threshold.
-   Metrics follow the repo's 0-means-not-measured convention: a zero
-   baseline or current value yields an informational row, never a
-   division by ~0.
+   threshold; [ok] fails when any gated row regressed or a baseline
+   metric went missing. Metrics follow the repo's 0-means-not-measured
+   convention: a zero baseline value yields an informational row, never
+   a division by ~0.
 
    This lives in the library (not bin/css_stats.ml) so the gate logic
    itself is unit-tested; the CLI is a thin cmdliner shell. *)
 
-type thresholds = {
-  max_wall_pct : float; (* wall_ms, span totals *)
-  max_rss_pct : float; (* peak_rss_bytes *)
-  max_p95_pct : float; (* histogram p95 shifts, edge ratio *)
-}
-
-let default_thresholds = { max_wall_pct = 10.0; max_rss_pct = 5.0; max_p95_pct = 25.0 }
+(* stats-dump thresholds, percent: span totals and histogram p95s *)
+let max_span_pct = 10.0
+let max_p95_pct = 25.0
 
 type row = {
-  r_key : string; (* e.g. "sb18/iterative-essential" *)
-  r_metric : string; (* e.g. "wall_ms" *)
+  r_key : string; (* e.g. "end_to_end", "per_layer", "late-css" *)
+  r_metric : string; (* e.g. "run_s" *)
   r_base : float;
   r_cur : float;
   r_delta_pct : float; (* positive = worse *)
@@ -37,7 +33,7 @@ type row = {
 
 type report = {
   rows : row list;
-  missing : string list; (* baseline keys absent from current *)
+  missing : string list; (* baseline metrics/spans absent from current *)
 }
 
 let regressions r = List.filter (fun row -> row.r_regressed) r.rows
@@ -51,113 +47,138 @@ let str_field j name =
 
 let pct_delta ~base ~cur = 100.0 *. (cur -. base) /. base
 
-(* [worse_sign]: +1 when larger is worse (wall, rss), -1 when smaller is
-   worse (cells/sec). *)
+(* [worse_sign]: +1 when larger is worse (times, RSS), -1 when smaller
+   is worse (gains, ratios). *)
 let mk_row ~key ~metric ~worse_sign ~threshold ~base ~cur =
   if base <= 0.0 || cur < 0.0 then
     (* not measured on one side: informational, never gated *)
-    Some { r_key = key; r_metric = metric; r_base = base; r_cur = cur;
-           r_delta_pct = 0.0; r_threshold_pct = None; r_regressed = false }
+    { r_key = key; r_metric = metric; r_base = base; r_cur = cur;
+      r_delta_pct = 0.0; r_threshold_pct = None; r_regressed = false }
   else begin
-    let delta = worse_sign *. pct_delta ~base ~cur in
+    (* + 0.0 turns the -0.0 of an unchanged higher-is-better metric into 0 *)
+    let delta = (worse_sign *. pct_delta ~base ~cur) +. 0.0 in
     let regressed = match threshold with Some th -> delta > th | None -> false in
-    Some { r_key = key; r_metric = metric; r_base = base; r_cur = cur;
-           r_delta_pct = delta; r_threshold_pct = threshold; r_regressed = regressed }
+    { r_key = key; r_metric = metric; r_base = base; r_cur = cur;
+      r_delta_pct = delta; r_threshold_pct = threshold; r_regressed = regressed }
   end
 
-let opt_row rows = function Some r -> rows := r :: !rows | None -> ()
+(* A value that repeats exactly for a seed: any move in the worse
+   direction regresses, zero baseline included. *)
+let exact_row ~key ~metric ~worse_sign ~base ~cur =
+  let delta = if base = 0.0 then 0.0 else (worse_sign *. pct_delta ~base ~cur) +. 0.0 in
+  { r_key = key; r_metric = metric; r_base = base; r_cur = cur; r_delta_pct = delta;
+    r_threshold_pct = Some 0.0; r_regressed = worse_sign *. (cur -. base) > 0.0 }
 
 let histo_p95 hj =
   match Json.member "p95" hj with Some v -> Some (Json.to_float v) | None -> None
 
-(* --- bench-array mode --- *)
+(* --- perfbench-line mode --- *)
 
-let bench_key j =
-  match (str_field j "design", str_field j "engine") with
-  | Some d, Some e -> d ^ "/" ^ e
-  | Some d, None -> d
-  | None, _ -> "?"
+type spec = {
+  s_unit : string;
+  s_worse_sign : float;
+  s_bound_pct : float option; (* end-to-end metrics only *)
+}
 
-let compare_histograms ~th ~key ~rows base_h cur_h =
-  match (base_h, cur_h) with
-  | Some (Json.Obj base_kvs), Some (Json.Obj _ as cur_obj) ->
-    List.iter
-      (fun (name, bh) ->
-        match Json.member name cur_obj with
-        | Some ch -> (
-          match (histo_p95 bh, histo_p95 ch) with
-          | Some bp, Some cp ->
-            opt_row rows
-              (mk_row ~key ~metric:(name ^ ".p95") ~worse_sign:1.0
-                 ~threshold:(Some th.max_p95_pct) ~base:bp ~cur:cp)
-          | _ -> ())
-        | None -> ())
-      base_kvs
-  | _ -> ()
+(* BENCHMARK.json's "end_to_end" and "per_layer" tables, by metric name *)
+let specs benchmark =
+  let section name =
+    match Json.member name benchmark with
+    | Some (Json.List items) ->
+      List.filter_map
+        (fun m ->
+          match (str_field m "name", str_field m "unit", str_field m "better") with
+          | Some n, Some u, Some b ->
+            Some
+              ( n,
+                { s_unit = u;
+                  s_worse_sign = (if b = "higher" then -1.0 else 1.0);
+                  s_bound_pct = Option.map (fun x -> 100.0 *. x) (num_field m "bound") } )
+          | _ -> None)
+        items
+    | _ -> []
+  in
+  match section "end_to_end" @ section "per_layer" with
+  | [] -> failwith "Regress.diff: BENCHMARK.json lists no end_to_end or per_layer metrics"
+  | l -> l
 
-let diff_bench ~th base_records cur_records =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun j -> Hashtbl.replace tbl (bench_key j) j) cur_records;
-  let rows = ref [] in
-  let missing = ref [] in
+(* Per-layer values that repeat exactly for a seed: counts and the
+   ratios derived from them. GC counts follow the collector's pacing
+   and stay informational. *)
+let exact spec name =
+  (spec.s_unit = "count" || spec.s_unit = "ratio")
+  && not (String.length name >= 3 && String.sub name 0 3 = "gc.")
+
+let metrics j =
+  match Json.member "metrics" j with
+  | Some (Json.Obj kvs) ->
+    List.filter_map
+      (fun (n, m) -> Option.map (fun v -> (n, v)) (num_field m "value"))
+      kvs
+  | _ -> failwith "Regress.diff: perfbench line without a \"metrics\" object"
+
+let diff_perfbench ~benchmark base cur =
+  let specs = specs benchmark in
+  let bool_field j name = match Json.member name j with Some (Json.Bool b) -> b | _ -> false in
+  let base_m = metrics base and cur_m = metrics cur in
+  let rows = ref [] and missing = ref [] in
+  (* a layer the workload does not measure reads 0 on both sides *)
+  let add r = if r.r_regressed || r.r_base <> 0.0 || r.r_cur <> 0.0 then rows := r :: !rows in
+  (* the run itself: its checks passed and no operation failed, whatever
+     the baseline says *)
+  let line_row metric f ~ok =
+    { r_key = "line"; r_metric = metric; r_base = f base; r_cur = f cur; r_delta_pct = 0.0;
+      r_threshold_pct = Some 0.0; r_regressed = not (ok (f cur)) }
+  in
+  add (line_row "correct" (fun j -> if bool_field j "correct" then 1.0 else 0.0) ~ok:(( = ) 1.0));
+  add (line_row "failed" (fun j -> Option.value ~default:1.0 (num_field j "failed")) ~ok:(( = ) 0.0));
   List.iter
-    (fun bj ->
-      let key = bench_key bj in
-      match Hashtbl.find_opt tbl key with
-      | None -> missing := key :: !missing
-      | Some cj ->
-        let metric name ~worse_sign ~threshold =
-          match (num_field bj name, num_field cj name) with
-          | Some b, Some c -> opt_row rows (mk_row ~key ~metric:name ~worse_sign ~threshold ~base:b ~cur:c)
-          | _ -> ()
-        in
-        metric "wall_ms" ~worse_sign:1.0 ~threshold:(Some th.max_wall_pct);
-        metric "peak_rss_bytes" ~worse_sign:1.0 ~threshold:(Some th.max_rss_pct);
-        metric "cells_per_sec" ~worse_sign:(-1.0) ~threshold:None;
-        (* scheduler iterations are deterministic: any increase is a
-           behaviour change (e.g. a phase crawling to its iteration cap) *)
-        metric "iterations" ~worse_sign:1.0 ~threshold:(Some 0.0);
-        (* edge ratio: prefer the precomputed field, else derive *)
-        (match (num_field bj "edge_ratio", num_field cj "edge_ratio") with
-        | Some b, Some c ->
-          opt_row rows
-            (mk_row ~key ~metric:"edge_ratio" ~worse_sign:1.0
-               ~threshold:(Some th.max_p95_pct) ~base:b ~cur:c)
-        | _ -> (
-          let derived j =
-            match (num_field j "edges_extracted", num_field j "edges_full") with
-            | Some e, Some f when f > 0.0 -> Some (e /. f)
-            | _ -> None
-          in
-          match (derived bj, derived cj) with
-          | Some b, Some c ->
-            opt_row rows
-              (mk_row ~key ~metric:"edge_ratio" ~worse_sign:1.0
-                 ~threshold:(Some th.max_p95_pct) ~base:b ~cur:c)
-          | _ -> ()));
-        compare_histograms ~th ~key ~rows (Json.member "histograms" bj) (Json.member "histograms" cj);
-        (* numeric fields the baseline predates (a freshly added metric,
-           e.g. cache_hit_ratio against an older artifact): surface them
-           as informational rows — never gated, never a failure — so the
-           report shows the new numbers until the baseline is refreshed *)
-        (match cj with
-        | Json.Obj kvs ->
-          List.iter
-            (fun (name, v) ->
-              match v with
-              | Json.Int _ | Json.Float _ when num_field bj name = None ->
-                opt_row rows
-                  (mk_row ~key ~metric:name ~worse_sign:1.0 ~threshold:None ~base:0.0
-                     ~cur:(Json.to_float v))
-              | _ -> ())
-            kvs
-        | _ -> ()))
-    base_records;
+    (fun (name, b) ->
+      match List.assoc_opt name cur_m with
+      | None -> missing := name :: !missing
+      | Some c -> (
+        match List.assoc_opt name specs with
+        | Some ({ s_bound_pct = Some _; _ } as s) ->
+          add (mk_row ~key:"end_to_end" ~metric:name ~worse_sign:s.s_worse_sign
+                 ~threshold:s.s_bound_pct ~base:b ~cur:c)
+        | Some s when exact s name ->
+          add (exact_row ~key:"per_layer" ~metric:name ~worse_sign:s.s_worse_sign ~base:b ~cur:c)
+        | Some s ->
+          add (mk_row ~key:"per_layer" ~metric:name ~worse_sign:s.s_worse_sign ~threshold:None
+                 ~base:b ~cur:c)
+        | None ->
+          add (mk_row ~key:"unlisted" ~metric:name ~worse_sign:1.0 ~threshold:None ~base:b
+                 ~cur:c)))
+    base_m;
+  (* metrics the baseline predates: shown until it is refreshed *)
+  List.iter
+    (fun (name, c) ->
+      if not (List.mem_assoc name base_m) then
+        add (mk_row ~key:"new" ~metric:name ~worse_sign:1.0 ~threshold:None ~base:0.0 ~cur:c))
+    cur_m;
   { rows = List.rev !rows; missing = List.rev !missing }
 
 (* --- stats-dump mode --- *)
 
-let diff_stats ~th base cur =
+let compare_histograms ~key ~rows base_h cur_h =
+  match (base_h, cur_h) with
+  | Some (Json.Obj base_kvs), Some (Json.Obj _ as cur_obj) ->
+    List.iter
+      (fun (name, bh) ->
+        match Option.map histo_p95 (Json.member name cur_obj) with
+        | Some (Some cp) -> (
+          match histo_p95 bh with
+          | Some bp ->
+            rows :=
+              mk_row ~key ~metric:(name ^ ".p95") ~worse_sign:1.0 ~threshold:(Some max_p95_pct)
+                ~base:bp ~cur:cp
+              :: !rows
+          | None -> ())
+        | _ -> ())
+      base_kvs
+  | _ -> ()
+
+let diff_stats base cur =
   let rows = ref [] in
   let missing = ref [] in
   (* span totals: wall-time regressions per phase path *)
@@ -181,11 +202,12 @@ let diff_stats ~th base cur =
          match Hashtbl.find_opt cur_spans p with
          | None -> missing := ("span " ^ p) :: !missing
          | Some c ->
-           opt_row rows
-             (mk_row ~key:p ~metric:"total_s" ~worse_sign:1.0
-                ~threshold:(Some th.max_wall_pct) ~base:b ~cur:c));
+           rows :=
+             mk_row ~key:p ~metric:"total_s" ~worse_sign:1.0 ~threshold:(Some max_span_pct)
+               ~base:b ~cur:c
+             :: !rows);
   (* histogram p95 shifts *)
-  compare_histograms ~th ~key:"histo" ~rows (Json.member "histograms" base)
+  compare_histograms ~key:"histo" ~rows (Json.member "histograms" base)
     (Json.member "histograms" cur);
   (* counters: informational, only when changed *)
   (match (Json.member "counters" base, Json.member "counters" cur) with
@@ -194,26 +216,36 @@ let diff_stats ~th base cur =
       (fun (name, bv) ->
         match (bv, Json.member name cobj) with
         | Json.Int b, Some (Json.Int c) when b <> c ->
-          opt_row rows
-            (mk_row ~key:"counter" ~metric:name ~worse_sign:1.0 ~threshold:None
-               ~base:(float_of_int b) ~cur:(float_of_int c))
+          rows :=
+            mk_row ~key:"counter" ~metric:name ~worse_sign:1.0 ~threshold:None
+              ~base:(float_of_int b) ~cur:(float_of_int c)
+            :: !rows
         | _ -> ())
       bc
   | _ -> ());
   { rows = List.rev !rows; missing = List.rev !missing }
 
-let diff ?(thresholds = default_thresholds) ~baseline ~current () =
+let is_perfbench_line j = Json.member "metrics" j <> None
+
+let diff ?benchmark ~baseline ~current () =
   match (baseline, current) with
-  | Json.List b, Json.List c -> diff_bench ~th:thresholds b c
-  | (Json.Obj _ as b), (Json.Obj _ as c) -> diff_stats ~th:thresholds b c
-  | _ -> failwith "Regress.diff: inputs must both be bench arrays or both stats objects"
+  | (Json.Obj _ as b), (Json.Obj _ as c) when is_perfbench_line b && is_perfbench_line c -> (
+    match benchmark with
+    | Some benchmark -> diff_perfbench ~benchmark b c
+    | None -> failwith "Regress.diff: perfbench lines need BENCHMARK.json's metric table")
+  | (Json.Obj _ as b), (Json.Obj _ as c)
+    when not (is_perfbench_line b || is_perfbench_line c) ->
+    diff_stats b c
+  | _ -> failwith "Regress.diff: inputs must both be perfbench lines or both stats objects"
 
 (* --- synthetic regression (gate self-test) --- *)
 
-(* Scale the wall/RSS-like metrics of [j] — bench wall/RSS, span
-   totals, histogram p95s — up by [pct] percent, leaving everything
-   else alone. CI runs the gate against its own baseline with an
-   inflated current to prove the gate actually trips. *)
+(* Scale the time/size-like metrics of [j] up by [pct] percent, leaving
+   everything else alone: on a perfbench line the s, ms and MB metrics
+   and the counts (a traced line carries no bounded metric, so its
+   counts are what the gate trips on); in a stats dump the span totals
+   and histogram p95s. CI runs the gate against its own baseline with
+   an inflated current to prove the gate actually trips. *)
 let inflate ~pct j =
   let f = 1.0 +. (pct /. 100.0) in
   let scale_num = function
@@ -226,13 +258,19 @@ let inflate ~pct j =
       Json.Obj (List.map (fun (k, v) -> if List.mem k names then (k, scale_num v) else (k, v)) kvs)
     | v -> v
   in
+  let scale_metric = function
+    | Json.Obj _ as m when List.mem (str_field m "unit") [ Some "s"; Some "ms"; Some "MB"; Some "count" ]
+      ->
+      scale_fields [ "value" ] m
+    | m -> m
+  in
   match j with
-  | Json.List records -> Json.List (List.map (scale_fields [ "wall_ms"; "peak_rss_bytes" ]) records)
   | Json.Obj kvs ->
     Json.Obj
       (List.map
          (fun (k, v) ->
            match (k, v) with
+           | "metrics", Json.Obj ms -> (k, Json.Obj (List.map (fun (n, m) -> (n, scale_metric m)) ms))
            | "spans", Json.List spans ->
              (k, Json.List (List.map (scale_fields [ "total_s" ]) spans))
            | "histograms", Json.Obj hs ->

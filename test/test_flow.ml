@@ -116,7 +116,7 @@ let test_no_zero_increment_crawl () =
       checkb "phase ends on its own" true
         (field fields "stop_reason" <> J.String "max-iterations"))
     phases;
-  let eps = Css_core.Scheduler.default_config.Css_core.Scheduler.eps in
+  let eps = Css_core.Scheduler.eps in
   let idle fields =
     match (field fields "max_increment", field fields "edges_new") with
     | J.Float inc, J.Int 0 -> inc <= eps && field fields "handled_cycle" = J.Bool false

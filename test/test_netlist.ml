@@ -270,25 +270,32 @@ let test_verilog_file_io () =
 module Sdc = Css_netlist.Sdc
 
 let test_sdc_parse () =
-  let c =
-    Sdc.parse_exn
-      "# header comment\n\
-       create_clock -period 500\n\
-       set_clock_uncertainty -setup 25   # inline comment\n\
-       set_clock_uncertainty -hold 10\n\
-       set_timing_derate -early 0.9\n\
-       set_latency_bounds ff1 0 150\n\
-       set_latency_bounds ff2 5 90\n\
-       set_max_displacement 400\n\
-       set_lcb_fanout_limit 50\n"
+  let text =
+    "# header comment\n\
+     create_clock -period 500\n\
+     set_clock_uncertainty -setup 25   # inline comment\n\
+     set_clock_uncertainty -hold 10\n\
+     set_timing_derate -early 0.9\n\
+     set_latency_bounds ff1 0 150\n\
+     set_latency_bounds ff2 5 90\n\
+     set_max_displacement 400\n\
+     set_lcb_fanout_limit 50\n"
   in
+  let c = Sdc.parse_exn text in
   checkb "period" true (c.Sdc.period = Some 500.0);
   checkf 1e-9 "setup" 25.0 c.Sdc.setup_uncertainty;
   checkf 1e-9 "hold" 10.0 c.Sdc.hold_uncertainty;
   checkb "derate" true (c.Sdc.early_derate = Some 0.9);
   checki "two windows" 2 (List.length c.Sdc.latency_bounds);
   checkb "displacement" true (c.Sdc.max_displacement = Some 400.0);
-  checkb "fanout" true (c.Sdc.lcb_fanout_limit = Some 50)
+  (* the fanout limit is not applied anywhere: a stable warning says so *)
+  match Sdc.parse text with
+  | Ok (_, [ d ]) ->
+    Alcotest.(check string) "ignored fanout limit" "SDC-006" d.Css_util.Diag.code;
+    checkb "a warning" false (Css_util.Diag.is_error d);
+    checkb "its line" true (d.Css_util.Diag.line = Some 9)
+  | Ok (_, ds) -> Alcotest.failf "expected one SDC-006 warning, got %d diagnostics" (List.length ds)
+  | Error _ -> Alcotest.fail "parse failed"
 
 let test_sdc_errors () =
   let fails s = try ignore (Sdc.parse_exn s); false with Failure _ -> true in

@@ -97,6 +97,35 @@ let test_close_idempotent () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "apply_delta after close must raise"
 
+(* A session opened with only [rollback] set scores its checkpoints: the
+   daemon turns final evaluation on with it, since Session rolls back
+   only to evaluator-scored checkpoints. *)
+let test_rollback_alone_scores () =
+  let obs = Css_util.Obs.create () in
+  let p =
+    {
+      Protocol.o_session = "r";
+      o_design = "";
+      o_algo = "Ours";
+      o_rounds = None;
+      o_jobs = None;
+      o_final_eval = None;
+      o_rollback = Some true;
+      o_wall_seconds = None;
+      o_rss_mb = None;
+      o_cache_mb = None;
+    }
+  in
+  let sc = Server.session_config { Server.default_config with Server.obs } ~p ~dir:None in
+  checkb "final evaluation on" true sc.Session.final_eval;
+  let s = Session.open_ ~config:sc ~algo:Flow.Ours (tiny_design ()) in
+  let rec drain () = match Session.step s with `Phase _ -> drain () | `Done -> () in
+  drain ();
+  ignore (Session.finish s);
+  Session.close s;
+  checkb "checkpoints scored" true
+    (Css_util.Obs.value (Css_util.Obs.counter obs "flow.checkpoints") > 0)
+
 let has_code code = List.exists (fun d -> String.equal d.Diag.code code)
 
 let test_delta_errors () =
@@ -605,6 +634,8 @@ let () =
           Alcotest.test_case "close is idempotent" `Quick test_close_idempotent;
           Alcotest.test_case "delta error codes + atomicity" `Quick test_delta_errors;
           Alcotest.test_case "delta modes" `Quick test_delta_modes;
+          Alcotest.test_case "rollback alone scores checkpoints" `Quick
+            test_rollback_alone_scores;
         ] );
       ( "protocol",
         [
