@@ -11,7 +11,8 @@
 #                         end-to-end on the tiny benchmark, check that
 #                         --jobs 1 and --jobs 2 give byte-identical
 #                         results, that malformed input exits 2, and
-#                         that --trace-out writes a trace (seconds)
+#                         that --trace-out writes a trace holding
+#                         pool.chunk and late-css spans (seconds)
 #   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
 #                         on the ~1M-cell "-paper" profile variants,
 #                         printing cells/sec, peak RSS and the
@@ -72,6 +73,16 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: tracer spill file left behind after successful export" >&2
     exit 1
   fi
+  # the CLI attaches its tracer to Obs only: worker-track pool spans and
+  # the session's phase spans must still reach it
+  python3 - "$PWD/css_trace.json" <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+spans = {e.get("name") for e in events if e.get("ph") == "B"}
+missing = [n for n in ("pool.chunk", "late-css") if n not in spans]
+if missing:
+    sys.exit("smoke: trace has no %s span" % " or ".join(missing))
+PY
   echo "smoke: ok"
   exit 0
 fi

@@ -4,6 +4,7 @@
 module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
 module Flow = Css_flow.Flow
+module Persist = Css_flow.Persist
 module Obs = Css_util.Obs
 module Tracer = Css_util.Tracer
 open Cmdliner
@@ -203,6 +204,11 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         Option.map (fun mb -> mb * 1024 * 1024) max_rss_mb;
     }
   in
+  (* A durable run turns SIGINT/SIGTERM into a cooperative stop whose
+     last act is a resumable checkpoint, instead of a kill. *)
+  let guarded go =
+    if checkpoint_dir <> None then Persist.with_signal_handlers go else go ()
+  in
   (* everything after a flow run — shared by fresh and resumed paths *)
   let finish (res : Flow.result) design =
     List.iter
@@ -323,18 +329,16 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         Flow.use_cts = cts;
         Flow.timer = timer_cfg_pre;
         Flow.obs = obs;
-        Flow.tracer = tracer;
         Flow.jobs = max 1 jobs;
         Flow.budget = budget;
         Flow.checkpoint_dir;
-        Flow.handle_signals = checkpoint_dir <> None;
       }
     in
     say "extraction jobs: %d\n%!" (max 1 jobs);
     (match checkpoint_dir with
     | Some dir -> say "checkpointing to %s\n%!" dir
     | None -> ());
-    let res = Flow.run ~config ~algo design in
+    let res = guarded (fun () -> Flow.run ~config ~algo design) in
     finish res design
     with
     (* malformed or degenerate input: one diagnostic line, never a raw
@@ -362,14 +366,12 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         Flow.use_resize = resize;
         Flow.use_cts = cts;
         Flow.obs = obs;
-        Flow.tracer = tracer;
         Flow.jobs = max 1 jobs;
         Flow.budget = budget;
         Flow.checkpoint_dir;
-        Flow.handle_signals = true;
       }
     in
-    match Flow.resume ~config ~library:Css_liberty.Library.default ~dir () with
+    match guarded (fun () -> Flow.resume ~config ~library:Css_liberty.Library.default ~dir ()) with
     | Ok (res, design) ->
       say "resumed from %s\n%!" dir;
       finish res design

@@ -106,7 +106,6 @@ let serve_cmd =
         final_eval;
         rollback;
         obs;
-        tracer;
       }
     in
     (try Server.serve cfg with

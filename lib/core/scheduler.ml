@@ -20,7 +20,6 @@ type config = {
   max_iterations : int;
   verify_weights : bool;
   nonneg_rule : bool;
-  deadline_seconds : float option;
   best_ring : int;
   should_stop : (unit -> bool) option;
 }
@@ -30,7 +29,6 @@ let default_config =
     max_iterations = 100;
     verify_weights = false;
     nonneg_rule = true;
-    deadline_seconds = None;
     best_ring = 4;
     should_stop = None;
   }
@@ -57,14 +55,12 @@ type stop_reason =
   | Converged
   | Max_iterations
   | Stalled
-  | Deadline
   | Interrupted
 
 let stop_reason_name = function
   | Converged -> "converged"
   | Max_iterations -> "max-iterations"
   | Stalled -> "stalled"
-  | Deadline -> "deadline"
   | Interrupted -> "interrupted"
 
 type result = {
@@ -285,22 +281,12 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
       !stall < stall_iterations
     end
   in
-  let t0 = Css_util.Wall_clock.now () in
-  let past_deadline () =
-    match config.deadline_seconds with
-    | None -> false
-    | Some d -> Css_util.Wall_clock.now () -. t0 > d
-  in
   let interrupted () = match config.should_stop with None -> false | Some f -> f () in
   let rec iterate k =
     if k > config.max_iterations then (config.max_iterations, Max_iterations)
     else if interrupted () then begin
       Log.warn (fun m -> m "iter %d: interrupt requested, stopping" k);
       (k - 1, Interrupted)
-    end
-    else if past_deadline () then begin
-      Log.warn (fun m -> m "iter %d: wall-clock deadline exceeded, stopping" k);
-      (k - 1, Deadline)
     end
     else begin
       let t_extract = Css_util.Wall_clock.now () in
@@ -395,7 +381,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
   (* Back out of an oscillation: a run that stalled or ran out of
      iterations keeps whatever state its last fruitless iterations left
      behind; if the ring holds a strictly better state, restore it.
-     Converged runs are already at their best; deadline/interrupt stops
+     Converged runs are already at their best; interrupted runs
      hand the partial phase to the flow, which discards it. *)
   let ring_restored =
     match stop_reason with
@@ -408,7 +394,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
         ring_restore entry;
         true
       | _ -> false)
-    | Converged | Deadline | Interrupted -> false
+    | Converged | Interrupted -> false
   in
   {
     target_latency = l_star;

@@ -31,9 +31,6 @@ type config = {
       (** enforce the Section III-C2 admission rule [w < w^out] during
           arborescence construction; disabling it is the DESIGN.md A4
           ablation *)
-  deadline_seconds : float option;
-      (** wall-clock watchdog: checked at the top of every iteration; the
-          run stops with {!Deadline} once exceeded (default [None]) *)
   best_ring : int;
       (** bounded ring of best-k state snapshots (scheduled latencies +
           accumulated [l*], pushed on each TNS improvement). A run that
@@ -85,12 +82,11 @@ type stop_reason =
   | Stalled
       (** six consecutive iterations without TNS improvement at the
           scheduling corner *)
-  | Deadline  (** the [deadline_seconds] wall-clock watchdog fired *)
   | Interrupted  (** [should_stop] returned [true] (signal / hard budget) *)
 
 (** [stop_reason_name r] is the stable string form used in logs and the
     [sched.phase] snapshots: ["converged"], ["max-iterations"],
-    ["stalled"], ["deadline"] or ["interrupted"]. *)
+    ["stalled"] or ["interrupted"]. *)
 val stop_reason_name : stop_reason -> string
 
 type result = {

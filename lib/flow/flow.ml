@@ -4,9 +4,6 @@
 
 include Session
 
-let drive ~(config : config) go =
-  if config.handle_signals then Persist.with_signal_handlers go else go ()
-
 (* Drain to the result, releasing the pool and flushing the tracer on
    every exit path — the one-shot contract the historical flow kept. *)
 let finish_and_close s =
@@ -15,15 +12,13 @@ let finish_and_close s =
     (fun () -> finish s)
 
 let run ?(config = default_config) ~algo design =
-  drive ~config (fun () ->
-      let s = open_ ~config ~algo design in
-      finish_and_close s)
+  let s = open_ ~config ~algo design in
+  finish_and_close s
 
 let resume ?(config = default_config) ~library ~dir () =
-  drive ~config (fun () ->
-      match reopen ~config ~library ~dir () with
-      | Error _ as e -> e
-      | Ok s ->
-        let design = design s in
-        let result = finish_and_close s in
-        Ok (result, design))
+  match reopen ~config ~library ~dir () with
+  | Error _ as e -> e
+  | Ok s ->
+    let design = design s in
+    let result = finish_and_close s in
+    Ok (result, design)

@@ -80,16 +80,12 @@ type config = {
   repair : bool;
   rollback : bool;
   final_eval : bool;
-  eco_fallback_frac : float;
-  deadline_seconds : float option;
   on_phase_end : (round:int -> phase:string -> Design.t -> unit) option;
   obs : Obs.t;
-  tracer : Tracer.t;
   jobs : int;
   budget : Budget.limits;
   cache_bytes : int;
   checkpoint_dir : string option;
-  handle_signals : bool;
   debug_interrupt_after_phase : int option;
   debug_interrupt_after_iteration : int option;
 }
@@ -104,16 +100,12 @@ let default_config =
     repair = true;
     rollback = true;
     final_eval = true;
-    eco_fallback_frac = 0.25;
-    deadline_seconds = None;
     on_phase_end = None;
     obs = Obs.null;
-    tracer = Tracer.null;
     jobs = 1;
     budget = Budget.no_limits;
     cache_bytes = 64 * 1024 * 1024;
     checkpoint_dir = None;
-    handle_signals = false;
     debug_interrupt_after_phase = None;
     debug_interrupt_after_iteration = None;
   }
@@ -320,9 +312,6 @@ let live_engines st = List.filter_map (fun s -> s.live) st.slots
 
 let elapsed st = Wall_clock.now () -. st.t0
 
-let past_deadline st =
-  match st.cfg.deadline_seconds with None -> false | Some d -> elapsed st > d
-
 let set_stop st reason =
   if st.run.stop = None then begin
     Log.warn (fun m -> m "flow stopping: %s" reason);
@@ -416,17 +405,11 @@ let interrupt_cause st =
       match Budget.poll b with Budget.Hard reason -> "budget-" ^ reason | _ -> "budget-wall")
     | _ -> "interrupted"
 
-(* The scheduler's deadline is whatever remains of the flow budget — so
-   a phase in flight also honors the flow-level watchdog. The budget adds
-   two more hooks: rung 1+ shrinks the best-state ring, and
-   [should_stop] aborts mid-phase on a signal or hard budget. *)
+(* The budget reaches into a phase in flight through two hooks: rung 1+
+   shrinks the best-state ring, and [should_stop] aborts mid-phase on a
+   signal or hard budget. *)
 let scheduler_config st =
-  let remaining =
-    match st.cfg.deadline_seconds with
-    | None -> None
-    | Some d -> Some (Float.max 0.0 (d -. elapsed st))
-  in
-  let base = { Scheduler.default_config with Scheduler.deadline_seconds = remaining } in
+  let base = Scheduler.default_config in
   let base =
     if st.rung >= 1 then { base with Scheduler.best_ring = min base.Scheduler.best_ring 1 }
     else base
@@ -732,10 +715,6 @@ let css_opt_phase st ~round ~corner =
       run.stop <- Some "stalled"
     end
   end;
-  if past_deadline st && run.stop = None then begin
-    Log.warn (fun m -> m "round %d %s: flow deadline exceeded, stopping" round phase);
-    run.stop <- Some "deadline"
-  end;
   true
 
 let clean st =
@@ -782,8 +761,8 @@ let step st =
   else if (not st.hold_attempted) && want_hold st then begin
     (* hold touch-up: the interleaving ends on a late phase, whose
        realization can leave small fresh hold violations; close them with
-       one final early pass (the sign-off ECO order) — skipped when the
-       deadline, an interrupt or a hard budget already fired *)
+       one final early pass (the sign-off ECO order) — skipped when an
+       interrupt or a hard budget already fired *)
     st.hold_attempted <- true;
     governor st;
     if
@@ -890,13 +869,13 @@ let create ~(config : config) ~algo ~validation ?resume design =
   let jobs_eff = if resume_rung >= 2 then 1 else config.jobs in
   let pool =
     if jobs_eff > 1 then
-      Some (Pool.create ~obs:config.obs ~tracer:config.tracer ~jobs:jobs_eff ())
+      Some (Pool.create ~obs:config.obs ~jobs:jobs_eff ())
     else None
   in
   let budget =
     if config.budget.Budget.wall_seconds = None && config.budget.Budget.rss_bytes = None then
       None
-    else Some (Budget.create ~obs:config.obs ~tracer:config.tracer config.budget)
+    else Some (Budget.create ~obs:config.obs config.budget)
   in
   let engine0 =
     match algo with Ours | Ours_early -> `Ours | Iccss_plus -> `Iccss | Fpm -> `Fpm
@@ -958,7 +937,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
    with e ->
      (* opening failed after the pool spawned: don't leak domains *)
      Option.iter Pool.shutdown st.pool;
-     Tracer.flush config.tracer;
+     Tracer.flush (Obs.tracer config.obs);
      raise e);
   st
 
@@ -1037,10 +1016,15 @@ let close st =
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)
-    Tracer.flush st.cfg.tracer
+    Tracer.flush (Obs.tracer st.cfg.obs)
   end
 
 (* {2 Delta requests} *)
+
+(* A delta batch touching more than this fraction of all cells falls back
+   to a from-scratch timer rebuild: the incremental path must stay
+   cheaper than what it replaces. *)
+let eco_fallback_frac = 0.25
 
 type delta =
   | Move_cell of { cell : string; x : float; y : float }
@@ -1278,9 +1262,7 @@ let apply_delta st deltas =
   | Ok sg ->
     let timer_changed = sg.sg_timer <> st.cfg.timer in
     let frac_limit =
-      max 1
-        (int_of_float
-           (st.cfg.eco_fallback_frac *. float_of_int (Design.num_cells sg.sg_design)))
+      max 1 (int_of_float (eco_fallback_frac *. float_of_int (Design.num_cells sg.sg_design)))
     in
     let mode =
       if sg.sg_replaced || timer_changed then `Rebuild

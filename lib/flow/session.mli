@@ -17,8 +17,8 @@
     story — keeps the session open and feeds it deltas: each
     {!apply_delta} answers from the warm timer instead of rebuilding,
     with a from-scratch fallback rung when the delta invalidates too
-    much ({!config.eco_fallback_frac}, netlist ECOs, analysis-corner
-    changes).
+    much (more than a quarter of all cells, netlist ECOs,
+    analysis-corner changes).
 
     Determinism contract: a drained session computes bitwise what the
     historical single-shot flow computed, and an {!apply_delta} answer
@@ -36,10 +36,10 @@
       default) repairs the design before any timing is built; a fatally
       degenerate design raises {!Css_netlist.Validate.Invalid} instead
       of corrupting a run;
-    - {b watchdogs}: a flow-level wall-clock deadline, forwarded to the
-      scheduler as the remaining budget, and a cross-phase stall
-      detector (four consecutive phases without worst-slack
-      improvement stop the run as ["stalled"]);
+    - {b watchdogs}: a cross-phase stall detector (four consecutive
+      phases without worst-slack improvement stop the run as
+      ["stalled"]); the run's one wall-clock watchdog is [budget]'s
+      wall limit, below;
     - {b checkpoint / rollback}: after validation and after every phase
       the evaluator scores the physically realized state and the
       best-scoring checkpoint (latencies, positions, masters, FF-LCB
@@ -57,9 +57,11 @@
       resumable state ({!Persist.progress} plus design, engines and
       cache) is written atomically after every completed phase, and
       {!reopen} continues a killed run to a final result bitwise
-      identical to an uninterrupted one. [handle_signals] routes
-      SIGINT/SIGTERM to a cooperative stop whose last act is that same
-      durable checkpoint. *)
+      identical to an uninterrupted one. Under
+      {!Persist.with_signal_handlers} (or a daemon's
+      {!Persist.install_handlers}), SIGINT/SIGTERM become a cooperative
+      stop whose last act is that same durable checkpoint; the session
+      itself never installs handlers. *)
 
 type t
 
@@ -103,7 +105,7 @@ type result = {
   hpwl_increase_pct : float;  (** vs. the design at run start *)
   stop_reason : string;
       (** why the round loop ended: ["clean"] (no violations left),
-          ["max-rounds"], ["stalled"], ["deadline"], ["interrupted"]
+          ["max-rounds"], ["stalled"], ["interrupted"]
           (SIGINT/SIGTERM or a debug interrupt), or
           ["budget-wall"]/["budget-rss"] (hard budget limit) *)
   rolled_back : bool;
@@ -153,16 +155,6 @@ type config = {
           it ([rolled_back] is always false) and constraint auditing is
           skipped. Services answering delta requests set [false]; final
           sign-off keeps [true]. *)
-  eco_fallback_frac : float;
-      (** {!apply_delta} falls back to a from-scratch timer rebuild when
-          a delta batch touches more than this fraction of all cells
-          (default 0.25); the incremental path must stay cheaper than
-          what it replaces. Unused by one-shot runs. *)
-  deadline_seconds : float option;
-      (** flow-level wall-clock budget; checked between phases and
-          forwarded (as the remaining budget, min-combined with
-          {!Css_core.Scheduler.config.deadline_seconds}) to the scheduler
-          so a phase in flight also stops (default [None]) *)
   on_phase_end : (round:int -> phase:string -> Css_netlist.Design.t -> unit) option;
       (** test/fault-injection hook called after each phase completes,
           before the phase is scored for checkpointing; the session
@@ -175,17 +167,14 @@ type config = {
           ["flow.point"] snapshot per trajectory sample, the
           [opt.reconnect.*] / [opt.cell_move.*] counters, and the
           [flow.checkpoints] / [flow.rollbacks] counters.
+          A tracer attached with {!Css_util.Obs.attach_tracer} is the
+          run's one streaming timeline: it mirrors those spans and
+          snapshots, and the worker pool (one ["pool.chunk"] span per
+          claimed chunk, on the worker's own track) and the budget
+          governor (["budget.wall_s"] / ["budget.rss_bytes"] counter
+          lanes) read it from [obs]. {!close} flushes (but does not
+          close) it, including on signal interrupts.
           Default {!Css_util.Obs.null} (zero overhead). *)
-  tracer : Css_util.Tracer.t;
-      (** streaming event tracer threaded into the worker pool (one
-          ["pool.chunk"] span per claimed chunk, on the worker's own
-          track) and the budget governor (["budget.wall_s"] /
-          ["budget.rss_bytes"] counter lanes). Stop reasons, degradation
-          rungs and checkpoint-write durations reach the tracer as
-          instants via [obs] snapshot mirroring, so attach the same
-          tracer to [obs] with {!Css_util.Obs.attach_tracer}. {!close}
-          flushes (but does not close) the tracer, including on signal
-          interrupts. Default {!Css_util.Tracer.null} (zero overhead). *)
   jobs : int;
       (** worker domains for parallel extraction (default 1 =
           sequential). With [jobs > 1] the session owns a
@@ -208,13 +197,6 @@ type config = {
       (** write a durable {!Persist} checkpoint here after every
           completed phase; {!reopen} continues from it
           (default [None] = no persistence) *)
-  handle_signals : bool;
-      (** route SIGINT/SIGTERM to the cooperative interrupt flag for the
-          duration of [Flow.run]/[Flow.resume] (default false). Consumed
-          only by those wrappers (they wrap the drive in
-          {!Persist.with_signal_handlers}); the session itself never
-          installs handlers — a daemon owns signal dispatch via
-          {!Persist.install_handlers} *)
   debug_interrupt_after_phase : int option;
       (** fault injection: raise the interrupt flag once this many
           phases completed — a clean phase-boundary kill (default
@@ -327,8 +309,8 @@ type delta_outcome = {
     [SDC-*], [IO-*] or [VAL-*] codes leave the design untouched) — then
     re-propagates ([`Incremental]: only the cones the edits reach;
     [`Rebuild]: from scratch, when the batch replaced the netlist,
-    changed the timer configuration, or touched more than
-    [eco_fallback_frac] of all cells) and re-schedules to completion.
+    changed the timer configuration, or touched more than a quarter of
+    all cells) and re-schedules to completion.
 
     The resulting latencies are bitwise those of a fresh [Flow.run] on
     the post-delta design with the session's configuration. Small deltas

@@ -295,7 +295,6 @@ let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
     {
       config with
       Flow.checkpoint_dir = None;
-      Flow.handle_signals = false;
       Flow.debug_interrupt_after_phase = None;
       Flow.debug_interrupt_after_iteration = None;
     }
@@ -440,7 +439,6 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
           Flow.final_eval = false;
           Flow.rollback = false;
           Flow.checkpoint_dir = None;
-          Flow.handle_signals = false;
           Flow.debug_interrupt_after_phase = None;
           Flow.debug_interrupt_after_iteration = None;
         }
@@ -513,7 +511,6 @@ let check_cache_eco_identity ?(config = Flow.default_config)
       Flow.final_eval = false;
       Flow.rollback = false;
       Flow.checkpoint_dir = None;
-      Flow.handle_signals = false;
       Flow.debug_interrupt_after_phase = None;
       Flow.debug_interrupt_after_iteration = None;
     }
@@ -583,7 +580,6 @@ let check_scorer_identity ?(config = Flow.default_config) ?(obs = Obs.null) desi
            config with
            Flow.on_phase_end = Some hook;
            Flow.checkpoint_dir = None;
-           Flow.handle_signals = false;
            Flow.debug_interrupt_after_phase = None;
            Flow.debug_interrupt_after_iteration = None;
          }
@@ -609,7 +605,7 @@ let well_formed_rejection ~stage ds =
 
 let score (rep : Evaluator.report) = Float.min rep.Evaluator.wns_early rep.Evaluator.wns_late
 
-let pipeline ?(rounds = 1) ?deadline (corpus : Fault_seq.corpus) =
+let pipeline ?(rounds = 1) (corpus : Fault_seq.corpus) =
   let library = corpus.Fault_seq.library in
   match
     (* 1. the library gate: corrupted models must be caught here *)
@@ -635,13 +631,7 @@ let pipeline ?(rounds = 1) ?deadline (corpus : Fault_seq.corpus) =
             well_formed_rejection ~stage:"validate" outcome.Validate.diags
           | _ -> (
             let before = Evaluator.evaluate (Flow.clone design) in
-            let config =
-              {
-                Flow.default_config with
-                Flow.rounds;
-                Flow.deadline_seconds = deadline;
-              }
-            in
+            let config = { Flow.default_config with Flow.rounds } in
             (* the guarded flow re-validates the (already repaired)
                design; an accepted run must end no worse than its input *)
             match Flow.run ~config ~algo:Flow.Ours design with

@@ -224,7 +224,7 @@ type verdict =
       (** the full flow ran and ended no worse than its (repaired)
           input; the report is the final evaluation *)
 
-(** [pipeline ?rounds ?deadline corpus] pushes a (possibly corrupted)
+(** [pipeline ?rounds corpus] pushes a (possibly corrupted)
     {!Css_benchgen.Fault_seq.corpus} through the production pipeline:
     library validation, netlist parse ([Recover] policy), SDC parse +
     apply, then a rollback-guarded flow run, scoring the result against
@@ -233,10 +233,8 @@ type verdict =
     rejection without error-severity coded diagnostics, a NaN score, a
     flow result worse than its input, or a returned report (final or
     rolled back) not bitwise equal to [Evaluator.evaluate] of the
-    returned design. [rounds] (default 1) and
-    [deadline] (default none) bound the flow. *)
+    returned design. [rounds] (default 1) bounds the flow. *)
 val pipeline :
   ?rounds:int ->
-  ?deadline:float ->
   Css_benchgen.Fault_seq.corpus ->
   (verdict, string) result

@@ -27,7 +27,6 @@ type config = {
   cache_mb : int;
   max_sessions : int;
   obs : Obs.t;
-  tracer : Tracer.t;
 }
 
 let default_config =
@@ -46,7 +45,6 @@ let default_config =
     cache_mb = 64;
     max_sessions = 16;
     obs = Obs.null;
-    tracer = Tracer.null;
   }
 
 type sess = {
@@ -153,9 +151,7 @@ let session_config (cfg : config) ~(p : Protocol.open_params) ~dir : Session.con
     final_eval = rollback || dfl cfg.final_eval p.Protocol.o_final_eval;
     rollback;
     obs = cfg.obs;
-    tracer = cfg.tracer;
     checkpoint_dir = dir;
-    handle_signals = false;
     cache_bytes = dfl cfg.cache_mb p.Protocol.o_cache_mb * 1024 * 1024;
     budget =
       {
@@ -364,7 +360,8 @@ let respond t req =
   let op = op_name req in
   Histo.observe (histo t op) dt;
   Histo.observe (Obs.histogram t.cfg.obs ("service.seconds." ^ op)) dt;
-  if Tracer.enabled t.cfg.tracer then Tracer.sample t.cfg.tracer ~track:0 t.tr_request dt;
+  let tracer = Obs.tracer t.cfg.obs in
+  if Tracer.enabled tracer then Tracer.sample tracer ~track:0 t.tr_request dt;
   t.n_requests <- t.n_requests + 1;
   obs_incr t "service.requests";
   obs_incr t ("service." ^ op);
@@ -478,7 +475,7 @@ let restore_sessions t =
 
 let flush_all t =
   Hashtbl.iter (fun _ sx -> save_sess sx) t.sessions;
-  Tracer.flush t.cfg.tracer
+  Tracer.flush (Obs.tracer t.cfg.obs)
 
 let orderly_shutdown t =
   Hashtbl.iter
@@ -490,7 +487,7 @@ let orderly_shutdown t =
   t.clients <- [];
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink t.cfg.socket with Unix.Unix_error _ | Sys_error _ -> ());
-  Tracer.flush t.cfg.tracer
+  Tracer.flush (Obs.tracer t.cfg.obs)
 
 let serve ?(on_ready = fun () -> ()) cfg =
   Option.iter mkdir_p cfg.state_dir;
@@ -509,7 +506,7 @@ let serve ?(on_ready = fun () -> ()) cfg =
       in_request = Atomic.make false;
       n_requests = 0;
       n_errors = 0;
-      tr_request = Tracer.intern cfg.tracer "service.request_s";
+      tr_request = Tracer.intern (Obs.tracer cfg.obs) "service.request_s";
     }
   in
   restore_sessions t;

@@ -15,7 +15,8 @@
     into [service.*] counters on [config.obs], feeds per-op request
     latencies into {!Css_util.Histo} histograms (exposed by [stats] as
     [request_seconds], gateable via [css_stats --gate]), and samples
-    request durations onto [config.tracer].
+    request durations onto the tracer attached to [config.obs]
+    ({!Css_util.Obs.attach_tracer}).
 
     {2 Crash safety}
 
@@ -52,7 +53,8 @@ type config = {
           counters. *)
   max_sessions : int;  (** [open] beyond this answers [SRV-002] *)
   obs : Css_util.Obs.t;
-  tracer : Css_util.Tracer.t;
+      (** the daemon's and every session's observability sink; its
+          attached tracer, if any, is the one streaming timeline *)
 }
 
 val default_config : config

@@ -12,7 +12,7 @@
    fire only on the *first* crossing per resource and level, so the
    artifact records when pressure began, not every poll under it. When
    both resources are over, the wall clock wins the reason string —
-   deadlines are the budget the user set explicitly, RSS is usually
+   the wall limit is the budget the user set explicitly, RSS is usually
    inherited from the machine. *)
 
 type limits = {
@@ -35,12 +35,12 @@ type t = {
   mutable wall_soft : bool; (* first Soft "wall" trip already recorded *)
   mutable rss_soft : bool;
   mutable hard_reason : string option; (* sticky: budgets never un-trip *)
-  tr : Tracer.t; (* counter lanes: budget pressure over time *)
+  (* counter lanes on [obs]'s tracer: budget pressure over time *)
   tr_wall : Tracer.name;
   tr_rss : Tracer.name;
 }
 
-let create ?(obs = Obs.null) ?(tracer = Tracer.null) limits =
+let create ?(obs = Obs.null) limits =
   if not (limits.soft_frac > 0. && limits.soft_frac <= 1.) then
     invalid_arg "Budget.create: soft_frac must be in (0, 1]";
   (match limits.wall_seconds with
@@ -59,15 +59,11 @@ let create ?(obs = Obs.null) ?(tracer = Tracer.null) limits =
     wall_soft = false;
     rss_soft = false;
     hard_reason = None;
-    tr = tracer;
-    tr_wall = Tracer.intern tracer "budget.wall_s";
-    tr_rss = Tracer.intern tracer "budget.rss_bytes";
+    tr_wall = Tracer.intern (Obs.tracer obs) "budget.wall_s";
+    tr_rss = Tracer.intern (Obs.tracer obs) "budget.rss_bytes";
   }
 
 let elapsed_seconds t = Wall_clock.now () -. t.started
-
-let remaining_wall t =
-  Option.map (fun limit -> Float.max 0. (limit -. elapsed_seconds t)) t.limits.wall_seconds
 
 let hard t = t.hard_reason <> None
 
@@ -99,9 +95,10 @@ let poll t =
       | Some limit -> classify ~soft_frac:t.limits.soft_frac ~used:wall_used ~limit
     in
     let rss_used = float_of_int (Rusage.current_rss_bytes ()) in
-    if Tracer.enabled t.tr then begin
-      Tracer.sample t.tr ~track:0 t.tr_wall wall_used;
-      if rss_used > 0. then Tracer.sample t.tr ~track:0 t.tr_rss rss_used
+    let tr = Obs.tracer t.obs in
+    if Tracer.enabled tr then begin
+      Tracer.sample tr ~track:0 t.tr_wall wall_used;
+      if rss_used > 0. then Tracer.sample tr ~track:0 t.tr_rss rss_used
     end;
     let rss_state =
       match t.limits.rss_bytes with

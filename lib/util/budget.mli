@@ -15,13 +15,16 @@
     Observability: every context bumps [budget.polls]; threshold
     crossings bump [budget.soft_trips] / [budget.hard_trips] and emit
     one ["budget"] snapshot each with the level, reason, measured use
-    and the limit (schema in [docs/OBSERVABILITY.md]). With an enabled
-    [?tracer], every poll additionally samples the ["budget.wall_s"]
-    and ["budget.rss_bytes"] counter lanes, rendering resource pressure
-    as curves on the Perfetto timeline.
+    and the limit (schema in [docs/OBSERVABILITY.md]). When [obs] carries
+    an attached tracer ({!Obs.attach_tracer}), every poll additionally
+    samples the ["budget.wall_s"] and ["budget.rss_bytes"] counter lanes,
+    rendering resource pressure as curves on the Perfetto timeline.
+
+    The wall limit is the run's one wall-clock watchdog: nothing else
+    stops a flow on elapsed time.
 
     Clock source: budgets measure elapsed time with the monotonic
-    {!Wall_clock.now}, so a deadline survives NTP steps of the wall
+    {!Wall_clock.now}, so a wall limit survives NTP steps of the wall
     clock mid-run. *)
 
 type limits = {
@@ -35,10 +38,12 @@ val no_limits : limits
 
 type t
 
-(** [create ?obs ?tracer limits] arms the budget; the clock starts now.
+(** [create ?obs limits] arms the budget; the clock starts now. Attach
+    [obs]'s tracer before [create]: the counter-lane names are interned
+    here.
     @raise Invalid_argument on a non-positive limit or [soft_frac]
     outside (0, 1]. *)
-val create : ?obs:Obs.t -> ?tracer:Tracer.t -> limits -> t
+val create : ?obs:Obs.t -> limits -> t
 
 (** Result of one {!poll}, most urgent resource first.
 
@@ -58,11 +63,6 @@ val poll : t -> pressure
 
 (** [elapsed_seconds t] is wall time since {!create}. *)
 val elapsed_seconds : t -> float
-
-(** [remaining_wall t] is seconds left before the wall limit (clamped at
-    0), or [None] when no wall limit is set. Useful to derive inner
-    deadlines (e.g. the scheduler's own [deadline_seconds]). *)
-val remaining_wall : t -> float option
 
 (** [hard t] is [true] once any {!poll} has returned [Hard _]. *)
 val hard : t -> bool

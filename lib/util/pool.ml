@@ -27,8 +27,9 @@ type t = {
   (* Flushed by the submitting thread only (per-worker-flush rule). *)
   o_batches : Obs.counter;
   o_items : Obs.counter;
-  (* Tracks are single-writer per worker, so workers may trace freely. *)
-  tr : Tracer.t;
+  (* Workers read [obs]'s attached tracer and nothing else of it: tracks
+     are single-writer per worker, so workers may trace freely. *)
+  obs : Obs.t;
   tr_chunk : Tracer.name;
 }
 
@@ -40,14 +41,15 @@ let jobs t = t.p_jobs
    for the submitter and the cursor fast-forwarded past [b_n] so every
    worker drains promptly. *)
 let exec_share t b ~worker =
+  let tr = Obs.tracer t.obs in
+  let traced = Tracer.enabled tr in
   let continue_ = ref true in
   while !continue_ do
     let start = Atomic.fetch_and_add b.b_next b.b_chunk in
     if start >= b.b_n then continue_ := false
     else
       let stop = min b.b_n (start + b.b_chunk) in
-      let traced = Tracer.enabled t.tr in
-      if traced then Tracer.span_begin t.tr ~track:worker t.tr_chunk;
+      if traced then Tracer.span_begin tr ~track:worker t.tr_chunk;
       (try
         for i = start to stop - 1 do
           b.b_task ~worker i
@@ -58,7 +60,7 @@ let exec_share t b ~worker =
         if b.b_exn = None then b.b_exn <- Some (e, bt);
         Mutex.unlock t.mu;
         Atomic.set b.b_next (b.b_n + (t.p_jobs * b.b_chunk)));
-      if traced then Tracer.span_end t.tr ~track:worker t.tr_chunk
+      if traced then Tracer.span_end tr ~track:worker t.tr_chunk
   done
 
 let worker_loop t ~worker =
@@ -86,7 +88,7 @@ let worker_loop t ~worker =
     end
   done
 
-let create ?(obs = Obs.null) ?(tracer = Tracer.null) ?jobs () =
+let create ?(obs = Obs.null) ?jobs () =
   let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
   let t =
     {
@@ -101,8 +103,8 @@ let create ?(obs = Obs.null) ?(tracer = Tracer.null) ?jobs () =
       domains = [];
       o_batches = Obs.counter obs "pool.batches";
       o_items = Obs.counter obs "pool.items";
-      tr = tracer;
-      tr_chunk = Tracer.intern tracer "pool.chunk";
+      obs;
+      tr_chunk = Tracer.intern (Obs.tracer obs) "pool.chunk";
     }
   in
   let spawned = jobs - 1 in
@@ -179,6 +181,6 @@ let shutdown t =
     List.iter Domain.join ds
   end
 
-let with_pool ?obs ?tracer ?jobs f =
-  let t = create ?obs ?tracer ?jobs () in
+let with_pool ?obs ?jobs f =
+  let t = create ?obs ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

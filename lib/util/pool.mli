@@ -32,11 +32,13 @@
     rule, see [docs/OBSERVABILITY.md]); this keeps the {!Obs.null} sink
     allocation-free and the enabled sinks race-free.
 
-    With an enabled [?tracer], every claimed chunk is bracketed by a
-    ["pool.chunk"] span on the executing worker's own track — tracer
-    tracks are single-writer per worker, so unlike [Obs] counters this
-    is safe (and allocation-free) from worker domains. The resulting
-    timeline shows per-worker shard occupancy and stragglers. *)
+    When [?obs] carries an attached tracer ({!Obs.attach_tracer}), every
+    claimed chunk is bracketed by a ["pool.chunk"] span on the executing
+    worker's own track — tracer tracks are single-writer per worker, so
+    unlike [Obs] counters this is safe (and allocation-free) from worker
+    domains, which read the attached tracer and nothing else of [obs].
+    The resulting timeline shows per-worker shard occupancy and
+    stragglers. *)
 
 type t
 
@@ -44,13 +46,14 @@ type t
     runtime's estimate of usable hardware parallelism. *)
 val default_jobs : unit -> int
 
-(** [create ?obs ?tracer ?jobs ()] spawns [jobs - 1] worker domains
+(** [create ?obs ?jobs ()] spawns [jobs - 1] worker domains
     ([jobs] defaults to {!default_jobs}[ ()], and is clamped to at least
     1). With [jobs = 1] no domain is spawned and every batch runs inline
-    in the submitting thread — same results, zero parallelism. A tracer
-    should have at least [jobs] tracks so each worker gets its own
-    timeline lane (extra workers fold onto track 0 otherwise). *)
-val create : ?obs:Obs.t -> ?tracer:Tracer.t -> ?jobs:int -> unit -> t
+    in the submitting thread — same results, zero parallelism. The
+    tracer attached to [obs] should have at least [jobs] tracks so each
+    worker gets its own timeline lane (extra workers fold onto track 0
+    otherwise); attach it before [create]. *)
+val create : ?obs:Obs.t -> ?jobs:int -> unit -> t
 
 (** [jobs t] is the worker count (including the submitting thread). *)
 val jobs : t -> int
@@ -77,6 +80,6 @@ val map : t -> n:int -> (worker:int -> int -> 'a) -> 'a array
     the process from idling. *)
 val shutdown : t -> unit
 
-(** [with_pool ?obs ?tracer ?jobs f] is [f (create ...)] with a
+(** [with_pool ?obs ?jobs f] is [f (create ...)] with a
     guaranteed {!shutdown}, whether [f] returns or raises. *)
-val with_pool : ?obs:Obs.t -> ?tracer:Tracer.t -> ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : ?obs:Obs.t -> ?jobs:int -> (t -> 'a) -> 'a

@@ -176,27 +176,11 @@ let test_validate_comb_cycle () =
 
 (* {2 Watchdogs} *)
 
-let test_scheduler_deadline () =
-  let design = Generator.micro () in
-  let timer = Timer.build design in
-  let config = { Scheduler.default_config with Scheduler.deadline_seconds = Some (-1.0) } in
-  let res, _ = Engine.run_ours ~config timer ~corner:Timer.Late in
-  checkb "stopped by deadline" true (res.Scheduler.stop_reason = Scheduler.Deadline);
-  checkb "no iterations ran" true (res.Scheduler.iterations = 0);
-  Alcotest.(check string) "stable name" "deadline"
-    (Scheduler.stop_reason_name res.Scheduler.stop_reason)
-
 let test_scheduler_converges_normally () =
   let design = Generator.micro () in
   let timer = Timer.build design in
   let res, _ = Engine.run_ours timer ~corner:Timer.Late in
   checkb "converged" true (res.Scheduler.stop_reason = Scheduler.Converged)
-
-let test_flow_deadline () =
-  let design = Generator.micro () in
-  let config = { Flow.default_config with Flow.deadline_seconds = Some 0.0 } in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  Alcotest.(check string) "stop reason" "deadline" r.Flow.stop_reason
 
 let test_howard_rejects_nonfinite () =
   let g = Css_mmwc.Digraph.make ~n:2 [ (0, 1, 5.0); (1, 0, Float.nan) ] in
@@ -600,9 +584,7 @@ let () =
         ] );
       ( "watchdogs",
         [
-          Alcotest.test_case "scheduler deadline" `Quick test_scheduler_deadline;
           Alcotest.test_case "scheduler converges" `Quick test_scheduler_converges_normally;
-          Alcotest.test_case "flow deadline" `Quick test_flow_deadline;
           Alcotest.test_case "howard rejects non-finite" `Quick test_howard_rejects_nonfinite;
         ] );
       ( "rollback",

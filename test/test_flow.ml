@@ -321,6 +321,50 @@ let test_interrupt_persists_and_resumes () =
       checkb "resumed run accumulated more phases" true
         (r2.Flow.css_iterations >= r.Flow.css_iterations))
 
+(* The path the CLI owns: a real SIGTERM under
+   [Persist.with_signal_handlers] becomes a cooperative stop at the next
+   phase boundary, and the checkpoint it leaves resumes bitwise. *)
+let test_signal_persists_and_resumes () =
+  let dir = fresh_dir () in
+  let reference = Flow.clone (Lazy.force base_design) in
+  ignore (Flow.run ~algo:Flow.Ours reference);
+  let design = Flow.clone (Lazy.force base_design) in
+  let signalled = ref false in
+  let kill_self ~round:_ ~phase:_ _ =
+    if not !signalled then begin
+      signalled := true;
+      Unix.kill (Unix.getpid ()) Sys.sigterm
+    end
+  in
+  let config =
+    { Flow.default_config with Flow.checkpoint_dir = Some dir; Flow.on_phase_end = Some kill_self }
+  in
+  let r =
+    Fun.protect ~finally:Persist.clear_interrupt (fun () ->
+        Persist.with_signal_handlers (fun () -> Flow.run ~config ~algo:Flow.Ours design))
+  in
+  checks "stop reason" "interrupted" r.Flow.stop_reason;
+  match Persist.load ~dir with
+  | Error _ -> Alcotest.fail "no checkpoint after SIGTERM"
+  | Ok ps -> (
+    checki "exactly one phase persisted" 1 ps.Persist.ps_progress.Persist.phases_done;
+    match
+      Flow.resume
+        ~config:{ Flow.default_config with Flow.checkpoint_dir = Some dir }
+        ~library:(Design.library design) ~dir ()
+    with
+    | Error ds ->
+      Alcotest.failf "resume failed: %s" (match ds with d :: _ -> d.Diag.message | [] -> "?")
+    | Ok (r2, resumed) ->
+      checkb "resumed run finished" true (r2.Flow.stop_reason <> "interrupted");
+      let bits d =
+        Array.map
+          (fun ff -> Int64.bits_of_float (Design.scheduled_latency d ff))
+          (Design.ffs d)
+      in
+      checkb "latencies bitwise those of the uninterrupted run" true
+        (bits resumed = bits reference))
+
 let test_resume_from_garbage_dir () =
   let dir = fresh_dir () in
   match Flow.resume ~library:Css_liberty.Library.default ~dir () with
@@ -693,6 +737,8 @@ let () =
           Alcotest.test_case "hard budget stops" `Quick test_hard_budget_stops;
           Alcotest.test_case "interrupt persists and resumes" `Quick
             test_interrupt_persists_and_resumes;
+          Alcotest.test_case "SIGTERM persists and resumes" `Quick
+            test_signal_persists_and_resumes;
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
           Alcotest.test_case "golden checkpoint round-trips" `Quick test_golden_checkpoint;
           Alcotest.test_case "empty arrays round-trip" `Quick test_empty_arrays_round_trip;

@@ -114,41 +114,6 @@ let prop_clamp_inside =
       let r = Rect.make ~lx:100.0 ~ly:100.0 ~hx:200.0 ~hy:300.0 in
       Rect.contains r (Rect.clamp r a) && Rect.contains r (Rect.clamp r b))
 
-(* ------------------------------------------------------------------ *)
-(* Steiner / RMST *)
-
-module Steiner = Css_geometry.Steiner
-
-let test_rmst_basics () =
-  checkf "empty" 0.0 (Steiner.rmst_length []);
-  checkf "single" 0.0 (Steiner.rmst_length [ p 1. 1. ]);
-  checkf "two points = manhattan" 7.0 (Steiner.rmst_length [ p 0. 0.; p 3. 4. ]);
-  (* three collinear points: spanning tree = end-to-end distance *)
-  checkf "collinear" 10.0 (Steiner.rmst_length [ p 0. 0.; p 4. 0.; p 10. 0. ])
-
-let test_rmst_edge_count () =
-  let pts = [ p 0. 0.; p 5. 0.; p 0. 5.; p 5. 5. ] in
-  Alcotest.check Alcotest.int "n-1 edges" 3 (List.length (Steiner.rmst_edges pts))
-
-let test_rmst_vs_hpwl () =
-  (* RMST >= HPWL always; equal for 2-pin nets *)
-  checkb "2-pin ratio is 1" true (Steiner.net_ratio [ p 0. 0.; p 9. 2. ] = 1.0);
-  (* pins around a square's rim: the tree must walk most of the
-     perimeter (7 hops of 5) while HPWL is just the half-perimeter (20) *)
-  let rim =
-    [ p 0. 0.; p 5. 0.; p 10. 0.; p 10. 5.; p 10. 10.; p 5. 10.; p 0. 10.; p 0. 5. ]
-  in
-  checkf "rim RMST walks the perimeter" 35.0 (Steiner.rmst_length rim);
-  checkb "rim ratio > 1.5" true (Steiner.net_ratio rim > 1.5)
-
-let prop_rmst_at_least_hpwl =
-  QCheck.Test.make ~name:"RMST >= HPWL" ~count:200 (points_arb 10) (fun ps ->
-      Steiner.rmst_length ps >= Hpwl.of_points ps -. 1e-6)
-
-let prop_rmst_connects =
-  QCheck.Test.make ~name:"RMST has n-1 edges" ~count:200 (points_arb 10) (fun ps ->
-      List.length (Steiner.rmst_edges ps) = List.length ps - 1)
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -172,19 +137,11 @@ let () =
           Alcotest.test_case "basics" `Quick test_hpwl_basics;
           Alcotest.test_case "increase pct" `Quick test_hpwl_increase;
         ] );
-      ( "steiner",
-        [
-          Alcotest.test_case "basics" `Quick test_rmst_basics;
-          Alcotest.test_case "edge count" `Quick test_rmst_edge_count;
-          Alcotest.test_case "vs hpwl" `Quick test_rmst_vs_hpwl;
-        ] );
       qsuite "props"
         [
           prop_hpwl_permutation_invariant;
           prop_hpwl_monotone;
           prop_manhattan_triangle;
           prop_clamp_inside;
-          prop_rmst_at_least_hpwl;
-          prop_rmst_connects;
         ];
     ]

@@ -174,18 +174,23 @@ let test_delta_modes () =
   let o = apply s "replace" [ Session.Replace_design (Io.to_string (Session.design s)) ] in
   checks "netlist replacement: rebuild" "rebuild" (mode o.Session.d_mode);
   Session.close s;
-  (* a zero fallback fraction sends any multi-cell batch from scratch
-     (a single edit keeps the incremental path: frac_limit >= 1) *)
-  let s = Session.open_ ~config:{ cfg with Flow.eco_fallback_frac = 0.0 } ~algo:Flow.Ours (tiny_design ()) in
+  (* the blast-radius fallback: a batch moving more than a quarter of all
+     cells rebuilds from scratch, one moving at most a quarter stays
+     incremental *)
+  let s = Session.open_ ~config:cfg ~algo:Flow.Ours (tiny_design ()) in
   ignore (Session.finish s);
   let d = Session.design s in
-  let move i =
-    let name = Design.cell_name d (Design.ffs d).(i) in
-    let p = Design.cell_pos d (Design.ffs d).(i) in
-    Session.Move_cell { cell = name; x = p.Point.x +. 5.0; y = p.Point.y }
+  let quarter = Design.num_cells d / 4 in
+  let moves k =
+    List.init k (fun c ->
+        let p = Design.cell_pos d c in
+        Session.Move_cell { cell = Design.cell_name d c; x = p.Point.x +. 1.0; y = p.Point.y })
   in
-  let o = apply s "frac" [ move 0; move 1 ] in
-  checks "eco_fallback_frac 0 forces rebuild" "rebuild" (mode o.Session.d_mode);
+  let o = apply s "quarter" (moves quarter) in
+  checki "quarter batch size" quarter o.Session.d_touched;
+  checks "a quarter of the cells stays incremental" "incremental" (mode o.Session.d_mode);
+  let o = apply s "past quarter" (moves (quarter + 1)) in
+  checks "more than a quarter rebuilds" "rebuild" (mode o.Session.d_mode);
   Session.close s
 
 (* {2 Wire protocol} *)

@@ -148,7 +148,9 @@ let test_multi_track_via_pool () =
      worker's tid with balanced begin/end *)
   let jobs = 4 in
   let t = Tracer.create ~tracks:jobs () in
-  Pool.with_pool ~tracer:t ~jobs (fun pool ->
+  let obs = Css_util.Obs.create () in
+  Css_util.Obs.attach_tracer obs t;
+  Pool.with_pool ~obs ~jobs (fun pool ->
       Pool.run pool ~n:64 (fun ~worker:_ i -> ignore (i * i)));
   checkb "chunks recorded" true (Tracer.recorded t > 0);
   with_tmp ".json" @@ fun out ->
@@ -168,6 +170,53 @@ let test_multi_track_via_pool () =
       | _ -> ())
     events;
   Hashtbl.iter (fun _ d -> checki "all spans closed" 0 d) depths;
+  Tracer.close t
+
+(* --- a session's one tracer handle --- *)
+
+let test_session_traces_through_obs () =
+  (* the worker pool and the budget governor reach the tracer only
+     through the session's [obs]: attach it there and both lanes show *)
+  let module Session = Css_flow.Session in
+  let module Budget = Css_util.Budget in
+  let jobs = 2 in
+  let t = Tracer.create ~tracks:jobs () in
+  let obs = Css_util.Obs.create () in
+  Css_util.Obs.attach_tracer obs t;
+  let config =
+    {
+      Session.default_config with
+      Session.jobs;
+      obs;
+      budget = { Budget.no_limits with Budget.wall_seconds = Some 3600.0 };
+    }
+  in
+  let s =
+    Session.open_ ~config ~algo:Session.Ours
+      (Css_benchgen.Generator.generate Css_benchgen.Profile.tiny)
+  in
+  let r = Session.finish s in
+  Session.close s;
+  checkb "budget never tripped" true (r.Session.degradations = []);
+  with_tmp ".json" @@ fun out ->
+  Tracer.write_chrome_json t out;
+  let j = Json.of_string (read_file out) in
+  let events = match Json.member "traceEvents" j with Some (Json.List l) -> l | _ -> [] in
+  let named name ph =
+    List.filter
+      (fun e ->
+        Json.member "name" e = Some (Json.String name) && Json.member "ph" e = Some (Json.String ph))
+      events
+  in
+  let chunks = named "pool.chunk" "B" in
+  checkb "pool.chunk spans" true (chunks <> []);
+  List.iter
+    (fun e ->
+      match Json.member "tid" e with
+      | Some (Json.Int tid) -> checkb "chunk on a pool worker's track" true (tid >= 0 && tid < jobs)
+      | _ -> Alcotest.fail "pool.chunk without a tid")
+    chunks;
+  checkb "budget.wall_s samples" true (named "budget.wall_s" "C" <> []);
   Tracer.close t
 
 (* --- null tracer --- *)
@@ -250,6 +299,8 @@ let () =
           Alcotest.test_case "export balanced after wrap" `Quick
             test_export_balanced_after_wrap;
           Alcotest.test_case "multi-track via pool" `Quick test_multi_track_via_pool;
+          Alcotest.test_case "session traces through obs" `Quick
+            test_session_traces_through_obs;
           Alcotest.test_case "null no-ops" `Quick test_null_noops;
           Alcotest.test_case "hot path allocation-free" `Quick
             test_hot_path_allocation_free;

@@ -349,8 +349,7 @@ let test_budget_validation () =
 let test_budget_no_limits_under () =
   let b = Budget.create Budget.no_limits in
   checkb "under" true (Budget.poll b = Budget.Under);
-  checkb "not hard" true (not (Budget.hard b));
-  checkb "no wall remaining" true (Budget.remaining_wall b = None)
+  checkb "not hard" true (not (Budget.hard b))
 
 let test_budget_soft_every_poll_trips_once () =
   (* a microscopic soft fraction of a huge wall limit: in the soft
@@ -378,8 +377,7 @@ let test_budget_hard_sticky () =
   checkb "hard wall" true (Budget.poll b = Budget.Hard "wall");
   checkb "hard sticky" true (Budget.poll b = Budget.Hard "wall");
   checkb "hard flag" true (Budget.hard b);
-  checki "one hard trip" 1 (counter_value obs "budget.hard_trips");
-  checkb "no wall left" true (Budget.remaining_wall b = Some 0.0)
+  checki "one hard trip" 1 (counter_value obs "budget.hard_trips")
 
 let test_budget_wall_wins_over_rss () =
   (* both resources over their (absurd) limits: the reason string names
@@ -407,9 +405,9 @@ let test_budget_rss_soft () =
 let test_budget_elapsed_and_remaining () =
   let b = Budget.create { Budget.no_limits with Budget.wall_seconds = Some 3600.0 } in
   checkb "elapsed >= 0" true (Budget.elapsed_seconds b >= 0.0);
-  match Budget.remaining_wall b with
-  | Some r -> checkb "remaining in (0, 3600]" true (r > 0.0 && r <= 3600.0)
-  | None -> Alcotest.failf "expected Some remaining"
+  (* an hour of budget is far from spent: the wall limit still leaves
+     time, so the poll reports no pressure *)
+  checkb "time remaining" true (Budget.poll b = Budget.Under)
 
 (* The published FNV-1a 64 test vectors: checkpoint hashes on disk
    depend on these exact values. *)
