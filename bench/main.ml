@@ -12,7 +12,7 @@
      FIG 8     — the per-iteration WNS/TNS trajectory on sb18.
      FIG 2     — extraction-engine comparison (essential vs IC-CSS
                  callback vs full) on one design, with sequential vs
-                 parallel and cold vs warm-cache extraction times.
+                 parallel extraction times.
      OPTIMALITY, ABLATIONS, EXTENSIONS — the DESIGN.md section 5/6
                  studies.
      PAPER SCALE — Flow.run on the ~1M-cell "-paper" variants (only).
@@ -31,7 +31,6 @@
 
 module Design = Css_netlist.Design
 module Timer = Css_sta.Timer
-module Macromodel = Css_cache.Macromodel
 module Vertex = Css_seqgraph.Vertex
 module Extract = Css_seqgraph.Extract
 module Scheduler = Css_core.Scheduler
@@ -316,53 +315,18 @@ let time_extraction ?pool p engine =
   extract_until_quiet (Extract.run ?pool ~engine timer verts ~corner:Timer.Late);
   (Css_util.Wall_clock.now () -. t0) *. 1000.0
 
-(* Cold-vs-warm extraction through the macromodel cache: a first
-   extraction populates a fresh cache, a few FF latencies move (latency
-   edits never invalidate — only delay/topology changes do), then a
-   second extraction over the same timer replays cone interfaces from
-   the cache. Returns (cold_ms, warm_ms, hit_ratio) where the ratio is
-   hits/(hits+misses) over the warm run only. *)
-let cache_cold_warm p engine =
-  let design = Generator.generate p in
-  let timer = Timer.build design in
-  let verts = Vertex.of_design design in
-  let cache = Macromodel.create () in
-  let run_once () =
-    let t0 = Css_util.Wall_clock.now () in
-    extract_until_quiet (Extract.run ~cache ~engine timer verts ~corner:Timer.Late);
-    (Css_util.Wall_clock.now () -. t0) *. 1000.0
-  in
-  let cold_ms = run_once () in
-  let ffs = Design.ffs design in
-  let n = min 4 (Array.length ffs) in
-  for i = 0 to n - 1 do
-    Design.set_scheduled_latency design ffs.(i)
-      (Design.scheduled_latency design ffs.(i) +. 0.05)
-  done;
-  Timer.update_latencies timer (Array.to_list (Array.sub ffs 0 n));
-  let h0 = Macromodel.hits cache + Macromodel.rehash_hits cache in
-  let m0 = Macromodel.misses cache in
-  let warm_ms = run_once () in
-  let hits = Macromodel.hits cache + Macromodel.rehash_hits cache - h0 in
-  let misses = Macromodel.misses cache - m0 in
-  let ratio =
-    if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
-  in
-  (cold_ms, warm_ms, ratio)
-
 (* Edge and cone-node counts come from the first round on the initial
    state; the timing columns run each engine until quiet: sequentially,
-   on [jobs] worker domains, and cold then warm through the cache. *)
+   and on [jobs] worker domains. *)
 let fig2 () =
   section "FIG 2 — sequential graph extraction: essential vs IC-CSS vs full";
   let p = sb18 () in
   let t =
     Table.create
       [ "engine"; "#edges extracted"; "gate-level nodes walked"; "scope"; "seq ms";
-        Printf.sprintf "par ms @%d" jobs; "cold ms"; "warm ms"; "hit ratio" ]
+        Printf.sprintf "par ms @%d" jobs ]
   in
-  Table.set_aligns t
-    Table.[ Left; Right; Right; Left; Right; Right; Right; Right; Right ];
+  Table.set_aligns t Table.[ Left; Right; Right; Left; Right; Right ];
   let pool = if jobs > 1 then Some (Css_util.Pool.create ~jobs ()) else None in
   Fun.protect ~finally:(fun () -> Option.iter Css_util.Pool.shutdown pool) @@ fun () ->
   List.iter
@@ -376,12 +340,9 @@ let fig2 () =
       let st = Extract.stats eng in
       let seq_ms = time_extraction p engine in
       let par_ms = if pool = None then seq_ms else time_extraction ?pool p engine in
-      let cold_ms, warm_ms, hit_ratio = cache_cold_warm p engine in
       Table.add_row t
         [ name; string_of_int st.Extract.edges_extracted; string_of_int st.Extract.cone_nodes;
-          scope; Printf.sprintf "%.1f" seq_ms; Printf.sprintf "%.1f" par_ms;
-          Printf.sprintf "%.1f" cold_ms; Printf.sprintf "%.1f" warm_ms;
-          Printf.sprintf "%.3f" hit_ratio ])
+          scope; Printf.sprintf "%.1f" seq_ms; Printf.sprintf "%.1f" par_ms ])
     [
       ("iterative essential (ours)", Extract.Essential, "only negative edges");
       ("IC-CSS callback [Albrecht]", Extract.Iccss, "all edges of critical vertices");

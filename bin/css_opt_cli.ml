@@ -122,9 +122,9 @@ let resume_flag =
 
 let max_seconds =
   let doc =
-    "Wall-clock budget in seconds. Near the limit the flow degrades gracefully (smaller \
-     checkpoint ring, serial extraction, cheaper engine), and at the limit it stops with the \
-     best result so far (stop reason budget-wall)."
+    "Wall-clock budget in seconds. Near the limit the flow degrades gracefully (serial \
+     extraction, cheaper engine), and at the limit it stops with the best result so far (stop \
+     reason budget-wall)."
   in
   Arg.(value & opt (some float) None & info [ "max-seconds" ] ~docv:"S" ~doc)
 

@@ -62,10 +62,6 @@ let serve_cmd =
     let doc = "Default per-session RSS budget, MiB." in
     Arg.(value & opt (some int) None & info [ "max-rss-mb" ] ~docv:"MB" ~doc)
   in
-  let cache_mb =
-    let doc = "Default per-session macromodel cache budget, MiB (0 disables)." in
-    Arg.(value & opt int 64 & info [ "cache-mb" ] ~docv:"MB" ~doc)
-  in
   let final_eval =
     Arg.(value & flag & info [ "final-eval" ] ~doc:"Score every request with the independent evaluator (slow; default reports from the live timer).")
   in
@@ -80,8 +76,8 @@ let serve_cmd =
     let doc = "Write a Chrome/Perfetto trace of the daemon here at exit." in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let main socket state rounds jobs max_sessions max_seconds max_rss_mb cache_mb final_eval
-      rollback stats_json trace_out verbose quiet =
+  let main socket state rounds jobs max_sessions max_seconds max_rss_mb final_eval rollback
+      stats_json trace_out verbose quiet =
     setup_logs verbose quiet;
     let obs = if stats_json <> None || trace_out <> None then Obs.create () else Obs.null in
     let tracer =
@@ -102,7 +98,6 @@ let serve_cmd =
         max_sessions;
         wall_seconds = max_seconds;
         rss_mb = max_rss_mb;
-        cache_mb;
         final_eval;
         rollback;
         obs;
@@ -130,7 +125,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Run the resident scheduler daemon.")
     Term.(
       const main $ socket_arg $ state $ rounds $ jobs $ max_sessions $ max_seconds $ max_rss_mb
-      $ cache_mb $ final_eval $ rollback $ stats_json $ trace_out $ verbose_arg $ quiet_arg)
+      $ final_eval $ rollback $ stats_json $ trace_out $ verbose_arg $ quiet_arg)
 
 (* ------------------------------------------------------------------ *)
 (* request                                                             *)
@@ -259,7 +254,6 @@ let drive_cmd =
               o_rollback = Some false;
               o_wall_seconds = None;
               o_rss_mb = None;
-              o_cache_mb = None;
             }));
     let run_resp = rpc (Protocol.Run session) in
     say "run: %s\n" (Json.to_string (Option.get (Json.member "result" run_resp)));

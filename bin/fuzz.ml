@@ -41,36 +41,11 @@ let verdict_name = function
   | Oracles.Rejected stage -> "rejected at " ^ stage
   | Oracles.Survived _ -> "survived"
 
-(* The cache lane: whatever corrupted design survives ingest + repair
-   must schedule bitwise-identically with the macromodel cache on —
-   cold, and warm through the rebind/rehash tier. Inputs the pipeline
-   would reject are vacuously clean (nothing reaches the cache). *)
-let cache_check corpus =
-  match
-    Io.of_string ~policy:Io.Recover ~library:corpus.Fault_seq.library
-      corpus.Fault_seq.design_text
-  with
-  | Error _ -> Ok ()
-  | Ok (design, _) -> (
-    match Css_netlist.Validate.run design with
-    | outcome when outcome.Css_netlist.Validate.fatal -> Ok ()
-    | _ -> (
-      match
-        Oracles.check_cache_identity ~engines:[ Oracles.Ours ] design
-          ~corner:Css_sta.Timer.Late
-      with
-      | [] -> Ok ()
-      | failures -> Error ("stale-cache divergence:\n  " ^ String.concat "\n  " failures)))
-
-let check ~cache corpus0 t =
+let check corpus0 t =
   let corpus, _ = Fault_seq.apply t corpus0 in
-  match Oracles.pipeline corpus with
-  | Error _ as e -> e
-  | Ok v -> (
-    if not cache then Ok v
-    else match cache_check corpus with Ok () -> Ok v | Error msg -> Error msg)
+  Oracles.pipeline corpus
 
-let fuzz seed count max_steps profile replay verbose shrink_seconds cache =
+let fuzz seed count max_steps profile replay verbose shrink_seconds =
   let corpus0 = base_corpus profile in
   match replay with
   | Some spec -> (
@@ -79,7 +54,7 @@ let fuzz seed count max_steps profile replay verbose shrink_seconds cache =
       Printf.eprintf "css_fuzz: bad reproducer: %s\n" e;
       2
     | Ok t -> (
-      match check ~cache corpus0 t with
+      match check corpus0 t with
       | Ok v ->
         Printf.printf "replay %s: %s\n" (Fault_seq.to_string t) (verdict_name v);
         0
@@ -93,7 +68,7 @@ let fuzz seed count max_steps profile replay verbose shrink_seconds cache =
     (try
        for trial = 0 to count - 1 do
          let t = Fault_seq.gen ~max_len:max_steps rng in
-         match check ~cache corpus0 t with
+         match check corpus0 t with
          | Ok (Oracles.Rejected stage) ->
            incr rejected;
            if verbose then
@@ -114,13 +89,13 @@ let fuzz seed count max_steps profile replay verbose shrink_seconds cache =
       0
     | Some (trial, t, msg) ->
       Printf.printf "css_fuzz: ORACLE VIOLATION at trial %d (seed %d)\n  %s\n" trial seed msg;
-      let fails t = match check ~cache corpus0 t with Error _ -> true | Ok _ -> false in
+      let fails t = match check corpus0 t with Error _ -> true | Ok _ -> false in
       let shrunk =
         Fault_seq.minimize_timed ?deadline_seconds:shrink_seconds fails t
       in
       let small = shrunk.Fault_seq.minimized in
       let final_msg =
-        match check ~cache corpus0 small with Error m -> m | Ok _ -> msg
+        match check corpus0 small with Error m -> m | Ok _ -> msg
       in
       Printf.printf "shrunk from %d to %d steps%s:\n  %s\n  %s\n"
         (List.length t.Fault_seq.steps)
@@ -165,20 +140,11 @@ let shrink_seconds =
   in
   Arg.(value & opt float 120.0 & info [ "shrink-seconds" ] ~docv:"S" ~doc)
 
-let cache =
-  let doc =
-    "Also run the stale-cache oracle on every trial: a corrupted design that survives \
-     ingest must schedule bitwise-identically with the macromodel cache enabled (cold and \
-     warm). Violations shrink and replay like any other."
-  in
-  Arg.(value & flag & info [ "cache" ] ~doc)
-
 let cmd =
   let info = Cmd.info "css_fuzz" ~doc:"fuzz the pipeline with shrinking fault sequences" in
   Cmd.v info
     Term.(
       const fuzz $ seed $ count $ max_steps $ profile $ replay $ verbose
-      $ map (fun s -> if s <= 0.0 then None else Some s) shrink_seconds
-      $ cache)
+      $ map (fun s -> if s <= 0.0 then None else Some s) shrink_seconds)
 
 let () = exit (Cmd.eval' cmd)

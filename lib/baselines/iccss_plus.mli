@@ -17,7 +17,6 @@
 val extraction :
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Css_core.Scheduler.extraction * Css_seqgraph.Extract.stats
@@ -29,7 +28,6 @@ val run :
   ?config:Css_core.Scheduler.config ->
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Css_core.Scheduler.result * Css_seqgraph.Extract.stats

@@ -8,13 +8,10 @@
 (** [ours ?obs ?pool timer ~corner] is the extraction plus its
     statistics record. [obs] feeds the [extract.essential.*] counters;
     [pool] parallelizes the per-round cone walks (bit-identical
-    results, see {!Css_seqgraph.Extract.run}); [cache] attaches a cone
-    macromodel cache ({!Css_cache.Macromodel}) — results stay
-    bit-identical, only the walk work changes. *)
+    results, see {!Css_seqgraph.Extract.run}). *)
 val ours :
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.extraction * Css_seqgraph.Extract.stats
@@ -26,7 +23,6 @@ val run_ours :
   ?config:Scheduler.config ->
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.result * Css_seqgraph.Extract.stats
@@ -40,7 +36,6 @@ val run_ours :
 val full :
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.extraction * Css_seqgraph.Extract.stats
@@ -51,7 +46,6 @@ val run_full :
   ?config:Scheduler.config ->
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.result * Css_seqgraph.Extract.stats

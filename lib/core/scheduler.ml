@@ -20,7 +20,6 @@ type config = {
   max_iterations : int;
   verify_weights : bool;
   nonneg_rule : bool;
-  best_ring : int;
   should_stop : (unit -> bool) option;
 }
 
@@ -29,7 +28,6 @@ let default_config =
     max_iterations = 100;
     verify_weights = false;
     nonneg_rule = true;
-    best_ring = 4;
     should_stop = None;
   }
 
@@ -68,17 +66,8 @@ type result = {
   iterations : int;
   cycles_handled : int;
   stop_reason : stop_reason;
-  ring_restored : bool;
+  best_restored : bool;
   trace : iteration list;
-}
-
-(* One best-ring state: the actual scheduled latencies and the
-   accumulated [l*] at iteration [at_iter]. *)
-type ring_entry = {
-  mutable at_iter : int;
-  mutable tns : float;
-  l_star_snap : float array;
-  latency_snap : float array;
 }
 
 let run ?(config = default_config) ?(obs = Obs.null) timer ext =
@@ -204,64 +193,50 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
     Obs.incr o_bounds;
     Bounds.hard_cap timer verts corner v
   in
-  (* Best-k ring: bounded snapshots of the best states seen, so a run
+  (* Best state: one snapshot of the best state pushed so far, so a run
      that ends by stalling or hitting the iteration cap can back out of
      the oscillation it wandered into instead of keeping its final (and
-     possibly worse) latencies. A snapshot stores the *actual* scheduled
-     latencies, not replayed increments — incremental float accumulation
-     means base + Σincrements need not equal the value that was live at
-     the best iteration, and restore must be bit-exact. *)
-  let ring_k = max 0 config.best_ring in
-  (* slots are overwritten in place when they come round again; the
-     first [min !ring_next ring_k] hold states *)
-  let ring =
-    Array.init ring_k (fun _ ->
-        { at_iter = 0; tns = 0.0; l_star_snap = Array.make n 0.0; latency_snap = Array.make n 0.0 })
-  in
-  let ring_next = ref 0 in
-  let o_ring_restores = Obs.counter obs "sched.ring_restores" in
-  let ring_push ~at_iter =
-    if ring_k > 0 then begin
-      let entry = ring.(!ring_next mod ring_k) in
+     possibly worse) latencies. Pushes come at iteration 0 and on every
+     TNS improvement, so after the seed each push beats the ones before
+     it. A snapshot stores the *actual* scheduled latencies, not
+     replayed increments — incremental float accumulation means
+     base + Σincrements need not equal the value that was live at the
+     best iteration, and restore must be bit-exact. *)
+  let best_iter = ref (-1) and best_state_tns = ref neg_infinity in
+  let best_l_star = Array.make n 0.0 and best_latency = Array.make n 0.0 in
+  let o_best_restores = Obs.counter obs "sched.best_restores" in
+  let push_best ~at_iter =
+    let tns = Timer.tns timer corner in
+    (* >= : among equal-TNS states keep the later one, whose
+       pinned-cycle structure matches the run's end state *)
+    if tns >= !best_state_tns then begin
       for v = 0 to n - 1 do
         let ff = Vertex.ff_id verts v in
-        if ff >= 0 then entry.latency_snap.(v) <- Design.scheduled_latency design ff
+        if ff >= 0 then best_latency.(v) <- Design.scheduled_latency design ff
       done;
-      Array.blit l_star 0 entry.l_star_snap 0 n;
-      entry.at_iter <- at_iter;
-      entry.tns <- Timer.tns timer corner;
-      incr ring_next
+      Array.blit l_star 0 best_l_star 0 n;
+      best_iter := at_iter;
+      best_state_tns := tns
     end
   in
-  let ring_best () =
-    let best = ref None in
-    for i = 0 to min !ring_next ring_k - 1 do
-      match !best with
-      (* >= : among equal-TNS states prefer the later one, whose
-         pinned-cycle structure matches the run's end state *)
-      | Some b when not (ring.(i).tns >= b.tns) -> ()
-      | Some _ | None -> best := Some ring.(i)
-    done;
-    !best
-  in
-  let ring_restore { l_star_snap; latency_snap; _ } =
+  let restore_best () =
     let deltas = Array.make n 0.0 in
     let changed = ref [] in
     for v = 0 to n - 1 do
       let ff = Vertex.ff_id verts v in
       if ff >= 0 then begin
         let cur = Design.scheduled_latency design ff in
-        if cur <> latency_snap.(v) then begin
-          deltas.(v) <- latency_snap.(v) -. cur;
-          Design.set_scheduled_latency design ff latency_snap.(v);
+        if cur <> best_latency.(v) then begin
+          deltas.(v) <- best_latency.(v) -. cur;
+          Design.set_scheduled_latency design ff best_latency.(v);
           changed := ff :: !changed
         end
       end
     done;
     Timer.update_latencies timer !changed;
     Seq_graph.apply_latency_delta graph deltas;
-    Array.blit l_star_snap 0 l_star 0 n;
-    Obs.incr o_ring_restores
+    Array.blit best_l_star 0 l_star 0 n;
+    Obs.incr o_best_restores
   in
   (* Stall guard: increments can stay non-zero while the corner's negative
      slack no longer improves (e.g. balancing churn around caps); a few
@@ -273,7 +248,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
     if tns > !best_tns +. Float.max 0.1 eps then begin
       best_tns := tns;
       stall := 0;
-      ring_push ~at_iter;
+      push_best ~at_iter;
       true
     end
     else begin
@@ -376,31 +351,28 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
         end
     end
   in
-  ring_push ~at_iter:0;
+  push_best ~at_iter:0;
   let iterations, stop_reason = iterate 1 in
   (* Back out of an oscillation: a run that stalled or ran out of
      iterations keeps whatever state its last fruitless iterations left
-     behind; if the ring holds a strictly better state, restore it.
+     behind; if the best state is strictly better, restore it.
      Converged runs are already at their best; interrupted runs
      hand the partial phase to the flow, which discards it. *)
-  let ring_restored =
+  let best_restored =
     match stop_reason with
-    | Stalled | Max_iterations -> (
-      match ring_best () with
-      | Some entry when entry.tns > Timer.tns timer corner +. eps ->
-        Log.info (fun m ->
-            m "restoring best-ring state from iter %d (%s TNS %.2f over %.2f)" entry.at_iter
-              corner_name entry.tns (Timer.tns timer corner));
-        ring_restore entry;
-        true
-      | _ -> false)
-    | Converged | Interrupted -> false
+    | (Stalled | Max_iterations) when !best_state_tns > Timer.tns timer corner +. eps ->
+      Log.info (fun m ->
+          m "restoring best state from iter %d (%s TNS %.2f over %.2f)" !best_iter corner_name
+            !best_state_tns (Timer.tns timer corner));
+      restore_best ();
+      true
+    | Stalled | Max_iterations | Converged | Interrupted -> false
   in
   {
     target_latency = l_star;
     iterations;
     cycles_handled = !cycles;
     stop_reason;
-    ring_restored;
+    best_restored;
     trace = List.rev !trace;
   }

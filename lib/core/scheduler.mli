@@ -31,13 +31,6 @@ type config = {
       (** enforce the Section III-C2 admission rule [w < w^out] during
           arborescence construction; disabling it is the DESIGN.md A4
           ablation *)
-  best_ring : int;
-      (** bounded ring of best-k state snapshots (scheduled latencies +
-          accumulated [l*], pushed on each TNS improvement). A run that
-          ends {!Stalled} or at {!Max_iterations} restores the ring's
-          best state when it beats the final one, backing the scheduler
-          out of oscillations itself. Memory is [O(best_ring · n)]
-          floats; [0] disables (default 4) *)
   should_stop : (unit -> bool) option;
       (** cooperative interrupt, polled at the top of every iteration
           before any work; returning [true] stops the run with
@@ -95,10 +88,14 @@ type result = {
   iterations : int;
   cycles_handled : int;
   stop_reason : stop_reason;
-  ring_restored : bool;
-      (** the run ended on the ring's best state rather than its final
-          one (see [config.best_ring]); [target_latency] reflects the
-          restored state *)
+  best_restored : bool;
+      (** the run ended on its best state rather than its final one:
+          the scheduler keeps one snapshot (scheduled latencies and
+          accumulated [l*]) of the best state seen — at iteration 0 and
+          on each TNS improvement, ties to the later — and a run that
+          ends {!Stalled} or at {!Max_iterations} restores it when it
+          beats the final state. [target_latency] reflects the restored
+          state *)
   trace : iteration list;  (** chronological, one record per iteration *)
 }
 

@@ -3,7 +3,6 @@ module Io = Css_netlist.Io
 module Graph = Css_sta.Graph
 module Extract = Css_seqgraph.Extract
 module Evaluator = Css_eval.Evaluator
-module Macromodel = Css_cache.Macromodel
 module Point = Css_geometry.Point
 module Diag = Css_util.Diag
 module Fnv = Css_util.Fnv
@@ -122,8 +121,6 @@ type state = {
   ps_rung : int;
   ps_design_text : string;
   ps_engines : (string * Extract.snapshot) list;
-  ps_cache : Macromodel.entry_snap list;
-      (* macromodel cache entries, LRU first (recency order survives) *)
 }
 
 let path ~dir = Filename.concat dir "checkpoint.ckpt"
@@ -133,10 +130,9 @@ let path ~dir = Filename.concat dir "checkpoint.ckpt"
 
 let magic = "css-checkpoint"
 
-(* Version 2 added the macromodel-cache section; version-1 checkpoints
-   (no cache) still load, they just resume cold. *)
-let version = 2
-let min_version = 1
+(* Version 3 dropped version 2's cone-cache section and renumbered the
+   degradation rungs; older files are rejected, not migrated. *)
+let version = 3
 let fstr = Io.float_to_string
 
 (* Array lines go straight into the buffer: one [Printf] and one
@@ -251,15 +247,6 @@ let body_of_state ?(memo = Io.Memo.create ()) st =
           (String.init (Array.length sn.Extract.sn_expanded) (fun i ->
                if sn.Extract.sn_expanded.(i) then '1' else '0')))
     st.ps_engines;
-  line "cache %d" (List.length st.ps_cache);
-  List.iter
-    (fun (c : Macromodel.entry_snap) ->
-      line "c %d %016Lx %d %d %d" c.Macromodel.cs_key c.cs_hash c.cs_visited
-        (Array.length c.cs_members) (Array.length c.cs_nodes);
-      add_ints b "m" c.cs_members;
-      add_ints b "n" c.cs_nodes;
-      add_floats b "dl" c.cs_delays)
-    st.ps_cache;
   line "end";
   Buffer.contents b
 
@@ -392,7 +379,7 @@ let engine_of_name cur = function
   | "iccss" -> Extract.Iccss
   | s -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "unknown engine '%s'" s)
 
-let parse_body ~version:v cur =
+let parse_body cur =
   let ps_algo = field cur "algo" in
   let ps_design = field cur "design" in
   let ps_rounds = int_field cur "rounds" in
@@ -514,28 +501,6 @@ let parse_body ~version:v cur =
             } )
         | _ -> bad ~file:cur.file "CKPT-005" "malformed engine header")
   in
-  let ps_cache =
-    if v < 2 then []
-    else begin
-      let ncache = int_field cur "cache" in
-      List.init ncache (fun _ ->
-          match split_ws (field cur "c") with
-          | [ key; hash; visited; nmembers; nifaces ] ->
-            let nifaces = int_of cur "c.ifaces" nifaces in
-            let members = array_field cur "m" (int_of cur "c.members" nmembers) int_of in
-            let nodes = array_field cur "n" nifaces int_of in
-            let delays = array_field cur "dl" nifaces float_of in
-            {
-              Macromodel.cs_key = int_of cur "c.key" key;
-              cs_hash = hex64 cur "cache entry hash" hash;
-              cs_visited = int_of cur "c.visited" visited;
-              cs_members = members;
-              cs_nodes = nodes;
-              cs_delays = delays;
-            }
-          | _ -> bad ~file:cur.file "CKPT-005" "malformed cache entry header")
-    end
-  in
   (match next_line cur with
   | "end" -> ()
   | l -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "expected end marker, got '%s'" l));
@@ -564,7 +529,6 @@ let parse_body ~version:v cur =
     ps_rung;
     ps_design_text;
     ps_engines;
-    ps_cache;
   }
 
 let read_file file =
@@ -580,22 +544,18 @@ let load ~dir =
   try
     let raw = read_file file in
     let cur = { buf = raw; file; pos = 0 } in
-    let v =
-      match split_ws (next_line cur) with
-      | [ m; v ] when m = magic ->
-        let v = int_of cur "version" v in
-        if v < min_version || v > version then
-          bad ~file "CKPT-002"
-            (Printf.sprintf "unsupported checkpoint version %d (this build reads %d..%d)" v
-               min_version version)
-        else v
-      | _ -> bad ~file "CKPT-002" "not a css-checkpoint file (bad magic)"
-    in
+    (match split_ws (next_line cur) with
+    | [ m; v ] when m = magic ->
+      let v = int_of cur "version" v in
+      if v <> version then
+        bad ~file "CKPT-002"
+          (Printf.sprintf "unsupported checkpoint version %d (this build reads %d)" v version)
+    | _ -> bad ~file "CKPT-002" "not a css-checkpoint file (bad magic)");
     let stored_hash = hex64 cur "hash line" (field cur "hash") in
     let body = String.sub cur.buf cur.pos (String.length cur.buf - cur.pos) in
     (* structure first: a torn tail reports as truncation (CKPT-004),
        not as the hash mismatch it would also cause *)
-    let st = parse_body ~version:v cur in
+    let st = parse_body cur in
     if cur.pos <> String.length cur.buf then
       bad ~file "CKPT-005" "trailing bytes after end marker";
     let actual = Fnv.of_string body in

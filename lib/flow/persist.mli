@@ -110,7 +110,7 @@ type checkpoint = {
 (** The per-run values a checkpoint carries. A session resets them
     (with {!fresh_progress}) at the start of every run and delta
     request; everything that belongs to the session rather than to one
-    run (degradation rung, pool, cache) lives outside. *)
+    run (degradation rung, pool) lives outside. *)
 type progress = {
   mutable phases_done : int;  (** completed main-loop phases (resume cursor) *)
   mutable hold_done : bool;  (** the final hold touch-up phase completed *)
@@ -154,10 +154,6 @@ type state = {
       (** live engine snapshots keyed by {!Session}'s engine slot names
           (["ours-early"], ["ours-late"], ["iccss-early"],
           ["iccss-late"]) *)
-  ps_cache : Css_cache.Macromodel.entry_snap list;
-      (** macromodel-cache entries, LRU first (so restoring in order
-          rebuilds the recency ranking); empty in version-1 checkpoints,
-          which load fine but resume with a cold cache *)
 }
 
 (** [path ~dir] is [<dir>/checkpoint.ckpt]. *)

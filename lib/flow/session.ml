@@ -16,7 +16,6 @@ module Obs = Css_util.Obs
 module Tracer = Css_util.Tracer
 module Pool = Css_util.Pool
 module Budget = Css_util.Budget
-module Macromodel = Css_cache.Macromodel
 module Point = Css_geometry.Point
 
 let log_src = Logs.Src.create "css.session" ~doc:"resident clock-skew scheduling sessions"
@@ -84,7 +83,7 @@ type config = {
   obs : Obs.t;
   jobs : int;
   budget : Budget.limits;
-  cache_bytes : int;
+  cache_bytes : int;  (* ignored *)
   checkpoint_dir : string option;
   debug_interrupt_after_phase : int option;
   debug_interrupt_after_iteration : int option;
@@ -104,7 +103,7 @@ let default_config =
     obs = Obs.null;
     jobs = 1;
     budget = Budget.no_limits;
-    cache_bytes = 64 * 1024 * 1024;
+    cache_bytes = 0;
     checkpoint_dir = None;
     debug_interrupt_after_phase = None;
     debug_interrupt_after_iteration = None;
@@ -161,11 +160,6 @@ type t = {
   mutable pool : Pool.t option;
       (* shared by all engines; shut down at {!close}, or earlier by the
          degradation ladder *)
-  cache : Macromodel.t option;
-      (* cone macromodel cache, shared by all engines and corners; it
-         survives [reset_for_run] on purpose — warm delta requests are
-         exactly what it exists for. [Extract.run] rebinds it whenever
-         the timer is replaced, demoting or dropping stale entries. *)
   budget : Budget.t option;  (* armed only when a limit is configured *)
   mutable css_clock : Wall_clock.t;
   mutable opt_clock : Wall_clock.t;
@@ -194,19 +188,10 @@ type cache_stats = {
   cache_bytes_used : int;
 }
 
-let cache_stats st =
-  match st.cache with
-  | None -> None
-  | Some c ->
-    Some
-      {
-        cache_hits = Macromodel.hits c;
-        cache_rehash_hits = Macromodel.rehash_hits c;
-        cache_misses = Macromodel.misses c;
-        cache_evictions = Macromodel.evictions c;
-        cache_entries = Macromodel.entries c;
-        cache_bytes_used = Macromodel.bytes c;
-      }
+(* No cache exists: the type and the accessor stay for callers built
+   against the old surface. *)
+let cache_stats (_ : t) : cache_stats option = None
+
 let is_closed st = st.closed
 
 let check_open st op =
@@ -272,7 +257,7 @@ let note_scheduler_phase st ~round ~phase (res : Scheduler.result) =
         ("stop_reason", Obs.Json.String (Scheduler.stop_reason_name res.Scheduler.stop_reason));
         ("iterations", Obs.Json.Int res.Scheduler.iterations);
         ("zero_increment_iterations", Obs.Json.Int zero);
-        ("ring_restored", Obs.Json.Bool res.Scheduler.ring_restored);
+        ("best_restored", Obs.Json.Bool res.Scheduler.best_restored);
       ]
   end
 
@@ -300,8 +285,7 @@ let engine_for st kind corner =
   | Some e -> e
   | None ->
     let e =
-      Extract.run ~obs:st.cfg.obs ?pool:st.pool ?cache:st.cache ~engine:kind st.timer st.verts
-        ~corner
+      Extract.run ~obs:st.cfg.obs ?pool:st.pool ~engine:kind st.timer st.verts ~corner
     in
     slot.live <- Some e;
     e
@@ -323,43 +307,41 @@ let set_stop st reason =
 (* {2 Degradation ladder}
 
    Soft budget pressure sheds fidelity one rung per poll instead of dying
-   at the hard limit: 1. shrink the scheduler's best-state ring, 2. drop
-   the worker pool, 3. switch to the cheapest extraction, 4. stop with the
-   best result so far. Rungs whose knob is already at bottom are skipped.
-   The rung survives a session's delta requests: budget pressure is a
-   property of the session, not of one request. *)
+   at the hard limit: 1. drop the worker pool, 2. switch to the cheapest
+   extraction, 3. stop with the best result so far. Rungs whose knob is
+   already at bottom are skipped. The rung survives a session's delta
+   requests: budget pressure is a property of the session, not of one
+   request. *)
 
 let cheap_extract_limit = 4096
 
 let rung_name = function
-  | 1 -> "shrink-ring"
-  | 2 -> "drop-pool"
-  | 3 -> "cheap-extraction"
+  | 1 -> "drop-pool"
+  | 2 -> "cheap-extraction"
   | _ -> "early-stop"
 
 let rung_applicable st = function
-  | 2 -> st.pool <> None
-  | 3 -> st.engine0 <> `Fpm
+  | 1 -> st.pool <> None
+  | 2 -> st.engine0 <> `Fpm
   | _ -> true
 
 let rec degrade st ~reason =
-  if st.run.stop = None && st.rung < 4 then begin
+  if st.run.stop = None && st.rung < 3 then begin
     let rung = st.rung + 1 in
     st.rung <- rung;
     if not (rung_applicable st rung) then degrade st ~reason
     else begin
       let step = rung_name rung in
       (match rung with
-      | 2 ->
+      | 1 ->
         Option.iter Pool.shutdown st.pool;
         st.pool <- None;
         List.iter (fun e -> Extract.set_pool e None) (live_engines st)
-      | 4 -> set_stop st ("budget-" ^ reason)
+      | 3 -> set_stop st ("budget-" ^ reason)
       | _ -> ());
-      (* under memory pressure, shed half the macromodel cache and the
-         scoring timer, and return what the runtime can *)
+      (* under memory pressure, shed the scoring timer and return what
+         the runtime can *)
       if reason = "rss" then begin
-        Option.iter (fun c -> Macromodel.trim c ~frac:0.5) st.cache;
         st.scorer <- None;
         Gc.compact ()
       end;
@@ -405,15 +387,9 @@ let interrupt_cause st =
       match Budget.poll b with Budget.Hard reason -> "budget-" ^ reason | _ -> "budget-wall")
     | _ -> "interrupted"
 
-(* The budget reaches into a phase in flight through two hooks: rung 1+
-   shrinks the best-state ring, and [should_stop] aborts mid-phase on a
-   signal or hard budget. *)
+(* The budget reaches into a phase in flight through [should_stop], which
+   aborts mid-phase on a signal or hard budget. *)
 let scheduler_config st =
-  let base = Scheduler.default_config in
-  let base =
-    if st.rung >= 1 then { base with Scheduler.best_ring = min base.Scheduler.best_ring 1 }
-    else base
-  in
   let should_stop () =
     st.iter_polls <- st.iter_polls + 1;
     (match st.cfg.debug_interrupt_after_iteration with
@@ -424,7 +400,7 @@ let scheduler_config st =
        | Some b -> ( match Budget.poll b with Budget.Hard _ -> true | _ -> false)
        | None -> false)
   in
-  { base with Scheduler.should_stop = Some should_stop }
+  { Scheduler.default_config with Scheduler.should_stop = Some should_stop }
 
 (* {2 Checkpoint / rollback} *)
 
@@ -539,7 +515,7 @@ let consider_checkpoint st ~label =
 
    A checkpoint is the run's progress record as it stands — the live
    CSS/OPT clocks folded into its accumulated seconds — plus what a
-   reopened session needs to rebuild its design, engines and cache. *)
+   reopened session needs to rebuild its design and engines. *)
 
 let memo st =
   match st.memo with
@@ -570,7 +546,6 @@ let persist_state st ~memo =
       List.filter_map
         (fun s -> Option.map (fun e -> (s.name, Extract.snapshot e)) s.live)
         st.slots;
-    ps_cache = (match st.cache with None -> [] | Some c -> Macromodel.snapshot c);
   }
 
 let save st ~dir =
@@ -610,9 +585,9 @@ let persist_checkpoint st =
 let css_opt_phase st ~round ~corner =
   let phase = match corner with Timer.Early -> "early" | Timer.Late -> "late" in
   let engine =
-    match st.engine0 with `Iccss when st.rung >= 3 -> `Ours | e -> e
+    match st.engine0 with `Iccss when st.rung >= 2 -> `Ours | e -> e
   in
-  let extract_limit = if st.rung >= 3 then Some cheap_extract_limit else None in
+  let extract_limit = if st.rung >= 2 then Some cheap_extract_limit else None in
   let sched_config = scheduler_config st in
   Wall_clock.start st.css_clock;
   let scheduled =
@@ -866,7 +841,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
   in
   let timer = Timer.build ~config:config.timer ~obs:config.obs design in
   let resume_rung = match resume with Some r -> r.Persist.ps_rung | None -> 0 in
-  let jobs_eff = if resume_rung >= 2 then 1 else config.jobs in
+  let jobs_eff = if resume_rung >= 1 then 1 else config.jobs in
   let pool =
     if jobs_eff > 1 then
       Some (Pool.create ~obs:config.obs ~jobs:jobs_eff ())
@@ -880,15 +855,6 @@ let create ~(config : config) ~algo ~validation ?resume design =
   let engine0 =
     match algo with Ours | Ours_early -> `Ours | Iccss_plus -> `Iccss | Fpm -> `Fpm
   in
-  let cache =
-    if config.cache_bytes > 0 then
-      Some (Macromodel.create ~obs:config.obs ~max_bytes:config.cache_bytes ())
-    else None
-  in
-  (match (cache, resume) with
-  | Some c, Some ps when ps.Persist.ps_cache <> [] ->
-    Macromodel.restore c ps.Persist.ps_cache
-  | _ -> ());
   let st =
     {
       cfg = config;
@@ -900,7 +866,6 @@ let create ~(config : config) ~algo ~validation ?resume design =
       verts = Vertex.of_design design;
       slots = slot_table ();
       pool;
-      cache;
       budget;
       css_clock = Wall_clock.create ();
       opt_clock = Wall_clock.create ();
@@ -927,8 +892,8 @@ let create ~(config : config) ~algo ~validation ?resume design =
            let slot = List.find (fun s -> s.name = name) st.slots in
            slot.live <-
              Some
-               (Extract.restore ~obs:config.obs ?pool:st.pool ?cache:st.cache snap st.timer
-                  st.verts ~corner:slot.corner))
+               (Extract.restore ~obs:config.obs ?pool:st.pool snap st.timer st.verts
+                  ~corner:slot.corner))
          ps.Persist.ps_engines;
        Obs.incr (Obs.counter config.obs "flow.resumes");
        Log.info (fun m ->

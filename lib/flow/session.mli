@@ -4,8 +4,8 @@
     A session owns everything the paper's iterative loop keeps warm
     between latency changes: the loaded design, the incremental timer,
     the extraction engines with their partially extracted sequential
-    graph, the scheduler's best-k ring, the degradation rung and the
-    worker pool. {!open_} loads a design without scheduling anything;
+    graph, the degradation rung and the worker pool. {!open_} loads a
+    design without scheduling anything;
     {!step} advances the CSS+OPT interleaving one phase at a time;
     {!finish} drains the remaining phases and scores the run;
     {!apply_delta} edits the design in place, re-propagates only the
@@ -48,14 +48,13 @@
       true]. A run can therefore never end worse than its input;
     - {b resource governance}: an optional {!Css_util.Budget} (wall
       clock + resident set) polled at phase and scheduler-iteration
-      boundaries. Soft pressure walks a degradation ladder — shrink the
-      scheduler's best-state ring, drop the worker pool, switch to the
-      cheapest extraction, early-stop — one rung per poll; a hard limit
-      stops the flow with its best result and [stop_reason =
-      "budget-wall"/"budget-rss"];
+      boundaries. Soft pressure walks a degradation ladder — drop the
+      worker pool, switch to the cheapest extraction, early-stop — one
+      rung per poll; a hard limit stops the flow with its best result
+      and [stop_reason = "budget-wall"/"budget-rss"];
     - {b crash-safe persistence}: with [checkpoint_dir] set, the full
-      resumable state ({!Persist.progress} plus design, engines and
-      cache) is written atomically after every completed phase, and
+      resumable state ({!Persist.progress} plus design and engines) is
+      written atomically after every completed phase, and
       {!reopen} continues a killed run to a final result bitwise
       identical to an uninterrupted one. Under
       {!Persist.with_signal_handlers} (or a daemon's
@@ -186,13 +185,9 @@ type config = {
           hard stop (default {!Css_util.Budget.no_limits} = no budget,
           zero polling overhead) *)
   cache_bytes : int;
-      (** byte budget for the cone macromodel cache (default 64 MiB);
-          [0] disables caching entirely. The cache is shared by all
-          engines and corners, survives delta requests (warm ECO
-          answers), persists into checkpoints, and is trimmed by the
-          degradation ladder under RSS pressure. Results are bitwise
-          identical with the cache on or off — the identity oracle
-          asserts it; see [docs/PERFORMANCE.md]. *)
+      (** accepted and ignored (default 0). The cone macromodel cache
+          it once sized is gone (see [docs/PERFORMANCE.md]); the field
+          stays so existing callers keep compiling. *)
   checkpoint_dir : string option;
       (** write a durable {!Persist} checkpoint here after every
           completed phase; {!reopen} continues from it
@@ -259,7 +254,8 @@ val config : t -> config
 
 val algo : t -> algo
 
-(** Macromodel-cache counters, cumulative over the session's life. *)
+(** The counters of the deleted cone macromodel cache. Nothing produces
+    this record any more; it stays so existing callers keep compiling. *)
 type cache_stats = {
   cache_hits : int;
   cache_rehash_hits : int;  (** subset of [cache_hits] validated by hash *)
@@ -269,8 +265,7 @@ type cache_stats = {
   cache_bytes_used : int;
 }
 
-(** [cache_stats t] is [None] when the session runs with
-    [cache_bytes = 0]. *)
+(** [cache_stats t] is always [None], whatever [cache_bytes] says. *)
 val cache_stats : t -> cache_stats option
 
 (** {1 Delta requests (incremental ECO)} *)

@@ -7,7 +7,6 @@ module Diag = Css_util.Diag
 module Obs = Css_util.Obs
 module Pool = Css_util.Pool
 module Timer = Css_sta.Timer
-module Macromodel = Css_cache.Macromodel
 module Scheduler = Css_core.Scheduler
 module Engine = Css_core.Engine
 module Optimum = Css_core.Optimum
@@ -20,8 +19,6 @@ type engine =
   | Ours
   | Full_graph
   | Iccss
-
-let all_engines = [ Ours; Full_graph; Iccss ]
 
 let engine_name = function
   | Ours -> "ours"
@@ -86,15 +83,15 @@ let with_optional_pool jobs f =
   | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> f (Some pool))
   | _ -> f None
 
-let schedule ?config ?jobs ?cache engine design ~corner =
+let schedule ?config ?jobs engine design ~corner =
   let design = Flow.clone design in
   let timer = Timer.build design in
   let result, stats =
     with_optional_pool jobs (fun pool ->
         match engine with
-        | Ours -> Engine.run_ours ?config ?pool ?cache timer ~corner
-        | Full_graph -> Engine.run_full ?config ?pool ?cache timer ~corner
-        | Iccss -> Iccss_plus.run ?config ?pool ?cache timer ~corner)
+        | Ours -> Engine.run_ours ?config ?pool timer ~corner
+        | Full_graph -> Engine.run_full ?config ?pool timer ~corner
+        | Iccss -> Iccss_plus.run ?config ?pool timer ~corner)
   in
   {
     engine;
@@ -208,75 +205,6 @@ let check_jobs_identity ?(jobs = [ 2; 8 ]) design ~corner =
             fail "jobs=%d: flip-flop %s latency not bit-identical (%.17g vs %.17g)" j name l1 lj)
         reference.latencies candidate.latencies)
     jobs;
-  List.rev !failures
-
-(* ------------------------------------------------------------------ *)
-(* Cache identity *)
-
-(* The macromodel cache must be invisible: replaying a cone interface
-   from a cached model has to yield bitwise the run a real cone walk
-   yields, cold (fresh cache) and warm (a cache carried over from a
-   previous run on another timer, which exercises the rebind + hash
-   revalidation tier). Checked per engine per job count against the
-   cache-disabled reference. *)
-let check_cache_identity ?config ?(jobs = [ 1 ]) ?(engines = all_engines)
-    ?(cache_bytes = 64 * 1024 * 1024) design ~corner =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let bits = Int64.bits_of_float in
-  let compare_runs ~label reference candidate =
-    if candidate.edges_extracted <> reference.edges_extracted then
-      fail "%s: extracted %d edges, cache-disabled extracted %d" label candidate.edges_extracted
-        reference.edges_extracted;
-    if candidate.iterations <> reference.iterations then
-      fail "%s: ran %d iterations, cache-disabled ran %d" label candidate.iterations
-        reference.iterations;
-    List.iter2
-      (fun (name, lr) (name', lc) ->
-        if name <> name' then fail "%s: flip-flop set diverged (%s vs %s)" label name name'
-        else if bits lr <> bits lc then
-          fail "%s: flip-flop %s latency not bit-identical (%.17g cached vs %.17g)" label name lc
-            lr)
-      reference.latencies candidate.latencies
-  in
-  (* what the cache saw: lookup outcomes and every entry's content
-     hash, which must not depend on the job count *)
-  let account cache =
-    let hashes =
-      List.sort compare
-        (List.map
-           (fun s -> (s.Macromodel.cs_key, s.Macromodel.cs_hash))
-           (Macromodel.snapshot cache))
-    in
-    (Macromodel.hits cache, Macromodel.rehash_hits cache, Macromodel.misses cache, hashes)
-  in
-  List.iter
-    (fun engine ->
-      let first = ref None in
-      List.iter
-        (fun j ->
-          let label phase =
-            Printf.sprintf "cache/%s/jobs=%d/%s" (engine_name engine) j phase
-          in
-          let reference = schedule ?config ~jobs:j engine design ~corner in
-          let cache = Macromodel.create ~max_bytes:cache_bytes () in
-          let cold = schedule ?config ~jobs:j ~cache engine design ~corner in
-          compare_runs ~label:(label "cold") reference cold;
-          (* same cache, new timer: every surviving entry is
-             stamp-unverified and must pass the content-hash tier *)
-          let warm = schedule ?config ~jobs:j ~cache engine design ~corner in
-          compare_runs ~label:(label "warm") reference warm;
-          let ((hits, rehash, misses, hashes) as acc) = account cache in
-          match !first with
-          | None -> first := Some (j, acc)
-          | Some (j0, (hits0, rehash0, misses0, hashes0)) ->
-            if (hits, rehash, misses) <> (hits0, rehash0, misses0) then
-              fail "%s: hits/rehash/misses %d/%d/%d, jobs=%d saw %d/%d/%d" (label "warm") hits
-                rehash misses j0 hits0 rehash0 misses0;
-            if hashes <> hashes0 then
-              fail "%s: entry content hashes differ from jobs=%d's" (label "warm") j0)
-        jobs)
-    engines;
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)
@@ -492,65 +420,6 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
           ref_lat (Hashtbl.find per_jobs j))
       rest
   | [] -> ());
-  List.rev !failures
-
-(* The stale-cache oracle: two warm sessions on clones of the same
-   design, one with the macromodel cache enabled and one with it
-   disabled, fed the same delta batches, must stay bitwise identical
-   after every batch. Any invalidation bug — a delay edit whose cone
-   keeps replaying a stale model — diverges here on the first affected
-   batch. *)
-let check_cache_eco_identity ?(config = Flow.default_config)
-    ?(cache_bytes = 64 * 1024 * 1024) ~deltas design ~algo =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let bits = Int64.bits_of_float in
-  let base =
-    {
-      config with
-      Flow.final_eval = false;
-      Flow.rollback = false;
-      Flow.checkpoint_dir = None;
-      Flow.debug_interrupt_after_phase = None;
-      Flow.debug_interrupt_after_iteration = None;
-    }
-  in
-  let cached_design = Flow.clone design in
-  let plain_design = Flow.clone design in
-  let cached =
-    Session.open_ ~config:{ base with Flow.cache_bytes } ~algo cached_design
-  in
-  let plain = Session.open_ ~config:{ base with Flow.cache_bytes = 0 } ~algo plain_design in
-  Fun.protect
-    ~finally:(fun () ->
-      Session.close cached;
-      Session.close plain)
-    (fun () ->
-      let compare_latencies ~label =
-        List.iter2
-          (fun (name, lc) (name', lp) ->
-            if name <> name' then fail "%s: flip-flop set diverged (%s vs %s)" label name name'
-            else if bits lc <> bits lp then
-              fail "%s: flip-flop %s latency not bit-identical (cached %.17g vs plain %.17g)"
-                label name lc lp)
-          (latencies_of cached_design) (latencies_of plain_design)
-      in
-      ignore (Session.finish cached);
-      ignore (Session.finish plain);
-      compare_latencies ~label:"cache-eco initial run";
-      List.iteri
-        (fun k batch ->
-          let label = Printf.sprintf "cache-eco batch %d" k in
-          match (Session.apply_delta cached batch, Session.apply_delta plain batch) with
-          | Ok _, Ok _ -> compare_latencies ~label
-          | Error ds, Ok _ ->
-            fail "%s: cached session rejected what the plain one accepted: %s" label
-              (String.concat "; " (List.map Diag.to_string ds))
-          | Ok _, Error ds ->
-            fail "%s: plain session rejected what the cached one accepted: %s" label
-              (String.concat "; " (List.map Diag.to_string ds))
-          | Error _, Error _ -> (* both rejected: identical behaviour, nothing to compare *) ())
-        deltas);
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)

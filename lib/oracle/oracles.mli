@@ -29,8 +29,6 @@ type engine =
   | Full_graph  (** exhaustive extraction — the reference semantics *)
   | Iccss  (** the IC-CSS+ baseline (Section III-E) *)
 
-val all_engines : engine list
-
 (** [engine_name e] is ["ours"], ["full"] or ["iccss"]. *)
 val engine_name : engine -> string
 
@@ -52,16 +50,14 @@ type run = {
       (** the scheduled clone the run mutated — feed to {!check_feasible} *)
 }
 
-(** [schedule ?config ?jobs ?cache engine design ~corner] clones
+(** [schedule ?config ?jobs engine design ~corner] clones
     [design], runs [engine]'s scheduler at [corner] on the clone and
     reports the outcome; the caller's design is never mutated.
     [jobs > 1] routes the extraction through a worker pool (shut down
-    before returning). [cache] routes cone walks through a
-    {!Css_cache.Macromodel} cache (rebound to the run's fresh timer). *)
+    before returning). *)
 val schedule :
   ?config:Css_core.Scheduler.config ->
   ?jobs:int ->
-  ?cache:Css_cache.Macromodel.t ->
   engine ->
   Css_netlist.Design.t ->
   corner:Css_sta.Timer.corner ->
@@ -110,27 +106,6 @@ val check_feasible :
 val check_jobs_identity :
   ?jobs:int list -> Css_netlist.Design.t -> corner:Css_sta.Timer.corner -> string list
 
-(** [check_cache_identity ?config ?jobs ?engines ?cache_bytes design
-    ~corner] proves the macromodel cache is invisible: for every engine
-    in [engines] (default all three) and every entry of [jobs] (default
-    [[1]]), a cache-disabled reference run is compared {e bitwise}
-    (per-flip-flop latencies via [Int64.bits_of_float], plus extraction
-    and iteration counts) against a cold-cache run (fresh
-    {!Css_cache.Macromodel} of [cache_bytes], default 64 MiB) {e and} a
-    warm-cache run that reuses the same cache against a new timer — the
-    latter forces every entry through the rebind + content-hash
-    revalidation tier. Across the entries of [jobs], each engine's
-    cache must end with the same hit, rehash-hit and miss counts and the
-    same per-entry content hashes as at the first job count. *)
-val check_cache_identity :
-  ?config:Css_core.Scheduler.config ->
-  ?jobs:int list ->
-  ?engines:engine list ->
-  ?cache_bytes:int ->
-  Css_netlist.Design.t ->
-  corner:Css_sta.Timer.corner ->
-  string list
-
 (** [check_resume_identity ?config ?kill_after_phase
     ?kill_after_iteration design ~algo ~dir] proves continuation is
     invisible: it runs the flow uninterrupted on one clone, runs it
@@ -175,23 +150,6 @@ val random_deltas :
 val check_eco_identity :
   ?config:Css_flow.Flow.config ->
   ?jobs:int list ->
-  deltas:Css_flow.Session.delta list list ->
-  Css_netlist.Design.t ->
-  algo:Css_flow.Flow.algo ->
-  string list
-
-(** [check_cache_eco_identity ?config ?cache_bytes ~deltas design ~algo]
-    is the stale-cache oracle: two warm sessions on clones of [design] —
-    one with the macromodel cache enabled at [cache_bytes] (default 64
-    MiB), one with it disabled — are fed the same [deltas] batches and
-    must stay {e bit-identical} after the initial run and after every
-    batch. A cone replaying a stale model after a delay or topology edit
-    diverges on the first affected batch. [config]'s
-    rollback/persistence/debug knobs are overridden as in
-    {!check_eco_identity}. *)
-val check_cache_eco_identity :
-  ?config:Css_flow.Flow.config ->
-  ?cache_bytes:int ->
   deltas:Css_flow.Session.delta list list ->
   Css_netlist.Design.t ->
   algo:Css_flow.Flow.algo ->

@@ -5,8 +5,6 @@ module Cell = Css_liberty.Cell
 module Obs = Css_util.Obs
 module Histo = Css_util.Histo
 module Pool = Css_util.Pool
-module Wall_clock = Css_util.Wall_clock
-module M = Css_cache.Macromodel
 
 type stats = {
   mutable edges_extracted : int;
@@ -34,7 +32,7 @@ type obs_counters = {
   o_endpoints : Obs.counter;  (* endpoints / vertices cone-walked *)
   o_cone : Obs.counter;
   o_rounds : Obs.counter;
-  o_walks : Obs.counter;  (* real cone traversals (cache misses or no cache) *)
+  o_walks : Obs.counter;  (* cone traversals *)
   (* Cone-walk size distribution (visited nodes per walked endpoint),
      observed during the deterministic merge in item order — identical
      at any worker count. [Histo.dummy] when observability is off. *)
@@ -61,26 +59,12 @@ type cand = {
   c_weight : float;
 }
 
-(* A worker's verdict on one cone lookup, applied merge-side in item
-   order so the LRU order, the counters and the latency histograms come
-   out identical at any worker count. *)
-type note =
-  | N_touch of M.entry * float  (* stamp-tier hit, lookup seconds *)
-  | N_rehash of M.entry * float  (* hash-tier hit *)
-  | N_store of M.entry * float  (* miss: commit this fresh model *)
-
 (* The result of cone-walking one work item: its candidates in exactly
    the order the sequential loop would enumerate them, plus the visited
-   node count for deferred stats accounting, the number of real cone
-   traversals performed (0 when every cone hit the cache), and the cache
-   notes in cone order. Workers only build shards; all graph/stats/Obs/
-   cache-structure mutation happens in the submitter's merge. *)
-type shard = {
-  sh_cands : cand list;
-  sh_visited : int;
-  sh_walks : int;
-  sh_notes : note list;
-}
+   node count for deferred stats accounting and the number of cones
+   walked. Workers only build shards; all graph/stats/Obs mutation
+   happens in the submitter's merge. *)
+type shard = { sh_cands : cand list; sh_visited : int; sh_walks : int }
 
 type t = {
   kind : engine;
@@ -96,10 +80,6 @@ type t = {
      wall-clock. *)
   mutable pool : Pool.t option;
   mutable ctxs : Timer.cone_ctx array;  (* one private walk scratch per worker *)
-  (* Cone macromodel cache, shared across engines/corners/requests by
-     the owner (session, oracle, bench). Workers only probe/validate;
-     the merge commits (see the concurrency contract in macromodel.mli). *)
-  cache : M.t option;
   mutable pending_first : int;  (* Full: work count reported by the first round *)
   (* IC-CSS state *)
   bound : float array;  (* one-time extreme outgoing/incoming path delay *)
@@ -127,46 +107,12 @@ let walk t ~n (f : Timer.cone_ctx -> int -> shard) : shard array =
   | Some pool -> Pool.map pool ~n (fun ~worker i -> f t.ctxs.(worker) i)
   | None -> Array.init n (fun i -> f t.ctxs.(0) i)
 
-(* Walk [root]'s cone through the cache when one is attached. A hit
-   replays the stored interface list — bit-identical to the walk it
-   memoized — without touching the graph; a miss walks for real and
-   packages a fresh model. Cache commits are deferred as notes: workers
-   write nothing but their own entry's validation fields (distinct roots
-   per round make those writes race-free). *)
-let cone_cached t ctx ~corner ~forward root notes =
-  match t.cache with
-  | None ->
-    let raw, visited = Timer.cone_nodes_in ctx t.timer corner ~root ~forward in
-    (raw, visited, 1)
-  | Some cache ->
-    let key = M.key ~root ~corner ~forward in
-    let t0 = Wall_clock.now () in
-    let live =
-      match M.probe cache ~key with
-      | exception Not_found -> None
-      | e ->
-        if M.stamp_fresh cache t.timer e then Some (e, false)
-        else if M.revalidate cache t.timer ctx e then Some (e, true)
-        else None
-    in
-    (match live with
-    | Some (e, rehash) ->
-      let dt = Wall_clock.now () -. t0 in
-      notes := (if rehash then N_rehash (e, dt) else N_touch (e, dt)) :: !notes;
-      (M.interface e, 0, 0)
-    | None ->
-      let raw, visited = Timer.cone_nodes_in ctx t.timer corner ~root ~forward in
-      let e = M.make t.timer ctx ~key ~results:raw ~visited in
-      notes := N_store (e, Wall_clock.now () -. t0) :: !notes;
-      (raw, visited, 1))
-
 (* Deterministic merge: fold shards in item order, inserting kept
-   candidates in their sequential enumeration order and applying cache
-   notes in cone order, then flush the accumulated stats and counters
-   once (per-worker-flush rule: workers never touch [stats], the timer,
-   the cache structure or the [Obs] context). Returns the number of kept
-   candidates that changed the graph's constraint set (inserted or
-   rebound); refreshing a stored path does not count. *)
+   candidates in their sequential enumeration order, then flush the
+   accumulated stats and counters once (per-worker-flush rule: workers
+   never touch [stats], the timer or the [Obs] context). Returns the
+   number of kept candidates that changed the graph's constraint set
+   (inserted or rebound); refreshing a stored path does not count. *)
 let merge ?(keep = fun _ -> true) t shards =
   let inserted = ref 0 and rebound = ref 0 and kept = ref 0 in
   let visited = ref 0 and cands = ref 0 and walks = ref 0 in
@@ -175,22 +121,6 @@ let merge ?(keep = fun _ -> true) t shards =
       visited := !visited + sh.sh_visited;
       walks := !walks + sh.sh_walks;
       Histo.observe_int t.oc.h_cone sh.sh_visited;
-      (match t.cache with
-      | None -> ()
-      | Some cache ->
-        List.iter
-          (fun note ->
-            match note with
-            | N_touch (e, s) ->
-              M.touch cache e;
-              M.note_hit cache ~rehash:false ~seconds:s
-            | N_rehash (e, s) ->
-              M.touch cache e;
-              M.note_hit cache ~rehash:true ~seconds:s
-            | N_store (e, s) ->
-              M.store cache e;
-              M.note_miss cache ~seconds:s)
-          sh.sh_notes);
       List.iter
         (fun c ->
           incr cands;
@@ -232,8 +162,7 @@ let full_extract t =
     walk t ~n (fun ctx i ->
         let root = srcs.(i) in
         let launcher = Graph.launcher_of_node g root in
-        let notes = ref [] in
-        let found, visited, walks = cone_cached t ctx ~corner ~forward:true root notes in
+        let found, visited = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:true in
         let cands =
           List.map
             (fun (node, delay) ->
@@ -242,7 +171,7 @@ let full_extract t =
               { c_launcher = launcher; c_endpoint = endpoint; c_delay = delay; c_weight = weight })
             found
         in
-        { sh_cands = cands; sh_visited = visited; sh_walks = walks; sh_notes = !notes })
+        { sh_cands = cands; sh_visited = visited; sh_walks = 1 })
   in
   let added = merge t shards in
   t.stats.rounds <- t.stats.rounds + 1;
@@ -288,8 +217,7 @@ let essential_round ?(limit = max_int) t =
     walk t ~n (fun ctx i ->
         let endpoint = selected.(i) in
         let root = Graph.node_of_endpoint g endpoint in
-        let notes = ref [] in
-        let found, visited, walks = cone_cached t ctx ~corner ~forward:false root notes in
+        let found, visited = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:false in
         let cands =
           List.map
             (fun (node, delay) ->
@@ -298,7 +226,7 @@ let essential_round ?(limit = max_int) t =
               { c_launcher = launcher; c_endpoint = endpoint; c_delay = delay; c_weight = weight })
             found
         in
-        { sh_cands = cands; sh_visited = visited; sh_walks = walks; sh_notes = !notes })
+        { sh_cands = cands; sh_visited = visited; sh_walks = 1 })
   in
   { added = merge ~keep:(fun c -> c.c_weight < 0.0) t shards; truncated = !truncated }
 
@@ -405,7 +333,6 @@ let iccss_collect t ctx v =
   let corner = Seq_graph.corner t.graph in
   let g = Timer.graph t.timer in
   let visited = ref 0 and walks = ref 0 in
-  let notes = ref [] in
   let cands =
     match corner with
     | Timer.Late ->
@@ -424,9 +351,9 @@ let iccss_collect t ctx v =
       List.concat_map
         (fun launcher ->
           let root = Graph.source_of_launcher g launcher in
-          let found, vis, wk = cone_cached t ctx ~corner ~forward:true root notes in
+          let found, vis = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:true in
           visited := !visited + vis;
-          walks := !walks + wk;
+          incr walks;
           List.map
             (fun (node, delay) ->
               let endpoint = Graph.endpoint_of_node g node in
@@ -449,9 +376,9 @@ let iccss_collect t ctx v =
       List.concat_map
         (fun endpoint ->
           let root = Graph.node_of_endpoint g endpoint in
-          let found, vis, wk = cone_cached t ctx ~corner ~forward:false root notes in
+          let found, vis = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:false in
           visited := !visited + vis;
-          walks := !walks + wk;
+          incr walks;
           List.map
             (fun (node, delay) ->
               let launcher = Graph.launcher_of_node g node in
@@ -460,7 +387,7 @@ let iccss_collect t ctx v =
             found)
         endpoints
   in
-  { sh_cands = cands; sh_visited = !visited; sh_walks = !walks; sh_notes = List.rev !notes }
+  { sh_cands = cands; sh_visited = !visited; sh_walks = !walks }
 
 (* Fire the callback for every not-yet-expanded critical vertex. The
    criticality test reads only timer state and the one-time bound —
@@ -504,8 +431,7 @@ let constraint_edges t ff =
 (* ------------------------------------------------------------------ *)
 (* Unified entry point                                                 *)
 
-let run ?(obs = Obs.null) ?pool ?cache ~engine:kind timer verts ~corner =
-  Option.iter (fun c -> M.bind c timer) cache;
+let run ?(obs = Obs.null) ?pool ~engine:kind timer verts ~corner =
   let t =
     {
       kind;
@@ -515,11 +441,7 @@ let run ?(obs = Obs.null) ?pool ?cache ~engine:kind timer verts ~corner =
       stats = fresh_stats ();
       oc = resolve_obs obs (engine_name kind);
       pool;
-      ctxs =
-        Array.init
-          (match pool with Some p -> Pool.jobs p | None -> 1)
-          (fun _ -> Timer.cone_ctx timer);
-      cache;
+      ctxs = worker_ctxs timer pool;
       pending_first = 0;
       bound = (match kind with Iccss -> compute_bound timer verts corner | Full | Essential -> [||]);
       expanded =
@@ -586,8 +508,7 @@ let snapshot t =
     sn_expanded = Array.copy t.expanded;
   }
 
-let restore ?(obs = Obs.null) ?pool ?cache snap timer verts ~corner =
-  Option.iter (fun c -> M.bind c timer) cache;
+let restore ?(obs = Obs.null) ?pool snap timer verts ~corner =
   let t =
     {
       kind = snap.sn_engine;
@@ -598,7 +519,6 @@ let restore ?(obs = Obs.null) ?pool ?cache snap timer verts ~corner =
       oc = resolve_obs obs (engine_name snap.sn_engine);
       pool;
       ctxs = worker_ctxs timer pool;
-      cache;
       pending_first = snap.sn_pending_first;
       bound = Array.copy snap.sn_bound;
       expanded = Array.copy snap.sn_expanded;

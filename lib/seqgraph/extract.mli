@@ -44,22 +44,9 @@
     [candidate_edges] (cone results examined, kept or not — for
     {!Essential} the gap between candidates and kept edges is the
     over-extraction avoided), [endpoints_walked],
-    [cone_nodes], [rounds] and [cone_walks] (real cone traversals — a
-    cache hit serves an endpoint without a walk, so
-    [endpoints_walked - cone_walks] is the work the macromodel cache
-    absorbed). See [docs/OBSERVABILITY.md].
-
-    {2 The macromodel cache}
-
-    Pass [?cache] (a {!Css_cache.Macromodel.t}) and every cone walk
-    first consults the cache: a stamp- or hash-validated model replays
-    the stored interface list bit-identically to a fresh walk, a miss
-    walks for real and stores a new model. Workers only probe and
-    validate; all cache-structure mutation (LRU order, insertion,
-    eviction, counters) is committed in the deterministic merge in item
-    order, so results {e and} cache state are identical at any worker
-    count. The cache may be shared across engines, corners and requests
-    — keys embed root, corner and direction. *)
+    [cone_nodes], [rounds] and [cone_walks] (cone traversals: one per
+    walked endpoint, or per launcher/endpoint an IC-CSS supernode
+    stands for). See [docs/OBSERVABILITY.md]. *)
 
 type stats = {
   mutable edges_extracted : int;
@@ -89,18 +76,14 @@ val engine_name : engine -> string
     tests, {!Iccss}'s bound and expansion flags). *)
 type t
 
-(** [run ?obs ?pool ?cache ~engine timer verts ~corner] instantiates
+(** [run ?obs ?pool ~engine timer verts ~corner] instantiates
     [engine] over [timer]'s design at [corner], starting from an empty
     graph (for [Full], the one-time exhaustive extraction happens here).
     [?pool] parallelizes the cone walks as described above; the timer
-    must not be mutated while a round is in flight. [?cache] attaches a
-    macromodel cache (it is {!Css_cache.Macromodel.bind}-ed to [timer]
-    first, so stale entries from another timer are demoted or dropped
-    before any lookup). *)
+    must not be mutated while a round is in flight. *)
 val run :
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   engine:engine ->
   Css_sta.Timer.t ->
   Vertex.t ->
@@ -199,7 +182,6 @@ val snapshot : t -> snapshot
 val restore :
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
-  ?cache:Css_cache.Macromodel.t ->
   snapshot ->
   Css_sta.Timer.t ->
   Vertex.t ->

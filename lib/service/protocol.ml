@@ -70,7 +70,6 @@ type open_params = {
   o_rollback : bool option;
   o_wall_seconds : float option;
   o_rss_mb : int option;
-  o_cache_mb : int option;
 }
 
 type request =
@@ -164,8 +163,7 @@ let request_to_json : request -> Json.t = function
       @ opt "final_eval" p.o_final_eval (fun b -> Json.Bool b)
       @ opt "rollback" p.o_rollback (fun b -> Json.Bool b)
       @ opt "wall_seconds" p.o_wall_seconds fstr
-      @ opt "rss_mb" p.o_rss_mb (fun i -> Json.Int i)
-      @ opt "cache_mb" p.o_cache_mb (fun i -> Json.Int i))
+      @ opt "rss_mb" p.o_rss_mb (fun i -> Json.Int i))
   | Run s -> Json.Obj [ ("op", Json.String "run"); ("session", Json.String s) ]
   | Apply_delta (s, ds) ->
     Json.Obj
@@ -195,7 +193,6 @@ let request_of_json j : request =
         o_rollback = opt_bool j "rollback";
         o_wall_seconds = opt_float j "wall_seconds";
         o_rss_mb = opt_int j "rss_mb";
-        o_cache_mb = opt_int j "cache_mb";
       }
   | "run" -> Run (string_field j "session")
   | "apply_delta" ->

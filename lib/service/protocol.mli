@@ -61,9 +61,6 @@ type open_params = {
   o_rollback : bool option;
   o_wall_seconds : float option;  (** per-session wall budget *)
   o_rss_mb : int option;  (** per-session RSS budget *)
-  o_cache_mb : int option;
-      (** per-session macromodel-cache budget in MiB; [0] disables the
-          cache for this session (overrides the daemon default) *)
 }
 
 type request =

@@ -24,7 +24,6 @@ type config = {
   rollback : bool;
   wall_seconds : float option;
   rss_mb : int option;
-  cache_mb : int;
   max_sessions : int;
   obs : Obs.t;
 }
@@ -42,7 +41,6 @@ let default_config =
     rollback = false;
     wall_seconds = None;
     rss_mb = None;
-    cache_mb = 64;
     max_sessions = 16;
     obs = Obs.null;
   }
@@ -53,10 +51,6 @@ type sess = {
   sx_dir : string option;
   mutable sx_last_stop : string;
   mutable sx_requests : int;
-  (* macromodel-cache counts as of the last request, so per-request
-     deltas feed the daemon-wide [service.cache.*] counters *)
-  mutable sx_cache_hits : int;
-  mutable sx_cache_misses : int;
 }
 
 type t = {
@@ -120,7 +114,6 @@ let write_meta ~dir ~(p : Protocol.open_params) ~(sc : Session.config) =
                 ("rollback", Json.Bool sc.Session.rollback);
                 ("wall_seconds", opt sc.Session.budget.Budget.wall_seconds (fun f -> Json.Float f));
                 ("rss_bytes", opt sc.Session.budget.Budget.rss_bytes (fun i -> Json.Int i));
-                ("cache_mb", Json.Int (sc.Session.cache_bytes / (1024 * 1024)));
               ])))
 
 let rec mkdir_p path =
@@ -152,7 +145,6 @@ let session_config (cfg : config) ~(p : Protocol.open_params) ~dir : Session.con
     rollback;
     obs = cfg.obs;
     checkpoint_dir = dir;
-    cache_bytes = dfl cfg.cache_mb p.Protocol.o_cache_mb * 1024 * 1024;
     budget =
       {
         Budget.no_limits with
@@ -177,22 +169,8 @@ let save_sess sx =
     try Session.save sx.sx_session ~dir
     with Sys_error m -> Log.warn (fun m' -> m' "session %s: checkpoint failed: %s" sx.sx_name m))
 
-(* Credit this request's cache activity to the daemon-wide counters
-   (deltas against the session's cumulative counts). *)
-let note_cache_activity t sx =
-  match Session.cache_stats sx.sx_session with
-  | None -> ()
-  | Some cs ->
-    let dh = cs.Session.cache_hits - sx.sx_cache_hits in
-    let dm = cs.Session.cache_misses - sx.sx_cache_misses in
-    if dh > 0 then Obs.add (Obs.counter t.cfg.obs "service.cache.hits") dh;
-    if dm > 0 then Obs.add (Obs.counter t.cfg.obs "service.cache.misses") dm;
-    sx.sx_cache_hits <- cs.Session.cache_hits;
-    sx.sx_cache_misses <- cs.Session.cache_misses
-
-let record_result t sx (r : Session.result) =
+let record_result sx (r : Session.result) =
   sx.sx_last_stop <- r.Session.stop_reason;
-  note_cache_activity t sx;
   save_sess sx
 
 let handle_open t (p : Protocol.open_params) =
@@ -223,8 +201,6 @@ let handle_open t (p : Protocol.open_params) =
               sx_dir = dir;
               sx_last_stop = "";
               sx_requests = 0;
-              sx_cache_hits = 0;
-              sx_cache_misses = 0;
             }
           in
           Hashtbl.replace t.sessions p.Protocol.o_session sx;
@@ -251,7 +227,7 @@ let handle_request t (req : Protocol.request) =
     | Ok sx ->
       sx.sx_requests <- sx.sx_requests + 1;
       let r = Session.finish sx.sx_session in
-      record_result t sx r;
+      record_result sx r;
       Protocol.ok [ ("result", Protocol.summary_of_result r) ])
   | Protocol.Apply_delta (name, deltas) -> (
     match find_sess t name with
@@ -261,7 +237,7 @@ let handle_request t (req : Protocol.request) =
       match Session.apply_delta sx.sx_session deltas with
       | Error diags -> Protocol.error_of_diags diags
       | Ok o ->
-        record_result t sx o.Session.d_result;
+        record_result sx o.Session.d_result;
         Protocol.ok
           [
             ("result", Protocol.summary_of_result o.Session.d_result);
@@ -301,26 +277,11 @@ let handle_request t (req : Protocol.request) =
     let sessions =
       Hashtbl.fold
         (fun _ sx acc ->
-          let cache =
-            match Session.cache_stats sx.sx_session with
-            | None -> Json.Null
-            | Some cs ->
-              Json.Obj
-                [
-                  ("hits", Json.Int cs.Session.cache_hits);
-                  ("rehash_hits", Json.Int cs.Session.cache_rehash_hits);
-                  ("misses", Json.Int cs.Session.cache_misses);
-                  ("evictions", Json.Int cs.Session.cache_evictions);
-                  ("entries", Json.Int cs.Session.cache_entries);
-                  ("bytes", Json.Int cs.Session.cache_bytes_used);
-                ]
-          in
           Json.Obj
             [
               ("session", Json.String sx.sx_name);
               ("stop_reason", Json.String sx.sx_last_stop);
               ("requests", Json.Int sx.sx_requests);
-              ("cache", cache);
             ]
           :: acc)
         t.sessions []
@@ -443,10 +404,6 @@ let restore_sessions t =
                   (match Json.member "rss_bytes" meta with
                   | Some (Json.Int b) -> Some (b / (1024 * 1024))
                   | _ -> None);
-                o_cache_mb =
-                  (match Json.member "cache_mb" meta with
-                  | Some (Json.Int mb) -> Some mb
-                  | _ -> None);
               }
             in
             let sc = session_config t.cfg ~p ~dir:(Some dir) in
@@ -463,8 +420,6 @@ let restore_sessions t =
                   sx_dir = Some dir;
                   sx_last_stop = "resumed";
                   sx_requests = 0;
-                  sx_cache_hits = 0;
-                  sx_cache_misses = 0;
                 };
               obs_incr t "service.resumes";
               Log.info (fun m -> m "resumed session %s" name)))

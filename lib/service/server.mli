@@ -45,12 +45,6 @@ type config = {
           final evaluation, which scores the checkpoints *)
   wall_seconds : float option;  (** default per-session wall budget *)
   rss_mb : int option;  (** default per-session RSS budget *)
-  cache_mb : int;
-      (** default per-session macromodel-cache budget in MiB (daemon
-          default 64; [0] disables). Per-request hit/miss deltas feed
-          the [service.cache.hits]/[service.cache.misses] counters, and
-          the [stats] op reports each session's cumulative cache
-          counters. *)
   max_sessions : int;  (** [open] beyond this answers [SRV-002] *)
   obs : Css_util.Obs.t;
       (** the daemon's and every session's observability sink; its

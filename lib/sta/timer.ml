@@ -103,15 +103,6 @@ type t = {
   pred_min : int array;
   rat_late : float array;
   rat_early : float array;
-  (* Delay-change epochs, the cache-invalidation substrate: [delay_gen]
-     advances at every update entry point, and [stamp.(n)] records the
-     generation of the last change at [n] that can move an arc delay
-     (slew, load, pin position, master). Latency-only updates move
-     arrivals but no stamps — that asymmetry is what lets a cone
-     macromodel survive the scheduler's latency iterations. *)
-  stamp : int array;
-  mutable delay_gen : int;
-  t_id : int;  (* process-unique: cache entries bound to a timer *)
   visit : Mark.t;  (* scratch for incremental worklists *)
   (* The incremental worklist: one intrusive list per topological level
      ([wl_head.(level)] -> node -> [wl_next.(node)] -> ... -> -1) and
@@ -153,11 +144,6 @@ let set_obs t obs =
   t.obs <- obs;
   t.oc <- resolve_obs_counters obs
 
-let timer_id t = t.t_id
-let delay_gen t = t.delay_gen
-let delay_stamp t n = t.stamp.(n)
-let bump_gen t = t.delay_gen <- t.delay_gen + 1
-
 (* ------------------------------------------------------------------ *)
 (* Loads                                                               *)
 
@@ -169,7 +155,6 @@ let refresh_load_of_driver t node =
   let d = t.design in
   let pin = Array.unsafe_get t.g_node_pin node in
   let net = Design.pin_net_id d pin in
-  let old_load = Array.unsafe_get t.load node in
   if net < 0 then t.load.(node) <- 0.0
   else begin
     let px = Design.pin_x d pin and py = Design.pin_y d pin in
@@ -182,9 +167,7 @@ let refresh_load_of_driver t node =
       fs.s_acc <- fs.s_acc +. wcap +. sink_cap t sink
     done;
     t.load.(node) <- fs.s_acc
-  end;
-  (* a new load moves the delay of every cell arc into this node *)
-  if Array.unsafe_get t.load node <> old_load then Array.unsafe_set t.stamp node t.delay_gen
+  end
 
 let refresh_all_loads t =
   let d = t.design in
@@ -229,8 +212,8 @@ let arc_delay_into fs t a =
       (if len <= 0.0 then 0.0
        else (driver_res t u *. t.wire_c *. len) +. (t.wire_r *. t.wire_c *. len *. len /. 2.0))
 
-(* A scratch record of its own, not [t.fscr]: cache workers hash cone
-   delays through this concurrently. *)
+(* A scratch record of its own, not [t.fscr], so it is safe from any
+   domain. *)
 let arc_delay t corner a =
   let fs = fscratch () in
   arc_delay_into fs t a;
@@ -350,10 +333,6 @@ let recompute_forward t n =
   end;
   t.stats.forward_visits <- t.stats.forward_visits + 1;
   Obs.incr t.oc.o_fwd;
-  (* a slew change moves downstream cell-arc delays; arrival changes
-     alone do not, so latency sweeps leave the stamps untouched unless
-     they flip an arg-max onto an arc with a different output slew *)
-  if Array.unsafe_get t.slew n <> old_slew then Array.unsafe_set t.stamp n t.delay_gen;
   Array.unsafe_get t.at_max n <> old_max
   || Array.unsafe_get t.at_min n <> old_min
   || Array.unsafe_get t.slew n <> old_slew
@@ -395,7 +374,6 @@ let recompute_backward t n =
 (* Full propagation                                                    *)
 
 let propagate t =
-  bump_gen t;
   refresh_all_loads t;
   let topo = Graph.topo_order t.graph in
   for i = 0 to Array.length topo - 1 do
@@ -489,7 +467,6 @@ let sweep_backward t =
 (* One incremental update: [push_fwd] queues the forward seeds,
    [push_bwd] the backward seeds beyond the forward-changed nodes. *)
 let update_with t ~push_fwd ~push_bwd =
-  bump_gen t;
   Obs.incr t.oc.o_incr_updates;
   wl_clear t;
   t.n_changed <- 0;
@@ -546,12 +523,6 @@ let update_moved_cells t cells =
             add_node fwd sink;
             add_node bwd sink)
   in
-  (* Placement/master changes move pin positions and Elmore terms the
-     value-compare hooks cannot all see, so every seed is stamped
-     unconditionally. The bump here (not just in [update_after]) keeps
-     these stamps strictly newer than any cache snapshot taken before
-     this call. *)
-  bump_gen t;
   let nets = Hashtbl.create 16 in
   let moved_ffs = ref [] in
   List.iter
@@ -571,8 +542,6 @@ let update_moved_cells t cells =
       add_node fwd (Design.cell_pin d ff "Q");
       add_node bwd (Design.cell_pin d ff "D"))
     !moved_ffs;
-  List.iter (fun n -> t.stamp.(n) <- t.delay_gen) !fwd;
-  List.iter (fun n -> t.stamp.(n) <- t.delay_gen) !bwd;
   update_after t ~fwd_seeds:!fwd ~bwd_seeds:!bwd
 
 let resize_cell t c master =
@@ -832,16 +801,7 @@ let cone_from_launcher_in ctx t corner l =
   let raw, visited = cone_in ctx t corner ~root ~forward:true in
   (List.map (fun (n, d) -> (Graph.endpoint_of_node t.graph n, d)) raw, visited)
 
-(* The raw node-level walk, for callers (the macromodel cache) that
-   store and replay cones without the launcher/endpoint classification.
-   On return [ctx]'s mark still holds exactly the cone members and
-   [ctx_members ctx .. ctx_member_count ctx - 1] lists them in the DP's
-   level order — content hashing reuses both without re-walking. *)
 let cone_nodes_in ctx t corner ~root ~forward = cone_in ctx t corner ~root ~forward
-
-let ctx_members ctx = ctx.cw_members
-let ctx_member_count ctx = ctx.cw_count
-let ctx_mark ctx = ctx.cw_visit
 
 let cone_to_endpoint t corner e =
   let root = Graph.node_of_endpoint t.graph e in
@@ -919,11 +879,6 @@ let k_worst_paths t corner e ~k =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-(* Process-unique timer identities: a cache holding entries for one
-   timer must detect being handed a different one (new graph, new node
-   numbering) even across ECO rebuilds that reuse the same address. *)
-let next_timer_id = Atomic.make 1
-
 let build ?(config = default_config) ?(obs = Obs.null) ?graph design =
   let graph = match graph with Some g -> g | None -> Graph.build design in
   let n = Graph.num_nodes graph in
@@ -948,9 +903,6 @@ let build ?(config = default_config) ?(obs = Obs.null) ?graph design =
       pred_min = Array.make sz (-1);
       rat_late = Array.make sz infinity;
       rat_early = Array.make sz neg_infinity;
-      stamp = Array.make sz 0;
-      delay_gen = 1;
-      t_id = Atomic.fetch_and_add next_timer_id 1;
       visit = Mark.create sz;
       wl_head = Array.make (Array.fold_left max 0 (Graph.levels graph) + 1) (-1);
       wl_next = Array.make sz (-1);

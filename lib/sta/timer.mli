@@ -65,27 +65,6 @@ val obs : t -> Css_util.Obs.t
     already accumulated are not transferred. *)
 val set_obs : t -> Css_util.Obs.t -> unit
 
-(** {1 Delay-change epochs (cache invalidation)}
-
-    The macromodel cache ({!Css_cache.Macromodel}) needs to know, per
-    node, whether any quantity an arc delay depends on (slew, load, pin
-    position, library master) has changed since a cone model was taken.
-    Clock-latency updates move arrivals and slacks but — by design — no
-    stamps, so a latency-only scheduler iteration invalidates nothing. *)
-
-(** [timer_id t] is a process-unique identity, fresh per {!build}. *)
-val timer_id : t -> int
-
-(** [delay_gen t] is the current delay-change generation; it advances on
-    every [propagate]/incremental-update entry. *)
-val delay_gen : t -> int
-
-(** [delay_stamp t n] is the generation of the last delay-relevant
-    change at node [n] (0 = never since build). A cone model snapshotted
-    at generation [s] is certainly still exact if every member's stamp
-    is [<= s]. *)
-val delay_stamp : t -> Graph.node -> int
-
 (** {1 Propagation} *)
 
 (** [propagate t] recomputes all arrivals, slews and required times from
@@ -213,24 +192,9 @@ val cone_from_launcher_in :
 (** [cone_nodes_in ctx t corner ~root ~forward] is the raw node-level
     walk underlying both [_in] variants: the reached endpoint (forward)
     or source (backward) nodes with their extreme pure path delays, plus
-    the visited-node count. On return, [ctx]'s mark still holds exactly
-    the cone's members and [ctx_members]/[ctx_member_count] expose them
-    in the DP's level order — the macromodel cache hashes cone content
-    from these without a second traversal. *)
+    the visited-node count. *)
 val cone_nodes_in :
   cone_ctx -> t -> corner -> root:Graph.node -> forward:bool -> (Graph.node * float) list * int
-
-(** [ctx_members ctx] is [ctx]'s member buffer; only the first
-    [ctx_member_count ctx] slots are meaningful, and only until the next
-    walk through [ctx]. *)
-val ctx_members : cone_ctx -> int array
-
-val ctx_member_count : cone_ctx -> int
-
-(** [ctx_mark ctx] is [ctx]'s visit mark (valid like {!ctx_members});
-    callers may also reset and reuse it as member-set scratch between
-    walks. *)
-val ctx_mark : cone_ctx -> Css_util.Mark.t
 
 (** [note_cone_visits t n] credits [n] cone-visited nodes to
     [t.stats.cone_visits] and the [timer.cone_nodes] counter — the

@@ -756,44 +756,36 @@ let test_scheduler_should_stop_after_n () =
         (Design.scheduled_latency design ff))
     (Design.ffs design)
 
-let test_scheduler_ring_never_worse_than_best () =
-  (* the best-k ring guarantee: a Stalled/Max_iterations run ends no
+let test_scheduler_best_never_worse_than_traced () =
+  (* the best-state guarantee: a Stalled/Max_iterations run ends no
      worse than the best TNS its trace ever reached (restoration backs
-     oscillations out); ring_restored only fires on those stops *)
-  List.iter
-    (fun best_ring ->
-      let design = Generator.generate Profile.tiny in
-      let timer = Timer.build design in
-      let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-      let config = { Scheduler.default_config with Scheduler.best_ring } in
-      let result = Scheduler.run ~config timer extraction in
-      let final = Timer.tns timer Timer.Late in
-      if best_ring > 0 then begin
-        let best_traced =
-          List.fold_left
-            (fun acc (it : Scheduler.iteration) -> Float.max acc it.Scheduler.tns_late)
-            neg_infinity result.Scheduler.trace
-        in
-        (match result.Scheduler.stop_reason with
-        | Scheduler.Stalled | Scheduler.Max_iterations ->
-          checkb "final TNS >= best traced" true (final >= best_traced -. 1e-6)
-        | _ -> ());
-        if result.Scheduler.ring_restored then
-          checkb "restored only on stall/cap" true
-            (result.Scheduler.stop_reason = Scheduler.Stalled
-            || result.Scheduler.stop_reason = Scheduler.Max_iterations)
-      end
-      else checkb "ring disabled never restores" true (not result.Scheduler.ring_restored))
-    [ 0; 1; 4 ]
+     oscillations out); best_restored only fires on those stops *)
+  let design = Generator.generate Profile.tiny in
+  let timer = Timer.build design in
+  let extraction, _ = Engine.ours timer ~corner:Timer.Late in
+  let result = Scheduler.run timer extraction in
+  let final = Timer.tns timer Timer.Late in
+  let best_traced =
+    List.fold_left
+      (fun acc (it : Scheduler.iteration) -> Float.max acc it.Scheduler.tns_late)
+      neg_infinity result.Scheduler.trace
+  in
+  (match result.Scheduler.stop_reason with
+  | Scheduler.Stalled | Scheduler.Max_iterations ->
+    checkb "final TNS >= best traced" true (final >= best_traced -. 1e-6)
+  | _ -> ());
+  if result.Scheduler.best_restored then
+    checkb "restored only on stall/cap" true
+      (result.Scheduler.stop_reason = Scheduler.Stalled
+      || result.Scheduler.stop_reason = Scheduler.Max_iterations)
 
-let test_scheduler_ring_restore_matches_design () =
-  (* whatever the ring did, result.target_latency and the design's
+let test_scheduler_best_restore_matches_design () =
+  (* whatever the restore did, result.target_latency and the design's
      scheduled latencies must agree afterwards *)
   let design = Generator.generate Profile.tiny in
   let timer = Timer.build design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-  let config = { Scheduler.default_config with Scheduler.best_ring = 1 } in
-  let result = Scheduler.run ~config timer extraction in
+  let result = Scheduler.run timer extraction in
   let verts = Seq_graph.vertices extraction.Scheduler.graph in
   Array.iter
     (fun ff ->
@@ -865,10 +857,10 @@ let () =
             test_scheduler_should_stop_immediately;
           Alcotest.test_case "should_stop after n polls" `Quick
             test_scheduler_should_stop_after_n;
-          Alcotest.test_case "ring never worse than best" `Quick
-            test_scheduler_ring_never_worse_than_best;
-          Alcotest.test_case "ring restore matches design" `Quick
-            test_scheduler_ring_restore_matches_design;
+          Alcotest.test_case "best state never worse than traced" `Quick
+            test_scheduler_best_never_worse_than_traced;
+          Alcotest.test_case "best-state restore matches design" `Quick
+            test_scheduler_best_restore_matches_design;
           Alcotest.test_case "truncated round never converges" `Quick
             test_scheduler_truncated_round_never_converges;
         ] );

@@ -90,57 +90,6 @@ let jobs_identity_prop =
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
-(* {2 The macromodel cache: invisible cold, warm, and under deltas} *)
-
-(* the acceptance sweep: 3 profiles x all 3 engines x jobs {1,2,8},
-   cache-disabled vs cold-cache vs warm-rebound-cache, all bitwise *)
-let test_cache_identity_sweep () =
-  List.iter
-    (fun profile ->
-      let design = Generator.generate profile in
-      fail_all
-        (Printf.sprintf "cache/%s" profile.Profile.name)
-        (Oracles.check_cache_identity ~jobs:[ 1; 2; 8 ] design ~corner:Timer.Late))
-    (profiles 8086)
-
-(* random Mutator faults: whatever survives ingest + repair must still
-   schedule bitwise-identically with the cache on (Fault_seq drives the
-   same corruption ops through the full pipeline in css_fuzz) *)
-let cache_mutator_prop =
-  QCheck.Test.make ~name:"mutator faults never yield stale-cache divergence" ~count:12
-    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
-    (fun seed ->
-      let rng = Rng.create seed in
-      let text = Io.to_string (Generator.generate { Profile.tiny with Profile.seed }) in
-      let fault = List.nth Mutator.all (Rng.int rng (List.length Mutator.all)) in
-      let text, _ = Mutator.corrupt fault rng text in
-      match Io.of_string ~policy:Io.Recover ~library text with
-      | Error _ -> true (* rejected input: nothing reaches the cache *)
-      | Ok (design, _) -> (
-        match Css_netlist.Validate.run design with
-        | outcome when outcome.Css_netlist.Validate.fatal -> true
-        | _ -> (
-          match
-            Oracles.check_cache_identity ~engines:[ Oracles.Ours ] design ~corner:Timer.Late
-          with
-          | [] -> true
-          | failures -> QCheck.Test.fail_report (String.concat "\n" failures))))
-
-(* random session-delta sequences: a cache-enabled warm session must
-   track a cache-disabled one bitwise across every batch *)
-let cache_eco_prop =
-  QCheck.Test.make ~name:"delta sequences never yield stale-cache divergence" ~count:6
-    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
-    (fun seed ->
-      let design = Generator.generate { Profile.tiny with Profile.seed } in
-      let rng = Random.State.make [| seed; 77 |] in
-      let deltas =
-        [ Oracles.random_deltas rng design ~n:2; Oracles.random_deltas rng design ~n:3 ]
-      in
-      match Oracles.check_cache_eco_identity ~deltas design ~algo:Css_flow.Flow.Ours with
-      | [] -> true
-      | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
-
 (* {2 The incremental scorer: bitwise a fresh evaluation} *)
 
 let scorer_algos = [ Flow.Ours; Flow.Ours_early; Flow.Iccss_plus; Flow.Fpm ]
@@ -424,13 +373,6 @@ let () =
         [
           Alcotest.test_case "jobs sweep" `Quick test_jobs_identity_sweep;
           QCheck_alcotest.to_alcotest jobs_identity_prop;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "identity sweep (3 profiles x 3 engines x jobs {1,2,8})" `Quick
-            test_cache_identity_sweep;
-          QCheck_alcotest.to_alcotest cache_mutator_prop;
-          QCheck_alcotest.to_alcotest cache_eco_prop;
         ] );
       ( "scorer",
         [

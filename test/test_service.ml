@@ -113,7 +113,6 @@ let test_rollback_alone_scores () =
       o_rollback = Some true;
       o_wall_seconds = None;
       o_rss_mb = None;
-      o_cache_mb = None;
     }
   in
   let sc = Server.session_config { Server.default_config with Server.obs } ~p ~dir:None in
@@ -241,7 +240,6 @@ let test_request_roundtrip () =
           o_rollback = None;
           o_wall_seconds = Some 1.5;
           o_rss_mb = Some 256;
-          o_cache_mb = Some 32;
         };
       Protocol.Run "s";
       Protocol.Apply_delta
@@ -385,7 +383,7 @@ let reap pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
-let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ?cache_mb ~session text =
+let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ~session text =
   Protocol.Open
     {
       Protocol.o_session = session;
@@ -397,8 +395,23 @@ let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ?cache_mb ~session 
       o_rollback = None;
       o_wall_seconds = wall;
       o_rss_mb = rss_mb;
-      o_cache_mb = cache_mb;
     }
+
+(* Clients written against the cache-era protocol still send
+   ["cache_mb"] with [open]: the daemon ignores the field and opens. *)
+let test_daemon_legacy_open_field () =
+  let socket = fresh_socket () in
+  let pid = fork_daemon (daemon_config ~socket ()) in
+  Fun.protect ~finally:(fun () -> reap pid) @@ fun () ->
+  let c = Client.wait_for_socket ~timeout:30.0 socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let req =
+    match Protocol.request_to_json (open_params ~session:"old" (Io.to_string (tiny_design ()))) with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("cache_mb", Json.Int 32) ])
+    | _ -> Alcotest.fail "open request is not an object"
+  in
+  let resp = Client.expect_ok (Client.rpc_json c req) in
+  checkb "session opened" true (Json.member "session" resp = Some (Json.String "old"))
 
 let expect_code c req code =
   let resp = Client.rpc c req in
@@ -652,6 +665,7 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "round trip + error codes" `Quick test_daemon_roundtrip;
+          Alcotest.test_case "open with a legacy cache field" `Quick test_daemon_legacy_open_field;
           Alcotest.test_case "sigkill resume" `Quick test_daemon_sigkill_resume;
           Alcotest.test_case "concurrent sessions + budgets" `Quick test_daemon_concurrent_budgets;
         ] );
