@@ -305,7 +305,6 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
       (Design.num_nets design);
     let timer_cfg_pre =
       {
-        Css_sta.Timer.default_config with
         Css_sta.Timer.setup_uncertainty =
           Float.max su constraints.Css_netlist.Sdc.setup_uncertainty;
         Css_sta.Timer.hold_uncertainty =
@@ -315,11 +314,7 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
             constraints.Css_netlist.Sdc.early_derate;
       }
     in
-    let before =
-      Evaluator.evaluate
-        ~config:{ Evaluator.default_config with Evaluator.timer = timer_cfg_pre }
-        design
-    in
+    let before = Evaluator.evaluate ~timer:timer_cfg_pre design in
     say "before: %s\n%!" (Evaluator.summary before);
     let config =
       {

@@ -20,7 +20,8 @@ let show tag timer =
 
 let () =
   let design = Css_benchgen.Generator.generate Css_benchgen.Profile.tiny in
-  let timer = Timer.build design in
+  let obs = Css_util.Obs.create () in
+  let timer = Timer.build ~obs design in
   Printf.printf "design %s (%d cells); WNS/TNS per corner:\n" (Design.name design)
     (Design.num_cells design);
   show "initial" timer;
@@ -37,11 +38,14 @@ let () =
 
   (* what-if: +40 ps of capture latency. Only the affected cones are
      re-propagated — watch the visit counters. *)
-  let stats = Timer.stats timer in
-  let visits0 = stats.Timer.forward_visits + stats.Timer.backward_visits in
+  let visits () =
+    let count name = Css_util.Obs.value (Css_util.Obs.counter obs name) in
+    count "timer.forward_visits" + count "timer.backward_visits"
+  in
+  let visits0 = visits () in
   Design.set_scheduled_latency design victim_ff 40.0;
   Timer.update_latencies timer [ victim_ff ];
-  let visits1 = stats.Timer.forward_visits + stats.Timer.backward_visits in
+  let visits1 = visits () in
   show "what-if: +40ps on that FF" timer;
   Printf.printf "  (incremental update recomputed %d node states, graph has %d nodes)\n"
     (visits1 - visits0)

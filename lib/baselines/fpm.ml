@@ -12,14 +12,12 @@ type result = {
   vertices : Vertex.t;
 }
 
-type config = {
-  max_sweeps : int;
-  eps : float;
-}
+let max_sweeps = 50
 
-let default_config = { max_sweeps = 50; eps = 1e-6 }
+(* Edge weights above -eps count as met; deltas at or below it as no move, ps. *)
+let eps = 1e-6
 
-let run ?(config = default_config) ?(obs = Obs.null) ?pool timer =
+let run ?(obs = Obs.null) ?pool timer =
   let design = Timer.design timer in
   let verts = Vertex.of_design design in
   let o_sweeps = Obs.counter obs "fpm.sweeps" in
@@ -36,20 +34,20 @@ let run ?(config = default_config) ?(obs = Obs.null) ?pool timer =
      weights follow Eq. (10). *)
   let sweeps = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !sweeps < config.max_sweeps do
+  while !continue_ && !sweeps < max_sweeps do
     incr sweeps;
     Obs.incr o_sweeps;
     let delta = Array.make n 0.0 in
     Seq_graph.iter_edges graph (fun id ->
         let w = Seq_graph.weight graph id in
         let d = Seq_graph.dst graph id in
-        if w < -.config.eps && not (fixed d) then begin
+        if w < -.eps && not (fixed d) then begin
           let need = -.w in
           let room = Float.max 0.0 (cap.(d) -. assigned.(d)) in
           let want = Float.min need room in
           if want > delta.(d) then delta.(d) <- want
         end);
-    let moved = Array.exists (fun d -> d > config.eps) delta in
+    let moved = Array.exists (fun d -> d > eps) delta in
     if moved then begin
       for v = 0 to n - 1 do
         assigned.(v) <- assigned.(v) +. delta.(v)

@@ -16,22 +16,14 @@ type result = {
   vertices : Css_seqgraph.Vertex.t;  (** the vertex registry indexing [target_latency] *)
 }
 
-type config = {
-  max_sweeps : int;  (** relaxation sweep cap (default 50) *)
-  eps : float;
-}
-
-val default_config : config
-
-(** [run ?config ?obs timer] computes predictive early skews, applies
-    them to the design as scheduled latencies and re-propagates the
-    timer. Returns the result and the (full-graph) extraction
-    statistics. [obs] receives the [extract.full.*] counters (FPM's
-    dominating cost — the whole-graph extraction the paper's engine
-    avoids), the [fpm.sweeps] counter, and one ["fpm.sweep"] snapshot
-    per relaxation sweep. *)
+(** [run ?obs ?pool timer] computes predictive early skews (at most 50
+    relaxation sweeps), applies them to the design as scheduled
+    latencies and re-propagates the timer. Returns the result and the
+    (full-graph) extraction statistics. [obs] receives the
+    [extract.full.*] counters (FPM's dominating cost — the whole-graph
+    extraction the paper's engine avoids), the [fpm.sweeps] counter, and
+    one ["fpm.sweep"] snapshot per relaxation sweep. *)
 val run :
-  ?config:config ->
   ?obs:Css_util.Obs.t ->
   ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->

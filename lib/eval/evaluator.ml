@@ -17,36 +17,21 @@ type report = {
   constraint_errors : string list;
 }
 
-type config = {
-  lcb_fanout_limit : int;
-  max_displacement : float;
-  include_scheduled : bool;
-  timer : Timer.config;
-}
-
-let default_config =
-  {
-    lcb_fanout_limit = 50;
-    max_displacement = 400.0;
-    include_scheduled = false;
-    timer = Timer.default_config;
-  }
-
-let check_constraints cfg design =
+let check_constraints design =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   Array.iter
     (fun lcb ->
       let fanout = Design.lcb_fanout design lcb in
-      if fanout > cfg.lcb_fanout_limit then
+      if fanout > Design.lcb_fanout_limit then
         err "LCB %s fanout %d exceeds limit %d" (Design.cell_name design lcb) fanout
-          cfg.lcb_fanout_limit)
+          Design.lcb_fanout_limit)
     (Design.lcbs design);
   Design.iter_cells design (fun c ->
       let moved = Point.manhattan (Design.cell_pos design c) (Design.cell_orig_pos design c) in
-      if moved > cfg.max_displacement +. 1e-9 then
+      if moved > Design.max_displacement +. 1e-9 then
         err "cell %s displaced %.1f DBU, budget %.1f" (Design.cell_name design c) moved
-          cfg.max_displacement);
+          Design.max_displacement);
   Array.iter
     (fun ff ->
       let lo, hi = Design.latency_bounds design ff in
@@ -69,7 +54,7 @@ let check_constraints cfg design =
    so the report is bitwise the one a fresh build produces. *)
 
 type scorer = {
-  s_config : config;
+  s_timer_config : Timer.config;
   s_obs : Obs.t;
   s_design : Design.t;
   mutable s_graph : Graph.t option;  (* a live timer's graph, for the first build only *)
@@ -84,9 +69,9 @@ type scorer = {
   mutable s_latency : float array;  (* per FF ordinal: the latency the timer used *)
 }
 
-let scorer ?(config = default_config) ?(obs = Obs.null) ?graph design =
+let scorer ?(timer = Timer.default_config) ?(obs = Obs.null) ?graph design =
   {
-    s_config = config;
+    s_timer_config = timer;
     s_obs = obs;
     s_design = design;
     s_graph = graph;
@@ -110,7 +95,7 @@ let rebuild s =
   let graph = s.s_graph in
   s.s_timer <- None;
   s.s_graph <- None;
-  let timer = Timer.build ~config:s.s_config.timer ~obs:s.s_obs ?graph d in
+  let timer = Timer.build ~config:s.s_timer_config ~obs:s.s_obs ?graph d in
   let n = Design.num_cells d in
   s.s_size <- size d;
   s.s_x <- Array.init n (Design.cell_x d);
@@ -153,7 +138,7 @@ let refresh s timer =
   if !relat <> [] then Timer.update_latencies timer !relat;
   Histo.observe_int s.h_dirty (List.length !moved + List.length !relat)
 
-let report_of cfg timer design =
+let report_of timer design =
   {
     wns_early = Timer.wns timer Timer.Early;
     tns_early = Timer.tns timer Timer.Early;
@@ -162,21 +147,18 @@ let report_of cfg timer design =
     num_early_violations = List.length (Timer.violated_endpoints timer Timer.Early);
     num_late_violations = List.length (Timer.violated_endpoints timer Timer.Late);
     hpwl = Design.total_hpwl design;
-    constraint_errors = check_constraints cfg design;
+    constraint_errors = check_constraints design;
   }
 
 let score s =
   let d = s.s_design in
   Obs.incr s.c_scores;
-  (* Under the contest semantics (physical clock network only) the
-     virtual latencies are stashed while the timer and the constraint
-     audit look, and put back even when scoring raises. *)
+  (* Contest semantics (physical clock network only): the virtual
+     latencies are stashed while the timer and the constraint audit
+     look, and put back even when scoring raises. *)
   let ffs = Design.ffs d in
-  let saved =
-    if s.s_config.include_scheduled then [||] else Array.map (Design.scheduled_latency d) ffs
-  in
-  if not s.s_config.include_scheduled then
-    Array.iter (fun ff -> Design.set_scheduled_latency d ff 0.0) ffs;
+  let saved = Array.map (Design.scheduled_latency d) ffs in
+  Array.iter (fun ff -> Design.set_scheduled_latency d ff 0.0) ffs;
   Fun.protect
     ~finally:(fun () -> Array.iteri (fun i l -> Design.set_scheduled_latency d ffs.(i) l) saved)
     (fun () ->
@@ -191,9 +173,9 @@ let score s =
             raise e)
         | _ -> rebuild s
       in
-      report_of s.s_config timer d)
+      report_of timer d)
 
-let evaluate ?config design = score (scorer ?config design)
+let evaluate ?timer design = score (scorer ?timer design)
 
 let summary r =
   Printf.sprintf

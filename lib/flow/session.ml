@@ -404,11 +404,9 @@ let scheduler_config st =
 
 (* {2 Checkpoint / rollback} *)
 
-let eval_config st = { Evaluator.default_config with Evaluator.timer = st.cfg.timer }
-
 (* The final sign-off: a fresh evaluator timer, independent of any
    incremental state. *)
-let evaluate_now st = Evaluator.evaluate ~config:(eval_config st) (Timer.design st.timer)
+let evaluate_now st = Evaluator.evaluate ~timer:st.cfg.timer (Timer.design st.timer)
 
 (* Checkpoint scoring: the same report, kept up to date incrementally. *)
 let score_now st =
@@ -417,7 +415,7 @@ let score_now st =
     | Some s -> s
     | None ->
       let s =
-        Evaluator.scorer ~config:(eval_config st) ~obs:st.cfg.obs ~graph:(Timer.graph st.timer)
+        Evaluator.scorer ~timer:st.cfg.timer ~obs:st.cfg.obs ~graph:(Timer.graph st.timer)
           (Timer.design st.timer)
       in
       st.scorer <- Some s;
@@ -684,10 +682,9 @@ let css_opt_phase st ~round ~corner =
   else begin
     run.stall_count <- run.stall_count + 1;
     if run.stall_count >= stall_phases && run.stop = None then begin
-      Log.warn (fun m ->
-          m "round %d %s: %d phases without worst-slack progress, stopping" round phase
-            run.stall_count);
-      run.stop <- Some "stalled"
+      Log.info (fun m ->
+          m "round %d %s: %d phases without worst-slack progress" round phase run.stall_count);
+      set_stop st "stalled"
     end
   end;
   true

@@ -73,6 +73,10 @@ type t = {
   latency_bounds : (cell_id, float * float) Hashtbl.t;
 }
 
+let lcb_fanout_limit = 50
+let max_displacement = 400.0
+let min_realized_target = 0.25
+
 let create ~name ~library ~die ~clock_period () =
   {
     name;

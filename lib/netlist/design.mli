@@ -289,6 +289,25 @@ val clear_scheduled_latencies : t -> unit
     the value the timer uses. *)
 val clock_latency : t -> cell_id -> float
 
+(** {1 Contest limits}
+
+    The ICCAD-2015 evaluator's rule set, in one place: the passes that
+    edit the clock network and the placement (reconnection, CTS
+    guidance, cell movement) and the evaluator that scores them all
+    read these values, so a pass and its judge cannot disagree. No
+    configuration or SDC command overrides them. *)
+
+(** Most sinks an LCB may drive: 50. *)
+val lcb_fanout_limit : int
+
+(** Per-cell displacement budget from the original placement: 400 DBU
+    (Manhattan). *)
+val max_displacement : float
+
+(** Latency targets at or below this (0.25 ps) keep their flip-flop's
+    current LCB: neither reconnection nor CTS guidance acts on them. *)
+val min_realized_target : float
+
 (** {1 Clock latency bounds (the paper's Eq. 5)}
 
     Designers may pin a flip-flop's total clock latency into a window —

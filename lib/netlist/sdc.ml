@@ -6,7 +6,6 @@ type t = {
   hold_uncertainty : float;
   early_derate : float option;
   latency_bounds : (string * float * float) list;
-  max_displacement : float option;
 }
 
 let empty =
@@ -16,7 +15,6 @@ let empty =
     hold_uncertainty = 0.0;
     early_derate = None;
     latency_bounds = [];
-    max_displacement = None;
   }
 
 type policy =
@@ -49,6 +47,11 @@ let parse ?source ?(policy = Abort) s =
     | Some _ -> fail ~code:"SDC-004" lineno "non-finite number %S" v
     | None -> fail ~code:"SDC-004" lineno "expected a number, got %S" v
   in
+  (* The contest limits have one home, Design; a constraint file cannot
+     move them, and says so. *)
+  let fixed_limit lineno msg =
+    Diag.emit col (Diag.warning ?file:source ~line:lineno ~code:"SDC-006" msg)
+  in
   let parse_line lineno words =
     match words with
     | [] -> ()
@@ -66,13 +69,17 @@ let parse ?source ?(policy = Abort) s =
           latency_bounds = (cell, number lineno lo, number lineno hi) :: !acc.latency_bounds;
         }
     | [ "set_max_displacement"; v ] ->
-      acc := { !acc with max_displacement = Some (number lineno v) }
+      ignore (number lineno v);
+      fixed_limit lineno
+        (Printf.sprintf "set_max_displacement is ignored: the displacement budget is %g DBU \
+                         (Css_netlist.Design.max_displacement)"
+           Design.max_displacement)
     | [ "set_lcb_fanout_limit"; v ] ->
       ignore (number lineno v);
-      Diag.emit col
-        (Diag.warning ?file:source ~line:lineno ~code:"SDC-006"
-           "set_lcb_fanout_limit is ignored: the LCB fanout caps of reconnection and \
-            evaluation are set in their configurations")
+      fixed_limit lineno
+        (Printf.sprintf "set_lcb_fanout_limit is ignored: the LCB fanout limit is %d \
+                         (Css_netlist.Design.lcb_fanout_limit)"
+           Design.lcb_fanout_limit)
     | cmd :: _ ->
       fail ~code:"SDC-001"
         ?hint:(Diag.did_you_mean cmd known_commands)

@@ -11,7 +11,7 @@
     set_clock_uncertainty -hold 10
     set_timing_derate -early 0.9
     set_latency_bounds ff12 0 150        # Eq. (5) window, ps
-    set_max_displacement 400             # placement ECO budget, DBU
+    set_max_displacement 400             # accepted, ignored (SDC-006 warning)
     set_lcb_fanout_limit 50              # accepted, ignored (SDC-006 warning)
     v}
 
@@ -19,7 +19,8 @@
     a construction parameter); it is instead validated against it, so a
     stale constraint file fails loudly. Consumers fold the analysis knobs
     ([setup_uncertainty], [hold_uncertainty], [early_derate]) into their
-    timer configuration and the physical knobs into the evaluator's. *)
+    timer configuration. The contest limits (displacement budget, LCB
+    fanout) are fixed in {!Design} and cannot be set here. *)
 
 type t = {
   period : float option;  (** validated against the design *)
@@ -27,7 +28,6 @@ type t = {
   hold_uncertainty : float;
   early_derate : float option;
   latency_bounds : (string * float * float) list;  (** cell name, lo, hi *)
-  max_displacement : float option;
 }
 
 (** [empty] constrains nothing. *)
@@ -43,8 +43,10 @@ type policy =
 (** [parse ?source ?policy s] reads the constraint text, collecting
     {!Css_util.Diag.t} diagnostics (codes [SDC-000..SDC-006]) instead of
     raising. Unknown commands carry a nearest-command hint.
-    [set_lcb_fanout_limit] is accepted but not applied: it yields an
-    [SDC-006] warning. *)
+    [set_max_displacement] and [set_lcb_fanout_limit] are accepted but
+    not applied: each yields an [SDC-006] warning naming the fixed value
+    and where it lives ({!Design.max_displacement},
+    {!Design.lcb_fanout_limit}). *)
 val parse :
   ?source:string ->
   ?policy:policy ->

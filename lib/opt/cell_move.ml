@@ -4,15 +4,15 @@ module Design = Css_netlist.Design
 module Point = Css_geometry.Point
 module Rect = Css_geometry.Rect
 
-type config = {
-  max_displacement : float;
-  steps : int;
-  improve_eps : float;
-  late_guard : float;
-}
+(* Radius refinement steps: trial radii run from 1/steps of the
+   displacement budget up to the whole budget. *)
+let steps = 10
 
-let default_config =
-  { max_displacement = 400.0; steps = 10; improve_eps = 0.05; late_guard = 1e-6 }
+(* Least early-slack gain that accepts a move, ps. *)
+let improve_eps = 0.05
+
+(* Tolerated late-WNS degradation, ps. *)
+let late_guard = 1e-6
 
 type stats = {
   mutable endpoints_processed : int;
@@ -36,7 +36,7 @@ let movable_cells timer endpoint =
   in
   List.sort_uniq compare cells
 
-let repair_early ?(config = default_config) timer =
+let repair_early timer =
   let design = Timer.design timer in
   let die = Design.die design in
   let stats =
@@ -58,10 +58,8 @@ let repair_early ?(config = default_config) timer =
         let base_early = endpoint_slack endpoint in
         let accepted = ref false in
         let step = ref 1 in
-        while (not !accepted) && !step <= config.steps do
-          let radius =
-            config.max_displacement *. float_of_int !step /. float_of_int config.steps
-          in
+        while (not !accepted) && !step <= steps do
+          let radius = Design.max_displacement *. float_of_int !step /. float_of_int steps in
           List.iter
             (fun (dx, dy) ->
               if not !accepted then begin
@@ -70,12 +68,12 @@ let repair_early ?(config = default_config) timer =
                     (Point.make (base_pos.Point.x +. (dx *. radius))
                        (base_pos.Point.y +. (dy *. radius)))
                 in
-                if Point.manhattan cand anchor <= config.max_displacement then begin
+                if Point.manhattan cand anchor <= Design.max_displacement then begin
                   stats.moves_tried <- stats.moves_tried + 1;
                   Design.move_cell design cell cand;
                   Timer.update_moved_cells timer [ cell ];
-                  let early_ok = endpoint_slack endpoint > base_early +. config.improve_eps in
-                  let late_ok = Timer.wns timer Timer.Late >= before_late -. config.late_guard in
+                  let early_ok = endpoint_slack endpoint > base_early +. improve_eps in
+                  let late_ok = Timer.wns timer Timer.Late >= before_late -. late_guard in
                   if early_ok && late_ok then begin
                     accepted := true;
                     stats.moves_accepted <- stats.moves_accepted + 1

@@ -2,20 +2,13 @@
 
     For each hold-violated endpoint, the movable combinational cells along
     the violating path are shifted north/south/east/west by a radius that
-    grows from 0.1x to 1.0x of the displacement budget; each trial is
-    followed by a local (incremental) timing update. A move is accepted
-    when the endpoint's early slack improves without degrading the
-    design's late WNS; per the paper, a cell that yields an improvement is
-    not moved again. *)
-
-type config = {
-  max_displacement : float;  (** contest displacement budget per cell, DBU *)
-  steps : int;  (** radius refinement steps (paper: 10, from 0.1x) *)
-  improve_eps : float;  (** minimal slack gain to accept a move, ps *)
-  late_guard : float;  (** tolerated late-WNS degradation, ps *)
-}
-
-val default_config : config
+    grows in 10 steps from 0.1x to 1.0x of the displacement budget
+    ({!Css_netlist.Design.max_displacement}, measured from the cell's
+    original position); each trial is followed by a local (incremental)
+    timing update. A move is accepted when the endpoint's early slack
+    improves by more than 0.05 ps without degrading the design's late
+    WNS; per the paper, a cell that yields an improvement is not moved
+    again. *)
 
 type stats = {
   mutable endpoints_processed : int;
@@ -24,6 +17,6 @@ type stats = {
   mutable moves_accepted : int;
 }
 
-(** [repair_early ?config timer] runs the pass over all currently
+(** [repair_early timer] runs the pass over all currently
     hold-violated endpoints, mutating placement and the timer. *)
-val repair_early : ?config:config -> Css_sta.Timer.t -> stats
+val repair_early : Css_sta.Timer.t -> stats

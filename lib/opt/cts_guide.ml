@@ -14,22 +14,14 @@ type cluster = {
 
 type plan = { clusters : cluster list }
 
-type config = {
-  max_new_lcbs : int;
-  fanout_limit : int;
-  min_target : float;
-  kmeans_iters : int;
-  member_tolerance : float;
-}
+(* Budget of new LCBs one plan may propose. *)
+let max_new_lcbs = 16
 
-let default_config =
-  {
-    max_new_lcbs = 16;
-    fanout_limit = 50;
-    min_target = 0.25;
-    kmeans_iters = 12;
-    member_tolerance = 12.0;
-  }
+let kmeans_iters = 12
+
+(* Members whose achieved latency would miss their desired value by more
+   than this are not re-homed (reconnection handles them), ps. *)
+let member_tolerance = 12.0
 
 let lcb_master design = Library.clock_buffer (Design.library design)
 
@@ -46,9 +38,10 @@ let achieved design wire pos ff =
 
 (* k-means in (x, y, scaled-desired-latency) space: flops that are close
    and want similar latencies share an LCB. *)
-let kmeans cfg points =
+let kmeans points =
   let n = Array.length points in
-  let k = max 1 (min cfg.max_new_lcbs ((n + cfg.fanout_limit - 1) / cfg.fanout_limit)) in
+  let limit = Design.lcb_fanout_limit in
+  let k = max 1 (min max_new_lcbs ((n + limit - 1) / limit)) in
   (* spread latency differences onto a distance-comparable scale: 1 ps of
      latency difference ~ latency_scale DBU of separation *)
   let latency_scale = 40.0 in
@@ -59,7 +52,7 @@ let kmeans cfg points =
   in
   let centers = Array.init k (fun i -> coord points.(i * n / k)) in
   let assign = Array.make n 0 in
-  for _ = 1 to cfg.kmeans_iters do
+  for _ = 1 to kmeans_iters do
     Array.iteri
       (fun i p ->
         let c = coord p in
@@ -146,11 +139,11 @@ let site_lcb design wire members =
   in
   best
 
-let plan ?(config = default_config) timer ~targets =
+let plan timer ~targets =
   let design = Timer.design timer in
   let wire = Library.wire (Design.library design) in
   let eligible =
-    List.filter (fun (_, t) -> t > config.min_target) targets
+    List.filter (fun (_, t) -> t > Design.min_realized_target) targets
     |> List.map (fun (ff, t) -> (Design.cell_pos design ff, t, ff))
   in
   match eligible with
@@ -158,7 +151,7 @@ let plan ?(config = default_config) timer ~targets =
   | _ ->
     let points = Array.of_list (List.map (fun (pos, t, _) -> (pos, t)) eligible) in
     let ffs = Array.of_list (List.map (fun (_, t, ff) -> (ff, t)) eligible) in
-    let k, assign = kmeans config points in
+    let k, assign = kmeans points in
     let clusters = ref [] in
     for j = 0 to k - 1 do
       let members = ref [] in
@@ -173,7 +166,7 @@ let plan ?(config = default_config) timer ~targets =
           | _ when n = 0 -> []
           | x :: tl -> x :: take (n - 1) tl
         in
-        let ms = take config.fanout_limit ms in
+        let ms = take Design.lcb_fanout_limit ms in
         (* iterate siting and member filtering to a fixpoint: every kept
            member is within tolerance (and its Eq. (5) window) of the
            *final* site, so hosting can only help *)
@@ -181,7 +174,7 @@ let plan ?(config = default_config) timer ~targets =
           let _, hi = Design.latency_bounds design ff in
           let a = achieved design wire pos ff in
           let desired = Float.min hi (Design.physical_clock_latency design ff +. t) in
-          a <= hi +. 1e-6 && Float.abs (a -. desired) <= config.member_tolerance
+          a <= hi +. 1e-6 && Float.abs (a -. desired) <= member_tolerance
         in
         let rec settle ms iters =
           match ms with

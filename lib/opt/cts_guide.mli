@@ -21,22 +21,14 @@ type cluster = {
 
 type plan = { clusters : cluster list }
 
-type config = {
-  max_new_lcbs : int;  (** budget of LCBs the plan may propose *)
-  fanout_limit : int;  (** contest constraint per LCB *)
-  min_target : float;  (** FFs below this keep their current branch, ps *)
-  kmeans_iters : int;
-  member_tolerance : float;
-      (** members whose achieved latency would miss their desired value by
-          more than this are not re-homed (they fall back to
-          reconnection), ps *)
-}
-
-val default_config : config
-
-(** [plan ?config timer ~targets] clusters the targeted flip-flops and
-    sites one LCB per cluster. Pure: the design is not modified. *)
-val plan : ?config:config -> Css_sta.Timer.t -> targets:(Css_netlist.Design.cell_id * float) list -> plan
+(** [plan timer ~targets] clusters the flip-flops whose target exceeds
+    {!Css_netlist.Design.min_realized_target} and sites one LCB per
+    cluster: at most 16 clusters, each of at most
+    {!Css_netlist.Design.lcb_fanout_limit} members. A member whose
+    achieved latency at the site would miss its desired value by more
+    than 12 ps is left out (reconnection handles it). Pure: the design
+    is not modified. *)
+val plan : Css_sta.Timer.t -> targets:(Css_netlist.Design.cell_id * float) list -> plan
 
 type applied = {
   new_lcbs : Css_netlist.Design.cell_id list;

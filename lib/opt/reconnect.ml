@@ -6,22 +6,15 @@ module Library = Css_liberty.Library
 module Point = Css_geometry.Point
 module Rect = Css_geometry.Rect
 
-type config = {
-  fanout_limit : int;
-  max_adoptions : int;
-  candidates : int;
-  wirelength_weight : float;
-  min_target : float;
-}
+(* Reconnections one LCB may receive per pass: the paper's guard against
+   uncontrollable clock-network topology changes. *)
+let max_adoptions = 8
 
-let default_config =
-  {
-    fanout_limit = 50;
-    max_adoptions = 8;
-    candidates = 12;
-    wirelength_weight = 0.002;
-    min_target = 0.25;
-  }
+(* LCB candidates costed per flip-flop, nearest to the target radius first. *)
+let candidates = 12
+
+(* Cost weight of the clock-net HPWL growth, ps per DBU. *)
+let wirelength_weight = 0.002
 
 type stats = {
   mutable attempted : int;
@@ -62,7 +55,7 @@ let hpwl_penalty design lcb ff_pos =
       let bbox = Rect.of_points pts in
       Rect.half_perimeter (Rect.expand bbox ff_pos) -. Rect.half_perimeter bbox)
 
-let realize ?(config = default_config) timer ~targets =
+let realize timer ~targets =
   let design = Timer.design timer in
   let wire = Library.wire (Design.library design) in
   let lcbs = Design.lcbs design in
@@ -77,7 +70,7 @@ let realize ?(config = default_config) timer ~targets =
          physically when possible, dropped otherwise. *)
       Design.set_scheduled_latency design ff 0.0;
       changed := ff :: !changed;
-      if target > config.min_target then begin
+      if target > Design.min_realized_target then begin
         stats.attempted <- stats.attempted + 1;
         let ff_pos = Design.cell_pos design ff in
         let current_lcb = try Some (Design.lcb_of_ff design ff) with Not_found -> None in
@@ -98,8 +91,8 @@ let realize ?(config = default_config) timer ~targets =
           Design.pin_net design (Design.cell_pin design lcb "CKO") <> None
           && achieved_latency design wire lcb ff_pos <= hi +. 1e-6
           && (Some lcb = current_lcb
-             || (Design.lcb_fanout design lcb < config.fanout_limit
-                && adoptions lcb < config.max_adoptions))
+             || (Design.lcb_fanout design lcb < Design.lcb_fanout_limit
+                && adoptions lcb < max_adoptions))
         in
         let ranked =
           Array.to_list lcbs
@@ -112,13 +105,13 @@ let realize ?(config = default_config) timer ~targets =
           | _ when k = 0 -> []
           | x :: tl -> x :: take (k - 1) tl
         in
-        let cands = take config.candidates ranked in
+        let cands = take candidates ranked in
         let cost (_, lcb) =
           (* overshoot breaks the scheduler's balanced trade-offs, so it
              is penalized harder than undershoot *)
           let diff = achieved_latency design wire lcb ff_pos -. desired in
           let latency_err = if diff > 0.0 then 3.0 *. diff else -.diff in
-          latency_err +. (config.wirelength_weight *. hpwl_penalty design lcb ff_pos)
+          latency_err +. (wirelength_weight *. hpwl_penalty design lcb ff_pos)
         in
         match cands with
         | [] ->

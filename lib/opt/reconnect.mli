@@ -6,20 +6,13 @@
     (Eq. 15-16). FFs are processed in descending [l*]; candidate LCBs
     are ranked by distance to the Elmore-converted target distance, and
     the chosen candidate minimizes [|achieved - target|] plus a wirelength
-    penalty. Two kinds of LCBs are never used: those at the fanout limit,
-    and those that have already adopted [max_adoptions] reconnected FFs
-    (the paper's guard against uncontrollable clock-network topology
-    changes). *)
-
-type config = {
-  fanout_limit : int;  (** contest constraint: 50 sinks per LCB *)
-  max_adoptions : int;  (** reconnections an LCB may receive (paper: 1) *)
-  candidates : int;  (** LCB candidates examined per FF *)
-  wirelength_weight : float;  (** cost weight of clock-net HPWL increase *)
-  min_target : float;  (** targets below this keep their current LCB, ps *)
-}
-
-val default_config : config
+    penalty; the 12 candidates nearest the target radius are costed.
+    Two kinds of LCBs are never used: those at
+    {!Css_netlist.Design.lcb_fanout_limit}, and those that have already
+    adopted 8 reconnected FFs in this pass (the paper's guard against
+    uncontrollable clock-network topology changes).
+    Targets at or below {!Css_netlist.Design.min_realized_target} keep
+    their current LCB. *)
 
 type stats = {
   mutable attempted : int;
@@ -27,14 +20,13 @@ type stats = {
   mutable residual_error : float;  (** sum over FFs of [|achieved - target|] *)
 }
 
-(** [realize ?config timer ~targets] reconnects flip-flops so physical
+(** [realize timer ~targets] reconnects flip-flops so physical
     latency approaches [current physical + targets]; [targets] maps FF
     instance ids to desired *additional* latency (e.g. the scheduler's
     [l*]). Scheduled (virtual) latencies of processed FFs are cleared —
     realized physically or left as residual slack error. The timer is
     incrementally re-propagated. *)
 val realize :
-  ?config:config ->
   Css_sta.Timer.t ->
   targets:(Css_netlist.Design.cell_id * float) list ->
   stats

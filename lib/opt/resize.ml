@@ -4,13 +4,14 @@ module Design = Css_netlist.Design
 module Cell = Css_liberty.Cell
 module Library = Css_liberty.Library
 
-type config = {
-  max_passes : int;
-  improve_eps : float;
-  guard : float;
-}
+(* Sweeps over the violated-endpoint list. *)
+let max_passes = 2
 
-let default_config = { max_passes = 2; improve_eps = 0.05; guard = 1e-6 }
+(* Least slack gain that accepts a swap, ps. *)
+let improve_eps = 0.05
+
+(* Tolerated WNS degradation at the other corner, ps. *)
+let guard = 1e-6
 
 type stats = {
   mutable upsized : int;
@@ -50,7 +51,7 @@ let candidates timer cell ~stronger =
   List.map (fun (c : Cell.t) -> c.Cell.name) sorted
 
 (* Try swapping [cell] for the endpoint's benefit; revert on failure. *)
-let try_swap timer stats ~endpoint ~corner ~other_corner ~stronger cfg cell =
+let try_swap timer stats ~endpoint ~corner ~other_corner ~stronger cell =
   let design = Timer.design timer in
   let before_master = (Design.cell_master design cell).Cell.name in
   let before_slack = Timer.endpoint_slack timer corner endpoint in
@@ -60,8 +61,8 @@ let try_swap timer stats ~endpoint ~corner ~other_corner ~stronger cfg cell =
     | master :: rest ->
       stats.swaps_tried <- stats.swaps_tried + 1;
       Timer.resize_cell timer cell master;
-      let improved = Timer.endpoint_slack timer corner endpoint > before_slack +. cfg.improve_eps in
-      let safe = Timer.wns timer other_corner >= before_other -. cfg.guard in
+      let improved = Timer.endpoint_slack timer corner endpoint > before_slack +. improve_eps in
+      let safe = Timer.wns timer other_corner >= before_other -. guard in
       if improved && safe then true
       else begin
         Timer.resize_cell timer cell before_master;
@@ -70,10 +71,10 @@ let try_swap timer stats ~endpoint ~corner ~other_corner ~stronger cfg cell =
   in
   attempt (candidates timer cell ~stronger)
 
-let run_pass ?(config = default_config) timer ~corner ~stronger =
+let run_pass timer ~corner ~stronger =
   let stats = { upsized = 0; downsized = 0; swaps_tried = 0; endpoints_processed = 0 } in
   let other_corner = match corner with Timer.Late -> Timer.Early | Timer.Early -> Timer.Late in
-  for _pass = 1 to config.max_passes do
+  for _pass = 1 to max_passes do
     List.iter
       (fun (endpoint, _) ->
         if Timer.endpoint_slack timer corner endpoint < 0.0 then begin
@@ -82,7 +83,7 @@ let run_pass ?(config = default_config) timer ~corner ~stronger =
             | [] -> ()
             | cell :: rest ->
               if Timer.endpoint_slack timer corner endpoint < 0.0 then begin
-                if try_swap timer stats ~endpoint ~corner ~other_corner ~stronger config cell then
+                if try_swap timer stats ~endpoint ~corner ~other_corner ~stronger cell then
                   if stronger then stats.upsized <- stats.upsized + 1
                   else stats.downsized <- stats.downsized + 1;
                 loop rest
@@ -94,6 +95,6 @@ let run_pass ?(config = default_config) timer ~corner ~stronger =
   done;
   stats
 
-let upsize_late ?config timer = run_pass ?config timer ~corner:Timer.Late ~stronger:true
+let upsize_late timer = run_pass timer ~corner:Timer.Late ~stronger:true
 
-let downsize_early ?config timer = run_pass ?config timer ~corner:Timer.Early ~stronger:false
+let downsize_early timer = run_pass timer ~corner:Timer.Early ~stronger:false

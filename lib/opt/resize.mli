@@ -14,14 +14,6 @@
     the cell-movement pass. Swaps are restricted to library variants
     with an identical pin interface. *)
 
-type config = {
-  max_passes : int;  (** sweeps over the violated-endpoint list *)
-  improve_eps : float;  (** minimal slack gain to accept a swap, ps *)
-  guard : float;  (** tolerated cross-corner WNS degradation, ps *)
-}
-
-val default_config : config
-
 type stats = {
   mutable upsized : int;
   mutable downsized : int;
@@ -29,10 +21,10 @@ type stats = {
   mutable endpoints_processed : int;
 }
 
-(** [upsize_late ?config timer] runs the setup pass over all currently
+(** [upsize_late timer] runs the setup pass over all currently
     late-violated endpoints. *)
-val upsize_late : ?config:config -> Css_sta.Timer.t -> stats
+val upsize_late : Css_sta.Timer.t -> stats
 
-(** [downsize_early ?config timer] runs the hold pass over all currently
+(** [downsize_early timer] runs the hold pass over all currently
     early-violated endpoints. *)
-val downsize_early : ?config:config -> Css_sta.Timer.t -> stats
+val downsize_early : Css_sta.Timer.t -> stats

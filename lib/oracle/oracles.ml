@@ -432,13 +432,12 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
    independent copy reports. *)
 let check_scorer_identity ?(config = Flow.default_config) ?(obs = Obs.null) design ~algo =
   let failures = ref [] in
-  let eval_config = { Evaluator.default_config with Evaluator.timer = config.Flow.timer } in
   let d = Flow.clone design in
-  let scorer = Evaluator.scorer ~config:eval_config ~obs d in
+  let scorer = Evaluator.scorer ~timer:config.Flow.timer ~obs d in
   let scored = ref 0 in
   let check label =
     incr scored;
-    let reference = Evaluator.evaluate ~config:eval_config (fresh_copy d) in
+    let reference = Evaluator.evaluate ~timer:config.Flow.timer (fresh_copy d) in
     failures := List.rev_append (report_diffs ~label reference (Evaluator.score scorer)) !failures
   in
   let hook ~round ~phase _ = check (Printf.sprintf "round %d %s" round phase) in

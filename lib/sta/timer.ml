@@ -13,29 +13,17 @@ type corner =
 
 type config = {
   early_derate : float;
-  initial_slew : float;
-  port_drive_res : float;
-  port_cap : float;
   setup_uncertainty : float;
   hold_uncertainty : float;
 }
 
-let default_config =
-  {
-    early_derate = 0.88;
-    initial_slew = 10.0;
-    port_drive_res = 1.0;
-    port_cap = 2.0;
-    setup_uncertainty = 0.0;
-    hold_uncertainty = 0.0;
-  }
+let default_config = { early_derate = 0.88; setup_uncertainty = 0.0; hold_uncertainty = 0.0 }
 
-type stats = {
-  mutable full_propagations : int;
-  mutable forward_visits : int;
-  mutable backward_visits : int;
-  mutable cone_visits : int;
-}
+(* Slew at launch pins (ps), drive resistance of input ports and pin
+   cap of output ports (fF). *)
+let initial_slew = 10.0
+let port_drive_res = 1.0
+let port_cap = 2.0
 
 (* Pre-resolved observability counter handles — the hot loops bump these
    without a name lookup; on Obs.null they all alias the dummy cell. *)
@@ -92,7 +80,6 @@ type t = {
   graph : Graph.t;
   design : Design.t;
   cfg : config;
-  stats : stats;
   mutable obs : Obs.t;
   mutable oc : obs_counters;
   load : float array;  (* per node; meaningful for net drivers *)
@@ -137,7 +124,6 @@ type t = {
 let graph t = t.graph
 let design t = t.design
 let config t = t.cfg
-let stats t = t.stats
 let obs t = t.obs
 
 let set_obs t obs =
@@ -149,7 +135,7 @@ let set_obs t obs =
 
 let sink_cap t pin =
   let c = Design.pin_cell_id t.design pin in
-  if c >= 0 then (Design.cell_master t.design c).Cell.input_cap else t.cfg.port_cap
+  if c >= 0 then (Design.cell_master t.design c).Cell.input_cap else port_cap
 
 let refresh_load_of_driver t node =
   let d = t.design in
@@ -180,7 +166,7 @@ let refresh_all_loads t =
 
 let driver_res t node =
   let c = Design.pin_cell_id t.design (Array.unsafe_get t.g_node_pin node) in
-  if c >= 0 then (Design.cell_master t.design c).Cell.drive_res else t.cfg.port_drive_res
+  if c >= 0 then (Design.cell_master t.design c).Cell.drive_res else port_drive_res
 
 (* Evaluates one arc's max-corner delay into [fs.s_delay], with the
    Linear cell model and the Elmore wire formula written out and the
@@ -288,7 +274,7 @@ let recompute_forward t n =
     source_arrivals_into t n;
     Array.unsafe_set t.at_max n t.fscr.s_best_max;
     Array.unsafe_set t.at_min n t.fscr.s_best_min;
-    Array.unsafe_set t.slew n t.cfg.initial_slew;
+    Array.unsafe_set t.slew n initial_slew;
     Array.unsafe_set t.pred_max n (-1);
     Array.unsafe_set t.pred_min n (-1)
   end
@@ -296,7 +282,7 @@ let recompute_forward t n =
     let fs = t.fscr in
     fs.s_best_max <- neg_infinity;
     fs.s_best_min <- infinity;
-    fs.s_best_slew <- t.cfg.initial_slew;
+    fs.s_best_slew <- initial_slew;
     let arg_max = ref (-1) and arg_min = ref (-1) in
     let istart = t.g_in_start and iarcs = t.g_in_arcs and tails = t.g_tails in
     let at_max = t.at_max and at_min = t.at_min and slews = t.slew in
@@ -327,11 +313,10 @@ let recompute_forward t n =
     done;
     Array.unsafe_set at_max n fs.s_best_max;
     Array.unsafe_set at_min n fs.s_best_min;
-    Array.unsafe_set slews n (if !arg_max >= 0 then fs.s_best_slew else t.cfg.initial_slew);
+    Array.unsafe_set slews n (if !arg_max >= 0 then fs.s_best_slew else initial_slew);
     Array.unsafe_set t.pred_max n !arg_max;
     Array.unsafe_set t.pred_min n !arg_min
   end;
-  t.stats.forward_visits <- t.stats.forward_visits + 1;
   Obs.incr t.oc.o_fwd;
   Array.unsafe_get t.at_max n <> old_max
   || Array.unsafe_get t.at_min n <> old_min
@@ -366,7 +351,6 @@ let recompute_backward t n =
   done;
   Array.unsafe_set rat_late n fs.s_best_min;
   Array.unsafe_set rat_early n fs.s_best_max;
-  t.stats.backward_visits <- t.stats.backward_visits + 1;
   Obs.incr t.oc.o_bwd;
   Array.unsafe_get rat_late n <> old_late || Array.unsafe_get rat_early n <> old_early
 
@@ -382,7 +366,6 @@ let propagate t =
   for i = Array.length topo - 1 downto 0 do
     ignore (recompute_backward t (Array.unsafe_get topo i))
   done;
-  t.stats.full_propagations <- t.stats.full_propagations + 1;
   Obs.incr t.oc.o_full_props
 
 (* ------------------------------------------------------------------ *)
@@ -655,7 +638,6 @@ let cone_ctx t =
   }
 
 let note_cone_visits t n =
-  t.stats.cone_visits <- t.stats.cone_visits + n;
   Obs.add t.oc.o_cone n
 
 (* In-place heapsort of [members.(0 .. count-1)] by ascending level —
@@ -689,7 +671,7 @@ let sort_members_by_level level members count =
 (* Collect the cone of [root] (backward when [forward = false]) into the
    context's member buffer, then run a longest/shortest-path DP
    restricted to the cone in level order. Touches only [ctx] and
-   read-only timer state — no stats, no Obs — so it is safe to run from
+   read-only timer state — no counters, no Obs — so it is safe to run from
    worker domains; callers account visits via [note_cone_visits]
    afterwards (single-writer). The DP relaxation is an inline CSR loop:
    the only allocations are the result list cells. *)
@@ -791,16 +773,6 @@ let cone t corner ~root ~forward =
   note_cone_visits t count;
   (results, count)
 
-let cone_to_endpoint_in ctx t corner e =
-  let root = Graph.node_of_endpoint t.graph e in
-  let raw, visited = cone_in ctx t corner ~root ~forward:false in
-  (List.map (fun (n, d) -> (Graph.launcher_of_node t.graph n, d)) raw, visited)
-
-let cone_from_launcher_in ctx t corner l =
-  let root = Graph.source_of_launcher t.graph l in
-  let raw, visited = cone_in ctx t corner ~root ~forward:true in
-  (List.map (fun (n, d) -> (Graph.endpoint_of_node t.graph n, d)) raw, visited)
-
 let cone_nodes_in ctx t corner ~root ~forward = cone_in ctx t corner ~root ~forward
 
 let cone_to_endpoint t corner e =
@@ -891,14 +863,12 @@ let build ?(config = default_config) ?(obs = Obs.null) ?graph design =
       graph;
       design;
       cfg = config;
-      stats =
-        { full_propagations = 0; forward_visits = 0; backward_visits = 0; cone_visits = 0 };
       obs;
       oc = resolve_obs_counters obs;
       load = Array.make sz 0.0;
       at_max = Array.make sz neg_infinity;
       at_min = Array.make sz infinity;
-      slew = Array.make sz config.initial_slew;
+      slew = Array.make sz initial_slew;
       pred_max = Array.make sz (-1);
       pred_min = Array.make sz (-1);
       rat_late = Array.make sz infinity;

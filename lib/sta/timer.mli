@@ -22,31 +22,27 @@ type corner =
   | Early  (** hold / min-delay analysis *)
   | Late  (** setup / max-delay analysis *)
 
+(** The analysis setup an SDC file or the command line may change.
+    Launch-pin slew (10 ps), input-port drive resistance (1) and
+    output-port pin cap (2 fF) are fixed. *)
 type config = {
   early_derate : float;  (** min-corner delay = derate * max-corner *)
-  initial_slew : float;  (** slew at launch pins, ps *)
-  port_drive_res : float;  (** drive resistance of input ports *)
-  port_cap : float;  (** pin cap of output ports, fF *)
   setup_uncertainty : float;  (** clock uncertainty margin on setup checks, ps *)
   hold_uncertainty : float;  (** clock uncertainty margin on hold checks, ps *)
 }
 
+(** Derate 0.88, no uncertainty. *)
 val default_config : config
-
-type stats = {
-  mutable full_propagations : int;
-  mutable forward_visits : int;  (** node recomputations, fwd *)
-  mutable backward_visits : int;  (** node recomputations, bwd *)
-  mutable cone_visits : int;  (** nodes touched by cone extraction *)
-}
 
 type t
 
 (** [build ?config ?obs ?graph design] constructs the graph and runs a
     full propagation. [obs] (default {!Css_util.Obs.null}) receives the
-    [timer.*] counters: full/incremental propagations, per-node forward
-    and backward recomputations, and cone nodes visited — the paper's
-    "Update" cost, reported per iteration by the scheduler. [graph]
+    [timer.*] counters — the timer's only work accounting:
+    [full_propagations], [incremental_updates], [forward_visits] and
+    [backward_visits] (per-node recomputations) and [cone_nodes] (nodes
+    visited by cone walks) — the paper's "Update" cost, reported per
+    iteration by the scheduler. [graph]
     (default [Graph.build design]) lets a second timer over [design]
     share a live timer's data graph instead of building a copy; it must
     be [design]'s current graph, which {!resize_cell} through either
@@ -57,7 +53,6 @@ val build :
 val graph : t -> Graph.t
 val design : t -> Css_netlist.Design.t
 val config : t -> config
-val stats : t -> stats
 val obs : t -> Css_util.Obs.t
 
 (** [set_obs t obs] redirects the timer's counters to [obs] (e.g. when a
@@ -161,15 +156,15 @@ val cone_from_launcher : t -> corner -> Graph.launcher -> (Graph.endpoint * floa
 (** {2 Re-entrant walks (parallel extraction)}
 
     {!cone_to_endpoint} and {!cone_from_launcher} use the timer's own
-    scratch arrays and bump its stats inline, so only one may run at a
-    time. The [_in] variants walk through a caller-supplied {!cone_ctx}
-    and touch {e no} mutable timer state at all: give each worker domain
-    its own context and the walks may run concurrently against the same
-    timer, provided nothing mutates the timer (no [propagate], latency
-    or placement edits) while they are in flight. Visited-node counts
-    are returned, not accounted; the coordinating thread flushes them
-    once per round with {!note_cone_visits} (the stats record and [Obs]
-    context stay single-writer). *)
+    scratch arrays and bump its counters inline, so only one may run at
+    a time. {!cone_nodes_in} walks through a caller-supplied {!cone_ctx}
+    and touches {e no} mutable timer state at all: give each worker
+    domain its own context and the walks may run concurrently against
+    the same timer, provided nothing mutates the timer (no [propagate],
+    latency or placement edits) while they are in flight. Visited-node
+    counts are returned, not accounted; the coordinating thread flushes
+    them once per round with {!note_cone_visits} (the [Obs] context
+    stays single-writer). *)
 
 (** Private scratch (visit marks + DP values) for one concurrent cone
     walker. *)
@@ -179,26 +174,17 @@ type cone_ctx
     Do not share one context between concurrent walkers. *)
 val cone_ctx : t -> cone_ctx
 
-(** [cone_to_endpoint_in ctx t corner e] is {!cone_to_endpoint} through
-    [ctx], without stats or counter side effects. *)
-val cone_to_endpoint_in :
-  cone_ctx -> t -> corner -> Graph.endpoint -> (Graph.launcher * float) list * int
-
-(** [cone_from_launcher_in ctx t corner l] is {!cone_from_launcher}
-    through [ctx], without stats or counter side effects. *)
-val cone_from_launcher_in :
-  cone_ctx -> t -> corner -> Graph.launcher -> (Graph.endpoint * float) list * int
-
-(** [cone_nodes_in ctx t corner ~root ~forward] is the raw node-level
-    walk underlying both [_in] variants: the reached endpoint (forward)
-    or source (backward) nodes with their extreme pure path delays, plus
+(** [cone_nodes_in ctx t corner ~root ~forward] is the node-level walk
+    behind {!cone_to_endpoint} and {!cone_from_launcher}, through [ctx]
+    and without counter side effects: the reached endpoint (forward) or
+    source (backward) nodes with their extreme pure path delays, plus
     the visited-node count. *)
 val cone_nodes_in :
   cone_ctx -> t -> corner -> root:Graph.node -> forward:bool -> (Graph.node * float) list * int
 
-(** [note_cone_visits t n] credits [n] cone-visited nodes to
-    [t.stats.cone_visits] and the [timer.cone_nodes] counter — the
-    deferred accounting for [_in] walks. Call from one thread only. *)
+(** [note_cone_visits t n] credits [n] cone-visited nodes to the
+    [timer.cone_nodes] counter — the deferred accounting for
+    {!cone_nodes_in} walks. Call from one thread only. *)
 val note_cone_visits : t -> int -> unit
 
 (** {1 Path tracing} *)

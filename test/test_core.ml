@@ -577,7 +577,8 @@ let test_scheduler_iteration_allocation () =
   let profile = Option.get (Profile.by_name "sb18") in
   let measure ~max_iterations =
     let design = Generator.generate profile in
-    let timer = Timer.build design in
+    let timer_obs = Css_util.Obs.create () in
+    let timer = Timer.build ~obs:timer_obs design in
     let extraction, _ = Engine.ours timer ~corner:Timer.Late in
     let obs = Css_util.Obs.create () in
     let ext_words = [| 0.0 |] in
@@ -588,8 +589,11 @@ let test_scheduler_iteration_allocation () =
       round
     in
     let config = { Scheduler.default_config with Scheduler.max_iterations } in
-    let stats = Timer.stats timer in
-    let visits0 = stats.Timer.forward_visits + stats.Timer.backward_visits in
+    let node_visits () =
+      let count name = Css_util.Obs.value (Css_util.Obs.counter timer_obs name) in
+      count "timer.forward_visits" + count "timer.backward_visits"
+    in
+    let visits0 = node_visits () in
     let w0 = allocated_words () in
     let result = Scheduler.run ~config ~obs timer { extraction with Scheduler.extract } in
     let words = allocated_words () -. w0 -. ext_words.(0) in
@@ -599,7 +603,7 @@ let test_scheduler_iteration_allocation () =
       | Some h -> Css_util.Histo.sum h
       | None -> 0.0
     in
-    let visits = stats.Timer.forward_visits + stats.Timer.backward_visits - visits0 in
+    let visits = node_visits () - visits0 in
     (result, words, counter "sched.latency_increments", cycle_members, visits)
   in
   let _, setup_words, _, _, _ = measure ~max_iterations:0 in
@@ -794,6 +798,55 @@ let test_scheduler_best_restore_matches_design () =
         (Design.scheduled_latency design ff))
     (Design.ffs design)
 
+(* The restore itself, forced: at the top of iteration 2 (its extraction
+   round) every other flip-flop gets +2000 ps of scheduled latency behind
+   the partial graph's back, so iteration 2 ends far below iteration 1's
+   TNS and the cap stops the run there. The scheduler must hand back
+   iteration 1's latencies bit for bit. *)
+let test_scheduler_best_restore_forced () =
+  let design = Generator.generate Profile.tiny in
+  let timer = Timer.build design in
+  let extraction, _ = Engine.ours timer ~corner:Timer.Late in
+  let ffs = Design.ffs design in
+  let bits () = Array.map (fun ff -> Int64.bits_of_float (Design.scheduled_latency design ff)) ffs in
+  let best = ref [||] and rounds = ref 0 in
+  let extract () =
+    incr rounds;
+    if !rounds = 2 then begin
+      best := bits ();
+      Array.iteri
+        (fun i ff ->
+          if i mod 2 = 0 then
+            Design.set_scheduled_latency design ff (Design.scheduled_latency design ff +. 2000.0))
+        ffs;
+      Timer.update_latencies timer (Array.to_list ffs)
+    end;
+    extraction.Scheduler.extract ()
+  in
+  let obs = Css_util.Obs.create () in
+  let config = { Scheduler.default_config with Scheduler.max_iterations = 2 } in
+  let result = Scheduler.run ~config ~obs timer { extraction with Scheduler.extract } in
+  (match result.Scheduler.trace with
+  | [ it1; it2 ] ->
+    checkb
+      (Printf.sprintf "iteration 2 worsened TNS (%g -> %g)" it1.Scheduler.tns_late
+         it2.Scheduler.tns_late)
+      true
+      (it2.Scheduler.tns_late < it1.Scheduler.tns_late)
+  | trace -> Alcotest.failf "expected two iterations, got %d" (List.length trace));
+  checkb "stopped at the cap" true (result.Scheduler.stop_reason = Scheduler.Max_iterations);
+  checkb "best restored" true result.Scheduler.best_restored;
+  checki "one restore counted" 1
+    (Css_util.Obs.value (Css_util.Obs.counter obs "sched.best_restores"));
+  checkb "latencies bitwise equal to iteration 1's" true (bits () = !best);
+  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  Array.iter
+    (fun ff ->
+      checkf 0.0 "restored targets = design state"
+        result.Scheduler.target_latency.(Vertex.of_ff verts ff)
+        (Design.scheduled_latency design ff))
+    ffs
+
 let () =
   Alcotest.run "core"
     [
@@ -861,6 +914,7 @@ let () =
             test_scheduler_best_never_worse_than_traced;
           Alcotest.test_case "best-state restore matches design" `Quick
             test_scheduler_best_restore_matches_design;
+          Alcotest.test_case "forced best-state restore" `Quick test_scheduler_best_restore_forced;
           Alcotest.test_case "truncated round never converges" `Quick
             test_scheduler_truncated_round_never_converges;
         ] );

@@ -161,12 +161,10 @@ let test_scorer_under_deltas () =
     (fun () ->
       let check label (r : Session.result) =
         if r.Session.rolled_back then incr rollbacks;
-        let config =
-          { Evaluator.default_config with Evaluator.timer = (Session.config session).Session.timer }
-        in
+        let timer = (Session.config session).Session.timer in
         fail_all label
           (Oracles.report_diffs ~label
-             (Evaluator.evaluate ~config (Session.design session))
+             (Evaluator.evaluate ~timer (Session.design session))
              r.Session.report)
       in
       check "initial run" (Session.finish session);

@@ -110,19 +110,6 @@ let test_scorer_tracks_edits () =
   checkx "scheduled latency kept" 35.0 (Design.scheduled_latency design ff);
   checki "scores" 8 (counter obs "eval.scores")
 
-let test_scorer_include_scheduled () =
-  let design = Generator.generate Profile.tiny in
-  let config = { Evaluator.default_config with Evaluator.include_scheduled = true } in
-  let s = Evaluator.scorer ~config design in
-  let check label =
-    same_report ~label (Evaluator.evaluate ~config design) (Evaluator.score s)
-  in
-  check "first score";
-  Array.iteri
-    (fun i ff -> if i mod 3 = 0 then Design.set_scheduled_latency design ff (float_of_int (7 * i)))
-    (Design.ffs design);
-  check "set_scheduled_latency (counted)"
-
 (* The session's arrangement: the scorer shares the live timer's graph,
    whose arc models the live timer's [resize_cell] keeps current. *)
 let test_scorer_shares_live_graph () =
@@ -160,33 +147,45 @@ let test_ignores_scheduled_latencies_by_default () =
   (* and the stashed latency is restored afterwards *)
   checkf 1e-9 "latency restored" 500.0 (Design.scheduled_latency design ff)
 
-let test_include_scheduled_mode () =
-  let design = Generator.micro () in
-  let ff = (Design.ffs design).(0) in
-  Design.set_scheduled_latency design ff 50.0;
-  let cfg = { Evaluator.default_config with Evaluator.include_scheduled = true } in
-  let r_with = Evaluator.evaluate ~config:cfg design in
-  let r_without = Evaluator.evaluate design in
-  checkb "modes differ when virtual latency present" true
-    (Float.abs (r_with.Evaluator.tns_late -. r_without.Evaluator.tns_late) > 1e-9
-    || Float.abs (r_with.Evaluator.tns_early -. r_without.Evaluator.tns_early) > 1e-9)
+let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
+(* The budget is Design.max_displacement, Manhattan from the original
+   position: a move of exactly the budget passes, one DBU more fails. *)
 let test_detects_displacement_violation () =
   let design = Generator.micro () in
-  (* move a combinational cell beyond any budget *)
   let victim = ref (-1) in
   Design.iter_cells design (fun c ->
       if !victim < 0 && not (Design.is_ff design c || Design.is_lcb design c) then victim := c);
-  Design.move_cell design !victim (Point.make 2999.0 2999.0);
-  let cfg = { Evaluator.default_config with Evaluator.max_displacement = 10.0 } in
-  let r = Evaluator.evaluate ~config:cfg design in
-  checkb "violation reported" true (r.Evaluator.constraint_errors <> [])
+  let o = Design.cell_orig_pos design !victim in
+  let displaced dx =
+    Design.move_cell design !victim (Point.make (o.Point.x +. dx) o.Point.y);
+    List.exists (has_prefix "cell ") (Evaluator.evaluate design).Evaluator.constraint_errors
+  in
+  checkb "at the budget: no violation" false (displaced Design.max_displacement);
+  checkb "past the budget: violation reported" true (displaced (Design.max_displacement +. 1.0))
 
+(* The limit is Design.lcb_fanout_limit sinks per LCB: filling one LCB to
+   the limit passes, one flip-flop more fails. *)
 let test_detects_fanout_violation () =
-  let design = Generator.generate Profile.tiny in
-  let cfg = { Evaluator.default_config with Evaluator.lcb_fanout_limit = 1 } in
-  let r = Evaluator.evaluate ~config:cfg design in
-  checkb "tight limit flags LCBs" true (r.Evaluator.constraint_errors <> [])
+  let limit = Design.lcb_fanout_limit in
+  let design = Generator.generate { Profile.tiny with Profile.num_ffs = limit + 10 } in
+  let lcb = (Design.lcbs design).(0) in
+  let over () =
+    List.exists (has_prefix "LCB ") (Evaluator.evaluate design).Evaluator.constraint_errors
+  in
+  let ffs = Design.ffs design in
+  let i = ref 0 in
+  while Design.lcb_fanout design lcb < limit do
+    let ff = ffs.(!i) in
+    if Design.lcb_of_ff design ff <> lcb then Design.reconnect_ff_to_lcb design ~ff ~lcb;
+    incr i
+  done;
+  checkb "at the limit: no violation" false (over ());
+  while Design.lcb_of_ff design ffs.(!i) = lcb do
+    incr i
+  done;
+  Design.reconnect_ff_to_lcb design ~ff:ffs.(!i) ~lcb;
+  checkb "past the limit: violation reported" true (over ())
 
 let test_violation_counts () =
   let design = Generator.micro () in
@@ -258,7 +257,6 @@ let () =
             test_evaluate_restores_latencies_on_failure;
           Alcotest.test_case "ignores scheduled latencies" `Quick
             test_ignores_scheduled_latencies_by_default;
-          Alcotest.test_case "include-scheduled mode" `Quick test_include_scheduled_mode;
           Alcotest.test_case "displacement violation" `Quick test_detects_displacement_violation;
           Alcotest.test_case "fanout violation" `Quick test_detects_fanout_violation;
           Alcotest.test_case "violation counts (micro)" `Quick test_violation_counts;
@@ -267,8 +265,6 @@ let () =
       ( "scorer",
         [
           Alcotest.test_case "tracks every edit kind" `Quick test_scorer_tracks_edits;
-          Alcotest.test_case "include-scheduled latency edits" `Quick
-            test_scorer_include_scheduled;
           Alcotest.test_case "shares a live timer's graph" `Quick test_scorer_shares_live_graph;
         ] );
       ( "report",

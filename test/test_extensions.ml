@@ -207,7 +207,7 @@ let test_cts_plan_pure () =
   List.iter
     (fun c ->
       checkb "cluster non-empty" true (c.Cts_guide.members <> []);
-      checkb "fanout bounded" true (List.length c.Cts_guide.members <= 50);
+      checkb "fanout bounded" true (List.length c.Cts_guide.members <= Design.lcb_fanout_limit);
       checkb "site on die" true (Css_geometry.Rect.contains (Design.die design) c.Cts_guide.lcb_pos))
     plan.Cts_guide.clusters
 
@@ -259,13 +259,21 @@ let test_cts_apply_improves_physical_timing () =
     checkb "physical late TNS improved" true (physical_after > physical_before)
   end
 
+(* A plan proposes at most 16 LCBs, even for 18 fanout-limit-sized
+   groups of targeted flip-flops. *)
 let test_cts_respects_budget () =
-  let design = Generator.generate Profile.tiny in
+  let limit = Design.lcb_fanout_limit in
+  let design =
+    Generator.generate { Profile.tiny with Profile.num_ffs = 18 * limit; num_lcbs = 18 }
+  in
   let timer = Timer.build design in
   let targets = Array.to_list (Array.map (fun ff -> (ff, 50.0)) (Design.ffs design)) in
-  let config = { Cts_guide.default_config with Cts_guide.max_new_lcbs = 2 } in
-  let plan = Cts_guide.plan ~config timer ~targets in
-  checkb "at most two clusters" true (List.length plan.Cts_guide.clusters <= 2)
+  let plan = Cts_guide.plan timer ~targets in
+  checkb "some clusters" true (plan.Cts_guide.clusters <> []);
+  checkb "at most sixteen clusters" true (List.length plan.Cts_guide.clusters <= 16);
+  List.iter
+    (fun c -> checkb "fanout bounded" true (List.length c.Cts_guide.members <= limit))
+    plan.Cts_guide.clusters
 
 let test_net_add_sink_validation () =
   let design = Generator.micro () in

@@ -665,6 +665,27 @@ let test_cache_bytes_inert () =
   in
   checkb "bitwise-equal latencies" true (run (64 * 1024 * 1024) = run 0)
 
+(* The stall watchdog sets its verdict like every other watchdog: the
+   flow.stop snapshot fires once, carrying the reason. The tiny design
+   stops making worst-slack progress within the default rounds. *)
+let test_stall_emits_flow_stop () =
+  let obs = Css_util.Obs.create () in
+  let r =
+    Flow.run ~config:{ Flow.default_config with Flow.obs } ~algo:Flow.Ours
+      (Generator.generate Profile.tiny)
+  in
+  checks "stop reason" "stalled" r.Flow.stop_reason;
+  let stops =
+    List.filter_map
+      (fun (label, _, fields) -> if label = "flow.stop" then Some fields else None)
+      (Css_util.Obs.snapshots obs)
+  in
+  match stops with
+  | [ fields ] ->
+    checkb "reason stalled" true
+      (List.assoc_opt "reason" fields = Some (Css_util.Obs.Json.String "stalled"))
+  | _ -> Alcotest.failf "expected one flow.stop snapshot, got %d" (List.length stops)
+
 let test_flow_on_micro () =
   let design = Generator.micro () in
   let r = Flow.run ~algo:Flow.Ours design in
@@ -696,6 +717,7 @@ let () =
           Alcotest.test_case "cts flag" `Quick test_flow_with_cts;
           Alcotest.test_case "micro end-to-end" `Quick test_flow_on_micro;
           Alcotest.test_case "cache_bytes is inert" `Quick test_cache_bytes_inert;
+          Alcotest.test_case "stall emits one flow.stop" `Quick test_stall_emits_flow_stop;
         ] );
       ( "robustness",
         [

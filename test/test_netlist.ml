@@ -287,14 +287,24 @@ let test_sdc_parse () =
   checkf 1e-9 "hold" 10.0 c.Sdc.hold_uncertainty;
   checkb "derate" true (c.Sdc.early_derate = Some 0.9);
   checki "two windows" 2 (List.length c.Sdc.latency_bounds);
-  checkb "displacement" true (c.Sdc.max_displacement = Some 400.0);
-  (* the fanout limit is not applied anywhere: a stable warning says so *)
-  match Sdc.parse text with
-  | Ok (_, [ d ]) ->
-    Alcotest.(check string) "ignored fanout limit" "SDC-006" d.Css_util.Diag.code;
+  (* the contest limits live in Design: a constraint file cannot move
+     them, and a stable warning per command says so and names the home *)
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let ignored ~line ~home (d : Css_util.Diag.t) =
+    Alcotest.(check string) "code" "SDC-006" d.Css_util.Diag.code;
     checkb "a warning" false (Css_util.Diag.is_error d);
-    checkb "its line" true (d.Css_util.Diag.line = Some 9)
-  | Ok (_, ds) -> Alcotest.failf "expected one SDC-006 warning, got %d diagnostics" (List.length ds)
+    checkb "its line" true (d.Css_util.Diag.line = Some line);
+    checkb ("names " ^ home) true (contains d.Css_util.Diag.message home)
+  in
+  match Sdc.parse text with
+  | Ok (_, [ d1; d2 ]) ->
+    ignored ~line:8 ~home:"Design.max_displacement" d1;
+    ignored ~line:9 ~home:"Design.lcb_fanout_limit" d2
+  | Ok (_, ds) -> Alcotest.failf "expected two SDC-006 warnings, got %d diagnostics" (List.length ds)
   | Error _ -> Alcotest.fail "parse failed"
 
 let test_sdc_errors () =

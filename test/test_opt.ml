@@ -54,23 +54,24 @@ let test_reconnect_small_target_keeps_lcb () =
 let test_reconnect_respects_fanout_limit () =
   let design = Generator.generate Profile.tiny in
   let timer = Timer.build design in
-  let config = { Reconnect.default_config with Reconnect.fanout_limit = 50 } in
   let targets = Array.to_list (Array.map (fun ff -> (ff, 60.0)) (Design.ffs design)) in
-  ignore (Reconnect.realize ~config timer ~targets);
+  ignore (Reconnect.realize timer ~targets);
   Array.iter
-    (fun lcb -> checkb "fanout <= 50" true (Design.lcb_fanout design lcb <= 50))
+    (fun lcb ->
+      checkb "fanout within the limit" true
+        (Design.lcb_fanout design lcb <= Design.lcb_fanout_limit))
     (Design.lcbs design)
 
+(* One pass lets an LCB adopt at most 8 flip-flops. *)
 let test_reconnect_adoption_cap () =
   let design = Generator.generate Profile.tiny in
   let timer = Timer.build design in
   let before = Array.map (fun lcb -> Design.lcb_fanout design lcb) (Design.lcbs design) in
-  let config = { Reconnect.default_config with Reconnect.max_adoptions = 1 } in
   let targets = Array.to_list (Array.map (fun ff -> (ff, 60.0)) (Design.ffs design)) in
-  ignore (Reconnect.realize ~config timer ~targets);
+  ignore (Reconnect.realize timer ~targets);
   Array.iteri
     (fun i lcb ->
-      checkb "at most one adoption" true (Design.lcb_fanout design lcb <= before.(i) + 1))
+      checkb "at most eight adoptions" true (Design.lcb_fanout design lcb <= before.(i) + 8))
     (Design.lcbs design)
 
 let test_reconnect_reduces_violation_after_css () =
@@ -138,8 +139,7 @@ let test_cell_move_repairs_hold () =
   let timer = Timer.build design in
   let tns0 = Timer.tns timer Timer.Early in
   checkb "hold violation present" true (tns0 < 0.0);
-  let config = { Cell_move.default_config with Cell_move.max_displacement = 1200.0 } in
-  let stats = Cell_move.repair_early ~config timer in
+  let stats = Cell_move.repair_early timer in
   checkb "processed endpoints" true (stats.Cell_move.endpoints_processed >= 1);
   checkb "tried moves" true (stats.Cell_move.moves_tried >= 1);
   checkb "early TNS improved" true (Timer.tns timer Timer.Early > tns0)
@@ -147,11 +147,10 @@ let test_cell_move_repairs_hold () =
 let test_cell_move_respects_displacement () =
   let design = movable_hold_design () in
   let timer = Timer.build design in
-  let config = { Cell_move.default_config with Cell_move.max_displacement = 300.0 } in
-  ignore (Cell_move.repair_early ~config timer);
+  ignore (Cell_move.repair_early timer);
   Design.iter_cells design (fun c ->
       let moved = Point.manhattan (Design.cell_pos design c) (Design.cell_orig_pos design c) in
-      checkb "within budget" true (moved <= 300.0 +. 1e-9))
+      checkb "within budget" true (moved <= Design.max_displacement +. 1e-9))
 
 let test_cell_move_never_degrades_late_wns () =
   let design = movable_hold_design () in
@@ -163,7 +162,7 @@ let test_cell_move_never_degrades_late_wns () =
 let test_cell_move_noop_when_clean () =
   let design = movable_hold_design () in
   let timer = Timer.build design in
-  ignore (Cell_move.repair_early ~config:{ Cell_move.default_config with Cell_move.max_displacement = 1200.0 } timer);
+  ignore (Cell_move.repair_early timer);
   (* second run has nothing violated left to process, or at least does
      not move anything further *)
   let pos_before = Array.init (Design.num_cells design) (fun c -> Design.cell_pos design c) in
@@ -177,7 +176,7 @@ let test_cell_move_only_moves_combinational () =
   let timer = Timer.build design in
   let ff_pos = Array.map (fun ff -> Design.cell_pos design ff) (Design.ffs design) in
   let lcb_pos = Array.map (fun l -> Design.cell_pos design l) (Design.lcbs design) in
-  ignore (Cell_move.repair_early ~config:{ Cell_move.default_config with Cell_move.max_displacement = 1200.0 } timer);
+  ignore (Cell_move.repair_early timer);
   Array.iteri
     (fun i ff -> checkb "FFs unmoved" true (Point.equal (Design.cell_pos design ff) ff_pos.(i)))
     (Design.ffs design);

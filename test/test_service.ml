@@ -17,6 +17,7 @@ module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
 module Json = Css_util.Json
 module Diag = Css_util.Diag
+module Obs = Css_util.Obs
 module Point = Css_geometry.Point
 
 let checkb = Alcotest.check Alcotest.bool
@@ -589,11 +590,13 @@ let test_daemon_concurrent_budgets () =
 (* {2 Warm-path speedup} *)
 
 (* The acceptance bar: on a mid-size design, a warm [apply_delta] for a
-   single cell move must beat a from-scratch [Flow.run] on the
-   post-delta design by >= 5x while answering bitwise the same. The
-   profile converges clean (no cycles/conflicts/port residue), so the
-   warm request pays one incremental cone update where the cold run
-   pays validation plus a full timer build. *)
+   single cell move must do >= 5x less timing work than a from-scratch
+   [Flow.run] on the post-delta design while answering bitwise the same.
+   Work is the timer's node recomputations ([timer.forward_visits +
+   timer.backward_visits], scoring timers included), counted rather than
+   timed so machine load cannot move the verdict. The profile converges
+   clean (no cycles/conflicts/port residue), so the warm request pays one
+   incremental cone update where the cold run pays a full timer build. *)
 let test_warm_delta_speedup () =
   let profile =
     {
@@ -612,9 +615,14 @@ let test_warm_delta_speedup () =
   in
   let d0 = Generator.generate profile in
   let cfg = svc_config ~rounds:3 () in
+  let node_visits obs =
+    let count name = Obs.value (Obs.counter obs name) in
+    count "timer.forward_visits" + count "timer.backward_visits"
+  in
+  let warm_obs = Obs.create () in
   let warm = Flow.clone d0 in
   let cold = Flow.clone d0 in
-  let s = Session.open_ ~config:cfg ~algo:Flow.Ours warm in
+  let s = Session.open_ ~config:{ cfg with Flow.obs = warm_obs } ~algo:Flow.Ours warm in
   Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
   let r = Session.finish s in
   checks "mid-size profile converges clean" "clean" r.Session.stop_reason;
@@ -622,25 +630,28 @@ let test_warm_delta_speedup () =
   let name = Design.cell_name warm (Design.ffs warm).(0) in
   let p = Design.cell_pos warm (Design.ffs warm).(0) in
   let delta = [ Session.Move_cell { cell = name; x = p.Point.x +. 2.0; y = p.Point.y } ] in
-  let t0 = Unix.gettimeofday () in
+  let v0 = node_visits warm_obs in
   let o =
     match Session.apply_delta s delta with
     | Ok o -> o
     | Error _ -> Alcotest.fail "warm delta failed"
   in
-  let warm_s = Unix.gettimeofday () -. t0 in
+  let warm_work = node_visits warm_obs - v0 in
   checkb "warm path is incremental" true (o.Session.d_mode = `Incremental);
   match Session.stage ~validate:cfg.Flow.validate ~repair:cfg.Flow.repair ~timer:cfg.Flow.timer cold delta with
   | Error _ -> Alcotest.fail "reference stage failed"
   | Ok sg ->
-    let t1 = Unix.gettimeofday () in
-    ignore (Flow.run ~config:{ cfg with Flow.timer = sg.Session.sg_timer } ~algo:Flow.Ours cold);
-    let cold_s = Unix.gettimeofday () -. t1 in
+    let cold_obs = Obs.create () in
+    ignore
+      (Flow.run
+         ~config:{ cfg with Flow.timer = sg.Session.sg_timer; obs = cold_obs }
+         ~algo:Flow.Ours cold);
+    let cold_work = node_visits cold_obs in
     check_same_latencies "speedup keeps bitwise identity" (exact_latencies cold) (exact_latencies warm);
-    let ratio = cold_s /. Float.max warm_s 1e-9 in
+    let ratio = float_of_int cold_work /. float_of_int (max warm_work 1) in
     checkb
-      (Printf.sprintf "warm apply_delta >= 5x from-scratch (warm %.4fs, cold %.4fs, %.1fx)" warm_s
-         cold_s ratio)
+      (Printf.sprintf "warm apply_delta >= 5x less work (warm %d, cold %d node visits, %.1fx)"
+         warm_work cold_work ratio)
       true (ratio >= 5.0)
 
 let () =

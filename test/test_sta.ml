@@ -15,6 +15,7 @@ module Cell = Css_liberty.Cell
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf eps = Alcotest.check (Alcotest.float eps)
+let counter obs name = Css_util.Obs.value (Css_util.Obs.counter obs name)
 
 let p = Point.make
 
@@ -391,7 +392,8 @@ let prop_interleaved_updates =
   QCheck.Test.make ~name:"interleaved updates = full, each node once" ~count:12
     (QCheck.int_bound 1_000_000) (fun seed ->
       let d = Generator.generate Profile.tiny in
-      let t = Timer.build d in
+      let obs = Css_util.Obs.create () in
+      let t = Timer.build ~obs d in
       let g = Timer.graph t in
       let rng = Css_util.Rng.create seed in
       let ffs = Design.ffs d in
@@ -402,8 +404,8 @@ let prop_interleaved_updates =
       let ok = ref true in
       for _ = 1 to 10 do
         let before = node_states t in
-        let stats = Timer.stats t in
-        let f0 = stats.Timer.forward_visits and b0 = stats.Timer.backward_visits in
+        let f0 = counter obs "timer.forward_visits"
+        and b0 = counter obs "timer.backward_visits" in
         let fwd_seeds, bwd_seeds =
           match Css_util.Rng.int rng 3 with
           | 0 ->
@@ -451,8 +453,8 @@ let prop_interleaved_updates =
         in
         let fresh = node_states (Timer.build d) in
         if after <> fresh then ok := false;
-        if stats.Timer.forward_visits - f0 <> fwd_expected then ok := false;
-        if stats.Timer.backward_visits - b0 <> bwd_expected then ok := false
+        if counter obs "timer.forward_visits" - f0 <> fwd_expected then ok := false;
+        if counter obs "timer.backward_visits" - b0 <> bwd_expected then ok := false
       done;
       !ok)
 
@@ -478,20 +480,21 @@ let float_box_words =
    buffer and the scratch floats are all the timer's own. *)
 let test_update_latencies_allocation_free () =
   let d = Generator.generate Profile.tiny in
-  let t = Timer.build d in
+  let obs = Css_util.Obs.create () in
+  let t = Timer.build ~obs d in
   let ffs = Array.to_list (Design.ffs d) in
   let raise_all delta =
     List.iter (fun ff -> Design.set_scheduled_latency d ff (Design.scheduled_latency d ff +. delta)) ffs
   in
   raise_all 3.0;
   Timer.update_latencies t ffs;
-  let stats = Timer.stats t in
-  let visits0 = stats.Timer.forward_visits + stats.Timer.backward_visits in
+  let node_visits () = counter obs "timer.forward_visits" + counter obs "timer.backward_visits" in
+  let visits0 = node_visits () in
   raise_all 5.0;
   let before = Gc.minor_words () in
   Timer.update_latencies t ffs;
   let allocated = Gc.minor_words () -. before in
-  let visits = stats.Timer.forward_visits + stats.Timer.backward_visits - visits0 in
+  let visits = node_visits () - visits0 in
   (* dev boxes the cross-module float reads of a node's arcs and clock
      (pin coordinates, latencies): about four per visit, eight allowed *)
   let budget = (float_of_int visits *. 8.0 *. float_box_words) +. 256.0 in
@@ -540,12 +543,13 @@ let test_cone_directions_agree () =
 
 let test_cone_visits_positive () =
   let design = Generator.micro () in
-  let t = Timer.build design in
+  let obs = Css_util.Obs.create () in
+  let t = Timer.build ~obs design in
   let g = Timer.graph t in
   let e = Graph.endpoint_of_node g (Graph.endpoints g).(0) in
   let _, visited = Timer.cone_to_endpoint t Timer.Late e in
   checkb "visited counted" true (visited > 0);
-  checkb "stats accumulate" true ((Timer.stats t).Timer.cone_visits >= visited)
+  checki "counter accumulates" visited (counter obs "timer.cone_nodes")
 
 let test_k_worst_paths_consistency () =
   let design = Generator.generate Profile.tiny in
