@@ -18,8 +18,8 @@ let workspace ~n = { howard = Howard.workspace ~n (); increments = Array.make n 
 let schedule ws (g : Csr.t) ~fixed ~hard_cap =
   List.iter (fun v -> ws.increments.(v) <- 0.0) ws.last;
   ws.last <- [];
-  (* Howard's policy iteration: the fastest of the three solvers, and
-     cross-validated against Karp and Lawler in the test suite *)
+  (* Howard's policy iteration: the faster of the two solvers, and
+     cross-validated against Karp in the test suite *)
   match Howard.min_mean_cycle_csr ws.howard g with
   | None -> None
   | Some (mean, cycle) ->

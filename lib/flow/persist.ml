@@ -124,6 +124,29 @@ type state = {
 }
 
 let path ~dir = Filename.concat dir "checkpoint.ckpt"
+let journal_path ~dir = Filename.concat dir "checkpoint.journal"
+
+type live = {
+  lv_algo : string;
+  lv_rounds : int;
+  lv_progress : progress;
+  lv_rung : int;
+  lv_design : Design.t;
+  lv_engines : (string * Extract.snapshot) list;
+}
+
+let state_of_live lv =
+  let d = lv.lv_design in
+  {
+    ps_algo = lv.lv_algo;
+    ps_design = Design.name d;
+    ps_rounds = lv.lv_rounds;
+    ps_progress = lv.lv_progress;
+    ps_anchors = Array.init (Design.num_cells d) (Design.cell_orig_pos d);
+    ps_rung = lv.lv_rung;
+    ps_design_text = Io.to_string d;
+    ps_engines = lv.lv_engines;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -133,7 +156,10 @@ let magic = "css-checkpoint"
 (* Version 3 dropped version 2's cone-cache section and renumbered the
    degradation rungs; older files are rejected, not migrated. *)
 let version = 3
+let journal_magic = "css-journal"
+let journal_version = 1
 let fstr = Io.float_to_string
+let line b fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
 
 (* Array lines go straight into the buffer: one [Printf] and one
    [s ^ "\n"] copy per line would copy every ~100 kB array line twice.
@@ -145,137 +171,429 @@ let add_array b key a add =
   Array.iteri
     (fun i x ->
       if i > 0 then Buffer.add_char b ' ';
-      add i x)
+      add x)
     a;
   Buffer.add_char b '\n'
 
-let add_floats b key a = add_array b key a (fun _ x -> Buffer.add_string b (fstr x))
-let add_ints b key a = add_array b key a (fun _ i -> Buffer.add_string b (string_of_int i))
+let add_floats b key a = add_array b key a (fun x -> Buffer.add_string b (fstr x))
+let add_ints b key a = add_array b key a (fun i -> Buffer.add_string b (string_of_int i))
 
-(* Cell coordinates share the design text's memo slots: a cell's anchor
-   and best-checkpoint position usually equal its current position. *)
-let add_xs memo b key points =
-  add_array b key points (fun c (p : Point.t) -> Io.Memo.add_x memo b c p.Point.x)
+let add_points b kx ky points =
+  add_array b kx points (fun (p : Point.t) -> Buffer.add_string b (fstr p.Point.x));
+  add_array b ky points (fun (p : Point.t) -> Buffer.add_string b (fstr p.Point.y))
 
-let add_ys memo b key points =
-  add_array b key points (fun c (p : Point.t) -> Io.Memo.add_y memo b c p.Point.y)
+let add_id b tag id =
+  Buffer.add_char b tag;
+  Buffer.add_string b (string_of_int id)
 
-let enc_launcher = function
-  | Graph.Launch_ff c -> Printf.sprintf "f%d" c
-  | Graph.Launch_port p -> Printf.sprintf "p%d" p
+let add_launcher b = function
+  | Graph.Launch_ff c -> add_id b 'f' c
+  | Graph.Launch_port p -> add_id b 'p' p
 
-let enc_endpoint = function
-  | Graph.End_ff c -> Printf.sprintf "f%d" c
-  | Graph.End_port p -> Printf.sprintf "p%d" p
+let add_endpoint b = function
+  | Graph.End_ff c -> add_id b 'f' c
+  | Graph.End_port p -> add_id b 'p' p
 
-let body_of_state ?(memo = Io.Memo.create ()) st =
-  let p = st.ps_progress in
-  let b = Buffer.create (String.length st.ps_design_text + 4096) in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "algo %s" st.ps_algo;
-  line "design %s" st.ps_design;
-  line "rounds %d" st.ps_rounds;
-  line "phases-done %d" p.phases_done;
-  line "hold-done %d" (if p.hold_done then 1 else 0);
-  line "iterations %d" p.iterations;
-  line "edges %d" p.edges;
-  line "cones %d" p.cones;
-  line "stall-best %s" (fstr p.stall_best);
-  line "stall-count %d" p.stall_count;
-  line "stop %s" (match p.stop with None -> "-" | Some s -> s);
-  line "hpwl-before %s" (fstr p.hpwl_before);
-  (* movement anchors: a reparsed design re-anchors at its parsed
-     positions, so the original run's legality reference is carried
-     explicitly *)
-  line "anchors %d" (Array.length st.ps_anchors);
-  add_xs memo b "ax" st.ps_anchors;
-  add_ys memo b "ay" st.ps_anchors;
-  line "css-seconds %s" (fstr p.css_seconds);
-  line "opt-seconds %s" (fstr p.opt_seconds);
-  line "rung %d" st.ps_rung;
-  line "degraded %d" (List.length p.degradations_rev);
-  List.iter (fun d -> line "d %s" d) (List.rev p.degradations_rev);
-  line "trace %d" (List.length p.trace_rev);
-  List.iter
-    (fun t ->
-      line "t %d %s %d %s %s %s %s" t.round t.phase t.iter (fstr t.wns_early) (fstr t.tns_early)
-        (fstr t.wns_late) (fstr t.tns_late))
-    (List.rev p.trace_rev);
-  (match p.best with
-  | None -> line "best -"
+(* The base and the journal records share their sections: the run's
+   scalar fields (a base puts the movement anchors between its head and
+   its tail), trace points, the best checkpoint and the engines. *)
+let add_run_head b p =
+  line b "phases-done %d" p.phases_done;
+  line b "hold-done %d" (if p.hold_done then 1 else 0);
+  line b "iterations %d" p.iterations;
+  line b "edges %d" p.edges;
+  line b "cones %d" p.cones;
+  line b "stall-best %s" (fstr p.stall_best);
+  line b "stall-count %d" p.stall_count;
+  line b "stop %s" (match p.stop with None -> "-" | Some s -> s);
+  line b "hpwl-before %s" (fstr p.hpwl_before)
+
+let add_run_tail b p ~rung =
+  line b "css-seconds %s" (fstr p.css_seconds);
+  line b "opt-seconds %s" (fstr p.opt_seconds);
+  line b "rung %d" rung;
+  line b "degraded %d" (List.length p.degradations_rev);
+  List.iter (fun d -> line b "d %s" d) (List.rev p.degradations_rev)
+
+let add_trace_point b t =
+  line b "t %d %s %d %s %s %s %s" t.round t.phase t.iter (fstr t.wns_early) (fstr t.tns_early)
+    (fstr t.wns_late) (fstr t.tns_late)
+
+(* bit equality without boxing: equal and, for zeros, of one sign; a
+   NaN never matches, which at worst writes an unchanged value again *)
+let[@inline] same_bits (a : float) (b : float) = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
+
+(* A base writes the best checkpoint's positions in full. A journal
+   record passes [anchor] (a cell's movement anchor, [None] past the
+   design's cells) and lists only the positions off their anchors:
+   most cells never move, so they need no formatting. *)
+let add_best ?anchor b = function
+  | None -> line b "best -"
   | Some cp ->
     let r = cp.ck_report in
-    line "best %s" cp.label;
-    line "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_positions)
+    line b "best %s" cp.label;
+    line b "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_positions)
       (List.length r.Evaluator.constraint_errors);
     add_ints b "bf" cp.ck_ffs;
     add_floats b "bl" cp.ck_latencies;
     add_ints b "bb" cp.ck_lcb_of;
-    add_xs memo b "bx" cp.ck_positions;
-    add_ys memo b "by" cp.ck_positions;
-    add_array b "bm" cp.ck_masters (fun _ m -> Buffer.add_string b m);
-    line "br %s %s %s %s %d %d %s"
+    (match anchor with
+    | None -> add_points b "bx" "by" cp.ck_positions
+    | Some anchor ->
+      let off = ref [] in
+      for c = Array.length cp.ck_positions - 1 downto 0 do
+        let p = cp.ck_positions.(c) in
+        match anchor c with
+        | Some (a : Point.t) when same_bits a.Point.x p.Point.x && same_bits a.Point.y p.Point.y -> ()
+        | _ -> off := c :: !off
+      done;
+      line b "bp %d" (List.length !off);
+      List.iter
+        (fun c ->
+          let p = cp.ck_positions.(c) in
+          line b "p %d %s %s" c (fstr p.Point.x) (fstr p.Point.y))
+        !off);
+    add_array b "bm" cp.ck_masters (Buffer.add_string b);
+    line b "br %s %s %s %s %d %d %s"
       (fstr r.Evaluator.wns_early)
       (fstr r.Evaluator.tns_early)
       (fstr r.Evaluator.wns_late)
       (fstr r.Evaluator.tns_late)
       r.Evaluator.num_early_violations r.Evaluator.num_late_violations
       (fstr r.Evaluator.hpwl);
-    List.iter (fun e -> line "be %s" e) r.Evaluator.constraint_errors);
-  line "design-text %d" (String.length st.ps_design_text);
-  Buffer.add_string b st.ps_design_text;
-  Buffer.add_char b '\n';
-  line "engines %d" (List.length st.ps_engines);
+    List.iter (fun e -> line b "be %s" e) r.Evaluator.constraint_errors
+
+let add_engines b engines =
+  line b "engines %d" (List.length engines);
   List.iter
     (fun (slot, (sn : Extract.snapshot)) ->
-      line "engine %s %s %d %d %d %d %d %d %d" slot
+      line b "engine %s %s %d %d %d %d %d %d %d" slot
         (Extract.engine_name sn.Extract.sn_engine)
         sn.Extract.sn_edges_extracted sn.Extract.sn_cone_nodes sn.Extract.sn_rounds
         sn.Extract.sn_pending_first
         (List.length sn.Extract.sn_edges)
         (Array.length sn.Extract.sn_bound)
         (Array.length sn.Extract.sn_expanded);
+      (* every record repeats the edges: no [Printf] per edge line *)
       List.iter
         (fun (e : Extract.edge_snap) ->
-          line "e %s %s %s %s" (enc_launcher e.Extract.es_launcher)
-            (enc_endpoint e.Extract.es_endpoint) (fstr e.Extract.es_delay)
-            (fstr e.Extract.es_weight))
+          Buffer.add_string b "e ";
+          add_launcher b e.Extract.es_launcher;
+          Buffer.add_char b ' ';
+          add_endpoint b e.Extract.es_endpoint;
+          Buffer.add_char b ' ';
+          Buffer.add_string b (fstr e.Extract.es_delay);
+          Buffer.add_char b ' ';
+          Buffer.add_string b (fstr e.Extract.es_weight);
+          Buffer.add_char b '\n')
         sn.Extract.sn_edges;
       if Array.length sn.Extract.sn_bound > 0 then add_floats b "bound" sn.Extract.sn_bound;
       if Array.length sn.Extract.sn_expanded > 0 then
-        line "expanded %s"
+        line b "expanded %s"
           (String.init (Array.length sn.Extract.sn_expanded) (fun i ->
                if sn.Extract.sn_expanded.(i) then '1' else '0')))
-    st.ps_engines;
-  line "end";
+    engines;
+  line b "end"
+
+let body_of_state st =
+  let p = st.ps_progress in
+  let b = Buffer.create (String.length st.ps_design_text + 4096) in
+  line b "algo %s" st.ps_algo;
+  line b "design %s" st.ps_design;
+  line b "rounds %d" st.ps_rounds;
+  add_run_head b p;
+  (* movement anchors: a reparsed design re-anchors at its parsed
+     positions, so the original run's legality reference is carried
+     explicitly *)
+  line b "anchors %d" (Array.length st.ps_anchors);
+  add_points b "ax" "ay" st.ps_anchors;
+  add_run_tail b p ~rung:st.ps_rung;
+  line b "trace %d" (List.length p.trace_rev);
+  List.iter (add_trace_point b) (List.rev p.trace_rev);
+  add_best b p.best;
+  line b "design-text %d" (String.length st.ps_design_text);
+  Buffer.add_string b st.ps_design_text;
+  Buffer.add_char b '\n';
+  add_engines b st.ps_engines;
   Buffer.contents b
 
-(* The body hash is FNV-1a 64 ({!Css_util.Fnv}): plenty to reject the
-   failure modes that matter here (truncation survived by the structure
-   check, bit rot, concurrent partial overwrite) — this is an integrity
-   check, not an authenticity one. *)
-let save ?memo ~dir st =
-  let body = body_of_state ?memo st in
-  let final = path ~dir in
+(* ------------------------------------------------------------------ *)
+(* Writing                                                             *)
+
+let io_error file e = Sys_error (Printf.sprintf "%s: %s" file (Unix.error_message e))
+
+(* tmp + fsync + rename: a crash at any instant leaves either the old
+   file or the complete new one, never a named-but-empty file *)
+let write_atomic final pieces =
   let tmp = final ^ ".tmp" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let oc = open_out_bin tmp in
   (try
-     Printf.fprintf oc "%s %d\nhash %016Lx\n" magic version (Fnv.of_string body);
-     output_string oc body;
+     List.iter (output_string oc) pieces;
      flush oc;
-     (* flush the data to the device before the rename publishes it: a
-        crash must leave either the old checkpoint or the complete new
-        one, never a named-but-empty file *)
      (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
      close_out oc
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  Sys.rename tmp final;
+  Sys.rename tmp final
+
+(* One [write] per record, then fsync: a crash leaves at most a short
+   last record, which [load] drops as a torn tail. *)
+let append_file file s =
+  let fd =
+    try Unix.openfile file [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644
+    with Unix.Unix_error (e, _, _) -> raise (io_error file e)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      try
+        let n = String.length s in
+        let off = ref 0 in
+        while !off < n do
+          off := !off + Unix.write_substring fd s !off (n - !off)
+        done;
+        try Unix.fsync fd with Unix.Unix_error _ -> ()
+      with Unix.Unix_error (e, _, _) -> raise (io_error file e))
+
+let journal_header hash = Printf.sprintf "%s %d %016Lx\n" journal_magic journal_version hash
+
+(* The base, then an empty journal naming it. A crash between the two
+   renames leaves the old journal beside the new base; its hash names
+   the old base, so it is never replayed. The body hash is FNV-1a 64
+   ({!Css_util.Fnv}): plenty to reject the failure modes that matter
+   here (truncation survived by the structure check, bit rot,
+   concurrent partial overwrite) — an integrity check, not an
+   authenticity one. Returns the base's hash and size. *)
+let write_base ~dir st =
+  let body = body_of_state st in
+  let hash = Fnv.of_string body in
+  let header = Printf.sprintf "%s %d\nhash %016Lx\n" magic version hash in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  write_atomic (path ~dir) [ header; body ];
+  write_atomic (journal_path ~dir) [ journal_header hash ];
   Log.debug (fun m ->
-      m "checkpoint saved: %s (%d phases done)" final st.ps_progress.phases_done)
+      m "checkpoint base saved: %s (%d phases done)" (path ~dir) st.ps_progress.phases_done);
+  (hash, String.length header + String.length body)
+
+let save ~dir st = ignore (write_base ~dir st)
+
+(* {2 The shadow}
+
+   What the base and the journal together hold, per cell and per net, as
+   the live values it was written from. A record carries only what
+   differs from it, the way the evaluator's incremental scorer diffs
+   against its own copy of the design. Floats compare by bits: [0.0]
+   and [-0.0] print differently. *)
+type shadow = {
+  sh_design : Design.t;
+  sh_cells : int;
+  sh_nets : int;
+  sh_pins : int;
+  sh_x : Float.Array.t;
+  sh_y : Float.Array.t;
+  sh_ax : Float.Array.t;  (* movement anchors *)
+  sh_ay : Float.Array.t;
+  sh_latency : Float.Array.t;
+  sh_lo : Float.Array.t;
+  sh_hi : Float.Array.t;
+  sh_master : Css_liberty.Cell.t array;
+  sh_sinks : int array array;
+  mutable sh_trace : trace_point list;  (* physically the persisted list *)
+  mutable sh_best : checkpoint option;
+}
+
+let net_sinks d n = Array.init (Design.net_fanout d n) (Design.net_sink d n)
+
+let shadow_of lv =
+  let d = lv.lv_design in
+  let nc = Design.num_cells d in
+  let col f = Float.Array.init nc f in
+  {
+    sh_design = d;
+    sh_cells = nc;
+    sh_nets = Design.num_nets d;
+    sh_pins = Design.num_pins d;
+    sh_x = col (Design.cell_x d);
+    sh_y = col (Design.cell_y d);
+    sh_ax = col (fun c -> (Design.cell_orig_pos d c).Point.x);
+    sh_ay = col (fun c -> (Design.cell_orig_pos d c).Point.y);
+    sh_latency = col (Design.scheduled_latency d);
+    sh_lo = col (fun c -> fst (Design.latency_bounds d c));
+    sh_hi = col (fun c -> snd (Design.latency_bounds d c));
+    sh_master = Array.init nc (Design.cell_master d);
+    sh_sinks = Array.init (Design.num_nets d) (net_sinks d);
+    sh_trace = lv.lv_progress.trace_rev;
+    sh_best = lv.lv_progress.best;
+  }
+
+(* A record continues the base only while it addresses the same cells,
+   nets and pins; a replaced design or one that grew needs a new base. *)
+let same_shape sh d =
+  sh.sh_design == d
+  && sh.sh_cells = Design.num_cells d
+  && sh.sh_nets = Design.num_nets d
+  && sh.sh_pins = Design.num_pins d
+
+type delta = {
+  dl_cells : Design.cell_id list;  (* moved or re-mastered *)
+  dl_latency : Design.cell_id list;
+  dl_bounds : Design.cell_id list;  (* flip-flops only: only they have bounds lines *)
+  dl_anchors : Design.cell_id list;
+  dl_nets : Design.net_id list;  (* sink list changed *)
+  dl_trace_kept : int;  (* oldest persisted trace points still current *)
+  dl_trace_new : trace_point list;  (* chronological *)
+  dl_best : bool;  (* the best checkpoint changed *)
+}
+
+(* [cur] extends [old] when [old] is one of its tails: trace lists only
+   grow by consing within a run, and a new run starts a new list. *)
+let trace_delta ~old cur =
+  let rec go l acc =
+    if l == old then Some acc else match l with [] -> None | x :: rest -> go rest (x :: acc)
+  in
+  match go cur [] with
+  | Some fresh -> (List.length old, fresh)
+  | None -> (0, List.rev cur)
+
+let diff sh lv =
+  let d = lv.lv_design in
+  let cells = ref [] and latency = ref [] and bounds = ref [] and anchors = ref [] in
+  let get = Float.Array.get in
+  for c = sh.sh_cells - 1 downto 0 do
+    if
+      (not (same_bits (get sh.sh_x c) (Design.cell_x d c)))
+      || (not (same_bits (get sh.sh_y c) (Design.cell_y d c)))
+      || sh.sh_master.(c) != Design.cell_master d c
+    then cells := c :: !cells;
+    if not (same_bits (get sh.sh_latency c) (Design.scheduled_latency d c)) then
+      latency := c :: !latency;
+    (if Design.is_ff d c then
+       let lo, hi = Design.latency_bounds d c in
+       if not (same_bits (get sh.sh_lo c) lo && same_bits (get sh.sh_hi c) hi) then
+         bounds := c :: !bounds);
+    let a = Design.cell_orig_pos d c in
+    if not (same_bits (get sh.sh_ax c) a.Point.x && same_bits (get sh.sh_ay c) a.Point.y) then
+      anchors := c :: !anchors
+  done;
+  let nets = ref [] in
+  for n = sh.sh_nets - 1 downto 0 do
+    let old = sh.sh_sinks.(n) in
+    let k = Design.net_fanout d n in
+    let rec differs i = i < k && (old.(i) <> Design.net_sink d n i || differs (i + 1)) in
+    if Array.length old <> k || differs 0 then nets := n :: !nets
+  done;
+  let kept, fresh = trace_delta ~old:sh.sh_trace lv.lv_progress.trace_rev in
+  {
+    dl_cells = !cells;
+    dl_latency = !latency;
+    dl_bounds = !bounds;
+    dl_anchors = !anchors;
+    dl_nets = !nets;
+    dl_trace_kept = kept;
+    dl_trace_new = fresh;
+    dl_best = lv.lv_progress.best != sh.sh_best;
+  }
+
+(* After the record landed, the shadow holds what it carried. *)
+let advance sh dl lv =
+  let d = lv.lv_design and set = Float.Array.set in
+  List.iter
+    (fun c ->
+      set sh.sh_x c (Design.cell_x d c);
+      set sh.sh_y c (Design.cell_y d c);
+      sh.sh_master.(c) <- Design.cell_master d c)
+    dl.dl_cells;
+  List.iter (fun c -> set sh.sh_latency c (Design.scheduled_latency d c)) dl.dl_latency;
+  List.iter
+    (fun c ->
+      let lo, hi = Design.latency_bounds d c in
+      set sh.sh_lo c lo;
+      set sh.sh_hi c hi)
+    dl.dl_bounds;
+  List.iter
+    (fun c ->
+      let a = Design.cell_orig_pos d c in
+      set sh.sh_ax c a.Point.x;
+      set sh.sh_ay c a.Point.y)
+    dl.dl_anchors;
+  List.iter (fun n -> sh.sh_sinks.(n) <- net_sinks d n) dl.dl_nets;
+  sh.sh_trace <- lv.lv_progress.trace_rev;
+  sh.sh_best <- lv.lv_progress.best
+
+let record_body dl lv =
+  let d = lv.lv_design and p = lv.lv_progress in
+  let b = Buffer.create 4096 in
+  add_run_head b p;
+  add_run_tail b p ~rung:lv.lv_rung;
+  line b "trace %d %d" dl.dl_trace_kept (List.length dl.dl_trace_new);
+  List.iter (add_trace_point b) dl.dl_trace_new;
+  line b "anchors %d" (List.length dl.dl_anchors);
+  List.iter
+    (fun c ->
+      let a = Design.cell_orig_pos d c in
+      line b "a %d %s %s" c (fstr a.Point.x) (fstr a.Point.y))
+    dl.dl_anchors;
+  let anchor c = if c < Design.num_cells d then Some (Design.cell_orig_pos d c) else None in
+  if dl.dl_best then add_best ~anchor b p.best else line b "best =";
+  let opt = function Some l -> l | None -> "-" in
+  line b "edits %d"
+    (List.length dl.dl_cells + List.length dl.dl_nets + List.length dl.dl_latency
+   + List.length dl.dl_bounds);
+  List.iter (fun c -> line b "c %d %s" c (Io.cell_line d c)) dl.dl_cells;
+  List.iter (fun n -> line b "n %d %s" n (Io.net_line d n)) dl.dl_nets;
+  List.iter (fun c -> line b "l %d %s" c (opt (Io.latency_line d c))) dl.dl_latency;
+  List.iter (fun c -> line b "b %d %s" c (opt (Io.bounds_line d c))) dl.dl_bounds;
+  add_engines b lv.lv_engines;
+  Buffer.contents b
+
+(* {2 The journal handle} *)
+
+type files = {
+  base_bytes : int;
+  mutable journal_bytes : int;  (* header included *)
+  shadow : shadow;
+}
+
+type journal = {
+  j_dir : string;
+  mutable files : files option;  (* [None]: the next write is a base *)
+}
+
+let journal ~dir = { j_dir = dir; files = None }
+
+let base j lv =
+  j.files <- None;
+  let hash, bytes = write_base ~dir:j.j_dir (state_of_live lv) in
+  j.files <-
+    Some
+      {
+        base_bytes = bytes;
+        journal_bytes = String.length (journal_header hash);
+        shadow = shadow_of lv;
+      };
+  (`Base, bytes)
+
+let write j lv =
+  match j.files with
+  | Some f when same_shape f.shadow lv.lv_design ->
+    let dl = diff f.shadow lv in
+    let body = record_body dl lv in
+    let framed = Printf.sprintf "record %d %016Lx\n%s" (String.length body) (Fnv.of_string body) body in
+    let n = String.length framed in
+    if f.journal_bytes + n >= f.base_bytes then base j lv
+    else begin
+      (* a failed append may leave a torn tail behind: until this one
+         lands, the next write is a base *)
+      j.files <- None;
+      append_file (journal_path ~dir:j.j_dir) framed;
+      f.journal_bytes <- f.journal_bytes + n;
+      advance f.shadow dl lv;
+      j.files <- Some f;
+      (`Record, n)
+    end
+  | _ -> base j lv
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -379,10 +697,7 @@ let engine_of_name cur = function
   | "iccss" -> Extract.Iccss
   | s -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "unknown engine '%s'" s)
 
-let parse_body cur =
-  let ps_algo = field cur "algo" in
-  let ps_design = field cur "design" in
-  let ps_rounds = int_field cur "rounds" in
+let parse_run_head cur =
   let phases_done = int_field cur "phases-done" in
   let hold_done = int_field cur "hold-done" <> 0 in
   let iterations = int_field cur "iterations" in
@@ -392,102 +707,139 @@ let parse_body cur =
   let stall_count = int_field cur "stall-count" in
   let stop = match field cur "stop" with "-" -> None | s -> Some s in
   let hpwl_before = float_field cur "hpwl-before" in
-  let nanchors = int_field cur "anchors" in
-  let ax = array_field cur "ax" nanchors float_of in
-  let ay = array_field cur "ay" nanchors float_of in
+  {
+    (fresh_progress ~hpwl_before) with
+    phases_done;
+    hold_done;
+    iterations;
+    edges;
+    cones;
+    stall_best;
+    stall_count;
+    stop;
+  }
+
+(* the tail fields into [p], and the rung *)
+let parse_run_tail cur p =
   let css_seconds = float_field cur "css-seconds" in
   let opt_seconds = float_field cur "opt-seconds" in
-  let ps_rung = int_field cur "rung" in
+  let rung = int_field cur "rung" in
   let ndeg = int_field cur "degraded" in
   let degradations = List.init ndeg (fun _ -> field cur "d") in
-  let ntrace = int_field cur "trace" in
-  let trace =
-    List.init ntrace (fun _ ->
-        match split_ws (field cur "t") with
-        | [ r; phase; i; we; te; wl; tl ] ->
-          {
-            round = int_of cur "t.round" r;
-            phase;
-            iter = int_of cur "t.iter" i;
-            wns_early = float_of cur "t.wns_early" we;
-            tns_early = float_of cur "t.tns_early" te;
-            wns_late = float_of cur "t.wns_late" wl;
-            tns_late = float_of cur "t.tns_late" tl;
-          }
-        | _ -> bad ~file:cur.file "CKPT-005" "malformed trace entry")
+  ({ p with css_seconds; opt_seconds; degradations_rev = List.rev degradations }, rung)
+
+let parse_trace_point cur =
+  match split_ws (field cur "t") with
+  | [ r; phase; i; we; te; wl; tl ] ->
+    {
+      round = int_of cur "t.round" r;
+      phase;
+      iter = int_of cur "t.iter" i;
+      wns_early = float_of cur "t.wns_early" we;
+      tns_early = float_of cur "t.tns_early" te;
+      wns_late = float_of cur "t.wns_late" wl;
+      tns_late = float_of cur "t.tns_late" tl;
+    }
+  | _ -> bad ~file:cur.file "CKPT-005" "malformed trace entry"
+
+(* the best checkpoint after its [best <label>] line; a journal record's
+   positions are its [anchors] but for those it lists *)
+let parse_best ?anchors cur label =
+  let nffs, ncells, nerrs =
+    match split_ws (field cur "bn") with
+    | [ a; b'; c ] -> (int_of cur "bn.ffs" a, int_of cur "bn.cells" b', int_of cur "bn.errs" c)
+    | _ -> bad ~file:cur.file "CKPT-005" "malformed bn line"
   in
-  let best =
-    match field cur "best" with
-    | "-" -> None
-    | label ->
-      let nffs, ncells, nerrs =
-        match split_ws (field cur "bn") with
-        | [ a; b'; c ] -> (int_of cur "bn.ffs" a, int_of cur "bn.cells" b', int_of cur "bn.errs" c)
-        | _ -> bad ~file:cur.file "CKPT-005" "malformed bn line"
-      in
-      let ck_ffs = array_field cur "bf" nffs int_of in
-      let ck_latencies = array_field cur "bl" nffs float_of in
-      let ck_lcb_of = array_field cur "bb" nffs int_of in
+  let ck_ffs = array_field cur "bf" nffs int_of in
+  let ck_latencies = array_field cur "bl" nffs float_of in
+  let ck_lcb_of = array_field cur "bb" nffs int_of in
+  let ck_positions =
+    match anchors with
+    | None ->
       let bx = array_field cur "bx" ncells float_of in
       let by = array_field cur "by" ncells float_of in
-      let ck_masters = array_field cur "bm" ncells string_of in
-      let report =
-        match split_ws (field cur "br") with
-        | [ we; te; wl; tl; nev; nlv; hpwl ] ->
-          {
-            Evaluator.wns_early = float_of cur "br.wns_early" we;
-            tns_early = float_of cur "br.tns_early" te;
-            wns_late = float_of cur "br.wns_late" wl;
-            tns_late = float_of cur "br.tns_late" tl;
-            num_early_violations = int_of cur "br.nev" nev;
-            num_late_violations = int_of cur "br.nlv" nlv;
-            hpwl = float_of cur "br.hpwl" hpwl;
-            constraint_errors = [];
-          }
-        | _ -> bad ~file:cur.file "CKPT-005" "malformed br line"
-      in
-      let errs = List.init nerrs (fun _ -> field cur "be") in
-      Some
-        {
-          label;
-          ck_ffs;
-          ck_latencies;
-          ck_lcb_of;
-          ck_positions = Array.map2 Point.make bx by;
-          ck_masters;
-          ck_report = { report with Evaluator.constraint_errors = errs };
-        }
+      Array.map2 Point.make bx by
+    | Some anchors ->
+      if ncells < 0 then bad ~file:cur.file "CKPT-005" "negative bn cell count";
+      let nan = Point.make Float.nan Float.nan in
+      let pos = Array.init ncells (fun c -> if c < Array.length anchors then anchors.(c) else nan) in
+      for _ = 1 to int_field cur "bp" do
+        match split_ws (field cur "p") with
+        | [ c; x; y ] ->
+          let c = int_of cur "p.cell" c in
+          if c < 0 || c >= ncells then
+            bad ~file:cur.file "CKPT-005" (Printf.sprintf "best position of cell %d out of range" c);
+          pos.(c) <- Point.make (float_of cur "p.x" x) (float_of cur "p.y" y)
+        | _ -> bad ~file:cur.file "CKPT-005" "malformed best position entry"
+      done;
+      pos
   in
-  let n = int_field cur "design-text" in
-  let ps_design_text = take_blob cur n in
+  let ck_masters = array_field cur "bm" ncells string_of in
+  let report =
+    match split_ws (field cur "br") with
+    | [ we; te; wl; tl; nev; nlv; hpwl ] ->
+      {
+        Evaluator.wns_early = float_of cur "br.wns_early" we;
+        tns_early = float_of cur "br.tns_early" te;
+        wns_late = float_of cur "br.wns_late" wl;
+        tns_late = float_of cur "br.tns_late" tl;
+        num_early_violations = int_of cur "br.nev" nev;
+        num_late_violations = int_of cur "br.nlv" nlv;
+        hpwl = float_of cur "br.hpwl" hpwl;
+        constraint_errors = [];
+      }
+    | _ -> bad ~file:cur.file "CKPT-005" "malformed br line"
+  in
+  let errs = List.init nerrs (fun _ -> field cur "be") in
+  {
+    label;
+    ck_ffs;
+    ck_latencies;
+    ck_lcb_of;
+    ck_positions;
+    ck_masters;
+    ck_report = { report with Evaluator.constraint_errors = errs };
+  }
+
+(* With [~convert:false] the section is walked line by line but not
+   converted, and reads as no engines: a later journal record replaces
+   it anyway. *)
+let parse_engines ?(convert = true) cur =
   let nengines = int_field cur "engines" in
-  let ps_engines =
-    List.init nengines (fun _ ->
-        match split_ws (field cur "engine") with
-        | [ slot; name; extracted; cones; rounds; pending; nedges; nbound; nexpanded ] ->
-          let nedges = int_of cur "engine.nedges" nedges in
-          let nbound = int_of cur "engine.nbound" nbound in
-          let nexpanded = int_of cur "engine.nexpanded" nexpanded in
-          let edges =
-            List.init nedges (fun _ ->
-                match split_ws (field cur "e") with
-                | [ l; e; delay; weight ] ->
-                  {
-                    Extract.es_launcher = dec_launcher cur l;
-                    es_endpoint = dec_endpoint cur e;
-                    es_delay = float_of cur "e.delay" delay;
-                    es_weight = float_of cur "e.weight" weight;
-                  }
-                | _ -> bad ~file:cur.file "CKPT-005" "malformed edge entry")
-          in
-          let bound = if nbound = 0 then [||] else array_field cur "bound" nbound float_of in
-          let expanded =
-            if nexpanded = 0 then [||]
-            else
-              let s = field cur "expanded" in
-              check_count cur "expanded" ~expected:nexpanded (String.length s);
-              Array.init nexpanded (fun i -> s.[i] = '1')
-          in
+  let engine () =
+    match split_ws (field cur "engine") with
+    | [ slot; name; extracted; cones; rounds; pending; nedges; nbound; nexpanded ] ->
+      let nedges = int_of cur "engine.nedges" nedges in
+      let nbound = int_of cur "engine.nbound" nbound in
+      let nexpanded = int_of cur "engine.nexpanded" nexpanded in
+      if not convert then begin
+        for _ = 1 to nedges + Bool.to_int (nbound > 0) + Bool.to_int (nexpanded > 0) do
+          ignore (next_line cur)
+        done;
+        None
+      end
+      else
+        let edges =
+          List.init nedges (fun _ ->
+              match split_ws (field cur "e") with
+              | [ l; e; delay; weight ] ->
+                {
+                  Extract.es_launcher = dec_launcher cur l;
+                  es_endpoint = dec_endpoint cur e;
+                  es_delay = float_of cur "e.delay" delay;
+                  es_weight = float_of cur "e.weight" weight;
+                }
+              | _ -> bad ~file:cur.file "CKPT-005" "malformed edge entry")
+        in
+        let bound = if nbound = 0 then [||] else array_field cur "bound" nbound float_of in
+        let expanded =
+          if nexpanded = 0 then [||]
+          else
+            let s = field cur "expanded" in
+            check_count cur "expanded" ~expected:nexpanded (String.length s);
+            Array.init nexpanded (fun i -> s.[i] = '1')
+        in
+        Some
           ( slot,
             {
               Extract.sn_engine = engine_of_name cur name;
@@ -499,37 +851,103 @@ let parse_body cur =
               sn_bound = bound;
               sn_expanded = expanded;
             } )
-        | _ -> bad ~file:cur.file "CKPT-005" "malformed engine header")
+    | _ -> bad ~file:cur.file "CKPT-005" "malformed engine header"
   in
+  let engines = List.filter_map Fun.id (List.init nengines (fun _ -> engine ())) in
   (match next_line cur with
   | "end" -> ()
   | l -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "expected end marker, got '%s'" l));
+  engines
+
+let parse_body cur =
+  let ps_algo = field cur "algo" in
+  let ps_design = field cur "design" in
+  let ps_rounds = int_field cur "rounds" in
+  let head = parse_run_head cur in
+  let nanchors = int_field cur "anchors" in
+  let ax = array_field cur "ax" nanchors float_of in
+  let ay = array_field cur "ay" nanchors float_of in
+  let progress, ps_rung = parse_run_tail cur head in
+  let ntrace = int_field cur "trace" in
+  let trace = List.init ntrace (fun _ -> parse_trace_point cur) in
+  let best = match field cur "best" with "-" -> None | label -> Some (parse_best cur label) in
+  let n = int_field cur "design-text" in
+  let ps_design_text = take_blob cur n in
+  let ps_engines = parse_engines cur in
   {
     ps_algo;
     ps_design;
     ps_rounds;
-    ps_progress =
-      {
-        phases_done;
-        hold_done;
-        iterations;
-        edges;
-        cones;
-        stall_best;
-        stall_count;
-        stop;
-        hpwl_before;
-        css_seconds;
-        opt_seconds;
-        degradations_rev = List.rev degradations;
-        trace_rev = List.rev trace;
-        best;
-      };
+    ps_progress = { progress with trace_rev = List.rev trace; best };
     ps_anchors = Array.map2 Point.make ax ay;
     ps_rung;
     ps_design_text;
     ps_engines;
   }
+
+let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
+
+(* One journal record onto [st]; its design edits are prepended to
+   [edits] (newest first) and applied to the text once, after the last
+   record. *)
+let parse_record ~last cur st edits =
+  let old = st.ps_progress in
+  let head = parse_run_head cur in
+  let progress, ps_rung = parse_run_tail cur head in
+  let kept, nfresh =
+    match split_ws (field cur "trace") with
+    | [ k; n ] -> (int_of cur "trace.kept" k, int_of cur "trace.new" n)
+    | _ -> bad ~file:cur.file "CKPT-005" "malformed trace line"
+  in
+  let have = List.length old.trace_rev in
+  if kept < 0 || kept > have then
+    bad ~file:cur.file "CKPT-005"
+      (Printf.sprintf "record keeps %d trace points of %d" kept have);
+  let fresh = List.init nfresh (fun _ -> parse_trace_point cur) in
+  let trace_rev = List.rev_append fresh (drop (have - kept) old.trace_rev) in
+  let nanchors = int_field cur "anchors" in
+  let ps_anchors = if nanchors = 0 then st.ps_anchors else Array.copy st.ps_anchors in
+  for _ = 1 to nanchors do
+    match split_ws (field cur "a") with
+    | [ c; x; y ] ->
+      let c = int_of cur "a.cell" c in
+      if c < 0 || c >= Array.length ps_anchors then
+        bad ~file:cur.file "CKPT-005" (Printf.sprintf "anchor of cell %d out of range" c);
+      ps_anchors.(c) <- Point.make (float_of cur "a.x" x) (float_of cur "a.y" y)
+    | _ -> bad ~file:cur.file "CKPT-005" "malformed anchor entry"
+  done;
+  let best =
+    match field cur "best" with
+    | "=" -> old.best
+    | "-" -> None
+    | label -> Some (parse_best ~anchors:ps_anchors cur label)
+  in
+  let nedits = int_field cur "edits" in
+  for _ = 1 to nedits do
+    let l = next_line cur in
+    let malformed () = bad ~file:cur.file "CKPT-005" ("malformed edit: " ^ l) in
+    match String.index_opt l ' ' with
+    | None -> malformed ()
+    | Some i -> (
+      match String.index_from_opt l (i + 1) ' ' with
+      | None -> malformed ()
+      | Some j ->
+        let id = int_of cur "edit id" (String.sub l (i + 1) (j - i - 1)) in
+        let text = String.sub l (j + 1) (String.length l - j - 1) in
+        let opt = if text = "-" then None else Some text in
+        edits :=
+          (match String.sub l 0 i with
+          | "c" -> Io.Cell_line (id, text)
+          | "n" -> Io.Net_line (id, text)
+          | "l" -> Io.Latency_line (id, opt)
+          | "b" -> Io.Bounds_line (id, opt)
+          | _ -> malformed ())
+          :: !edits)
+  done;
+  let ps_engines = parse_engines ~convert:last cur in
+  if cur.pos <> String.length cur.buf then
+    bad ~file:cur.file "CKPT-005" "trailing bytes after a journal record's end marker";
+  { st with ps_progress = { progress with trace_rev; best }; ps_anchors; ps_rung; ps_engines }
 
 let read_file file =
   match open_in_bin file with
@@ -539,29 +957,135 @@ let read_file file =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ~dir =
+(* the base's header; returns its stored body hash *)
+let parse_base_header cur =
+  (match split_ws (next_line cur) with
+  | [ m; v ] when m = magic ->
+    let v = int_of cur "version" v in
+    if v <> version then
+      bad ~file:cur.file "CKPT-002"
+        (Printf.sprintf "unsupported checkpoint version %d (this build reads %d)" v version)
+  | _ -> bad ~file:cur.file "CKPT-002" "not a css-checkpoint file (bad magic)");
+  hex64 cur "hash line" (field cur "hash")
+
+let load_base ~dir =
   let file = path ~dir in
-  try
-    let raw = read_file file in
+  let raw = read_file file in
+  let cur = { buf = raw; file; pos = 0 } in
+  let stored_hash = parse_base_header cur in
+  let body = String.sub cur.buf cur.pos (String.length cur.buf - cur.pos) in
+  (* structure first: a torn tail reports as truncation (CKPT-004),
+     not as the hash mismatch it would also cause *)
+  let st = parse_body cur in
+  if cur.pos <> String.length cur.buf then bad ~file "CKPT-005" "trailing bytes after end marker";
+  let actual = Fnv.of_string body in
+  if actual <> stored_hash then
+    bad ~file "CKPT-003"
+      (Printf.sprintf "content hash mismatch (stored %016Lx, computed %016Lx)" stored_hash actual);
+  (st, stored_hash)
+
+(* The frame at [pos] of a journal [raw] of [len] bytes. *)
+let frame raw len pos =
+  match String.index_from_opt raw pos '\n' with
+  | None -> `Torn "short frame"
+  | Some nl -> (
+    match split_ws (String.sub raw pos (nl - pos)) with
+    | [ "record"; n; h ] -> (
+      match (int_of_string_opt n, Int64.of_string_opt ("0x" ^ h)) with
+      | Some n, Some h when n >= 0 ->
+        let next = nl + 1 + n in
+        if next > len then `Torn "short body"
+        else
+          let body = String.sub raw (nl + 1) n in
+          if Fnv.of_string body = h then `Record (body, next)
+          else if next = len then `Torn "hash mismatch"
+          else `Corrupt "fails its hash"
+      | _ -> `Corrupt "has a malformed frame")
+    | _ -> `Corrupt "has a malformed frame")
+
+(* The records of [dir]'s journal that continue the base hashed
+   [base_hash], and the byte length they end at. A missing journal, a
+   torn header or one naming another base yields none (end 0: a writer
+   must start a new base); a short or hash-failing final record is a
+   torn write and is dropped; anything wrong before the tail is
+   CKPT-003. *)
+let scan_journal ~dir ~base_hash =
+  let file = journal_path ~dir in
+  let raw = if Sys.file_exists file then read_file file else "" in
+  let len = String.length raw in
+  let ignored why =
+    if len > 0 then Log.warn (fun m -> m "%s: %s; the journal is ignored" file why);
+    ([], 0)
+  in
+  let rec records acc pos =
+    if pos = len then (List.rev acc, pos)
+    else
+      match frame raw len pos with
+      | `Record (body, next) -> records (body :: acc) next
+      | `Torn what ->
+        Log.warn (fun m -> m "%s: dropped a torn last record (%s)" file what);
+        (List.rev acc, pos)
+      | `Corrupt what ->
+        bad ~file "CKPT-003" (Printf.sprintf "journal record at byte %d %s" pos what)
+  in
+  if not (String.contains raw '\n') then ignored "torn journal header"
+  else
     let cur = { buf = raw; file; pos = 0 } in
-    (match split_ws (next_line cur) with
-    | [ m; v ] when m = magic ->
-      let v = int_of cur "version" v in
-      if v <> version then
-        bad ~file "CKPT-002"
-          (Printf.sprintf "unsupported checkpoint version %d (this build reads %d)" v version)
-    | _ -> bad ~file "CKPT-002" "not a css-checkpoint file (bad magic)");
-    let stored_hash = hex64 cur "hash line" (field cur "hash") in
-    let body = String.sub cur.buf cur.pos (String.length cur.buf - cur.pos) in
-    (* structure first: a torn tail reports as truncation (CKPT-004),
-       not as the hash mismatch it would also cause *)
-    let st = parse_body cur in
-    if cur.pos <> String.length cur.buf then
-      bad ~file "CKPT-005" "trailing bytes after end marker";
-    let actual = Fnv.of_string body in
-    if actual <> stored_hash then
-      bad ~file "CKPT-003"
-        (Printf.sprintf "content hash mismatch (stored %016Lx, computed %016Lx)" stored_hash
-           actual);
+    match split_ws (next_line cur) with
+    | [ m; v; h ] when m = journal_magic ->
+      if int_of cur "journal version" v <> journal_version then
+        bad ~file "CKPT-002" (Printf.sprintf "unsupported journal version %s" v);
+      if hex64 cur "journal base hash" h <> base_hash then
+        ignored "it continues another base (a crash cut its replacement short)"
+      else records [] cur.pos
+    | _ -> bad ~file "CKPT-002" "not a css-journal file (bad magic)"
+
+let load ~dir =
+  try
+    let st, base_hash = load_base ~dir in
+    let bodies, _ = scan_journal ~dir ~base_hash in
+    let file = journal_path ~dir in
+    let edits = ref [] and n = List.length bodies in
+    let st =
+      List.fold_left
+        (fun (i, st) body ->
+          (i + 1, parse_record ~last:(i = n) { buf = body; file; pos = 0 } st edits))
+        (1, st) bodies
+      |> snd
+    in
+    let st =
+      match Io.apply_edits st.ps_design_text (List.rev !edits) with
+      | text -> { st with ps_design_text = text }
+      | exception Failure m -> bad ~file "CKPT-005" ("journal edits do not fit the base: " ^ m)
+    in
     Ok st
   with Bad d -> Error [ d ]
+
+(* A journal continuing [dir]'s files, whose replay [lv] was rebuilt
+   from: the torn tail [load] dropped is cut off so the next record
+   lands right after the last good one. *)
+let resume_journal ~dir lv =
+  let j = journal ~dir in
+  (try
+     let file = path ~dir in
+     let header =
+       In_channel.with_open_bin file (fun ic ->
+           let l1 = In_channel.input_line ic in
+           let l2 = In_channel.input_line ic in
+           String.concat "\n" (List.filter_map Fun.id [ l1; l2 ]) ^ "\n")
+     in
+     let base_hash = parse_base_header { buf = header; file; pos = 0 } in
+     match scan_journal ~dir ~base_hash with
+     | _, 0 -> ()
+     | _, valid ->
+       let jfile = journal_path ~dir in
+       if (Unix.stat jfile).Unix.st_size > valid then Unix.truncate jfile valid;
+       j.files <-
+         Some
+           {
+             base_bytes = (Unix.stat file).Unix.st_size;
+             journal_bytes = valid;
+             shadow = shadow_of lv;
+           }
+   with Bad _ | Sys_error _ | Unix.Unix_error _ -> ());
+  j

@@ -1,30 +1,47 @@
 (** Durable, crash-safe flow checkpoints, and the cooperative interrupt
     flag that triggers them.
 
-    {2 File format}
+    {2 Files}
 
-    One checkpoint lives at [<dir>/checkpoint.ckpt] (see {!path}): a
-    versioned header, an FNV-1a 64 content hash ({!Css_util.Fnv}), then
-    a line-oriented body carrying the complete resumable flow state —
-    the run's {!progress}, the serialized design (via
-    {!Css_netlist.Io}'s shortest-round-trip floats, so reloading
-    perturbs no bit), the movement anchors, and one
-    {!Css_seqgraph.Extract.snapshot} per live extraction engine. The
-    format is documented in [docs/ROBUSTNESS.md].
+    A checkpoint directory holds a {e base} and a {e journal}:
+
+    - [<dir>/checkpoint.ckpt] (see {!path}), the base: a versioned
+      header, an FNV-1a 64 content hash ({!Css_util.Fnv}), then a
+      line-oriented body carrying the complete resumable flow state —
+      the run's {!progress}, the serialized design (via
+      {!Css_netlist.Io}'s shortest-round-trip floats, so reloading
+      perturbs no bit), the movement anchors, and one
+      {!Css_seqgraph.Extract.snapshot} per live extraction engine;
+    - [<dir>/checkpoint.journal] (see {!journal_path}): a header naming
+      the base by its hash, then one record per durable write since the
+      base, each a length, an FNV-1a 64 hash and a body holding only
+      what changed: the run's scalar fields and new trace points, the
+      moved cells, changed nets, latencies, bounds and anchors (as
+      {!Css_netlist.Io.edit}s of the base's design text), the live
+      engine snapshots, and the best checkpoint when it changed (its
+      positions only where they differ from the movement anchors).
+
+    {!load} parses the base and replays the records. Both formats are
+    documented in [docs/ROBUSTNESS.md].
 
     {2 Crash safety}
 
-    {!save} writes to a temporary file, fsyncs, then renames over the
-    final name — a crash at any instant leaves either the previous
-    complete checkpoint or the new complete one, never a torn file.
-    {!load} rejects damaged files with stable [CKPT-*]
+    A base is written to a temporary file, fsynced, then renamed over
+    the final name, and a fresh journal naming it follows the same way;
+    a crash between the two renames leaves a journal naming the old
+    base, which is never replayed. A record is appended with one write
+    and fsynced; a crash mid-append leaves a short last record, which
+    {!load} drops with a warning (the state is then that of the previous
+    record). {!load} rejects damaged files with stable [CKPT-*]
     {!Css_util.Diag.t} codes:
 
     - [CKPT-001] — file unreadable / missing
-    - [CKPT-002] — bad magic or unsupported version
-    - [CKPT-003] — content hash mismatch (bit rot, partial overwrite)
+    - [CKPT-002] — bad magic or unsupported version (base or journal)
+    - [CKPT-003] — content hash mismatch (bit rot, partial overwrite),
+      including a journal record that fails its hash before the tail
     - [CKPT-004] — truncated (short read mid-structure)
-    - [CKPT-005] — malformed section or field
+    - [CKPT-005] — malformed section or field, or journal edits that do
+      not fit the base's design
     - [CKPT-006] — checkpoint/build mismatch, emitted by
       {!Session.reopen} (and so {!Flow.resume}) when the checkpoint
       names an unknown algorithm or engine slot, its design does not
@@ -156,19 +173,62 @@ type state = {
           ["iccss-late"]) *)
 }
 
-(** [path ~dir] is [<dir>/checkpoint.ckpt]. *)
+(** [path ~dir] is [<dir>/checkpoint.ckpt], the base. *)
 val path : dir:string -> string
 
-(** [save ?memo ~dir st] atomically replaces the checkpoint (tmp +
-    fsync + rename), creating [dir] if missing. The anchors and the best
-    checkpoint's positions go through [memo] (default: a fresh one),
-    whose slots the design text's cell coordinates share when the same
-    memo wrote it; the bytes are the same whichever memo is passed.
-    @raise Sys_error when the directory cannot be created or written;
-    the previous checkpoint is then left as it was and the temporary
-    file removed. *)
-val save : ?memo:Css_netlist.Io.Memo.t -> dir:string -> state -> unit
+(** [journal_path ~dir] is [<dir>/checkpoint.journal]. *)
+val journal_path : dir:string -> string
 
-(** [load ~dir] reads and verifies the checkpoint. On [Error], the
-    single diagnostic carries one of the [CKPT-*] codes above. *)
+(** [save ~dir st] writes [st] as a new base with an empty journal,
+    creating [dir] if missing.
+    @raise Sys_error when the directory cannot be created or written;
+    the previous base is then left as it was and the temporary file
+    removed. *)
+val save : dir:string -> state -> unit
+
+(** [load ~dir] reads and verifies the base, then replays the journal
+    records that continue it. On [Error], the single diagnostic carries
+    one of the [CKPT-*] codes above. *)
 val load : dir:string -> (state, Css_util.Diag.t list) result
+
+(** {1 Journaled writes} *)
+
+(** What a live session hands over at every durable write: a {!state}
+    with the design itself instead of its text and anchors. *)
+type live = {
+  lv_algo : string;
+  lv_rounds : int;
+  lv_progress : progress;
+  lv_rung : int;
+  lv_design : Css_netlist.Design.t;
+  lv_engines : (string * Css_seqgraph.Extract.snapshot) list;
+}
+
+(** [state_of_live lv] serializes the design (and reads its anchors):
+    the state a base written now would hold. *)
+val state_of_live : live -> state
+
+(** A checkpoint directory written through its journal. The handle keeps
+    a shadow of what the base and the journal together hold; a write
+    appends what differs from it. *)
+type journal
+
+(** [journal ~dir] is a handle whose first {!write} is a base. *)
+val journal : dir:string -> journal
+
+(** [resume_journal ~dir lv] continues the files {!load} just read under
+    [dir], [lv] being the state rebuilt from them: its next {!write}
+    appends after the last good record (a dropped torn tail is cut
+    off). When the journal cannot be continued (missing, stale, torn
+    header) the next write is a base. *)
+val resume_journal : dir:string -> live -> journal
+
+(** [write j lv] persists [lv] and says what it wrote, with its size in
+    bytes. It appends one record unless the design was replaced or its
+    cell, net or pin count changed, or the record would bring the
+    journal to the base's size: then it writes a new base and an empty
+    journal.
+    @raise Sys_error on a failed write; the files then hold the previous
+    state (at worst with a torn last record), and the next write is a
+    base. *)
+val write : journal -> live -> [ `Base | `Record ] * int

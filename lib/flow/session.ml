@@ -152,9 +152,8 @@ type t = {
       (* checkpoint scoring's own timer over the live timer's graph,
          made at the first scored checkpoint; dropped with the live
          timer and under memory pressure, rebuilt on the next one *)
-  mutable memo : Io.Memo.t option;
-      (* durable writes' float-text memo, made at the first write and
-         dropped at {!close}: a run that never writes never holds it *)
+  mutable journal : Persist.journal option;
+      (* the checkpoint directory's base + journal, with [checkpoint_dir] *)
   mutable verts : Vertex.t;
   slots : slot list;
   mutable pool : Pool.t option;
@@ -515,60 +514,48 @@ let consider_checkpoint st ~label =
    CSS/OPT clocks folded into its accumulated seconds — plus what a
    reopened session needs to rebuild its design and engines. *)
 
-let memo st =
-  match st.memo with
-  | Some m -> m
-  | None ->
-    let m = Io.Memo.create () in
-    st.memo <- Some m;
-    m
-
-(* The design text is written first, so the anchors and best-checkpoint
-   positions [Persist.save] writes next hit the slots it just filled. *)
-let persist_state st ~memo =
-  let design = Timer.design st.timer in
+let live st =
   {
-    Persist.ps_algo = algo_name st.algo;
-    ps_design = Design.name design;
-    ps_rounds = st.cfg.rounds;
-    ps_progress =
+    Persist.lv_algo = algo_name st.algo;
+    lv_rounds = st.cfg.rounds;
+    lv_progress =
       {
         st.run with
         css_seconds = st.run.css_seconds +. Wall_clock.elapsed st.css_clock;
         opt_seconds = st.run.opt_seconds +. Wall_clock.elapsed st.opt_clock;
       };
-    ps_anchors = Array.init (Design.num_cells design) (Design.cell_orig_pos design);
-    ps_rung = st.rung;
-    ps_design_text = Io.to_string ~memo design;
-    ps_engines =
+    lv_rung = st.rung;
+    lv_design = Timer.design st.timer;
+    lv_engines =
       List.filter_map
         (fun s -> Option.map (fun e -> (s.name, Extract.snapshot e)) s.live)
         st.slots;
   }
 
+(* Into the session's own directory, a save is one more journal write;
+   anywhere else it is a full base. *)
 let save st ~dir =
   check_open st "save";
-  let memo = memo st in
-  Persist.save ~memo ~dir (persist_state st ~memo)
+  match st.journal with
+  | Some j when st.cfg.checkpoint_dir = Some dir -> ignore (Persist.write j (live st))
+  | _ -> Persist.save ~dir (Persist.state_of_live (live st))
 
 (* Persistence failure degrades to an in-memory-only run, never a crash:
    the checkpoint is a safety net, not a correctness dependency. *)
 let persist_checkpoint st =
-  match st.cfg.checkpoint_dir with
+  match st.journal with
   | None -> ()
-  | Some dir -> (
+  | Some j -> (
     try
       let t0 = Wall_clock.now () in
-      let memo = memo st in
-      let misses0 = Io.Memo.misses memo in
-      Persist.save ~memo ~dir (persist_state st ~memo);
+      let kind, bytes = Persist.write j (live st) in
       let dt = Wall_clock.now () -. t0 in
       Obs.incr (Obs.counter st.cfg.obs "flow.persisted");
       Obs.snapshot st.cfg.obs ~label:"flow.checkpoint"
         [
           ("write_seconds", Obs.Json.Float dt);
-          ("bytes", Obs.Json.Int (Unix.stat (Persist.path ~dir)).Unix.st_size);
-          ("floats_formatted", Obs.Json.Int (Io.Memo.misses memo - misses0));
+          ("kind", Obs.Json.String (match kind with `Base -> "base" | `Record -> "record"));
+          ("bytes", Obs.Json.Int bytes);
         ]
     with Sys_error msg ->
       Obs.incr (Obs.counter st.cfg.obs "flow.persist_failed");
@@ -859,7 +846,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
       engine0;
       timer;
       scorer = None;
-      memo = None;
+      journal = Option.map (fun dir -> Persist.journal ~dir) config.checkpoint_dir;
       verts = Vertex.of_design design;
       slots = slot_table ();
       pool;
@@ -966,7 +953,12 @@ let reopen ?(config = default_config) ~library ~dir () =
           (* the checkpoint's configured horizon wins: continuation must
              count rounds the way the interrupted run did *)
           let config = { config with rounds = ps.Persist.ps_rounds } in
-          Ok (create ~config ~algo ~validation:[] ~resume:ps design))))
+          let st = create ~config ~algo ~validation:[] ~resume:ps design in
+          (* writing back where it loaded from, the session appends to
+             the journal it just replayed *)
+          if config.checkpoint_dir = Some dir then
+            st.journal <- Some (Persist.resume_journal ~dir (live st));
+          Ok st)))
 
 let close st =
   if not st.closed then begin
@@ -974,7 +966,6 @@ let close st =
     Option.iter Pool.shutdown st.pool;
     st.pool <- None;
     st.scorer <- None;
-    st.memo <- None;
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)

@@ -54,8 +54,10 @@
       and [stop_reason = "budget-wall"/"budget-rss"];
     - {b crash-safe persistence}: with [checkpoint_dir] set, the full
       resumable state ({!Persist.progress} plus design and engines) is
-      written atomically after every completed phase, and
-      {!reopen} continues a killed run to a final result bitwise
+      written once as a base, then journaled: at every run start and
+      after every completed phase one small record of what changed is
+      appended and fsynced ({!Persist.write}), and {!reopen} (base +
+      replay) continues a killed run to a final result bitwise
       identical to an uninterrupted one. Under
       {!Persist.with_signal_handlers} (or a daemon's
       {!Persist.install_handlers}), SIGINT/SIGTERM become a cooperative
@@ -189,8 +191,9 @@ type config = {
           it once sized is gone (see [docs/PERFORMANCE.md]); the field
           stays so existing callers keep compiling. *)
   checkpoint_dir : string option;
-      (** write a durable {!Persist} checkpoint here after every
-          completed phase; {!reopen} continues from it
+      (** keep a durable {!Persist} checkpoint here: a base written at
+          {!open_}, then one journal record at every run start and
+          after every completed phase; {!reopen} continues from it
           (default [None] = no persistence) *)
   debug_interrupt_after_phase : int option;
       (** fault injection: raise the interrupt flag once this many
@@ -348,8 +351,10 @@ val stage :
     continues bitwise — a killed daemon resumes its sessions exactly
     where their last completed phase left them. *)
 
-(** [save t ~dir] atomically writes the full durable state at the
-    current boundary under [dir].
+(** [save t ~dir] makes the state at the current boundary durable under
+    [dir]: into the session's own [checkpoint_dir] it appends one
+    journal record (or compacts, as every durable write may); into any
+    other directory it writes a full base there.
     @raise Sys_error when the directory cannot be created or written. *)
 val save : t -> dir:string -> unit
 

@@ -9,7 +9,7 @@
     fixpoint is a global optimum for deterministic average-cost problems,
     which the sequential-graph cycle bound is.
 
-    Cross-validated against {!Karp} and {!Lawler} in the test suite. *)
+    Cross-validated against {!Karp} in the test suite. *)
 
 (** [min_mean_cycle g] is [Some (mean, cycle)] with the cycle in order,
     [None] when [g] is acyclic. *)

@@ -12,50 +12,6 @@ let fstr x =
 
 let float_to_string = fstr
 
-module Memo = struct
-  (* Slot [2·cell + axis] holds the bits of the last float formatted
-     there and [fstr] of it. Every slot satisfies
-     [text = fstr (Int64.float_of_bits bits)] from creation on (they
-     start as NaN), so a hit on equal bits returns exactly what a miss
-     would have formatted. Bits, not [=]: 0.0 and -0.0 compare equal but
-     print differently, and NaN never equals itself. *)
-  type t = {
-    mutable bits : Float.Array.t;
-    mutable text : string array;
-    mutable misses : int;
-  }
-
-  let nan_text = fstr Float.nan
-  let create () = { bits = Float.Array.make 0 Float.nan; text = [||]; misses = 0 }
-  let misses m = m.misses
-
-  let reserve m need =
-    let n = Array.length m.text in
-    if need > n then begin
-      let n' = max need (2 * n) in
-      let bits = Float.Array.make n' Float.nan and text = Array.make n' nan_text in
-      Float.Array.blit m.bits 0 bits 0 n;
-      Array.blit m.text 0 text 0 n;
-      m.bits <- bits;
-      m.text <- text
-    end
-
-  let add m buf slot x =
-    reserve m (slot + 1);
-    if Int64.equal (Int64.bits_of_float (Float.Array.get m.bits slot)) (Int64.bits_of_float x)
-    then Buffer.add_string buf m.text.(slot)
-    else begin
-      let s = fstr x in
-      Float.Array.set m.bits slot x;
-      m.text.(slot) <- s;
-      m.misses <- m.misses + 1;
-      Buffer.add_string buf s
-    end
-
-  let add_x m buf c x = add m buf (2 * c) x
-  let add_y m buf c y = add m buf ((2 * c) + 1) y
-end
-
 let add_pin_ref buf t p =
   match Design.pin_owner t p with
   | Design.Cell_pin (c, pin_name) ->
@@ -66,11 +22,50 @@ let add_pin_ref buf t p =
     Buffer.add_string buf "port:";
     Buffer.add_string buf (Design.port_name t port)
 
-(* Cell and net lines, one per cell and per net, go straight into the
-   buffer: no [Printf] and no line copies. *)
-let to_string ?(memo = Memo.create ()) t =
+(* Cell and net lines go straight into the buffer: no [Printf] and no
+   line copies. *)
+let add_cell_line buf t c =
+  let add = Buffer.add_string buf and sp () = Buffer.add_char buf ' ' in
+  add "cell ";
+  add (Design.cell_name t c);
+  sp ();
+  add (Design.cell_master t c).Css_liberty.Cell.name;
+  sp ();
+  add (fstr (Design.cell_x t c));
+  sp ();
+  add (fstr (Design.cell_y t c))
+
+(* [Design.add_net] demands a driver, so every net has a line *)
+let add_net_line buf t n =
+  Buffer.add_string buf "net ";
+  Buffer.add_string buf (Design.net_name t n);
+  Buffer.add_char buf ' ';
+  add_pin_ref buf t (Design.net_driver_id t n);
+  Design.iter_net_sinks t n (fun p ->
+      Buffer.add_char buf ' ';
+      add_pin_ref buf t p)
+
+let latency_line t c =
+  let l = Design.scheduled_latency t c in
+  if l <> 0.0 then Some (Printf.sprintf "latency %s %s" (Design.cell_name t c) (fstr l))
+  else None
+
+let bounds_line t ff =
+  let lo, hi = Design.latency_bounds t ff in
+  if lo > 0.0 || hi < infinity then
+    Some (Printf.sprintf "bounds %s %s %s" (Design.cell_name t ff) (fstr lo) (fstr hi))
+  else None
+
+let line_of add t x =
+  let b = Buffer.create 80 in
+  add b t x;
+  Buffer.contents b
+
+let cell_line = line_of add_cell_line
+let net_line = line_of add_net_line
+
+let to_string t =
   let buf = Buffer.create (64 * (Design.num_cells t + Design.num_nets t) + 256) in
-  Memo.reserve memo (2 * Design.num_cells t);
   let line fmt =
     Printf.ksprintf
       (fun s ->
@@ -78,7 +73,7 @@ let to_string ?(memo = Memo.create ()) t =
         Buffer.add_char buf '\n')
       fmt
   in
-  let add = Buffer.add_string buf and sp () = Buffer.add_char buf ' ' in
+  let opt_line = Option.iter (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') in
   line "design %s period %s" (Design.name t) (fstr (Design.clock_period t));
   let die = Design.die t in
   line "die %s %s %s %s" (fstr die.Rect.lx) (fstr die.Rect.ly) (fstr die.Rect.hx)
@@ -89,40 +84,105 @@ let to_string ?(memo = Memo.create ()) t =
         (match Design.port_dir t p with Design.In -> "in" | Design.Out -> "out")
         (fstr pos.Point.x) (fstr pos.Point.y));
   Design.iter_cells t (fun c ->
-      add "cell ";
-      add (Design.cell_name t c);
-      sp ();
-      add (Design.cell_master t c).Css_liberty.Cell.name;
-      sp ();
-      Memo.add_x memo buf c (Design.cell_x t c);
-      sp ();
-      Memo.add_y memo buf c (Design.cell_y t c);
+      add_cell_line buf t c;
       Buffer.add_char buf '\n');
   Design.iter_nets t (fun n ->
-      match Design.net_driver t n with
-      | None -> ()
-      | Some d ->
-        add "net ";
-        add (Design.net_name t n);
-        sp ();
-        add_pin_ref buf t d;
-        Design.iter_net_sinks t n (fun p ->
-            sp ();
-            add_pin_ref buf t p);
-        Buffer.add_char buf '\n');
+      add_net_line buf t n;
+      Buffer.add_char buf '\n');
   (match Design.clock_root t with
   | None -> ()
   | Some p -> line "clockroot %s" (Design.port_name t p));
-  Design.iter_cells t (fun c ->
-      let l = Design.scheduled_latency t c in
-      if l <> 0.0 then line "latency %s %s" (Design.cell_name t c) (fstr l));
-  Array.iter
-    (fun ff ->
-      let lo, hi = Design.latency_bounds t ff in
-      if lo > 0.0 || hi < infinity then
-        line "bounds %s %s %s" (Design.cell_name t ff) (fstr lo) (fstr hi))
-    (Design.ffs t);
+  Design.iter_cells t (fun c -> opt_line (latency_line t c));
+  Array.iter (fun ff -> opt_line (bounds_line t ff)) (Design.ffs t);
   Buffer.contents buf
+
+type edit =
+  | Cell_line of Design.cell_id * string
+  | Net_line of Design.net_id * string
+  | Latency_line of Design.cell_id * string option
+  | Bounds_line of Design.cell_id * string option
+
+let starts_with prefix s = String.starts_with ~prefix s
+
+(* the second word of a [cell]/[latency]/[bounds] line: the cell name *)
+let second_word l =
+  let a = String.index l ' ' + 1 in
+  match String.index_from_opt l a ' ' with
+  | Some b -> String.sub l a (b - a)
+  | None -> String.sub l a (String.length l - a)
+
+(* The text is split into its sections, as [to_string] lays them out;
+   cell and net lines are replaced in place, and the latency and bounds
+   sections are rebuilt in cell-id order from one optional line per
+   cell. *)
+let apply_edits text edits =
+  if edits = [] then text
+  else begin
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let i = ref (min n 2) in
+    let span prefix =
+      let first = !i in
+      while !i < n && starts_with prefix lines.(!i) do
+        incr i
+      done;
+      (first, !i - first)
+    in
+    ignore (span "port ");
+    let c0, ncells = span "cell " in
+    let n0, nnets = span "net " in
+    ignore (span "clockroot ");
+    let l0, nlat = span "latency " in
+    let b0, nbounds = span "bounds " in
+    if n < 3 || b0 + nbounds <> n - 1 || lines.(n - 1) <> "" then
+      failwith "design text is not laid out as Io.to_string writes it";
+    let by_cell = Array.make ncells None and bounds = Array.make ncells None in
+    if nlat + nbounds > 0 then begin
+      let id = Hashtbl.create ncells in
+      for c = 0 to ncells - 1 do
+        Hashtbl.replace id (second_word lines.(c0 + c)) c
+      done;
+      let place column first count =
+        for k = first to first + count - 1 do
+          match Hashtbl.find_opt id (second_word lines.(k)) with
+          | Some c -> column.(c) <- Some lines.(k)
+          | None -> failwith ("design text names an unknown cell: " ^ lines.(k))
+        done
+      in
+      place by_cell l0 nlat;
+      place bounds b0 nbounds
+    end;
+    let check what id count =
+      if id < 0 || id >= count then
+        failwith (Printf.sprintf "edit of %s %d, the design text holds %d" what id count)
+    in
+    List.iter
+      (function
+        | Cell_line (c, l) ->
+          check "cell" c ncells;
+          lines.(c0 + c) <- l
+        | Net_line (k, l) ->
+          check "net" k nnets;
+          lines.(n0 + k) <- l
+        | Latency_line (c, l) ->
+          check "cell" c ncells;
+          by_cell.(c) <- l
+        | Bounds_line (c, l) ->
+          check "cell" c ncells;
+          bounds.(c) <- l)
+      edits;
+    let buf = Buffer.create (String.length text + 256) in
+    let add l =
+      Buffer.add_string buf l;
+      Buffer.add_char buf '\n'
+    in
+    for k = 0 to l0 - 1 do
+      add lines.(k)
+    done;
+    Array.iter (Option.iter add) by_cell;
+    Array.iter (Option.iter add) bounds;
+    Buffer.contents buf
+  end
 
 let save t path =
   let oc = open_out path in

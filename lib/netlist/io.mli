@@ -32,43 +32,43 @@
     round-trips. *)
 val float_to_string : float -> string
 
-(** A float-text memo for writers that serialize the same design over
-    and over (a durable session rewrites its checkpoint after every
-    phase, and between two writes only a few cells move).
-
-    The memo has one slot per cell coordinate, [2·cell + axis]. A slot
-    holds the bit pattern of the last float written through it and that
-    float's {!float_to_string} text. The contract is exact text: the
-    stored text is reused only when [Int64.bits_of_float] of the new
-    value equals the stored bits, never on [=] ([0.0 = -0.0], yet they
-    print ["0"] and ["-0"]; [nan <> nan]). Every other value is a miss
-    and goes through {!float_to_string}, so memoized output is
-    byte-identical to unmemoized output by construction. Slots grow on
-    demand when the design gains cells. *)
-module Memo : sig
-  type t
-
-  (** [create ()] is an empty memo: every first write to a slot misses. *)
-  val create : unit -> t
-
-  (** [misses m] counts the floats [m] has formatted since [create]. *)
-  val misses : t -> int
-
-  (** [add_x m buf c x] appends the text of [x], the x coordinate of
-      cell [c] (slot [2c]), to [buf]. *)
-  val add_x : t -> Buffer.t -> Design.cell_id -> float -> unit
-
-  (** [add_y m buf c y] is {!add_x} for the y coordinate (slot [2c+1]). *)
-  val add_y : t -> Buffer.t -> Design.cell_id -> float -> unit
-end
-
 (** [save t path] writes the design. *)
 val save : Design.t -> string -> unit
 
-(** [to_string ?memo t] is the serialized form. Cell coordinates go
-    through [memo] (default: a fresh one, so a plain call formats every
-    float once); the text is the same whichever memo is passed. *)
-val to_string : ?memo:Memo.t -> Design.t -> string
+(** [to_string t] is the serialized form. *)
+val to_string : Design.t -> string
+
+(** {1 Line edits}
+
+    {!to_string} writes one [cell] line per cell and one [net] line per
+    net, each in id order (every net has a driver), then one [latency]
+    line per cell with a non-zero scheduled latency and one [bounds]
+    line per flip-flop with a non-default window, both in cell-id
+    order. A durable session's checkpoint journal records a design as
+    replacement lines against the text its base checkpoint holds;
+    {!apply_edits} splices them back in. The line functions below are
+    the ones {!to_string} writes with, so an edited text is byte for
+    byte the text of the edited design. *)
+
+type edit =
+  | Cell_line of Design.cell_id * string  (** the cell's new [cell] line *)
+  | Net_line of Design.net_id * string  (** the net's new [net] line *)
+  | Latency_line of Design.cell_id * string option
+      (** the cell's [latency] line; [None] for a zero latency *)
+  | Bounds_line of Design.cell_id * string option
+      (** the flip-flop's [bounds] line; [None] for the default window *)
+
+val cell_line : Design.t -> Design.cell_id -> string
+val net_line : Design.t -> Design.net_id -> string
+val latency_line : Design.t -> Design.cell_id -> string option
+val bounds_line : Design.t -> Design.cell_id -> string option
+
+(** [apply_edits text edits] is [text] with [edits] applied in order (a
+    later edit of a line wins). [text] must be laid out as {!to_string}
+    writes it; [[]] returns [text] itself.
+    @raise Failure when [text] is not so laid out or an edit addresses
+    a cell or net the text does not hold. *)
+val apply_edits : string -> edit list -> string
 
 (** Recover-or-abort policy for malformed lines:
     - [Abort] (default): stop at the first error and return [Error].

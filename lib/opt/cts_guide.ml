@@ -206,26 +206,44 @@ type applied = {
   hosted : Design.cell_id list;
 }
 
-let counter = ref 0
+(* Inserted LCBs and their nets are named [cts_lcb<N>]/[cts_ck<N>] with
+   the smallest N free in the design, so the names depend on the design
+   alone, not on how many CTS passes ran before in the process. *)
+let fresh_suffixes design =
+  let taken = Hashtbl.create 16 in
+  Design.iter_cells design (fun c -> Hashtbl.replace taken (Design.cell_name design c) ());
+  Design.iter_nets design (fun n -> Hashtbl.replace taken (Design.net_name design n) ());
+  let next = ref 0 in
+  fun () ->
+    let free k =
+      not
+        (Hashtbl.mem taken (Printf.sprintf "cts_lcb%d" k)
+        || Hashtbl.mem taken (Printf.sprintf "cts_ck%d" k))
+    in
+    incr next;
+    while not (free !next) do
+      incr next
+    done;
+    !next
 
 let apply timer plan =
   let design = Timer.design timer in
   let root_net = clock_root_net design in
   let master = (lcb_master design).Cell.name in
+  let fresh = fresh_suffixes design in
   let hosted = ref [] in
   let new_lcbs =
     List.map
       (fun cluster ->
-        incr counter;
+        let k = fresh () in
         let lcb =
-          Design.add_cell design
-            ~name:(Printf.sprintf "cts_lcb%d" !counter)
-            ~master ~pos:cluster.lcb_pos
+          Design.add_cell design ~name:(Printf.sprintf "cts_lcb%d" k) ~master
+            ~pos:cluster.lcb_pos
         in
         Design.net_add_sink design root_net (Design.cell_pin design lcb "CKI");
         ignore
           (Design.add_net design
-             ~name:(Printf.sprintf "cts_ck%d" !counter)
+             ~name:(Printf.sprintf "cts_ck%d" k)
              ~driver:(Design.cell_pin design lcb "CKO")
              ~sinks:[]);
         let wire = Library.wire (Design.library design) in

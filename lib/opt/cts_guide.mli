@@ -38,8 +38,10 @@ type applied = {
           must be realized by other means) *)
 }
 
-(** [apply timer plan] inserts the planned LCBs (named [cts_lcb<N>],
-    hooked onto the clock-root net), re-homes the admissible member
+(** [apply timer plan] inserts the planned LCBs (named [cts_lcb<N>]
+    with output net [cts_ck<N>], N the smallest suffix free in the
+    design, so identical designs get identical names; hooked onto the
+    clock-root net), re-homes the admissible member
     flip-flops, clears their scheduled latencies and incrementally
     re-propagates. *)
 val apply : Css_sta.Timer.t -> plan -> applied

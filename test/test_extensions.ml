@@ -259,6 +259,22 @@ let test_cts_apply_improves_physical_timing () =
     checkb "physical late TNS improved" true (physical_after > physical_before)
   end
 
+(* Inserted LCBs are named from the design, not from a process-wide
+   counter: two identical CTS runs in one process write the same text. *)
+let test_cts_names_deterministic () =
+  let run () =
+    let design = Generator.generate Profile.tiny in
+    let config = { Css_flow.Flow.default_config with Css_flow.Flow.use_cts = true } in
+    ignore (Css_flow.Flow.run ~config ~algo:Css_flow.Flow.Ours design);
+    Io.to_string design
+  in
+  let first = run () in
+  let inserted = ref 0 in
+  String.split_on_char '\n' first
+  |> List.iter (fun l -> if String.starts_with ~prefix:"cell cts_lcb" l then incr inserted);
+  checkb "the run inserted LCBs" true (!inserted > 0);
+  checkb "the second run writes the same design" true (String.equal first (run ()))
+
 (* A plan proposes at most 16 LCBs, even for 18 fanout-limit-sized
    groups of targeted flip-flops. *)
 let test_cts_respects_budget () =
@@ -313,6 +329,7 @@ let () =
           Alcotest.test_case "apply improves physical timing" `Quick
             test_cts_apply_improves_physical_timing;
           Alcotest.test_case "budget respected" `Quick test_cts_respects_budget;
+          Alcotest.test_case "names derive from the design" `Quick test_cts_names_deterministic;
           Alcotest.test_case "net_add_sink validation" `Quick test_net_add_sink_validation;
         ] );
     ]

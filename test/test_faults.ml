@@ -468,11 +468,11 @@ let test_flow_validation_diags_surface () =
 
 (* {2 A failed durable write}
 
-   The temporary file of the atomic checkpoint write is a symlink to
-   /dev/full, so the write fails with ENOSPC after the file opened. The
-   previous checkpoint must survive untouched and loadable, the link
-   must be cleaned up, and a durable session must keep serving: a lost
-   write costs durability, never the answer. *)
+   A base is written to a temporary file and renamed; a journal record
+   is appended. Pointing either at /dev/full makes the write fail with
+   ENOSPC after the file opened. The files must keep the previous state,
+   loadable, a temporary link must be cleaned up, and a durable session
+   must keep serving: a lost write costs durability, never the answer. *)
 
 module Session = Css_flow.Session
 module Persist = Css_flow.Persist
@@ -481,55 +481,112 @@ module Obs = Css_util.Obs
 let exists_no_follow path =
   match Unix.lstat path with _ -> true | exception Unix.Unix_error _ -> false
 
+let durable_config ~obs dir =
+  {
+    Session.default_config with
+    Session.rounds = 1;
+    jobs = 1;
+    final_eval = false;
+    rollback = false;
+    obs;
+    checkpoint_dir = Some dir;
+  }
+
+let failed obs = Option.value ~default:0 (List.assoc_opt "flow.persist_failed" (Obs.counters obs))
+let read f = In_channel.with_open_bin f In_channel.input_all
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_failed_checkpoint_write () =
   if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
-  let dir = Filename.temp_dir "css-faults" "" in
+  let dir = Filename.temp_dir "css-faults" "" and other = Filename.temp_dir "css-faults" "" in
   let obs = Obs.create () in
-  let config =
-    {
-      Session.default_config with
-      Session.rounds = 1;
-      jobs = 1;
-      final_eval = false;
-      rollback = false;
-      obs;
-      checkpoint_dir = Some dir;
-    }
-  in
-  let failed () =
-    Option.value ~default:0 (List.assoc_opt "flow.persist_failed" (Obs.counters obs))
-  in
-  let read f = In_channel.with_open_bin f In_channel.input_all in
-  let final = Persist.path ~dir in
-  let tmp = final ^ ".tmp" in
   let design = Generator.micro () in
-  let s = Session.open_ ~config ~algo:Session.Ours design in
+  let s = Session.open_ ~config:(durable_config ~obs dir) ~algo:Session.Ours design in
   Fun.protect
     ~finally:(fun () ->
       Session.close s;
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
+      rm_dir dir;
+      rm_dir other)
     (fun () ->
       ignore (Session.finish s);
+      (* a save into another directory writes a base there *)
+      Session.save s ~dir:other;
+      let final = Persist.path ~dir:other in
+      let tmp = final ^ ".tmp" in
       let before = read final in
       Unix.symlink "/dev/full" tmp;
-      (match Session.save s ~dir with
+      (match Session.save s ~dir:other with
       | () -> Alcotest.fail "a checkpoint write to /dev/full succeeded"
       | exception Sys_error msg ->
         checkb ("save raises ENOSPC: " ^ msg) true (contains ~sub:"No space left on device" msg));
       checkb "the tmp link is removed" false (exists_no_follow tmp);
       checkb "the previous checkpoint is intact" true (read final = before);
-      checkb "the previous checkpoint loads" true (Result.is_ok (Persist.load ~dir));
-      Alcotest.check Alcotest.int "a direct save is not a session failure" 0 (failed ());
-      (* the next durable request: its first write fails, the rest land *)
+      checkb "the previous checkpoint loads" true (Result.is_ok (Persist.load ~dir:other));
+      Alcotest.check Alcotest.int "a direct save is not a session failure" 0 (failed obs);
+      (* the next durable request replaces the design, so its first write
+         is a base: that one fails, the rest land *)
+      let tmp = Persist.path ~dir ^ ".tmp" in
       Unix.symlink "/dev/full" tmp;
-      let ff = Design.cell_name design (Design.ffs design).(0) in
-      (match Session.apply_delta s [ Session.Set_latency { ff; latency = 2.0 } ] with
+      (match Session.apply_delta s [ Session.Replace_design (Io.to_string design) ] with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "the durable request failed with its checkpoint write");
-      Alcotest.check Alcotest.int "flow.persist_failed counts the lost write" 1 (failed ());
+      Alcotest.check Alcotest.int "flow.persist_failed counts the lost write" 1 (failed obs);
       checkb "the tmp link is removed after the request" false (exists_no_follow tmp);
       checkb "the request's checkpoint loads" true (Result.is_ok (Persist.load ~dir)))
+
+(* The append goes to /dev/full: the request still answers what an
+   in-memory session answers, the lost record is counted and warned
+   about, and the next write starts a new base, which replaces the link
+   with a real journal. *)
+let test_failed_journal_append () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = Filename.temp_dir "css-faults" "" in
+  let obs = Obs.create () in
+  let design = Generator.micro () in
+  let ff = Design.cell_name design (Design.ffs design).(0) in
+  let request = [ Session.Set_latency { ff; latency = 2.0 } ] in
+  let latencies s =
+    let d = Session.design s in
+    Array.map (fun ff -> Int64.bits_of_float (Design.scheduled_latency d ff)) (Design.ffs d)
+  in
+  let reference =
+    let config = { (durable_config ~obs:Obs.null dir) with Session.checkpoint_dir = None } in
+    let s = Session.open_ ~config ~algo:Session.Ours (Generator.micro ()) in
+    Fun.protect
+      ~finally:(fun () -> Session.close s)
+      (fun () ->
+        ignore (Session.finish s);
+        ignore (Session.apply_delta s request);
+        latencies s)
+  in
+  let s = Session.open_ ~config:(durable_config ~obs dir) ~algo:Session.Ours design in
+  Fun.protect
+    ~finally:(fun () ->
+      Session.close s;
+      rm_dir dir)
+    (fun () ->
+      ignore (Session.finish s);
+      let journal = Persist.journal_path ~dir in
+      Sys.remove journal;
+      Unix.symlink "/dev/full" journal;
+      let warnings = Logs.warn_count () in
+      (match Session.apply_delta s request with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "the durable request failed with its journal append");
+      Alcotest.check Alcotest.int "flow.persist_failed counts the lost record" 1 (failed obs);
+      checkb "a warning names the lost record" true (Logs.warn_count () > warnings);
+      checkb "the answer is the in-memory one" true (latencies s = reference);
+      checkb "the journal is a file again" true
+        ((Unix.lstat journal).Unix.st_kind = Unix.S_REG);
+      match Session.reopen ~library:(Design.library design) ~dir () with
+      | Error _ -> Alcotest.fail "the checkpoint does not reopen after the lost record"
+      | Ok r ->
+        let same = Io.to_string (Session.design r) = Io.to_string (Session.design s) in
+        Session.close r;
+        checkb "reopen restores the live design" true same)
 
 let () =
   let netlist_cases =
@@ -601,5 +658,7 @@ let () =
         [
           Alcotest.test_case "failed checkpoint write keeps the previous one" `Quick
             test_failed_checkpoint_write;
+          Alcotest.test_case "failed journal append keeps serving" `Quick
+            test_failed_journal_append;
         ] );
     ]

@@ -514,41 +514,37 @@ let test_reopen_shape_check () =
           (ds <> [] && List.for_all (fun d -> d.Diag.code = "CKPT-006") ds))
     cases
 
-(* {2 Checkpoint byte identity}
+(* {2 Checkpoint identity}
 
-   A durable session formats each cell coordinate through its own
-   float-text memo, so a checkpoint is written incrementally. What lands
-   on disk must still be exactly what a fresh memo writes: the file
-   equals [Persist.save] of its own [Persist.load], and a [Session.save]
-   of the live state carries the design text of a fresh [Io.to_string]
-   and the live movement anchors bit for bit. *)
+   A durable session writes its design once, as the base, then appends
+   one record per write holding only what changed. Whatever mix of
+   bases and records lands on disk, reopening it must give back the live
+   session's state exactly: the design text of a fresh [Io.to_string]
+   byte for byte and the movement anchors bit for bit. *)
 
 module Io = Css_netlist.Io
 module Oracles = Css_oracle.Oracles
 
 let check_durable_identity what s ~dir =
-  let file = read_file (Persist.path ~dir) in
-  (match Persist.load ~dir with
-  | Error _ -> Alcotest.failf "%s: the checkpoint does not load" what
-  | Ok st ->
-    let out = fresh_dir () in
-    Persist.save ~dir:out st;
-    checkb (what ^ ": checkpoint = save (load checkpoint)") true
-      (read_file (Persist.path ~dir:out) = file));
-  let live = fresh_dir () in
-  Session.save s ~dir:live;
-  match Persist.load ~dir:live with
-  | Error _ -> Alcotest.failf "%s: Session.save does not load" what
-  | Ok st ->
-    let d = Session.design s in
-    checkb (what ^ ": design text = fresh Io.to_string") true
-      (st.Persist.ps_design_text = Io.to_string d);
-    let bits (p : Css_geometry.Point.t) =
-      (Int64.bits_of_float p.Css_geometry.Point.x, Int64.bits_of_float p.Css_geometry.Point.y)
-    in
-    checkb (what ^ ": anchors bitwise") true
-      (Array.map bits st.Persist.ps_anchors
-      = Array.init (Design.num_cells d) (fun c -> bits (Design.cell_orig_pos d c)))
+  (* reopened without a checkpoint directory, so the check writes nothing *)
+  match Session.reopen ~library:(Design.library (Session.design s)) ~dir () with
+  | Error ds ->
+    Alcotest.failf "%s: the checkpoint does not reopen: %s" what
+      (String.concat "; " (List.map Diag.to_string ds))
+  | Ok r ->
+    Fun.protect
+      ~finally:(fun () -> Session.close r)
+      (fun () ->
+        let d = Session.design s and d' = Session.design r in
+        checkb (what ^ ": reopened design text = fresh Io.to_string") true
+          (Io.to_string d' = Io.to_string d);
+        let anchors d =
+          Array.init (Design.num_cells d) (fun c ->
+              let p = Design.cell_orig_pos d c in
+              ( Int64.bits_of_float p.Css_geometry.Point.x,
+                Int64.bits_of_float p.Css_geometry.Point.y ))
+        in
+        checkb (what ^ ": anchors bitwise") true (anchors d' = anchors d))
 
 (* the daemon's session settings *)
 let daemon_config ~dir =
@@ -561,14 +557,16 @@ let daemon_config ~dir =
     checkpoint_dir = Some dir;
   }
 
-(* the [flow.checkpoint] snapshots' [bytes] and [floats_formatted] *)
-let write_stats obs =
+(* the [flow.checkpoint] snapshots' [kind] and [bytes], in write order *)
+let writes obs =
   List.filter_map
     (fun (label, _, fields) ->
-      match (label, List.assoc_opt "bytes" fields, List.assoc_opt "floats_formatted" fields) with
-      | "flow.checkpoint", Some (Obs.Json.Int b), Some (Obs.Json.Int f) -> Some (b, f)
+      match (label, List.assoc_opt "kind" fields, List.assoc_opt "bytes" fields) with
+      | "flow.checkpoint", Some (Obs.Json.String k), Some (Obs.Json.Int b) -> Some (k, b)
       | _ -> None)
     (Obs.snapshots obs)
+
+let bases ws = List.length (List.filter (fun (k, _) -> k = "base") ws)
 
 let test_durable_checkpoint_identity () =
   let design = Generator.generate { Profile.tiny with Profile.seed = 4242 } in
@@ -579,64 +577,218 @@ let test_durable_checkpoint_identity () =
     Session.open_ ~config:{ (daemon_config ~dir) with Session.obs } ~algo:Session.Ours
       (Flow.clone design)
   in
+  (* every write after the base is a record under a tenth of it *)
+  let small_records what =
+    match writes obs with
+    | ("base", base) :: (_ :: _ as rest) ->
+      List.iteri
+        (fun i (kind, bytes) ->
+          checks (Printf.sprintf "%s: write %d is a record" what (i + 1)) "record" kind;
+          checkb
+            (Printf.sprintf "%s: record %d (%d B) < 10%% of the base (%d B)" what (i + 1) bytes
+               base)
+            true
+            (10 * bytes < base))
+        rest
+    | _ -> Alcotest.failf "%s: expected a base, then records" what
+  in
   Fun.protect
     ~finally:(fun () -> Session.close s)
     (fun () ->
       ignore (Session.finish s);
       check_durable_identity "initial run" s ~dir;
-      (match write_stats obs with
-      | (_, first) :: (_ :: _ as rest) ->
-        checki "the first write formats every cell coordinate" (2 * Design.num_cells design) first;
-        checkb "later writes format only what moved" true
-          (List.for_all (fun (_, f) -> f < Design.num_cells design) rest);
-        checki "bytes = the file's size" (String.length (read_file (Persist.path ~dir)))
-          (fst (List.nth rest (List.length rest - 1)))
-      | _ -> Alcotest.fail "expected several flow.checkpoint snapshots");
+      small_records "initial run";
       (* a cell that moves, then returns to its anchor *)
       let ff = (Design.ffs design).(0) in
       let name = Design.cell_name design ff and home = Design.cell_orig_pos design ff in
       let move x y = Session.Move_cell { cell = name; x; y } in
-      let batches =
-        List.map (fun d -> [ d ]) (Oracles.random_deltas rng design ~n:6)
-        @ [
-            [ Session.Replace_design (Io.to_string design) ];
-            [ Session.Apply_sdc "set_clock_uncertainty -setup 3\n" ];
-            [ move (home.Css_geometry.Point.x +. 40.0) home.Css_geometry.Point.y ];
-            [ move home.Css_geometry.Point.x home.Css_geometry.Point.y ];
-          ]
+      let request i batch =
+        match Session.apply_delta s batch with
+        | Ok _ -> check_durable_identity (Printf.sprintf "request %d" i) s ~dir
+        | Error ds ->
+          Alcotest.failf "request %d rejected: %s" i
+            (String.concat "; " (List.map Diag.to_string ds))
       in
+      List.iteri request (List.map (fun d -> [ d ]) (Oracles.random_deltas rng design ~n:6));
+      small_records "random requests";
+      (* a replaced design is written as a new base; the requests after
+         it append records to that base *)
+      let before = List.length (writes obs) in
+      request 6 [ Session.Replace_design (Io.to_string design) ];
+      (match List.filteri (fun i _ -> i >= before) (writes obs) with
+      | ("base", _) :: rest ->
+        checkb "after the replacement base, records" true
+          (List.for_all (fun (k, _) -> k = "record") rest)
+      | _ -> Alcotest.fail "the replaced design was not written as a base");
       List.iteri
-        (fun i batch ->
-          match Session.apply_delta s batch with
-          | Ok _ -> check_durable_identity (Printf.sprintf "request %d" i) s ~dir
-          | Error ds ->
-            Alcotest.failf "request %d rejected: %s" i
-              (String.concat "; " (List.map Diag.to_string ds)))
-        batches);
-  (* CTS appends cells mid-run, so the memo's slots must grow; rollback
-     writes the best checkpoint's positions ([bx]/[by]) through the same
-     slots *)
+        (fun i batch -> request (7 + i) batch)
+        [
+          [ Session.Apply_sdc "set_clock_uncertainty -setup 3\n" ];
+          [ move (home.Css_geometry.Point.x +. 40.0) home.Css_geometry.Point.y ];
+          [ move home.Css_geometry.Point.x home.Css_geometry.Point.y ];
+        ];
+      checki "two bases in the stream: the open and the replacement" 2 (bases (writes obs)));
+  (* CTS appends cells mid-run and rollback writes the best checkpoint
+     whenever it changes: both must compact, and reopen exactly after the
+     run and after every request *)
   List.iter
     (fun (what, config) ->
       let dir = fresh_dir () in
+      let obs = Obs.create () in
       let d = Flow.clone design in
       let n0 = Design.num_cells d in
       let s =
-        Session.open_ ~config:{ (config (daemon_config ~dir)) with Session.rounds = 2 }
+        Session.open_
+          ~config:{ (config (daemon_config ~dir)) with Session.rounds = 2; obs }
           ~algo:Session.Ours d
       in
       Fun.protect
         ~finally:(fun () -> Session.close s)
         (fun () ->
+          (* a rollback restores the best checkpoint after the last
+             phase's write; like the daemon, save after each answer *)
+          let check what =
+            Session.save s ~dir;
+            check_durable_identity what s ~dir
+          in
           ignore (Session.finish s);
-          check_durable_identity what s ~dir;
-          let file = read_file (Persist.path ~dir) in
-          if what = "cts" then checkb "CTS added cells" true (Design.num_cells d > n0)
-          else checkb "best-checkpoint positions written" true (index_of file "\nbx " > 0)))
+          check what;
+          if what = "cts" then checkb "CTS added cells" true (Design.num_cells d > n0);
+          (* each request's start checkpoint is a new best, so the
+             journal grows until it compacts; one more request then
+             appends to the new base *)
+          let request i =
+            match Session.apply_delta s (Oracles.random_deltas rng d ~n:1) with
+            | Ok _ -> check (Printf.sprintf "%s request %d" what i)
+            | Error _ -> Alcotest.failf "%s request %d rejected" what i
+          in
+          let rec serve i =
+            if bases (writes obs) < 2 && i < 40 then begin
+              request i;
+              serve (i + 1)
+            end
+            else request i
+          in
+          serve 0;
+          checkb (what ^ ": compacted at least once") true (bases (writes obs) >= 2)))
     [
       ("cts", fun c -> { c with Session.use_cts = true });
       ("rollback", fun c -> { c with Session.rollback = true; final_eval = true });
     ]
+
+(* {2 Journal faults}
+
+   A daemon-style session on the tiny design that ran and served one
+   request leaves a base and a journal of several records. *)
+
+let journaled_session ?(before_request = ignore) () =
+  let dir = fresh_dir () in
+  let design = Generator.generate { Profile.tiny with Profile.seed = 4242 } in
+  let s = Session.open_ ~config:(daemon_config ~dir) ~algo:Session.Ours design in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      ignore (Session.finish s);
+      before_request dir;
+      let ff = Design.cell_name design (Design.ffs design).(1) in
+      match Session.apply_delta s [ Session.Set_latency { ff; latency = 3.5 } ] with
+      | Ok _ -> dir
+      | Error _ -> Alcotest.fail "the request was rejected")
+
+(* the byte offset of every journal record, after the header line *)
+let record_offsets journal =
+  let rec go pos acc =
+    if pos >= String.length journal then List.rev acc
+    else
+      let nl = String.index_from journal pos '\n' in
+      match String.split_on_char ' ' (String.sub journal pos (nl - pos)) with
+      | [ "record"; n; _ ] -> go (nl + 1 + int_of_string n) (pos :: acc)
+      | _ -> Alcotest.failf "unexpected journal frame at byte %d" pos
+  in
+  go (String.index journal '\n' + 1) []
+
+(* what a reopen of [dir] restores: design text, anchors, and the run's
+   progress record *)
+let reopened dir =
+  match (Session.reopen ~library:Css_liberty.Library.default ~dir (), Persist.load ~dir) with
+  | Error ds, _ | _, Error ds -> Error (List.hd ds).Diag.code
+  | Ok r, Ok st ->
+    let d = Session.design r in
+    let anchors =
+      Array.init (Design.num_cells d) (fun c ->
+          let p = Design.cell_orig_pos d c in
+          (Int64.bits_of_float p.Css_geometry.Point.x, Int64.bits_of_float p.Css_geometry.Point.y))
+    in
+    Session.close r;
+    Ok (Io.to_string d, anchors, st.Persist.ps_progress)
+
+let test_journal_torn_tail () =
+  let dir = journaled_session () in
+  let jfile = Persist.journal_path ~dir in
+  let journal = read_file jfile in
+  let offsets = record_offsets journal in
+  checkb "several records" true (List.length offsets >= 3);
+  let last = List.nth offsets (List.length offsets - 1) in
+  write_file jfile (String.sub journal 0 last);
+  let previous = reopened dir in
+  checkb "the previous record reopens" true (Result.is_ok previous);
+  for cut = last + 1 to String.length journal - 1 do
+    write_file jfile (String.sub journal 0 cut);
+    checkb (Printf.sprintf "cut at byte %d resumes the previous record" cut) true
+      (reopened dir = previous)
+  done;
+  checkb "the whole journal reopens past the previous record" true
+    (write_file jfile journal;
+     match reopened dir with Ok _ as r -> r <> previous | Error _ -> false);
+  (* a writer reopening a torn journal cuts the tail off and appends
+     after the last good record *)
+  write_file jfile (String.sub journal 0 (last + 7));
+  match Session.reopen ~config:(daemon_config ~dir) ~library:Css_liberty.Library.default ~dir () with
+  | Error _ -> Alcotest.fail "a torn journal does not reopen for writing"
+  | Ok s ->
+    Fun.protect
+      ~finally:(fun () -> Session.close s)
+      (fun () ->
+        checki "the torn tail is cut off" last (String.length (read_file jfile));
+        ignore (Session.finish s);
+        Session.save s ~dir;
+        checkb "a record lands after the last good one" true
+          (String.length (read_file jfile) > last);
+        check_durable_identity "after the torn tail" s ~dir)
+
+let test_journal_bad_record () =
+  let dir = journaled_session () in
+  let jfile = Persist.journal_path ~dir in
+  let journal = read_file jfile in
+  let first = List.hd (record_offsets journal) in
+  (* a byte inside the first record's body, which more records follow *)
+  let at = String.index_from journal first '\n' + 3 in
+  let flipped = Bytes.of_string journal in
+  Bytes.set flipped at (if Bytes.get flipped at = '7' then '8' else '7');
+  write_file jfile (Bytes.to_string flipped);
+  checks "load" "CKPT-003" (load_code dir);
+  checkb "reopen" true (reopened dir = Error "CKPT-003")
+
+let test_journal_stale () =
+  (* the journal as it stood before the request *)
+  let stale = ref "" in
+  let dir =
+    journaled_session ~before_request:(fun dir -> stale := read_file (Persist.journal_path ~dir)) ()
+  in
+  let jfile = Persist.journal_path ~dir in
+  (* compaction: a new base and an empty journal naming it *)
+  (match Persist.load ~dir with
+  | Error _ -> Alcotest.fail "the journaled checkpoint does not load"
+  | Ok st -> Persist.save ~dir st);
+  let compacted = reopened dir in
+  checkb "the compacted checkpoint reopens" true (Result.is_ok compacted);
+  (* a crash between the base's rename and the journal's: the old
+     journal sits beside the new base and must not be replayed *)
+  write_file jfile !stale;
+  checkb "the stale journal is ignored" true (reopened dir = compacted);
+  let st = Persist.load ~dir in
+  Sys.remove jfile;
+  checkb "a missing journal loads the base alone" true (Persist.load ~dir = st)
 
 (* [cache_bytes] is accepted and ignored: sessions opened with a 64 MiB
    budget and with none schedule bitwise alike, and neither reports
@@ -735,5 +887,9 @@ let () =
           Alcotest.test_case "reopen shape check (CKPT-006)" `Quick test_reopen_shape_check;
           Alcotest.test_case "durable checkpoints are byte-identical" `Quick
             test_durable_checkpoint_identity;
+          Alcotest.test_case "journal torn tail resumes the previous record" `Quick
+            test_journal_torn_tail;
+          Alcotest.test_case "journal bad record (CKPT-003)" `Quick test_journal_bad_record;
+          Alcotest.test_case "stale journal is ignored" `Quick test_journal_stale;
         ] );
     ]

@@ -45,28 +45,23 @@ let test_round_trip_after_flow_byte_identical () =
   checkb "post-flow round trip byte-identical" true (String.equal s1 s2)
 
 (* ------------------------------------------------------------------ *)
-(* The memoized writer: one memo across many writes of an edited design
-   must give, write after write, exactly the text of a fresh one *)
+(* Line edits: splicing one edited entity's lines into the previous text
+   must give, edit after edit, exactly the text of a fresh write *)
 
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let test_memo_writer_tracks_edits () =
+let test_line_edits_track_edits () =
   let d = gen 17 in
-  let memo = Io.Memo.create () in
-  let check what =
-    let text = Io.to_string ~memo d in
-    checkb (what ^ ": memoized text = fresh text") true (String.equal text (Io.to_string d));
-    text
+  let text = ref (Io.to_string d) in
+  let step what edits =
+    text := Io.apply_edits !text edits;
+    checkb (what ^ ": edited text = fresh text") true (String.equal !text (Io.to_string d));
+    !text
   in
-  let misses () = Io.Memo.misses memo in
-  ignore (check "first write");
-  checki "first write formats every cell coordinate" (2 * Design.num_cells d) (misses ());
-  let m0 = misses () in
-  ignore (check "idle rewrite");
-  checki "idle rewrite formats no cell coordinate" m0 (misses ());
+  checkb "no edits returns the text itself" true (Io.apply_edits !text [] == !text);
   let cell_named master =
     let found = ref (-1) in
     Design.iter_cells d (fun c ->
@@ -75,46 +70,43 @@ let test_memo_writer_tracks_edits () =
     !found
   in
   let inv = cell_named "INV_X1" and ff = (Design.ffs d).(0) in
+  let cell c = Io.Cell_line (c, Io.cell_line d c) in
   let home = Design.cell_pos d inv in
   Design.move_cell d inv (Css_geometry.Point.make (home.Css_geometry.Point.x +. 37.5) 12.25);
-  let m = misses () in
-  ignore (check "move_cell");
-  checki "a moved cell formats its two coordinates" (m + 2) (misses ());
+  ignore (step "move_cell" [ cell inv ]);
   Design.move_cell d inv home;
-  ignore (check "move back");
-  (* 0.0 and -0.0 are [=] but print differently: the slot must key on bits *)
+  ignore (step "move back" [ cell inv ]);
+  (* 0.0 and -0.0 are [=] but print differently *)
   let at x = Css_geometry.Point.make x home.Css_geometry.Point.y in
   let inv_line x = Printf.sprintf "\ncell %s INV_X1 %s " (Design.cell_name d inv) x in
   Design.move_cell d inv (at 0.0);
-  checkb "x = 0.0 prints as 0" true (contains (check "x = 0.0") (inv_line "0"));
+  checkb "x = 0.0 prints as 0" true (contains (step "x = 0.0" [ cell inv ]) (inv_line "0"));
   Design.move_cell d inv (at (-0.0));
-  checkb "x = -0.0 prints as -0" true (contains (check "x = -0.0") (inv_line "-0"));
-  Design.move_cell d inv (at 0.0);
-  checkb "x = 0.0 again prints as 0" true (contains (check "x = 0.0 again") (inv_line "0"));
+  checkb "x = -0.0 prints as -0" true (contains (step "x = -0.0" [ cell inv ]) (inv_line "-0"));
+  let latency () = Io.Latency_line (ff, Io.latency_line d ff) in
+  let bounds () = Io.Bounds_line (ff, Io.bounds_line d ff) in
   Design.set_scheduled_latency d ff 12.5;
-  ignore (check "set_scheduled_latency");
+  ignore (step "set_scheduled_latency" [ latency () ]);
   Design.set_latency_bounds d ff ~lo:1.0 ~hi:40.0;
-  ignore (check "set_latency_bounds");
+  ignore (step "set_latency_bounds" [ bounds () ]);
+  Design.set_scheduled_latency d ff 0.0;
   Design.clear_latency_bounds d ff;
-  ignore (check "clear_latency_bounds");
+  ignore (step "clear latency and bounds" [ latency (); bounds () ]);
+  let ck = Design.pin_net_id d (Design.cell_pin d ff "CK") in
   let lcbs = Design.lcbs d in
-  let other = Array.find_opt (fun l -> l <> Design.lcb_of_ff d ff) lcbs in
-  Design.reconnect_ff_to_lcb d ~ff ~lcb:(Option.get other);
-  ignore (check "reconnect_ff_to_lcb");
+  let other = Option.get (Array.find_opt (fun l -> l <> Design.lcb_of_ff d ff) lcbs) in
+  Design.reconnect_ff_to_lcb d ~ff ~lcb:other;
+  let to_net = Design.pin_net_id d (Design.cell_pin d ff "CK") in
+  ignore
+    (step "reconnect_ff_to_lcb"
+       [ Io.Net_line (ck, Io.net_line d ck); Io.Net_line (to_net, Io.net_line d to_net) ]);
   Design.swap_master d inv "INV_X4";
-  ignore (check "swap_master");
-  (* CTS-style growth: new cells get new slots *)
-  let root_net = Design.pin_net_id d (Design.port_pin d (Design.clock_root_id d)) in
-  let lcb = Design.add_cell d ~name:"extra_lcb" ~master:"LCB" ~pos:(Design.cell_pos d ff) in
-  Design.net_add_sink d root_net (Design.cell_pin d lcb "CKI");
-  ignore (Design.add_net d ~name:"extra_ck" ~driver:(Design.cell_pin d lcb "CKO") ~sinks:[]);
-  Design.reconnect_ff_to_lcb d ~ff ~lcb;
-  let m = misses () in
-  ignore (check "add_cell/add_net");
-  checki "the added cell formats its two coordinates" (m + 2) (misses ());
-  let m = misses () in
-  ignore (check "idle rewrite after growth");
-  checki "idle rewrite after growth formats no cell coordinate" m (misses ())
+  ignore (step "swap_master" [ cell inv ]);
+  (* the later of two edits of one line wins *)
+  ignore (step "two edits of one line" [ Io.Cell_line (inv, "cell stale"); cell inv ]);
+  match Io.apply_edits !text [ Io.Cell_line (Design.num_cells d, "cell x") ] with
+  | _ -> Alcotest.fail "an edit past the last cell applies"
+  | exception Failure _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* id stability: fingerprints over every id space *)
@@ -321,7 +313,7 @@ let () =
           Alcotest.test_case "byte-identical after flow" `Slow
             test_round_trip_after_flow_byte_identical;
           Alcotest.test_case "ids survive round trip" `Quick test_ids_survive_round_trip;
-          Alcotest.test_case "memoized writer tracks edits" `Quick test_memo_writer_tracks_edits;
+          Alcotest.test_case "line edits track edits" `Quick test_line_edits_track_edits;
         ] );
       ( "id-stability",
         [

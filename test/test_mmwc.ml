@@ -1,11 +1,10 @@
 (* Tests for strongly connected components and the minimum/maximum mean
-   cycle solvers, including cross-validation of Karp against Lawler on
+   cycle solvers, including cross-validation of Howard against Karp on
    random graphs. *)
 
 module Digraph = Css_mmwc.Digraph
 module Scc = Css_mmwc.Scc
 module Karp = Css_mmwc.Karp
-module Lawler = Css_mmwc.Lawler
 module Howard = Css_mmwc.Howard
 module Rng = Css_util.Rng
 
@@ -117,18 +116,6 @@ let test_karp_max () =
   | None -> Alcotest.fail "cycle expected"
   | Some (mean, _) -> checkf 1e-9 "max mean" 4.0 mean
 
-let test_lawler_triangle () =
-  let g = Digraph.make ~n:3 [ (0, 1, -4.0); (1, 2, -2.0); (2, 0, -3.0) ] in
-  match Lawler.min_mean_cycle g with
-  | None -> Alcotest.fail "cycle expected"
-  | Some (mean, cyc) ->
-    checkf 1e-6 "mean" (-3.0) mean;
-    checkf 1e-6 "cycle achieves mean" (-3.0) (cycle_mean_of g cyc)
-
-let test_lawler_acyclic () =
-  let g = Digraph.make ~n:3 [ (0, 1, 1.0); (1, 2, -10.0) ] in
-  checkb "no cycle" true (Lawler.min_mean_cycle g = None)
-
 let random_graph rng n m =
   let edges =
     List.init m (fun _ ->
@@ -138,22 +125,6 @@ let random_graph rng n m =
      sequential-graph convention, so compare without them *)
   let edges = List.filter (fun (u, v, _) -> u <> v) edges in
   Digraph.make ~n edges
-
-let test_karp_lawler_agree () =
-  let rng = Rng.create 12345 in
-  for case = 1 to 40 do
-    let n = Rng.int_in rng 3 12 in
-    let m = Rng.int_in rng n (3 * n) in
-    let g = random_graph rng n m in
-    match (Karp.min_mean_cycle g, Lawler.min_mean_cycle g) with
-    | None, None -> ()
-    | Some (a, cyc_a), Some (b, cyc_b) ->
-      checkf 1e-5 (Printf.sprintf "case %d: means agree" case) a b;
-      checkf 1e-5 (Printf.sprintf "case %d: karp cycle mean" case) a (cycle_mean_of g cyc_a);
-      checkf 1e-5 (Printf.sprintf "case %d: lawler cycle mean" case) b (cycle_mean_of g cyc_b)
-    | Some _, None -> Alcotest.fail (Printf.sprintf "case %d: lawler missed a cycle" case)
-    | None, Some _ -> Alcotest.fail (Printf.sprintf "case %d: karp missed a cycle" case)
-  done
 
 let test_howard_triangle () =
   let g = Digraph.make ~n:3 [ (0, 1, -4.0); (1, 2, -2.0); (2, 0, -3.0) ] in
@@ -250,9 +221,6 @@ let () =
           Alcotest.test_case "karp: triangle" `Quick test_karp_triangle;
           Alcotest.test_case "karp: picks worst" `Quick test_karp_picks_worst_cycle;
           Alcotest.test_case "karp: max variant" `Quick test_karp_max;
-          Alcotest.test_case "lawler: triangle" `Quick test_lawler_triangle;
-          Alcotest.test_case "lawler: acyclic" `Quick test_lawler_acyclic;
-          Alcotest.test_case "karp = lawler on random graphs" `Quick test_karp_lawler_agree;
           Alcotest.test_case "howard: triangle" `Quick test_howard_triangle;
           Alcotest.test_case "howard: acyclic" `Quick test_howard_acyclic;
           Alcotest.test_case "howard: picks worst" `Quick test_howard_picks_worst;
