@@ -403,11 +403,10 @@ let scheduler_config st =
 
 (* {2 Checkpoint / rollback} *)
 
-(* The final sign-off: a fresh evaluator timer, independent of any
-   incremental state. *)
-let evaluate_now st = Evaluator.evaluate ~timer:st.cfg.timer (Timer.design st.timer)
-
-(* Checkpoint scoring: the same report, kept up to date incrementally. *)
+(* Checkpoint scoring and the final sign-off: one scorer per session,
+   brought up to date with the design's diff, bitwise a fresh
+   [Evaluator.evaluate] (the oracles named at [rollback] hold it).
+   Without scored checkpoints it is built at the first sign-off. *)
 let score_now st =
   let s =
     match st.scorer with
@@ -422,9 +421,9 @@ let score_now st =
   in
   Evaluator.score s
 
-(* The cheap stand-in for {!evaluate_now} when [final_eval = false]: the
+(* The cheap stand-in for {!score_now} when [final_eval = false]: the
    live timer's view of the schedule (scheduled latencies still count,
-   no constraint audit, no fresh propagation). Right for a service
+   no constraint audit, no scoring timer). Right for a service
    answering delta requests; never for final paper scoring. *)
 let live_report st =
   {
@@ -438,10 +437,10 @@ let live_report st =
     constraint_errors = [];
   }
 
-(* Checkpoint scoring needs the independent evaluator (its own timer,
-   apart from the live one); without it there is nothing trustworthy
-   to roll back to, so [final_eval = false] also disables rollback
-   scoring. *)
+(* Checkpoint scoring needs the contest view of the scorer (its own
+   timer, physical latencies only), not the live timer's; without it
+   there is nothing trustworthy to roll back to, so [final_eval = false]
+   also disables rollback scoring. *)
 let scored_checkpoints st = st.cfg.rollback && st.cfg.final_eval
 
 let take_checkpoint st ~label =
@@ -752,7 +751,7 @@ let finalize st =
         (edges + s.Extract.edges_extracted, cones + s.Extract.cone_nodes))
       (run.edges, run.cones) (live_engines st)
   in
-  let final_report = if st.cfg.final_eval then evaluate_now st else live_report st in
+  let final_report = if st.cfg.final_eval then score_now st else live_report st in
   let report, rolled_back =
     if not (scored_checkpoints st) then (final_report, false)
     else

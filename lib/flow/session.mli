@@ -143,19 +143,19 @@ type config = {
           (default true); with [false] repairable findings are fatal *)
   rollback : bool;
       (** checkpoint after every phase and restore the best-scoring
-          state if the run ends worse (default true). Checkpoints are
-          scored by one incremental {!Css_eval.Evaluator.scorer} per
-          session, bitwise equal to a fresh evaluation; the final
-          sign-off is always a fresh one. *)
+          state if the run ends worse (default true). Checkpoints and
+          the sign-off read one {!Css_eval.Evaluator.scorer} per
+          session, bitwise a fresh evaluation: see
+          [Css_oracle.Oracles.check_scorer_identity] and [pipeline]. *)
   final_eval : bool;
-      (** score the final state with the independent evaluator (default
-          true — the paper-scoring contract). [false] synthesizes the
-          report from the live timer instead: much cheaper (no fresh
-          timer build per request — the difference between an ECO answer
-          and a from-scratch run), but rollback scoring is disabled with
-          it ([rolled_back] is always false) and constraint auditing is
-          skipped. Services answering delta requests set [false]; final
-          sign-off keeps [true]. *)
+      (** score the final state with the contest evaluator (default
+          true — the paper-scoring contract): the session's scorer (see
+          [rollback]; built at [finish] if no checkpoint was scored).
+          [false] synthesizes the report from the live timer instead: no
+          scoring timer (an ECO answer, not a from-scratch run), but
+          rollback scoring is disabled with it ([rolled_back] is always
+          false) and constraint auditing is skipped. Services answering
+          delta requests set [false]; final sign-off keeps [true]. *)
   on_phase_end : (round:int -> phase:string -> Css_netlist.Design.t -> unit) option;
       (** test/fault-injection hook called after each phase completes,
           before the phase is scored for checkpointing; the session

@@ -2,7 +2,5 @@ let of_points = function
   | [] | [ _ ] -> 0.0
   | ps -> Rect.half_perimeter (Rect.of_points ps)
 
-let total nets = List.fold_left (fun acc net -> acc +. of_points net) 0.0 nets
-
 let increase_pct ~before ~after =
   if before = 0.0 then 0.0 else (after -. before) /. before *. 100.0

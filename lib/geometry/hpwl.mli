@@ -8,9 +8,6 @@
     than two pins). *)
 val of_points : Point.t list -> float
 
-(** [total nets] sums [of_points] over a list of nets. *)
-val total : Point.t list list -> float
-
 (** [increase_pct ~before ~after] is the percentage increase of [after]
     over [before] ([0.] when [before = 0.]). *)
 val increase_pct : before:float -> after:float -> float

@@ -277,9 +277,6 @@ let[@inline] pin_y t p =
 
 let pin_pos t p = Point.make (pin_x t p) (pin_y t p)
 
-let[@inline] pin_dist t p q =
-  Float.abs (pin_x t p -. pin_x t q) +. Float.abs (pin_y t p -. pin_y t q)
-
 let net_name t n = Vec.get t.net_name n
 
 let[@inline] net_driver_id t n = Ivec.get t.net_driver n
@@ -448,34 +445,44 @@ let[@inline] latency_hi t ff =
 
 let clear_latency_bounds t ff = Hashtbl.remove t.latency_bounds ff
 
-let net_pin_points t n =
-  let pts =
-    match net_driver t n with
-    | None -> []
-    | Some d -> [ pin_pos t d ]
-  in
-  pts @ List.map (pin_pos t) (net_sinks t n)
-
-let net_hpwl t n = Css_geometry.Hpwl.of_points (net_pin_points t n)
+(* the min/max fold of [Hpwl.of_points], in its order, without the point
+   list or the box records *)
+let[@inline] net_hpwl t n =
+  let sinks = Vec.get t.net_sinks n and d = net_driver_id t n in
+  let k = Ivec.length sinks and first = if d >= 0 then 0 else 1 in
+  if k + 1 - first < 2 then 0.0
+  else begin
+    let p0 = if d >= 0 then d else Ivec.get sinks 0 in
+    let lx = ref (pin_x t p0) and ly = ref (pin_y t p0) in
+    let hx = ref !lx and hy = ref !ly in
+    for i = first to k - 1 do
+      let p = Ivec.get sinks i in
+      let x = pin_x t p and y = pin_y t p in
+      lx := Float.min !lx x;
+      ly := Float.min !ly y;
+      hx := Float.max !hx x;
+      hy := Float.max !hy y
+    done;
+    !hx -. !lx +. (!hy -. !ly)
+  end
 
 let total_hpwl t =
   let acc = ref 0.0 in
-  iter_nets t (fun n -> acc := !acc +. net_hpwl t n);
+  for n = 0 to num_nets t - 1 do
+    acc := !acc +. net_hpwl t n
+  done;
   !acc
 
 let check t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   iter_nets t (fun n ->
-      (match net_driver t n with
-      | None -> err "net %s has no driver" (net_name t n)
-      | Some d ->
-        if pin_net t d <> Some n then err "net %s: driver pin points to another net" (net_name t n));
-      List.iter
-        (fun p ->
-          if pin_net t p <> Some n then err "net %s: sink pin points to another net" (net_name t n);
-          if pin_is_output t p then err "net %s: sink pin is a signal source" (net_name t n))
-        (net_sinks t n));
+      let d = net_driver_id t n in
+      if d < 0 then err "net %s has no driver" (net_name t n)
+      else if pin_net_id t d <> n then err "net %s: driver pin points to another net" (net_name t n);
+      iter_net_sinks t n (fun p ->
+          if pin_net_id t p <> n then err "net %s: sink pin points to another net" (net_name t n);
+          if pin_is_output t p then err "net %s: sink pin is a signal source" (net_name t n)));
   Array.iter
     (fun ff ->
       match lcb_of_ff t ff with

@@ -183,10 +183,6 @@ val pin_x : t -> pin_id -> float
 
 val pin_y : t -> pin_id -> float
 
-(** [pin_dist t p q] is the Manhattan distance between two pins — the
-    wire-length argument of the Elmore model. O(1), allocation-free. *)
-val pin_dist : t -> pin_id -> pin_id -> float
-
 (** [pin_is_output t p] is true for cell output pins and input-port pins
     (the signal sources of their nets). O(1), allocation-free. *)
 val pin_is_output : t -> pin_id -> bool
@@ -335,7 +331,9 @@ val clear_latency_bounds : t -> cell_id -> unit
 
 (** {1 Metrics and validation} *)
 
-(** [net_hpwl t n] is the half-perimeter wire length of one net. *)
+(** [net_hpwl t n] is the half-perimeter wire length of one net: bitwise
+    {!Css_geometry.Hpwl.of_points} of its driver, then its sinks.
+    O(fanout), allocation-free. *)
 val net_hpwl : t -> net_id -> float
 
 (** [total_hpwl t] sums HPWL over all nets (clock nets included, as in the

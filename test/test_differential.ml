@@ -125,6 +125,15 @@ let test_scorer_identity_resize_cts () =
   let cts = run "scorer/cts" { Flow.default_config with Flow.use_cts = true } in
   checkb "CTS growth rebuilt the scorer" true (counter cts "eval.rebuilds" > 1)
 
+(* An [on_phase_end] hook that makes every phase end worse than the
+   run's start *)
+let push_ffs_off_die ~round:_ ~phase:_ d =
+  Array.iter
+    (fun ff ->
+      let p = Design.cell_pos d ff in
+      Design.move_cell d ff (Point.make (p.Point.x +. 5.0e5) p.Point.y))
+    (Design.ffs d)
+
 (* Delta batches into a session with rollback on. Every phase end
    pushes the flip-flops further off the die, so each run rolls back to
    its start checkpoint, which the session's own scorer took right after
@@ -143,16 +152,9 @@ let test_scorer_under_deltas () =
         Oracles.random_deltas rng design ~n:3;
       ]
   in
-  let sabotage ~round:_ ~phase:_ d =
-    Array.iter
-      (fun ff ->
-        let p = Design.cell_pos d ff in
-        Design.move_cell d ff (Point.make (p.Point.x +. 5.0e5) p.Point.y))
-      (Design.ffs d)
-  in
   let obs = Obs.create () in
   let config =
-    { Session.default_config with Session.rounds = 1; obs; on_phase_end = Some sabotage }
+    { Session.default_config with Session.rounds = 1; obs; on_phase_end = Some push_ffs_off_die }
   in
   let session = Session.open_ ~config ~algo:Flow.Ours (Flow.clone design) in
   let rollbacks = ref 0 in
@@ -180,6 +182,114 @@ let test_scorer_under_deltas () =
   checkb "every run rolled back" true (!rollbacks = List.length batches + 1);
   checkb "incremental scores" true (counter obs "eval.scores" > 2 * counter obs "eval.rebuilds");
   checkb "replacement and corner change rebuilt" true (counter obs "eval.rebuilds" >= 3)
+
+(* The sign-off reads the session's own scorer: [finish]'s report must
+   be bitwise a fresh evaluation of an independent copy of the returned
+   design, whether the run kept its final state or rolled back. After a
+   rollback past CTS the inserted LCBs stay on the clock root net, so
+   HPWL alone is exempt there (docs/ROBUSTNESS.md). *)
+let signoff_diffs ~label session (r : Session.result) =
+  let config = Session.config session in
+  let fresh =
+    Evaluator.evaluate ~timer:config.Session.timer (Session.clone (Session.design session))
+  in
+  let report =
+    if config.Session.use_cts && r.Session.rolled_back then
+      { r.Session.report with Evaluator.hpwl = fresh.Evaluator.hpwl }
+    else r.Session.report
+  in
+  Oracles.report_diffs ~label fresh report
+
+let signoff_profiles =
+  let scaled name seed =
+    { (Profile.scale 0.12 (Option.get (Profile.by_name name))) with Profile.seed }
+  in
+  [ { Profile.tiny with Profile.seed = 8080 }; scaled "sb16" 8081; scaled "sb18" 8082 ]
+
+let test_signoff_identity () =
+  let d = Session.default_config in
+  let configs =
+    [
+      ("default", d);
+      ("resize", { d with Session.use_resize = true });
+      ("cts", { d with Session.use_cts = true });
+      ("no-rollback", { d with Session.rollback = false });
+    ]
+  in
+  List.iter
+    (fun profile ->
+      let design = Generator.generate profile in
+      List.iter
+        (fun algo ->
+          List.iter
+            (fun (cname, config) ->
+              let label =
+                Printf.sprintf "sign-off/%s/%s/%s" profile.Profile.name (Flow.algo_name algo)
+                  cname
+              in
+              let obs = Obs.create () in
+              let s = Session.open_ ~config:{ config with obs } ~algo (Flow.clone design) in
+              Fun.protect
+                ~finally:(fun () -> Session.close s)
+                (fun () ->
+                  fail_all label (signoff_diffs ~label s (Session.finish s));
+                  (* no checkpoint was scored: the one scorer is built at finish *)
+                  if not config.Session.rollback then
+                    Alcotest.(check int) (label ^ ": scorer builds") 1
+                      (counter obs "eval.rebuilds")))
+            configs)
+        scorer_algos)
+    signoff_profiles
+
+(* The sign-off reads the design as it is, not the last checkpoint: a
+   combinational cell moved after the last phase (behind the session's
+   back) must show in the report. *)
+let test_signoff_reads_current_design () =
+  let design = Generator.generate (List.nth signoff_profiles 2) in
+  let s = Session.open_ ~algo:Flow.Ours design in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      let rec drain () = match Session.step s with `Phase _ -> drain () | `Done -> () in
+      drain ();
+      (* the first cell whose 1 DBU move changes the HPWL *)
+      let d = Session.design s in
+      let hpwl = Design.total_hpwl d in
+      let moved = ref false in
+      Design.iter_cells d (fun c ->
+          if not (!moved || Design.is_ff d c || Design.is_lcb d c) then begin
+            let pos = Design.cell_pos d c in
+            Design.move_cell d c (Point.make (pos.Point.x +. 1.0) pos.Point.y);
+            if Design.total_hpwl d <> hpwl then moved := true else Design.move_cell d c pos
+          end);
+      checkb "a cell moved" true !moved;
+      let r = Session.finish s in
+      checkb "kept the final state" false r.Session.rolled_back;
+      fail_all "sign-off after a late move" (signoff_diffs ~label:"late move" s r))
+
+(* The same contract on a forced rollback: every phase end pushes the
+   flip-flops off the die, so the run ends on its start checkpoint. *)
+let test_signoff_after_rollback () =
+  List.iter
+    (fun use_cts ->
+      let label = Printf.sprintf "sign-off after rollback (use_cts %b)" use_cts in
+      let config =
+        {
+          Session.default_config with
+          Session.rounds = 1;
+          use_cts;
+          on_phase_end = Some push_ffs_off_die;
+        }
+      in
+      let design = Generator.generate (List.nth signoff_profiles 2) in
+      let s = Session.open_ ~config ~algo:Flow.Ours design in
+      Fun.protect
+        ~finally:(fun () -> Session.close s)
+        (fun () ->
+          let r = Session.finish s in
+          checkb (label ^ ": rolled back") true r.Session.rolled_back;
+          fail_all label (signoff_diffs ~label s r)))
+    [ false; true ]
 
 (* {2 The fault corpus: random fault sequences, shrunk on failure} *)
 
@@ -210,16 +320,7 @@ let pipeline_survives_prop =
 
 (* {2 Resume identity: continuation must be invisible} *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "css-diff-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    dir
+let fresh_dir () = Temp_dirs.dir "css-diff-test-"
 
 let resume_algos = [ Css_flow.Flow.Ours; Css_flow.Flow.Iccss_plus; Css_flow.Flow.Fpm ]
 
@@ -358,7 +459,7 @@ let test_minimize_rejects_passing () =
   | exception Invalid_argument _ -> ()
 
 let () =
-  Alcotest.run "differential"
+  Temp_dirs.run "differential"
     [
       ( "engines",
         [
@@ -379,6 +480,10 @@ let () =
           Alcotest.test_case "identity with resize and CTS" `Quick
             test_scorer_identity_resize_cts;
           Alcotest.test_case "session deltas with rollback" `Quick test_scorer_under_deltas;
+          Alcotest.test_case "sign-off = fresh evaluation" `Quick test_signoff_identity;
+          Alcotest.test_case "sign-off after a forced rollback" `Quick test_signoff_after_rollback;
+          Alcotest.test_case "sign-off reads the current design" `Quick
+            test_signoff_reads_current_design;
         ] );
       ( "resume",
         [

@@ -495,21 +495,14 @@ let durable_config ~obs dir =
 let failed obs = Option.value ~default:0 (List.assoc_opt "flow.persist_failed" (Obs.counters obs))
 let read f = In_channel.with_open_bin f In_channel.input_all
 
-let rm_dir dir =
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
-
 let test_failed_checkpoint_write () =
   if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
-  let dir = Filename.temp_dir "css-faults" "" and other = Filename.temp_dir "css-faults" "" in
+  let dir = Temp_dirs.dir "css-faults-" and other = Temp_dirs.dir "css-faults-" in
   let obs = Obs.create () in
   let design = Generator.micro () in
   let s = Session.open_ ~config:(durable_config ~obs dir) ~algo:Session.Ours design in
   Fun.protect
-    ~finally:(fun () ->
-      Session.close s;
-      rm_dir dir;
-      rm_dir other)
+    ~finally:(fun () -> Session.close s)
     (fun () ->
       ignore (Session.finish s);
       (* a save into another directory writes a base there *)
@@ -543,7 +536,7 @@ let test_failed_checkpoint_write () =
    with a real journal. *)
 let test_failed_journal_append () =
   if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
-  let dir = Filename.temp_dir "css-faults" "" in
+  let dir = Temp_dirs.dir "css-faults-" in
   let obs = Obs.create () in
   let design = Generator.micro () in
   let ff = Design.cell_name design (Design.ffs design).(0) in
@@ -564,9 +557,7 @@ let test_failed_journal_append () =
   in
   let s = Session.open_ ~config:(durable_config ~obs dir) ~algo:Session.Ours design in
   Fun.protect
-    ~finally:(fun () ->
-      Session.close s;
-      rm_dir dir)
+    ~finally:(fun () -> Session.close s)
     (fun () ->
       ignore (Session.finish s);
       let journal = Persist.journal_path ~dir in
@@ -604,7 +595,7 @@ let () =
       (fun f -> Alcotest.test_case (Mutator.lib_name f) `Quick (test_lib_fault f))
       Mutator.all_lib
   in
-  Alcotest.run "faults"
+  Temp_dirs.run "faults"
     [
       ("netlist-faults", netlist_cases);
       ("sdc-faults", sdc_cases);

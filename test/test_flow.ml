@@ -194,16 +194,7 @@ let test_flow_with_cts () =
 
 (* {2 Durable checkpoints, budgets and resume} *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "css-flow-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    dir
+let fresh_dir () = Temp_dirs.dir "css-flow-test-"
 
 let test_persist_roundtrip () =
   let dir = fresh_dir () in
@@ -847,7 +838,7 @@ let test_flow_on_micro () =
   checkb "micro late improved" true (r.Flow.report.Evaluator.tns_late > before.Evaluator.tns_late)
 
 let () =
-  Alcotest.run "flow"
+  Temp_dirs.run "flow"
     [
       ( "flow",
         [

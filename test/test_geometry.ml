@@ -76,8 +76,7 @@ let test_rect_expand_center () =
 let test_hpwl_basics () =
   checkf "empty net" 0.0 (Hpwl.of_points []);
   checkf "single pin" 0.0 (Hpwl.of_points [ p 3. 3. ]);
-  checkf "two pins" 7.0 (Hpwl.of_points [ p 0. 0.; p 3. 4. ]);
-  checkf "total" 10.0 (Hpwl.total [ [ p 0. 0.; p 3. 4. ]; [ p 0. 0.; p 1. 2. ] ])
+  checkf "two pins" 7.0 (Hpwl.of_points [ p 0. 0.; p 3. 4. ])
 
 let test_hpwl_increase () =
   checkf "10 pct" 10.0 (Hpwl.increase_pct ~before:100.0 ~after:110.0);

@@ -136,6 +136,40 @@ let test_hpwl () =
   Design.iter_nets d (fun n -> if Design.net_name d n = "nq2" then nq2 := n);
   checkf 1e-9 "single net hpwl" 850.0 (Design.net_hpwl d !nq2)
 
+(* [net_hpwl] folds min/max in place; the list formula folds the same
+   pins as boxed points, driver first. They must agree bit for bit on
+   every net of generator designs and on nets of 0 and 1 sinks, and
+   [total_hpwl] must be their sum in net order. *)
+let test_hpwl_list_formula () =
+  let list_hpwl d n =
+    let sinks = List.map (Design.pin_pos d) (Design.net_sinks d n) in
+    Css_geometry.Hpwl.of_points
+      (match Design.net_driver d n with Some p -> Design.pin_pos d p :: sinks | None -> sinks)
+  in
+  let same label d =
+    let total = ref 0.0 in
+    Design.iter_nets d (fun n ->
+        let expected = list_hpwl d n in
+        total := !total +. expected;
+        if Int64.bits_of_float (Design.net_hpwl d n) <> Int64.bits_of_float expected then
+          Alcotest.failf "%s: net %s (%d sinks): %h vs list formula %h" label
+            (Design.net_name d n) (Design.net_fanout d n) (Design.net_hpwl d n) expected);
+    checkb (label ^ ": total is the sum") true
+      (Int64.bits_of_float (Design.total_hpwl d) = Int64.bits_of_float !total)
+  in
+  let d, _, _, _, _ = build_small () in
+  let inv = Design.add_cell d ~name:"inv3" ~master:"INV_X1" ~pos:(p 700. 700.) in
+  let dangling = Design.add_net d ~name:"ndangle" ~driver:(Design.cell_pin d inv "Z") ~sinks:[] in
+  checkf 0.0 "0-sink net" 0.0 (Design.net_hpwl d dangling);
+  checkb "the small design has 1-sink nets" true
+    (List.exists (fun n -> Design.net_fanout d n = 1) (List.init (Design.num_nets d) Fun.id));
+  same "small" d;
+  let module Generator = Css_benchgen.Generator in
+  let module Profile = Css_benchgen.Profile in
+  same "micro" (Generator.micro ());
+  same "tiny" (Generator.generate Profile.tiny);
+  same "sb18" (Generator.generate (Profile.scale 0.12 (Option.get (Profile.by_name "sb18"))))
+
 let test_pin_queries () =
   let d, ff1, _, _, _ = build_small () in
   let qpin = Design.cell_pin d ff1 "Q" in
@@ -376,6 +410,7 @@ let () =
           Alcotest.test_case "add_net validation" `Quick test_add_net_validation;
           Alcotest.test_case "check: missing clock" `Quick test_check_catches_missing_clock;
           Alcotest.test_case "hpwl" `Quick test_hpwl;
+          Alcotest.test_case "hpwl = list formula" `Quick test_hpwl_list_formula;
           Alcotest.test_case "pin queries" `Quick test_pin_queries;
         ] );
       ( "verilog",

@@ -48,16 +48,7 @@ let check_same_latencies msg a b =
       if n1 <> n2 || v1 <> v2 then Alcotest.failf "%s: ff %d: %s=%s vs %s=%s" msg i n1 v1 n2 v2)
     a
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "css-service-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    dir
+let fresh_dir () = Temp_dirs.dir "css-service-test-"
 
 (* {2 Session lifecycle} *)
 
@@ -367,8 +358,9 @@ let fresh_socket =
   let n = ref 0 in
   fun () ->
     incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "css-serve-%d-%d.sock" (Unix.getpid ()) !n)
+    Temp_dirs.track
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "css-serve-%d-%d.sock" (Unix.getpid ()) !n))
 
 let daemon_config ?(state_dir = None) ~socket () =
   { Server.default_config with Server.socket; state_dir; rounds = 2; jobs = 1; max_sessions = 5 }
@@ -655,7 +647,7 @@ let test_warm_delta_speedup () =
       true (ratio >= 5.0)
 
 let () =
-  Alcotest.run "service"
+  Temp_dirs.run "service"
     [
       ( "session",
         [
