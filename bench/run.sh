@@ -12,7 +12,8 @@
 #                         --jobs 1 and --jobs 2 give byte-identical
 #                         results, that malformed input exits 2, and
 #                         that --trace-out writes a trace holding
-#                         pool.chunk and late-css spans (seconds)
+#                         pool.chunk, late-css and reconnect spans
+#                         (seconds)
 #   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
 #                         on the ~1M-cell "-paper" profile variants,
 #                         printing cells/sec, peak RSS and the
@@ -73,13 +74,14 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: tracer spill file left behind after successful export" >&2
     exit 1
   fi
-  # the CLI attaches its tracer to Obs only: worker-track pool spans and
-  # the session's phase spans must still reach it
+  # the CLI attaches its tracer to Obs only: worker-track pool spans,
+  # the session's phase spans and the OPT spans nested in them must
+  # still reach it
   python3 - "$PWD/css_trace.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 spans = {e.get("name") for e in events if e.get("ph") == "B"}
-missing = [n for n in ("pool.chunk", "late-css") if n not in spans]
+missing = [n for n in ("pool.chunk", "late-css", "reconnect") if n not in spans]
 if missing:
     sys.exit("smoke: trace has no %s span" % " or ".join(missing))
 PY

@@ -630,9 +630,9 @@ let css_opt_phase st ~round ~corner =
     end
     else targets
   in
-  let rstats = Reconnect.realize st.timer ~targets in
-  let mstats = Cell_move.repair_early st.timer in
   let obs = st.cfg.obs in
+  let rstats = Obs.span obs "reconnect" (fun () -> Reconnect.realize st.timer ~targets) in
+  let mstats = Obs.span obs "cell-move" (fun () -> Cell_move.repair_early st.timer) in
   Obs.add (Obs.counter obs "opt.reconnect.attempted") rstats.Reconnect.attempted;
   Obs.add (Obs.counter obs "opt.reconnect.reconnected") rstats.Reconnect.reconnected;
   Obs.add (Obs.counter obs "opt.cell_move.moves_tried") mstats.Cell_move.moves_tried;

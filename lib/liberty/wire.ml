@@ -16,8 +16,10 @@ let[@inline] delay t ~r_drive ~len =
 
 let cap t ~len = if len <= 0.0 then 0.0 else t.c_unit *. len
 
-(* Solve r_drive*c*len + r*c*len^2/2 = target for len >= 0. *)
-let length_for_delay t ~r_drive ~target =
+(* Solve r_drive*c*len + r*c*len^2/2 = target for len >= 0. Inlined:
+   reconnection ranks every LCB by it, and a float crossing a call is
+   boxed. *)
+let[@inline] length_for_delay t ~r_drive ~target =
   if target <= 0.0 then 0.0
   else begin
     let a = t.r_unit *. t.c_unit /. 2.0 in

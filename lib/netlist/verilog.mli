@@ -6,13 +6,6 @@
     (COMPONENTS with PLACED coordinates and the clock-net routing left to
     the consumer). Export only — designs are not read back from Verilog. *)
 
-(** [export_diagnostics design] reports names that would not survive the
-    hand-off as structured diagnostics (codes [VER-001..VER-004]):
-    module/port/instance/net names that are not legal simple Verilog
-    identifiers, and port/instance name collisions. Empty means the
-    exported text is well-formed for any standard consumer. *)
-val export_diagnostics : Design.t -> Css_util.Diag.t list
-
 (** [to_verilog design] is the structural netlist: one module named after
     the design, ports in declaration order, one wire per internal net, and
     one instantiation per cell with named port connections. *)

@@ -12,7 +12,19 @@
     adopted 8 reconnected FFs in this pass (the paper's guard against
     uncontrollable clock-network topology changes).
     Targets at or below {!Css_netlist.Design.min_realized_target} keep
-    their current LCB. *)
+    their current LCB.
+
+    Each call builds one flat table of the design's LCBs (position,
+    insertion delay, drive resistance, output net, adoptions this pass
+    and the output net's bounding box), and each FF makes one
+    allocation-free pass over it: eligibility and the Eq. 16 rank key
+    are computed inline, and a bounded sorted array keeps the 12 best
+    by [(score, LCB id)] — the order of [compare] on the pairs, so equal
+    scores go to the lower id. The kept candidates are costed once each
+    in that order and the first strict minimum wins. When an FF moves,
+    its new LCB's box grows by the FF's position and its old LCB's box
+    is recomputed from the net, so every cost reads the live clock
+    nets. *)
 
 type stats = {
   mutable attempted : int;

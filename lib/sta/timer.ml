@@ -80,8 +80,8 @@ type t = {
   graph : Graph.t;
   design : Design.t;
   cfg : config;
-  mutable obs : Obs.t;
-  mutable oc : obs_counters;
+  obs : Obs.t;
+  oc : obs_counters;
   load : float array;  (* per node; meaningful for net drivers *)
   at_max : float array;
   at_min : float array;
@@ -125,10 +125,6 @@ let graph t = t.graph
 let design t = t.design
 let config t = t.cfg
 let obs t = t.obs
-
-let set_obs t obs =
-  t.obs <- obs;
-  t.oc <- resolve_obs_counters obs
 
 (* ------------------------------------------------------------------ *)
 (* Loads                                                               *)

@@ -55,11 +55,6 @@ val design : t -> Css_netlist.Design.t
 val config : t -> config
 val obs : t -> Css_util.Obs.t
 
-(** [set_obs t obs] redirects the timer's counters to [obs] (e.g. when a
-    flow attaches observability to a timer built elsewhere). Counts
-    already accumulated are not transferred. *)
-val set_obs : t -> Css_util.Obs.t -> unit
-
 (** {1 Propagation} *)
 
 (** [propagate t] recomputes all arrivals, slews and required times from

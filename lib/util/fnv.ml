@@ -10,8 +10,6 @@ let mix_int64 h x =
   done;
   !h
 
-let mix_int h x = mix_int64 h (Int64.of_int x)
-let mix_float h x = mix_int64 h (Int64.bits_of_float x)
 
 (* a loop, not [String.iter]: a ref captured by a closure escapes, and
    every byte would box a fresh Int64 *)

@@ -1,6 +1,6 @@
 (** FNV-1a hashing over 64-bit words.
 
-    The repo's content hashes (checkpoint bodies, cone macromodels) all
+    The repo's content hashes (checkpoint bases and journal records) all
     use the same primitive so two layers never disagree about what a
     given byte sequence hashes to. Numeric payloads are folded in as
     whole 64-bit words, one byte at a time, exactly as FNV-1a would
@@ -15,15 +15,6 @@ val mix_byte : int64 -> int -> int64
 
 (** [mix_int64 h x] folds all 8 bytes of [x] into [h], little-endian. *)
 val mix_int64 : int64 -> int64 -> int64
-
-(** [mix_int h x] folds [x] (as a 64-bit word) into [h]. *)
-val mix_int : int64 -> int -> int64
-
-(** [mix_float h x] folds the IEEE-754 bit pattern of [x] into [h].
-    Distinct bit patterns (including [-0.] vs [0.] and NaN payloads)
-    hash differently — bitwise identity is the invariant the oracles
-    check, so the hash must not quotient it away. *)
-val mix_float : int64 -> float -> int64
 
 (** [of_string s] is the FNV-1a hash of the bytes of [s]. *)
 val of_string : string -> int64

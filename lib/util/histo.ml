@@ -156,7 +156,3 @@ let of_json j =
       bs
   | _ -> ());
   t
-
-let pp_compact t =
-  Printf.sprintf "n=%d p50=%.4g p95=%.4g p99=%.4g max=%.4g" t.n (quantile t 0.50)
-    (quantile t 0.95) (quantile t 0.99) (max_value t)

@@ -77,6 +77,3 @@ val clear : t -> unit
 val to_json : t -> Json.t
 
 val of_json : Json.t -> t
-
-(** One-line ["n=... p50=... p95=... p99=... max=..."] summary. *)
-val pp_compact : t -> string

@@ -42,12 +42,6 @@ let current_rss_bytes () = scan_kb_field "/proc/self/status" "VmRSS"
 
 let available_bytes () = scan_kb_field "/proc/meminfo" "MemAvailable"
 
-(* GC-side memory accounting, to pair with the kernel-side RSS readers:
-   RSS says what the OS charges us, these say what the OCaml heap is
-   actually doing — the gap is fragmentation plus malloc'd C memory. *)
-
-let gc_heap_words () = (Gc.quick_stat ()).Gc.heap_words
-
 (* Total words ever allocated, minor + direct-to-major, promotions
    excluded (they would double count). Monotone; differences bound the
    allocation cost of a phase or iteration. *)

@@ -23,12 +23,6 @@ val current_rss_bytes : unit -> int
     instead of OOM-killing the runner. *)
 val available_bytes : unit -> int
 
-(** [gc_heap_words ()] is the OCaml major heap size in words
-    ([Gc.quick_stat]): the GC-side counterpart of
-    {!current_rss_bytes} — the gap between the two is fragmentation
-    plus C-allocated memory. *)
-val gc_heap_words : unit -> int
-
 (** [gc_allocated_words ()] is the total words this process ever
     allocated (minor plus direct-to-major, promotions excluded).
     Monotone; the difference across a phase or iteration is its

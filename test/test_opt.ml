@@ -96,6 +96,250 @@ let test_reconnect_reduces_violation_after_css () =
     (eval1.Css_eval.Evaluator.tns_early > eval0.Css_eval.Evaluator.tns_early)
 
 (* ------------------------------------------------------------------ *)
+(* Reconnection identity: the flat scan against a list-based reference *)
+
+module Wire = Css_liberty.Wire
+module Library = Css_liberty.Library
+module Cell = Css_liberty.Cell
+module Rect = Css_geometry.Rect
+
+(* What the reference saw, summed over a trial set: each must be
+   nonzero, or the identity checks prove nothing about that rule. *)
+type coverage = {
+  mutable full : int;  (** an LCB refused at the fanout limit *)
+  mutable capped : int;  (** an LCB refused after 8 adoptions *)
+  mutable netless : int;  (** an LCB refused for having no output net *)
+  mutable score_ties : int;  (** equal rank keys among the 12 costed *)
+  mutable cost_ties : int;  (** a candidate costing exactly the best so far *)
+  mutable last_won : int;  (** the 12th-ranked of more than 12 eligible won *)
+}
+
+(* Reconnection as a filter / sort / take-12 / fold over lists, with the
+   clock-net box rebuilt from the live net for every cost: the obviously
+   right spelling of Section IV-A that [Reconnect.realize] must match
+   choice for choice and bit for bit. Returns
+   [(attempted, reconnected, residual_error)]. *)
+let reference_realize cov design ~targets =
+  let wire = Library.wire (Design.library design) in
+  let lcb_params lcb =
+    let master = Design.cell_master design lcb in
+    let insertion =
+      match master.Cell.role with
+      | Cell.Clock_buffer { insertion } -> insertion
+      | Cell.Combinational | Cell.Flip_flop _ -> 0.0
+    in
+    (insertion, master.Cell.drive_res)
+  in
+  let achieved lcb ff_pos =
+    let insertion, res = lcb_params lcb in
+    insertion +. Wire.delay wire ~r_drive:res ~len:(Point.manhattan (Design.cell_pos design lcb) ff_pos)
+  in
+  let out_net lcb =
+    match Design.cell_pin design lcb "CKO" with
+    | p -> Design.pin_net design p
+    | exception Not_found -> None
+  in
+  let hpwl_penalty lcb ff_pos =
+    match out_net lcb with
+    | None -> 0.0
+    | Some net -> (
+      let pts =
+        (match Design.net_driver design net with Some d -> [ Design.pin_pos design d ] | None -> [])
+        @ List.map (Design.pin_pos design) (Design.net_sinks design net)
+      in
+      match pts with
+      | [] -> 0.0
+      | _ :: _ ->
+        let box = Rect.of_points pts in
+        Rect.half_perimeter (Rect.expand box ff_pos) -. Rect.half_perimeter box)
+  in
+  let adopted = Hashtbl.create 64 in
+  let adoptions lcb = Option.value ~default:0 (Hashtbl.find_opt adopted lcb) in
+  let attempted = ref 0 and reconnected = ref 0 and residual = ref 0.0 in
+  let targets = List.sort (fun (_, a) (_, b) -> compare b a) targets in
+  List.iter
+    (fun (ff, target) ->
+      Design.set_scheduled_latency design ff 0.0;
+      if target > Design.min_realized_target then begin
+        incr attempted;
+        let ff_pos = Design.cell_pos design ff in
+        let current = try Some (Design.lcb_of_ff design ff) with Not_found -> None in
+        let _, hi = Design.latency_bounds design ff in
+        let desired = Float.min hi (Design.physical_clock_latency design ff +. target) in
+        let eligible lcb =
+          let in_window = achieved lcb ff_pos <= hi +. 1e-6 in
+          let own = Some lcb = current in
+          let has_net = out_net lcb <> None in
+          if not has_net then cov.netless <- cov.netless + 1
+          else if in_window && not own then begin
+            if Design.lcb_fanout design lcb >= Design.lcb_fanout_limit then
+              cov.full <- cov.full + 1
+            else if adoptions lcb >= 8 then cov.capped <- cov.capped + 1
+          end;
+          has_net && in_window
+          && (own || (Design.lcb_fanout design lcb < Design.lcb_fanout_limit && adoptions lcb < 8))
+        in
+        let score lcb =
+          let insertion, res = lcb_params lcb in
+          let dist_target = Wire.length_for_delay wire ~r_drive:res ~target:(desired -. insertion) in
+          Float.abs (Point.manhattan (Design.cell_pos design lcb) ff_pos -. dist_target)
+        in
+        let ranked =
+          Array.to_list (Design.lcbs design)
+          |> List.filter eligible
+          |> List.map (fun lcb -> (score lcb, lcb))
+          |> List.sort compare
+        in
+        let cands = List.filteri (fun i _ -> i < 12) ranked in
+        ignore
+          (List.fold_left
+             (fun prev (s, _) ->
+               if prev = Some s then cov.score_ties <- cov.score_ties + 1;
+               Some s)
+             None cands);
+        let cost (_, lcb) =
+          let diff = achieved lcb ff_pos -. desired in
+          let latency_err = if diff > 0.0 then 3.0 *. diff else -.diff in
+          latency_err +. (0.002 *. hpwl_penalty lcb ff_pos)
+        in
+        match cands with
+        | [] -> residual := !residual +. target
+        | first :: rest ->
+          let best =
+            List.fold_left
+              (fun acc c ->
+                if cost c = cost acc then cov.cost_ties <- cov.cost_ties + 1;
+                if cost c < cost acc then c else acc)
+              first rest
+          in
+          let _, best_lcb = best in
+          if List.length ranked > 12 && best == List.nth cands 11 then
+            cov.last_won <- cov.last_won + 1;
+          if Some best_lcb <> current then begin
+            Design.reconnect_ff_to_lcb design ~ff ~lcb:best_lcb;
+            Hashtbl.replace adopted best_lcb (adoptions best_lcb + 1);
+            incr reconnected
+          end;
+          residual := !residual +. Float.abs (achieved best_lcb ff_pos -. desired)
+      end)
+    targets;
+  (!attempted, !reconnected, !residual)
+
+(* A random clock network on a coarse grid, so equal LCB distances (and
+   equal costs) are common: 5-28 LCBs, one with no output net and one
+   at exactly the fanout limit; FFs spread over the rest, a quarter with
+   a latency window and one with an unconnected clock pin. Returns the
+   design and the reconnection targets. *)
+let random_clock_design seed =
+  let rng = Random.State.make [| seed; 0x1cb |] in
+  let grid step = float_of_int (step * Random.State.int rng (4000 / step + 1)) in
+  let d =
+    Design.create ~name:(Printf.sprintf "rc%d" seed) ~library:Library.default
+      ~die:(Rect.make ~lx:0. ~ly:0. ~hx:4000. ~hy:4000.)
+      ~clock_period:400.0 ()
+  in
+  let clk = Design.add_port d ~name:"clk" ~dir:Design.In ~pos:(Point.make 0. 0.) in
+  Design.set_clock_root d clk;
+  let nl = 5 + Random.State.int rng 24 in
+  (* about half the LCBs share one spot: more than 12 candidates tied on
+     rank key and latency, told apart only by their nets' boxes *)
+  let hub = Point.make (grid 500) (grid 500) in
+  let lcbs =
+    Array.init nl (fun i ->
+        Design.add_cell d ~name:(Printf.sprintf "lcb%d" i) ~master:"LCB"
+          ~pos:(if Random.State.bool rng then hub else Point.make (grid 500) (grid 500)))
+  in
+  let pin c n = Design.cell_pin d c n in
+  ignore
+    (Design.add_net d ~name:"clk" ~driver:(Design.port_pin d clk)
+       ~sinks:(Array.to_list (Array.map (fun l -> pin l "CKI") lcbs)));
+  (* lcbs.(0) drives nothing; lcbs.(1) is full *)
+  let nff = Design.lcb_fanout_limit + 40 + Random.State.int rng 80 in
+  let ffs =
+    Array.init nff (fun i ->
+        Design.add_cell d ~name:(Printf.sprintf "ff%d" i) ~master:"DFF"
+          ~pos:(Point.make (grid 100) (grid 100)))
+  in
+  let sinks = Array.make nl [] in
+  Array.iteri
+    (fun i ff ->
+      if i = nff - 1 then () (* clock pin left unconnected *)
+      else begin
+        let l = if i < Design.lcb_fanout_limit then 1 else 2 + Random.State.int rng (nl - 2) in
+        sinks.(l) <- pin ff "CK" :: sinks.(l)
+      end)
+    ffs;
+  for l = 1 to nl - 1 do
+    ignore
+      (Design.add_net d ~name:(Printf.sprintf "ck%d" l) ~driver:(pin lcbs.(l) "CKO")
+         ~sinks:(List.rev sinks.(l)))
+  done;
+  (* some windows end just short of an LCB's latency: only the 1e-6
+     tolerance admits it *)
+  let wire = Library.wire Library.default in
+  let latency_via ff lcb =
+    let master = Design.cell_master d lcb in
+    let insertion =
+      match master.Cell.role with Cell.Clock_buffer { insertion } -> insertion | _ -> 0.0
+    in
+    insertion
+    +. Wire.delay wire ~r_drive:master.Cell.drive_res
+         ~len:(Point.manhattan (Design.cell_pos d lcb) (Design.cell_pos d ff))
+  in
+  Array.iter
+    (fun ff ->
+      match Random.State.int rng 8 with
+      | 0 -> Design.set_latency_bounds d ff ~lo:0.0 ~hi:(45.0 +. Random.State.float rng 150.0)
+      | 1 ->
+        let lcb = lcbs.(1 + Random.State.int rng (nl - 1)) in
+        Design.set_latency_bounds d ff ~lo:0.0 ~hi:(latency_via ff lcb -. 5e-7)
+      | _ -> ())
+    ffs;
+  let targets =
+    Array.to_list ffs
+    |> List.filter (fun _ -> Random.State.int rng 4 > 0)
+    |> List.map (fun ff ->
+           let t =
+             match Random.State.int rng 6 with
+             | 0 -> 0.1 (* below the realization threshold *)
+             | 1 -> float_of_int (10 * Random.State.int rng 12)
+             | _ -> Random.State.float rng 150.0
+           in
+           (ff, t))
+  in
+  (d, targets)
+
+let test_reconnect_identity () =
+  let cov = { full = 0; capped = 0; netless = 0; score_ties = 0; cost_ties = 0; last_won = 0 } in
+  let bits = Int64.bits_of_float in
+  for seed = 1 to 40 do
+    let reference, targets = random_clock_design seed in
+    let design, _ = random_clock_design seed in
+    let attempted, reconnected, residual = reference_realize cov reference ~targets in
+    let stats = Reconnect.realize (Timer.build design) ~targets in
+    let ctx = Printf.sprintf "seed %d" seed in
+    checki (ctx ^ ": attempted") attempted stats.Reconnect.attempted;
+    checki (ctx ^ ": reconnected") reconnected stats.Reconnect.reconnected;
+    Alcotest.(check int64) (ctx ^ ": residual bits") (bits residual)
+      (bits stats.Reconnect.residual_error);
+    Array.iter
+      (fun ff ->
+        let lcb d = try Design.lcb_of_ff d ff with Not_found -> -1 in
+        checki (Printf.sprintf "%s: LCB of %s" ctx (Design.cell_name design ff))
+          (lcb reference) (lcb design))
+      (Design.ffs design);
+    (* sink order too: both swap-remove in the same sequence *)
+    Alcotest.(check string) (ctx ^ ": design text") (Css_netlist.Io.to_string reference)
+      (Css_netlist.Io.to_string design)
+  done;
+  checkb "an LCB at the fanout limit was refused" true (cov.full > 0);
+  checkb "an LCB at the adoption cap was refused" true (cov.capped > 0);
+  checkb "an LCB with no output net was refused" true (cov.netless > 0);
+  checkb "rank keys tied" true (cov.score_ties > 0);
+  checkb "costs tied" true (cov.cost_ties > 0);
+  checkb "the 12th candidate won" true (cov.last_won > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Cell movement *)
 
 (* a design whose hold violation is repairable by lengthening the data
@@ -196,6 +440,7 @@ let () =
           Alcotest.test_case "adoption cap" `Quick test_reconnect_adoption_cap;
           Alcotest.test_case "CSS+realize improves" `Quick
             test_reconnect_reduces_violation_after_css;
+          Alcotest.test_case "flat scan = list reference" `Quick test_reconnect_identity;
         ] );
       ( "cell-move",
         [
