@@ -35,6 +35,7 @@ let base_corpus profile =
     Fault_seq.design_text = Io.to_string design;
     Fault_seq.sdc_text = base_sdc;
     Fault_seq.library = Css_liberty.Library.default;
+    Fault_seq.sabotage_late = false;
   }
 
 let verdict_name = function

@@ -1,4 +1,6 @@
 module Rng = Css_util.Rng
+module Design = Css_netlist.Design
+module Point = Css_geometry.Point
 
 type op =
   | Netlist of Mutator.fault
@@ -6,6 +8,7 @@ type op =
   | Lib of Mutator.lib_fault
   | Fuzz_netlist of int
   | Fuzz_sdc of int
+  | Sabotage_late
 
 type step = {
   salt : int;
@@ -23,7 +26,15 @@ type corpus = {
   design_text : string;
   sdc_text : string;
   library : Css_liberty.Library.t;
+  sabotage_late : bool;
 }
+
+let push_ffs_off_die d =
+  Array.iter
+    (fun ff ->
+      let p = Design.cell_pos d ff in
+      Design.move_cell d ff (Point.make (p.Point.x +. 5.0e5) p.Point.y))
+    (Design.ffs d)
 
 (* SplitMix-style finalizer so nearby (seed, salt) pairs decorrelate *)
 let mix seed salt =
@@ -45,12 +56,13 @@ let gen ?(max_len = 6) rng =
         let salt = Rng.int rng 0x100000 in
         let op =
           (* netlist faults carry most of the weight; the rest split the tail *)
-          match Rng.int rng 10 with
+          match Rng.int rng 11 with
           | 0 | 1 | 2 | 3 | 4 -> Netlist (Rng.choose rng netlist_pool)
           | 5 | 6 -> Sdc (Rng.choose rng sdc_pool)
           | 7 -> Lib (Rng.choose rng lib_pool)
           | 8 -> Fuzz_netlist (1 + Rng.int rng 16)
-          | _ -> Fuzz_sdc (1 + Rng.int rng 16)
+          | 9 -> Fuzz_sdc (1 + Rng.int rng 16)
+          | _ -> Sabotage_late
         in
         { salt; op })
   in
@@ -82,6 +94,9 @@ let apply t corpus =
       let sdc_text, o = Mutator.fuzz_bytes ~ops rng corpus.sdc_text in
       note o;
       { corpus with sdc_text }
+    | Sabotage_late ->
+      note (if corpus.sabotage_late then `Noop else `Applied);
+      { corpus with sabotage_late = true }
   in
   let corpus' = List.fold_left run corpus t.steps in
   (corpus', !applied)
@@ -166,6 +181,7 @@ let op_to_string = function
   | Lib f -> "lib:" ^ Mutator.lib_name f
   | Fuzz_netlist n -> "fuzz-netlist:" ^ string_of_int n
   | Fuzz_sdc n -> "fuzz-sdc:" ^ string_of_int n
+  | Sabotage_late -> "flow:sabotage-late"
 
 let to_string t =
   Printf.sprintf "seed=%d steps=%s" t.seed
@@ -178,6 +194,7 @@ let parse_op kind v =
   | "lib" -> Option.map (fun f -> Lib f) (Mutator.lib_of_name v)
   | "fuzz-netlist" -> Option.map (fun n -> Fuzz_netlist n) (int_of_string_opt v)
   | "fuzz-sdc" -> Option.map (fun n -> Fuzz_sdc n) (int_of_string_opt v)
+  | "flow" when v = "sabotage-late" -> Some Sabotage_late
   | _ -> None
 
 let parse_step s =

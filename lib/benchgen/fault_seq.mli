@@ -2,7 +2,8 @@
 
     A fault sequence is a replayable program of corruptions — design
     text faults (including structural grafts), SDC faults, Liberty
-    corruption and byte-level fuzzing — applied in order to a {!corpus}.
+    corruption, byte-level fuzzing and a sabotaged late phase — applied
+    in order to a {!corpus}.
     Sequences are the unit the property-based harness generates,
     replays and {e minimizes}: when a sweep finds a crash or an oracle
     violation, {!minimize} (or a qcheck shrinker built on {!shrink})
@@ -23,6 +24,9 @@ type op =
   | Lib of Mutator.lib_fault  (** corrupt the cell library *)
   | Fuzz_netlist of int  (** [n] byte-level ops on the design text *)
   | Fuzz_sdc of int  (** [n] byte-level ops on the SDC text *)
+  | Sabotage_late
+      (** at run time, every late phase ends with {!push_ffs_off_die},
+          so a rollback-guarded flow rolls back *)
 
 type step = {
   salt : int;  (** per-step RNG salt, fixed at generation time *)
@@ -36,12 +40,19 @@ type t = {
 
 val length : t -> int
 
-(** What a sequence corrupts: the three ingest artifacts. *)
+(** What a sequence corrupts: the three ingest artifacts, and whether
+    the flow's late phases are sabotaged. *)
 type corpus = {
   design_text : string;
   sdc_text : string;
   library : Css_liberty.Library.t;
+  sabotage_late : bool;
 }
+
+(** [push_ffs_off_die d] moves every flip-flop 5e5 DBU right, off the
+    die: wire delays explode, so the phase it ends scores worse than
+    the run's start. *)
+val push_ffs_off_die : Css_netlist.Design.t -> unit
 
 (** [gen ?max_len rng] draws a sequence of 1..[max_len] (default 6)
     steps, each with a fresh salt. *)

@@ -1,10 +1,6 @@
 module Timer = Css_sta.Timer
 module Design = Css_netlist.Design
 module Point = Css_geometry.Point
-module Graph = Css_sta.Graph
-module Cell = Css_liberty.Cell
-module Obs = Css_util.Obs
-module Histo = Css_util.Histo
 
 type report = {
   wns_early : float;
@@ -43,101 +39,6 @@ let check_constraints design =
   List.iter (fun e -> err "netlist: %s" e) (Design.check design);
   List.rev !errors
 
-(* {1 Scoring}
-
-   A scorer owns one timer over its design and remembers what that timer
-   last saw: per-cell position and master, per-flip-flop clock latency,
-   and the netlist's size. Each [score] diffs the design against that
-   record and feeds only the differences to the timer's incremental
-   update paths; a netlist that grew (CTS inserts LCBs) is rebuilt. Node
-   state after an incremental update is a pure function of the design,
-   so the report is bitwise the one a fresh build produces. *)
-
-type scorer = {
-  s_timer_config : Timer.config;
-  s_obs : Obs.t;
-  s_design : Design.t;
-  mutable s_graph : Graph.t option;  (* a live timer's graph, for the first build only *)
-  c_scores : Obs.counter;
-  c_rebuilds : Obs.counter;
-  h_dirty : Histo.t;
-  mutable s_timer : Timer.t option;  (* None before the first score and after a failed one *)
-  mutable s_size : int * int * int;  (* cells, nets, pins *)
-  mutable s_x : float array;
-  mutable s_y : float array;
-  mutable s_master : Cell.t array;
-  mutable s_latency : float array;  (* per FF ordinal: the latency the timer used *)
-}
-
-let scorer ?(timer = Timer.default_config) ?(obs = Obs.null) ?graph design =
-  {
-    s_timer_config = timer;
-    s_obs = obs;
-    s_design = design;
-    s_graph = graph;
-    c_scores = Obs.counter obs "eval.scores";
-    c_rebuilds = Obs.counter obs "eval.rebuilds";
-    h_dirty = Obs.histogram obs "eval.dirty_cells";
-    s_timer = None;
-    s_size = (0, 0, 0);
-    s_x = [||];
-    s_y = [||];
-    s_master = [||];
-    s_latency = [||];
-  }
-
-let size d = (Design.num_cells d, Design.num_nets d, Design.num_pins d)
-
-(* A shared graph serves the first build only: after the netlist grew,
-   the scorer builds its own rather than trust one it cannot check. *)
-let rebuild s =
-  let d = s.s_design in
-  let graph = s.s_graph in
-  s.s_timer <- None;
-  s.s_graph <- None;
-  let timer = Timer.build ~config:s.s_timer_config ~obs:s.s_obs ?graph d in
-  let n = Design.num_cells d in
-  s.s_size <- size d;
-  s.s_x <- Array.init n (Design.cell_x d);
-  s.s_y <- Array.init n (Design.cell_y d);
-  s.s_master <- Array.init n (Design.cell_master d);
-  s.s_latency <- Array.map (Design.clock_latency d) (Design.ffs d);
-  s.s_timer <- Some timer;
-  Obs.incr s.c_rebuilds;
-  timer
-
-(* Moved or re-mastered cells go through [update_moved_cells] (after
-   their arcs are re-read), flip-flops whose clock latency changed —
-   reconnected, LCB moved or resized, scheduled latency edited — through
-   [update_latencies]. *)
-let refresh s timer =
-  let d = s.s_design in
-  let moved = ref [] and relat = ref [] in
-  for c = Array.length s.s_x - 1 downto 0 do
-    let x = Design.cell_x d c and y = Design.cell_y d c and m = Design.cell_master d c in
-    let swapped = m != s.s_master.(c) in
-    if swapped then begin
-      Graph.refresh_cell_arcs (Timer.graph timer) c;
-      s.s_master.(c) <- m
-    end;
-    if swapped || x <> s.s_x.(c) || y <> s.s_y.(c) then begin
-      moved := c :: !moved;
-      s.s_x.(c) <- x;
-      s.s_y.(c) <- y
-    end
-  done;
-  Array.iteri
-    (fun i ff ->
-      let l = Design.clock_latency d ff in
-      if l <> s.s_latency.(i) then begin
-        relat := ff :: !relat;
-        s.s_latency.(i) <- l
-      end)
-    (Design.ffs d);
-  if !moved <> [] then Timer.update_moved_cells timer !moved;
-  if !relat <> [] then Timer.update_latencies timer !relat;
-  Histo.observe_int s.h_dirty (List.length !moved + List.length !relat)
-
 let report_of timer design =
   {
     wns_early = Timer.wns timer Timer.Early;
@@ -150,32 +51,41 @@ let report_of timer design =
     constraint_errors = check_constraints design;
   }
 
-let score s =
-  let d = s.s_design in
-  Obs.incr s.c_scores;
-  (* Contest semantics (physical clock network only): the virtual
-     latencies are stashed while the timer and the constraint audit
-     look, and put back even when scoring raises. *)
-  let ffs = Design.ffs d in
-  let saved = Array.map (Design.scheduled_latency d) ffs in
-  Array.iter (fun ff -> Design.set_scheduled_latency d ff 0.0) ffs;
-  Fun.protect
-    ~finally:(fun () -> Array.iteri (fun i l -> Design.set_scheduled_latency d ffs.(i) l) saved)
-    (fun () ->
-      let timer =
-        match s.s_timer with
-        | Some t when s.s_size = size d -> (
-          match refresh s t with
-          | () -> t
-          | exception e ->
-            (* a half-applied diff leaves the record and the timer apart *)
-            s.s_timer <- None;
-            raise e)
-        | _ -> rebuild s
-      in
-      report_of timer d)
+(* Contest semantics (physical clock network only): the scheduled
+   latencies are masked while the timer and the constraint audit look,
+   and put back even when scoring raises. *)
 
-let evaluate ?timer design = score (scorer ?timer design)
+let evaluate ?(timer = Timer.default_config) design =
+  let ffs = Design.ffs design in
+  let saved = Array.map (Design.scheduled_latency design) ffs in
+  Array.iter (fun ff -> Design.set_scheduled_latency design ff 0.0) ffs;
+  Fun.protect
+    ~finally:(fun () -> Array.iteri (fun i l -> Design.set_scheduled_latency design ffs.(i) l) saved)
+    (fun () -> report_of (Timer.build ~config:timer design) design)
+
+(* On a live timer only the flip-flops that hold a scheduled latency are
+   re-propagated, once to mask and once to restore; node state is a pure
+   function of the design, so both views come back bitwise. *)
+let score timer =
+  let d = Timer.design timer in
+  let held =
+    Array.fold_right
+      (fun ff acc ->
+        let l = Design.scheduled_latency d ff in
+        if l <> 0.0 then (ff, l) :: acc else acc)
+      (Design.ffs d) []
+  in
+  if held = [] then report_of timer d
+  else begin
+    let ffs = List.map fst held in
+    let set latency =
+      List.iter (fun (ff, l) -> Design.set_scheduled_latency d ff (latency l)) held;
+      Timer.update_latencies timer ffs
+    in
+    Fun.protect ~finally:(fun () -> set Fun.id) (fun () ->
+        set (fun _ -> 0.0);
+        report_of timer d)
+  end
 
 let summary r =
   Printf.sprintf

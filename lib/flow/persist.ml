@@ -383,9 +383,8 @@ let save ~dir st = ignore (write_base ~dir st)
 
    What the base and the journal together hold, per cell and per net, as
    the live values it was written from. A record carries only what
-   differs from it, the way the evaluator's incremental scorer diffs
-   against its own copy of the design. Floats compare by bits: [0.0]
-   and [-0.0] print differently. *)
+   differs from it. Floats compare by bits: [0.0] and [-0.0] print
+   differently. *)
 type shadow = {
   sh_design : Design.t;
   sh_cells : int;

@@ -147,11 +147,9 @@ type t = {
   mutable cfg : config;  (* the [timer] sub-config can change via Apply_sdc *)
   algo : algo;
   engine0 : [ `Ours | `Iccss | `Fpm ];  (* the algorithm's native engine *)
-  mutable timer : Timer.t;  (* replaced by the from-scratch fallback *)
-  mutable scorer : Evaluator.scorer option;
-      (* checkpoint scoring's own timer over the live timer's graph,
-         made at the first scored checkpoint; dropped with the live
-         timer and under memory pressure, rebuilt on the next one *)
+  mutable timer : Timer.t;
+      (* the one timer: scheduling, OPT, checkpoint scores and the
+         sign-off all read it; replaced by the from-scratch fallback *)
   mutable journal : Persist.journal option;
       (* the checkpoint directory's base + journal, with [checkpoint_dir] *)
   mutable verts : Vertex.t;
@@ -175,6 +173,7 @@ type t = {
 }
 
 let design st = Timer.design st.timer
+let timer st = st.timer
 let config st = st.cfg
 let algo st = st.algo
 
@@ -338,12 +337,6 @@ let rec degrade st ~reason =
         List.iter (fun e -> Extract.set_pool e None) (live_engines st)
       | 3 -> set_stop st ("budget-" ^ reason)
       | _ -> ());
-      (* under memory pressure, shed the scoring timer and return what
-         the runtime can *)
-      if reason = "rss" then begin
-        st.scorer <- None;
-        Gc.compact ()
-      end;
       st.run.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.run.degradations_rev;
       Obs.incr (Obs.counter st.cfg.obs "flow.degradations");
       if Obs.enabled st.cfg.obs then
@@ -403,28 +396,17 @@ let scheduler_config st =
 
 (* {2 Checkpoint / rollback} *)
 
-(* Checkpoint scoring and the final sign-off: one scorer per session,
-   brought up to date with the design's diff, bitwise a fresh
-   [Evaluator.evaluate] (the oracles named at [rollback] hold it).
-   Without scored checkpoints it is built at the first sign-off. *)
-let score_now st =
-  let s =
-    match st.scorer with
-    | Some s -> s
-    | None ->
-      let s =
-        Evaluator.scorer ~timer:st.cfg.timer ~obs:st.cfg.obs ~graph:(Timer.graph st.timer)
-          (Timer.design st.timer)
-      in
-      st.scorer <- Some s;
-      s
-  in
-  Evaluator.score s
+(* Checkpoint scoring and the final sign-off read the live timer with
+   the scheduled latencies masked, bitwise a fresh [Evaluator.evaluate]
+   (the oracles named at [rollback] hold it). *)
+let score st =
+  check_open st "score";
+  Evaluator.score st.timer
 
-(* The cheap stand-in for {!score_now} when [final_eval = false]: the
-   live timer's view of the schedule (scheduled latencies still count,
-   no constraint audit, no scoring timer). Right for a service
-   answering delta requests; never for final paper scoring. *)
+(* The cheap stand-in for {!score} when [final_eval = false]: the live
+   timer's view of the schedule (scheduled latencies still count, no
+   constraint audit). Right for a service answering delta requests;
+   never for final paper scoring. *)
 let live_report st =
   {
     Evaluator.wns_early = Timer.wns st.timer Timer.Early;
@@ -437,15 +419,15 @@ let live_report st =
     constraint_errors = [];
   }
 
-(* Checkpoint scoring needs the contest view of the scorer (its own
-   timer, physical latencies only), not the live timer's; without it
-   there is nothing trustworthy to roll back to, so [final_eval = false]
-   also disables rollback scoring. *)
+(* Checkpoint scoring needs the contest view (physical latencies only),
+   not the live timer's schedule; without it there is nothing
+   trustworthy to roll back to, so [final_eval = false] also disables
+   rollback scoring. *)
 let scored_checkpoints st = st.cfg.rollback && st.cfg.final_eval
 
 let take_checkpoint st ~label =
   let design = Timer.design st.timer in
-  let report = score_now st in
+  let report = score st in
   let ffs = Design.ffs design in
   {
     Persist.label;
@@ -463,11 +445,11 @@ let take_checkpoint st ~label =
 (* A checkpoint's score is the min of both corners' WNS, the tie-break
    the sum of both corners' TNS — both read off the stored report, so a
    resumed run compares exactly the floats the interrupted one did. *)
-let score (r : Evaluator.report) = Float.min r.Evaluator.wns_early r.Evaluator.wns_late
+let merit (r : Evaluator.report) = Float.min r.Evaluator.wns_early r.Evaluator.wns_late
 let tns (r : Evaluator.report) = r.Evaluator.tns_early +. r.Evaluator.tns_late
 
 let better report (cp : Persist.checkpoint) =
-  let s = score report and best = score cp.ck_report in
+  let s = merit report and best = merit cp.ck_report in
   s > best +. 1e-9 || (s >= best -. 1e-9 && tns report > tns cp.ck_report +. 1e-9)
 
 (* Full incremental resync after arbitrary design mutation (restore or
@@ -505,7 +487,7 @@ let consider_checkpoint st ~label =
   | _ ->
     st.run.best <- Some cp;
     Obs.incr (Obs.counter st.cfg.obs "flow.checkpoints");
-    Log.debug (fun m -> m "checkpoint %s: score %.2f" label (score cp.ck_report))
+    Log.debug (fun m -> m "checkpoint %s: score %.2f" label (merit cp.ck_report))
 
 (* {2 Durable checkpoints}
 
@@ -751,26 +733,28 @@ let finalize st =
         (edges + s.Extract.edges_extracted, cones + s.Extract.cone_nodes))
       (run.edges, run.cones) (live_engines st)
   in
-  let final_report = if st.cfg.final_eval then score_now st else live_report st in
+  let final_report = if st.cfg.final_eval then score st else live_report st in
   let report, rolled_back =
     if not (scored_checkpoints st) then (final_report, false)
     else
       match run.best with
       | Some cp
-        when (not (better final_report cp)) && score cp.ck_report > score final_report +. 1e-9 ->
+        when (not (better final_report cp)) && merit cp.ck_report > merit final_report +. 1e-9 ->
         Log.warn (fun m ->
             m "final state (score %.2f) worse than checkpoint %s (score %.2f): rolling back"
-              (score final_report) cp.label (score cp.ck_report));
+              (merit final_report) cp.label (merit cp.ck_report));
         restore st cp;
         Obs.incr (Obs.counter st.cfg.obs "flow.rollbacks");
         if Obs.enabled st.cfg.obs then
           Obs.snapshot st.cfg.obs ~label:"flow.rollback"
             [
               ("checkpoint", Obs.Json.String cp.label);
-              ("checkpoint_score", Obs.Json.Float (score cp.ck_report));
-              ("final_score", Obs.Json.Float (score final_report));
+              ("checkpoint_score", Obs.Json.Float (merit cp.ck_report));
+              ("final_score", Obs.Json.Float (merit final_report));
             ];
-        (cp.ck_report, true)
+        (* the restored design, not the stored report: LCBs that CTS
+           inserted after the checkpoint stay on the clock root net *)
+        (score st, true)
       | _ -> (final_report, false)
   in
   let total_seconds = Wall_clock.now () -. st.t0 in
@@ -844,7 +828,6 @@ let create ~(config : config) ~algo ~validation ?resume design =
       algo;
       engine0;
       timer;
-      scorer = None;
       journal = Option.map (fun dir -> Persist.journal ~dir) config.checkpoint_dir;
       verts = Vertex.of_design design;
       slots = slot_table ();
@@ -964,7 +947,6 @@ let close st =
     st.closed <- true;
     Option.iter Pool.shutdown st.pool;
     st.pool <- None;
-    st.scorer <- None;
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)
@@ -1228,7 +1210,6 @@ let apply_delta st deltas =
          timing state from scratch inside the warm session *)
       st.cfg <- { st.cfg with timer = sg.sg_timer };
       st.timer <- Timer.build ~config:sg.sg_timer ~obs:st.cfg.obs sg.sg_design;
-      st.scorer <- None;
       st.verts <- Vertex.of_design sg.sg_design;
       if sg.sg_replaced then st.validation <- sg.sg_diags;
       Obs.incr (Obs.counter st.cfg.obs "session.delta_rebuild")

@@ -111,8 +111,9 @@ type result = {
           ["budget-wall"]/["budget-rss"] (hard budget limit) *)
   rolled_back : bool;
       (** the final state scored worse than an earlier checkpoint and the
-          design was restored to that checkpoint; [report] is the
-          checkpoint's evaluation *)
+          design was restored to that checkpoint; [report] scores the
+          restored design (after a rollback past CTS, the LCBs it
+          inserted stay on the clock root net and count in [hpwl]) *)
   degradations : string list;
       (** chronological ladder steps taken under soft budget pressure,
           as ["<step>(<reason>)"] — e.g. ["drop-pool(wall)"]; empty when
@@ -144,15 +145,18 @@ type config = {
   rollback : bool;
       (** checkpoint after every phase and restore the best-scoring
           state if the run ends worse (default true). Checkpoints and
-          the sign-off read one {!Css_eval.Evaluator.scorer} per
-          session, bitwise a fresh evaluation: see
-          [Css_oracle.Oracles.check_scorer_identity] and [pipeline]. *)
+          the sign-off are {!score}s of the live timer, bitwise a fresh
+          evaluation: see [Css_oracle.Oracles.check_scorer_identity]
+          and [pipeline]. After a rollback the sign-off scores the
+          restored design; which checkpoint is best is decided on the
+          stored reports, so a resumed run decides as the interrupted
+          one did. *)
   final_eval : bool;
       (** score the final state with the contest evaluator (default
-          true — the paper-scoring contract): the session's scorer (see
-          [rollback]; built at [finish] if no checkpoint was scored).
-          [false] synthesizes the report from the live timer instead: no
-          scoring timer (an ECO answer, not a from-scratch run), but
+          true — the paper-scoring contract): {!score}, physical
+          latencies only, with the constraint audit. [false] reads the
+          live timer's schedule as it stands instead (scheduled
+          latencies count; an ECO answer, not a from-scratch run), but
           rollback scoring is disabled with it ([rolled_back] is always
           false) and constraint auditing is skipped. Services answering
           delta requests set [false]; final sign-off keeps [true]. *)
@@ -250,6 +254,18 @@ val is_closed : t -> bool
 (** The live design. Owned by the session: treat as read-only and
     {!clone} before mutating outside {!apply_delta}. *)
 val design : t -> Css_netlist.Design.t
+
+(** The live timer, current with {!design}: what every phase schedules
+    on and every {!score} reads. Owned by the session: query it, never
+    update it. *)
+val timer : t -> Css_sta.Timer.t
+
+(** [score t] is the contest report of the design as it stands,
+    {!Css_eval.Evaluator.score} of the live timer: what checkpoints and
+    the sign-off read, bitwise [Css_eval.Evaluator.evaluate] of a copy.
+    Scheduled latencies are masked while it reads and put back, so the
+    design and the timer are as they were. *)
+val score : t -> Css_eval.Evaluator.report
 
 (** The session's current configuration. [Apply_sdc] deltas can change
     the [timer] sub-config; everything else is as given to {!open_}. *)

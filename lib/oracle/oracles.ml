@@ -423,37 +423,48 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)
-(* Scorer identity *)
+(* Live-timer scoring identity *)
 
-(* The incremental scorer must be an optimization, never an
-   approximation: one long-lived scorer, brought up to date after every
-   phase of a real flow (moves, reconnections, resizing, CTS growth, the
-   final rollback), must report bitwise what a fresh evaluation of an
-   independent copy reports. *)
-let check_scorer_identity ?(config = Flow.default_config) ?(obs = Obs.null) design ~algo =
+(* Scoring on the live timer must be an optimization, never an
+   approximation: at open, after every phase of a real flow (moves,
+   reconnections, resizing, CTS growth) and after the sign-off (past
+   any rollback), the session's score must be bitwise a fresh
+   evaluation of an independent copy. *)
+let check_scorer_identity ?(config = Flow.default_config) design ~algo =
   let failures = ref [] in
-  let d = Flow.clone design in
-  let scorer = Evaluator.scorer ~timer:config.Flow.timer ~obs d in
-  let scored = ref 0 in
-  let check label =
-    incr scored;
-    let reference = Evaluator.evaluate ~timer:config.Flow.timer (fresh_copy d) in
-    failures := List.rev_append (report_diffs ~label reference (Evaluator.score scorer)) !failures
+  let diffs label reference got =
+    failures := List.rev_append (report_diffs ~label reference got) !failures
   in
-  let hook ~round ~phase _ = check (Printf.sprintf "round %d %s" round phase) in
-  ignore
-    (Flow.run
-       ~config:
-         {
-           config with
-           Flow.on_phase_end = Some hook;
-           Flow.checkpoint_dir = None;
-           Flow.debug_interrupt_after_phase = None;
-           Flow.debug_interrupt_after_iteration = None;
-         }
-       ~algo d);
-  check "after the run";
-  if !scored < 2 then failures := "the flow ran no phase: nothing was compared" :: !failures;
+  let config =
+    {
+      config with
+      Flow.checkpoint_dir = None;
+      Flow.debug_interrupt_after_phase = None;
+      Flow.debug_interrupt_after_iteration = None;
+    }
+  in
+  let s = Session.open_ ~config ~algo (Flow.clone design) in
+  let phases = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      let fresh () =
+        Evaluator.evaluate ~timer:(Session.config s).Flow.timer (fresh_copy (Session.design s))
+      in
+      let check label = diffs label (fresh ()) (Session.score s) in
+      check "open";
+      let rec go () =
+        match Session.step s with
+        | `Phase label ->
+          incr phases;
+          check label;
+          go ()
+        | `Done -> ()
+      in
+      go ();
+      let r = Session.finish s in
+      diffs "sign-off" (fresh ()) r.Flow.report);
+  if !phases = 0 then failures := "the flow ran no phase: nothing was compared" :: !failures;
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)
@@ -499,7 +510,12 @@ let pipeline ?(rounds = 1) (corpus : Fault_seq.corpus) =
             well_formed_rejection ~stage:"validate" outcome.Validate.diags
           | _ -> (
             let before = Evaluator.evaluate (Flow.clone design) in
-            let config = { Flow.default_config with Flow.rounds } in
+            let on_phase_end =
+              if corpus.Fault_seq.sabotage_late then
+                Some (fun ~round:_ ~phase d -> if phase = "late" then Fault_seq.push_ffs_off_die d)
+              else None
+            in
+            let config = { Flow.default_config with Flow.rounds; on_phase_end } in
             (* the guarded flow re-validates the (already repaired)
                design; an accepted run must end no worse than its input *)
             match Flow.run ~config ~algo:Flow.Ours design with

@@ -155,23 +155,17 @@ val check_eco_identity :
   algo:Css_flow.Flow.algo ->
   string list
 
-(** [check_scorer_identity ?config ?obs design ~algo] proves the
-    incremental {!Css_eval.Evaluator.scorer} exact: it runs the flow on a
-    clone of [design] and, at every [on_phase_end] hook and once more
-    after the run (past any rollback), scores the clone with one
-    long-lived scorer and compares the report field by field
-    ({!report_diffs}) against [Evaluator.evaluate] of an independent
-    copy (text round trip plus movement anchors). [config]'s
-    [on_phase_end], persistence and debug knobs are overridden; its
-    [timer] is the scoring config. [obs] (default null) is the scorer's,
-    so a caller can read [eval.rebuilds] to see the rebuild path taken
-    (e.g. with [use_cts]). *)
+(** [check_scorer_identity ?config design ~algo] proves scoring on the
+    live timer exact: it opens a session on a clone of [design], drives
+    it with {!Css_flow.Session.step} and compares
+    {!Css_flow.Session.score} field by field ({!report_diffs}) against
+    [Evaluator.evaluate] of an independent copy (text round trip plus
+    movement anchors) at open and after every phase, and does the same
+    for {!Css_flow.Session.finish}'s report (past any rollback).
+    [config]'s persistence and debug knobs are overridden; its
+    [on_phase_end] hook, if any, runs as in a flow. *)
 val check_scorer_identity :
-  ?config:Css_flow.Flow.config ->
-  ?obs:Css_util.Obs.t ->
-  Css_netlist.Design.t ->
-  algo:Css_flow.Flow.algo ->
-  string list
+  ?config:Css_flow.Flow.config -> Css_netlist.Design.t -> algo:Css_flow.Flow.algo -> string list
 
 (** How a corrupted input was absorbed by the pipeline. *)
 type verdict =
@@ -185,8 +179,10 @@ type verdict =
 (** [pipeline ?rounds corpus] pushes a (possibly corrupted)
     {!Css_benchgen.Fault_seq.corpus} through the production pipeline:
     library validation, netlist parse ([Recover] policy), SDC parse +
-    apply, then a rollback-guarded flow run, scoring the result against
-    the input. [Ok verdict] means every stage behaved gracefully;
+    apply, then a rollback-guarded flow run (its late phases sabotaged
+    by {!Css_benchgen.Fault_seq.push_ffs_off_die} when the corpus says
+    so, which forces a rollback), scoring the result against the
+    input. [Ok verdict] means every stage behaved gracefully;
     [Error msg] is an oracle violation — an unhandled exception, a
     rejection without error-severity coded diagnostics, a NaN score, a
     flow result worse than its input, or a returned report (final or

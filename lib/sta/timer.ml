@@ -847,8 +847,8 @@ let k_worst_paths t corner e ~k =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let build ?(config = default_config) ?(obs = Obs.null) ?graph design =
-  let graph = match graph with Some g -> g | None -> Graph.build design in
+let build ?(config = default_config) ?(obs = Obs.null) design =
+  let graph = Graph.build design in
   let n = Graph.num_nodes graph in
   let sz = max n 1 in
   let out_start, out_arcs = Graph.csr_out graph in

@@ -36,19 +36,14 @@ val default_config : config
 
 type t
 
-(** [build ?config ?obs ?graph design] constructs the graph and runs a
-    full propagation. [obs] (default {!Css_util.Obs.null}) receives the
+(** [build ?config ?obs design] constructs the graph and runs a full
+    propagation. [obs] (default {!Css_util.Obs.null}) receives the
     [timer.*] counters — the timer's only work accounting:
     [full_propagations], [incremental_updates], [forward_visits] and
     [backward_visits] (per-node recomputations) and [cone_nodes] (nodes
     visited by cone walks) — the paper's "Update" cost, reported per
-    iteration by the scheduler. [graph]
-    (default [Graph.build design]) lets a second timer over [design]
-    share a live timer's data graph instead of building a copy; it must
-    be [design]'s current graph, which {!resize_cell} through either
-    timer keeps current for both. *)
-val build :
-  ?config:config -> ?obs:Css_util.Obs.t -> ?graph:Graph.t -> Css_netlist.Design.t -> t
+    iteration by the scheduler. *)
+val build : ?config:config -> ?obs:Css_util.Obs.t -> Css_netlist.Design.t -> t
 
 val graph : t -> Graph.t
 val design : t -> Css_netlist.Design.t

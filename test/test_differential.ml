@@ -90,12 +90,12 @@ let jobs_identity_prop =
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
-(* {2 The incremental scorer: bitwise a fresh evaluation} *)
+(* {2 Scoring on the live timer: bitwise a fresh evaluation} *)
 
 let scorer_algos = [ Flow.Ours; Flow.Ours_early; Flow.Iccss_plus; Flow.Fpm ]
 
-(* the acceptance sweep: 3 profiles x 4 algorithms, one long-lived
-   scorer against a fresh evaluation after every phase *)
+(* the acceptance sweep: 3 profiles x 4 algorithms, the session's score
+   against a fresh evaluation after every phase *)
 let test_scorer_identity_sweep () =
   List.iter
     (fun profile ->
@@ -108,39 +108,29 @@ let test_scorer_identity_sweep () =
         scorer_algos)
     (profiles 5150)
 
-let counter obs name = Obs.value (Obs.counter obs name)
-
-(* gate sizing stays on the incremental path; CTS grows the netlist and
-   must take the rebuild path *)
+(* gate sizing re-masters cells through the live timer; CTS grows the
+   netlist beside it *)
 let test_scorer_identity_resize_cts () =
   let design = Generator.generate (List.nth (profiles 6160) 1) in
-  let run label config =
-    let obs = Obs.create () in
-    fail_all label (Oracles.check_scorer_identity ~config ~obs design ~algo:Flow.Ours);
-    obs
-  in
-  let resize = run "scorer/resize" { Flow.default_config with Flow.use_resize = true } in
-  checkb "resize scored incrementally" true
-    (counter resize "eval.rebuilds" = 1 && counter resize "eval.scores" > 2);
-  let cts = run "scorer/cts" { Flow.default_config with Flow.use_cts = true } in
-  checkb "CTS growth rebuilt the scorer" true (counter cts "eval.rebuilds" > 1)
+  let run label config = fail_all label (Oracles.check_scorer_identity ~config design ~algo:Flow.Ours) in
+  run "scorer/resize" { Flow.default_config with Flow.use_resize = true };
+  let cts = { Flow.default_config with Flow.use_cts = true } in
+  run "scorer/cts" cts;
+  let grown = Flow.clone design in
+  ignore (Flow.run ~config:cts ~algo:Flow.Ours grown);
+  checkb "CTS inserted LCBs" true (Design.num_cells grown > Design.num_cells design)
 
 (* An [on_phase_end] hook that makes every phase end worse than the
    run's start *)
-let push_ffs_off_die ~round:_ ~phase:_ d =
-  Array.iter
-    (fun ff ->
-      let p = Design.cell_pos d ff in
-      Design.move_cell d ff (Point.make (p.Point.x +. 5.0e5) p.Point.y))
-    (Design.ffs d)
+let push_ffs_off_die ~round:_ ~phase:_ d = Fault_seq.push_ffs_off_die d
 
 (* Delta batches into a session with rollback on. Every phase end
    pushes the flip-flops further off the die, so each run rolls back to
-   its start checkpoint, which the session's own scorer took right after
-   the batch: incrementally for placement and latency deltas, from a
-   new scorer after a netlist replacement or an analysis-corner change.
-   The rolled-back report must be bitwise a fresh evaluation of the
-   restored design. *)
+   its start checkpoint, scored on the live timer right after the
+   batch: the incrementally updated one for placement and latency
+   deltas, a rebuilt one after a netlist replacement or an
+   analysis-corner change. The rolled-back report must be bitwise a
+   fresh evaluation of the restored design. *)
 let test_scorer_under_deltas () =
   let design = Generator.generate { Profile.tiny with Profile.seed = 31337 } in
   let rng = Random.State.make [| 31337; 5 |] in
@@ -152,9 +142,8 @@ let test_scorer_under_deltas () =
         Oracles.random_deltas rng design ~n:3;
       ]
   in
-  let obs = Obs.create () in
   let config =
-    { Session.default_config with Session.rounds = 1; obs; on_phase_end = Some push_ffs_off_die }
+    { Session.default_config with Session.rounds = 1; on_phase_end = Some push_ffs_off_die }
   in
   let session = Session.open_ ~config ~algo:Flow.Ours (Flow.clone design) in
   let rollbacks = ref 0 in
@@ -179,26 +168,18 @@ let test_scorer_under_deltas () =
             Alcotest.failf "%s rejected: %s" label
               (String.concat "; " (List.map Css_util.Diag.to_string ds)))
         batches);
-  checkb "every run rolled back" true (!rollbacks = List.length batches + 1);
-  checkb "incremental scores" true (counter obs "eval.scores" > 2 * counter obs "eval.rebuilds");
-  checkb "replacement and corner change rebuilt" true (counter obs "eval.rebuilds" >= 3)
+  checkb "every run rolled back" true (!rollbacks = List.length batches + 1)
 
-(* The sign-off reads the session's own scorer: [finish]'s report must
-   be bitwise a fresh evaluation of an independent copy of the returned
-   design, whether the run kept its final state or rolled back. After a
-   rollback past CTS the inserted LCBs stay on the clock root net, so
-   HPWL alone is exempt there (docs/ROBUSTNESS.md). *)
-let signoff_diffs ~label session (r : Session.result) =
+(* A report must be bitwise a fresh evaluation of an independent copy
+   of the session's design as it stands: the sign-off too, whether the
+   run kept its final state or rolled back (past CTS too: the report
+   scores the restored design, leftover LCBs and all). *)
+let fresh_diffs ~label session report =
   let config = Session.config session in
-  let fresh =
-    Evaluator.evaluate ~timer:config.Session.timer (Session.clone (Session.design session))
-  in
-  let report =
-    if config.Session.use_cts && r.Session.rolled_back then
-      { r.Session.report with Evaluator.hpwl = fresh.Evaluator.hpwl }
-    else r.Session.report
-  in
-  Oracles.report_diffs ~label fresh report
+  Oracles.report_diffs ~label
+    (Evaluator.evaluate ~timer:config.Session.timer (Session.clone (Session.design session)))
+    report
+
 
 let signoff_profiles =
   let scaled name seed =
@@ -206,6 +187,8 @@ let signoff_profiles =
   in
   [ { Profile.tiny with Profile.seed = 8080 }; scaled "sb16" 8081; scaled "sb18" 8082 ]
 
+(* The per-phase oracle, whose last comparison is the sign-off, over
+   3 profiles x 4 algorithms x 4 configurations *)
 let test_signoff_identity () =
   let d = Session.default_config in
   let configs =
@@ -227,16 +210,7 @@ let test_signoff_identity () =
                 Printf.sprintf "sign-off/%s/%s/%s" profile.Profile.name (Flow.algo_name algo)
                   cname
               in
-              let obs = Obs.create () in
-              let s = Session.open_ ~config:{ config with obs } ~algo (Flow.clone design) in
-              Fun.protect
-                ~finally:(fun () -> Session.close s)
-                (fun () ->
-                  fail_all label (signoff_diffs ~label s (Session.finish s));
-                  (* no checkpoint was scored: the one scorer is built at finish *)
-                  if not config.Session.rollback then
-                    Alcotest.(check int) (label ^ ": scorer builds") 1
-                      (counter obs "eval.rebuilds")))
+              fail_all label (Oracles.check_scorer_identity ~config design ~algo))
             configs)
         scorer_algos)
     signoff_profiles
@@ -265,7 +239,7 @@ let test_signoff_reads_current_design () =
       checkb "a cell moved" true !moved;
       let r = Session.finish s in
       checkb "kept the final state" false r.Session.rolled_back;
-      fail_all "sign-off after a late move" (signoff_diffs ~label:"late move" s r))
+      fail_all "sign-off after a late move" (fresh_diffs ~label:"late move" s r.Session.report))
 
 (* The same contract on a forced rollback: every phase end pushes the
    flip-flops off the die, so the run ends on its start checkpoint. *)
@@ -281,15 +255,78 @@ let test_signoff_after_rollback () =
           on_phase_end = Some push_ffs_off_die;
         }
       in
-      let design = Generator.generate (List.nth signoff_profiles 2) in
+      (* a design whose inserted LCBs widen the clock root net, so a
+         stale report would show in HPWL *)
+      let design =
+        Generator.generate
+          { (Profile.scale 0.12 (Option.get (Profile.by_name "sb18"))) with Profile.seed = 2 }
+      in
+      let cells = Design.num_cells design in
       let s = Session.open_ ~config ~algo:Flow.Ours design in
       Fun.protect
         ~finally:(fun () -> Session.close s)
         (fun () ->
           let r = Session.finish s in
           checkb (label ^ ": rolled back") true r.Session.rolled_back;
-          fail_all label (signoff_diffs ~label s r)))
+          checkb (label ^ ": rolled back past inserted LCBs") use_cts
+            (Design.num_cells design > cells);
+          fail_all label (fresh_diffs ~label s r.Session.report)))
     [ false; true ]
+
+(* Every node's arrival and required time at both corners, and its
+   slew, as bits *)
+let node_state timer =
+  Array.init
+    (Css_sta.Graph.num_nodes (Timer.graph timer))
+    (fun n ->
+      List.map Int64.bits_of_float
+        [
+          Timer.arrival timer Timer.Early n;
+          Timer.arrival timer Timer.Late n;
+          Timer.required timer Timer.Early n;
+          Timer.required timer Timer.Late n;
+          Timer.slew timer n;
+        ])
+
+(* A phase cut short by an interrupt realizes nothing, so its flip-flops
+   still hold the scheduled latencies the scheduler applied. Scoring
+   masks them on the live timer and puts them back: the report is a
+   fresh evaluation, the latencies stay, and every node of the live
+   timer comes back bitwise. *)
+let test_score_interrupted_phase () =
+  let design = Generator.generate (List.nth signoff_profiles 2) in
+  let config =
+    { Session.default_config with Session.debug_interrupt_after_iteration = Some 5 }
+  in
+  let s = Session.open_ ~config ~algo:Flow.Ours design in
+  Fun.protect
+    ~finally:(fun () ->
+      Session.close s;
+      Css_flow.Persist.clear_interrupt ())
+    (fun () ->
+      let rec drain () = match Session.step s with `Phase _ -> drain () | `Done -> () in
+      drain ();
+      let d = Session.design s in
+      let held =
+        List.filter_map
+          (fun ff ->
+            let l = Design.scheduled_latency d ff in
+            if l <> 0.0 then Some (ff, l) else None)
+          (Array.to_list (Design.ffs d))
+      in
+      checkb "the cut phase left latencies held" true (held <> []);
+      let timer = Session.timer s in
+      let before = node_state timer in
+      let report = Session.score s in
+      fail_all "score of the cut phase" (fresh_diffs ~label:"cut phase" s report);
+      checkb "the held latencies move the live view" true
+        (Timer.tns timer Timer.Late <> report.Evaluator.tns_late);
+      checkb "latencies kept" true
+        (List.for_all (fun (ff, l) -> Design.scheduled_latency d ff = l) held);
+      checkb "node state restored" true (before = node_state timer);
+      let r = Session.finish s in
+      Alcotest.(check string) "stopped by the interrupt" "interrupted" r.Session.stop_reason;
+      fail_all "sign-off of the cut run" (fresh_diffs ~label:"cut run" s r.Session.report))
 
 (* {2 The fault corpus: random fault sequences, shrunk on failure} *)
 
@@ -299,6 +336,7 @@ let base_corpus () =
     Fault_seq.sdc_text =
       "create_clock -period 400\nset_clock_uncertainty -setup 5\nset_latency_bounds ffa 0 150\n";
     Fault_seq.library;
+    Fault_seq.sabotage_late = false;
   }
 
 let fault_seq_arb =
@@ -392,23 +430,35 @@ let test_partial_write_detected () =
 (* {2 The shrinker itself} *)
 
 let test_roundtrip () =
+  let sabotaged =
+    {
+      Fault_seq.seed = 9;
+      steps =
+        [
+          { Fault_seq.salt = 5; op = Fault_seq.Fuzz_sdc 2 };
+          { Fault_seq.salt = 77; op = Fault_seq.Sabotage_late };
+        ];
+    }
+  in
   List.iter
-    (fun seed ->
-      let t = Fault_seq.gen (Rng.create seed) in
+    (fun t ->
       let s = Fault_seq.to_string t in
       match Fault_seq.of_string s with
-      | Error e -> Alcotest.failf "seed %d: %s does not re-parse: %s" seed s e
+      | Error e -> Alcotest.failf "%s does not re-parse: %s" s e
       | Ok t' ->
-        Alcotest.(check string) (Printf.sprintf "seed %d round-trips" seed) s
-          (Fault_seq.to_string t');
+        Alcotest.(check string) (s ^ " round-trips") s (Fault_seq.to_string t');
         (* replaying the parsed form corrupts identically *)
         let c1, n1 = Fault_seq.apply t (base_corpus ()) in
         let c2, n2 = Fault_seq.apply t' (base_corpus ()) in
         Alcotest.(check int) "same applied count" n1 n2;
         Alcotest.(check string) "same design text" c1.Fault_seq.design_text
           c2.Fault_seq.design_text;
-        Alcotest.(check string) "same sdc text" c1.Fault_seq.sdc_text c2.Fault_seq.sdc_text)
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        Alcotest.(check string) "same sdc text" c1.Fault_seq.sdc_text c2.Fault_seq.sdc_text;
+        checkb "same sabotage" c1.Fault_seq.sabotage_late c2.Fault_seq.sabotage_late)
+    (List.map (fun seed -> Fault_seq.gen (Rng.create seed)) [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    @ [ sabotaged ]);
+  let c, _ = Fault_seq.apply sabotaged (base_corpus ()) in
+  checkb "the sabotage op marks the corpus" true c.Fault_seq.sabotage_late
 
 let test_shrink_stability () =
   (* removing steps must not change how the surviving steps corrupt:
@@ -484,6 +534,7 @@ let () =
           Alcotest.test_case "sign-off after a forced rollback" `Quick test_signoff_after_rollback;
           Alcotest.test_case "sign-off reads the current design" `Quick
             test_signoff_reads_current_design;
+          Alcotest.test_case "score of an interrupted phase" `Quick test_score_interrupted_phase;
         ] );
       ( "resume",
         [

@@ -585,8 +585,8 @@ let test_daemon_concurrent_budgets () =
    single cell move must do >= 5x less timing work than a from-scratch
    [Flow.run] on the post-delta design while answering bitwise the same.
    Work is the timer's node recomputations ([timer.forward_visits +
-   timer.backward_visits], scoring timers included), counted rather than
-   timed so machine load cannot move the verdict. The profile converges
+   timer.backward_visits]), counted rather than timed so machine load
+   cannot move the verdict. The profile converges
    clean (no cycles/conflicts/port residue), so the warm request pays one
    incremental cone update where the cold run pays a full timer build. *)
 let test_warm_delta_speedup () =
