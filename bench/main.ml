@@ -299,36 +299,29 @@ let fig8 () =
 (* ------------------------------------------------------------------ *)
 (* FIG 2 — extraction comparison                                       *)
 
-let jobs = Css_util.Pool.default_jobs ()
-
 (* Extraction rounds until one changes nothing: with the timer fixed, a
    re-walked endpoint only refreshes what the first walk stored. *)
 let extract_until_quiet eng = while (Extract.round eng).Extract.added > 0 do () done
 
-(* Wall-clock of one extraction phase run until it is quiet. Results are
-   bit-identical with or without the pool; only the clock differs. *)
-let time_extraction ?pool p engine =
+(* Wall-clock of one extraction phase run until it is quiet. *)
+let time_extraction p engine =
   let design = Generator.generate p in
   let timer = Timer.build design in
   let verts = Vertex.of_design design in
   let t0 = Css_util.Wall_clock.now () in
-  extract_until_quiet (Extract.run ?pool ~engine timer verts ~corner:Timer.Late);
+  extract_until_quiet (Extract.run ~engine timer verts ~corner:Timer.Late);
   (Css_util.Wall_clock.now () -. t0) *. 1000.0
 
 (* Edge and cone-node counts come from the first round on the initial
-   state; the timing columns run each engine until quiet: sequentially,
-   and on [jobs] worker domains. *)
+   state; the timing column runs each engine until quiet. *)
 let fig2 () =
   section "FIG 2 — sequential graph extraction: essential vs IC-CSS vs full";
   let p = sb18 () in
   let t =
     Table.create
-      [ "engine"; "#edges extracted"; "gate-level nodes walked"; "scope"; "seq ms";
-        Printf.sprintf "par ms @%d" jobs ]
+      [ "engine"; "#edges extracted"; "gate-level nodes walked"; "scope"; "ms" ]
   in
-  Table.set_aligns t Table.[ Left; Right; Right; Left; Right; Right ];
-  let pool = if jobs > 1 then Some (Css_util.Pool.create ~jobs ()) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Css_util.Pool.shutdown pool) @@ fun () ->
+  Table.set_aligns t Table.[ Left; Right; Right; Left; Right ];
   List.iter
     (fun (name, engine, scope) ->
       let design = Generator.generate p in
@@ -338,11 +331,9 @@ let fig2 () =
       (* the full engine extracts everything up front *)
       if engine <> Extract.Full then ignore (Extract.round eng);
       let st = Extract.stats eng in
-      let seq_ms = time_extraction p engine in
-      let par_ms = if pool = None then seq_ms else time_extraction ?pool p engine in
       Table.add_row t
         [ name; string_of_int st.Extract.edges_extracted; string_of_int st.Extract.cone_nodes;
-          scope; Printf.sprintf "%.1f" seq_ms; Printf.sprintf "%.1f" par_ms ])
+          scope; Printf.sprintf "%.1f" (time_extraction p engine) ])
     [
       ("iterative essential (ours)", Extract.Essential, "only negative edges");
       ("IC-CSS callback [Albrecht]", Extract.Iccss, "all edges of critical vertices");
@@ -373,8 +364,8 @@ let paper_designs =
   | None -> [ "sb18-paper" ]
 
 (* A paper-scale run on a machine with less memory than the design needs
-   should degrade (serial extraction, cheaper engine, early stop with the
-   best checkpoint) rather than get OOM-killed mid-measurement. Budget:
+   should degrade (cheaper engine, early stop with the best checkpoint)
+   rather than get OOM-killed mid-measurement. Budget:
    what we already hold plus 80% of what the kernel says is still
    available; 0 (= "not measured", non-Linux) arms no limit. *)
 let paper_budget () =

@@ -9,11 +9,10 @@
 #   bench/run.sh --fast   the same with Table I on sb16/sb18 only
 #   bench/run.sh --smoke  CI smoke test: build everything, run the CLI
 #                         end-to-end on the tiny benchmark, check that
-#                         --jobs 1 and --jobs 2 give byte-identical
+#                         two identical runs give byte-identical
 #                         results, that malformed input exits 2, and
 #                         that --trace-out writes a trace holding
-#                         pool.chunk, late-css and reconnect spans
-#                         (seconds)
+#                         late-css and reconnect spans (seconds)
 #   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
 #                         on the ~1M-cell "-paper" profile variants,
 #                         printing cells/sec, peak RSS and the
@@ -25,10 +24,10 @@
 #                         memory (MemAvailable via Css_util.Rusage) and
 #                         arms an RSS budget at current RSS + 80% of
 #                         what is available: on a machine too small for
-#                         the design the flow degrades (serial
-#                         extraction, cheaper engine, early stop with
-#                         the best checkpointed result — printed with
-#                         its stop reason) instead of getting OOM-killed
+#                         the design the flow degrades (cheaper
+#                         engine, early stop with the best
+#                         checkpointed result — printed with its stop
+#                         reason) instead of getting OOM-killed
 #                         mid-measurement; see docs/ROBUSTNESS.md
 #
 # The CSS_BENCH_* environment knobs documented in bench/main.ml pass
@@ -39,14 +38,14 @@ cd "$(dirname "$0")/.."
 if [ "${1:-}" = "--smoke" ]; then
   dune build
   dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet
-  # parallel extraction must be bit-identical to sequential: same design,
-  # --jobs 1 vs --jobs 2, byte-compare the saved optimized netlists
+  # the flow must be deterministic: two identical runs, byte-compare
+  # the saved optimized netlists
   out1="$(mktemp)" out2="$(mktemp)" tmp=""
   trap 'rm -f "$tmp" "$out1" "$out2"' EXIT
-  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet --jobs 1 -o "$out1"
-  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet --jobs 2 -o "$out2"
+  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet -o "$out1"
+  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet -o "$out2"
   if ! cmp -s "$out1" "$out2"; then
-    echo "smoke: --jobs 2 result differs from --jobs 1 (parallel extraction is not deterministic)" >&2
+    echo "smoke: two identical runs saved different results (the flow is not deterministic)" >&2
     exit 1
   fi
   # a malformed design must fail with the input-error exit code (2) and
@@ -64,7 +63,7 @@ if [ "${1:-}" = "--smoke" ]; then
   # streaming tracer end-to-end: a traced run must produce a Chrome
   # trace_event JSON (css_trace.json — CI uploads it as the Perfetto
   # artifact) and clean up its spill file
-  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet --jobs 2 \
+  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
     --trace-out "$PWD/css_trace.json"
   if [ ! -s "$PWD/css_trace.json" ]; then
     echo "smoke: --trace-out produced no trace" >&2
@@ -74,14 +73,13 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: tracer spill file left behind after successful export" >&2
     exit 1
   fi
-  # the CLI attaches its tracer to Obs only: worker-track pool spans,
-  # the session's phase spans and the OPT spans nested in them must
-  # still reach it
+  # the CLI attaches its tracer to Obs only: the session's phase spans
+  # and the OPT spans nested in them must still reach it
   python3 - "$PWD/css_trace.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 spans = {e.get("name") for e in events if e.get("ph") == "B"}
-missing = [n for n in ("pool.chunk", "late-css", "reconnect") if n not in spans]
+missing = [n for n in ("late-css", "reconnect") if n not in spans]
 if missing:
     sys.exit("smoke: trace has no %s span" % " or ".join(missing))
 PY

@@ -60,7 +60,7 @@ let stats_json =
 
 let trace_out =
   let doc =
-    "Record a streaming execution trace (flow phases, per-worker extraction chunks, \
+    "Record a streaming execution trace (flow phases, OPT passes, \
      scheduler iterations, checkpoint writes, budget samples, GC major slices) and write \
      it as Chrome trace_event JSON to $(docv) — open with ui.perfetto.dev or \
      chrome://tracing. Ring overflow spills to $(docv).spill during the run (removed on \
@@ -95,13 +95,6 @@ let hold_uncertainty =
 let sdc =
   let doc = "Apply an SDC-lite constraint file (see Css_netlist.Sdc)." in
   Arg.(value & opt (some file) None & info [ "sdc" ] ~docv:"FILE" ~doc)
-
-let jobs =
-  let doc =
-    "Worker domains for parallel sequential-graph extraction (default: the runtime's \
-     recommended domain count). Results are bit-identical at any value; 1 disables the pool."
-  in
-  Arg.(value & opt int (Css_util.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let checkpoint_dir =
   let doc =
@@ -177,7 +170,7 @@ let setup_logs verbose quiet =
        | _ -> Some Logs.Debug)
 
 let main benchmark input algo rounds scale save_out trace_flag stats_json trace_out quiet
-    resize cts verbose su hu sdc jobs checkpoint_dir resume_flag max_seconds max_rss_mb =
+    resize cts verbose su hu sdc checkpoint_dir resume_flag max_seconds max_rss_mb =
   setup_logs verbose quiet;
   let say fmt =
     Printf.ksprintf (fun s -> if not quiet then print_string s) fmt
@@ -191,9 +184,9 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
     match trace_out with
     | None -> Tracer.null
     | Some path ->
-      let t = Tracer.create ~tracks:(max 1 jobs) ~spill:(path ^ ".spill") () in
+      let t = Tracer.create ~spill:(path ^ ".spill") () in
       Obs.attach_tracer obs t;
-      Tracer.install_gc_alarm t ~track:0;
+      Tracer.install_gc_alarm t;
       t
   in
   let budget =
@@ -324,12 +317,10 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         Flow.use_cts = cts;
         Flow.timer = timer_cfg_pre;
         Flow.obs = obs;
-        Flow.jobs = max 1 jobs;
         Flow.budget = budget;
         Flow.checkpoint_dir;
       }
     in
-    say "extraction jobs: %d\n%!" (max 1 jobs);
     (match checkpoint_dir with
     | Some dir -> say "checkpointing to %s\n%!" dir
     | None -> ());
@@ -361,7 +352,6 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         Flow.use_resize = resize;
         Flow.use_cts = cts;
         Flow.obs = obs;
-        Flow.jobs = max 1 jobs;
         Flow.budget = budget;
         Flow.checkpoint_dir;
       }
@@ -385,7 +375,7 @@ let cmd =
     Term.(
       const main $ benchmark $ input $ algo $ rounds $ scale $ save_out $ trace_flag
       $ stats_json $ trace_out $ quiet_flag $ resize_flag $ cts_flag $ verbose $ setup_uncertainty
-      $ hold_uncertainty $ sdc $ jobs $ checkpoint_dir $ resume_flag $ max_seconds
+      $ hold_uncertainty $ sdc $ checkpoint_dir $ resume_flag $ max_seconds
       $ max_rss_mb)
 
 let () = exit (Cmd.eval' cmd)

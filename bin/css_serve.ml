@@ -50,7 +50,6 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "state" ] ~docv:"DIR" ~doc)
   in
   let rounds = Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"N" ~doc:"Default CSS+OPT rounds.") in
-  let jobs = Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Default per-session worker domains.") in
   let max_sessions =
     Arg.(value & opt int 16 & info [ "max-sessions" ] ~docv:"N" ~doc:"Concurrent session limit.")
   in
@@ -76,7 +75,7 @@ let serve_cmd =
     let doc = "Write a Chrome/Perfetto trace of the daemon here at exit." in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let main socket state rounds jobs max_sessions max_seconds max_rss_mb final_eval rollback
+  let main socket state rounds max_sessions max_seconds max_rss_mb final_eval rollback
       stats_json trace_out verbose quiet =
     setup_logs verbose quiet;
     let obs = if stats_json <> None || trace_out <> None then Obs.create () else Obs.null in
@@ -84,7 +83,7 @@ let serve_cmd =
       match trace_out with
       | None -> Tracer.null
       | Some path ->
-        let t = Tracer.create ~tracks:(max 1 jobs) ~spill:(path ^ ".spill") () in
+        let t = Tracer.create ~spill:(path ^ ".spill") () in
         Obs.attach_tracer obs t;
         t
     in
@@ -94,7 +93,6 @@ let serve_cmd =
         Server.socket;
         state_dir = state;
         rounds;
-        jobs;
         max_sessions;
         wall_seconds = max_seconds;
         rss_mb = max_rss_mb;
@@ -124,7 +122,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the resident scheduler daemon.")
     Term.(
-      const main $ socket_arg $ state $ rounds $ jobs $ max_sessions $ max_seconds $ max_rss_mb
+      const main $ socket_arg $ state $ rounds $ max_sessions $ max_seconds $ max_rss_mb
       $ final_eval $ rollback $ stats_json $ trace_out $ verbose_arg $ quiet_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -196,7 +194,6 @@ let drive_cmd =
     Arg.(value & opt int 3 & info [ "deltas" ] ~docv:"N" ~doc:"apply_delta round-trips to run.")
   in
   let rounds = Arg.(value & opt int 2 & info [ "rounds" ] ~docv:"N" ~doc:"Rounds for this session.") in
-  let jobs = Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains for this session.") in
   let no_identity =
     Arg.(value & flag & info [ "no-identity" ] ~doc:"Skip the local ECO-identity replay (faster).")
   in
@@ -210,7 +207,7 @@ let drive_cmd =
   let shutdown =
     Arg.(value & flag & info [ "shutdown" ] ~doc:"Send shutdown after closing the session.")
   in
-  let main socket profile scale session ndeltas rounds jobs no_identity stats_out shutdown verbose
+  let main socket profile scale session ndeltas rounds no_identity stats_out shutdown verbose
       quiet =
     setup_logs verbose quiet;
     let say fmt = Printf.ksprintf (fun s -> if not quiet then print_string s) fmt in
@@ -228,7 +225,6 @@ let drive_cmd =
       {
         Flow.default_config with
         Flow.rounds;
-        jobs;
         final_eval = false;
         rollback = false;
       }
@@ -249,7 +245,6 @@ let drive_cmd =
               o_design = text;
               o_algo = "Ours";
               o_rounds = Some rounds;
-              o_jobs = Some jobs;
               o_final_eval = Some false;
               o_rollback = Some false;
               o_wall_seconds = None;
@@ -349,7 +344,7 @@ let drive_cmd =
     (Cmd.info "drive"
        ~doc:"Drive open -> run -> apply_delta* -> close against a daemon, checking ECO identity.")
     Term.(
-      const main $ socket_arg $ profile $ scale $ session $ deltas $ rounds $ jobs $ no_identity
+      const main $ socket_arg $ profile $ scale $ session $ deltas $ rounds $ no_identity
       $ stats_out $ shutdown $ verbose_arg $ quiet_arg)
 
 let () =

@@ -17,11 +17,11 @@ let max_sweeps = 50
 (* Edge weights above -eps count as met; deltas at or below it as no move, ps. *)
 let eps = 1e-6
 
-let run ?(obs = Obs.null) ?pool timer =
+let run ?(obs = Obs.null) timer =
   let design = Timer.design timer in
   let verts = Vertex.of_design design in
   let o_sweeps = Obs.counter obs "fpm.sweeps" in
-  let eng = Extract.run ~obs ?pool ~engine:Extract.Full timer verts ~corner:Timer.Early in
+  let eng = Extract.run ~obs ~engine:Extract.Full timer verts ~corner:Timer.Early in
   let graph = Extract.graph eng and stats = Extract.stats eng in
   let n = Vertex.num verts in
   (* Static caps, read once at extraction time — FPM does not refresh

@@ -16,7 +16,7 @@ type result = {
   vertices : Css_seqgraph.Vertex.t;  (** the vertex registry indexing [target_latency] *)
 }
 
-(** [run ?obs ?pool timer] computes predictive early skews (at most 50
+(** [run ?obs timer] computes predictive early skews (at most 50
     relaxation sweeps), applies them to the design as scheduled
     latencies and re-propagates the timer. Returns the result and the
     (full-graph) extraction statistics. [obs] receives the
@@ -25,6 +25,5 @@ type result = {
     one ["fpm.sweep"] snapshot per relaxation sweep. *)
 val run :
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   result * Css_seqgraph.Extract.stats

@@ -3,9 +3,9 @@ module Vertex = Css_seqgraph.Vertex
 module Scheduler = Css_core.Scheduler
 module Obs = Css_util.Obs
 
-let extraction ?(obs = Obs.null) ?pool timer ~corner =
+let extraction ?(obs = Obs.null) timer ~corner =
   let verts = Vertex.of_design (Css_sta.Timer.design timer) in
-  let engine = Extract.run ~obs ?pool ~engine:Extract.Iccss timer verts ~corner in
+  let engine = Extract.run ~obs ~engine:Extract.Iccss timer verts ~corner in
   let extraction =
     {
       Scheduler.extract = (fun () -> Extract.round engine);
@@ -19,7 +19,7 @@ let extraction ?(obs = Obs.null) ?pool timer ~corner =
   in
   (extraction, Extract.stats engine)
 
-let run ?config ?(obs = Obs.null) ?pool timer ~corner =
-  let ext, stats = extraction ~obs ?pool timer ~corner in
+let run ?config ?(obs = Obs.null) timer ~corner =
+  let ext, stats = extraction ~obs timer ~corner in
   let result = Scheduler.run ?config ~obs timer ext in
   (result, stats)

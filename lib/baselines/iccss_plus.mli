@@ -16,7 +16,6 @@
     [constraint_edges], the modification-(ii) cost). *)
 val extraction :
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Css_core.Scheduler.extraction * Css_seqgraph.Extract.stats
@@ -27,7 +26,6 @@ val extraction :
 val run :
   ?config:Css_core.Scheduler.config ->
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Css_core.Scheduler.result * Css_seqgraph.Extract.stats

@@ -2,9 +2,9 @@ module Extract = Css_seqgraph.Extract
 module Vertex = Css_seqgraph.Vertex
 module Obs = Css_util.Obs
 
-let ours ?(obs = Obs.null) ?pool timer ~corner =
+let ours ?(obs = Obs.null) timer ~corner =
   let verts = Vertex.of_design (Css_sta.Timer.design timer) in
-  let engine = Extract.run ~obs ?pool ~engine:Extract.Essential timer verts ~corner in
+  let engine = Extract.run ~obs ~engine:Extract.Essential timer verts ~corner in
   let extraction =
     {
       Scheduler.extract = (fun () -> Extract.round engine);
@@ -14,14 +14,14 @@ let ours ?(obs = Obs.null) ?pool timer ~corner =
   in
   (extraction, Extract.stats engine)
 
-let run_ours ?config ?(obs = Obs.null) ?pool timer ~corner =
-  let extraction, stats = ours ~obs ?pool timer ~corner in
+let run_ours ?config ?(obs = Obs.null) timer ~corner =
+  let extraction, stats = ours ~obs timer ~corner in
   let result = Scheduler.run ?config ~obs timer extraction in
   (result, stats)
 
-let full ?(obs = Obs.null) ?pool timer ~corner =
+let full ?(obs = Obs.null) timer ~corner =
   let verts = Vertex.of_design (Css_sta.Timer.design timer) in
-  let engine = Extract.run ~obs ?pool ~engine:Extract.Full timer verts ~corner in
+  let engine = Extract.run ~obs ~engine:Extract.Full timer verts ~corner in
   let extraction =
     {
       Scheduler.extract = (fun () -> Extract.round engine);
@@ -31,7 +31,7 @@ let full ?(obs = Obs.null) ?pool timer ~corner =
   in
   (extraction, Extract.stats engine)
 
-let run_full ?config ?(obs = Obs.null) ?pool timer ~corner =
-  let extraction, stats = full ~obs ?pool timer ~corner in
+let run_full ?config ?(obs = Obs.null) timer ~corner =
+  let extraction, stats = full ~obs timer ~corner in
   let result = Scheduler.run ?config ~obs timer extraction in
   (result, stats)

@@ -5,29 +5,25 @@
     one Update-Extract round, and the Eq. (11) caps come from the timer
     for free, so [on_cap_hit] does nothing. *)
 
-(** [ours ?obs ?pool timer ~corner] is the extraction plus its
-    statistics record. [obs] feeds the [extract.essential.*] counters;
-    [pool] parallelizes the per-round cone walks (bit-identical
-    results, see {!Css_seqgraph.Extract.run}). *)
+(** [ours ?obs timer ~corner] is the extraction plus its
+    statistics record. [obs] feeds the [extract.essential.*] counters. *)
 val ours :
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.extraction * Css_seqgraph.Extract.stats
 
-(** [run_ours ?config ?obs ?pool timer ~corner] builds the engine and
+(** [run_ours ?config ?obs timer ~corner] builds the engine and
     runs Algorithm 1; [obs] additionally receives the scheduler's
     [sched.*] counters and per-iteration snapshots. *)
 val run_ours :
   ?config:Scheduler.config ->
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.result * Css_seqgraph.Extract.stats
 
-(** [full ?obs ?pool timer ~corner] pairs the scheduler with the
+(** [full ?obs timer ~corner] pairs the scheduler with the
     exhaustive {!Css_seqgraph.Extract.Full} engine: the whole sequential
     graph is materialized up front and every iteration schedules over
     it. This is the differential-testing reference — the paper's claim
@@ -35,17 +31,15 @@ val run_ours :
     extraction work, and the oracle suite asserts exactly that. *)
 val full :
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.extraction * Css_seqgraph.Extract.stats
 
-(** [run_full ?config ?obs ?pool timer ~corner] builds the full-graph
+(** [run_full ?config ?obs timer ~corner] builds the full-graph
     engine and runs Algorithm 1 over it. *)
 val run_full :
   ?config:Scheduler.config ->
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   Css_sta.Timer.t ->
   corner:Css_sta.Timer.corner ->
   Scheduler.result * Css_seqgraph.Extract.stats

@@ -4,8 +4,8 @@
 
 include Session
 
-(* Drain to the result, releasing the pool and flushing the tracer on
-   every exit path — the one-shot contract the historical flow kept. *)
+(* Drain to the result, flushing the tracer on every exit path — the
+   one-shot contract the historical flow kept. *)
 let finish_and_close s =
   Fun.protect
     ~finally:(fun () -> close s)

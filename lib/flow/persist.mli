@@ -77,7 +77,7 @@ type handlers
     handlers), so [on_signal] may allocate and write files — but it
     preempts arbitrary main-thread code, so it must only touch state
     that stays consistent at every safepoint (atomic flags, idempotent
-    cleanup like {!Css_util.Pool.shutdown}, atomic checkpoint writes). *)
+    cleanup, atomic checkpoint writes). *)
 val install_handlers :
   ?signals:int list -> ?on_signal:(int -> unit) -> unit -> handlers
 
@@ -127,7 +127,7 @@ type checkpoint = {
 (** The per-run values a checkpoint carries. A session resets them
     (with {!fresh_progress}) at the start of every run and delta
     request; everything that belongs to the session rather than to one
-    run (degradation rung, pool) lives outside. *)
+    run (the degradation rung) lives outside. *)
 type progress = {
   mutable phases_done : int;  (** completed main-loop phases (resume cursor) *)
   mutable hold_done : bool;  (** the final hold touch-up phase completed *)

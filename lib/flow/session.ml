@@ -14,7 +14,6 @@ module Wall_clock = Css_util.Wall_clock
 module Diag = Css_util.Diag
 module Obs = Css_util.Obs
 module Tracer = Css_util.Tracer
-module Pool = Css_util.Pool
 module Budget = Css_util.Budget
 module Point = Css_geometry.Point
 
@@ -81,7 +80,7 @@ type config = {
   final_eval : bool;
   on_phase_end : (round:int -> phase:string -> Design.t -> unit) option;
   obs : Obs.t;
-  jobs : int;
+  jobs : int;  (* ignored *)
   budget : Budget.limits;
   cache_bytes : int;  (* ignored *)
   checkpoint_dir : string option;
@@ -154,9 +153,6 @@ type t = {
       (* the checkpoint directory's base + journal, with [checkpoint_dir] *)
   mutable verts : Vertex.t;
   slots : slot list;
-  mutable pool : Pool.t option;
-      (* shared by all engines; shut down at {!close}, or earlier by the
-         degradation ladder *)
   budget : Budget.t option;  (* armed only when a limit is configured *)
   mutable css_clock : Wall_clock.t;
   mutable opt_clock : Wall_clock.t;
@@ -283,7 +279,7 @@ let engine_for st kind corner =
   | Some e -> e
   | None ->
     let e =
-      Extract.run ~obs:st.cfg.obs ?pool:st.pool ~engine:kind st.timer st.verts ~corner
+      Extract.run ~obs:st.cfg.obs ~engine:kind st.timer st.verts ~corner
     in
     slot.live <- Some e;
     e
@@ -305,21 +301,19 @@ let set_stop st reason =
 (* {2 Degradation ladder}
 
    Soft budget pressure sheds fidelity one rung per poll instead of dying
-   at the hard limit: 1. drop the worker pool, 2. switch to the cheapest
-   extraction, 3. stop with the best result so far. Rungs whose knob is
-   already at bottom are skipped. The rung survives a session's delta
-   requests: budget pressure is a property of the session, not of one
-   request. *)
+   at the hard limit: 2. switch to the cheapest extraction, 3. stop with
+   the best result so far. Rung 1 (which shed extraction worker domains)
+   is retired but keeps its number, so persisted rungs read the same.
+   Rungs whose knob is already at bottom are skipped. The rung survives
+   a session's delta requests: budget pressure is a property of the
+   session, not of one request. *)
 
 let cheap_extract_limit = 4096
 
-let rung_name = function
-  | 1 -> "drop-pool"
-  | 2 -> "cheap-extraction"
-  | _ -> "early-stop"
+let rung_name = function 2 -> "cheap-extraction" | _ -> "early-stop"
 
 let rung_applicable st = function
-  | 1 -> st.pool <> None
+  | 1 -> false (* retired *)
   | 2 -> st.engine0 <> `Fpm
   | _ -> true
 
@@ -330,13 +324,7 @@ let rec degrade st ~reason =
     if not (rung_applicable st rung) then degrade st ~reason
     else begin
       let step = rung_name rung in
-      (match rung with
-      | 1 ->
-        Option.iter Pool.shutdown st.pool;
-        st.pool <- None;
-        List.iter (fun e -> Extract.set_pool e None) (live_engines st)
-      | 3 -> set_stop st ("budget-" ^ reason)
-      | _ -> ());
+      if rung = 3 then set_stop st ("budget-" ^ reason);
       st.run.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.run.degradations_rev;
       Obs.incr (Obs.counter st.cfg.obs "flow.degradations");
       if Obs.enabled st.cfg.obs then
@@ -425,9 +413,8 @@ let live_report st =
    rollback scoring. *)
 let scored_checkpoints st = st.cfg.rollback && st.cfg.final_eval
 
-let take_checkpoint st ~label =
+let take_checkpoint st ~label report =
   let design = Timer.design st.timer in
-  let report = score st in
   let ffs = Design.ffs design in
   {
     Persist.label;
@@ -480,14 +467,15 @@ let restore st (cp : Persist.checkpoint) =
     cp.ck_ffs;
   resync st
 
+(* Score first; copy the design state only for a new best. *)
 let consider_checkpoint st ~label =
-  let cp = take_checkpoint st ~label in
+  let report = score st in
   match st.run.best with
-  | Some best when not (better cp.ck_report best) -> ()
+  | Some best when not (better report best) -> ()
   | _ ->
-    st.run.best <- Some cp;
+    st.run.best <- Some (take_checkpoint st ~label report);
     Obs.incr (Obs.counter st.cfg.obs "flow.checkpoints");
-    Log.debug (fun m -> m "checkpoint %s: score %.2f" label (merit cp.ck_report))
+    Log.debug (fun m -> m "checkpoint %s: score %.2f" label (merit report))
 
 (* {2 Durable checkpoints}
 
@@ -586,7 +574,7 @@ let css_opt_phase st ~round ~corner =
           | Some ff -> ignore (Extract.constraint_edges eng ff)
           | None -> ())
     | `Fpm ->
-      let res, stats = Css_baselines.Fpm.run ~obs:st.cfg.obs ?pool:st.pool st.timer in
+      let res, stats = Css_baselines.Fpm.run ~obs:st.cfg.obs st.timer in
       st.run.edges <- st.run.edges + stats.Extract.edges_extracted;
       st.run.cones <- st.run.cones + stats.Extract.cone_nodes;
       snapshot_point st ~round ~phase:(phase ^ "-css") ~iter:1;
@@ -807,13 +795,6 @@ let create ~(config : config) ~algo ~validation ?resume design =
     | None -> Persist.fresh_progress ~hpwl_before:(Design.total_hpwl design)
   in
   let timer = Timer.build ~config:config.timer ~obs:config.obs design in
-  let resume_rung = match resume with Some r -> r.Persist.ps_rung | None -> 0 in
-  let jobs_eff = if resume_rung >= 1 then 1 else config.jobs in
-  let pool =
-    if jobs_eff > 1 then
-      Some (Pool.create ~obs:config.obs ~jobs:jobs_eff ())
-    else None
-  in
   let budget =
     if config.budget.Budget.wall_seconds = None && config.budget.Budget.rss_bytes = None then
       None
@@ -831,14 +812,13 @@ let create ~(config : config) ~algo ~validation ?resume design =
       journal = Option.map (fun dir -> Persist.journal ~dir) config.checkpoint_dir;
       verts = Vertex.of_design design;
       slots = slot_table ();
-      pool;
       budget;
       css_clock = Wall_clock.create ();
       opt_clock = Wall_clock.create ();
       t0 = total_t0;
       run;
       hold_attempted = false;
-      rung = resume_rung;
+      rung = (match resume with Some r -> r.Persist.ps_rung | None -> 0);
       iter_polls = 0;
       resumed = Option.is_some resume;
       validation;
@@ -858,7 +838,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
            let slot = List.find (fun s -> s.name = name) st.slots in
            slot.live <-
              Some
-               (Extract.restore ~obs:config.obs ?pool:st.pool snap st.timer st.verts
+               (Extract.restore ~obs:config.obs snap st.timer st.verts
                   ~corner:slot.corner))
          ps.Persist.ps_engines;
        Obs.incr (Obs.counter config.obs "flow.resumes");
@@ -866,8 +846,6 @@ let create ~(config : config) ~algo ~validation ?resume design =
            m "resumed %s on %s at phase %d (rung %d)" ps.Persist.ps_algo ps.Persist.ps_design
              run.phases_done ps.Persist.ps_rung)
    with e ->
-     (* opening failed after the pool spawned: don't leak domains *)
-     Option.iter Pool.shutdown st.pool;
      Tracer.flush (Obs.tracer config.obs);
      raise e);
   st
@@ -945,8 +923,6 @@ let reopen ?(config = default_config) ~library ~dir () =
 let close st =
   if not st.closed then begin
     st.closed <- true;
-    Option.iter Pool.shutdown st.pool;
-    st.pool <- None;
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)
@@ -1172,8 +1148,8 @@ type delta_outcome = {
 (* Reset the per-run cursors and accumulators so the next schedule is,
    phase for phase, the run a fresh [Flow.run] would execute on the
    edited design — with the warm timer standing in for a fresh build.
-   The budget, its degradation rung, and the pool survive: they belong
-   to the session, not to one request. *)
+   The budget and its degradation rung survive: they belong to the
+   session, not to one request. *)
 let reset_for_run st =
   List.iter (fun s -> s.live <- None) st.slots;
   st.run <- Persist.fresh_progress ~hpwl_before:(Design.total_hpwl (Timer.design st.timer));

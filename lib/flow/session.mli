@@ -4,13 +4,13 @@
     A session owns everything the paper's iterative loop keeps warm
     between latency changes: the loaded design, the incremental timer,
     the extraction engines with their partially extracted sequential
-    graph, the degradation rung and the worker pool. {!open_} loads a
+    graph and the degradation rung. {!open_} loads a
     design without scheduling anything;
     {!step} advances the CSS+OPT interleaving one phase at a time;
     {!finish} drains the remaining phases and scores the run;
     {!apply_delta} edits the design in place, re-propagates only the
     affected cones (the paper's Update step, applied across requests)
-    and re-schedules; {!close} releases the pool and flushes the tracer.
+    and re-schedules; {!close} flushes the tracer.
 
     One-shot use is [Flow.run], which is exactly
     [open_ |> finish |> close]. Long-running use — the CSS-as-a-service
@@ -48,9 +48,8 @@
       true]. A run can therefore never end worse than its input;
     - {b resource governance}: an optional {!Css_util.Budget} (wall
       clock + resident set) polled at phase and scheduler-iteration
-      boundaries. Soft pressure walks a degradation ladder — drop the
-      worker pool, switch to the cheapest extraction, early-stop — one
-      rung per poll; a hard limit stops the flow with its best result
+      boundaries. Soft pressure walks a degradation ladder — switch to
+      the cheapest extraction, early-stop — one rung per poll; a hard limit stops the flow with its best result
       and [stop_reason = "budget-wall"/"budget-rss"];
     - {b crash-safe persistence}: with [checkpoint_dir] set, the full
       resumable state ({!Persist.progress} plus design and engines) is
@@ -116,7 +115,7 @@ type result = {
           inserted stay on the clock root net and count in [hpwl]) *)
   degradations : string list;
       (** chronological ladder steps taken under soft budget pressure,
-          as ["<step>(<reason>)"] — e.g. ["drop-pool(wall)"]; empty when
+          as ["<step>(<reason>)"] — e.g. ["cheap-extraction(wall)"]; empty when
           the budget never tripped *)
   resumed : bool;  (** this result continues a reopened checkpoint *)
   validation : Css_util.Diag.t list;
@@ -174,18 +173,15 @@ type config = {
           [flow.checkpoints] / [flow.rollbacks] counters.
           A tracer attached with {!Css_util.Obs.attach_tracer} is the
           run's one streaming timeline: it mirrors those spans and
-          snapshots, and the worker pool (one ["pool.chunk"] span per
-          claimed chunk, on the worker's own track) and the budget
-          governor (["budget.wall_s"] / ["budget.rss_bytes"] counter
+          snapshots, and the budget governor (["budget.wall_s"] / ["budget.rss_bytes"] counter
           lanes) read it from [obs]. {!close} flushes (but does not
           close) it, including on signal interrupts.
           Default {!Css_util.Obs.null} (zero overhead). *)
   jobs : int;
-      (** worker domains for parallel extraction (default 1 =
-          sequential). With [jobs > 1] the session owns a
-          {!Css_util.Pool.t} shared by all extraction engines and shuts
-          it down at {!close}; results are bit-identical at any value
-          (see {!Css_seqgraph.Extract.run}). *)
+      (** accepted and ignored (default 1). Extraction runs on the
+          calling domain; the worker pool this once sized is gone (see
+          [docs/PERFORMANCE.md]), and the field stays so existing
+          callers keep compiling. *)
   budget : Css_util.Budget.limits;
       (** wall-clock / RSS budget driving the degradation ladder and the
           hard stop (default {!Css_util.Budget.no_limits} = no budget,
@@ -219,7 +215,7 @@ val clone : Css_netlist.Design.t -> Css_netlist.Design.t
 (** {1 Lifecycle} *)
 
 (** [open_ ?config ~algo design] validates (per [config]), builds the
-    timer and the worker pool, takes the start checkpoint — and runs no
+    timer, takes the start checkpoint — and runs no
     phases: the session holds the design at its input state, ready to
     {!step} or {!apply_delta}. The session owns [design] (mutating it
     through scheduling) until {!close}.
@@ -241,7 +237,7 @@ val step : t -> [ `Phase of string | `Done ]
     from the finished state. *)
 val finish : t -> result
 
-(** [close t] shuts down the worker pool and flushes the tracer.
+(** [close t] flushes the tracer.
     Idempotent and safe on any exit path (including from a signal
     handler's cleanup); every other operation on a closed session
     raises [Invalid_argument]. *)

@@ -5,7 +5,6 @@ module Validate = Css_netlist.Validate
 module Library = Css_liberty.Library
 module Diag = Css_util.Diag
 module Obs = Css_util.Obs
-module Pool = Css_util.Pool
 module Timer = Css_sta.Timer
 module Scheduler = Css_core.Scheduler
 module Engine = Css_core.Engine
@@ -78,20 +77,14 @@ let fresh_copy design =
       Design.set_cell_orig_pos copy c (Design.cell_orig_pos design c));
   copy
 
-let with_optional_pool jobs f =
-  match jobs with
-  | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> f (Some pool))
-  | _ -> f None
-
-let schedule ?config ?jobs engine design ~corner =
+let schedule ?config engine design ~corner =
   let design = Flow.clone design in
   let timer = Timer.build design in
   let result, stats =
-    with_optional_pool jobs (fun pool ->
-        match engine with
-        | Ours -> Engine.run_ours ?config ?pool timer ~corner
-        | Full_graph -> Engine.run_full ?config ?pool timer ~corner
-        | Iccss -> Iccss_plus.run ?config ?pool timer ~corner)
+    match engine with
+    | Ours -> Engine.run_ours ?config timer ~corner
+    | Full_graph -> Engine.run_full ?config timer ~corner
+    | Iccss -> Iccss_plus.run ?config timer ~corner
   in
   {
     engine;
@@ -180,31 +173,6 @@ let check_feasible ?(slack_tol = 0.5) design ~corner =
      else if wns > bound +. slack_tol then
        fail "achieved WNS %.3f beats the minimum-cycle-mean bound %.3f by more than %.3f ps" wns
          bound slack_tol);
-  List.rev !failures
-
-(* ------------------------------------------------------------------ *)
-(* Parallel determinism *)
-
-let check_jobs_identity ?(jobs = [ 2; 8 ]) design ~corner =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let reference = schedule ~jobs:1 Ours design ~corner in
-  List.iter
-    (fun j ->
-      let candidate = schedule ~jobs:j Ours design ~corner in
-      if candidate.edges_extracted <> reference.edges_extracted then
-        fail "jobs=%d extracted %d edges, jobs=1 extracted %d" j candidate.edges_extracted
-          reference.edges_extracted;
-      if candidate.iterations <> reference.iterations then
-        fail "jobs=%d ran %d iterations, jobs=1 ran %d" j candidate.iterations
-          reference.iterations;
-      List.iter2
-        (fun (name, l1) (name', lj) ->
-          if name <> name' then fail "jobs=%d: flip-flop set diverged (%s vs %s)" j name name'
-          else if Int64.bits_of_float l1 <> Int64.bits_of_float lj then
-            fail "jobs=%d: flip-flop %s latency not bit-identical (%.17g vs %.17g)" j name l1 lj)
-        reference.latencies candidate.latencies)
-    jobs;
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)
@@ -338,7 +306,7 @@ let random_deltas rng design ~n =
    code by construction) and re-runs the flow from scratch; anchors
    match because both designs are cloned from the same source before
    any phase moves a cell. *)
-let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas design ~algo =
+let check_eco_identity ?(config = Flow.default_config) ~deltas design ~algo =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let bits = Int64.bits_of_float in
@@ -355,71 +323,48 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
               name lw lc)
         wl cl
   in
-  let per_jobs = Hashtbl.create 4 in
-  List.iter
-    (fun j ->
-      let base =
-        {
-          config with
-          Flow.jobs = j;
-          (* rollback needs the evaluator; neither changes latencies,
-             and a service session answers from the live timer *)
-          Flow.final_eval = false;
-          Flow.rollback = false;
-          Flow.checkpoint_dir = None;
-          Flow.debug_interrupt_after_phase = None;
-          Flow.debug_interrupt_after_iteration = None;
-        }
-      in
-      let warm_design = Flow.clone design in
-      let cold_design = Flow.clone design in
-      let session = Session.open_ ~config:base ~algo warm_design in
-      Fun.protect
-        ~finally:(fun () -> Session.close session)
-        (fun () ->
-          ignore (Session.finish session);
-          ignore (Flow.run ~config:base ~algo cold_design);
-          compare_latencies ~label:(Printf.sprintf "jobs=%d initial run" j) warm_design
-            cold_design;
-          let cold_timer = ref base.Flow.timer in
-          List.iteri
-            (fun k batch ->
-              let label = Printf.sprintf "jobs=%d batch %d" j k in
-              match Session.apply_delta session batch with
-              | Error ds ->
-                fail "%s: apply_delta rejected: %s" label
-                  (String.concat "; " (List.map Diag.to_string ds))
-              | Ok outcome ->
-                ignore outcome;
-                (match
-                   Session.stage ~validate:base.Flow.validate ~repair:base.Flow.repair
-                     ~timer:!cold_timer cold_design batch
-                 with
-                | Error ds ->
-                  fail "%s: reference stage rejected what apply_delta accepted: %s" label
-                    (String.concat "; " (List.map Diag.to_string ds))
-                | Ok sg ->
-                  cold_timer := sg.Session.sg_timer;
-                  ignore
-                    (Flow.run ~config:{ base with Flow.timer = !cold_timer } ~algo cold_design);
-                  compare_latencies ~label warm_design cold_design))
-            deltas;
-          Hashtbl.replace per_jobs j (latencies_of warm_design)))
-    jobs;
-  (* and the whole warm history must be jobs-invariant *)
-  (match jobs with
-  | j0 :: rest ->
-    let ref_lat = Hashtbl.find per_jobs j0 in
-    List.iter
-      (fun j ->
-        List.iter2
-          (fun (name, l0) (_, lj) ->
-            if bits l0 <> bits lj then
-              fail "final latencies at jobs=%d diverge from jobs=%d on %s (%.17g vs %.17g)" j j0
-                name lj l0)
-          ref_lat (Hashtbl.find per_jobs j))
-      rest
-  | [] -> ());
+  let base =
+    {
+      config with
+      (* rollback needs the evaluator; neither changes latencies, and a
+         service session answers from the live timer *)
+      Flow.final_eval = false;
+      Flow.rollback = false;
+      Flow.checkpoint_dir = None;
+      Flow.debug_interrupt_after_phase = None;
+      Flow.debug_interrupt_after_iteration = None;
+    }
+  in
+  let warm_design = Flow.clone design in
+  let cold_design = Flow.clone design in
+  let session = Session.open_ ~config:base ~algo warm_design in
+  Fun.protect
+    ~finally:(fun () -> Session.close session)
+    (fun () ->
+      ignore (Session.finish session);
+      ignore (Flow.run ~config:base ~algo cold_design);
+      compare_latencies ~label:"initial run" warm_design cold_design;
+      let cold_timer = ref base.Flow.timer in
+      List.iteri
+        (fun k batch ->
+          let label = Printf.sprintf "batch %d" k in
+          match Session.apply_delta session batch with
+          | Error ds ->
+            fail "%s: apply_delta rejected: %s" label
+              (String.concat "; " (List.map Diag.to_string ds))
+          | Ok _ -> (
+            match
+              Session.stage ~validate:base.Flow.validate ~repair:base.Flow.repair
+                ~timer:!cold_timer cold_design batch
+            with
+            | Error ds ->
+              fail "%s: reference stage rejected what apply_delta accepted: %s" label
+                (String.concat "; " (List.map Diag.to_string ds))
+            | Ok sg ->
+              cold_timer := sg.Session.sg_timer;
+              ignore (Flow.run ~config:{ base with Flow.timer = !cold_timer } ~algo cold_design);
+              compare_latencies ~label warm_design cold_design))
+        deltas);
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)

@@ -13,8 +13,7 @@
     - {b differential}: the paper's iterative engine ({!Ours}), the
       exhaustive reference ({!Full_graph}) and the IC-CSS+ baseline
       ({!Iccss}) must agree on the achieved WNS/TNS within tolerance
-      ({!check_parity}), and the parallel extraction path must be
-      bit-identical to the sequential one ({!check_jobs_identity});
+      ({!check_parity});
     - {b feasibility}: a produced schedule must respect the latency
       windows, be numerically sane, and never beat the theoretical
       minimum-cycle-mean bound ({!check_feasible});
@@ -50,14 +49,11 @@ type run = {
       (** the scheduled clone the run mutated — feed to {!check_feasible} *)
 }
 
-(** [schedule ?config ?jobs engine design ~corner] clones
+(** [schedule ?config engine design ~corner] clones
     [design], runs [engine]'s scheduler at [corner] on the clone and
-    reports the outcome; the caller's design is never mutated.
-    [jobs > 1] routes the extraction through a worker pool (shut down
-    before returning). *)
+    reports the outcome; the caller's design is never mutated. *)
 val schedule :
   ?config:Css_core.Scheduler.config ->
-  ?jobs:int ->
   engine ->
   Css_netlist.Design.t ->
   corner:Css_sta.Timer.corner ->
@@ -98,14 +94,6 @@ val check_parity :
 val check_feasible :
   ?slack_tol:float -> Css_netlist.Design.t -> corner:Css_sta.Timer.corner -> string list
 
-(** [check_jobs_identity ?jobs design ~corner] runs {!Ours} sequentially
-    and once per entry of [jobs] (default [[2; 8]]) and requires {e
-    bit-identical} per-flip-flop latencies (compared via
-    [Int64.bits_of_float]), identical extraction counts and identical
-    iteration counts — the {!Css_util.Pool} determinism contract. *)
-val check_jobs_identity :
-  ?jobs:int list -> Css_netlist.Design.t -> corner:Css_sta.Timer.corner -> string list
-
 (** [check_resume_identity ?config ?kill_after_phase
     ?kill_after_iteration design ~algo ~dir] proves continuation is
     invisible: it runs the flow uninterrupted on one clone, runs it
@@ -135,21 +123,18 @@ val check_resume_identity :
 val random_deltas :
   Random.State.t -> Css_netlist.Design.t -> n:int -> Css_flow.Session.delta list
 
-(** [check_eco_identity ?config ?jobs ~deltas design ~algo] proves a
+(** [check_eco_identity ?config ~deltas design ~algo] proves a
     warm session is an optimization, not an approximation: it opens a
     session on one clone of [design] and runs it, replays the same
     history cold on another clone ([Flow.run], then per delta batch
     {!Css_flow.Session.stage} + a from-scratch [Flow.run] on the
     post-delta design), and requires {e bit-identical} per-flip-flop
-    latencies after the initial run and after every batch — once per
-    entry of [jobs] (default [[1]]; pass [[1; 2; 8]] for the pool
-    sweep), with the final warm latencies also required identical
-    across the jobs values. [config]'s rollback/persistence/debug knobs
+    latencies after the initial run and after every batch.
+    [config]'s rollback/persistence/debug knobs
     are overridden (identity needs both sides on the live-timer path
     and free of budget degradation). *)
 val check_eco_identity :
   ?config:Css_flow.Flow.config ->
-  ?jobs:int list ->
   deltas:Css_flow.Session.delta list list ->
   Css_netlist.Design.t ->
   algo:Css_flow.Flow.algo ->

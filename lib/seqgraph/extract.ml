@@ -4,7 +4,6 @@ module Design = Css_netlist.Design
 module Cell = Css_liberty.Cell
 module Obs = Css_util.Obs
 module Histo = Css_util.Histo
-module Pool = Css_util.Pool
 
 type stats = {
   mutable edges_extracted : int;
@@ -33,9 +32,8 @@ type obs_counters = {
   o_cone : Obs.counter;
   o_rounds : Obs.counter;
   o_walks : Obs.counter;  (* cone traversals *)
-  (* Cone-walk size distribution (visited nodes per walked endpoint),
-     observed during the deterministic merge in item order — identical
-     at any worker count. [Histo.dummy] when observability is off. *)
+  (* Cone-walk size distribution (visited nodes per walked item).
+     [Histo.dummy] when observability is off. *)
   h_cone : Histo.t;
 }
 
@@ -51,7 +49,7 @@ let resolve_obs obs engine =
     h_cone = Obs.histogram obs (Printf.sprintf "extract.%s.cone_visited" engine);
   }
 
-(* One candidate sequential edge produced by a worker's cone walk. *)
+(* One candidate sequential edge produced by a cone walk. *)
 type cand = {
   c_launcher : Graph.launcher;
   c_endpoint : Graph.endpoint;
@@ -59,27 +57,18 @@ type cand = {
   c_weight : float;
 }
 
-(* The result of cone-walking one work item: its candidates in exactly
-   the order the sequential loop would enumerate them, plus the visited
-   node count for deferred stats accounting and the number of cones
-   walked. Workers only build shards; all graph/stats/Obs mutation
-   happens in the submitter's merge. *)
-type shard = { sh_cands : cand list; sh_visited : int; sh_walks : int }
+(* The result of cone-walking one work item (an endpoint, a launcher,
+   or an IC-CSS vertex): its candidates in enumeration order, the
+   visited node count and the number of cones walked. *)
+type item = { it_cands : cand list; it_visited : int; it_walks : int }
 
 type t = {
   kind : engine;
   timer : Timer.t;
   verts : Vertex.t;
   graph : Seq_graph.t;
-  (* Single-writer: mutated only by the thread driving [round] (the
-     deterministic merge); never from pool workers. *)
   stats : stats;
   oc : obs_counters;
-  (* Mutable so the flow's degradation ladder can shed worker domains
-     mid-run ([set_pool]); determinism makes this observable only as
-     wall-clock. *)
-  mutable pool : Pool.t option;
-  mutable ctxs : Timer.cone_ctx array;  (* one private walk scratch per worker *)
   mutable pending_first : int;  (* Full: work count reported by the first round *)
   (* IC-CSS state *)
   bound : float array;  (* one-time extreme outgoing/incoming path delay *)
@@ -91,51 +80,36 @@ let graph t = t.graph
 let stats t = t.stats
 let engine t = t.kind
 
-let worker_ctxs timer pool =
-  Array.init (match pool with Some p -> Pool.jobs p | None -> 1) (fun _ -> Timer.cone_ctx timer)
-
-let set_pool t pool =
-  t.pool <- pool;
-  t.ctxs <- worker_ctxs t.timer pool
-
-(* Run [f ctx i] for i in [0, n), each item writing only its own result
-   slot and its worker's private scratch. Slot order — not completion
-   order — defines the merge order, so the output is identical at any
-   worker count, pool or no pool. *)
-let walk t ~n (f : Timer.cone_ctx -> int -> shard) : shard array =
-  match t.pool with
-  | Some pool -> Pool.map pool ~n (fun ~worker i -> f t.ctxs.(worker) i)
-  | None -> Array.init n (fun i -> f t.ctxs.(0) i)
-
-(* Deterministic merge: fold shards in item order, inserting kept
-   candidates in their sequential enumeration order, then flush the
-   accumulated stats and counters once (per-worker-flush rule: workers
-   never touch [stats], the timer or the [Obs] context). Returns the
-   number of kept candidates that changed the graph's constraint set
-   (inserted or rebound); refreshing a stored path does not count. *)
-let merge ?(keep = fun _ -> true) t shards =
+(* Walk items [0, n) in order: [f i] cone-walks item [i], and its kept
+   candidates go into the graph in enumeration order. The walks read
+   only the timer, never the graph, so inserting as they go sees exactly
+   what the walk of the next item would have seen. The round's stats and
+   counters are flushed once at the end. Returns the number of kept
+   candidates that changed the graph's constraint set (inserted or
+   rebound); refreshing a stored path does not count. *)
+let walk ?(keep = fun _ -> true) t ~n (f : int -> item) =
   let inserted = ref 0 and rebound = ref 0 and kept = ref 0 in
   let visited = ref 0 and cands = ref 0 and walks = ref 0 in
-  Array.iter
-    (fun sh ->
-      visited := !visited + sh.sh_visited;
-      walks := !walks + sh.sh_walks;
-      Histo.observe_int t.oc.h_cone sh.sh_visited;
-      List.iter
-        (fun c ->
-          incr cands;
-          if keep c then begin
-            incr kept;
-            match
-              Seq_graph.add_edge t.graph ~launcher:c.c_launcher ~endpoint:c.c_endpoint
-                ~delay:c.c_delay ~weight:c.c_weight
-            with
-            | Seq_graph.Inserted -> incr inserted
-            | Seq_graph.Rebound -> incr rebound
-            | Seq_graph.Refreshed -> ()
-          end)
-        sh.sh_cands)
-    shards;
+  for i = 0 to n - 1 do
+    let it = f i in
+    visited := !visited + it.it_visited;
+    walks := !walks + it.it_walks;
+    Histo.observe_int t.oc.h_cone it.it_visited;
+    List.iter
+      (fun c ->
+        incr cands;
+        if keep c then begin
+          incr kept;
+          match
+            Seq_graph.add_edge t.graph ~launcher:c.c_launcher ~endpoint:c.c_endpoint
+              ~delay:c.c_delay ~weight:c.c_weight
+          with
+          | Seq_graph.Inserted -> incr inserted
+          | Seq_graph.Rebound -> incr rebound
+          | Seq_graph.Refreshed -> ()
+        end)
+      it.it_cands
+  done;
   let re = !kept - !inserted in
   t.stats.edges_extracted <- t.stats.edges_extracted + !inserted;
   t.stats.edges_new <- t.stats.edges_new + !inserted;
@@ -146,7 +120,6 @@ let merge ?(keep = fun _ -> true) t shards =
   Obs.add t.oc.o_candidates !cands;
   Obs.add t.oc.o_cone !visited;
   Obs.add t.oc.o_walks !walks;
-  Timer.note_cone_visits t.timer !visited;
   !inserted + !rebound
 
 (* ------------------------------------------------------------------ *)
@@ -158,11 +131,11 @@ let full_extract t =
   let srcs = Graph.sources g in
   let n = Array.length srcs in
   Obs.add t.oc.o_endpoints n;
-  let shards =
-    walk t ~n (fun ctx i ->
+  let added =
+    walk t ~n (fun i ->
         let root = srcs.(i) in
         let launcher = Graph.launcher_of_node g root in
-        let found, visited = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:true in
+        let found, visited = Timer.cone t.timer corner ~root ~forward:true in
         let cands =
           List.map
             (fun (node, delay) ->
@@ -171,9 +144,8 @@ let full_extract t =
               { c_launcher = launcher; c_endpoint = endpoint; c_delay = delay; c_weight = weight })
             found
         in
-        { sh_cands = cands; sh_visited = visited; sh_walks = 1 })
+        { it_cands = cands; it_visited = visited; it_walks = 1 })
   in
-  let added = merge t shards in
   t.stats.rounds <- t.stats.rounds + 1;
   Obs.incr t.oc.o_rounds;
   added
@@ -184,12 +156,11 @@ let full_extract t =
 (* A violated endpoint needs (re-)extraction when its worst slack is not
    already explained by a stored edge: either it was never walked, or a
    previously positive (unextracted) path has turned negative. The
-   selection runs sequentially against the pre-round graph — each
+   selection runs against the pre-round graph before any walk; each
    endpoint appears at most once in [violated_endpoints], so this
-   round's insertions can never change another endpoint's test and the
-   cut is the same one the fully sequential loop makes. Past [limit]
-   walks the round is truncated: the first endpoint that still needs a
-   walk says so, and the rest are not tested. *)
+   round's insertions could not change another endpoint's test anyway.
+   Past [limit] walks the round is truncated: the first endpoint that
+   still needs a walk says so, and the rest are not tested. *)
 let essential_round ?(limit = max_int) t =
   t.stats.rounds <- t.stats.rounds + 1;
   Obs.incr t.oc.o_rounds;
@@ -213,11 +184,11 @@ let essential_round ?(limit = max_int) t =
   let n = Array.length selected in
   Obs.add t.oc.o_endpoints n;
   let g = Timer.graph t.timer in
-  let shards =
-    walk t ~n (fun ctx i ->
+  let added =
+    walk ~keep:(fun c -> c.c_weight < 0.0) t ~n (fun i ->
         let endpoint = selected.(i) in
         let root = Graph.node_of_endpoint g endpoint in
-        let found, visited = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:false in
+        let found, visited = Timer.cone t.timer corner ~root ~forward:false in
         let cands =
           List.map
             (fun (node, delay) ->
@@ -226,9 +197,9 @@ let essential_round ?(limit = max_int) t =
               { c_launcher = launcher; c_endpoint = endpoint; c_delay = delay; c_weight = weight })
             found
         in
-        { sh_cands = cands; sh_visited = visited; sh_walks = 1 })
+        { it_cands = cands; it_visited = visited; it_walks = 1 })
   in
-  { added = merge ~keep:(fun c -> c.c_weight < 0.0) t shards; truncated = !truncated }
+  { added; truncated = !truncated }
 
 (* ------------------------------------------------------------------ *)
 (* IC-CSS callback extraction (Albrecht, adapted)                      *)
@@ -295,13 +266,14 @@ let ref_ff_params t = Cell.ff_params (Css_liberty.Library.flip_flop (Design.libr
    vertex fires the callback as soon as it could become critical at any
    period the search visits; with the period fixed, the equivalent test
    gives every vertex a cushion equal to the current worst negative
-   slack — the depth to which the search would descend. *)
-let iccss_critical t v =
+   slack — the depth to which the search would descend. The cushion is
+   the same for every vertex of a round, so [iccss_round] computes it
+   once. *)
+let iccss_critical t ~cushion v =
   let corner = Seq_graph.corner t.graph in
   let d = design t in
   let period = Design.clock_period d in
   let p = ref_ff_params t in
-  let cushion = Float.max 0.0 (-.Timer.wns t.timer corner) in
   match corner with
   | Timer.Late ->
     t.bound.(v) > neg_infinity
@@ -327,9 +299,8 @@ let iccss_critical t v =
 
 (* The callback of IC-CSS: enumerate *all* outgoing sequential edges of
    the vertex — essential or not — which is exactly the over-extraction
-   the paper removes. Pure collection: the worker walks through its own
-   ctx and returns candidates; insertion happens in the merge. *)
-let iccss_collect t ctx v =
+   the paper removes. *)
+let iccss_collect t v =
   let corner = Seq_graph.corner t.graph in
   let g = Timer.graph t.timer in
   let visited = ref 0 and walks = ref 0 in
@@ -351,7 +322,7 @@ let iccss_collect t ctx v =
       List.concat_map
         (fun launcher ->
           let root = Graph.source_of_launcher g launcher in
-          let found, vis = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:true in
+          let found, vis = Timer.cone t.timer corner ~root ~forward:true in
           visited := !visited + vis;
           incr walks;
           List.map
@@ -376,7 +347,7 @@ let iccss_collect t ctx v =
       List.concat_map
         (fun endpoint ->
           let root = Graph.node_of_endpoint g endpoint in
-          let found, vis = Timer.cone_nodes_in ctx t.timer corner ~root ~forward:false in
+          let found, vis = Timer.cone t.timer corner ~root ~forward:false in
           visited := !visited + vis;
           incr walks;
           List.map
@@ -387,18 +358,19 @@ let iccss_collect t ctx v =
             found)
         endpoints
   in
-  { sh_cands = cands; sh_visited = !visited; sh_walks = !walks }
+  { it_cands = cands; it_visited = !visited; it_walks = !walks }
 
 (* Fire the callback for every not-yet-expanded critical vertex. The
    criticality test reads only timer state and the one-time bound —
-   never the growing graph — so selecting every vertex up front and
-   cone-walking them in parallel fires exactly the sequential set. *)
+   never the growing graph — so the vertices are selected up front,
+   against one endpoint scan for the round's cushion. *)
 let iccss_round t =
   t.stats.rounds <- t.stats.rounds + 1;
   Obs.incr t.oc.o_rounds;
+  let cushion = Float.max 0.0 (-.Timer.wns t.timer (Seq_graph.corner t.graph)) in
   let selected = ref [] in
   for v = 0 to Vertex.num t.verts - 1 do
-    if (not t.expanded.(v)) && iccss_critical t v then begin
+    if (not t.expanded.(v)) && iccss_critical t ~cushion v then begin
       t.expanded.(v) <- true;
       selected := v :: !selected
     end
@@ -406,8 +378,7 @@ let iccss_round t =
   let selected = Array.of_list (List.rev !selected) in
   let fired = Array.length selected in
   Obs.add t.oc.o_endpoints fired;
-  let shards = walk t ~n:fired (fun ctx i -> iccss_collect t ctx selected.(i)) in
-  ignore (merge t shards);
+  ignore (walk t ~n:fired (fun i -> iccss_collect t selected.(i)));
   fired
 
 let constraint_edges t ff =
@@ -431,7 +402,7 @@ let constraint_edges t ff =
 (* ------------------------------------------------------------------ *)
 (* Unified entry point                                                 *)
 
-let run ?(obs = Obs.null) ?pool ~engine:kind timer verts ~corner =
+let run ?(obs = Obs.null) ~engine:kind timer verts ~corner =
   let t =
     {
       kind;
@@ -440,8 +411,6 @@ let run ?(obs = Obs.null) ?pool ~engine:kind timer verts ~corner =
       graph = Seq_graph.create verts ~corner;
       stats = fresh_stats ();
       oc = resolve_obs obs (engine_name kind);
-      pool;
-      ctxs = worker_ctxs timer pool;
       pending_first = 0;
       bound = (match kind with Iccss -> compute_bound timer verts corner | Full | Essential -> [||]);
       expanded =
@@ -508,7 +477,7 @@ let snapshot t =
     sn_expanded = Array.copy t.expanded;
   }
 
-let restore ?(obs = Obs.null) ?pool snap timer verts ~corner =
+let restore ?(obs = Obs.null) snap timer verts ~corner =
   let t =
     {
       kind = snap.sn_engine;
@@ -517,8 +486,6 @@ let restore ?(obs = Obs.null) ?pool snap timer verts ~corner =
       graph = Seq_graph.create verts ~corner;
       stats = fresh_stats ();
       oc = resolve_obs obs (engine_name snap.sn_engine);
-      pool;
-      ctxs = worker_ctxs timer pool;
       pending_first = snap.sn_pending_first;
       bound = Array.copy snap.sn_bound;
       expanded = Array.copy snap.sn_expanded;

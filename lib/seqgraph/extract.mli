@@ -14,18 +14,12 @@
       explained by already-extracted edges are walked, and only
       negative-slack edges are materialized. [O(k*m')].
 
-    {2 Parallel extraction}
-
-    Pass [?pool] and every round's cone walks are sharded across the
-    pool's worker domains. Each worker walks through a private
-    {!Css_sta.Timer.cone_ctx} and returns per-item candidate buffers;
-    the submitting thread then merges them into the graph {e in item
-    order}, so the resulting graph — edge ids, insertion order, weights
-    — and all stats and counters are bit-identical to the sequential
-    path at any worker count. The selection phases (Essential's
-    violated-endpoint cut, IC-CSS's criticality test) stay sequential;
-    they read only pre-round state, so the parallel round selects
-    exactly the sequential set.
+    A round first selects its work items (Essential's violated-endpoint
+    cut, IC-CSS's criticality test) against pre-round state, then walks
+    them in order through {!Css_sta.Timer.cone}, inserting each item's
+    kept candidates in enumeration order. The graph — edge ids,
+    insertion order, weights — and all stats and counters are therefore
+    a function of the timer state alone.
 
     {2 Stats and observability}
 
@@ -34,12 +28,9 @@
     the graph ([edges_new]) plus, for IC-CSS, the constraint edges its
     callback enumerates. [re_extractions] counts kept candidates that
     landed on an already stored vertex pair (a re-walked endpoint, or a
-    port path collapsing onto another port's supernode pair). The record is
-    {b single-writer}: only the thread driving {!round} mutates it (in
-    the deterministic merge) — pool workers accumulate privately and
-    never touch it, nor the [?obs] context (counters are flushed once
-    per round by the submitter, so {!Css_util.Obs.null} stays
-    allocation-free). Engines report into the [extract.<engine>.*]
+    port path collapsing onto another port's supernode pair). Counters
+    are flushed once per round, so {!Css_util.Obs.null} stays
+    allocation-free. Engines report into the [extract.<engine>.*]
     counter namespace: [edges] (graph growth), [re_extractions],
     [candidate_edges] (cone results examined, kept or not — for
     {!Essential} the gap between candidates and kept edges is the
@@ -76,14 +67,11 @@ val engine_name : engine -> string
     tests, {!Iccss}'s bound and expansion flags). *)
 type t
 
-(** [run ?obs ?pool ~engine timer verts ~corner] instantiates
+(** [run ?obs ~engine timer verts ~corner] instantiates
     [engine] over [timer]'s design at [corner], starting from an empty
-    graph (for [Full], the one-time exhaustive extraction happens here).
-    [?pool] parallelizes the cone walks as described above; the timer
-    must not be mutated while a round is in flight. *)
+    graph (for [Full], the one-time exhaustive extraction happens here). *)
 val run :
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   engine:engine ->
   Css_sta.Timer.t ->
   Vertex.t ->
@@ -113,6 +101,8 @@ type outcome = {
     - [Iccss]: fires the callback for every vertex that is critical
       under current latencies and not yet expanded — *all* of its
       outgoing sequential edges are materialized ([limit] is ignored).
+      The criticality cushion (the current worst negative slack) costs
+      one endpoint scan per round.
     - [Full]: the graph was built by {!run}; the first call reports its
       edge count, subsequent calls report 0 ([limit] is ignored). *)
 val round : ?limit:int -> t -> outcome
@@ -127,14 +117,6 @@ val constraint_edges : t -> Css_netlist.Design.cell_id -> int
 val graph : t -> Seq_graph.t
 val stats : t -> stats
 val engine : t -> engine
-
-(** [set_pool t pool] swaps the worker pool (and the per-worker walk
-    scratch) an engine shards its cone walks over — the flow's
-    budget-degradation ladder sheds domains mid-run with this. Because
-    results are bit-identical at any worker count, the swap is
-    observable only as wall-clock. Must not be called while a round is
-    in flight. *)
-val set_pool : t -> Css_util.Pool.t option -> unit
 
 (** {1 Durable snapshots}
 
@@ -170,7 +152,7 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-(** [restore ?obs ?pool snap timer verts ~corner] rebuilds a live engine
+(** [restore ?obs snap timer verts ~corner] rebuilds a live engine
     from a snapshot against a (reparsed) design's timer and vertex
     registry: replays the edges in order into a fresh graph and restores
     the stats ([edges_new] is the replayed edge count, [re_extractions]
@@ -181,7 +163,6 @@ val snapshot : t -> snapshot
     semantics), which preserves them. *)
 val restore :
   ?obs:Css_util.Obs.t ->
-  ?pool:Css_util.Pool.t ->
   snapshot ->
   Css_sta.Timer.t ->
   Vertex.t ->

@@ -65,7 +65,6 @@ type open_params = {
   o_design : string;
   o_algo : string;
   o_rounds : int option;
-  o_jobs : int option;
   o_final_eval : bool option;
   o_rollback : bool option;
   o_wall_seconds : float option;
@@ -159,7 +158,6 @@ let request_to_json : request -> Json.t = function
          ("design", Json.String p.o_design);
        ]
       @ opt "rounds" p.o_rounds (fun i -> Json.Int i)
-      @ opt "jobs" p.o_jobs (fun i -> Json.Int i)
       @ opt "final_eval" p.o_final_eval (fun b -> Json.Bool b)
       @ opt "rollback" p.o_rollback (fun b -> Json.Bool b)
       @ opt "wall_seconds" p.o_wall_seconds fstr
@@ -188,7 +186,6 @@ let request_of_json j : request =
         o_design = string_field j "design";
         o_algo = string_field j "algo";
         o_rounds = opt_int j "rounds";
-        o_jobs = opt_int j "jobs";
         o_final_eval = opt_bool j "final_eval";
         o_rollback = opt_bool j "rollback";
         o_wall_seconds = opt_float j "wall_seconds";

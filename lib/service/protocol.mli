@@ -56,7 +56,6 @@ type open_params = {
   o_design : string;  (** design text, as by {!Css_netlist.Io.to_string} *)
   o_algo : string;  (** {!Css_flow.Session.algo_name} form, e.g. ["Ours"] *)
   o_rounds : int option;
-  o_jobs : int option;
   o_final_eval : bool option;  (** see {!Css_flow.Session.config.final_eval} *)
   o_rollback : bool option;
   o_wall_seconds : float option;  (** per-session wall budget *)

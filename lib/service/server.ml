@@ -19,7 +19,6 @@ type config = {
   state_dir : string option;
   library : Css_liberty.Library.t;
   rounds : int;
-  jobs : int;
   final_eval : bool;
   rollback : bool;
   wall_seconds : float option;
@@ -34,7 +33,6 @@ let default_config =
     state_dir = None;
     library = Css_liberty.Library.default;
     rounds = 3;
-    jobs = 1;
     (* service defaults favor cheap per-request answers; a client doing
        final sign-off opens its session with final_eval/rollback true *)
     final_eval = false;
@@ -109,7 +107,6 @@ let write_meta ~dir ~(p : Protocol.open_params) ~(sc : Session.config) =
            (Json.Obj
               [
                 ("algo", Json.String p.o_algo);
-                ("jobs", Json.Int sc.Session.jobs);
                 ("final_eval", Json.Bool sc.Session.final_eval);
                 ("rollback", Json.Bool sc.Session.rollback);
                 ("wall_seconds", opt sc.Session.budget.Budget.wall_seconds (fun f -> Json.Float f));
@@ -139,7 +136,6 @@ let session_config (cfg : config) ~(p : Protocol.open_params) ~dir : Session.con
   {
     Session.default_config with
     rounds = dfl cfg.rounds p.Protocol.o_rounds;
-    jobs = dfl cfg.jobs p.Protocol.o_jobs;
     (* a checkpoint is scored by the evaluator: rollback needs it *)
     final_eval = rollback || dfl cfg.final_eval p.Protocol.o_final_eval;
     rollback;
@@ -322,7 +318,7 @@ let respond t req =
   Histo.observe (histo t op) dt;
   Histo.observe (Obs.histogram t.cfg.obs ("service.seconds." ^ op)) dt;
   let tracer = Obs.tracer t.cfg.obs in
-  if Tracer.enabled tracer then Tracer.sample tracer ~track:0 t.tr_request dt;
+  if Tracer.enabled tracer then Tracer.sample tracer t.tr_request dt;
   t.n_requests <- t.n_requests + 1;
   obs_incr t "service.requests";
   obs_incr t ("service." ^ op);
@@ -387,8 +383,6 @@ let restore_sessions t =
                 o_algo =
                   (match Json.member "algo" meta with Some (Json.String a) -> a | _ -> "Ours");
                 o_rounds = None;
-                o_jobs =
-                  (match Json.member "jobs" meta with Some (Json.Int j) -> Some j | _ -> None);
                 o_final_eval =
                   (match Json.member "final_eval" meta with
                   | Some (Json.Bool b) -> Some b

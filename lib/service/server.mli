@@ -2,10 +2,8 @@
 
     One single-threaded loop multiplexes every open {!Css_flow.Session}
     over a Unix-domain socket speaking {!Protocol} frames. Requests are
-    handled one at a time on the daemon thread (a session's own worker
-    pool still parallelizes extraction inside a request per its [jobs]),
-    so sessions never race each other and the per-request answers stay
-    bitwise deterministic.
+    handled one at a time on the daemon thread, so sessions never race
+    each other and the per-request answers stay bitwise deterministic.
 
     {2 Governance and observability}
 
@@ -38,7 +36,6 @@ type config = {
   state_dir : string option;  (** session persistence root; [None] = in-memory only *)
   library : Css_liberty.Library.t;  (** cell library design texts parse against *)
   rounds : int;  (** default rounds for [open] requests that omit it *)
-  jobs : int;  (** default per-session worker count *)
   final_eval : bool;  (** default {!Css_flow.Session.config.final_eval} (daemon default [false]) *)
   rollback : bool;
       (** default rollback (daemon default [false]); rollback implies

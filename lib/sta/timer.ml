@@ -33,6 +33,7 @@ type obs_counters = {
   o_fwd : Obs.counter;
   o_bwd : Obs.counter;
   o_cone : Obs.counter;
+  o_scans : Obs.counter;  (* full endpoint scans: wns, tns, violated_endpoints *)
   (* Touched-node count per incremental update: the distribution behind
      the "re-propagate only affected cones" claim. *)
   h_update : Css_util.Histo.t;
@@ -45,6 +46,7 @@ let resolve_obs_counters obs =
     o_fwd = Obs.counter obs "timer.forward_visits";
     o_bwd = Obs.counter obs "timer.backward_visits";
     o_cone = Obs.counter obs "timer.cone_nodes";
+    o_scans = Obs.counter obs "timer.endpoint_scans";
     h_update = Obs.histogram obs "timer.update_nodes";
   }
 
@@ -63,18 +65,24 @@ type fscratch = {
 let fscratch () =
   { s_best_max = 0.0; s_best_min = 0.0; s_best_slew = 0.0; s_acc = 0.0; s_delay = 0.0 }
 
-(* Per-walk scratch: an epoch mark, a DP value per node, and a member
-   buffer sized for the whole graph. The timer owns one ([t.own_ctx])
-   for its sequential walks; parallel extraction hands each worker
-   domain a private [cone_ctx] so walks share nothing but the read-only
-   graph and delay arrays. *)
-type cone_ctx = {
+(* Cone-walk scratch: an epoch mark, a DP value per node, and a member
+   buffer sized for the whole graph, plus the DP's own float scratch. *)
+type cone_scratch = {
   cw_visit : Mark.t;
   cw_scratch : float array;
   cw_members : int array;
   mutable cw_count : int;
-  cw_fs : fscratch;  (* DP accumulator and arc delays — per worker, not on [t] *)
+  cw_fs : fscratch;
 }
+
+let cone_scratch n =
+  {
+    cw_visit = Mark.create n;
+    cw_scratch = Array.make n 0.0;
+    cw_members = Array.make n 0;
+    cw_count = 0;
+    cw_fs = fscratch ();
+  }
 
 type t = {
   graph : Graph.t;
@@ -101,7 +109,7 @@ type t = {
   mutable wl_hi : int;
   changed : int array;  (* nodes whose forward state the update changed *)
   mutable n_changed : int;
-  own_ctx : cone_ctx;  (* the timer's own sequential cone walker *)
+  cone_scr : cone_scratch;
   (* graph columns cached at build — the propagation loops index these
      directly instead of going through closures (see Graph raw columns) *)
   g_node_pin : int array;
@@ -171,8 +179,8 @@ let driver_res t node =
    results when called across module boundaries). The result goes
    through the flat scratch record rather than the return value: a
    function this size is never inlined, and a returned float is boxed.
-   [fs] is the caller's — the timer's own for sweeps, a worker's for
-   cone walks. *)
+   [fs] is the caller's — the timer's own for sweeps, the cone
+   scratch's for cone walks. *)
 let arc_delay_into fs t a =
   match Array.unsafe_get t.g_kinds a with
   | Graph.Cell_arc model -> (
@@ -591,6 +599,7 @@ let edge_slack t corner ~launcher ~endpoint ~delay =
    launcher/endpoint constructors — they run once per scheduler
    iteration over every endpoint. *)
 let wns t corner =
+  Obs.incr t.oc.o_scans;
   let eps = Graph.endpoints t.graph in
   let fs = t.fscr in
   fs.s_acc <- 0.0;
@@ -601,6 +610,7 @@ let wns t corner =
   fs.s_acc
 
 let tns t corner =
+  Obs.incr t.oc.o_scans;
   let eps = Graph.endpoints t.graph in
   let fs = t.fscr in
   fs.s_acc <- 0.0;
@@ -611,6 +621,7 @@ let tns t corner =
   fs.s_acc
 
 let violated_endpoints t corner =
+  Obs.incr t.oc.o_scans;
   let vs =
     Array.fold_left
       (fun acc n ->
@@ -622,19 +633,6 @@ let violated_endpoints t corner =
 
 (* ------------------------------------------------------------------ *)
 (* Cone enumeration                                                    *)
-
-let cone_ctx t =
-  let n = max (Graph.num_nodes t.graph) 1 in
-  {
-    cw_visit = Mark.create n;
-    cw_scratch = Array.make n 0.0;
-    cw_members = Array.make n 0;
-    cw_count = 0;
-    cw_fs = fscratch ();
-  }
-
-let note_cone_visits t n =
-  Obs.add t.oc.o_cone n
 
 (* In-place heapsort of [members.(0 .. count-1)] by ascending level —
    the member buffer is reused across walks, so no per-cone array is
@@ -665,14 +663,12 @@ let sort_members_by_level level members count =
   done
 
 (* Collect the cone of [root] (backward when [forward = false]) into the
-   context's member buffer, then run a longest/shortest-path DP
-   restricted to the cone in level order. Touches only [ctx] and
-   read-only timer state — no counters, no Obs — so it is safe to run from
-   worker domains; callers account visits via [note_cone_visits]
-   afterwards (single-writer). The DP relaxation is an inline CSR loop:
+   scratch member buffer, then run a longest/shortest-path DP restricted
+   to the cone in level order. The DP relaxation is an inline CSR loop:
    the only allocations are the result list cells. *)
-let cone_in ctx t corner ~root ~forward =
+let cone t corner ~root ~forward =
   let g = t.graph in
+  let ctx = t.cone_scr in
   let visit = ctx.cw_visit and scratch = ctx.cw_scratch and members = ctx.cw_members in
   let ostart = t.g_out_start
   and oarcs = t.g_out_arcs
@@ -762,14 +758,8 @@ let cone_in ctx t corner ~root ~forward =
     for i = count - 1 downto 0 do
       process (Array.unsafe_get members i)
     done;
+  Obs.add t.oc.o_cone count;
   (!results, count)
-
-let cone t corner ~root ~forward =
-  let results, count = cone_in t.own_ctx t corner ~root ~forward in
-  note_cone_visits t count;
-  (results, count)
-
-let cone_nodes_in ctx t corner ~root ~forward = cone_in ctx t corner ~root ~forward
 
 let cone_to_endpoint t corner e =
   let root = Graph.node_of_endpoint t.graph e in
@@ -876,14 +866,7 @@ let build ?(config = default_config) ?(obs = Obs.null) design =
       wl_hi = -1;
       changed = Array.make sz 0;
       n_changed = 0;
-      own_ctx =
-        {
-          cw_visit = Mark.create sz;
-          cw_scratch = Array.make sz 0.0;
-          cw_members = Array.make sz 0;
-          cw_count = 0;
-          cw_fs = fscratch ();
-        };
+      cone_scr = cone_scratch sz;
       g_node_pin = Graph.node_pins graph;
       g_out_start = out_start;
       g_out_arcs = out_arcs;

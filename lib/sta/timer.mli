@@ -40,9 +40,10 @@ type t
     propagation. [obs] (default {!Css_util.Obs.null}) receives the
     [timer.*] counters — the timer's only work accounting:
     [full_propagations], [incremental_updates], [forward_visits] and
-    [backward_visits] (per-node recomputations) and [cone_nodes] (nodes
-    visited by cone walks) — the paper's "Update" cost, reported per
-    iteration by the scheduler. *)
+    [backward_visits] (per-node recomputations), [cone_nodes] (nodes
+    visited by cone walks) and [endpoint_scans] (full endpoint scans by
+    {!wns}, {!tns} and {!violated_endpoints}) — the paper's "Update"
+    cost, reported per iteration by the scheduler. *)
 val build : ?config:config -> ?obs:Css_util.Obs.t -> Css_netlist.Design.t -> t
 
 val graph : t -> Graph.t
@@ -117,16 +118,18 @@ val endpoint_latency : t -> Graph.endpoint -> float
 val edge_slack :
   t -> corner -> launcher:Graph.launcher -> endpoint:Graph.endpoint -> delay:float -> float
 
+(** [wns t corner] / [tns t corner] scan every endpoint (one
+    [timer.endpoint_scans] each). *)
 val wns : t -> corner -> float
+
 val tns : t -> corner -> float
 
 (** [violated_endpoints t corner] are endpoints with negative slack,
-    worst first. *)
+    worst first (one [timer.endpoint_scans]). *)
 val violated_endpoints : t -> corner -> (Graph.endpoint * float) list
 
 (** [arc_delay t corner a] evaluates one timing arc's delay under current
-    slews, loads and placement (min-corner delays are derated). It only
-    reads [t], so worker domains may call it concurrently. *)
+    slews, loads and placement (min-corner delays are derated). *)
 val arc_delay : t -> corner -> int -> float
 
 (** {1 Cone enumeration (extraction primitives)} *)
@@ -143,39 +146,13 @@ val cone_to_endpoint : t -> corner -> Graph.endpoint -> (Graph.launcher * float)
     path delay, plus nodes visited. *)
 val cone_from_launcher : t -> corner -> Graph.launcher -> (Graph.endpoint * float) list * int
 
-(** {2 Re-entrant walks (parallel extraction)}
-
-    {!cone_to_endpoint} and {!cone_from_launcher} use the timer's own
-    scratch arrays and bump its counters inline, so only one may run at
-    a time. {!cone_nodes_in} walks through a caller-supplied {!cone_ctx}
-    and touches {e no} mutable timer state at all: give each worker
-    domain its own context and the walks may run concurrently against
-    the same timer, provided nothing mutates the timer (no [propagate],
-    latency or placement edits) while they are in flight. Visited-node
-    counts are returned, not accounted; the coordinating thread flushes
-    them once per round with {!note_cone_visits} (the [Obs] context
-    stays single-writer). *)
-
-(** Private scratch (visit marks + DP values) for one concurrent cone
-    walker. *)
-type cone_ctx
-
-(** [cone_ctx t] allocates a fresh walker context sized for [t]'s graph.
-    Do not share one context between concurrent walkers. *)
-val cone_ctx : t -> cone_ctx
-
-(** [cone_nodes_in ctx t corner ~root ~forward] is the node-level walk
-    behind {!cone_to_endpoint} and {!cone_from_launcher}, through [ctx]
-    and without counter side effects: the reached endpoint (forward) or
-    source (backward) nodes with their extreme pure path delays, plus
-    the visited-node count. *)
-val cone_nodes_in :
-  cone_ctx -> t -> corner -> root:Graph.node -> forward:bool -> (Graph.node * float) list * int
-
-(** [note_cone_visits t n] credits [n] cone-visited nodes to the
-    [timer.cone_nodes] counter — the deferred accounting for
-    {!cone_nodes_in} walks. Call from one thread only. *)
-val note_cone_visits : t -> int -> unit
+(** [cone t corner ~root ~forward] is the node-level walk behind
+    {!cone_to_endpoint} and {!cone_from_launcher}: the reached endpoint
+    (forward) or source (backward) nodes with their extreme pure path
+    delays, plus the visited-node count, which it also adds to
+    [timer.cone_nodes]. It walks through the timer's own scratch, so
+    one walk runs at a time. *)
+val cone : t -> corner -> root:Graph.node -> forward:bool -> (Graph.node * float) list * int
 
 (** {1 Path tracing} *)
 

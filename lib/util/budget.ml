@@ -4,8 +4,8 @@
    iteration but not for inner timing loops.
 
    Two thresholds per resource: above [soft_frac] of a limit every poll
-   reports [Soft] (the caller sheds one rung of load per poll — shrink
-   rings, drop workers, pick a cheaper engine — until pressure clears or
+   reports [Soft] (the caller sheds one rung of load per poll — pick a
+   cheaper engine, stop early — until pressure clears or
    its ladder is exhausted), crossing the limit itself reports [Hard]
    (the flow must stop with best-so-far now, before the kernel or the
    batch system stops it for us). The Obs trip counters and snapshots
@@ -97,8 +97,8 @@ let poll t =
     let rss_used = float_of_int (Rusage.current_rss_bytes ()) in
     let tr = Obs.tracer t.obs in
     if Tracer.enabled tr then begin
-      Tracer.sample tr ~track:0 t.tr_wall wall_used;
-      if rss_used > 0. then Tracer.sample tr ~track:0 t.tr_rss rss_used
+      Tracer.sample tr t.tr_wall wall_used;
+      if rss_used > 0. then Tracer.sample tr t.tr_rss rss_used
     end;
     let rss_state =
       match t.limits.rss_bytes with

@@ -9,13 +9,7 @@
    [observe] is allocation-free (an array store, a flat-float-record
    store and an unboxed [log2]), so instrumented hot loops can observe
    unconditionally; the shared [dummy] sink absorbs observations from
-   disabled contexts the way [Obs]'s dummy counter does.
-
-   Merging adds bucket counts and is therefore associative and
-   commutative — but the repo's per-worker-flush rule means callers
-   merge worker-local histograms in worker-index order anyway, making
-   the merged result bit-deterministic (the [sum] field is a float
-   accumulation, so order could otherwise matter in the last ulp). *)
+   disabled contexts the way [Obs]'s dummy counter does. *)
 
 let n_buckets = 1025 (* 1 underflow + 128 octaves * 8 sub-buckets *)
 let mid = 512 (* bucket of values in [1, 2^(1/8)) *)
@@ -105,15 +99,6 @@ let quantile t q =
     in
     go 0 0
   end
-
-let merge_into ~into src =
-  for i = 0 to n_buckets - 1 do
-    into.counts.(i) <- into.counts.(i) + src.counts.(i)
-  done;
-  into.n <- into.n + src.n;
-  into.acc.sum <- into.acc.sum +. src.acc.sum;
-  if src.acc.mn < into.acc.mn then into.acc.mn <- src.acc.mn;
-  if src.acc.mx > into.acc.mx then into.acc.mx <- src.acc.mx
 
 let to_json t =
   let buckets =

@@ -10,11 +10,7 @@
     {!observe} is allocation-free, so hot loops (per-iteration phase
     timings, cone-walk sizes, MMWC cycle lengths) can observe
     unconditionally; instrumentation that may be disabled routes to the
-    shared {!dummy} sink, mirroring [Obs]'s dummy counter.
-
-    Merging adds bucket counts — associative and commutative for the
-    counts; callers merge per-worker histograms in worker-index order
-    so the float [sum] is bit-deterministic too. *)
+    shared {!dummy} sink, mirroring [Obs]'s dummy counter. *)
 
 type t
 
@@ -61,10 +57,6 @@ val mean : t -> float
     [ceil (q*n)]-th smallest observation, clamped into
     [[min_value, max_value]]. [0.0] when empty. *)
 val quantile : t -> float -> float
-
-(** [merge_into ~into src] adds [src]'s counts and moments into [into].
-    [src] is unchanged. *)
-val merge_into : into:t -> t -> unit
 
 (** [clear t] resets [t] to empty without reallocating. *)
 val clear : t -> unit

@@ -40,7 +40,6 @@ type t = {
   mutable seq : int;
   ep : float;  (* wall-clock at creation: the run's correlation anchor *)
   mutable tracer : Tracer.t;  (* mirror spans/snapshots onto a timeline *)
-  mutable track : int;
 }
 
 let make ~trace =
@@ -55,7 +54,6 @@ let make ~trace =
     seq = 0;
     ep = Wall_clock.epoch ();
     tracer = Tracer.null;
-    track = 0;
   }
 
 let null =
@@ -70,7 +68,6 @@ let null =
     seq = 0;
     ep = 0.0;
     tracer = Tracer.null;
-    track = 0;
   }
 
 let create () = make ~trace:None
@@ -78,11 +75,7 @@ let create_trace oc = make ~trace:(Some oc)
 let enabled t = t.on
 let epoch t = t.ep
 
-let attach_tracer t ?(track = 0) tracer =
-  if t.on then begin
-    t.tracer <- tracer;
-    t.track <- track
-  end
+let attach_tracer t tracer = if t.on then t.tracer <- tracer
 
 let tracer t = t.tracer
 
@@ -136,7 +129,7 @@ let open_span t name =
   if t.on then begin
     t.stack <- (name, Wall_clock.now ()) :: t.stack;
     if Tracer.enabled t.tracer then
-      Tracer.span_begin t.tracer ~track:t.track (Tracer.intern t.tracer name)
+      Tracer.span_begin t.tracer (Tracer.intern t.tracer name)
   end
 
 let close_span t name =
@@ -151,7 +144,7 @@ let close_span t name =
       let path = stack_path t.stack in
       t.stack <- rest;
       if Tracer.enabled t.tracer then
-        Tracer.span_end t.tracer ~track:t.track (Tracer.intern t.tracer name);
+        Tracer.span_end t.tracer (Tracer.intern t.tracer name);
       let cell =
         match Hashtbl.find_opt t.span_tbl path with
         | Some c -> c
@@ -186,7 +179,7 @@ let snapshot t ~label fields =
     t.seq <- seq + 1;
     t.snaps <- { sn_label = label; sn_span = stack_path t.stack; sn_seq = seq; sn_fields = fields } :: t.snaps;
     if Tracer.enabled t.tracer then
-      Tracer.instant t.tracer ~track:t.track (Tracer.intern t.tracer label);
+      Tracer.instant t.tracer (Tracer.intern t.tracer label);
     match t.trace with
     | Some oc ->
       Printf.fprintf oc "[obs] snap  %s#%d" label seq;

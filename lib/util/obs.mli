@@ -59,11 +59,11 @@ val enabled : t -> bool
     themselves use the monotonic {!Wall_clock.now}. [0.0] on {!null}. *)
 val epoch : t -> float
 
-(** [attach_tracer t ?track tracer] mirrors every span open/close and
-    snapshot onto [tracer]'s timeline (default track 0), so existing
+(** [attach_tracer t tracer] mirrors every span open/close and
+    snapshot onto [tracer]'s timeline, so existing
     instrumentation renders in Perfetto without further changes. No-op
     on {!null}. *)
-val attach_tracer : t -> ?track:int -> Tracer.t -> unit
+val attach_tracer : t -> Tracer.t -> unit
 
 (** [tracer t] is the attached tracer ({!Tracer.null} if none), for
     instrumentation that wants to emit richer timeline events than the

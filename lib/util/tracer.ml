@@ -1,17 +1,14 @@
 (* Low-overhead streaming tracer.
 
-   Design: one preallocated struct-of-arrays ring per track (track =
-   worker domain; track 0 is the submitter/main domain). An event is a
+   Design: one preallocated struct-of-arrays ring. An event is a
    fixed-size record — kind byte, interned name id, monotonic
    timestamp, one float argument — written with three array stores and
-   a Bytes store, no allocation, no lock. The single-writer-per-track
-   discipline mirrors [Pool]'s per-worker-flush rule: only the domain
-   that owns a track writes to it, so the hot path needs no
-   synchronization at all.
+   a Bytes store, no allocation, no lock. The program records from one
+   domain, so the hot path needs no synchronization at all.
 
    Two overflow policies:
    - without a spill file the ring wraps, overwriting the oldest event
-     and counting it in the track's [dropped] tally (exact by
+     and counting it in the ring's [dropped] tally (exact by
      construction: one overwrite = one drop);
    - with [~spill:path] a full ring is serialized to disk in one chunk
      (20 bytes/event, format below) and reset, making the trace
@@ -20,7 +17,7 @@
 
    Spill record layout (little-endian, 20 bytes):
      byte 0      kind (0=begin 1=end 2=instant 3=counter)
-     byte 1      track id
+     byte 1      reserved (0)
      bytes 2-3   interned name id (u16)
      bytes 4-11  timestamp, seconds since tracer creation (f64)
      bytes 12-19 argument (f64)
@@ -34,14 +31,14 @@
 
 type name = int
 
-type track = {
+type ring = {
   kinds : Bytes.t;
   names : int array;
   stamps : float array;
   args : float array;
   mutable next : int; (* next write slot *)
   mutable filled : int; (* live slots, <= capacity *)
-  mutable total : int; (* events ever recorded on this track *)
+  mutable total : int; (* events ever recorded *)
   mutable dropped : int; (* events overwritten before export/spill *)
 }
 
@@ -55,7 +52,7 @@ type spill = {
 type t = {
   on : bool;
   cap : int;
-  tracks : track array;
+  ring : ring;
   lock : Mutex.t; (* guards interning and the spill channel *)
   name_ids : (string, int) Hashtbl.t;
   mutable names_by_id : string array;
@@ -70,7 +67,7 @@ type t = {
 
 let record_bytes = 20
 
-let make_track cap =
+let make_ring cap =
   {
     kinds = Bytes.make cap '\000';
     names = Array.make cap 0;
@@ -86,7 +83,7 @@ let null =
   {
     on = false;
     cap = 0;
-    tracks = [||];
+    ring = make_ring 0;
     lock = Mutex.create ();
     name_ids = Hashtbl.create 1;
     names_by_id = [||];
@@ -99,9 +96,8 @@ let null =
     gc_heap_name = 0;
   }
 
-let create ?(capacity = 65536) ?(tracks = 1) ?spill () =
+let create ?(capacity = 65536) ?spill () =
   if capacity < 2 then invalid_arg "Tracer.create: capacity must be >= 2";
-  if tracks < 1 then invalid_arg "Tracer.create: need at least one track";
   let spill =
     Option.map
       (fun path ->
@@ -111,7 +107,7 @@ let create ?(capacity = 65536) ?(tracks = 1) ?spill () =
   {
     on = true;
     cap = capacity;
-    tracks = Array.init tracks (fun _ -> make_track capacity);
+    ring = make_ring capacity;
     lock = Mutex.create ();
     name_ids = Hashtbl.create 64;
     names_by_id = Array.make 64 "";
@@ -125,7 +121,6 @@ let create ?(capacity = 65536) ?(tracks = 1) ?spill () =
   }
 
 let enabled t = t.on
-let tracks t = Array.length t.tracks
 let epoch t = t.run_epoch
 
 let intern t s =
@@ -153,15 +148,13 @@ let intern t s =
 
 let name_string t id = if id >= 0 && id < t.n_names then t.names_by_id.(id) else "?"
 
-(* Serialize [tr]'s live slots (chronological) into the spill file and
-   reset the track. Called by the owning domain only; the mutex guards
-   the shared channel and scratch buffer against concurrent flushes
-   from other tracks. *)
-let flush_track t track_idx =
+(* Serialize the ring's live slots (chronological) into the spill file
+   and reset the ring, under the mutex that also guards the channel. *)
+let flush_ring t =
   match t.spill with
   | None -> ()
   | Some sp ->
-    let tr = t.tracks.(track_idx) in
+    let tr = t.ring in
     if tr.filled > 0 then begin
       Mutex.lock t.lock;
       (try
@@ -178,7 +171,7 @@ let flush_track t track_idx =
            let i = (start + k) mod t.cap in
            let off = k * record_bytes in
            Bytes.unsafe_set sp.sp_scratch off (Bytes.unsafe_get tr.kinds i);
-           Bytes.set sp.sp_scratch (off + 1) (Char.chr (track_idx land 0xFF));
+           Bytes.set sp.sp_scratch (off + 1) '\000';
            Bytes.set_int16_le sp.sp_scratch (off + 2) (min tr.names.(i) 0xFFFF);
            Bytes.set_int64_le sp.sp_scratch (off + 4) (Int64.bits_of_float tr.stamps.(i));
            Bytes.set_int64_le sp.sp_scratch (off + 12) (Int64.bits_of_float tr.args.(i))
@@ -195,12 +188,10 @@ let flush_track t track_idx =
 
 (* Inlined down to the callers of [sample]: a float argument passed to a
    call is boxed, and the record path must not allocate. *)
-let[@inline] record t ~track kind name arg =
+let[@inline] record t kind name arg =
   if t.on then begin
-    let ntracks = Array.length t.tracks in
-    let track = if track >= 0 && track < ntracks then track else 0 in
-    let tr = Array.unsafe_get t.tracks track in
-    if tr.filled = t.cap && t.spill <> None then flush_track t track;
+    let tr = t.ring in
+    if tr.filled = t.cap && t.spill <> None then flush_ring t;
     let i = tr.next in
     Bytes.unsafe_set tr.kinds i (Char.unsafe_chr kind);
     Array.unsafe_set tr.names i name;
@@ -211,26 +202,18 @@ let[@inline] record t ~track kind name arg =
     tr.total <- tr.total + 1
   end
 
-let span_begin t ~track name = record t ~track 0 name 0.0
-let span_end t ~track name = record t ~track 1 name 0.0
-let instant t ~track ?(arg = 0.0) name = record t ~track 2 name arg
-let[@inline] sample t ~track name v = record t ~track 3 name v
+let span_begin t name = record t 0 name 0.0
+let span_end t name = record t 1 name 0.0
+let instant t ?(arg = 0.0) name = record t 2 name arg
+let[@inline] sample t name v = record t 3 name v
 
-let fold_tracks t f =
-  Array.fold_left (fun acc tr -> acc + f tr) 0 t.tracks
-
-let recorded t = fold_tracks t (fun tr -> tr.total)
-let dropped t = fold_tracks t (fun tr -> tr.dropped)
+let recorded t = t.ring.total
+let dropped t = t.ring.dropped
 let spilled t = match t.spill with None -> 0 | Some sp -> sp.sp_records
 
 let flush t =
   if t.on then begin
-    (match t.spill with
-    | None -> ()
-    | Some _ ->
-      for k = 0 to Array.length t.tracks - 1 do
-        flush_track t k
-      done);
+    flush_ring t;
     Mutex.lock t.lock;
     (match t.spill with Some { sp_oc = Some oc; _ } -> Stdlib.flush oc | _ -> ());
     Mutex.unlock t.lock
@@ -238,7 +221,7 @@ let flush t =
 
 (* --- GC telemetry --- *)
 
-let install_gc_alarm t ~track =
+let install_gc_alarm t =
   if t.on && t.gc_alarm = None then begin
     t.gc_major_name <- intern t "gc.major";
     t.gc_heap_name <- intern t "gc.heap_words";
@@ -246,8 +229,8 @@ let install_gc_alarm t ~track =
       Gc.create_alarm (fun () ->
           (* end of a major cycle: one timeline tick plus a heap-size
              counter sample *)
-          record t ~track 2 t.gc_major_name 0.0;
-          record t ~track 3 t.gc_heap_name (float_of_int (Gc.quick_stat ()).Gc.heap_words))
+          record t 2 t.gc_major_name 0.0;
+          record t 3 t.gc_heap_name (float_of_int (Gc.quick_stat ()).Gc.heap_words))
     in
     t.gc_alarm <- Some alarm
   end
@@ -276,17 +259,17 @@ let close t =
 
 let kind_phase = [| "B"; "E"; "i"; "C" |]
 
-let emit_event buf t ~depths ~first track kind name_id ts arg =
+let emit_event buf t ~depth ~first kind name_id ts arg =
   (* suppress end events whose begin was overwritten in the ring: they
      would corrupt the nesting of everything below them *)
   let keep =
     match kind with
     | 0 ->
-      depths.(track) <- depths.(track) + 1;
+      incr depth;
       true
     | 1 ->
-      if depths.(track) > 0 then begin
-        depths.(track) <- depths.(track) - 1;
+      if !depth > 0 then begin
+        decr depth;
         true
       end
       else false
@@ -297,8 +280,8 @@ let emit_event buf t ~depths ~first track kind name_id ts arg =
     first := false;
     Buffer.add_string buf "{\"name\":";
     Json.escape_to buf (name_string t name_id);
-    Buffer.add_string buf (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-                             kind_phase.(kind) (ts *. 1e6) track);
+    Buffer.add_string buf (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":0"
+                             kind_phase.(kind) (ts *. 1e6));
     (match kind with
     | 2 -> Buffer.add_string buf (Printf.sprintf ",\"s\":\"t\",\"args\":{\"v\":%s}" (Json.float_repr arg))
     | 3 -> Buffer.add_string buf (Printf.sprintf ",\"args\":{\"value\":%s}" (Json.float_repr arg))
@@ -311,22 +294,17 @@ let write_chrome_json t path =
   flush t;
   (* with a spill file every event (including the in-memory residue just
      flushed) is on disk; without one, export straight from the rings *)
-  let ntracks = Array.length t.tracks in
-  let depths = Array.make (max ntracks 1) 0 in
+  let depth = ref 0 in
   let first = ref true in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\n";
   Buffer.add_string buf (Printf.sprintf "\"otherData\":{\"epoch_s\":%s,\"dropped_events\":%d,\"recorded_events\":%d},\n"
                            (Json.float_repr t.run_epoch) (dropped t) (recorded t));
   Buffer.add_string buf "\"traceEvents\":[\n";
-  (* thread metadata so Perfetto labels each worker lane *)
+  (* metadata so Perfetto labels the process and its one lane *)
   Buffer.add_string buf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"css_opt\"}}";
-  for k = 0 to ntracks - 1 do
-    let label = if k = 0 then "main" else Printf.sprintf "worker-%d" k in
-    Buffer.add_string buf
-      (Printf.sprintf ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}"
-         k (Json.to_string (Json.String label)))
-  done;
+  Buffer.add_string buf
+    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"main\"}}";
   first := false;
   (match t.spill with
   | Some sp when Sys.file_exists sp.sp_path ->
@@ -339,23 +317,19 @@ let write_chrome_json t path =
         for _ = 1 to n do
           really_input ic rec_buf 0 record_bytes;
           let kind = Char.code (Bytes.get rec_buf 0) in
-          let track = Char.code (Bytes.get rec_buf 1) in
           let name_id = Bytes.get_uint16_le rec_buf 2 in
           let ts = Int64.float_of_bits (Bytes.get_int64_le rec_buf 4) in
           let arg = Int64.float_of_bits (Bytes.get_int64_le rec_buf 12) in
-          if kind <= 3 && track < ntracks then
-            emit_event buf t ~depths ~first track kind name_id ts arg
+          if kind <= 3 then emit_event buf t ~depth ~first kind name_id ts arg
         done)
   | _ ->
-    for k = 0 to ntracks - 1 do
-      let tr = t.tracks.(k) in
-      let start = if tr.filled = t.cap then tr.next else 0 in
-      for j = 0 to tr.filled - 1 do
-        let i = (start + j) mod t.cap in
-        emit_event buf t ~depths ~first k
-          (Char.code (Bytes.get tr.kinds i))
-          tr.names.(i) tr.stamps.(i) tr.args.(i)
-      done
+    let tr = t.ring in
+    let start = if tr.filled = t.cap then tr.next else 0 in
+    for j = 0 to tr.filled - 1 do
+      let i = (start + j) mod t.cap in
+      emit_event buf t ~depth ~first
+        (Char.code (Bytes.get tr.kinds i))
+        tr.names.(i) tr.stamps.(i) tr.args.(i)
     done);
   Buffer.add_string buf "\n]}\n";
   Json.write_file path (fun oc -> Buffer.output_buffer oc buf)

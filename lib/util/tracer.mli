@@ -1,12 +1,9 @@
 (** Low-overhead streaming tracer with Chrome trace_event export.
 
     Events (span begin/end, instants, counter samples) are fixed-size
-    records written into preallocated per-track ring buffers — three
-    array stores and a byte store per event, no allocation, no lock.
-    One track per worker domain (track 0 = the submitter/main domain),
-    single writer per track, so pool workers trace safely without
-    synchronization: the same discipline as [Pool]'s per-worker-flush
-    rule for [Obs] counters.
+    records written into one preallocated ring buffer — three array
+    stores and a byte store per event, no allocation, no lock. Record
+    from one domain: the exporter renders a single timeline lane.
 
     Overflow policy: without a spill file the ring wraps and the exact
     number of overwritten events is counted ({!dropped}); with
@@ -34,18 +31,14 @@ type name
     no-op, so instrumented code pays one branch when tracing is off. *)
 val null : t
 
-(** [create ?capacity ?tracks ?spill ()] makes an enabled tracer with
-    [tracks] ring buffers of [capacity] events each (defaults: one
-    track, 65536 events ≈ 2.5 MB/track). [?spill] names a binary
-    overflow file written in chunks when a ring fills.
-    @raise Invalid_argument if [capacity < 2] or [tracks < 1]. *)
-val create : ?capacity:int -> ?tracks:int -> ?spill:string -> unit -> t
+(** [create ?capacity ?spill ()] makes an enabled tracer with a ring of
+    [capacity] events (default 65536 events ≈ 2.5 MB). [?spill] names a
+    binary overflow file written in chunks when the ring fills.
+    @raise Invalid_argument if [capacity < 2]. *)
+val create : ?capacity:int -> ?spill:string -> unit -> t
 
 (** [enabled t] is [false] exactly for {!null}. *)
 val enabled : t -> bool
-
-(** [tracks t] is the number of tracks (0 for {!null}). *)
-val tracks : t -> int
 
 (** [epoch t] is the wall-clock time at tracer creation (seconds since
     the Unix epoch). *)
@@ -56,20 +49,19 @@ val epoch : t -> float
     On {!null} returns a dummy id. *)
 val intern : t -> string -> name
 
-(** [span_begin t ~track n] / [span_end t ~track n] bracket a timed
-    slice on [track]'s timeline lane. Nesting is by position: begins
-    and ends pair up LIFO per track. Allocation-free. Out-of-range
-    tracks fold onto track 0. *)
-val span_begin : t -> track:int -> name -> unit
+(** [span_begin t n] / [span_end t n] bracket a timed slice on the
+    timeline. Nesting is by position: begins and ends pair up LIFO.
+    Allocation-free. *)
+val span_begin : t -> name -> unit
 
-val span_end : t -> track:int -> name -> unit
+val span_end : t -> name -> unit
 
-(** [instant t ~track ?arg n] marks a point event (default [arg] 0). *)
-val instant : t -> track:int -> ?arg:float -> name -> unit
+(** [instant t ?arg n] marks a point event (default [arg] 0). *)
+val instant : t -> ?arg:float -> name -> unit
 
-(** [sample t ~track n v] records a counter sample; the exporter
-    renders these as Perfetto counter lanes. Allocation-free. *)
-val sample : t -> track:int -> name -> float -> unit
+(** [sample t n v] records a counter sample; the exporter renders these
+    as Perfetto counter lanes. Allocation-free. *)
+val sample : t -> name -> float -> unit
 
 (** [recorded t] is the total number of events ever recorded;
     [dropped t] the exact number overwritten before being spilled or
@@ -83,11 +75,11 @@ val spilled : t -> int
 (** [spill_path t] is the configured spill file, if any. *)
 val spill_path : t -> string option
 
-(** [install_gc_alarm t ~track] registers a [Gc.alarm] emitting a
+(** [install_gc_alarm t] registers a [Gc.alarm] emitting a
     ["gc.major"] instant and a ["gc.heap_words"] counter sample at the
     end of every major collection cycle. Idempotent. Remove with
     {!remove_gc_alarm} (also done by {!close}). *)
-val install_gc_alarm : t -> track:int -> unit
+val install_gc_alarm : t -> unit
 
 val remove_gc_alarm : t -> unit
 

@@ -22,6 +22,56 @@ let fresh () =
 (* ------------------------------------------------------------------ *)
 (* IC-CSS+ *)
 
+(* The Eq. (8) cushion is the round's worst negative slack: one endpoint
+   scan per round, not one per vertex (which made every IC-CSS+ round
+   O(V*E) before any cone was walked). *)
+let test_iccss_one_scan_per_round () =
+  List.iter
+    (fun corner ->
+      let design = Generator.generate Profile.tiny in
+      let obs = Css_util.Obs.create () in
+      let timer = Timer.build ~obs design in
+      let scans = Css_util.Obs.counter obs "timer.endpoint_scans" in
+      let verts = Css_seqgraph.Vertex.of_design design in
+      let eng = Extract.run ~obs ~engine:Extract.Iccss timer verts ~corner in
+      let rec go rounds =
+        let before = Css_util.Obs.value scans in
+        let fired = (Extract.round eng).Extract.added in
+        Alcotest.(check int) "one endpoint scan per round" 1 (Css_util.Obs.value scans - before);
+        if fired > 0 then go (rounds + 1) else rounds
+      in
+      checkb "some vertex fired" true (go 0 > 0))
+    [ Timer.Late; Timer.Early ]
+
+(* The same flow results as with the cushion recomputed per vertex:
+   extracted edges and the sign-off report, bitwise. *)
+let test_iccss_signoff_pinned () =
+  let module Flow = Css_flow.Flow in
+  let module Ev = Css_eval.Evaluator in
+  List.iter
+    (fun (name, p, edges, wns_l, tns_l, hpwl) ->
+      let r = Flow.run ~algo:Flow.Iccss_plus (Generator.generate p) in
+      let e = r.Flow.report in
+      let bits what want got =
+        checkb (Printf.sprintf "%s %s %h" name what got) true
+          (Int64.bits_of_float want = Int64.bits_of_float got)
+      in
+      Alcotest.(check int) (name ^ " edges") edges r.Flow.extracted_edges;
+      bits "wns_early" 0.0 e.Ev.wns_early;
+      bits "tns_early" 0.0 e.Ev.tns_early;
+      bits "wns_late" wns_l e.Ev.wns_late;
+      bits "tns_late" tns_l e.Ev.tns_late;
+      bits "hpwl" hpwl e.Ev.hpwl)
+    [
+      ("tiny", Profile.tiny, 41, -0x1.3e0ab68bbeeaep+8, -0x1.f31a0d9a232d4p+9, 0x1.1e4c496f6e78ep+16);
+      ( "sb18x0.12",
+        Profile.scale 0.12 (Option.get (Profile.by_name "sb18")),
+        157,
+        -0x1.c0af17b66ba6p+7,
+        -0x1.04b36a31b31b9p+10,
+        0x1.1567ee47a3ed7p+18 );
+    ]
+
 let test_iccss_plus_improves () =
   let _, timer = fresh () in
   let tns0 = Timer.tns timer Timer.Late in
@@ -116,6 +166,8 @@ let () =
           Alcotest.test_case "matches ours quality" `Quick test_iccss_plus_matches_ours_quality;
           Alcotest.test_case "extracts more" `Quick test_iccss_plus_extracts_more;
           Alcotest.test_case "early corner" `Quick test_iccss_plus_early;
+          Alcotest.test_case "one cushion scan per round" `Quick test_iccss_one_scan_per_round;
+          Alcotest.test_case "sign-off pinned" `Quick test_iccss_signoff_pinned;
         ] );
       ( "fpm",
         [

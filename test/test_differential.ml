@@ -4,10 +4,9 @@
    The engine sweep runs 3 profiles x 5 seeds x all 3 engines and holds
    the paper's central equivalence claim: iterative essential extraction
    reaches the timing of exhaustive extraction (and IC-CSS+ parity keeps
-   the baseline honest). The qcheck properties cover parallel-extraction
-   bit-identity and pipeline graceful degradation under random fault
-   sequences; a failing sequence is shrunk by Fault_seq and printed as a
-   replayable seed + fault list. *)
+   the baseline honest). The qcheck properties cover pipeline graceful
+   degradation under random fault sequences; a failing sequence is
+   shrunk by Fault_seq and printed as a replayable seed + fault list. *)
 
 module Design = Css_netlist.Design
 module Io = Css_netlist.Io
@@ -66,29 +65,6 @@ let test_engine_parity corner cname () =
             (Oracles.check_feasible ours.Oracles.scheduled ~corner))
         (profiles seed))
     seeds
-
-(* {2 Parallel extraction: bit-identity at any job count} *)
-
-let test_jobs_identity_sweep () =
-  List.iter
-    (fun seed ->
-      let design = Generator.generate { Profile.tiny with Profile.seed } in
-      List.iter
-        (fun corner ->
-          fail_all
-            (Printf.sprintf "jobs/seed%d" seed)
-            (Oracles.check_jobs_identity design ~corner))
-        [ Timer.Early; Timer.Late ])
-    seeds
-
-let jobs_identity_prop =
-  QCheck.Test.make ~name:"jobs {1,2,8} bit-identical" ~count:6
-    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
-    (fun seed ->
-      let design = Generator.generate { Profile.tiny with Profile.seed } in
-      match Oracles.check_jobs_identity ~jobs:[ 2; 8 ] design ~corner:Timer.Late with
-      | [] -> true
-      | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
 (* {2 Scoring on the live timer: bitwise a fresh evaluation} *)
 
@@ -517,11 +493,6 @@ let () =
             (test_engine_parity Timer.Late "late");
           Alcotest.test_case "parity + feasibility (early)" `Quick
             (test_engine_parity Timer.Early "early");
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "jobs sweep" `Quick test_jobs_identity_sweep;
-          QCheck_alcotest.to_alcotest jobs_identity_prop;
         ] );
       ( "scorer",
         [

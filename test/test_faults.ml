@@ -483,7 +483,6 @@ let durable_config ~obs dir =
   {
     Session.default_config with
     Session.rounds = 1;
-    jobs = 1;
     final_eval = false;
     rollback = false;
     obs;

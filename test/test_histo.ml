@@ -1,11 +1,9 @@
 (* Log-bucketed histogram unit tests: bucket layout, quantile accuracy,
-   deterministic merging (including across worker counts via the
-   extraction engine's cone-size histogram), JSON round-trip, and the
-   allocation-free observe path. *)
+   the extraction engine's cone-size histogram repeating across runs,
+   JSON round-trip, and the allocation-free observe path. *)
 
 module Histo = Css_util.Histo
 module Obs = Css_util.Obs
-module Pool = Css_util.Pool
 
 let checkb name expected got = Alcotest.(check bool) name expected got
 let checki name expected got = Alcotest.(check int) name expected got
@@ -83,62 +81,26 @@ let test_quantile_accuracy () =
 
 (* --- merging --- *)
 
-let test_merge_matches_single () =
-  (* observations split across shards and merged in shard order must be
-     indistinguishable from a single histogram fed sequentially — same
-     counts, same float sum (same addition order), same quantiles *)
-  let single = Histo.create () in
-  let shards = Array.init 8 (fun _ -> Histo.create ()) in
-  for i = 0 to 9999 do
-    let v = 0.001 *. float_of_int (1 + (i * 7919 mod 100000)) in
-    Histo.observe single v;
-    Histo.observe shards.(i mod 8) v
-  done;
-  (* shard-order merge is NOT the observation order, so only bucket
-     counts and extrema are exactly equal; sum is compared loosely *)
-  let merged = Histo.create () in
-  Array.iter (fun s -> Histo.merge_into ~into:merged s) shards;
-  checki "count" (Histo.count single) (Histo.count merged);
-  checkf "min" (Histo.min_value single) (Histo.min_value merged);
-  checkf "max" (Histo.max_value single) (Histo.max_value merged);
-  Alcotest.(check (float 1e-6)) "sum" (Histo.sum single) (Histo.sum merged);
-  List.iter
-    (fun q -> checkf (Printf.sprintf "q%.2f" q) (Histo.quantile single q) (Histo.quantile merged q))
-    [ 0.5; 0.95; 0.99 ];
-  (* and merging the same shards again in the same order is bitwise
-     reproducible, sum included *)
-  let merged2 = Histo.create () in
-  Array.iter (fun s -> Histo.merge_into ~into:merged2 s) shards;
-  checkb "deterministic sum" true (Histo.sum merged = Histo.sum merged2)
-
-(* the real parallel consumer: the extraction engine's cone-size
-   histogram must be identical at any worker count, because shard
-   results are merged in item order regardless of which domain ran them *)
-let test_merge_deterministic_across_jobs () =
+(* the real consumer: the extraction engine's cone-size histogram,
+   observed in item order, must repeat bitwise on a fresh run *)
+let test_cone_histogram_repeats () =
   let design = Css_benchgen.Generator.generate Css_benchgen.Profile.tiny in
-  let cone_json jobs =
+  let cone_json () =
     let obs = Obs.create () in
     let timer = Css_sta.Timer.build design in
     let verts = Css_seqgraph.Vertex.of_design design in
-    let run pool =
-      let eng =
-        Css_seqgraph.Extract.run ~obs ?pool ~engine:Css_seqgraph.Extract.Essential timer verts
-          ~corner:Css_sta.Timer.Late
-      in
-      ignore (Css_seqgraph.Extract.round eng)
+    let eng =
+      Css_seqgraph.Extract.run ~obs ~engine:Css_seqgraph.Extract.Essential timer verts
+        ~corner:Css_sta.Timer.Late
     in
-    if jobs = 1 then run None
-    else Pool.with_pool ~jobs (fun pool -> run (Some pool));
+    ignore (Css_seqgraph.Extract.round eng);
     match List.assoc_opt "extract.essential.cone_visited" (Obs.histograms obs) with
     | Some h -> Obs.Json.to_string (Histo.to_json h)
     | None -> Alcotest.fail "cone histogram not registered"
   in
-  let base = cone_json 1 in
+  let base = cone_json () in
   checkb "histogram non-trivial" true (String.length base > 40);
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string) (Printf.sprintf "jobs %d" jobs) base (cone_json jobs))
-    [ 2; 8 ]
+  Alcotest.(check string) "second run" base (cone_json ())
 
 (* --- JSON round-trip --- *)
 
@@ -153,12 +115,10 @@ let test_json_roundtrip () =
   List.iter
     (fun q -> checkf (Printf.sprintf "q%.2f" q) (Histo.quantile h q) (Histo.quantile h' q))
     [ 0.5; 0.95; 0.99 ];
-  (* the restored histogram keeps merging identically *)
-  let extra = Histo.create () in
-  Histo.observe extra 42.0;
-  Histo.merge_into ~into:h extra;
-  Histo.merge_into ~into:h' extra;
-  checkf "post-merge q95" (Histo.quantile h 0.95) (Histo.quantile h' 0.95)
+  (* the restored histogram keeps observing identically *)
+  Histo.observe h 42.0;
+  Histo.observe h' 42.0;
+  checkf "post-observe q95" (Histo.quantile h 0.95) (Histo.quantile h' 0.95)
 
 (* --- allocation-free observe (same calibration idiom as test_layout) --- *)
 
@@ -206,9 +166,8 @@ let () =
           Alcotest.test_case "bucket layout" `Quick test_bucket_layout;
           Alcotest.test_case "exact moments" `Quick test_moments_exact;
           Alcotest.test_case "quantile accuracy" `Quick test_quantile_accuracy;
-          Alcotest.test_case "merge matches single" `Quick test_merge_matches_single;
-          Alcotest.test_case "merge deterministic across jobs" `Quick
-            test_merge_deterministic_across_jobs;
+          Alcotest.test_case "cone histogram repeats across runs" `Quick
+            test_cone_histogram_repeats;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "observe allocation-free" `Quick test_observe_allocation_free;
         ] );

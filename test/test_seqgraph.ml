@@ -1,7 +1,8 @@
 (* Tests for sequential-graph vertices, the graph container, the Eq. (10)
    weight update, and the three extraction engines — in particular the
    key property that the iterative essential engine finds exactly the
-   negative edges full extraction finds. *)
+   negative edges full extraction finds, and that every engine repeats
+   bitwise, also on designs that survived fault-injection repair. *)
 
 module Design = Css_netlist.Design
 module Graph = Css_sta.Graph
@@ -12,6 +13,9 @@ module Extract = Css_seqgraph.Extract
 module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
 module Rng = Css_util.Rng
+module Obs = Css_util.Obs
+module Mutator = Css_benchgen.Mutator
+module Io = Css_netlist.Io
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -379,6 +383,81 @@ let test_iccss_criticality_grows_with_latency () =
   let fired = (Extract.round iccss).Extract.added in
   checkb "large latencies trigger more expansion" true (fired > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Determinism: everything observable from one extraction run — the
+   ordered edge list, the stats record, the round-by-round work trace
+   and the Obs counters — repeats on a fresh run over a freshly
+   generated design, and the timer's cone-walk total is the engine's. *)
+
+type run_record = {
+  rr_edges : (int * int * float * float) list; (* src, dst, delay, weight *)
+  rr_stats : Extract.stats;
+  rr_rounds : int list;
+  rr_counters : (string * int) list;
+}
+
+let run_engine engine design =
+  let obs = Obs.create () in
+  let timer = Timer.build ~obs design in
+  let verts = Vertex.of_design design in
+  let eng = Extract.run ~obs ~engine timer verts ~corner:Timer.Late in
+  (* loop until a round changes nothing: with the timer fixed, a second
+     walk of an endpoint only refreshes what the first stored *)
+  let fired = ref [] in
+  let continue_ = ref true in
+  while !continue_ do
+    let n = (Extract.round eng).Extract.added in
+    fired := n :: !fired;
+    if n = 0 then continue_ := false
+  done;
+  let edges = ref [] in
+  let g = Extract.graph eng in
+  Seq_graph.iter_edges g (fun e ->
+      edges := (Seq_graph.src g e, Seq_graph.dst g e, Seq_graph.delay g e, Seq_graph.weight g e) :: !edges);
+  {
+    rr_edges = List.rev !edges;
+    rr_stats = Extract.stats eng;
+    rr_rounds = List.rev !fired;
+    rr_counters = Obs.counters obs;
+  }
+
+(* Generators are deterministic in the profile seed, so calling [mk]
+   afresh reproduces the identical design. *)
+let sweep name mk =
+  List.iter
+    (fun engine ->
+      let ename = Extract.engine_name engine in
+      let tag what = Printf.sprintf "%s/%s %s" name ename what in
+      let a = run_engine engine (mk ()) in
+      let b = run_engine engine (mk ()) in
+      checkb (tag "extracts work") true (a.rr_stats.Extract.cone_nodes > 0);
+      checkb (tag "timer cone total = engine's") true
+        (List.assoc_opt "timer.cone_nodes" a.rr_counters = Some a.rr_stats.Extract.cone_nodes);
+      checkb (tag "edge lists bit-identical") true (a.rr_edges = b.rr_edges);
+      checkb (tag "stats identical") true (a.rr_stats = b.rr_stats);
+      checkb (tag "round trace identical") true (a.rr_rounds = b.rr_rounds);
+      checkb (tag "obs counters identical") true (a.rr_counters = b.rr_counters))
+    [ Extract.Full; Extract.Essential; Extract.Iccss ]
+
+let test_determinism_tiny () = sweep "tiny" (fun () -> Generator.generate Profile.tiny)
+
+let test_determinism_scaled () =
+  sweep "sb18-scaled" (fun () ->
+      Generator.generate (Profile.scale 0.12 (Option.get (Profile.by_name "sb18"))))
+
+(* A design that survived fault injection exercises the repaired-input
+   shapes (dangling pins dropped, etc.) the clean generators never
+   produce. *)
+let test_determinism_corrupted () =
+  let mk () =
+    let text = Io.to_string (Generator.generate Profile.tiny) in
+    let text, _ = Mutator.corrupt Mutator.Drop_net (Rng.create 77) text in
+    match Io.of_string ~policy:Io.Recover ~library:Css_liberty.Library.default text with
+    | Ok (d, _) -> d
+    | Error _ -> Alcotest.fail "corrupted design did not recover"
+  in
+  sweep "tiny-corrupted" mk
+
 let () =
   Alcotest.run "seqgraph"
     [
@@ -415,5 +494,11 @@ let () =
             test_iccss_constraint_edges_charge_cost;
           Alcotest.test_case "IC-CSS criticality grows" `Quick
             test_iccss_criticality_grows_with_latency;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "tiny, all engines" `Quick test_determinism_tiny;
+          Alcotest.test_case "scaled sb18, all engines" `Quick test_determinism_scaled;
+          Alcotest.test_case "mutator-corrupted design" `Quick test_determinism_corrupted;
         ] );
     ]

@@ -32,8 +32,8 @@ let tiny_design () = Generator.generate Profile.tiny
 
 (* The service-path configuration: report from the live timer, no
    rollback scoring — what the daemon defaults to for delta serving. *)
-let svc_config ?(rounds = 2) ?(jobs = 1) () =
-  { Flow.default_config with Flow.rounds; jobs; final_eval = false; rollback = false }
+let svc_config ?(rounds = 2) () =
+  { Flow.default_config with Flow.rounds; final_eval = false; rollback = false }
 
 let exact_latencies design =
   Array.map
@@ -100,7 +100,6 @@ let test_rollback_alone_scores () =
       o_design = "";
       o_algo = "Ours";
       o_rounds = None;
-      o_jobs = None;
       o_final_eval = None;
       o_rollback = Some true;
       o_wall_seconds = None;
@@ -227,7 +226,6 @@ let test_request_roundtrip () =
           o_design = "design text";
           o_algo = "Ours";
           o_rounds = Some 2;
-          o_jobs = None;
           o_final_eval = Some false;
           o_rollback = None;
           o_wall_seconds = Some 1.5;
@@ -259,7 +257,7 @@ let test_request_roundtrip () =
 
 (* {2 ECO identity (oracle)} *)
 
-let test_eco_identity_jobs () =
+let test_eco_identity_fixed () =
   let design = tiny_design () in
   let rng = Random.State.make [| 7; 11 |] in
   let deltas =
@@ -269,7 +267,7 @@ let test_eco_identity_jobs () =
       Oracles.random_deltas rng design ~n:1;
     ]
   in
-  match Oracles.check_eco_identity ~jobs:[ 1; 2; 8 ] ~deltas design ~algo:Flow.Ours with
+  match Oracles.check_eco_identity ~deltas design ~algo:Flow.Ours with
   | [] -> ()
   | fs -> Alcotest.fail (String.concat "\n" fs)
 
@@ -363,7 +361,7 @@ let fresh_socket =
          (Printf.sprintf "css-serve-%d-%d.sock" (Unix.getpid ()) !n))
 
 let daemon_config ?(state_dir = None) ~socket () =
-  { Server.default_config with Server.socket; state_dir; rounds = 2; jobs = 1; max_sessions = 5 }
+  { Server.default_config with Server.socket; state_dir; rounds = 2; max_sessions = 5 }
 
 let fork_daemon cfg =
   match Unix.fork () with
@@ -383,7 +381,6 @@ let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ~session text =
       o_design = text;
       o_algo = algo;
       o_rounds = Some rounds;
-      o_jobs = Some 1;
       o_final_eval = None;
       o_rollback = None;
       o_wall_seconds = wall;
@@ -400,7 +397,8 @@ let test_daemon_legacy_open_field () =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let req =
     match Protocol.request_to_json (open_params ~session:"old" (Io.to_string (tiny_design ()))) with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("cache_mb", Json.Int 32) ])
+    (* fields of deleted knobs (the cone cache, the extraction pool) are ignored *)
+    | Json.Obj fields -> Json.Obj (fields @ [ ("cache_mb", Json.Int 32); ("jobs", Json.Int 4) ])
     | _ -> Alcotest.fail "open request is not an object"
   in
   let resp = Client.expect_ok (Client.rpc_json c req) in
@@ -663,8 +661,6 @@ let () =
           Alcotest.test_case "framing" `Quick test_framing;
           Alcotest.test_case "request json round trip" `Quick test_request_roundtrip;
         ] );
-      (* the daemon group forks; it must run before any jobs>1 test
-         (Unix.fork is unavailable once worker domains were spawned) *)
       ( "daemon",
         [
           Alcotest.test_case "round trip + error codes" `Quick test_daemon_roundtrip;
@@ -674,7 +670,7 @@ let () =
         ] );
       ( "eco-identity",
         [
-          Alcotest.test_case "jobs 1/2/8 bitwise" `Slow test_eco_identity_jobs;
+          Alcotest.test_case "fixed delta batches bitwise" `Slow test_eco_identity_fixed;
           QCheck_alcotest.to_alcotest eco_identity_qcheck;
           QCheck_alcotest.to_alcotest kill_resume_qcheck;
         ] );

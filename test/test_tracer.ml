@@ -1,11 +1,11 @@
 (* Streaming tracer tests: exact ring-buffer overflow accounting, spill
    losslessness, Chrome trace_event export validity (including
-   unmatched-end suppression after a wrap), null no-ops, multi-track
-   recording from pool workers, and the allocation-free hot path. *)
+   unmatched-end suppression after a wrap), null no-ops, a session's
+   spans reaching the tracer through its [obs], and the allocation-free
+   hot path. *)
 
 module Tracer = Css_util.Tracer
 module Json = Css_util.Json
-module Pool = Css_util.Pool
 
 let checkb name expected got = Alcotest.(check bool) name expected got
 let checki name expected got = Alcotest.(check int) name expected got
@@ -30,32 +30,17 @@ let test_wraparound_exact_drops () =
   let n = Tracer.intern t "ev" in
   (* fill exactly: nothing dropped *)
   for _ = 1 to cap do
-    Tracer.instant t ~track:0 n
+    Tracer.instant t n
   done;
   checki "recorded at cap" cap (Tracer.recorded t);
   checki "dropped at cap" 0 (Tracer.dropped t);
   (* each further event overwrites exactly one: drops count is exact *)
   for _ = 1 to 17 do
-    Tracer.instant t ~track:0 n
+    Tracer.instant t n
   done;
   checki "recorded past cap" (cap + 17) (Tracer.recorded t);
   checki "dropped past cap" 17 (Tracer.dropped t);
-  (* drops are per-track: a second track has its own ring *)
-  let t2 = Tracer.create ~capacity:cap ~tracks:2 () in
-  let n2 = Tracer.intern t2 "ev" in
-  for _ = 1 to cap + 5 do
-    Tracer.instant t2 ~track:0 n2
-  done;
-  for _ = 1 to cap do
-    Tracer.instant t2 ~track:1 n2
-  done;
-  checki "only track 0 dropped" 5 (Tracer.dropped t2);
-  (* out-of-range tracks fold onto track 0 rather than crashing *)
-  Tracer.instant t2 ~track:99 n2;
-  Tracer.instant t2 ~track:(-3) n2;
-  checki "folded events dropped from track 0" 7 (Tracer.dropped t2);
-  Tracer.close t;
-  Tracer.close t2
+  Tracer.close t
 
 let test_spill_lossless () =
   with_tmp ".spill" @@ fun spill ->
@@ -64,7 +49,7 @@ let test_spill_lossless () =
   let n = Tracer.intern t "ev" in
   let total = (cap * 5) + 7 in
   for i = 1 to total do
-    Tracer.sample t ~track:0 n (float_of_int i)
+    Tracer.sample t n (float_of_int i)
   done;
   (* a full ring spills instead of wrapping: nothing is ever dropped *)
   checki "recorded" total (Tracer.recorded t);
@@ -103,10 +88,10 @@ let test_export_balanced_after_wrap () =
   let t = Tracer.create ~capacity:16 () in
   let outer = Tracer.intern t "outer" and inner = Tracer.intern t "inner" in
   for _ = 1 to 40 do
-    Tracer.span_begin t ~track:0 outer;
-    Tracer.span_begin t ~track:0 inner;
-    Tracer.span_end t ~track:0 inner;
-    Tracer.span_end t ~track:0 outer
+    Tracer.span_begin t outer;
+    Tracer.span_begin t inner;
+    Tracer.span_end t inner;
+    Tracer.span_end t outer
   done;
   checkb "ring wrapped" true (Tracer.dropped t > 0);
   with_tmp ".json" @@ fun out ->
@@ -142,51 +127,19 @@ let test_export_balanced_after_wrap () =
     events;
   Tracer.close t
 
-let test_multi_track_via_pool () =
-  (* the intended concurrent use: one track per pool worker, written
-     without synchronization; every chunk span must come out on its
-     worker's tid with balanced begin/end *)
-  let jobs = 4 in
-  let t = Tracer.create ~tracks:jobs () in
-  let obs = Css_util.Obs.create () in
-  Css_util.Obs.attach_tracer obs t;
-  Pool.with_pool ~obs ~jobs (fun pool ->
-      Pool.run pool ~n:64 (fun ~worker:_ i -> ignore (i * i)));
-  checkb "chunks recorded" true (Tracer.recorded t > 0);
-  with_tmp ".json" @@ fun out ->
-  Tracer.write_chrome_json t out;
-  let j = Json.of_string (read_file out) in
-  let events = match Json.member "traceEvents" j with Some (Json.List l) -> l | _ -> [] in
-  let depths = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match (Json.member "ph" e, Json.member "tid" e) with
-      | Some (Json.String ph), Some (Json.Int tid) when ph = "B" || ph = "E" ->
-        checkb "tid in range" true (tid >= 0 && tid < jobs);
-        let d = Option.value ~default:0 (Hashtbl.find_opt depths tid) in
-        let d' = if ph = "B" then d + 1 else d - 1 in
-        checkb "balanced per tid" true (d' >= 0);
-        Hashtbl.replace depths tid d'
-      | _ -> ())
-    events;
-  Hashtbl.iter (fun _ d -> checki "all spans closed" 0 d) depths;
-  Tracer.close t
-
 (* --- a session's one tracer handle --- *)
 
 let test_session_traces_through_obs () =
-  (* the worker pool and the budget governor reach the tracer only
-     through the session's [obs]: attach it there and both lanes show *)
+  (* the session's phase spans and the budget governor reach the tracer
+     only through the session's [obs]: attach it there and both show *)
   let module Session = Css_flow.Session in
   let module Budget = Css_util.Budget in
-  let jobs = 2 in
-  let t = Tracer.create ~tracks:jobs () in
+  let t = Tracer.create () in
   let obs = Css_util.Obs.create () in
   Css_util.Obs.attach_tracer obs t;
   let config =
     {
       Session.default_config with
-      Session.jobs;
       obs;
       budget = { Budget.no_limits with Budget.wall_seconds = Some 3600.0 };
     }
@@ -208,14 +161,14 @@ let test_session_traces_through_obs () =
         Json.member "name" e = Some (Json.String name) && Json.member "ph" e = Some (Json.String ph))
       events
   in
-  let chunks = named "pool.chunk" "B" in
-  checkb "pool.chunk spans" true (chunks <> []);
   List.iter
-    (fun e ->
-      match Json.member "tid" e with
-      | Some (Json.Int tid) -> checkb "chunk on a pool worker's track" true (tid >= 0 && tid < jobs)
-      | _ -> Alcotest.fail "pool.chunk without a tid")
-    chunks;
+    (fun name ->
+      let spans = named name "B" in
+      checkb (name ^ " spans") true (spans <> []);
+      List.iter
+        (fun e -> checkb (name ^ " on the one lane") true (Json.member "tid" e = Some (Json.Int 0)))
+        spans)
+    [ "late-css"; "reconnect" ];
   checkb "budget.wall_s samples" true (named "budget.wall_s" "C" <> []);
   Tracer.close t
 
@@ -224,12 +177,11 @@ let test_session_traces_through_obs () =
 let test_null_noops () =
   let t = Tracer.null in
   checkb "disabled" false (Tracer.enabled t);
-  checki "no tracks" 0 (Tracer.tracks t);
   let n = Tracer.intern t "anything" in
-  Tracer.span_begin t ~track:0 n;
-  Tracer.span_end t ~track:0 n;
-  Tracer.instant t ~track:0 n;
-  Tracer.sample t ~track:0 n 1.0;
+  Tracer.span_begin t n;
+  Tracer.span_end t n;
+  Tracer.instant t n;
+  Tracer.sample t n 1.0;
   Tracer.flush t;
   Tracer.close t;
   checki "nothing recorded" 0 (Tracer.recorded t);
@@ -257,14 +209,14 @@ let alloc_sweep t name_str =
   let n = Tracer.intern t name_str in
   let iters = 5_000 in
   for _ = 1 to 64 do
-    Tracer.span_begin t ~track:0 n;
-    Tracer.span_end t ~track:0 n
+    Tracer.span_begin t n;
+    Tracer.span_end t n
   done;
   let before = Gc.minor_words () in
   for i = 1 to iters do
-    Tracer.span_begin t ~track:0 n;
-    Tracer.sample t ~track:0 n (float_of_int i);
-    Tracer.span_end t ~track:0 n
+    Tracer.span_begin t n;
+    Tracer.sample t n (float_of_int i);
+    Tracer.span_end t n
   done;
   let allocated = Gc.minor_words () -. before in
   (* one boxed float per iteration for the sample argument under dev
@@ -298,7 +250,6 @@ let () =
           Alcotest.test_case "spill lossless" `Quick test_spill_lossless;
           Alcotest.test_case "export balanced after wrap" `Quick
             test_export_balanced_after_wrap;
-          Alcotest.test_case "multi-track via pool" `Quick test_multi_track_via_pool;
           Alcotest.test_case "session traces through obs" `Quick
             test_session_traces_through_obs;
           Alcotest.test_case "null no-ops" `Quick test_null_noops;
