@@ -62,22 +62,33 @@ if [ "${1:-}" = "--smoke" ]; then
   fi
   # streaming tracer end-to-end: a traced run must produce a Chrome
   # trace_event JSON (css_trace.json — CI uploads it as the Perfetto
-  # artifact) and clean up its spill file
+  # artifact) that exports every recorded event with sound nesting
   dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
     --trace-out "$PWD/css_trace.json"
   if [ ! -s "$PWD/css_trace.json" ]; then
     echo "smoke: --trace-out produced no trace" >&2
     exit 1
   fi
-  if [ -e "$PWD/css_trace.json.spill" ]; then
-    echo "smoke: tracer spill file left behind after successful export" >&2
-    exit 1
-  fi
-  # the CLI attaches its tracer to Obs only: the session's phase spans
-  # and the OPT spans nested in them must still reach it
+  # the log never drops: every recorded event is exported and every B
+  # is closed by its E. The CLI attaches its tracer to Obs only: the
+  # session's phase spans and the OPT spans nested in them must still
+  # reach it
   python3 - "$PWD/css_trace.json" <<'PY'
 import json, sys
-events = json.load(open(sys.argv[1]))["traceEvents"]
+trace = json.load(open(sys.argv[1]))
+events = [e for e in trace["traceEvents"] if e.get("ph") != "M"]
+recorded = trace["otherData"]["recorded_events"]
+if recorded != len(events):
+    sys.exit("smoke: %d events recorded, %d exported" % (recorded, len(events)))
+stack = []
+for e in events:
+    if e.get("ph") == "B":
+        stack.append(e.get("name"))
+    elif e.get("ph") == "E":
+        if not stack or stack.pop() != e.get("name"):
+            sys.exit("smoke: unmatched end of %s" % e.get("name"))
+if stack:
+    sys.exit("smoke: spans left open: %s" % ", ".join(stack))
 spans = {e.get("name") for e in events if e.get("ph") == "B"}
 missing = [n for n in ("late-css", "reconnect") if n not in spans]
 if missing:

@@ -63,8 +63,8 @@ let trace_out =
     "Record a streaming execution trace (flow phases, OPT passes, \
      scheduler iterations, checkpoint writes, budget samples, GC major slices) and write \
      it as Chrome trace_event JSON to $(docv) — open with ui.perfetto.dev or \
-     chrome://tracing. Ring overflow spills to $(docv).spill during the run (removed on \
-     success). Implies stats collection."
+     chrome://tracing. Events are held in memory until the run ends. Implies stats \
+     collection."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -115,8 +115,8 @@ let resume_flag =
 
 let max_seconds =
   let doc =
-    "Wall-clock budget in seconds. Near the limit the flow degrades gracefully (serial \
-     extraction, cheaper engine), and at the limit it stops with the best result so far (stop \
+    "Wall-clock budget in seconds. Near the limit the flow degrades gracefully to a cheaper \
+     extraction engine, and at the limit it stops early with the best checkpoint so far (stop \
      reason budget-wall)."
   in
   Arg.(value & opt (some float) None & info [ "max-seconds" ] ~docv:"S" ~doc)
@@ -183,8 +183,8 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
   let tracer =
     match trace_out with
     | None -> Tracer.null
-    | Some path ->
-      let t = Tracer.create ~spill:(path ^ ".spill") () in
+    | Some _ ->
+      let t = Tracer.create () in
       Obs.attach_tracer obs t;
       Tracer.install_gc_alarm t;
       t
@@ -234,15 +234,8 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
       | Some path -> (
         try
           Tracer.write_chrome_json tracer path;
-          let dropped = Tracer.dropped tracer in
           Tracer.close tracer;
-          (* the spill file is an overflow buffer, not an artifact: once
-             the export succeeded it carries nothing the JSON lacks *)
-          Option.iter
-            (fun sp -> try Sys.remove sp with Sys_error _ -> ())
-            (Tracer.spill_path tracer);
-          say "wrote %s (%d events%s)\n" path (Tracer.recorded tracer)
-            (if dropped > 0 then Printf.sprintf ", %d dropped" dropped else "");
+          say "wrote %s (%d events)\n" path (Tracer.recorded tracer);
           true
         with Sys_error m ->
           prerr_endline ("css_opt: cannot write trace: " ^ m);

@@ -82,8 +82,8 @@ let serve_cmd =
     let tracer =
       match trace_out with
       | None -> Tracer.null
-      | Some path ->
-        let t = Tracer.create ~spill:(path ^ ".spill") () in
+      | Some _ ->
+        let t = Tracer.create () in
         Obs.attach_tracer obs t;
         t
     in
@@ -114,8 +114,7 @@ let serve_cmd =
       (fun path ->
         try
           Tracer.write_chrome_json tracer path;
-          Tracer.close tracer;
-          Option.iter (fun sp -> try Sys.remove sp with Sys_error _ -> ()) (Tracer.spill_path tracer)
+          Tracer.close tracer
         with Sys_error m -> Printf.eprintf "css_serve: cannot write trace: %s\n" m)
       trace_out
   in

@@ -4,7 +4,7 @@
 
 include Session
 
-(* Drain to the result, flushing the tracer on every exit path — the
+(* Drain to the result, closing the session on every exit path — the
    one-shot contract the historical flow kept. *)
 let finish_and_close s =
   Fun.protect

@@ -71,13 +71,13 @@ type handlers
 
     This is the explicit form for processes owning several flows at
     once: the [css_serve] daemon installs ONE handler whose [on_signal]
-    flushes every live session's checkpoint and the tracer ring, instead
-    of each run racing to install its own. OCaml runs [Signal_handle]
-    callbacks at safepoints of the main execution (not as C async
-    handlers), so [on_signal] may allocate and write files — but it
-    preempts arbitrary main-thread code, so it must only touch state
-    that stays consistent at every safepoint (atomic flags, idempotent
-    cleanup, atomic checkpoint writes). *)
+    saves every live session's checkpoint, instead of each run racing
+    to install its own. OCaml runs [Signal_handle] callbacks at
+    safepoints of the main execution (not as C async handlers), so
+    [on_signal] may allocate and write files — but it preempts
+    arbitrary main-thread code, so it must only touch state that stays
+    consistent at every safepoint (atomic flags, idempotent cleanup,
+    atomic checkpoint writes). *)
 val install_handlers :
   ?signals:int list -> ?on_signal:(int -> unit) -> unit -> handlers
 

@@ -13,7 +13,6 @@ module Evaluator = Css_eval.Evaluator
 module Wall_clock = Css_util.Wall_clock
 module Diag = Css_util.Diag
 module Obs = Css_util.Obs
-module Tracer = Css_util.Tracer
 module Budget = Css_util.Budget
 module Point = Css_geometry.Point
 
@@ -825,29 +824,25 @@ let create ~(config : config) ~algo ~validation ?resume design =
       closed = false;
     }
   in
-  (try
-     match resume with
-     | None -> start_run st
-     | Some ps ->
-       (* the reparsed design anchored movement legality at checkpoint-time
-          positions; put back the anchors the interrupted run judged
-          against *)
-       Array.iteri (Design.set_cell_orig_pos design) ps.Persist.ps_anchors;
-       List.iter
-         (fun (name, snap) ->
-           let slot = List.find (fun s -> s.name = name) st.slots in
-           slot.live <-
-             Some
-               (Extract.restore ~obs:config.obs snap st.timer st.verts
-                  ~corner:slot.corner))
-         ps.Persist.ps_engines;
-       Obs.incr (Obs.counter config.obs "flow.resumes");
-       Log.info (fun m ->
-           m "resumed %s on %s at phase %d (rung %d)" ps.Persist.ps_algo ps.Persist.ps_design
-             run.phases_done ps.Persist.ps_rung)
-   with e ->
-     Tracer.flush (Obs.tracer config.obs);
-     raise e);
+  (match resume with
+  | None -> start_run st
+  | Some ps ->
+    (* the reparsed design anchored movement legality at checkpoint-time
+       positions; put back the anchors the interrupted run judged
+       against *)
+    Array.iteri (Design.set_cell_orig_pos design) ps.Persist.ps_anchors;
+    List.iter
+      (fun (name, snap) ->
+        let slot = List.find (fun s -> s.name = name) st.slots in
+        slot.live <-
+          Some
+            (Extract.restore ~obs:config.obs snap st.timer st.verts
+               ~corner:slot.corner))
+      ps.Persist.ps_engines;
+    Obs.incr (Obs.counter config.obs "flow.resumes");
+    Log.info (fun m ->
+        m "resumed %s on %s at phase %d (rung %d)" ps.Persist.ps_algo ps.Persist.ps_design
+          run.phases_done ps.Persist.ps_rung));
   st
 
 let open_ ?(config = default_config) ~algo design =
@@ -920,14 +915,7 @@ let reopen ?(config = default_config) ~library ~dir () =
             st.journal <- Some (Persist.resume_journal ~dir (live st));
           Ok st)))
 
-let close st =
-  if not st.closed then begin
-    st.closed <- true;
-    (* the signal/interrupt exit path runs through here too: make sure
-       any buffered trace events reach the spill file before the process
-       dies (the tracer's owner still closes/exports it) *)
-    Tracer.flush (Obs.tracer st.cfg.obs)
-  end
+let close st = st.closed <- true
 
 (* {2 Delta requests} *)
 

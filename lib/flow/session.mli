@@ -10,7 +10,7 @@
     {!finish} drains the remaining phases and scores the run;
     {!apply_delta} edits the design in place, re-propagates only the
     affected cones (the paper's Update step, applied across requests)
-    and re-schedules; {!close} flushes the tracer.
+    and re-schedules; {!close} ends the session.
 
     One-shot use is [Flow.run], which is exactly
     [open_ |> finish |> close]. Long-running use — the CSS-as-a-service
@@ -174,8 +174,8 @@ type config = {
           A tracer attached with {!Css_util.Obs.attach_tracer} is the
           run's one streaming timeline: it mirrors those spans and
           snapshots, and the budget governor (["budget.wall_s"] / ["budget.rss_bytes"] counter
-          lanes) read it from [obs]. {!close} flushes (but does not
-          close) it, including on signal interrupts.
+          lanes) read it from [obs]. The session never exports or
+          closes it: that is the tracer's owner's job.
           Default {!Css_util.Obs.null} (zero overhead). *)
   jobs : int;
       (** accepted and ignored (default 1). Extraction runs on the
@@ -237,7 +237,7 @@ val step : t -> [ `Phase of string | `Done ]
     from the finished state. *)
 val finish : t -> result
 
-(** [close t] flushes the tracer.
+(** [close t] marks the session closed.
     Idempotent and safe on any exit path (including from a signal
     handler's cleanup); every other operation on a closed session
     raises [Invalid_argument]. *)

@@ -422,10 +422,6 @@ let restore_sessions t =
 (* ------------------------------------------------------------------ *)
 (* The daemon loop                                                     *)
 
-let flush_all t =
-  Hashtbl.iter (fun _ sx -> save_sess sx) t.sessions;
-  Tracer.flush (Obs.tracer t.cfg.obs)
-
 let orderly_shutdown t =
   Hashtbl.iter
     (fun _ sx ->
@@ -435,8 +431,7 @@ let orderly_shutdown t =
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.clients;
   t.clients <- [];
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink t.cfg.socket with Unix.Unix_error _ | Sys_error _ -> ());
-  Tracer.flush (Obs.tracer t.cfg.obs)
+  try Unix.unlink t.cfg.socket with Unix.Unix_error _ | Sys_error _ -> ()
 
 let serve ?(on_ready = fun () -> ()) cfg =
   Option.iter mkdir_p cfg.state_dir;
@@ -462,11 +457,11 @@ let serve ?(on_ready = fun () -> ()) cfg =
   (* One handler for the whole daemon: raise the cooperative interrupt
      (any in-flight run stops at its next poll, its own phase checkpoint
      already durable) and, when the main loop is parked in select rather
-     than mid-request, flush every session's checkpoint and the tracer
-     ring right here. *)
+     than mid-request, save every session's checkpoint right here. *)
   let handlers =
     Persist.install_handlers
-      ~on_signal:(fun _ -> if not (Atomic.get t.in_request) then flush_all t)
+      ~on_signal:(fun _ ->
+        if not (Atomic.get t.in_request) then Hashtbl.iter (fun _ sx -> save_sess sx) t.sessions)
       ()
   in
   (* A client that vanished mid-response must cost a connection, not the

@@ -27,9 +27,8 @@
     completed request/phase. SIGINT/SIGTERM are owned by ONE
     {!Css_flow.Persist.install_handlers} handler that raises the
     cooperative interrupt (stopping any in-flight run at its next poll)
-    and flushes all sessions' checkpoints and the tracer ring when the
-    loop is idle; cleanly [close]d sessions delete their directory and
-    do not resurrect. *)
+    and saves all sessions' checkpoints when the loop is idle; cleanly
+    [close]d sessions delete their directory and do not resurrect. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path (replaced if present) *)

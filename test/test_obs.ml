@@ -279,7 +279,7 @@ let test_clock_key () =
 let test_tracer_mirroring () =
   let module Tracer = Css_util.Tracer in
   let t = Obs.create () in
-  let tr = Tracer.create ~capacity:256 () in
+  let tr = Tracer.create () in
   Obs.attach_tracer t tr;
   checkb "tracer attached" true (Tracer.enabled (Obs.tracer t));
   Obs.span t "phase" (fun () ->

@@ -1,8 +1,7 @@
-(* Streaming tracer tests: exact ring-buffer overflow accounting, spill
-   losslessness, Chrome trace_event export validity (including
-   unmatched-end suppression after a wrap), null no-ops, a session's
-   spans reaching the tracer through its [obs], and the allocation-free
-   hot path. *)
+(* Streaming tracer tests: a lossless export across log growth (also
+   with the GC alarm recording from finalisers), null no-ops, a
+   session's spans reaching the tracer through its [obs], and the
+   allocation-free hot path. *)
 
 module Tracer = Css_util.Tracer
 module Json = Css_util.Json
@@ -22,110 +21,150 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --- overflow accounting --- *)
+(* --- lossless log --- *)
 
-let test_wraparound_exact_drops () =
-  let cap = 64 in
-  let t = Tracer.create ~capacity:cap () in
-  let n = Tracer.intern t "ev" in
-  (* fill exactly: nothing dropped *)
-  for _ = 1 to cap do
-    Tracer.instant t n
-  done;
-  checki "recorded at cap" cap (Tracer.recorded t);
-  checki "dropped at cap" 0 (Tracer.dropped t);
-  (* each further event overwrites exactly one: drops count is exact *)
-  for _ = 1 to 17 do
-    Tracer.instant t n
-  done;
-  checki "recorded past cap" (cap + 17) (Tracer.recorded t);
-  checki "dropped past cap" 17 (Tracer.dropped t);
-  Tracer.close t
+(* The log starts at 4096 events (tracer.mli); every sweep below
+   records well past that, so each crosses at least one growth. *)
+let initial_events = 4096
 
-let test_spill_lossless () =
-  with_tmp ".spill" @@ fun spill ->
-  let cap = 32 in
-  let t = Tracer.create ~capacity:cap ~spill () in
-  let n = Tracer.intern t "ev" in
-  let total = (cap * 5) + 7 in
-  for i = 1 to total do
-    Tracer.sample t n (float_of_int i)
-  done;
-  (* a full ring spills instead of wrapping: nothing is ever dropped *)
-  checki "recorded" total (Tracer.recorded t);
-  checki "dropped with spill" 0 (Tracer.dropped t);
-  checkb "some records spilled" true (Tracer.spilled t >= cap * 5);
-  Tracer.flush t;
-  checki "flush spills residue" total (Tracer.spilled t);
-  (* 20 bytes per record on disk *)
-  checki "spill file size" (total * 20) (String.length (read_file spill));
-  (* export sees every event, in order, with the original arguments *)
+(* What the exporter must reproduce: kind, name and argument of every
+   recorded event, in order. *)
+type ev = { ph : string; name : string; arg : float option }
+
+(* [record_mix] allocates nothing but the boxed sample arguments, so
+   the major GC's work (and the GC alarm) falls on the log's growth *)
+let record_mix t ~iters =
+  let outer = Tracer.intern t "outer"
+  and inner = Tracer.intern t "inner"
+  and lane = Tracer.intern t "lane"
+  and tick = Tracer.intern t "tick" in
+  for i = 1 to iters do
+    let v = float_of_int i in
+    Tracer.span_begin t outer;
+    Tracer.span_begin t inner;
+    Tracer.sample t lane v;
+    Tracer.span_end t inner;
+    Tracer.instant t ~arg:v tick;
+    Tracer.span_end t outer
+  done
+
+let expected_mix ~iters =
+  List.concat_map
+    (fun i ->
+      let v = Some (float_of_int i) in
+      [
+        { ph = "B"; name = "outer"; arg = None };
+        { ph = "B"; name = "inner"; arg = None };
+        { ph = "C"; name = "lane"; arg = v };
+        { ph = "E"; name = "inner"; arg = None };
+        { ph = "i"; name = "tick"; arg = v };
+        { ph = "E"; name = "outer"; arg = None };
+      ])
+    (List.init iters (fun i -> i + 1))
+
+let exported t =
   with_tmp ".json" @@ fun out ->
   Tracer.write_chrome_json t out;
   let j = Json.of_string (read_file out) in
   let events =
     match Json.member "traceEvents" j with
-    | Some (Json.List l) -> List.filter (fun e -> Json.member "ph" e = Some (Json.String "C")) l
+    | Some (Json.List l) -> List.filter (fun e -> Json.member "ph" e <> Some (Json.String "M")) l
     | _ -> Alcotest.fail "no traceEvents"
   in
-  checki "all counter samples exported" total (List.length events);
-  let args_of e =
-    match Json.member "args" e with
-    | Some a -> (match Json.member "value" a with Some v -> Json.to_float v | None -> nan)
-    | None -> nan
-  in
-  List.iteri
-    (fun i e -> Alcotest.(check (float 0.0)) "sample order" (float_of_int (i + 1)) (args_of e))
-    events;
-  Tracer.close t
-
-(* --- Chrome export validity --- *)
-
-let test_export_balanced_after_wrap () =
-  (* overflow a small ring with nested spans so some begins are
-     overwritten, then check the exported JSON parses and never closes a
-     span it didn't open (depth never goes negative per tid) *)
-  let t = Tracer.create ~capacity:16 () in
-  let outer = Tracer.intern t "outer" and inner = Tracer.intern t "inner" in
-  for _ = 1 to 40 do
-    Tracer.span_begin t outer;
-    Tracer.span_begin t inner;
-    Tracer.span_end t inner;
-    Tracer.span_end t outer
-  done;
-  checkb "ring wrapped" true (Tracer.dropped t > 0);
-  with_tmp ".json" @@ fun out ->
-  Tracer.write_chrome_json t out;
-  let j = Json.of_string (read_file out) in
   (match Json.member "otherData" j with
   | Some od ->
-    checkb "drop count exported" true
-      (Json.member "dropped_events" od = Some (Json.Int (Tracer.dropped t)))
+    checkb "recorded_events = exported events" true
+      (Json.member "recorded_events" od = Some (Json.Int (List.length events)))
   | None -> Alcotest.fail "no otherData");
-  let events = match Json.member "traceEvents" j with Some (Json.List l) -> l | _ -> [] in
-  checkb "events survive the wrap" true (List.length events > 8);
-  let depth = ref 0 in
-  List.iter
-    (fun e ->
-      match Json.member "ph" e with
-      | Some (Json.String "B") -> incr depth
-      | Some (Json.String "E") ->
-        decr depth;
-        checkb "no unmatched end" true (!depth >= 0)
-      | _ -> ())
-    events;
-  (* timestamps are non-decreasing within the single track *)
-  let last = ref neg_infinity in
-  List.iter
-    (fun e ->
-      match Json.member "ts" e with
-      | Some ts ->
-        let ts = Json.to_float ts in
-        checkb "monotone timestamps" true (ts >= !last);
-        last := ts
-      | None -> ())
-    events;
+  ignore
+    (List.fold_left
+       (fun last e ->
+         let ts = match Json.member "ts" e with Some ts -> Json.to_float ts | None -> nan in
+         checkb "monotone timestamps" true (ts >= last);
+         ts)
+       neg_infinity events);
+  let str k e = match Json.member k e with Some (Json.String s) -> s | _ -> "?" in
+  let arg e =
+    let v k = Option.bind (Json.member "args" e) (Json.member k) |> Option.map Json.to_float in
+    match str "ph" e with "i" -> v "v" | "C" -> v "value" | _ -> None
+  in
+  List.map (fun e -> { ph = str "ph" e; name = str "name" e; arg = arg e }) events
+
+(* every E closes the innermost open B of the same name, none stays open *)
+let check_nesting events =
+  let open_spans =
+    List.fold_left
+      (fun stack e ->
+        match (e.ph, stack) with
+        | "B", _ -> e.name :: stack
+        | "E", top :: rest when top = e.name -> rest
+        | "E", _ -> Alcotest.fail ("unmatched end " ^ e.name)
+        | _ -> stack)
+      [] events
+  in
+  checki "spans left open" 0 (List.length open_spans)
+
+let check_same expected events =
+  checki "event count" (List.length expected) (List.length events);
+  List.iteri
+    (fun i (x, e) ->
+      if x <> e then
+        Alcotest.failf "event %d: expected %s %s, exported %s %s" i x.ph x.name e.ph e.name)
+    (List.combine expected events)
+
+(* Exports [t] and checks it against [expected], leaving out the GC
+   alarm's events, which land wherever a major cycle ends; returns how
+   many of those there were. *)
+let check_export t expected =
+  let events = exported t in
+  checki "exported = recorded" (Tracer.recorded t) (List.length events);
+  let is_gc e = String.starts_with ~prefix:"gc." e.name in
+  check_same expected (List.filter (fun e -> not (is_gc e)) events);
+  check_nesting events;
+  List.length (List.filter is_gc events)
+
+let test_lossless_export () =
+  let t = Tracer.create () in
+  let iters = 2 * initial_events in
+  record_mix t ~iters;
+  checkb "log grew" true (Tracer.recorded t > 4 * initial_events);
+  checki "no gc events" 0 (check_export t (expected_mix ~iters));
   Tracer.close t
+
+let test_lossless_under_gc_alarm () =
+  (* a finaliser can run inside a growth's column allocations. With a
+     small space_overhead, nothing else allocating and a different
+     amount of garbage before each tracer, major cycles end at shifting
+     points, some of them inside a growth, so the alarm records while
+     the log is being copied. Export only after all the recording:
+     parsing allocates enough to move the cycles elsewhere *)
+  let saved = Gc.get () in
+  let tracers =
+    Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+    Gc.set { saved with Gc.space_overhead = 5 };
+    List.init 20 (fun k ->
+        ignore (Sys.opaque_identity (Array.make (1 + (k * 997)) 0));
+        let t = Tracer.create () in
+        Tracer.install_gc_alarm t;
+        record_mix t ~iters:(initial_events / 2);
+        Tracer.close t;
+        t)
+  in
+  let expected = expected_mix ~iters:(initial_events / 2) in
+  List.iter (fun t -> ignore (check_export t expected)) tracers;
+  (* forced major collections between bursts: the alarm records between
+     events, and the log grows past them *)
+  let t = Tracer.create () in
+  Tracer.install_gc_alarm t;
+  let iters = initial_events / 8 in
+  for _ = 1 to 6 do
+    record_mix t ~iters;
+    Gc.full_major ()
+  done;
+  Tracer.close t;
+  let expected = expected_mix ~iters in
+  let alarms = check_export t (List.concat (List.init 6 (fun _ -> expected))) in
+  checkb "gc alarm recorded" true (alarms > 0)
 
 (* --- a session's one tracer handle --- *)
 
@@ -182,10 +221,8 @@ let test_null_noops () =
   Tracer.span_end t n;
   Tracer.instant t n;
   Tracer.sample t n 1.0;
-  Tracer.flush t;
   Tracer.close t;
   checki "nothing recorded" 0 (Tracer.recorded t);
-  checki "nothing dropped" 0 (Tracer.dropped t);
   checkb "export refused" true
     (match Tracer.write_chrome_json t "/nonexistent/x.json" with
     | exception Invalid_argument _ -> true
@@ -224,9 +261,12 @@ let alloc_sweep t name_str =
   (allocated, (float_of_int iters *. 2.0 *. float_box_words) +. 256.0)
 
 let test_hot_path_allocation_free () =
-  (* enabled tracer, ring-wrap regime (no spill: spilling does I/O) *)
-  let t = Tracer.create ~capacity:1024 () in
+  (* enabled tracer; the sweep's 15,128 events grow the log twice. A
+     grown column is too large for the minor heap, so growth is paid on
+     the major heap, amortised over the events that filled the log *)
+  let t = Tracer.create () in
   let allocated, budget = alloc_sweep t "hot" in
+  checkb "sweep crossed a growth" true (Tracer.recorded t > initial_events);
   checkb
     (Printf.sprintf "enabled sweep allocation-free (%.0f minor words, budget %.0f)" allocated
        budget)
@@ -246,10 +286,8 @@ let () =
     [
       ( "tracer",
         [
-          Alcotest.test_case "wraparound exact drops" `Quick test_wraparound_exact_drops;
-          Alcotest.test_case "spill lossless" `Quick test_spill_lossless;
-          Alcotest.test_case "export balanced after wrap" `Quick
-            test_export_balanced_after_wrap;
+          Alcotest.test_case "lossless export" `Quick test_lossless_export;
+          Alcotest.test_case "lossless under gc alarm" `Quick test_lossless_under_gc_alarm;
           Alcotest.test_case "session traces through obs" `Quick
             test_session_traces_through_obs;
           Alcotest.test_case "null no-ops" `Quick test_null_noops;
