@@ -160,7 +160,6 @@ let table_i () =
     (fun ((p : Profile.t), (base, rows)) ->
       List.iteri
         (fun i r ->
-          let f = function Some x -> Printf.sprintf "%.2f" x | None -> "-" in
           let fi = function Some x -> string_of_int x | None -> "-" in
           let f4 = function Some x -> Printf.sprintf "%.4f" x | None -> "-" in
           Table.add_row t
@@ -173,9 +172,9 @@ let table_i () =
               fmt_f r.report.Evaluator.tns_early;
               fmt_f r.report.Evaluator.wns_late;
               fmt_f r.report.Evaluator.tns_late;
-              f r.css;
-              f r.opt;
-              f r.total;
+              f4 r.css;
+              f4 r.opt;
+              f4 r.total;
               fi r.edges;
               f4 r.hpwl_incr;
             ])

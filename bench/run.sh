@@ -10,7 +10,9 @@
 #   bench/run.sh --smoke  CI smoke test: build everything, run the CLI
 #                         end-to-end on the tiny benchmark, check that
 #                         two identical runs give byte-identical
-#                         results, that malformed input exits 2, and
+#                         results, that a run resumed from its
+#                         checkpoint directory saves the same result,
+#                         that malformed input exits 2, and
 #                         that --trace-out writes a trace holding
 #                         late-css and reconnect spans (seconds)
 #   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
@@ -40,12 +42,22 @@ if [ "${1:-}" = "--smoke" ]; then
   dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet
   # the flow must be deterministic: two identical runs, byte-compare
   # the saved optimized netlists
-  out1="$(mktemp)" out2="$(mktemp)" tmp=""
-  trap 'rm -f "$tmp" "$out1" "$out2"' EXIT
+  out1="$(mktemp)" out2="$(mktemp)" tmp="" ckpt="$(mktemp -d)"
+  trap 'rm -f "$tmp" "$out1" "$out2"; rm -rf "$ckpt"' EXIT
   dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet -o "$out1"
   dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet -o "$out2"
   if ! cmp -s "$out1" "$out2"; then
     echo "smoke: two identical runs saved different results (the flow is not deterministic)" >&2
+    exit 1
+  fi
+  # durable round trip: a run that checkpoints into a directory, then
+  # a resume from it (base + journal replay) must save the same design
+  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
+    --checkpoint-dir "$ckpt" -o "$out1"
+  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
+    --checkpoint-dir "$ckpt" --resume -o "$out2"
+  if ! cmp -s "$out1" "$out2"; then
+    echo "smoke: a resumed run saved a different result than the run it resumed" >&2
     exit 1
   fi
   # a malformed design must fail with the input-error exit code (2) and

@@ -39,7 +39,7 @@ let check_constraints design =
   List.iter (fun e -> err "netlist: %s" e) (Design.check design);
   List.rev !errors
 
-let report_of timer design =
+let live timer =
   {
     wns_early = Timer.wns timer Timer.Early;
     tns_early = Timer.tns timer Timer.Early;
@@ -47,9 +47,12 @@ let report_of timer design =
     tns_late = Timer.tns timer Timer.Late;
     num_early_violations = List.length (Timer.violated_endpoints timer Timer.Early);
     num_late_violations = List.length (Timer.violated_endpoints timer Timer.Late);
-    hpwl = Design.total_hpwl design;
-    constraint_errors = check_constraints design;
+    hpwl = Design.total_hpwl (Timer.design timer);
+    constraint_errors = [];
   }
+
+let report_of timer =
+  { (live timer) with constraint_errors = check_constraints (Timer.design timer) }
 
 (* Contest semantics (physical clock network only): the scheduled
    latencies are masked while the timer and the constraint audit look,
@@ -61,7 +64,7 @@ let evaluate ?(timer = Timer.default_config) design =
   Array.iter (fun ff -> Design.set_scheduled_latency design ff 0.0) ffs;
   Fun.protect
     ~finally:(fun () -> Array.iteri (fun i l -> Design.set_scheduled_latency design ffs.(i) l) saved)
-    (fun () -> report_of (Timer.build ~config:timer design) design)
+    (fun () -> report_of (Timer.build ~config:timer design))
 
 (* On a live timer only the flip-flops that hold a scheduled latency are
    re-propagated, once to mask and once to restore; node state is a pure
@@ -75,7 +78,7 @@ let score timer =
         if l <> 0.0 then (ff, l) :: acc else acc)
       (Design.ffs d) []
   in
-  if held = [] then report_of timer d
+  if held = [] then report_of timer
   else begin
     let ffs = List.map fst held in
     let set latency =
@@ -84,7 +87,7 @@ let score timer =
     in
     Fun.protect ~finally:(fun () -> set Fun.id) (fun () ->
         set (fun _ -> 0.0);
-        report_of timer d)
+        report_of timer)
   end
 
 let summary r =

@@ -46,5 +46,10 @@ val evaluate : ?timer:Css_sta.Timer.config -> Css_netlist.Design.t -> report
     phase of whole flows. *)
 val score : Css_sta.Timer.t -> report
 
+(** [live timer] is [timer]'s view as it stands, scheduled latencies
+    included and no constraint audit: a cheap report for a service
+    answering delta requests, never for contest scoring. *)
+val live : Css_sta.Timer.t -> report
+
 (** [summary r] is a one-line human-readable rendering. *)
 val summary : report -> string

@@ -379,72 +379,46 @@ let write_base ~dir st =
 
 let save ~dir st = ignore (write_base ~dir st)
 
-(* {2 The shadow}
+(* {2 The journal handle}
 
-   What the base and the journal together hold, per cell and per net, as
-   the live values it was written from. A record carries only what
-   differs from it. Floats compare by bits: [0.0] and [-0.0] print
-   differently. *)
-type shadow = {
-  sh_design : Design.t;
-  sh_cells : int;
-  sh_nets : int;
-  sh_pins : int;
-  sh_x : Float.Array.t;
-  sh_y : Float.Array.t;
-  sh_ax : Float.Array.t;  (* movement anchors *)
-  sh_ay : Float.Array.t;
-  sh_latency : Float.Array.t;
-  sh_lo : Float.Array.t;
-  sh_hi : Float.Array.t;
-  sh_master : Css_liberty.Cell.t array;
-  sh_sinks : int array array;
-  mutable sh_trace : trace_point list;  (* physically the persisted list *)
-  mutable sh_best : checkpoint option;
+   A record carries the lines the design's change set lists
+   ({!Design.take_changes}), each with its current value, and the trace
+   points and best checkpoint unless they are the persisted ones. *)
+
+type files = {
+  base_bytes : int;
+  mutable journal_bytes : int;  (* header included *)
+  design : Design.t;
+  cells : int;
+  nets : int;
+  pins : int;
+  mutable trace : trace_point list;  (* physically the persisted list *)
+  mutable best : checkpoint option;
 }
 
-let net_sinks d n = Array.init (Design.net_fanout d n) (Design.net_sink d n)
-
-let shadow_of lv =
+(* What the base and the journal hold from here on is [lv]: the design's
+   change set restarts empty. *)
+let files_of lv ~base_bytes ~journal_bytes =
   let d = lv.lv_design in
-  let nc = Design.num_cells d in
-  let col f = Float.Array.init nc f in
+  ignore (Design.take_changes d);
   {
-    sh_design = d;
-    sh_cells = nc;
-    sh_nets = Design.num_nets d;
-    sh_pins = Design.num_pins d;
-    sh_x = col (Design.cell_x d);
-    sh_y = col (Design.cell_y d);
-    sh_ax = col (fun c -> (Design.cell_orig_pos d c).Point.x);
-    sh_ay = col (fun c -> (Design.cell_orig_pos d c).Point.y);
-    sh_latency = col (Design.scheduled_latency d);
-    sh_lo = col (fun c -> fst (Design.latency_bounds d c));
-    sh_hi = col (fun c -> snd (Design.latency_bounds d c));
-    sh_master = Array.init nc (Design.cell_master d);
-    sh_sinks = Array.init (Design.num_nets d) (net_sinks d);
-    sh_trace = lv.lv_progress.trace_rev;
-    sh_best = lv.lv_progress.best;
+    base_bytes;
+    journal_bytes;
+    design = d;
+    cells = Design.num_cells d;
+    nets = Design.num_nets d;
+    pins = Design.num_pins d;
+    trace = lv.lv_progress.trace_rev;
+    best = lv.lv_progress.best;
   }
 
 (* A record continues the base only while it addresses the same cells,
    nets and pins; a replaced design or one that grew needs a new base. *)
-let same_shape sh d =
-  sh.sh_design == d
-  && sh.sh_cells = Design.num_cells d
-  && sh.sh_nets = Design.num_nets d
-  && sh.sh_pins = Design.num_pins d
-
-type delta = {
-  dl_cells : Design.cell_id list;  (* moved or re-mastered *)
-  dl_latency : Design.cell_id list;
-  dl_bounds : Design.cell_id list;  (* flip-flops only: only they have bounds lines *)
-  dl_anchors : Design.cell_id list;
-  dl_nets : Design.net_id list;  (* sink list changed *)
-  dl_trace_kept : int;  (* oldest persisted trace points still current *)
-  dl_trace_new : trace_point list;  (* chronological *)
-  dl_best : bool;  (* the best checkpoint changed *)
-}
+let same_shape f d =
+  f.design == d
+  && f.cells = Design.num_cells d
+  && f.nets = Design.num_nets d
+  && f.pins = Design.num_pins d
 
 (* [cur] extends [old] when [old] is one of its tails: trace lists only
    grow by consing within a run, and a new run starts a new list. *)
@@ -456,104 +430,32 @@ let trace_delta ~old cur =
   | Some fresh -> (List.length old, fresh)
   | None -> (0, List.rev cur)
 
-let diff sh lv =
-  let d = lv.lv_design in
-  let cells = ref [] and latency = ref [] and bounds = ref [] and anchors = ref [] in
-  let get = Float.Array.get in
-  for c = sh.sh_cells - 1 downto 0 do
-    if
-      (not (same_bits (get sh.sh_x c) (Design.cell_x d c)))
-      || (not (same_bits (get sh.sh_y c) (Design.cell_y d c)))
-      || sh.sh_master.(c) != Design.cell_master d c
-    then cells := c :: !cells;
-    if not (same_bits (get sh.sh_latency c) (Design.scheduled_latency d c)) then
-      latency := c :: !latency;
-    (if Design.is_ff d c then
-       let lo, hi = Design.latency_bounds d c in
-       if not (same_bits (get sh.sh_lo c) lo && same_bits (get sh.sh_hi c) hi) then
-         bounds := c :: !bounds);
-    let a = Design.cell_orig_pos d c in
-    if not (same_bits (get sh.sh_ax c) a.Point.x && same_bits (get sh.sh_ay c) a.Point.y) then
-      anchors := c :: !anchors
-  done;
-  let nets = ref [] in
-  for n = sh.sh_nets - 1 downto 0 do
-    let old = sh.sh_sinks.(n) in
-    let k = Design.net_fanout d n in
-    let rec differs i = i < k && (old.(i) <> Design.net_sink d n i || differs (i + 1)) in
-    if Array.length old <> k || differs 0 then nets := n :: !nets
-  done;
-  let kept, fresh = trace_delta ~old:sh.sh_trace lv.lv_progress.trace_rev in
-  {
-    dl_cells = !cells;
-    dl_latency = !latency;
-    dl_bounds = !bounds;
-    dl_anchors = !anchors;
-    dl_nets = !nets;
-    dl_trace_kept = kept;
-    dl_trace_new = fresh;
-    dl_best = lv.lv_progress.best != sh.sh_best;
-  }
-
-(* After the record landed, the shadow holds what it carried. *)
-let advance sh dl lv =
-  let d = lv.lv_design and set = Float.Array.set in
-  List.iter
-    (fun c ->
-      set sh.sh_x c (Design.cell_x d c);
-      set sh.sh_y c (Design.cell_y d c);
-      sh.sh_master.(c) <- Design.cell_master d c)
-    dl.dl_cells;
-  List.iter (fun c -> set sh.sh_latency c (Design.scheduled_latency d c)) dl.dl_latency;
-  List.iter
-    (fun c ->
-      let lo, hi = Design.latency_bounds d c in
-      set sh.sh_lo c lo;
-      set sh.sh_hi c hi)
-    dl.dl_bounds;
-  List.iter
-    (fun c ->
-      let a = Design.cell_orig_pos d c in
-      set sh.sh_ax c a.Point.x;
-      set sh.sh_ay c a.Point.y)
-    dl.dl_anchors;
-  List.iter (fun n -> sh.sh_sinks.(n) <- net_sinks d n) dl.dl_nets;
-  sh.sh_trace <- lv.lv_progress.trace_rev;
-  sh.sh_best <- lv.lv_progress.best
-
-let record_body dl lv =
+let record_body f (ch : Design.changes) lv =
   let d = lv.lv_design and p = lv.lv_progress in
   let b = Buffer.create 4096 in
   add_run_head b p;
   add_run_tail b p ~rung:lv.lv_rung;
-  line b "trace %d %d" dl.dl_trace_kept (List.length dl.dl_trace_new);
-  List.iter (add_trace_point b) dl.dl_trace_new;
-  line b "anchors %d" (List.length dl.dl_anchors);
-  List.iter
+  let kept, fresh = trace_delta ~old:f.trace p.trace_rev in
+  line b "trace %d %d" kept (List.length fresh);
+  List.iter (add_trace_point b) fresh;
+  line b "anchors %d" (Array.length ch.anchors);
+  Array.iter
     (fun c ->
       let a = Design.cell_orig_pos d c in
       line b "a %d %s %s" c (fstr a.Point.x) (fstr a.Point.y))
-    dl.dl_anchors;
+    ch.anchors;
   let anchor c = if c < Design.num_cells d then Some (Design.cell_orig_pos d c) else None in
-  if dl.dl_best then add_best ~anchor b p.best else line b "best =";
+  if p.best != f.best then add_best ~anchor b p.best else line b "best =";
   let opt = function Some l -> l | None -> "-" in
   line b "edits %d"
-    (List.length dl.dl_cells + List.length dl.dl_nets + List.length dl.dl_latency
-   + List.length dl.dl_bounds);
-  List.iter (fun c -> line b "c %d %s" c (Io.cell_line d c)) dl.dl_cells;
-  List.iter (fun n -> line b "n %d %s" n (Io.net_line d n)) dl.dl_nets;
-  List.iter (fun c -> line b "l %d %s" c (opt (Io.latency_line d c))) dl.dl_latency;
-  List.iter (fun c -> line b "b %d %s" c (opt (Io.bounds_line d c))) dl.dl_bounds;
+    (Array.length ch.cells + Array.length ch.nets + Array.length ch.latencies
+   + Array.length ch.bounds);
+  Array.iter (fun c -> line b "c %d %s" c (Io.cell_line d c)) ch.cells;
+  Array.iter (fun n -> line b "n %d %s" n (Io.net_line d n)) ch.nets;
+  Array.iter (fun c -> line b "l %d %s" c (opt (Io.latency_line d c))) ch.latencies;
+  Array.iter (fun c -> line b "b %d %s" c (opt (Io.bounds_line d c))) ch.bounds;
   add_engines b lv.lv_engines;
   Buffer.contents b
-
-(* {2 The journal handle} *)
-
-type files = {
-  base_bytes : int;
-  mutable journal_bytes : int;  (* header included *)
-  shadow : shadow;
-}
 
 type journal = {
   j_dir : string;
@@ -565,30 +467,26 @@ let journal ~dir = { j_dir = dir; files = None }
 let base j lv =
   j.files <- None;
   let hash, bytes = write_base ~dir:j.j_dir (state_of_live lv) in
-  j.files <-
-    Some
-      {
-        base_bytes = bytes;
-        journal_bytes = String.length (journal_header hash);
-        shadow = shadow_of lv;
-      };
+  let journal_bytes = String.length (journal_header hash) in
+  j.files <- Some (files_of lv ~base_bytes:bytes ~journal_bytes);
   (`Base, bytes)
 
 let write j lv =
   match j.files with
-  | Some f when same_shape f.shadow lv.lv_design ->
-    let dl = diff f.shadow lv in
-    let body = record_body dl lv in
+  | Some f when same_shape f lv.lv_design ->
+    let body = record_body f (Design.take_changes lv.lv_design) lv in
     let framed = Printf.sprintf "record %d %016Lx\n%s" (String.length body) (Fnv.of_string body) body in
     let n = String.length framed in
     if f.journal_bytes + n >= f.base_bytes then base j lv
     else begin
-      (* a failed append may leave a torn tail behind: until this one
-         lands, the next write is a base *)
+      (* a failed append may leave a torn tail behind, and the changes it
+         carried are taken: until this one lands, the next write is a
+         base *)
       j.files <- None;
       append_file (journal_path ~dir:j.j_dir) framed;
       f.journal_bytes <- f.journal_bytes + n;
-      advance f.shadow dl lv;
+      f.trace <- lv.lv_progress.trace_rev;
+      f.best <- lv.lv_progress.best;
       j.files <- Some f;
       (`Record, n)
     end
@@ -1079,12 +977,6 @@ let resume_journal ~dir lv =
      | _, valid ->
        let jfile = journal_path ~dir in
        if (Unix.stat jfile).Unix.st_size > valid then Unix.truncate jfile valid;
-       j.files <-
-         Some
-           {
-             base_bytes = (Unix.stat file).Unix.st_size;
-             journal_bytes = valid;
-             shadow = shadow_of lv;
-           }
+       j.files <- Some (files_of lv ~base_bytes:(Unix.stat file).Unix.st_size ~journal_bytes:valid)
    with Bad _ | Sys_error _ | Unix.Unix_error _ -> ());
   j

@@ -14,12 +14,14 @@
       {!Css_seqgraph.Extract.snapshot} per live extraction engine;
     - [<dir>/checkpoint.journal] (see {!journal_path}): a header naming
       the base by its hash, then one record per durable write since the
-      base, each a length, an FNV-1a 64 hash and a body holding only
-      what changed: the run's scalar fields and new trace points, the
-      moved cells, changed nets, latencies, bounds and anchors (as
-      {!Css_netlist.Io.edit}s of the base's design text), the live
-      engine snapshots, and the best checkpoint when it changed (its
-      positions only where they differ from the movement anchors).
+      base, each a length, an FNV-1a 64 hash and a body holding what
+      changed: the run's scalar fields and new trace points, the cells,
+      nets, latencies, bounds and anchors the design's change set lists
+      ({!Css_netlist.Design.take_changes}, as
+      {!Css_netlist.Io.edit}s of the base's design text, each with its
+      current value), the live engine snapshots, and the best checkpoint
+      when it changed (its positions only where they differ from the
+      movement anchors).
 
     {!load} parses the base and replays the records. Both formats are
     documented in [docs/ROBUSTNESS.md].
@@ -208,9 +210,9 @@ type live = {
     the state a base written now would hold. *)
 val state_of_live : live -> state
 
-(** A checkpoint directory written through its journal. The handle keeps
-    a shadow of what the base and the journal together hold; a write
-    appends what differs from it. *)
+(** A checkpoint directory written through its journal. A write appends
+    what the design's change set lists ({!Css_netlist.Design.take_changes},
+    which nothing else may take); a base and {!resume_journal} clear it. *)
 type journal
 
 (** [journal ~dir] is a handle whose first {!write} is a base. *)

@@ -107,8 +107,13 @@ let default_config =
     debug_interrupt_after_iteration = None;
   }
 
+(* The text round trip keeps every float exactly; the movement anchors,
+   which the text does not carry, are copied over. *)
 let clone design =
-  Io.of_string_exn ~library:(Design.library design) (Io.to_string design)
+  let copy = Io.of_string_exn ~library:(Design.library design) (Io.to_string design) in
+  Design.iter_cells design (fun c ->
+      Design.set_cell_orig_pos copy c (Design.cell_orig_pos design c));
+  copy
 
 (* Consecutive phases without live-timer worst-slack improvement before
    the flow stops with [stop_reason = "stalled"]. *)
@@ -389,22 +394,6 @@ let scheduler_config st =
 let score st =
   check_open st "score";
   Evaluator.score st.timer
-
-(* The cheap stand-in for {!score} when [final_eval = false]: the live
-   timer's view of the schedule (scheduled latencies still count, no
-   constraint audit). Right for a service answering delta requests;
-   never for final paper scoring. *)
-let live_report st =
-  {
-    Evaluator.wns_early = Timer.wns st.timer Timer.Early;
-    tns_early = Timer.tns st.timer Timer.Early;
-    wns_late = Timer.wns st.timer Timer.Late;
-    tns_late = Timer.tns st.timer Timer.Late;
-    num_early_violations = List.length (Timer.violated_endpoints st.timer Timer.Early);
-    num_late_violations = List.length (Timer.violated_endpoints st.timer Timer.Late);
-    hpwl = Design.total_hpwl (Timer.design st.timer);
-    constraint_errors = [];
-  }
 
 (* Checkpoint scoring needs the contest view (physical latencies only),
    not the live timer's schedule; without it there is nothing
@@ -720,7 +709,7 @@ let finalize st =
         (edges + s.Extract.edges_extracted, cones + s.Extract.cone_nodes))
       (run.edges, run.cones) (live_engines st)
   in
-  let final_report = if st.cfg.final_eval then score st else live_report st in
+  let final_report = if st.cfg.final_eval then score st else Evaluator.live st.timer in
   let report, rolled_back =
     if not (scored_checkpoints st) then (final_report, false)
     else

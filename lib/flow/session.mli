@@ -207,9 +207,9 @@ type config = {
 
 val default_config : config
 
-(** [clone design] deep-copies a design through its textual form. The
-    copy's original-position anchors are its *current* positions, so
-    clone before moving cells. *)
+(** [clone design] deep-copies a design through its textual form, every
+    float bitwise, and copies the movement anchors over, so the copy
+    judges displacement as [design] does. *)
 val clone : Css_netlist.Design.t -> Css_netlist.Design.t
 
 (** {1 Lifecycle} *)

@@ -71,7 +71,35 @@ type t = {
   mutable lcb_cache : cell_id array option;
   mutable ff_index_cache : int array option;  (* cell -> dense FF ordinal, -1 *)
   latency_bounds : (cell_id, float * float) Hashtbl.t;
+  cell_changes : marks;
+  net_changes : marks;
 }
+
+(* The change set: kind bits per id, and a stack of the ids marked since
+   the last [take_changes], which sizes both to the design's ids: marking
+   allocates nothing, and ids beyond them (in a design never taken from,
+   or added since) are not marked. *)
+and marks = { mutable bits : Bytes.t; mutable stack : int array; mutable touched : int }
+
+(* kind bits: a cell's line (position, master), latency, bounds and
+   anchor; a net's sinks *)
+let k_line, k_latency, k_bounds, k_anchor, k_sinks = (1, 2, 4, 8, 1)
+
+let no_marks () = { bits = Bytes.empty; stack = [||]; touched = 0 }
+
+let mark m id kind =
+  if id < Bytes.length m.bits then begin
+    let b = Char.code (Bytes.get m.bits id) in
+    if b = 0 then begin
+      m.stack.(m.touched) <- id;
+      m.touched <- m.touched + 1
+    end;
+    Bytes.set m.bits id (Char.unsafe_chr (b lor kind))
+  end
+
+(* bit equality without boxing: equal and, for zeros, of one sign; a NaN
+   never matches, so writing one always marks *)
+let[@inline] same_bits (a : float) (b : float) = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
 
 let lcb_fanout_limit = 50
 let max_displacement = 400.0
@@ -113,6 +141,8 @@ let create ~name ~library ~die ~clock_period () =
     lcb_cache = None;
     ff_index_cache = None;
     latency_bounds = Hashtbl.create 16;
+    cell_changes = no_marks ();
+    net_changes = no_marks ();
   }
 
 let intern_pin_name t name =
@@ -213,7 +243,8 @@ let net_add_sink t n p =
   if pin_net_id t p >= 0 then invalid_arg "Design.net_add_sink: pin already connected";
   if pin_is_output t p then invalid_arg "Design.net_add_sink: pin is a signal source";
   ignore (Ivec.push (Vec.get t.net_sinks n) p);
-  Ivec.set t.pin_net p n
+  Ivec.set t.pin_net p n;
+  mark t.net_changes n k_sinks
 
 let set_clock_root t port = t.clock_root <- port
 
@@ -231,13 +262,16 @@ let[@inline] cell_y t c = Fvec.get t.cell_y c
 let cell_pos t c = Point.make (Fvec.get t.cell_x c) (Fvec.get t.cell_y c)
 let cell_orig_pos t c = Point.make (Fvec.get t.cell_orig_x c) (Fvec.get t.cell_orig_y c)
 
-let move_cell t c (pos : Point.t) =
-  Fvec.set t.cell_x c pos.Point.x;
-  Fvec.set t.cell_y c pos.Point.y
+(* a point column pair's write, marked unless it holds [pos] already *)
+let set_point xs ys t c kind (pos : Point.t) =
+  if not (same_bits (Fvec.get xs c) pos.Point.x && same_bits (Fvec.get ys c) pos.Point.y) then begin
+    Fvec.set xs c pos.Point.x;
+    Fvec.set ys c pos.Point.y;
+    mark t.cell_changes c kind
+  end
 
-let set_cell_orig_pos t c (pos : Point.t) =
-  Fvec.set t.cell_orig_x c pos.Point.x;
-  Fvec.set t.cell_orig_y c pos.Point.y
+let move_cell t c pos = set_point t.cell_x t.cell_y t c k_line pos
+let set_cell_orig_pos t c pos = set_point t.cell_orig_x t.cell_orig_y t c k_anchor pos
 
 let swap_master t c master =
   let next = Library.find t.library master in
@@ -246,7 +280,10 @@ let swap_master t c master =
     invalid_arg
       (Printf.sprintf "Design.swap_master: %s and %s have different interfaces"
          current.Cell.name next.Cell.name);
-  Vec.set t.cell_master c next
+  if next != current then begin
+    Vec.set t.cell_master c next;
+    mark t.cell_changes c k_line
+  end
 
 (* the pin of cell [c] named by token [tok], or -1 *)
 let cell_pin_of_token t c tok =
@@ -397,7 +434,9 @@ let reconnect_ff_to_lcb t ~ff ~lcb =
     Ivec.set t.pin_net ck (-1)
   end;
   ignore (Ivec.push (Vec.get t.net_sinks new_net) ck);
-  Ivec.set t.pin_net ck new_net
+  Ivec.set t.pin_net ck new_net;
+  if old_net >= 0 then mark t.net_changes old_net k_sinks;
+  mark t.net_changes new_net k_sinks
 
 (* Inlined down to [clock_latency]'s callers: the timer reads it on
    every FF node it recomputes, and a float returned from a call is
@@ -420,16 +459,21 @@ let[@inline] physical_clock_latency t ff =
 
 let[@inline] scheduled_latency t ff = Fvec.get t.cell_sched_latency ff
 
-let set_scheduled_latency t ff v = Fvec.set t.cell_sched_latency ff v
-
-let clear_scheduled_latencies t = Fvec.fill t.cell_sched_latency 0.0
+(* inlined: a float passed to a call is boxed, and the scheduler sets
+   latencies in its allocation-free iteration *)
+let[@inline] set_scheduled_latency t ff v =
+  if not (same_bits (Fvec.get t.cell_sched_latency ff) v) then begin
+    Fvec.set t.cell_sched_latency ff v;
+    mark t.cell_changes ff k_latency
+  end
 
 let[@inline] clock_latency t ff = physical_clock_latency t ff +. scheduled_latency t ff
 
 let set_latency_bounds t ff ~lo ~hi =
   if lo < 0.0 || hi < 0.0 || lo > hi then
     invalid_arg "Design.set_latency_bounds: need 0 <= lo <= hi";
-  Hashtbl.replace t.latency_bounds ff (lo, hi)
+  Hashtbl.replace t.latency_bounds ff (lo, hi);
+  mark t.cell_changes ff k_bounds
 
 let latency_bounds t ff =
   Option.value ~default:(0.0, infinity) (Hashtbl.find_opt t.latency_bounds ff)
@@ -443,7 +487,45 @@ let latency_hi_set t ff =
 let[@inline] latency_hi t ff =
   if Hashtbl.length t.latency_bounds = 0 then infinity else latency_hi_set t ff
 
-let clear_latency_bounds t ff = Hashtbl.remove t.latency_bounds ff
+let clear_latency_bounds t ff =
+  Hashtbl.remove t.latency_bounds ff;
+  mark t.cell_changes ff k_bounds
+
+type changes = {
+  cells : cell_id array;
+  latencies : cell_id array;
+  bounds : cell_id array;
+  anchors : cell_id array;
+  nets : net_id array;
+}
+
+(* the ids marked with [kind], ascending *)
+let marked m kind =
+  let ids = Array.sub m.stack 0 m.touched in
+  Array.sort Int.compare ids;
+  let has id = Char.code (Bytes.get m.bits id) land kind <> 0 in
+  Array.of_seq (Seq.filter has (Array.to_seq ids))
+
+(* empties the set and sizes it for ids below [n] *)
+let restart m n =
+  for k = 0 to m.touched - 1 do
+    Bytes.set m.bits m.stack.(k) '\000'
+  done;
+  m.touched <- 0;
+  if n > Bytes.length m.bits then begin
+    m.bits <- Bytes.make n '\000';
+    m.stack <- Array.make n 0
+  end
+
+let take_changes t =
+  let c = marked t.cell_changes in
+  let changes =
+    { cells = c k_line; latencies = c k_latency; bounds = c k_bounds; anchors = c k_anchor;
+      nets = marked t.net_changes k_sinks }
+  in
+  restart t.cell_changes (num_cells t);
+  restart t.net_changes (num_nets t);
+  changes
 
 (* the min/max fold of [Hpwl.of_points], in its order, without the point
    list or the box records *)

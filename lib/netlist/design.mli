@@ -277,10 +277,6 @@ val scheduled_latency : t -> cell_id -> float
 
 val set_scheduled_latency : t -> cell_id -> float -> unit
 
-(** [clear_scheduled_latencies t] resets every virtual latency to 0.
-    O(num_cells). *)
-val clear_scheduled_latencies : t -> unit
-
 (** [clock_latency t ff] is [physical_clock_latency + scheduled_latency],
     the value the timer uses. *)
 val clock_latency : t -> cell_id -> float
@@ -328,6 +324,38 @@ val latency_hi : t -> cell_id -> float
 
 (** [clear_latency_bounds t ff] restores the default window. *)
 val clear_latency_bounds : t -> cell_id -> unit
+
+(** {1 The change set}
+
+    The mutators mark what they write, so a consumer that persists the
+    design (the flow's journal) reads the touched ids instead of
+    comparing every cell and net against a copy. One byte of kind bits
+    per cell and per net and a stack of the touched ids are sized at
+    each {!take_changes}, so marking is O(1) and allocates nothing. The
+    set covers the ids the design had at the last {!take_changes}: a
+    design never taken from marks nothing and pays one comparison per
+    write. {!move_cell} and
+    {!swap_master} mark the cell's line, {!set_scheduled_latency} the
+    latency, {!set_latency_bounds} and {!clear_latency_bounds} the
+    bounds, {!set_cell_orig_pos} the anchor; {!reconnect_ff_to_lcb}
+    marks the old and the new clock net, {!net_add_sink} its net. A
+    write of the bits (or master) already held marks nothing; a write
+    undone later stays marked. [add_*] mark nothing, nor do ids added
+    since the last take: a consumer that sees the design grow starts
+    over from the whole design. *)
+
+type changes = {
+  cells : cell_id array;  (** position or master *)
+  latencies : cell_id array;
+  bounds : cell_id array;
+  anchors : cell_id array;
+  nets : net_id array;  (** sink list *)
+}
+
+(** [take_changes t] is every id marked since the previous call, each
+    kind ascending, and clears the set. O(k log k) for k ids touched,
+    plus O(n) when the design grew to n ids since the previous call. *)
+val take_changes : t -> changes
 
 (** {1 Metrics and validation} *)
 

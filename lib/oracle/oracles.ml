@@ -68,15 +68,6 @@ let report_diffs ~label (a : Evaluator.report) (b : Evaluator.report) =
          ]);
     ]
 
-(* An independent copy for a reference evaluation: the text round trip
-   keeps every float exactly, and the movement anchors, which the text
-   format does not carry, are copied over. *)
-let fresh_copy design =
-  let copy = Flow.clone design in
-  Design.iter_cells design (fun c ->
-      Design.set_cell_orig_pos copy c (Design.cell_orig_pos design c));
-  copy
-
 let schedule ?config engine design ~corner =
   let design = Flow.clone design in
   let timer = Timer.build design in
@@ -394,7 +385,7 @@ let check_scorer_identity ?(config = Flow.default_config) design ~algo =
     ~finally:(fun () -> Session.close s)
     (fun () ->
       let fresh () =
-        Evaluator.evaluate ~timer:(Session.config s).Flow.timer (fresh_copy (Session.design s))
+        Evaluator.evaluate ~timer:(Session.config s).Flow.timer (Flow.clone (Session.design s))
       in
       let check label = diffs label (fresh ()) (Session.score s) in
       check "open";

@@ -168,8 +168,12 @@ let write_chrome_json t path =
   Buffer.add_string buf (Printf.sprintf "\"otherData\":{\"epoch_s\":%s,\"recorded_events\":%d},\n"
                            (Json.float_repr t.run_epoch) n);
   Buffer.add_string buf "\"traceEvents\":[\n";
-  (* metadata so Perfetto labels the process and its one lane *)
-  Buffer.add_string buf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"css_opt\"}}";
+  (* metadata so Perfetto labels the process (the executable) and its lane *)
+  let exe = Filename.basename Sys.executable_name in
+  let label = Option.value ~default:exe (Filename.chop_suffix_opt ~suffix:".exe" exe) in
+  Buffer.add_string buf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":";
+  Json.escape_to buf label;
+  Buffer.add_string buf "}}";
   Buffer.add_string buf
     ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"main\"}}";
   for i = 0 to n - 1 do

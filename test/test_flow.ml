@@ -779,6 +779,91 @@ let test_journal_stale () =
   Sys.remove jfile;
   checkb "a missing journal loads the base alone" true (Persist.load ~dir = st)
 
+(* {2 The change set under every mutator}
+
+   A record carries what the design's change set lists. Random batches
+   of every marking mutator, applied straight to a durable session's
+   design, each followed by a journal write: every reopen gives back the
+   live design text and the anchors bitwise. Spare buffers with an
+   unconnected input give [net_add_sink] pins to attach. *)
+
+let replay_design = lazy (Generator.generate { Profile.tiny with Profile.seed = 4242 })
+
+let prop_change_set_replay =
+  QCheck.Test.make ~name:"journal replay = live design under every mutator" ~count:20
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d = Flow.clone (Lazy.force replay_design) in
+      let lib = Design.library d in
+      let point () =
+        Css_geometry.Point.make
+          (float (Random.State.int rng 4000) *. 0.37)
+          (float (Random.State.int rng 4000) *. 0.37)
+      in
+      let spares =
+        ref
+          (List.init 4 (fun i ->
+               let c =
+                 Design.add_cell d ~name:(Printf.sprintf "spare%d" i) ~master:"BUF_X2" ~pos:(point ())
+               in
+               Design.cell_pin d c "A"))
+      in
+      let dir = fresh_dir () in
+      let s = Session.open_ ~config:(daemon_config ~dir) ~algo:Session.Ours d in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let cells = Array.init (Design.num_cells d) Fun.id in
+      let ffs = Design.ffs d and lcbs = Design.lcbs d in
+      let signal_nets =
+        List.filter
+          (fun n ->
+            let c = Design.pin_cell_id d (Design.net_driver_id d n) in
+            c >= 0 && not (Design.is_lcb d c))
+          (List.init (Design.num_nets d) Fun.id)
+        |> Array.of_list
+      in
+      let latency () =
+        match Random.State.int rng 4 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | _ -> float (Random.State.int rng 200) *. 0.13
+      in
+      let mutate () =
+        match Random.State.int rng 8 with
+        | 0 ->
+          let c = pick cells in
+          (* half the moves go back to the anchor *)
+          Design.move_cell d c
+            (if Random.State.bool rng then Design.cell_orig_pos d c else point ())
+        | 1 ->
+          let c = pick cells in
+          let v = Array.of_list (Css_liberty.Library.variants lib (Design.cell_master d c)) in
+          Design.swap_master d c (pick v).Css_liberty.Cell.name
+        | 2 -> Design.set_scheduled_latency d (pick cells) (latency ())
+        | 3 ->
+          let lo = float (Random.State.int rng 50) and w = float (Random.State.int rng 50) in
+          Design.set_latency_bounds d (pick cells) ~lo ~hi:(lo +. w)
+        | 4 -> Design.clear_latency_bounds d (pick cells)
+        | 5 -> Design.set_cell_orig_pos d (pick cells) (point ())
+        | 6 -> Design.reconnect_ff_to_lcb d ~ff:(pick ffs) ~lcb:(pick lcbs)
+        | _ -> (
+          match !spares with
+          | p :: rest ->
+            Design.net_add_sink d (pick signal_nets) p;
+            spares := rest
+          | [] -> ())
+      in
+      Fun.protect
+        ~finally:(fun () -> Session.close s)
+        (fun () ->
+          for batch = 1 to 6 do
+            for _ = 1 to Random.State.int rng 13 do
+              mutate ()
+            done;
+            Session.save s ~dir;
+            check_durable_identity (Printf.sprintf "seed %d batch %d" seed batch) s ~dir
+          done);
+      true)
+
 (* [cache_bytes] is accepted and ignored: sessions opened with a 64 MiB
    budget and with none schedule bitwise alike, and neither reports
    cache counters. *)
@@ -880,5 +965,6 @@ let () =
             test_journal_torn_tail;
           Alcotest.test_case "journal bad record (CKPT-003)" `Quick test_journal_bad_record;
           Alcotest.test_case "stale journal is ignored" `Quick test_journal_stale;
+          QCheck_alcotest.to_alcotest prop_change_set_replay;
         ] );
     ]

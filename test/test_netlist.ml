@@ -78,7 +78,7 @@ let test_scheduled_latency () =
   checkf 1e-9 "total = physical + scheduled"
     (Design.physical_clock_latency d ff1 +. 12.5)
     (Design.clock_latency d ff1);
-  Design.clear_scheduled_latencies d;
+  Design.set_scheduled_latency d ff1 0.0;
   checkf 1e-9 "cleared" 0.0 (Design.scheduled_latency d ff1)
 
 let test_move_cell () =
@@ -108,6 +108,65 @@ let test_reconnect () =
   checki "new fanout" 1 (Design.lcb_fanout d lcb2);
   let lat = Design.physical_clock_latency d ff1 in
   checkb "latency reflects new branch" true (lat > 45.0)
+
+(* Each mutator marks exactly its own kind and id; [take_changes]
+   lists each kind ascending and clears the set. *)
+let test_change_set () =
+  let d, ff1, ff2, lcb, inv1 = build_small () in
+  let show (ch : Design.changes) =
+    let ids a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+    Printf.sprintf "cells [%s] latencies [%s] bounds [%s] anchors [%s] nets [%s]" (ids ch.cells)
+      (ids ch.latencies) (ids ch.bounds) (ids ch.anchors) (ids ch.nets)
+  in
+  let none =
+    show { Design.cells = [||]; latencies = [||]; bounds = [||]; anchors = [||]; nets = [||] }
+  in
+  (* the set starts at the first take *)
+  Design.move_cell d inv1 (p 130. 400.);
+  Alcotest.(check string) "never taken from" none (show (Design.take_changes d));
+  let expect what ?(cells = [||]) ?(latencies = [||]) ?(bounds = [||]) ?(anchors = [||])
+      ?(nets = [||]) f =
+    f ();
+    Alcotest.(check string)
+      what
+      (show { Design.cells; latencies; bounds; anchors; nets })
+      (show (Design.take_changes d));
+    Alcotest.(check string) (what ^ ": cleared") none (show (Design.take_changes d))
+  in
+  let ck_net = Design.pin_net_id d (Design.cell_pin d lcb "CKO") in
+  expect "nothing since the last take" (fun () -> ());
+  expect "move" ~cells:[| inv1 |] (fun () -> Design.move_cell d inv1 (p 130. 410.));
+  expect "moved away and back" ~cells:[| inv1 |] (fun () ->
+      Design.move_cell d inv1 (p 900. 900.);
+      Design.move_cell d inv1 (p 130. 410.));
+  expect "a move to where the cell is" (fun () -> Design.move_cell d inv1 (p 130. 410.));
+  expect "swap master" ~cells:[| inv1 |] (fun () -> Design.swap_master d inv1 "INV_X4");
+  expect "swap to the same master" (fun () -> Design.swap_master d inv1 "INV_X4");
+  expect "latency, ascending" ~latencies:[| ff1; ff2 |] (fun () ->
+      Design.set_scheduled_latency d ff2 3.0;
+      Design.set_scheduled_latency d ff1 2.0);
+  expect "latency -0.0" ~latencies:[| ff1 |] (fun () ->
+      Design.set_scheduled_latency d ff1 0.0;
+      ignore (Design.take_changes d);
+      Design.set_scheduled_latency d ff1 (-0.0));
+  expect "bounds set" ~bounds:[| ff2 |] (fun () -> Design.set_latency_bounds d ff2 ~lo:1.0 ~hi:9.0);
+  expect "bounds cleared" ~bounds:[| ff2 |] (fun () -> Design.clear_latency_bounds d ff2);
+  expect "anchor" ~anchors:[| ff1 |] (fun () -> Design.set_cell_orig_pos d ff1 (p 210. 150.));
+  expect "one cell, every kind" ~cells:[| ff1 |] ~latencies:[| ff1 |] ~bounds:[| ff1 |]
+    ~anchors:[| ff1 |] (fun () ->
+      Design.set_cell_orig_pos d ff1 (p 200. 150.);
+      Design.set_latency_bounds d ff1 ~lo:0.0 ~hi:50.0;
+      Design.set_scheduled_latency d ff1 4.0;
+      Design.move_cell d ff1 (p 205. 150.));
+  let lcb2 = Design.add_cell d ~name:"lcb2" ~master:"LCB" ~pos:(p 800. 800.) in
+  let ck2 = Design.add_net d ~name:"nck2" ~driver:(Design.cell_pin d lcb2 "CKO") ~sinks:[] in
+  expect "construction, and ids added since the last take, mark nothing" (fun () ->
+      Design.move_cell d lcb2 (p 810. 800.));
+  expect "reconnect marks both nets" ~nets:[| ck_net; ck2 |] (fun () ->
+      Design.reconnect_ff_to_lcb d ~ff:ff1 ~lcb:lcb2);
+  let root_net = Design.pin_net_id d (Design.cell_pin d lcb "CKI") in
+  expect "net_add_sink" ~nets:[| root_net |] (fun () ->
+      Design.net_add_sink d root_net (Design.cell_pin d lcb2 "CKI"))
 
 let test_add_net_validation () =
   let d, ff1, _, _, _ = build_small () in
@@ -407,6 +466,7 @@ let () =
           Alcotest.test_case "scheduled latency" `Quick test_scheduled_latency;
           Alcotest.test_case "move cell" `Quick test_move_cell;
           Alcotest.test_case "reconnect" `Quick test_reconnect;
+          Alcotest.test_case "change set" `Quick test_change_set;
           Alcotest.test_case "add_net validation" `Quick test_add_net_validation;
           Alcotest.test_case "check: missing clock" `Quick test_check_catches_missing_clock;
           Alcotest.test_case "hpwl" `Quick test_hpwl;

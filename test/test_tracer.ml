@@ -66,11 +66,23 @@ let exported t =
   with_tmp ".json" @@ fun out ->
   Tracer.write_chrome_json t out;
   let j = Json.of_string (read_file out) in
-  let events =
+  let all =
     match Json.member "traceEvents" j with
-    | Some (Json.List l) -> List.filter (fun e -> Json.member "ph" e <> Some (Json.String "M")) l
+    | Some (Json.List l) -> l
     | _ -> Alcotest.fail "no traceEvents"
   in
+  (* the process is labelled after the running executable *)
+  let process_label =
+    List.find_map
+      (fun e ->
+        if Json.member "name" e = Some (Json.String "process_name") then
+          Option.bind (Json.member "args" e) (Json.member "name")
+        else None)
+      all
+  in
+  checkb "process_name names the test binary" true
+    (process_label = Some (Json.String "test_tracer"));
+  let events = List.filter (fun e -> Json.member "ph" e <> Some (Json.String "M")) all in
   (match Json.member "otherData" j with
   | Some od ->
     checkb "recorded_events = exported events" true
