@@ -1,6 +1,5 @@
 module Timer = Css_sta.Timer
 module Design = Css_netlist.Design
-module Point = Css_geometry.Point
 
 type report = {
   wns_early : float;
@@ -13,29 +12,37 @@ type report = {
   constraint_errors : string list;
 }
 
+(* Column scans: no pin-name hashing, no point or window tuple per cell;
+   only a violation formats a message. *)
 let check_constraints design =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  Array.iter
-    (fun lcb ->
-      let fanout = Design.lcb_fanout design lcb in
-      if fanout > Design.lcb_fanout_limit then
-        err "LCB %s fanout %d exceeds limit %d" (Design.cell_name design lcb) fanout
-          Design.lcb_fanout_limit)
-    (Design.lcbs design);
-  Design.iter_cells design (fun c ->
-      let moved = Point.manhattan (Design.cell_pos design c) (Design.cell_orig_pos design c) in
-      if moved > Design.max_displacement +. 1e-9 then
-        err "cell %s displaced %.1f DBU, budget %.1f" (Design.cell_name design c) moved
-          Design.max_displacement);
-  Array.iter
-    (fun ff ->
+  let lcbs = Design.lcbs design and ffs = Design.ffs design in
+  for i = 0 to Array.length lcbs - 1 do
+    let fanout = Design.lcb_fanout design lcbs.(i) in
+    if fanout > Design.lcb_fanout_limit then
+      err "LCB %s fanout %d exceeds limit %d" (Design.cell_name design lcbs.(i)) fanout
+        Design.lcb_fanout_limit
+  done;
+  for c = 0 to Design.num_cells design - 1 do
+    (* [Point.manhattan] of the position and the anchor *)
+    let moved =
+      Float.abs (Design.cell_x design c -. Design.cell_orig_x design c)
+      +. Float.abs (Design.cell_y design c -. Design.cell_orig_y design c)
+    in
+    if moved > Design.max_displacement +. 1e-9 then
+      err "cell %s displaced %.1f DBU, budget %.1f" (Design.cell_name design c) moved
+        Design.max_displacement
+  done;
+  for i = 0 to Array.length ffs - 1 do
+    let ff = ffs.(i) in
+    let l = Design.clock_latency design ff in
+    if Design.latency_outside design ff l ~tol:1e-6 then begin
       let lo, hi = Design.latency_bounds design ff in
-      let l = Design.clock_latency design ff in
-      if l < lo -. 1e-6 || l > hi +. 1e-6 then
-        err "flip-flop %s latency %.2f outside its [%.2f, %.2f] window"
-          (Design.cell_name design ff) l lo hi)
-    (Design.ffs design);
+      err "flip-flop %s latency %.2f outside its [%.2f, %.2f] window" (Design.cell_name design ff)
+        l lo hi
+    end
+  done;
   List.iter (fun e -> err "netlist: %s" e) (Design.check design);
   List.rev !errors
 
@@ -45,8 +52,8 @@ let live timer =
     tns_early = Timer.tns timer Timer.Early;
     wns_late = Timer.wns timer Timer.Late;
     tns_late = Timer.tns timer Timer.Late;
-    num_early_violations = List.length (Timer.violated_endpoints timer Timer.Early);
-    num_late_violations = List.length (Timer.violated_endpoints timer Timer.Late);
+    num_early_violations = Timer.violations timer Timer.Early;
+    num_late_violations = Timer.violations timer Timer.Late;
     hpwl = Design.total_hpwl (Timer.design timer);
     constraint_errors = [];
   }

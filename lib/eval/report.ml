@@ -66,7 +66,7 @@ let timing_summary timer =
       Buffer.add_string buf
         (Printf.sprintf "-- %s --\nWNS %.2f  TNS %.2f  violations %d\n" (corner_name corner)
            (Timer.wns timer corner) (Timer.tns timer corner)
-           (List.length (Timer.violated_endpoints timer corner)));
+           (Timer.violations timer corner));
       Buffer.add_string buf (Histogram.render (slack_histogram timer corner));
       Buffer.add_char buf '\n')
     [ Timer.Late; Timer.Early ];

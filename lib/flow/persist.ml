@@ -72,7 +72,8 @@ type checkpoint = {
   ck_ffs : Design.cell_id array;
   ck_latencies : float array;  (* scheduled, per entry of [ck_ffs] *)
   ck_lcb_of : Design.cell_id array;  (* -1 when unresolved *)
-  ck_positions : Point.t array;  (* per cell id *)
+  ck_x : float array;  (* position per cell id *)
+  ck_y : float array;
   ck_masters : string array;  (* per cell id *)
   ck_report : Evaluator.report;
 }
@@ -224,35 +225,36 @@ let add_trace_point b t =
 let[@inline] same_bits (a : float) (b : float) = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
 
 (* A base writes the best checkpoint's positions in full. A journal
-   record passes [anchor] (a cell's movement anchor, [None] past the
-   design's cells) and lists only the positions off their anchors:
-   most cells never move, so they need no formatting. *)
-let add_best ?anchor b = function
+   record passes [anchors], the design whose movement anchors the
+   reader rebuilds, and lists only the positions off their anchors
+   (every position past the design's cells): most cells never move, so
+   they need no formatting. *)
+let add_best ?anchors b = function
   | None -> line b "best -"
   | Some cp ->
     let r = cp.ck_report in
     line b "best %s" cp.label;
-    line b "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_positions)
+    line b "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_x)
       (List.length r.Evaluator.constraint_errors);
     add_ints b "bf" cp.ck_ffs;
     add_floats b "bl" cp.ck_latencies;
     add_ints b "bb" cp.ck_lcb_of;
-    (match anchor with
-    | None -> add_points b "bx" "by" cp.ck_positions
-    | Some anchor ->
+    (match anchors with
+    | None ->
+      add_floats b "bx" cp.ck_x;
+      add_floats b "by" cp.ck_y
+    | Some d ->
+      let anchored c =
+        c < Design.num_cells d
+        && same_bits (Design.cell_orig_x d c) cp.ck_x.(c)
+        && same_bits (Design.cell_orig_y d c) cp.ck_y.(c)
+      in
       let off = ref [] in
-      for c = Array.length cp.ck_positions - 1 downto 0 do
-        let p = cp.ck_positions.(c) in
-        match anchor c with
-        | Some (a : Point.t) when same_bits a.Point.x p.Point.x && same_bits a.Point.y p.Point.y -> ()
-        | _ -> off := c :: !off
+      for c = Array.length cp.ck_x - 1 downto 0 do
+        if not (anchored c) then off := c :: !off
       done;
       line b "bp %d" (List.length !off);
-      List.iter
-        (fun c ->
-          let p = cp.ck_positions.(c) in
-          line b "p %d %s %s" c (fstr p.Point.x) (fstr p.Point.y))
-        !off);
+      List.iter (fun c -> line b "p %d %s %s" c (fstr cp.ck_x.(c)) (fstr cp.ck_y.(c))) !off);
     add_array b "bm" cp.ck_masters (Buffer.add_string b);
     line b "br %s %s %s %s %d %d %s"
       (fstr r.Evaluator.wns_early)
@@ -444,8 +446,7 @@ let record_body f (ch : Design.changes) lv =
       let a = Design.cell_orig_pos d c in
       line b "a %d %s %s" c (fstr a.Point.x) (fstr a.Point.y))
     ch.anchors;
-  let anchor c = if c < Design.num_cells d then Some (Design.cell_orig_pos d c) else None in
-  if p.best != f.best then add_best ~anchor b p.best else line b "best =";
+  if p.best != f.best then add_best ~anchors:d b p.best else line b "best =";
   let opt = function Some l -> l | None -> "-" in
   line b "edits %d"
     (Array.length ch.cells + Array.length ch.nets + Array.length ch.latencies
@@ -650,26 +651,28 @@ let parse_best ?anchors cur label =
   let ck_ffs = array_field cur "bf" nffs int_of in
   let ck_latencies = array_field cur "bl" nffs float_of in
   let ck_lcb_of = array_field cur "bb" nffs int_of in
-  let ck_positions =
+  let ck_x, ck_y =
     match anchors with
     | None ->
       let bx = array_field cur "bx" ncells float_of in
       let by = array_field cur "by" ncells float_of in
-      Array.map2 Point.make bx by
+      (bx, by)
     | Some anchors ->
       if ncells < 0 then bad ~file:cur.file "CKPT-005" "negative bn cell count";
-      let nan = Point.make Float.nan Float.nan in
-      let pos = Array.init ncells (fun c -> if c < Array.length anchors then anchors.(c) else nan) in
+      let anchor c = if c < Array.length anchors then anchors.(c) else Point.make Float.nan Float.nan in
+      let xs = Array.init ncells (fun c -> (anchor c).Point.x) in
+      let ys = Array.init ncells (fun c -> (anchor c).Point.y) in
       for _ = 1 to int_field cur "bp" do
         match split_ws (field cur "p") with
         | [ c; x; y ] ->
           let c = int_of cur "p.cell" c in
           if c < 0 || c >= ncells then
             bad ~file:cur.file "CKPT-005" (Printf.sprintf "best position of cell %d out of range" c);
-          pos.(c) <- Point.make (float_of cur "p.x" x) (float_of cur "p.y" y)
+          xs.(c) <- float_of cur "p.x" x;
+          ys.(c) <- float_of cur "p.y" y
         | _ -> bad ~file:cur.file "CKPT-005" "malformed best position entry"
       done;
-      pos
+      (xs, ys)
   in
   let ck_masters = array_field cur "bm" ncells string_of in
   let report =
@@ -693,7 +696,8 @@ let parse_best ?anchors cur label =
     ck_ffs;
     ck_latencies;
     ck_lcb_of;
-    ck_positions;
+    ck_x;
+    ck_y;
     ck_masters;
     ck_report = { report with Evaluator.constraint_errors = errs };
   }

@@ -121,7 +121,8 @@ type checkpoint = {
   ck_ffs : Css_netlist.Design.cell_id array;
   ck_latencies : float array;  (** scheduled, per entry of [ck_ffs] *)
   ck_lcb_of : Css_netlist.Design.cell_id array;  (** -1 when unresolved *)
-  ck_positions : Css_geometry.Point.t array;  (** position per cell id *)
+  ck_x : float array;  (** position per cell id, as the design's columns *)
+  ck_y : float array;
   ck_masters : string array;  (** master name per cell id *)
   ck_report : Css_eval.Evaluator.report;
 }

@@ -404,13 +404,15 @@ let scored_checkpoints st = st.cfg.rollback && st.cfg.final_eval
 let take_checkpoint st ~label report =
   let design = Timer.design st.timer in
   let ffs = Design.ffs design in
+  let ck_x, ck_y = Design.positions design in
   {
     Persist.label;
     ck_ffs = ffs;
     ck_latencies = Array.map (fun ff -> Design.scheduled_latency design ff) ffs;
     ck_lcb_of =
       Array.map (fun ff -> try Design.lcb_of_ff design ff with Not_found -> -1) ffs;
-    ck_positions = Array.init (Design.num_cells design) (Design.cell_pos design);
+    ck_x;
+    ck_y;
     ck_masters =
       Array.init (Design.num_cells design) (fun c ->
           (Design.cell_master design c).Css_liberty.Cell.name);
@@ -444,7 +446,7 @@ let restore st (cp : Persist.checkpoint) =
       if (Design.cell_master design c).Css_liberty.Cell.name <> master then
         Timer.resize_cell st.timer c master)
     cp.ck_masters;
-  Array.iteri (fun c pos -> Design.move_cell design c pos) cp.ck_positions;
+  Array.iteri (fun c x -> Design.move_cell design c (Point.make x cp.ck_y.(c))) cp.ck_x;
   Array.iteri
     (fun i ff ->
       let lcb = cp.ck_lcb_of.(i) in
@@ -866,7 +868,7 @@ let shape_errors design (ps : Persist.state) =
       when Array.length cp.ck_ffs <> Array.length (Design.ffs design)
            || Array.exists (fun ff -> not (cell ff && Design.is_ff design ff)) cp.ck_ffs
            || Array.exists (fun lcb -> lcb <> -1 && not (cell lcb)) cp.ck_lcb_of
-           || Array.length cp.ck_positions > ncells ->
+           || Array.length cp.ck_x > ncells ->
       [ ckpt_error "best checkpoint %S does not fit a design of %d cells" cp.label ncells ]
     | _ -> []
   in

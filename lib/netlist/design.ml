@@ -73,6 +73,16 @@ type t = {
   latency_bounds : (cell_id, float * float) Hashtbl.t;
   cell_changes : marks;
   net_changes : marks;
+  (* per-net columns, current for every net below their length that
+     [nets_stale] does not mark (nets added since lie past their end):
+     the net's HPWL, and 1 when [check] has something to say about it *)
+  mutable hpwl : float array;
+  mutable net_faulty : Bytes.t;
+  nets_stale : marks;
+  (* the clock pins' name tokens, -1 until a master declares them *)
+  mutable ck_tok : int;
+  mutable cki_tok : int;
+  mutable cko_tok : int;
 }
 
 (* The change set: kind bits per id, and a stack of the ids marked since
@@ -82,8 +92,8 @@ type t = {
 and marks = { mutable bits : Bytes.t; mutable stack : int array; mutable touched : int }
 
 (* kind bits: a cell's line (position, master), latency, bounds and
-   anchor; a net's sinks *)
-let k_line, k_latency, k_bounds, k_anchor, k_sinks = (1, 2, 4, 8, 1)
+   anchor; a net's sinks; a net whose per-net columns are stale *)
+let k_line, k_latency, k_bounds, k_anchor, k_sinks, k_stale = (1, 2, 4, 8, 1, 1)
 
 let no_marks () = { bits = Bytes.empty; stack = [||]; touched = 0 }
 
@@ -100,6 +110,10 @@ let mark m id kind =
 (* bit equality without boxing: equal and, for zeros, of one sign; a NaN
    never matches, so writing one always marks *)
 let[@inline] same_bits (a : float) (b : float) = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
+
+let ck_pin_name = "CK"
+let lcb_in_pin_name = "CKI"
+let lcb_out_pin_name = "CKO"
 
 let lcb_fanout_limit = 50
 let max_displacement = 400.0
@@ -143,6 +157,12 @@ let create ~name ~library ~die ~clock_period () =
     latency_bounds = Hashtbl.create 16;
     cell_changes = no_marks ();
     net_changes = no_marks ();
+    hpwl = [||];
+    net_faulty = Bytes.empty;
+    nets_stale = no_marks ();
+    ck_tok = -1;
+    cki_tok = -1;
+    cko_tok = -1;
   }
 
 let intern_pin_name t name =
@@ -151,6 +171,9 @@ let intern_pin_name t name =
   | None ->
     let tok = Vec.push t.pin_name_of_tok name in
     Hashtbl.replace t.tok_of_pin_name name tok;
+    if name = ck_pin_name then t.ck_tok <- tok
+    else if name = lcb_in_pin_name then t.cki_tok <- tok
+    else if name = lcb_out_pin_name then t.cko_tok <- tok;
     tok
 
 let pin_name_token t name =
@@ -244,7 +267,8 @@ let net_add_sink t n p =
   if pin_is_output t p then invalid_arg "Design.net_add_sink: pin is a signal source";
   ignore (Ivec.push (Vec.get t.net_sinks n) p);
   Ivec.set t.pin_net p n;
-  mark t.net_changes n k_sinks
+  mark t.net_changes n k_sinks;
+  mark t.nets_stale n k_stale
 
 let set_clock_root t port = t.clock_root <- port
 
@@ -260,18 +284,32 @@ let cell_name t c = Vec.get t.cell_name c
 let[@inline] cell_x t c = Fvec.get t.cell_x c
 let[@inline] cell_y t c = Fvec.get t.cell_y c
 let cell_pos t c = Point.make (Fvec.get t.cell_x c) (Fvec.get t.cell_y c)
+let positions t = (Fvec.to_array t.cell_x, Fvec.to_array t.cell_y)
+let[@inline] cell_orig_x t c = Fvec.get t.cell_orig_x c
+let[@inline] cell_orig_y t c = Fvec.get t.cell_orig_y c
 let cell_orig_pos t c = Point.make (Fvec.get t.cell_orig_x c) (Fvec.get t.cell_orig_y c)
 
-(* a point column pair's write, marked unless it holds [pos] already *)
+(* a point column pair's write, marked unless it holds [pos] already;
+   true when it wrote *)
 let set_point xs ys t c kind (pos : Point.t) =
-  if not (same_bits (Fvec.get xs c) pos.Point.x && same_bits (Fvec.get ys c) pos.Point.y) then begin
+  let moved = not (same_bits (Fvec.get xs c) pos.Point.x && same_bits (Fvec.get ys c) pos.Point.y) in
+  if moved then begin
     Fvec.set xs c pos.Point.x;
     Fvec.set ys c pos.Point.y;
     mark t.cell_changes c kind
+  end;
+  moved
+
+let move_cell t c pos =
+  if set_point t.cell_x t.cell_y t c k_line pos then begin
+    let first = Ivec.get t.cell_first_pin c in
+    for p = first to first + Ivec.get t.cell_pin_count c - 1 do
+      let n = Ivec.get t.pin_net p in
+      if n >= 0 then mark t.nets_stale n k_stale
+    done
   end
 
-let move_cell t c pos = set_point t.cell_x t.cell_y t c k_line pos
-let set_cell_orig_pos t c pos = set_point t.cell_orig_x t.cell_orig_y t c k_anchor pos
+let set_cell_orig_pos t c pos = ignore (set_point t.cell_orig_x t.cell_orig_y t c k_anchor pos)
 
 let swap_master t c master =
   let next = Library.find t.library master in
@@ -295,9 +333,11 @@ let cell_pin_of_token t c tok =
   done;
   if !i < stop then !i else -1
 
-let cell_pin t c pin_name =
-  let p = cell_pin_of_token t c (pin_name_token t pin_name) in
+let cell_pin_of_token_exn t c tok =
+  let p = cell_pin_of_token t c tok in
   if p < 0 then raise Not_found else p
+
+let cell_pin t c pin_name = cell_pin_of_token_exn t c (pin_name_token t pin_name)
 
 let port_name t p = Vec.get t.port_name p
 let port_dir t p = Vec.get t.port_dir p
@@ -383,13 +423,9 @@ let[@inline] clock_root_id t = t.clock_root
 
 let clock_root t = if t.clock_root < 0 then None else Some t.clock_root
 
-let ck_pin_name = "CK"
-
-let lcb_out_pin_name = "CKO"
-
 (* the LCB driving [ff]'s clock pin, or -1: no option, no exception *)
 let lcb_id_of_ff t ff =
-  let ck = cell_pin_of_token t ff (pin_name_token t ck_pin_name) in
+  let ck = cell_pin_of_token t ff t.ck_tok in
   let net = if ck < 0 then -1 else pin_net_id t ck in
   let drv = if net < 0 then -1 else net_driver_id t net in
   let c = if drv < 0 then -1 else pin_cell_id t drv in
@@ -400,28 +436,27 @@ let lcb_of_ff t ff =
   if c < 0 then raise Not_found else c
 
 let lcb_out_net t lcb =
-  let n = pin_net_id t (cell_pin t lcb lcb_out_pin_name) in
+  let n = pin_net_id t (cell_pin_of_token_exn t lcb t.cko_tok) in
   if n >= 0 then n else invalid_arg "Design: LCB has no output net"
 
 let ffs_of_lcb t lcb =
   let net = lcb_out_net t lcb in
-  let ck_tok = pin_name_token t ck_pin_name in
   List.filter_map
     (fun p ->
       let c = pin_cell_id t p in
-      if c >= 0 && is_ff t c && pin_name_id t p = ck_tok then Some c else None)
+      if c >= 0 && is_ff t c && pin_name_id t p = t.ck_tok then Some c else None)
     (net_sinks t net)
 
 let lcb_fanout t lcb =
   (* an LCB driving no net (possible after lenient-recovery parsing)
      clocks nothing: fanout 0, not an error *)
-  let n = pin_net_id t (cell_pin t lcb lcb_out_pin_name) in
+  let n = pin_net_id t (cell_pin_of_token_exn t lcb t.cko_tok) in
   if n < 0 then 0 else net_fanout t n
 
 let reconnect_ff_to_lcb t ~ff ~lcb =
   if not (is_lcb t lcb) then invalid_arg "Design.reconnect_ff_to_lcb: target is not an LCB";
   let new_net = lcb_out_net t lcb in
-  let ck = cell_pin t ff ck_pin_name in
+  let ck = cell_pin_of_token_exn t ff t.ck_tok in
   let old_net = pin_net_id t ck in
   if old_net >= 0 then begin
     let sinks = Vec.get t.net_sinks old_net in
@@ -435,8 +470,12 @@ let reconnect_ff_to_lcb t ~ff ~lcb =
   end;
   ignore (Ivec.push (Vec.get t.net_sinks new_net) ck);
   Ivec.set t.pin_net ck new_net;
-  if old_net >= 0 then mark t.net_changes old_net k_sinks;
-  mark t.net_changes new_net k_sinks
+  if old_net >= 0 then begin
+    mark t.net_changes old_net k_sinks;
+    mark t.nets_stale old_net k_stale
+  end;
+  mark t.net_changes new_net k_sinks;
+  mark t.nets_stale new_net k_stale
 
 (* Inlined down to [clock_latency]'s callers: the timer reads it on
    every FF node it recomputes, and a float returned from a call is
@@ -487,6 +526,15 @@ let latency_hi_set t ff =
 let[@inline] latency_hi t ff =
   if Hashtbl.length t.latency_bounds = 0 then infinity else latency_hi_set t ff
 
+(* [latency_bounds]'s test without the option and the tuple: a hit
+   reads the stored pair's fields, unboxed once inlined *)
+let[@inline] latency_outside t ff l ~tol =
+  if Hashtbl.length t.latency_bounds = 0 || not (Hashtbl.mem t.latency_bounds ff) then
+    l < 0.0 -. tol || l > infinity +. tol
+  else
+    let lo, hi = Hashtbl.find t.latency_bounds ff in
+    l < lo -. tol || l > hi +. tol
+
 let clear_latency_bounds t ff =
   Hashtbl.remove t.latency_bounds ff;
   mark t.cell_changes ff k_bounds
@@ -499,10 +547,14 @@ type changes = {
   nets : net_id array;
 }
 
-(* the ids marked with [kind], ascending *)
-let marked m kind =
+(* the marked ids, ascending *)
+let touched m =
   let ids = Array.sub m.stack 0 m.touched in
   Array.sort Int.compare ids;
+  ids
+
+(* those of [ids] marked with [kind] *)
+let with_kind m ids kind =
   let has id = Char.code (Bytes.get m.bits id) land kind <> 0 in
   Array.of_seq (Seq.filter has (Array.to_seq ids))
 
@@ -518,10 +570,10 @@ let restart m n =
   end
 
 let take_changes t =
-  let c = marked t.cell_changes in
+  let c = with_kind t.cell_changes (touched t.cell_changes) in
   let changes =
     { cells = c k_line; latencies = c k_latency; bounds = c k_bounds; anchors = c k_anchor;
-      nets = marked t.net_changes k_sinks }
+      nets = with_kind t.net_changes (touched t.net_changes) k_sinks }
   in
   restart t.cell_changes (num_cells t);
   restart t.net_changes (num_nets t);
@@ -548,33 +600,75 @@ let[@inline] net_hpwl t n =
     !hx -. !lx +. (!hy -. !ly)
   end
 
+(* whether [check] reports on net [n]: no driver, or a pin whose net
+   is not [n], or a sink that is a signal source *)
+let net_faulty t n =
+  let d = net_driver_id t n and sinks = Vec.get t.net_sinks n in
+  let bad = ref (d < 0 || pin_net_id t d <> n) in
+  for i = 0 to Ivec.length sinks - 1 do
+    let p = Ivec.get sinks i in
+    if pin_net_id t p <> n || pin_is_output t p then bad := true
+  done;
+  !bad
+
+let measure_net t n =
+  t.hpwl.(n) <- net_hpwl t n;
+  Bytes.set t.net_faulty n (if net_faulty t n then '\001' else '\000')
+
+(* Brings the per-net columns up to date: the nets marked stale, then
+   those added since the last call. Only a net's own pins and sink list
+   decide both columns, and the mutators that change them mark the net
+   ([add_net] makes a new one; a pin leaving or joining a net can turn
+   no other net's verdict, since any other net listing it was already
+   faulty and stays so). *)
+let refresh_nets t =
+  let m = t.nets_stale and nets = num_nets t in
+  for k = 0 to m.touched - 1 do
+    measure_net t m.stack.(k)
+  done;
+  let known = Array.length t.hpwl in
+  if nets > known then begin
+    let hpwl = Array.make nets 0.0 and faulty = Bytes.make nets '\000' in
+    Array.blit t.hpwl 0 hpwl 0 known;
+    Bytes.blit t.net_faulty 0 faulty 0 known;
+    t.hpwl <- hpwl;
+    t.net_faulty <- faulty;
+    for n = known to nets - 1 do
+      measure_net t n
+    done
+  end;
+  restart m nets
+
+(* the column summed in net order: bitwise the fold of [net_hpwl] *)
 let total_hpwl t =
+  refresh_nets t;
   let acc = ref 0.0 in
   for n = 0 to num_nets t - 1 do
-    acc := !acc +. net_hpwl t n
+    acc := !acc +. Array.unsafe_get t.hpwl n
   done;
   !acc
 
 let check t =
+  refresh_nets t;
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  iter_nets t (fun n ->
+  for n = 0 to num_nets t - 1 do
+    if Bytes.get t.net_faulty n <> '\000' then begin
       let d = net_driver_id t n in
       if d < 0 then err "net %s has no driver" (net_name t n)
       else if pin_net_id t d <> n then err "net %s: driver pin points to another net" (net_name t n);
       iter_net_sinks t n (fun p ->
           if pin_net_id t p <> n then err "net %s: sink pin points to another net" (net_name t n);
-          if pin_is_output t p then err "net %s: sink pin is a signal source" (net_name t n)));
-  Array.iter
-    (fun ff ->
-      match lcb_of_ff t ff with
-      | exception Not_found -> err "flip-flop %s has no LCB clock source" (cell_name t ff)
-      | _ -> ())
-    (ffs t);
-  Array.iter
-    (fun lcb ->
-      match pin_net t (cell_pin t lcb "CKI") with
-      | None -> err "LCB %s has an unconnected clock input" (cell_name t lcb)
-      | Some _ -> ())
-    (lcbs t);
+          if pin_is_output t p then err "net %s: sink pin is a signal source" (net_name t n))
+    end
+  done;
+  let ffs = ffs t and lcbs = lcbs t in
+  for i = 0 to Array.length ffs - 1 do
+    if lcb_id_of_ff t ffs.(i) < 0 then
+      err "flip-flop %s has no LCB clock source" (cell_name t ffs.(i))
+  done;
+  for i = 0 to Array.length lcbs - 1 do
+    if pin_net_id t (cell_pin_of_token_exn t lcbs.(i) t.cki_tok) < 0 then
+      err "LCB %s has an unconnected clock input" (cell_name t lcbs.(i))
+  done;
   List.rev !errors

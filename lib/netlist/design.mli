@@ -109,9 +109,19 @@ val cell_x : t -> cell_id -> float
 
 val cell_y : t -> cell_id -> float
 
+(** [positions t] copies the placement columns: the x and the y of
+    every cell, indexed by cell id. O(num_cells), no point per cell. *)
+val positions : t -> float array * float array
+
 (** [cell_orig_pos t c] is the placement position at construction time,
     the reference for the max-displacement constraint. *)
 val cell_orig_pos : t -> cell_id -> Css_geometry.Point.t
+
+(** [cell_orig_x t c] / [cell_orig_y t c] are the anchor's coordinates
+    as unboxed floats. O(1), allocation-free. *)
+val cell_orig_x : t -> cell_id -> float
+
+val cell_orig_y : t -> cell_id -> float
 
 (** [set_cell_orig_pos t c pos] rewrites the max-displacement anchor. A
     parsed design anchors at its parsed positions; a resumed flow run
@@ -322,6 +332,12 @@ val latency_bounds : t -> cell_id -> float * float
     scheduler's per-iteration cap reads. O(1) expected. *)
 val latency_hi : t -> cell_id -> float
 
+(** [latency_outside t ff l ~tol] is true when [l] lies below the
+    window's lower bound by more than [tol] or above its upper bound by
+    more than [tol] — {!latency_bounds}'s test without the option and
+    the tuple, for the evaluator's audit. O(1) expected. *)
+val latency_outside : t -> cell_id -> float -> tol:float -> bool
+
 (** [clear_latency_bounds t ff] restores the default window. *)
 val clear_latency_bounds : t -> cell_id -> unit
 
@@ -353,8 +369,9 @@ type changes = {
 }
 
 (** [take_changes t] is every id marked since the previous call, each
-    kind ascending, and clears the set. O(k log k) for k ids touched,
-    plus O(n) when the design grew to n ids since the previous call. *)
+    kind ascending, and clears the set. O(k log k) for k ids touched
+    (one sort per entity, filtered per kind), plus O(n) when the design
+    grew to n ids since the previous call. *)
 val take_changes : t -> changes
 
 (** {1 Metrics and validation} *)
@@ -365,10 +382,24 @@ val take_changes : t -> changes
 val net_hpwl : t -> net_id -> float
 
 (** [total_hpwl t] sums HPWL over all nets (clock nets included, as in the
-    contest evaluator). O(num_pins). *)
+    contest evaluator), bitwise the fold of {!net_hpwl} in net order.
+
+    The design keeps two per-net columns, each net's HPWL and whether
+    {!check} reports on it, and one stale byte per net, apart from the
+    change set and never emptied by {!take_changes}: {!move_cell} marks
+    the nets on the cell's pins, {!reconnect_ff_to_lcb} the old and the
+    new clock net, {!net_add_sink} its net. [total_hpwl] and {!check}
+    first re-measure
+    the marked nets and the nets added since the previous call, so a
+    call costs O(num_nets) plus the pins of the nets re-measured. The
+    first call measures every net; construction and parsing measure
+    nothing. *)
 val total_hpwl : t -> float
 
 (** [check t] returns human-readable consistency violations: dangling pins
     on nets, nets without drivers, FFs without clocks, LCBs driven by a
-    non-clock source. Empty means well-formed. O(num_pins). *)
+    non-clock source. Empty means well-formed. Nets are read off the
+    per-net column (see {!total_hpwl}), then every FF and LCB is
+    scanned: O(num_nets + FFs + LCBs) plus the re-measured nets, with
+    no hashing and no allocation unless it reports. *)
 val check : t -> string list

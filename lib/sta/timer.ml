@@ -620,6 +620,15 @@ let tns t corner =
   done;
   fs.s_acc
 
+let violations t corner =
+  Obs.incr t.oc.o_scans;
+  let eps = Graph.endpoints t.graph in
+  let k = ref 0 in
+  for i = 0 to Array.length eps - 1 do
+    if slack t corner (Array.unsafe_get eps i) < 0.0 then incr k
+  done;
+  !k
+
 let violated_endpoints t corner =
   Obs.incr t.oc.o_scans;
   let vs =

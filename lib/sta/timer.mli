@@ -124,6 +124,11 @@ val wns : t -> corner -> float
 
 val tns : t -> corner -> float
 
+(** [violations t corner] counts the endpoints with negative slack:
+    [List.length (violated_endpoints t corner)] in one allocation-free
+    scan (one [timer.endpoint_scans]). *)
+val violations : t -> corner -> int
+
 (** [violated_endpoints t corner] are endpoints with negative slack,
     worst first (one [timer.endpoint_scans]). *)
 val violated_endpoints : t -> corner -> (Graph.endpoint * float) list

@@ -306,6 +306,95 @@ let test_score_interrupted_phase () =
 
 (* {2 The fault corpus: random fault sequences, shrunk on failure} *)
 
+(* Random edit sequences on a live timer, every mutator the flow uses,
+   each pushed through the timer's own update path: every few edits the
+   live score must be bitwise a fresh evaluation of an independent copy,
+   constraint strings included. The score re-measures only the nets the
+   edits marked, so a mutator that forgot a mark shows up here. *)
+let scorer_under_edits_prop =
+  let base = lazy (Generator.generate (Profile.scale 0.12 (Option.get (Profile.by_name "sb18")))) in
+  QCheck.Test.make ~name:"live score = fresh evaluation under random edits" ~count:6
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
+    (fun seed ->
+      let d = Flow.clone (Lazy.force base) in
+      let timer = Timer.build d in
+      let rng = Random.State.make [| seed; 29 |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let offset () = Random.State.float rng 600.0 -. 300.0 in
+      let cells = Array.init (Design.num_cells d) Fun.id and ffs = Design.ffs d in
+      let lcbs = ref (Design.lcbs d) in
+      let root_net = Design.pin_net_id d (Design.port_pin d (Design.clock_root_id d)) in
+      let moved c =
+        Timer.update_moved_cells timer [ c ];
+        if Design.is_lcb d c then Timer.update_latencies timer (Design.ffs_of_lcb d c)
+      in
+      let edit () =
+        match Random.State.int rng 7 with
+        | 0 ->
+          let c = pick cells in
+          Design.move_cell d c
+            (Point.make (Design.cell_x d c +. offset ()) (Design.cell_y d c +. offset ()));
+          moved c
+        | 1 ->
+          let c = pick cells in
+          Design.move_cell d c (Design.cell_orig_pos d c);
+          moved c
+        | 2 ->
+          let ff = pick ffs in
+          Design.reconnect_ff_to_lcb d ~ff ~lcb:(pick !lcbs);
+          Timer.update_latencies timer [ ff ]
+        | 3 -> (
+          let c = pick cells in
+          match (Design.cell_master d c).Css_liberty.Cell.name with
+          | "INV_X1" -> Timer.resize_cell timer c "INV_X4"
+          | "INV_X4" -> Timer.resize_cell timer c "INV_X1"
+          | "BUF_X2" -> Timer.resize_cell timer c "BUF_X4"
+          | "BUF_X4" -> Timer.resize_cell timer c "BUF_X2"
+          | _ -> ())
+        | 4 ->
+          let ff = pick ffs in
+          Design.set_scheduled_latency d ff (Random.State.float rng 60.0 -. 20.0);
+          Timer.update_latencies timer [ ff ]
+        | 5 ->
+          let ff = pick ffs in
+          if Random.State.bool rng then begin
+            let lo = Random.State.float rng 100.0 in
+            Design.set_latency_bounds d ff ~lo ~hi:(lo +. Random.State.float rng 150.0)
+          end
+          else Design.clear_latency_bounds d ff
+        | _ ->
+          (* CTS-style growth: a new LCB on the clock root, hosting one FF *)
+          let ff = pick ffs in
+          let lcb =
+            Design.add_cell d
+              ~name:(Printf.sprintf "grown_lcb%d" (Array.length !lcbs))
+              ~master:"LCB"
+              ~pos:(Point.make (Design.cell_x d ff +. offset ()) (Design.cell_y d ff))
+          in
+          Design.net_add_sink d root_net (Design.cell_pin d lcb "CKI");
+          ignore
+            (Design.add_net d
+               ~name:(Printf.sprintf "grown_ck%d" (Array.length !lcbs))
+               ~driver:(Design.cell_pin d lcb "CKO") ~sinks:[]);
+          Design.reconnect_ff_to_lcb d ~ff ~lcb;
+          Timer.update_latencies timer [ ff ];
+          lcbs := Array.append !lcbs [| lcb |]
+      in
+      let failures = ref [] in
+      for k = 1 to 12 do
+        for _ = 0 to Random.State.int rng 4 do
+          edit ()
+        done;
+        let label = Printf.sprintf "seed %d, score %d" seed k in
+        failures :=
+          List.rev_append
+            (Oracles.report_diffs ~label (Evaluator.evaluate (Flow.clone d)) (Evaluator.score timer))
+            !failures
+      done;
+      match !failures with
+      | [] -> true
+      | fs -> QCheck.Test.fail_report (String.concat "\n" (List.rev fs)))
+
 let base_corpus () =
   {
     Fault_seq.design_text = Io.to_string (Generator.micro ());
@@ -506,6 +595,7 @@ let () =
           Alcotest.test_case "sign-off reads the current design" `Quick
             test_signoff_reads_current_design;
           Alcotest.test_case "score of an interrupted phase" `Quick test_score_interrupted_phase;
+          QCheck_alcotest.to_alcotest scorer_under_edits_prop;
         ] );
       ( "resume",
         [

@@ -196,6 +196,77 @@ let test_detects_fanout_violation () =
   Design.reconnect_ff_to_lcb design ~ff:ffs.(!i) ~lcb;
   checkb "past the limit: violation reported" true (over ())
 
+(* One design that trips every audit and [Design.check] message the
+   public mutators can produce ("no driver" and "driver pin points to
+   another net" cannot be built through them). *)
+let audit_design () =
+  let limit = Design.lcb_fanout_limit in
+  let d = Generator.generate { Profile.tiny with Profile.num_ffs = limit + 10 } in
+  let pin = Design.cell_pin d in
+  let ffs = Design.ffs d and lcb0 = (Design.lcbs d).(0) in
+  (* one LCB past its fanout limit *)
+  Array.iteri
+    (fun i ff ->
+      if i <= limit && Design.lcb_of_ff d ff <> lcb0 then Design.reconnect_ff_to_lcb d ~ff ~lcb:lcb0)
+    ffs;
+  (* a displaced cell *)
+  let comb = ref (-1) in
+  Design.iter_cells d (fun c ->
+      if !comb < 0 && not (Design.is_ff d c || Design.is_lcb d c) then comb := c);
+  let o = Design.cell_orig_pos d !comb in
+  Design.move_cell d !comb (Point.make (o.Point.x +. 250.0) (o.Point.y -. 200.0));
+  (* latencies below and above their windows *)
+  Design.set_latency_bounds d ffs.(0) ~lo:1000.0 ~hi:2000.0;
+  Design.set_latency_bounds d ffs.(1) ~lo:0.0 ~hi:0.5;
+  let at = Point.make in
+  (* a flip-flop with no clock, one clocked straight from the root *)
+  ignore (Design.add_cell d ~name:"ff_noclk" ~master:"DFF" ~pos:(at 10. 10.));
+  let ff_root = Design.add_cell d ~name:"ff_root" ~master:"DFF" ~pos:(at 20. 10.) in
+  let root_net = Design.pin_net_id d (pin lcb0 "CKI") in
+  Design.net_add_sink d root_net (pin ff_root "CK");
+  (* an LCB with an unconnected clock input *)
+  ignore (Design.add_cell d ~name:"lcb_nocki" ~master:"LCB" ~pos:(at 30. 10.));
+  (* a sink that is a signal source *)
+  let inv_a = Design.add_cell d ~name:"inv_a" ~master:"INV_X1" ~pos:(at 40. 10.) in
+  let inv_b = Design.add_cell d ~name:"inv_b" ~master:"INV_X1" ~pos:(at 50. 10.) in
+  ignore (Design.add_net d ~name:"n_src_sink" ~driver:(pin inv_a "Z") ~sinks:[ pin inv_b "Z" ]);
+  (* a sink whose pin points to another net: listed twice, moved once *)
+  let lcb_a = Design.add_cell d ~name:"lcb_a" ~master:"LCB" ~pos:(at 60. 10.) in
+  let lcb_b = Design.add_cell d ~name:"lcb_b" ~master:"LCB" ~pos:(at 70. 10.) in
+  Design.net_add_sink d root_net (pin lcb_a "CKI");
+  Design.net_add_sink d root_net (pin lcb_b "CKI");
+  let ff_dup = Design.add_cell d ~name:"ff_dup" ~master:"DFF" ~pos:(at 80. 10.) in
+  ignore
+    (Design.add_net d ~name:"n_dup" ~driver:(pin lcb_a "CKO")
+       ~sinks:[ pin ff_dup "CK"; pin ff_dup "CK" ]);
+  ignore (Design.add_net d ~name:"n_b" ~driver:(pin lcb_b "CKO") ~sinks:[]);
+  (* measured first, so n_dup's verdict has to follow the reconnect *)
+  ignore (Design.check d);
+  Design.reconnect_ff_to_lcb d ~ff:ff_dup ~lcb:lcb_b;
+  d
+
+(* The audit's strings, their order and its tolerances are the
+   contest's report format: pinned in full, for a fresh evaluation and
+   for a score read off a live timer. *)
+let test_audit_strings () =
+  let expected =
+    [
+      "LCB lcb0 fanout 54 exceeds limit 50";
+      "cell g1 displaced 450.0 DBU, budget 400.0";
+      "flip-flop ff0 latency 98.99 outside its [1000.00, 2000.00] window";
+      "flip-flop ff1 latency 92.43 outside its [0.00, 0.50] window";
+      "netlist: net n_src_sink: sink pin is a signal source";
+      "netlist: net n_dup: sink pin points to another net";
+      "netlist: flip-flop ff_noclk has no LCB clock source";
+      "netlist: flip-flop ff_root has no LCB clock source";
+      "netlist: LCB lcb_nocki has an unconnected clock input";
+    ]
+  in
+  let d = audit_design () in
+  let strings = Alcotest.(check (list string)) in
+  strings "evaluate" expected (Evaluator.evaluate d).Evaluator.constraint_errors;
+  strings "score on a live timer" expected (Evaluator.score (Timer.build d)).Evaluator.constraint_errors
+
 let test_violation_counts () =
   let design = Generator.micro () in
   let r = Evaluator.evaluate design in
@@ -268,6 +339,7 @@ let () =
             test_ignores_scheduled_latencies_by_default;
           Alcotest.test_case "displacement violation" `Quick test_detects_displacement_violation;
           Alcotest.test_case "fanout violation" `Quick test_detects_fanout_violation;
+          Alcotest.test_case "audit strings pinned" `Quick test_audit_strings;
           Alcotest.test_case "violation counts (micro)" `Quick test_violation_counts;
           Alcotest.test_case "summary renders" `Quick test_summary_renders;
         ] );

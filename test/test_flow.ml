@@ -439,7 +439,8 @@ let test_empty_arrays_round_trip () =
                     Persist.ck_ffs = [||];
                     ck_latencies = [||];
                     ck_lcb_of = [||];
-                    ck_positions = [||];
+                    ck_x = [||];
+                    ck_y = [||];
                     ck_masters = [||];
                   })
                 p.Persist.best;

@@ -195,16 +195,16 @@ let test_hpwl () =
   Design.iter_nets d (fun n -> if Design.net_name d n = "nq2" then nq2 := n);
   checkf 1e-9 "single net hpwl" 850.0 (Design.net_hpwl d !nq2)
 
+let list_hpwl d n =
+  let sinks = List.map (Design.pin_pos d) (Design.net_sinks d n) in
+  Css_geometry.Hpwl.of_points
+    (match Design.net_driver d n with Some p -> Design.pin_pos d p :: sinks | None -> sinks)
+
 (* [net_hpwl] folds min/max in place; the list formula folds the same
    pins as boxed points, driver first. They must agree bit for bit on
    every net of generator designs and on nets of 0 and 1 sinks, and
    [total_hpwl] must be their sum in net order. *)
 let test_hpwl_list_formula () =
-  let list_hpwl d n =
-    let sinks = List.map (Design.pin_pos d) (Design.net_sinks d n) in
-    Css_geometry.Hpwl.of_points
-      (match Design.net_driver d n with Some p -> Design.pin_pos d p :: sinks | None -> sinks)
-  in
   let same label d =
     let total = ref 0.0 in
     Design.iter_nets d (fun n ->
@@ -228,6 +228,52 @@ let test_hpwl_list_formula () =
   same "micro" (Generator.micro ());
   same "tiny" (Generator.generate Profile.tiny);
   same "sb18" (Generator.generate (Profile.scale 0.12 (Option.get (Profile.by_name "sb18"))))
+
+(* [total_hpwl] re-measures only the nets the mutators mark: after each
+   mutator kind it must still be, bit for bit, the list formula summed
+   in net order. Every step but the master swap moves the total, so a
+   mutator that forgot its mark would leave a stale net behind. *)
+let test_hpwl_column () =
+  let d, ff1, ff2, lcb, inv1 = build_small () in
+  let bits = Int64.bits_of_float in
+  let list_total () =
+    let acc = ref 0.0 in
+    Design.iter_nets d (fun n -> acc := !acc +. list_hpwl d n);
+    !acc
+  in
+  let last = ref (Design.total_hpwl d) in
+  let step ?(moves = true) what f =
+    f ();
+    let total = Design.total_hpwl d and expected = list_total () in
+    if bits total <> bits expected then
+      Alcotest.failf "%s: total_hpwl %h, list formula %h" what total expected;
+    checkb (what ^ ": the total moved") moves (bits total <> bits !last);
+    last := total
+  in
+  let home = Design.cell_pos d inv1 in
+  step "move" (fun () -> Design.move_cell d inv1 (p 900. 900.));
+  step "move back" (fun () -> Design.move_cell d inv1 home);
+  let lcb2 = Design.add_cell d ~name:"lcb2" ~master:"LCB" ~pos:(p 800. 800.) in
+  step "a new net" (fun () ->
+      ignore (Design.add_net d ~name:"nck2" ~driver:(Design.cell_pin d lcb2 "CKO") ~sinks:[]);
+      Design.move_cell d ff1 (p 210. 160.));
+  (* ff2 is the old clock net's far corner and lies outside the new one *)
+  step "reconnect" (fun () -> Design.reconnect_ff_to_lcb d ~ff:ff2 ~lcb:lcb2);
+  let root_net = Design.pin_net_id d (Design.cell_pin d lcb "CKI") in
+  step "net_add_sink" (fun () -> Design.net_add_sink d root_net (Design.cell_pin d lcb2 "CKI"));
+  step "add_cell + add_net as CTS does" (fun () ->
+      let lcb3 = Design.add_cell d ~name:"cts_lcb0" ~master:"LCB" ~pos:(p 950. 20.) in
+      Design.net_add_sink d root_net (Design.cell_pin d lcb3 "CKI");
+      ignore (Design.add_net d ~name:"cts_net0" ~driver:(Design.cell_pin d lcb3 "CKO") ~sinks:[]);
+      Design.reconnect_ff_to_lcb d ~ff:ff1 ~lcb:lcb3);
+  step "swap_master" ~moves:false (fun () -> Design.swap_master d inv1 "INV_X4");
+  (* a rollback moves every cell back to a checkpoint's columns *)
+  let xs, ys = Design.positions d in
+  step "move every cell" (fun () ->
+      Design.iter_cells d (fun c ->
+          Design.move_cell d c (p (Design.cell_x d c +. 7.) (Design.cell_y d c +. 3.))));
+  step "restore every cell" (fun () ->
+      Array.iteri (fun c x -> Design.move_cell d c (p x ys.(c))) xs)
 
 let test_pin_queries () =
   let d, ff1, _, _, _ = build_small () in
@@ -471,6 +517,7 @@ let () =
           Alcotest.test_case "check: missing clock" `Quick test_check_catches_missing_clock;
           Alcotest.test_case "hpwl" `Quick test_hpwl;
           Alcotest.test_case "hpwl = list formula" `Quick test_hpwl_list_formula;
+          Alcotest.test_case "hpwl column under every mutator" `Quick test_hpwl_column;
           Alcotest.test_case "pin queries" `Quick test_pin_queries;
         ] );
       ( "verilog",
