@@ -61,6 +61,9 @@ type t = {
   (* pin-name interning *)
   pin_name_of_tok : string Vec.t;
   tok_of_pin_name : (string, int) Hashtbl.t;
+  (* each master's input and output pin-name tokens, found by physical
+     equality on the master, so [add_cell] interns a master's names once *)
+  mutable master_toks : (Cell.t * int array * int array) list;
   (* nets *)
   net_name : string Vec.t;
   net_driver : Ivec.t;  (* -1 when absent *)
@@ -147,6 +150,7 @@ let create ~name ~library ~die ~clock_period () =
     pin_net = Ivec.create ();
     pin_name_of_tok = Vec.create ();
     tok_of_pin_name = Hashtbl.create 16;
+    master_toks = [];
     net_name = Vec.create ();
     net_driver = Ivec.create ();
     net_sinks = Vec.create ();
@@ -175,6 +179,17 @@ let intern_pin_name t name =
     else if name = lcb_in_pin_name then t.cki_tok <- tok
     else if name = lcb_out_pin_name then t.cko_tok <- tok;
     tok
+
+let master_toks t cell =
+  match List.find (fun (c, _, _) -> c == cell) t.master_toks with
+  | entry -> entry
+  | exception Not_found ->
+    let intern names = Array.of_list (List.map (intern_pin_name t) names) in
+    (* inputs first: a new name's token is its rank of first appearance *)
+    let ins = intern cell.Cell.inputs in
+    let entry = (cell, ins, intern cell.Cell.outputs) in
+    t.master_toks <- entry :: t.master_toks;
+    entry
 
 let pin_name_token t name =
   match Hashtbl.find t.tok_of_pin_name name with tok -> tok | exception Not_found -> -1
@@ -216,12 +231,9 @@ let add_cell t ~name ~master ~pos =
   ignore (Ivec.push t.cell_first_pin (Ivec.length t.pin_cell));
   (* pin ids are assigned in inputs-then-outputs order, matching the
      master's declaration — the order Io serialization relies on *)
-  List.iter
-    (fun pn -> ignore (new_pin t ~cell:id ~port:(-1) ~tok:(intern_pin_name t pn) ~out:false))
-    cell.Cell.inputs;
-  List.iter
-    (fun pn -> ignore (new_pin t ~cell:id ~port:(-1) ~tok:(intern_pin_name t pn) ~out:true))
-    cell.Cell.outputs;
+  let _, ins, outs = master_toks t cell in
+  Array.iter (fun tok -> ignore (new_pin t ~cell:id ~port:(-1) ~tok ~out:false)) ins;
+  Array.iter (fun tok -> ignore (new_pin t ~cell:id ~port:(-1) ~tok ~out:true)) outs;
   ignore (Ivec.push t.cell_pin_count (Ivec.length t.pin_cell - Ivec.get t.cell_first_pin id));
   t.ff_cache <- None;
   t.lcb_cache <- None;

@@ -34,6 +34,7 @@ type obs_counters = {
   o_bwd : Obs.counter;
   o_cone : Obs.counter;
   o_scans : Obs.counter;  (* full endpoint scans: wns, tns, violated_endpoints *)
+  o_evals : Obs.counter;  (* arc delay evaluations into the delay column *)
   (* Touched-node count per incremental update: the distribution behind
      the "re-propagate only affected cones" claim. *)
   h_update : Css_util.Histo.t;
@@ -47,6 +48,7 @@ let resolve_obs_counters obs =
     o_bwd = Obs.counter obs "timer.backward_visits";
     o_cone = Obs.counter obs "timer.cone_nodes";
     o_scans = Obs.counter obs "timer.endpoint_scans";
+    o_evals = Obs.counter obs "timer.arc_evals";
     h_update = Obs.histogram obs "timer.update_nodes";
   }
 
@@ -59,11 +61,10 @@ type fscratch = {
   mutable s_best_min : float;
   mutable s_best_slew : float;
   mutable s_acc : float;
-  mutable s_delay : float;  (* [arc_delay_into]'s result *)
 }
 
 let fscratch () =
-  { s_best_max = 0.0; s_best_min = 0.0; s_best_slew = 0.0; s_acc = 0.0; s_delay = 0.0 }
+  { s_best_max = 0.0; s_best_min = 0.0; s_best_slew = 0.0; s_acc = 0.0 }
 
 (* Cone-walk scratch: an epoch mark, a DP value per node, and a member
    buffer sized for the whole graph, plus the DP's own float scratch. *)
@@ -98,6 +99,11 @@ type t = {
   pred_min : int array;
   rat_late : float array;
   rat_early : float array;
+  (* The delay column: each arc's max-corner delay, evaluated only by
+     [recompute_forward] and read by everything else. *)
+  delay : float array;
+  slew_moved : Mark.t;  (* nodes whose slew the current sweep changed *)
+  mutable latency_only : bool;  (* the current sweep moves no pin, load or master *)
   visit : Mark.t;  (* scratch for incremental worklists *)
   (* The incremental worklist: one intrusive list per topological level
      ([wl_head.(level)] -> node -> [wl_next.(node)] -> ... -> -1) and
@@ -172,24 +178,23 @@ let driver_res t node =
   let c = Design.pin_cell_id t.design (Array.unsafe_get t.g_node_pin node) in
   if c >= 0 then (Design.cell_master t.design c).Cell.drive_res else port_drive_res
 
-(* Evaluates one arc's max-corner delay into [fs.s_delay], with the
-   Linear cell model and the Elmore wire formula written out and the
-   LUT model inlined from [Delay_model.delay] (all produce the same
-   floats as the Delay_model / Wire entry points, which box their
-   results when called across module boundaries). The result goes
-   through the flat scratch record rather than the return value: a
-   function this size is never inlined, and a returned float is boxed.
-   [fs] is the caller's — the timer's own for sweeps, the cone
-   scratch's for cone walks. *)
-let arc_delay_into fs t a =
+(* Evaluates arc [a]'s max-corner delay into its entry of the delay
+   column, with the Linear cell model and the Elmore wire formula
+   written out and the LUT model inlined from [Delay_model.delay] (all
+   produce the same floats as the Delay_model / Wire entry points, which
+   box their results when called across module boundaries). The result
+   is stored, not returned: a function this size is never inlined, and
+   a returned float is boxed. Only [recompute_forward] calls it. *)
+let refresh_delay t a =
+  Obs.incr t.oc.o_evals;
   match Array.unsafe_get t.g_kinds a with
   | Graph.Cell_arc model -> (
     let u = Array.unsafe_get t.g_tails a and v = Array.unsafe_get t.g_heads a in
     let slew = Array.unsafe_get t.slew u and load = Array.unsafe_get t.load v in
     match model with
     | Delay_model.Linear { intrinsic; resistance; slew_impact } ->
-      fs.s_delay <- intrinsic +. (resistance *. load) +. (slew_impact *. slew)
-    | Delay_model.Lut _ -> fs.s_delay <- Delay_model.delay model ~slew ~load)
+      Array.unsafe_set t.delay a (intrinsic +. (resistance *. load) +. (slew_impact *. slew))
+    | Delay_model.Lut _ -> Array.unsafe_set t.delay a (Delay_model.delay model ~slew ~load))
   | Graph.Net_arc ->
     let u = Array.unsafe_get t.g_tails a and v = Array.unsafe_get t.g_heads a in
     let d = t.design in
@@ -198,16 +203,12 @@ let arc_delay_into fs t a =
       Float.abs (Design.pin_x d pu -. Design.pin_x d pv)
       +. Float.abs (Design.pin_y d pu -. Design.pin_y d pv)
     in
-    fs.s_delay <-
+    Array.unsafe_set t.delay a
       (if len <= 0.0 then 0.0
        else (driver_res t u *. t.wire_c *. len) +. (t.wire_r *. t.wire_c *. len *. len /. 2.0))
 
-(* A scratch record of its own, not [t.fscr], so it is safe from any
-   domain. *)
 let arc_delay t corner a =
-  let fs = fscratch () in
-  arc_delay_into fs t a;
-  let dmax = fs.s_delay in
+  let dmax = t.delay.(a) in
   match corner with Late -> dmax | Early -> t.cfg.early_derate *. dmax
 
 (* Slew seen at the head of arc [a] when the tail has slew [slew_u] and
@@ -267,9 +268,23 @@ let endpoint_rats_into t node =
 (* ------------------------------------------------------------------ *)
 (* Node recomputation                                                  *)
 
+(* Whether arc [a] (tail [u]) may have a new delay in this sweep *)
+let[@inline] delay_stale t a u =
+  (not t.latency_only)
+  ||
+  match Array.unsafe_get t.g_kinds a with
+  | Graph.Cell_arc _ -> Mark.is_marked t.slew_moved u
+  | Graph.Net_arc -> false
+
 (* Returns true when the forward state of [n] changed. The relaxation
    runs over the cached in-CSR with extrema in the flat scratch record:
-   no closures, refs or boxed floats per node. *)
+   no closures, refs or boxed floats per node.
+
+   This is the one place an arc delay is evaluated: each in-arc's delay
+   is refreshed into the column, then read from it. A latency-only sweep
+   moves no pin, load or master, so a net arc keeps its delay and a cell
+   arc's changes only with its tail's slew; the tail sits at a lower
+   level, so its [slew_moved] mark is final by now. *)
 let recompute_forward t n =
   let old_max = Array.unsafe_get t.at_max n
   and old_min = Array.unsafe_get t.at_min n
@@ -289,17 +304,16 @@ let recompute_forward t n =
     fs.s_best_slew <- initial_slew;
     let arg_max = ref (-1) and arg_min = ref (-1) in
     let istart = t.g_in_start and iarcs = t.g_in_arcs and tails = t.g_tails in
-    let at_max = t.at_max and at_min = t.at_min and slews = t.slew in
+    let at_max = t.at_max and at_min = t.at_min and slews = t.slew and delay = t.delay in
     let derate = t.cfg.early_derate in
     for i = Array.unsafe_get istart n to Array.unsafe_get istart (n + 1) - 1 do
       let a = Array.unsafe_get iarcs i in
       let u = Array.unsafe_get tails a in
+      if delay_stale t a u then refresh_delay t a;
+      let dmax = Array.unsafe_get delay a in
       let amu = Array.unsafe_get at_max u in
       let anu = Array.unsafe_get at_min u in
-      (* one delay evaluation serves both corners *)
-      if amu > neg_infinity || anu < infinity then arc_delay_into fs t a;
       if amu > neg_infinity then begin
-        let dmax = fs.s_delay in
         let cand = amu +. dmax in
         if cand > fs.s_best_max then begin
           fs.s_best_max <- cand;
@@ -308,7 +322,7 @@ let recompute_forward t n =
         end
       end;
       if anu < infinity then begin
-        let cand = anu +. (derate *. fs.s_delay) in
+        let cand = anu +. (derate *. dmax) in
         if cand < fs.s_best_min then begin
           fs.s_best_min <- cand;
           arg_min := a
@@ -322,9 +336,9 @@ let recompute_forward t n =
     Array.unsafe_set t.pred_min n !arg_min
   end;
   Obs.incr t.oc.o_fwd;
-  Array.unsafe_get t.at_max n <> old_max
-  || Array.unsafe_get t.at_min n <> old_min
-  || Array.unsafe_get t.slew n <> old_slew
+  let slew_changed = Array.unsafe_get t.slew n <> old_slew in
+  if slew_changed then Mark.mark t.slew_moved n;
+  Array.unsafe_get t.at_max n <> old_max || Array.unsafe_get t.at_min n <> old_min || slew_changed
 
 (* Returns true when the backward state of [n] changed. *)
 let recompute_backward t n =
@@ -336,20 +350,20 @@ let recompute_backward t n =
     fs.s_best_max <- neg_infinity
   end;
   let ostart = t.g_out_start and oarcs = t.g_out_arcs and heads = t.g_heads in
-  let rat_late = t.rat_late and rat_early = t.rat_early in
+  let rat_late = t.rat_late and rat_early = t.rat_early and delay = t.delay in
   let derate = t.cfg.early_derate in
   for i = Array.unsafe_get ostart n to Array.unsafe_get ostart (n + 1) - 1 do
     let a = Array.unsafe_get oarcs i in
     let v = Array.unsafe_get heads a in
     let rl = Array.unsafe_get rat_late v in
     let re = Array.unsafe_get rat_early v in
-    if rl < infinity || re > neg_infinity then arc_delay_into fs t a;
+    let d = Array.unsafe_get delay a in
     if rl < infinity then begin
-      let cand = rl -. fs.s_delay in
+      let cand = rl -. d in
       if cand < fs.s_best_min then fs.s_best_min <- cand
     end;
     if re > neg_infinity then begin
-      let cand = re -. (derate *. fs.s_delay) in
+      let cand = re -. (derate *. d) in
       if cand > fs.s_best_max then fs.s_best_max <- cand
     end
   done;
@@ -362,6 +376,7 @@ let recompute_backward t n =
 (* Full propagation                                                    *)
 
 let propagate t =
+  t.latency_only <- false;
   refresh_all_loads t;
   let topo = Graph.topo_order t.graph in
   for i = 0 to Array.length topo - 1 do
@@ -452,9 +467,12 @@ let sweep_backward t =
   !count
 
 (* One incremental update: [push_fwd] queues the forward seeds,
-   [push_bwd] the backward seeds beyond the forward-changed nodes. *)
-let update_with t ~push_fwd ~push_bwd =
+   [push_bwd] the backward seeds beyond the forward-changed nodes.
+   [latency_only] says the update moved no pin, load or master. *)
+let update_with t ~latency_only ~push_fwd ~push_bwd =
   Obs.incr t.oc.o_incr_updates;
+  t.latency_only <- latency_only;
+  Mark.reset t.slew_moved;
   wl_clear t;
   t.n_changed <- 0;
   push_fwd ();
@@ -470,7 +488,7 @@ let update_with t ~push_fwd ~push_bwd =
   Css_util.Histo.observe_int t.oc.h_update (t.n_changed + bwd_changed)
 
 let update_after t ~fwd_seeds ~bwd_seeds =
-  update_with t
+  update_with t ~latency_only:false
     ~push_fwd:(fun () -> List.iter (wl_push t) fwd_seeds)
     ~push_bwd:(fun () -> List.iter (wl_push t) bwd_seeds)
 
@@ -480,7 +498,7 @@ let update_latencies t ffs =
      with the timer untouched *)
   List.iter (fun ff -> ignore (Graph.ff_q_node g ff)) ffs;
   List.iter (fun ff -> ignore (Graph.ff_d_node g ff)) ffs;
-  update_with t
+  update_with t ~latency_only:true
     ~push_fwd:(fun () -> List.iter (fun ff -> wl_push t (Graph.ff_q_node g ff)) ffs)
     ~push_bwd:(fun () -> List.iter (fun ff -> wl_push t (Graph.ff_d_node g ff)) ffs)
 
@@ -673,8 +691,9 @@ let sort_members_by_level level members count =
 
 (* Collect the cone of [root] (backward when [forward = false]) into the
    scratch member buffer, then run a longest/shortest-path DP restricted
-   to the cone in level order. The DP relaxation is an inline CSR loop:
-   the only allocations are the result list cells. *)
+   to the cone in level order, reading arc delays from the column. The
+   DP relaxation is an inline CSR loop: the only allocations are the
+   result list cells. *)
 let cone t corner ~root ~forward =
   let g = t.graph in
   let ctx = t.cone_scr in
@@ -684,7 +703,8 @@ let cone t corner ~root ~forward =
   and istart = t.g_in_start
   and iarcs = t.g_in_arcs
   and tails = t.g_tails
-  and heads = t.g_heads in
+  and heads = t.g_heads
+  and delay = t.delay in
   Mark.reset visit;
   ctx.cw_count <- 0;
   let rec collect n =
@@ -731,8 +751,7 @@ let cone t corner ~root ~forward =
           if Mark.is_marked visit u then begin
             let su = Array.unsafe_get scratch u in
             if su <> worst then begin
-              arc_delay_into fs t a;
-              let cand = su +. (derate *. fs.s_delay) in
+              let cand = su +. (derate *. Array.unsafe_get delay a) in
               if sgn *. cand > sgn *. fs.s_acc then fs.s_acc <- cand
             end
           end
@@ -744,8 +763,7 @@ let cone t corner ~root ~forward =
           if Mark.is_marked visit v then begin
             let sv = Array.unsafe_get scratch v in
             if sv <> worst then begin
-              arc_delay_into fs t a;
-              let cand = (derate *. fs.s_delay) +. sv in
+              let cand = (derate *. Array.unsafe_get delay a) +. sv in
               if sgn *. cand > sgn *. fs.s_acc then fs.s_acc <- cand
             end
           end
@@ -868,6 +886,9 @@ let build ?(config = default_config) ?(obs = Obs.null) design =
       pred_min = Array.make sz (-1);
       rat_late = Array.make sz infinity;
       rat_early = Array.make sz neg_infinity;
+      delay = Array.make (Graph.num_arcs graph) 0.0;
+      slew_moved = Mark.create sz;
+      latency_only = false;
       visit = Mark.create sz;
       wl_head = Array.make (Array.fold_left max 0 (Graph.levels graph) + 1) (-1);
       wl_next = Array.make sz (-1);

@@ -40,10 +40,18 @@ type t
     propagation. [obs] (default {!Css_util.Obs.null}) receives the
     [timer.*] counters — the timer's only work accounting:
     [full_propagations], [incremental_updates], [forward_visits] and
-    [backward_visits] (per-node recomputations), [cone_nodes] (nodes
-    visited by cone walks) and [endpoint_scans] (full endpoint scans by
-    {!wns}, {!tns} and {!violated_endpoints}) — the paper's "Update"
-    cost, reported per iteration by the scheduler. *)
+    [backward_visits] (per-node recomputations), [arc_evals] (arc delay
+    evaluations), [cone_nodes] (nodes visited by cone walks) and
+    [endpoint_scans] (full endpoint scans by {!wns}, {!tns} and
+    {!violated_endpoints}) — the paper's "Update" cost, reported per
+    iteration by the scheduler.
+
+    The timer keeps one max-corner delay per arc (the delay column).
+    Only the forward recomputation of an arc's head evaluates it; the
+    backward sweep, cone walks, {!arc_delay} and {!k_worst_paths} read
+    it. A full propagation and a move or resize update re-evaluate every
+    in-arc of every node they recompute; a latency update re-evaluates
+    only the cell arcs whose tail slew it changed, and no net arc. *)
 val build : ?config:config -> ?obs:Css_util.Obs.t -> Css_netlist.Design.t -> t
 
 val graph : t -> Graph.t
@@ -133,8 +141,10 @@ val violations : t -> corner -> int
     worst first (one [timer.endpoint_scans]). *)
 val violated_endpoints : t -> corner -> (Graph.endpoint * float) list
 
-(** [arc_delay t corner a] evaluates one timing arc's delay under current
-    slews, loads and placement (min-corner delays are derated). *)
+(** [arc_delay t corner a] is timing arc [a]'s entry of the delay column:
+    its delay under the slews, loads and placement of the last
+    propagation or update (min-corner delays are derated). O(1); it
+    evaluates nothing. *)
 val arc_delay : t -> corner -> int -> float
 
 (** {1 Cone enumeration (extraction primitives)} *)

@@ -181,6 +181,51 @@ let test_flow_with_resize () =
   checkb "sizing does not lose quality" true
     (r.Flow.report.Evaluator.tns_late >= plain.Flow.report.Evaluator.tns_late -. 1e-6)
 
+(* Ours's final sign-off, bit for bit: extracted edges and the report's
+   WNS/TNS/HPWL. A timer or scheduler refactor that claims identical
+   results must leave these floats exactly as they are; the sized run
+   goes through [Timer.resize_cell]. *)
+let test_ours_signoff_pinned () =
+  let sb18 = Option.get (Profile.by_name "sb18") in
+  List.iter
+    (fun (name, p, use_resize, edges, wns_l, tns_l, hpwl) ->
+      let config = { Flow.default_config with Flow.use_resize } in
+      let r = Flow.run ~config ~algo:Flow.Ours (Generator.generate p) in
+      let e = r.Flow.report in
+      let bits what want got =
+        checkb (Printf.sprintf "%s %s %h" name what got) true
+          (Int64.bits_of_float want = Int64.bits_of_float got)
+      in
+      checki (name ^ " edges") edges r.Flow.extracted_edges;
+      bits "wns_early" 0.0 e.Evaluator.wns_early;
+      bits "tns_early" 0.0 e.Evaluator.tns_early;
+      bits "wns_late" wns_l e.Evaluator.wns_late;
+      bits "tns_late" tns_l e.Evaluator.tns_late;
+      bits "hpwl" hpwl e.Evaluator.hpwl)
+    [
+      ( "tiny",
+        Profile.tiny,
+        false,
+        8,
+        -0x1.3e0ab68bbeeaep+8,
+        -0x1.f31a0d9a232d4p+9,
+        0x1.1e4c496f6e78ep+16 );
+      ( "sb18x0.12",
+        Profile.scale 0.12 sb18,
+        false,
+        18,
+        -0x1.c0af17b66ba6p+7,
+        -0x1.04b36a31b31b9p+10,
+        0x1.1567ee47a3ed7p+18 );
+      ( "sb18x0.12 resize",
+        Profile.scale 0.12 sb18,
+        true,
+        18,
+        -0x1.01d2b0c05a434p+7,
+        -0x1.2b8952933880cp+8,
+        0x1.1567ee47a3ed7p+18 );
+    ]
+
 let test_flow_with_cts () =
   let design = Flow.clone (Lazy.force base_design) in
   let config = { Flow.default_config with Flow.use_cts = true } in
@@ -942,6 +987,7 @@ let () =
           Alcotest.test_case "metrics populated" `Quick test_metrics_populated;
           Alcotest.test_case "resize flag" `Quick test_flow_with_resize;
           Alcotest.test_case "cts flag" `Quick test_flow_with_cts;
+          Alcotest.test_case "ours sign-off pinned" `Quick test_ours_signoff_pinned;
           Alcotest.test_case "micro end-to-end" `Quick test_flow_on_micro;
           Alcotest.test_case "cache_bytes is inert" `Quick test_cache_bytes_inert;
           Alcotest.test_case "stall emits one flow.stop" `Quick test_stall_emits_flow_stop;

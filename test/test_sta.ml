@@ -327,12 +327,16 @@ let test_incremental_ff_move_updates_latency () =
   checkb "matches full rebuild" true (states_equal t (Timer.build d))
 
 (* Random interleavings of the three update entry points. After every
-   step the incremental state must equal a fresh full build bit for bit,
-   and each sweep must recompute exactly the nodes it has to: its seeds
-   plus the fan-out (forward) or fan-in (backward) of every node whose
-   state changed. Those sets are rebuilt here from the before/after
-   states, so a visit count equal to the set's size means no node was
-   recomputed twice in one direction of one update. *)
+   step the incremental state and every arc's entry in the delay column
+   must equal a fresh full build bit for bit, and each sweep must
+   recompute exactly the nodes it has to: its seeds plus the fan-out
+   (forward) or fan-in (backward) of every node whose state changed.
+   Those sets are rebuilt here from the before/after states, so a visit
+   count equal to the set's size means no node was recomputed twice in
+   one direction of one update. The delay evaluations are counted too:
+   a move or resize evaluates every in-arc of every forward-recomputed
+   node, a latency update only the cell arcs out of nodes whose slew
+   moved. *)
 
 type node_state = { fwd : float * float * float; bwd : float * float }
 
@@ -342,6 +346,32 @@ let node_states t =
         fwd = (Timer.arrival t Timer.Late n, Timer.arrival t Timer.Early n, Timer.slew t n);
         bwd = (Timer.required t Timer.Late n, Timer.required t Timer.Early n);
       })
+
+let slew_of s =
+  let _, _, slew = s.fwd in
+  slew
+
+let column_equal t fresh =
+  let ok = ref true in
+  for a = 0 to Graph.num_arcs (Timer.graph t) - 1 do
+    if
+      Int64.bits_of_float (Timer.arc_delay t Timer.Late a)
+      <> Int64.bits_of_float (Timer.arc_delay fresh Timer.Late a)
+    then ok := false
+  done;
+  !ok
+
+let is_cell_arc g a = match Graph.arc_kind g a with Graph.Cell_arc _ -> true | Graph.Net_arc -> false
+
+(* the delay evaluations a latency-only update owes: the cell arcs out
+   of every node whose slew it changed *)
+let latency_evals g slew_moved =
+  List.fold_left
+    (fun acc u ->
+      let k = ref 0 in
+      Graph.iter_out g u (fun a _ -> if is_cell_arc g a then incr k);
+      acc + !k)
+    0 slew_moved
 
 (* the seeds [Timer.update_moved_cells] derives from a set of cells *)
 let moved_seeds d g cells =
@@ -405,15 +435,17 @@ let prop_interleaved_updates =
       for _ = 1 to 10 do
         let before = node_states t in
         let f0 = counter obs "timer.forward_visits"
-        and b0 = counter obs "timer.backward_visits" in
+        and b0 = counter obs "timer.backward_visits"
+        and e0 = counter obs "timer.arc_evals" in
+        let step = Css_util.Rng.int rng 3 in
         let fwd_seeds, bwd_seeds =
-          match Css_util.Rng.int rng 3 with
+          match step with
           | 0 ->
             let changed = List.sort_uniq compare (List.init 3 (fun _ -> pick ffs)) in
             List.iter
               (fun ff ->
                 Design.set_scheduled_latency d ff
-                  (Design.scheduled_latency d ff +. Css_util.Rng.float_in rng (-20.) 40.))
+                  (Design.scheduled_latency d ff +. Css_util.Rng.float_in rng (-60.) 60.))
               changed;
             Timer.update_latencies t changed;
             (List.map (Graph.ff_q_node g) changed, List.map (Graph.ff_d_node g) changed)
@@ -443,20 +475,65 @@ let prop_interleaved_updates =
           let set = Hashtbl.create 64 in
           List.iter (fun n -> Hashtbl.replace set n ()) seeds;
           List.iter (fun n -> neighbours n (fun m -> Hashtbl.replace set m ())) changed;
-          Hashtbl.length set
+          set
         in
-        let fwd_expected =
-          expect fwd_seeds fwd_changed (fun n f -> Graph.iter_out g n (fun _ m -> f m))
-        in
-        let bwd_expected =
+        let fwd_set = expect fwd_seeds fwd_changed (fun n f -> Graph.iter_out g n (fun _ m -> f m)) in
+        let bwd_set =
           expect (fwd_changed @ bwd_seeds) bwd_changed (fun n f -> Graph.iter_in g n (fun _ m -> f m))
         in
-        let fresh = node_states (Timer.build d) in
-        if after <> fresh then ok := false;
-        if counter obs "timer.forward_visits" - f0 <> fwd_expected then ok := false;
-        if counter obs "timer.backward_visits" - b0 <> bwd_expected then ok := false
+        let evals_expected =
+          if step = 0 then
+            latency_evals g (changed slew_of)
+          else
+            Hashtbl.fold
+              (fun n () acc ->
+                let k = ref 0 in
+                Graph.iter_in g n (fun _ _ -> incr k);
+                acc + !k)
+              fwd_set 0
+        in
+        let fresh_t = Timer.build d in
+        if after <> node_states fresh_t then ok := false;
+        if not (column_equal t fresh_t) then ok := false;
+        if counter obs "timer.forward_visits" - f0 <> Hashtbl.length fwd_set then ok := false;
+        if counter obs "timer.backward_visits" - b0 <> Hashtbl.length bwd_set then ok := false;
+        if counter obs "timer.arc_evals" - e0 <> evals_expected then ok := false
       done;
       !ok)
+
+(* A latency change moves no pin, load or master: the update refreshes
+   only the cell arcs out of nodes whose slew it moved, and no net arc,
+   though the nodes it recomputes have net arcs in. *)
+let test_latency_update_skips_net_arcs () =
+  let d = Generator.generate Profile.tiny in
+  let obs = Css_util.Obs.create () in
+  let t = Timer.build ~obs d in
+  let g = Timer.graph t in
+  let rng = Css_util.Rng.create 5 in
+  let ffs = Array.to_list (Design.ffs d) in
+  List.iter
+    (fun ff -> Design.set_scheduled_latency d ff (Css_util.Rng.float_in rng (-60.) 60.))
+    ffs;
+  let before = node_states t in
+  let e0 = counter obs "timer.arc_evals" in
+  Timer.update_latencies t ffs;
+  let evals = counter obs "timer.arc_evals" - e0 in
+  let after = node_states t in
+  let moved sel =
+    List.filter (fun n -> sel before.(n) <> sel after.(n)) (List.init (Array.length after) Fun.id)
+  in
+  let slew_moved = moved slew_of in
+  (* net arcs into the heads of the nodes whose forward state changed *)
+  let net_in = ref 0 in
+  List.iter
+    (fun u ->
+      Graph.iter_out g u (fun _ v ->
+          Graph.iter_in g v (fun a _ -> if not (is_cell_arc g a) then incr net_in)))
+    (moved (fun s -> s.fwd));
+  checkb (Printf.sprintf "recomputed nodes have net arcs in (%d)" !net_in) true (!net_in > 0);
+  checkb (Printf.sprintf "some slew moved (%d nodes)" (List.length slew_moved)) true (slew_moved <> []);
+  checki "evaluated exactly the cell arcs out of moved slews" (latency_evals g slew_moved) evals;
+  checkb "column = fresh evaluation" true (column_equal t (Timer.build d))
 
 (* Dev-profile builds pass [-opaque], which blocks cross-module
    inlining: every float-returning call across a module boundary then
@@ -645,6 +722,8 @@ let () =
           Alcotest.test_case "ff move updates latency" `Quick
             test_incremental_ff_move_updates_latency;
           QCheck_alcotest.to_alcotest prop_interleaved_updates;
+          Alcotest.test_case "latency update skips net arcs" `Quick
+            test_latency_update_skips_net_arcs;
           Alcotest.test_case "update_latencies allocation-free" `Quick
             test_update_latencies_allocation_free;
         ] );
