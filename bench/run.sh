@@ -11,7 +11,8 @@
 #                         end-to-end on the tiny benchmark, check that
 #                         two identical runs give byte-identical
 #                         results, that a run resumed from its
-#                         checkpoint directory saves the same result,
+#                         checkpoint directory saves the same result
+#                         (with and without --resize),
 #                         that malformed input exits 2, and
 #                         that --trace-out writes a trace holding
 #                         late-css and reconnect spans (seconds)
@@ -51,15 +52,19 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   # durable round trip: a run that checkpoints into a directory, then
-  # a resume from it (base + journal replay) must save the same design
-  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
-    --checkpoint-dir "$ckpt" -o "$out1"
-  dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
-    --checkpoint-dir "$ckpt" --resume -o "$out2"
-  if ! cmp -s "$out1" "$out2"; then
-    echo "smoke: a resumed run saved a different result than the run it resumed" >&2
-    exit 1
-  fi
+  # a resume from it (base + journal replay) must save the same design;
+  # with --resize the journal also carries master swaps
+  for resize in "" --resize; do
+    dir="$ckpt/run${resize:-plain}"
+    dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet $resize \
+      --checkpoint-dir "$dir" -o "$out1"
+    dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet $resize \
+      --checkpoint-dir "$dir" --resume -o "$out2"
+    if ! cmp -s "$out1" "$out2"; then
+      echo "smoke: a resumed ${resize:-default} run saved a different result than the run it resumed" >&2
+      exit 1
+    fi
+  done
   # a malformed design must fail with the input-error exit code (2) and
   # a one-line diagnostic, never a backtrace
   tmp="$(mktemp)"

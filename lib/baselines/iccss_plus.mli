@@ -11,15 +11,6 @@
     scheduler's cap hook. The extraction statistics therefore reflect the
     over-extraction the paper measures against. *)
 
-(** [extraction ?obs timer ~corner] is the baseline's extraction engine;
-    [obs] feeds the [extract.iccss.*] counters (including
-    [constraint_edges], the modification-(ii) cost). *)
-val extraction :
-  ?obs:Css_util.Obs.t ->
-  Css_sta.Timer.t ->
-  corner:Css_sta.Timer.corner ->
-  Css_core.Scheduler.extraction * Css_seqgraph.Extract.stats
-
 (** [run ?config ?obs timer ~corner] executes the baseline end to end
     under the same scheduler instrumentation as the paper's engine, so
     per-iteration comparisons are apples-to-apples. *)

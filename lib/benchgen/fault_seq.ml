@@ -20,8 +20,6 @@ type t = {
   steps : step list;
 }
 
-let length t = List.length t.steps
-
 type corpus = {
   design_text : string;
   sdc_text : string;

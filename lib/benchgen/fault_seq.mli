@@ -38,8 +38,6 @@ type t = {
   steps : step list;
 }
 
-val length : t -> int
-
 (** What a sequence corrupts: the three ingest artifacts, and whether
     the flow's late phases are sabotaged. *)
 type corpus = {

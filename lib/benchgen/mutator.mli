@@ -54,9 +54,6 @@ type fault =
 (** Every design fault, for exhaustive sweeps. *)
 val all : fault list
 
-(** The structural subset of {!all}. *)
-val structural : fault list
-
 (** Stable display name, e.g. ["drop-net"]. *)
 val name : fault -> string
 

@@ -44,15 +44,12 @@ val by_name : string -> t option
 val scale : float -> t -> t
 
 (** [paper p] is the true paper-size variant of preset [p]: entity counts
-    scaled by {!paper_factor} — restoring the superblue flip-flop counts
-    of Table I, ~0.5-1.5M cells — with the clock period stretched by the
-    same factor so the violating-endpoint fraction stays in the sparse
+    scaled by 100 (the presets sit at ~1/100 of the paper's flip-flop
+    counts) — restoring the superblue flip-flop counts of Table I,
+    ~0.5-1.5M cells — with the clock period stretched by its square root
+    so the violating-endpoint fraction stays in the sparse
     band the presets were calibrated for. Named ["<name>-paper"]. *)
 val paper : t -> t
-
-(** [paper_factor] is the entity-count multiplier of {!paper} (100: the
-    presets sit at ~1/100 of the paper's flip-flop counts). *)
-val paper_factor : float
 
 (** [tiny] is a 24-FF profile for tests and the quickstart example. *)
 val tiny : t

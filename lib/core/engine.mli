@@ -23,18 +23,6 @@ val run_ours :
   corner:Css_sta.Timer.corner ->
   Scheduler.result * Css_seqgraph.Extract.stats
 
-(** [full ?obs timer ~corner] pairs the scheduler with the
-    exhaustive {!Css_seqgraph.Extract.Full} engine: the whole sequential
-    graph is materialized up front and every iteration schedules over
-    it. This is the differential-testing reference — the paper's claim
-    is that {!ours} reaches the same slack with a fraction of the
-    extraction work, and the oracle suite asserts exactly that. *)
-val full :
-  ?obs:Css_util.Obs.t ->
-  Css_sta.Timer.t ->
-  corner:Css_sta.Timer.corner ->
-  Scheduler.extraction * Css_seqgraph.Extract.stats
-
 (** [run_full ?config ?obs timer ~corner] builds the full-graph
     engine and runs Algorithm 1 over it. *)
 val run_full :

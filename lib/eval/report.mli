@@ -18,10 +18,6 @@ module Histogram : sig
   val render : t -> string
 end
 
-(** [slack_histogram timer corner] buckets every constrained endpoint's
-    slack. *)
-val slack_histogram : Css_sta.Timer.t -> Css_sta.Timer.corner -> Histogram.t
-
 (** [timing_summary timer] is a multi-line report: WNS/TNS and violation
     counts per corner plus both histograms. *)
 val timing_summary : Css_sta.Timer.t -> string

@@ -113,17 +113,6 @@ let fresh_progress ~hpwl_before =
     best = None;
   }
 
-type state = {
-  ps_algo : string;
-  ps_design : string;
-  ps_rounds : int;
-  ps_progress : progress;
-  ps_anchors : Point.t array;  (* max-displacement anchor per cell id *)
-  ps_rung : int;
-  ps_design_text : string;
-  ps_engines : (string * Extract.snapshot) list;
-}
-
 let path ~dir = Filename.concat dir "checkpoint.ckpt"
 let journal_path ~dir = Filename.concat dir "checkpoint.journal"
 
@@ -135,19 +124,6 @@ type live = {
   lv_design : Design.t;
   lv_engines : (string * Extract.snapshot) list;
 }
-
-let state_of_live lv =
-  let d = lv.lv_design in
-  {
-    ps_algo = lv.lv_algo;
-    ps_design = Design.name d;
-    ps_rounds = lv.lv_rounds;
-    ps_progress = lv.lv_progress;
-    ps_anchors = Array.init (Design.num_cells d) (Design.cell_orig_pos d);
-    ps_rung = lv.lv_rung;
-    ps_design_text = Io.to_string d;
-    ps_engines = lv.lv_engines;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -166,22 +142,20 @@ let line b fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_cha
    [s ^ "\n"] copy per line would copy every ~100 kB array line twice.
    The key is always followed by a space, so an empty array reads
    ["key \n"], as the parser's [field] expects. *)
-let add_array b key a add =
+let add_array b key n add =
   Buffer.add_string b key;
   Buffer.add_char b ' ';
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ' ';
-      add x)
-    a;
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ' ';
+    add i
+  done;
   Buffer.add_char b '\n'
 
-let add_floats b key a = add_array b key a (fun x -> Buffer.add_string b (fstr x))
-let add_ints b key a = add_array b key a (fun i -> Buffer.add_string b (string_of_int i))
+let add_floats b key a =
+  add_array b key (Array.length a) (fun i -> Buffer.add_string b (fstr a.(i)))
 
-let add_points b kx ky points =
-  add_array b kx points (fun (p : Point.t) -> Buffer.add_string b (fstr p.Point.x));
-  add_array b ky points (fun (p : Point.t) -> Buffer.add_string b (fstr p.Point.y))
+let add_ints b key a =
+  add_array b key (Array.length a) (fun i -> Buffer.add_string b (string_of_int a.(i)))
 
 let add_id b tag id =
   Buffer.add_char b tag;
@@ -255,7 +229,7 @@ let add_best ?anchors b = function
       done;
       line b "bp %d" (List.length !off);
       List.iter (fun c -> line b "p %d %s %s" c (fstr cp.ck_x.(c)) (fstr cp.ck_y.(c))) !off);
-    add_array b "bm" cp.ck_masters (Buffer.add_string b);
+    add_array b "bm" (Array.length cp.ck_masters) (fun c -> Buffer.add_string b cp.ck_masters.(c));
     line b "br %s %s %s %s %d %d %s"
       (fstr r.Evaluator.wns_early)
       (fstr r.Evaluator.tns_early)
@@ -297,26 +271,29 @@ let add_engines b engines =
     engines;
   line b "end"
 
-let body_of_state st =
-  let p = st.ps_progress in
-  let b = Buffer.create (String.length st.ps_design_text + 4096) in
-  line b "algo %s" st.ps_algo;
-  line b "design %s" st.ps_design;
-  line b "rounds %d" st.ps_rounds;
+let body_of_live lv =
+  let d = lv.lv_design and p = lv.lv_progress in
+  let text = Io.to_string d in
+  let b = Buffer.create (String.length text + 4096) in
+  line b "algo %s" lv.lv_algo;
+  line b "design %s" (Design.name d);
+  line b "rounds %d" lv.lv_rounds;
   add_run_head b p;
   (* movement anchors: a reparsed design re-anchors at its parsed
      positions, so the original run's legality reference is carried
      explicitly *)
-  line b "anchors %d" (Array.length st.ps_anchors);
-  add_points b "ax" "ay" st.ps_anchors;
-  add_run_tail b p ~rung:st.ps_rung;
+  let n = Design.num_cells d in
+  line b "anchors %d" n;
+  add_array b "ax" n (fun c -> Buffer.add_string b (fstr (Design.cell_orig_x d c)));
+  add_array b "ay" n (fun c -> Buffer.add_string b (fstr (Design.cell_orig_y d c)));
+  add_run_tail b p ~rung:lv.lv_rung;
   line b "trace %d" (List.length p.trace_rev);
   List.iter (add_trace_point b) (List.rev p.trace_rev);
   add_best b p.best;
-  line b "design-text %d" (String.length st.ps_design_text);
-  Buffer.add_string b st.ps_design_text;
+  line b "design-text %d" (String.length text);
+  Buffer.add_string b text;
   Buffer.add_char b '\n';
-  add_engines b st.ps_engines;
+  add_engines b lv.lv_engines;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -368,18 +345,18 @@ let journal_header hash = Printf.sprintf "%s %d %016Lx\n" journal_magic journal_
    here (truncation survived by the structure check, bit rot,
    concurrent partial overwrite) — an integrity check, not an
    authenticity one. Returns the base's hash and size. *)
-let write_base ~dir st =
-  let body = body_of_state st in
+let write_base ~dir lv =
+  let body = body_of_live lv in
   let hash = Fnv.of_string body in
   let header = Printf.sprintf "%s %d\nhash %016Lx\n" magic version hash in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   write_atomic (path ~dir) [ header; body ];
   write_atomic (journal_path ~dir) [ journal_header hash ];
   Log.debug (fun m ->
-      m "checkpoint base saved: %s (%d phases done)" (path ~dir) st.ps_progress.phases_done);
+      m "checkpoint base saved: %s (%d phases done)" (path ~dir) lv.lv_progress.phases_done);
   (hash, String.length header + String.length body)
 
-let save ~dir st = ignore (write_base ~dir st)
+let save ~dir lv = ignore (write_base ~dir lv)
 
 (* {2 The journal handle}
 
@@ -467,7 +444,7 @@ let journal ~dir = { j_dir = dir; files = None }
 
 let base j lv =
   j.files <- None;
-  let hash, bytes = write_base ~dir:j.j_dir (state_of_live lv) in
+  let hash, bytes = write_base ~dir:j.j_dir lv in
   let journal_bytes = String.length (journal_header hash) in
   j.files <- Some (files_of lv ~base_bytes:bytes ~journal_bytes);
   (`Base, bytes)
@@ -641,7 +618,8 @@ let parse_trace_point cur =
   | _ -> bad ~file:cur.file "CKPT-005" "malformed trace entry"
 
 (* the best checkpoint after its [best <label>] line; a journal record's
-   positions are its [anchors] but for those it lists *)
+   positions are the movement anchors of [anchors] but for those it
+   lists *)
 let parse_best ?anchors cur label =
   let nffs, ncells, nerrs =
     match split_ws (field cur "bn") with
@@ -657,11 +635,11 @@ let parse_best ?anchors cur label =
       let bx = array_field cur "bx" ncells float_of in
       let by = array_field cur "by" ncells float_of in
       (bx, by)
-    | Some anchors ->
+    | Some d ->
       if ncells < 0 then bad ~file:cur.file "CKPT-005" "negative bn cell count";
-      let anchor c = if c < Array.length anchors then anchors.(c) else Point.make Float.nan Float.nan in
-      let xs = Array.init ncells (fun c -> (anchor c).Point.x) in
-      let ys = Array.init ncells (fun c -> (anchor c).Point.y) in
+      let n = Design.num_cells d in
+      let xs = Array.init ncells (fun c -> if c < n then Design.cell_orig_x d c else Float.nan) in
+      let ys = Array.init ncells (fun c -> if c < n then Design.cell_orig_y d c else Float.nan) in
       for _ = 1 to int_field cur "bp" do
         match split_ws (field cur "p") with
         | [ c; x; y ] ->
@@ -760,41 +738,40 @@ let parse_engines ?(convert = true) cur =
   | l -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "expected end marker, got '%s'" l));
   engines
 
+(* The base's sections: the design text, the movement anchors, and the
+   state that waits for the design [load] parses from that text once
+   the hash has checked out. The [design] line repeats the text's
+   design name. *)
 let parse_body cur =
-  let ps_algo = field cur "algo" in
-  let ps_design = field cur "design" in
-  let ps_rounds = int_field cur "rounds" in
+  let lv_algo = field cur "algo" in
+  ignore (field cur "design");
+  let lv_rounds = int_field cur "rounds" in
   let head = parse_run_head cur in
   let nanchors = int_field cur "anchors" in
   let ax = array_field cur "ax" nanchors float_of in
   let ay = array_field cur "ay" nanchors float_of in
-  let progress, ps_rung = parse_run_tail cur head in
+  let progress, lv_rung = parse_run_tail cur head in
   let ntrace = int_field cur "trace" in
   let trace = List.init ntrace (fun _ -> parse_trace_point cur) in
   let best = match field cur "best" with "-" -> None | label -> Some (parse_best cur label) in
   let n = int_field cur "design-text" in
-  let ps_design_text = take_blob cur n in
-  let ps_engines = parse_engines cur in
-  {
-    ps_algo;
-    ps_design;
-    ps_rounds;
-    ps_progress = { progress with trace_rev = List.rev trace; best };
-    ps_anchors = Array.map2 Point.make ax ay;
-    ps_rung;
-    ps_design_text;
-    ps_engines;
-  }
+  let text = take_blob cur n in
+  let lv_engines = parse_engines cur in
+  let lv_progress = { progress with trace_rev = List.rev trace; best } in
+  ( text,
+    ax,
+    ay,
+    fun lv_design -> { lv_algo; lv_rounds; lv_progress; lv_rung; lv_design; lv_engines } )
 
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
 
-(* One journal record onto [st]; its design edits are prepended to
-   [edits] (newest first) and applied to the text once, after the last
-   record. *)
-let parse_record ~last cur st edits =
-  let old = st.ps_progress in
+(* One journal record onto [lv]: its anchors go straight onto the
+   design, and its design edits are prepended to [edits] (newest first)
+   for one {!Io.apply_lines} after the last record. *)
+let parse_record ~last cur lv edits =
+  let d = lv.lv_design and old = lv.lv_progress in
   let head = parse_run_head cur in
-  let progress, ps_rung = parse_run_tail cur head in
+  let progress, lv_rung = parse_run_tail cur head in
   let kept, nfresh =
     match split_ws (field cur "trace") with
     | [ k; n ] -> (int_of cur "trace.kept" k, int_of cur "trace.new" n)
@@ -807,21 +784,20 @@ let parse_record ~last cur st edits =
   let fresh = List.init nfresh (fun _ -> parse_trace_point cur) in
   let trace_rev = List.rev_append fresh (drop (have - kept) old.trace_rev) in
   let nanchors = int_field cur "anchors" in
-  let ps_anchors = if nanchors = 0 then st.ps_anchors else Array.copy st.ps_anchors in
   for _ = 1 to nanchors do
     match split_ws (field cur "a") with
     | [ c; x; y ] ->
       let c = int_of cur "a.cell" c in
-      if c < 0 || c >= Array.length ps_anchors then
+      if c < 0 || c >= Design.num_cells d then
         bad ~file:cur.file "CKPT-005" (Printf.sprintf "anchor of cell %d out of range" c);
-      ps_anchors.(c) <- Point.make (float_of cur "a.x" x) (float_of cur "a.y" y)
+      Design.set_cell_orig_pos d c (Point.make (float_of cur "a.x" x) (float_of cur "a.y" y))
     | _ -> bad ~file:cur.file "CKPT-005" "malformed anchor entry"
   done;
   let best =
     match field cur "best" with
     | "=" -> old.best
     | "-" -> None
-    | label -> Some (parse_best ~anchors:ps_anchors cur label)
+    | label -> Some (parse_best ~anchors:d cur label)
   in
   let nedits = int_field cur "edits" in
   for _ = 1 to nedits do
@@ -845,10 +821,10 @@ let parse_record ~last cur st edits =
           | _ -> malformed ())
           :: !edits)
   done;
-  let ps_engines = parse_engines ~convert:last cur in
+  let lv_engines = parse_engines ~convert:last cur in
   if cur.pos <> String.length cur.buf then
     bad ~file:cur.file "CKPT-005" "trailing bytes after a journal record's end marker";
-  { st with ps_progress = { progress with trace_rev; best }; ps_anchors; ps_rung; ps_engines }
+  { lv with lv_progress = { progress with trace_rev; best }; lv_rung; lv_engines }
 
 let read_file file =
   match open_in_bin file with
@@ -877,13 +853,13 @@ let load_base ~dir =
   let body = String.sub cur.buf cur.pos (String.length cur.buf - cur.pos) in
   (* structure first: a torn tail reports as truncation (CKPT-004),
      not as the hash mismatch it would also cause *)
-  let st = parse_body cur in
+  let base = parse_body cur in
   if cur.pos <> String.length cur.buf then bad ~file "CKPT-005" "trailing bytes after end marker";
   let actual = Fnv.of_string body in
   if actual <> stored_hash then
     bad ~file "CKPT-003"
       (Printf.sprintf "content hash mismatch (stored %016Lx, computed %016Lx)" stored_hash actual);
-  (st, stored_hash)
+  (base, stored_hash)
 
 (* The frame at [pos] of a journal [raw] of [len] bytes. *)
 let frame raw len pos =
@@ -941,25 +917,36 @@ let scan_journal ~dir ~base_hash =
       else records [] cur.pos
     | _ -> bad ~file "CKPT-002" "not a css-journal file (bad magic)"
 
-let load ~dir =
+(* The base's design text is parsed once; its anchors and the journal's
+   records are then replayed onto that design. *)
+let load ~library ~dir =
   try
-    let st, base_hash = load_base ~dir in
+    let (text, ax, ay, live_of), base_hash = load_base ~dir in
     let bodies, _ = scan_journal ~dir ~base_hash in
-    let file = journal_path ~dir in
-    let edits = ref [] and n = List.length bodies in
-    let st =
-      List.fold_left
-        (fun (i, st) body ->
-          (i + 1, parse_record ~last:(i = n) { buf = body; file; pos = 0 } st edits))
-        (1, st) bodies
-      |> snd
-    in
-    let st =
-      match Io.apply_edits st.ps_design_text (List.rev !edits) with
-      | text -> { st with ps_design_text = text }
-      | exception Failure m -> bad ~file "CKPT-005" ("journal edits do not fit the base: " ^ m)
-    in
-    Ok st
+    match Io.of_string ~source:(path ~dir) ~library text with
+    | Error diags ->
+      let msg = "checkpoint design does not parse against this cell library" in
+      Error (Diag.error ~code:"CKPT-006" msg :: diags)
+    | Ok (design, _) ->
+      let ncells = Design.num_cells design in
+      if Array.length ax <> ncells then
+        bad "CKPT-006"
+          (Printf.sprintf "checkpoint carries %d movement anchors for a design of %d cells"
+             (Array.length ax) ncells);
+      Array.iteri (fun c x -> Design.set_cell_orig_pos design c (Point.make x ay.(c))) ax;
+      let file = journal_path ~dir in
+      let edits = ref [] and n = List.length bodies in
+      let lv =
+        List.fold_left
+          (fun (i, lv) body ->
+            (i + 1, parse_record ~last:(i = n) { buf = body; file; pos = 0 } lv edits))
+          (1, live_of design) bodies
+        |> snd
+      in
+      (match Io.apply_lines design (List.rev !edits) with
+      | Ok () -> ()
+      | Error d -> bad ~file "CKPT-005" ("journal edits do not fit the base: " ^ Diag.to_string d));
+      Ok lv
   with Bad d -> Error [ d ]
 
 (* A journal continuing [dir]'s files, whose replay [lv] was rebuilt

@@ -23,8 +23,8 @@
       when it changed (its positions only where they differ from the
       movement anchors).
 
-    {!load} parses the base and replays the records. Both formats are
-    documented in [docs/ROBUSTNESS.md].
+    {!load} parses the base's design once and replays the records onto
+    it. Both formats are documented in [docs/ROBUSTNESS.md].
 
     {2 Crash safety}
 
@@ -44,10 +44,12 @@
     - [CKPT-004] — truncated (short read mid-structure)
     - [CKPT-005] — malformed section or field, or journal edits that do
       not fit the base's design
-    - [CKPT-006] — checkpoint/build mismatch, emitted by
+    - [CKPT-006] — checkpoint/build mismatch: emitted by {!load} when
+      the base's design does not parse against the cell library or its
+      movement anchors do not count the design's cells, and by
       {!Session.reopen} (and so {!Flow.resume}) when the checkpoint
-      names an unknown algorithm or engine slot, its design does not
-      parse, or its arrays do not fit the design it carries *)
+      names an unknown algorithm or engine slot, or its best checkpoint
+      does not fit the design it carries *)
 
 (** {1 Cooperative interruption} *)
 
@@ -155,22 +157,22 @@ type progress = {
 val fresh_progress : hpwl_before:float -> progress
 
 (** Everything needed to continue a flow run from a completed-phase
-    boundary. Partial phases are never represented: the flow persists
-    only after a phase fully completes, and a resumed run re-executes
-    any phase that was in flight when the process died — determinism
-    makes the redo bitwise-identical. *)
-type state = {
-  ps_algo : string;  (** {!Session.algo_name} of the running algorithm *)
-  ps_design : string;  (** design name, for mismatch detection *)
-  ps_rounds : int;  (** configured round count at save time *)
-  ps_progress : progress;  (** the run's progress; file order is chronological *)
-  ps_anchors : Css_geometry.Point.t array;
-      (** max-displacement anchor per cell id ([Design.cell_orig_pos] of
-          the interrupted run): a reparsed design re-anchors at its
-          parsed positions, so the legality reference must travel *)
-  ps_rung : int;  (** degradation-ladder position *)
-  ps_design_text : string;  (** the current design, serialized *)
-  ps_engines : (string * Css_seqgraph.Extract.snapshot) list;
+    boundary: what a live session hands over at every durable write,
+    and what {!load} gives back. Partial phases are never represented:
+    the flow persists only after a phase fully completes, and a resumed
+    run re-executes any phase that was in flight when the process died
+    — determinism makes the redo bitwise-identical. *)
+type live = {
+  lv_algo : string;  (** {!Session.algo_name} of the running algorithm *)
+  lv_rounds : int;  (** configured round count at save time *)
+  lv_progress : progress;  (** the run's progress; file order is chronological *)
+  lv_rung : int;  (** degradation-ladder position *)
+  lv_design : Css_netlist.Design.t;
+      (** the design, its movement anchors ({!Css_netlist.Design.cell_orig_pos})
+          included: a reparsed design re-anchors at its parsed
+          positions, so the interrupted run's legality reference
+          travels with it *)
+  lv_engines : (string * Css_seqgraph.Extract.snapshot) list;
       (** live engine snapshots keyed by {!Session}'s engine slot names
           (["ours-early"], ["ours-late"], ["iccss-early"],
           ["iccss-late"]) *)
@@ -182,34 +184,28 @@ val path : dir:string -> string
 (** [journal_path ~dir] is [<dir>/checkpoint.journal]. *)
 val journal_path : dir:string -> string
 
-(** [save ~dir st] writes [st] as a new base with an empty journal,
+(** [save ~dir lv] writes [lv] as a new base with an empty journal,
     creating [dir] if missing.
     @raise Sys_error when the directory cannot be created or written;
     the previous base is then left as it was and the temporary file
     removed. *)
-val save : dir:string -> state -> unit
+val save : dir:string -> live -> unit
 
-(** [load ~dir] reads and verifies the base, then replays the journal
-    records that continue it. On [Error], the single diagnostic carries
-    one of the [CKPT-*] codes above. *)
-val load : dir:string -> (state, Css_util.Diag.t list) result
+(** [load ~library ~dir] reads and verifies the base and scans the
+    journal, then parses the base's design text once against [library]
+    ({!Css_netlist.Io.of_string}), sets the base's movement anchors on
+    it and replays each record that continues the base onto that design
+    and the run state: anchors through
+    {!Css_netlist.Design.set_cell_orig_pos}, design lines through
+    {!Css_netlist.Io.apply_lines}. The design it returns prints byte for
+    byte as the one that was written, with its anchors bit for bit. On
+    [Error], the first diagnostic carries one of the [CKPT-*] codes
+    above: [CKPT-006] when the design text does not parse (the parser's
+    diagnostics follow) or the anchors do not count its cells. *)
+val load :
+  library:Css_liberty.Library.t -> dir:string -> (live, Css_util.Diag.t list) result
 
 (** {1 Journaled writes} *)
-
-(** What a live session hands over at every durable write: a {!state}
-    with the design itself instead of its text and anchors. *)
-type live = {
-  lv_algo : string;
-  lv_rounds : int;
-  lv_progress : progress;
-  lv_rung : int;
-  lv_design : Css_netlist.Design.t;
-  lv_engines : (string * Css_seqgraph.Extract.snapshot) list;
-}
-
-(** [state_of_live lv] serializes the design (and reads its anchors):
-    the state a base written now would hold. *)
-val state_of_live : live -> state
 
 (** A checkpoint directory written through its journal. A write appends
     what the design's change set lists ({!Css_netlist.Design.take_changes},

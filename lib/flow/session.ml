@@ -497,7 +497,7 @@ let save st ~dir =
   check_open st "save";
   match st.journal with
   | Some j when st.cfg.checkpoint_dir = Some dir -> ignore (Persist.write j (live st))
-  | _ -> Persist.save ~dir (Persist.state_of_live (live st))
+  | _ -> Persist.save ~dir (live st)
 
 (* Persistence failure degrades to an in-memory-only run, never a crash:
    the checkpoint is a safety net, not a correctness dependency. *)
@@ -781,7 +781,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
   let total_t0 = Wall_clock.now () in
   let run =
     match resume with
-    | Some ps -> ps.Persist.ps_progress
+    | Some lv -> lv.Persist.lv_progress
     | None -> Persist.fresh_progress ~hpwl_before:(Design.total_hpwl design)
   in
   let timer = Timer.build ~config:config.timer ~obs:config.obs design in
@@ -808,7 +808,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
       t0 = total_t0;
       run;
       hold_attempted = false;
-      rung = (match resume with Some r -> r.Persist.ps_rung | None -> 0);
+      rung = (match resume with Some r -> r.Persist.lv_rung | None -> 0);
       iter_polls = 0;
       resumed = Option.is_some resume;
       validation;
@@ -817,11 +817,7 @@ let create ~(config : config) ~algo ~validation ?resume design =
   in
   (match resume with
   | None -> start_run st
-  | Some ps ->
-    (* the reparsed design anchored movement legality at checkpoint-time
-       positions; put back the anchors the interrupted run judged
-       against *)
-    Array.iteri (Design.set_cell_orig_pos design) ps.Persist.ps_anchors;
+  | Some lv ->
     List.iter
       (fun (name, snap) ->
         let slot = List.find (fun s -> s.name = name) st.slots in
@@ -829,11 +825,11 @@ let create ~(config : config) ~algo ~validation ?resume design =
           Some
             (Extract.restore ~obs:config.obs snap st.timer st.verts
                ~corner:slot.corner))
-      ps.Persist.ps_engines;
+      lv.Persist.lv_engines;
     Obs.incr (Obs.counter config.obs "flow.resumes");
     Log.info (fun m ->
-        m "resumed %s on %s at phase %d (rung %d)" ps.Persist.ps_algo ps.Persist.ps_design
-          run.phases_done ps.Persist.ps_rung));
+        m "resumed %s on %s at phase %d (rung %d)" lv.Persist.lv_algo (Design.name design)
+          run.phases_done lv.Persist.lv_rung));
   st
 
 let open_ ?(config = default_config) ~algo design =
@@ -850,25 +846,32 @@ let open_ ?(config = default_config) ~algo design =
 let ckpt_error fmt = Printf.ksprintf (fun m -> Diag.error ~code:"CKPT-006" m) fmt
 
 (* A hash-valid checkpoint can still disagree with the design it
-   carries (a hand-edited or foreign file). Every index [create] and
-   [restore] dereference must exist, so a bad file is reported instead
-   of raising mid-restore. The best checkpoint may cover fewer cells
-   than the design: CTS guidance adds LCBs after it was taken. *)
-let shape_errors design (ps : Persist.state) =
+   carries (a hand-edited or foreign file). Every index, LCB and master
+   [create] and [restore] dereference must exist and fit, so a bad file
+   is reported instead of raising mid-restore. The best checkpoint may
+   cover fewer cells than the design: CTS guidance adds LCBs after it
+   was taken. *)
+let shape_errors (lv : Persist.live) =
+  let design = lv.Persist.lv_design in
   let ncells = Design.num_cells design in
   let cell c = c >= 0 && c < ncells in
-  let anchors =
-    let n = Array.length ps.Persist.ps_anchors in
-    if n = ncells then []
-    else [ ckpt_error "checkpoint carries %d movement anchors for a design of %d cells" n ncells ]
+  let library = Design.library design in
+  let fits c name =
+    match Css_liberty.Library.find_opt library name with
+    | Some m -> Css_liberty.Cell.same_interface (Design.cell_master design c) m
+    | None -> false
   in
   let best =
-    match ps.Persist.ps_progress.best with
+    match lv.Persist.lv_progress.best with
     | Some cp
       when Array.length cp.ck_ffs <> Array.length (Design.ffs design)
            || Array.exists (fun ff -> not (cell ff && Design.is_ff design ff)) cp.ck_ffs
-           || Array.exists (fun lcb -> lcb <> -1 && not (cell lcb)) cp.ck_lcb_of
-           || Array.length cp.ck_x > ncells ->
+           || Array.exists
+                (fun lcb -> lcb <> -1 && not (cell lcb && Design.is_lcb design lcb))
+                cp.ck_lcb_of
+           || Array.length cp.ck_x > ncells
+           || Array.length cp.ck_masters > ncells
+           || Seq.exists (fun (c, m) -> not (fits c m)) (Array.to_seqi cp.ck_masters) ->
       [ ckpt_error "best checkpoint %S does not fit a design of %d cells" cp.label ncells ]
     | _ -> []
   in
@@ -877,34 +880,30 @@ let shape_errors design (ps : Persist.state) =
       (fun (name, _) ->
         if List.mem name slot_names then None
         else Some (ckpt_error "checkpoint engine slot %S is not one this build knows" name))
-      ps.Persist.ps_engines
+      lv.Persist.lv_engines
   in
-  anchors @ best @ engines
+  best @ engines
 
 let reopen ?(config = default_config) ~library ~dir () =
-  match Persist.load ~dir with
+  match Persist.load ~library ~dir with
   | Error diags -> Error diags
-  | Ok ps -> (
-    match algo_of_name ps.Persist.ps_algo with
+  | Ok lv -> (
+    match algo_of_name lv.Persist.lv_algo with
     | None ->
-      Error [ ckpt_error "checkpoint algorithm %S is not one this build knows" ps.Persist.ps_algo ]
+      Error [ ckpt_error "checkpoint algorithm %S is not one this build knows" lv.Persist.lv_algo ]
     | Some algo -> (
-      match Io.of_string ~source:(Persist.path ~dir) ~library ps.Persist.ps_design_text with
-      | Error diags ->
-        Error (ckpt_error "checkpoint design does not parse against this cell library" :: diags)
-      | Ok (design, _) -> (
-        match shape_errors design ps with
-        | _ :: _ as errors -> Error errors
-        | [] ->
-          (* the checkpoint's configured horizon wins: continuation must
-             count rounds the way the interrupted run did *)
-          let config = { config with rounds = ps.Persist.ps_rounds } in
-          let st = create ~config ~algo ~validation:[] ~resume:ps design in
-          (* writing back where it loaded from, the session appends to
-             the journal it just replayed *)
-          if config.checkpoint_dir = Some dir then
-            st.journal <- Some (Persist.resume_journal ~dir (live st));
-          Ok st)))
+      match shape_errors lv with
+      | _ :: _ as errors -> Error errors
+      | [] ->
+        (* the checkpoint's configured horizon wins: continuation must
+           count rounds the way the interrupted run did *)
+        let config = { config with rounds = lv.Persist.lv_rounds } in
+        let st = create ~config ~algo ~validation:[] ~resume:lv lv.Persist.lv_design in
+        (* writing back where it loaded from, the session appends to
+           the journal it just replayed *)
+        if config.checkpoint_dir = Some dir then
+          st.journal <- Some (Persist.resume_journal ~dir (live st));
+        Ok st))
 
 let close st = st.closed <- true
 

@@ -371,13 +371,15 @@ val stage :
 val save : t -> dir:string -> unit
 
 (** [reopen ?config ~library ~dir ()] loads the checkpoint under [dir]
-    into a fresh session positioned mid-run: {!finish} continues to the
-    bitwise result of the uninterrupted run, and the session then keeps
-    serving deltas. [config.rounds] is overridden by the checkpoint's
-    horizon. Errors carry {!Persist}'s [CKPT-*] codes; [CKPT-006] also
-    reports a checkpoint whose shape does not fit the design it carries
-    (anchor count, best-checkpoint arrays, unknown engine slots), so one
-    bad file never raises out of a daemon's restore loop. *)
+    ({!Persist.load}, whose design the session adopts) into a fresh
+    session positioned mid-run: {!finish} continues to the bitwise
+    result of the uninterrupted run, and the session then keeps serving
+    deltas. [config.rounds] is overridden by the checkpoint's horizon.
+    Errors carry {!Persist}'s [CKPT-*] codes; [CKPT-006] also reports a
+    checkpoint whose shape does not fit the design it carries (anchor
+    count, best-checkpoint FFs, LCBs, masters and array lengths,
+    unknown engine slots), so one bad file never raises out of a
+    daemon's restore loop. *)
 val reopen :
   ?config:config ->
   library:Css_liberty.Library.t ->

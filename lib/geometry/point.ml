@@ -22,4 +22,3 @@ let scale k p = { x = k *. p.x; y = k *. p.y }
 let equal ?eps a b =
   Css_util.Stats.fequal ?eps a.x b.x && Css_util.Stats.fequal ?eps a.y b.y
 
-let to_string p = Printf.sprintf "(%.1f, %.1f)" p.x p.y

@@ -22,4 +22,3 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 
 val equal : ?eps:float -> t -> t -> bool
-val to_string : t -> string

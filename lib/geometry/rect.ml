@@ -47,4 +47,3 @@ let expand r (p : Point.t) =
 
 let center r = Point.make ((r.lx +. r.hx) /. 2.0) ((r.ly +. r.hy) /. 2.0)
 
-let to_string r = Printf.sprintf "[%.1f %.1f %.1f %.1f]" r.lx r.ly r.hx r.hy

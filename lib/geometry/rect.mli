@@ -30,4 +30,3 @@ val clamp : t -> Point.t -> Point.t
 val expand : t -> Point.t -> t
 
 val center : t -> Point.t
-val to_string : t -> string

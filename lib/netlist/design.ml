@@ -282,6 +282,22 @@ let net_add_sink t n p =
   mark t.net_changes n k_sinks;
   mark t.nets_stale n k_stale
 
+(* The old sinks still pointing at [n] leave it; a joining pin taken
+   from another net marks that net's columns, whose verdict it turns. *)
+let set_net_sinks t n sinks =
+  if List.exists (pin_is_output t) sinks then
+    invalid_arg "Design.set_net_sinks: sink pin is a signal source";
+  Ivec.iter (fun p -> if pin_net_id t p = n then Ivec.set t.pin_net p (-1)) (Vec.get t.net_sinks n);
+  List.iter
+    (fun p ->
+      let old = pin_net_id t p in
+      if old >= 0 && old <> n then mark t.nets_stale old k_stale;
+      Ivec.set t.pin_net p n)
+    sinks;
+  Vec.set t.net_sinks n (Ivec.of_list sinks);
+  mark t.net_changes n k_sinks;
+  mark t.nets_stale n k_stale
+
 let set_clock_root t port = t.clock_root <- port
 
 let name t = t.name
@@ -632,7 +648,8 @@ let measure_net t n =
    decide both columns, and the mutators that change them mark the net
    ([add_net] makes a new one; a pin leaving or joining a net can turn
    no other net's verdict, since any other net listing it was already
-   faulty and stays so). *)
+   faulty and stays so, except a pin [set_net_sinks] takes from another
+   net, which marks that net too). *)
 let refresh_nets t =
   let m = t.nets_stale and nets = num_nets t in
   for k = 0 to m.touched - 1 do

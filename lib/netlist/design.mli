@@ -81,6 +81,17 @@ val add_net : t -> name:string -> driver:pin_id -> sinks:pin_id list -> net_id
     source. *)
 val net_add_sink : t -> net_id -> pin_id -> unit
 
+(** [set_net_sinks t n sinks] makes [sinks], in this order, the sink
+    list of net [n]: a recorded net line replayed onto the design. A
+    pin that leaves [n] is detached only while it still points at [n],
+    and a joining pin, on no net or on another one, now points at [n];
+    so the two lines of a pin moving between two nets leave it on its
+    new net in either order of application. Marks [n] in the change set
+    and [n] and any net a pin was taken from in the per-net columns.
+    O(old fanout + new fanout).
+    @raise Invalid_argument if a sink is a signal source. *)
+val set_net_sinks : t -> net_id -> pin_id list -> unit
+
 (** [set_clock_root t port] declares the clock source port. O(1). *)
 val set_clock_root : t -> port_id -> unit
 
@@ -354,7 +365,8 @@ val clear_latency_bounds : t -> cell_id -> unit
     {!swap_master} mark the cell's line, {!set_scheduled_latency} the
     latency, {!set_latency_bounds} and {!clear_latency_bounds} the
     bounds, {!set_cell_orig_pos} the anchor; {!reconnect_ff_to_lcb}
-    marks the old and the new clock net, {!net_add_sink} its net. A
+    marks the old and the new clock net, {!net_add_sink} and
+    {!set_net_sinks} its net. A
     write of the bits (or master) already held marks nothing; a write
     undone later stays marked. [add_*] mark nothing, nor do ids added
     since the last take: a consumer that sees the design grow starts
@@ -388,7 +400,8 @@ val net_hpwl : t -> net_id -> float
     {!check} reports on it, and one stale byte per net, apart from the
     change set and never emptied by {!take_changes}: {!move_cell} marks
     the nets on the cell's pins, {!reconnect_ff_to_lcb} the old and the
-    new clock net, {!net_add_sink} its net. [total_hpwl] and {!check}
+    new clock net, {!net_add_sink} its net, {!set_net_sinks} its net and
+    any net it took a pin from. [total_hpwl] and {!check}
     first re-measure
     the marked nets and the nets added since the previous call, so a
     call costs O(num_nets) plus the pins of the nets re-measured. The

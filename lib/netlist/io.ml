@@ -102,88 +102,6 @@ type edit =
   | Latency_line of Design.cell_id * string option
   | Bounds_line of Design.cell_id * string option
 
-let starts_with prefix s = String.starts_with ~prefix s
-
-(* the second word of a [cell]/[latency]/[bounds] line: the cell name *)
-let second_word l =
-  let a = String.index l ' ' + 1 in
-  match String.index_from_opt l a ' ' with
-  | Some b -> String.sub l a (b - a)
-  | None -> String.sub l a (String.length l - a)
-
-(* The text is split into its sections, as [to_string] lays them out;
-   cell and net lines are replaced in place, and the latency and bounds
-   sections are rebuilt in cell-id order from one optional line per
-   cell. *)
-let apply_edits text edits =
-  if edits = [] then text
-  else begin
-    let lines = Array.of_list (String.split_on_char '\n' text) in
-    let n = Array.length lines in
-    let i = ref (min n 2) in
-    let span prefix =
-      let first = !i in
-      while !i < n && starts_with prefix lines.(!i) do
-        incr i
-      done;
-      (first, !i - first)
-    in
-    ignore (span "port ");
-    let c0, ncells = span "cell " in
-    let n0, nnets = span "net " in
-    ignore (span "clockroot ");
-    let l0, nlat = span "latency " in
-    let b0, nbounds = span "bounds " in
-    if n < 3 || b0 + nbounds <> n - 1 || lines.(n - 1) <> "" then
-      failwith "design text is not laid out as Io.to_string writes it";
-    let by_cell = Array.make ncells None and bounds = Array.make ncells None in
-    if nlat + nbounds > 0 then begin
-      let id = Hashtbl.create ncells in
-      for c = 0 to ncells - 1 do
-        Hashtbl.replace id (second_word lines.(c0 + c)) c
-      done;
-      let place column first count =
-        for k = first to first + count - 1 do
-          match Hashtbl.find_opt id (second_word lines.(k)) with
-          | Some c -> column.(c) <- Some lines.(k)
-          | None -> failwith ("design text names an unknown cell: " ^ lines.(k))
-        done
-      in
-      place by_cell l0 nlat;
-      place bounds b0 nbounds
-    end;
-    let check what id count =
-      if id < 0 || id >= count then
-        failwith (Printf.sprintf "edit of %s %d, the design text holds %d" what id count)
-    in
-    List.iter
-      (function
-        | Cell_line (c, l) ->
-          check "cell" c ncells;
-          lines.(c0 + c) <- l
-        | Net_line (k, l) ->
-          check "net" k nnets;
-          lines.(n0 + k) <- l
-        | Latency_line (c, l) ->
-          check "cell" c ncells;
-          by_cell.(c) <- l
-        | Bounds_line (c, l) ->
-          check "cell" c ncells;
-          bounds.(c) <- l)
-      edits;
-    let buf = Buffer.create (String.length text + 256) in
-    let add l =
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n'
-    in
-    for k = 0 to l0 - 1 do
-      add lines.(k)
-    done;
-    Array.iter (Option.iter add) by_cell;
-    Array.iter (Option.iter add) bounds;
-    Buffer.contents buf
-  end
-
 let save t path =
   let oc = open_out path in
   Fun.protect
@@ -198,25 +116,56 @@ type policy =
    records-and-skips (Recover) or stops the parse (Abort). *)
 exception Line_error of Diag.t
 
+let fail_line ?file ?line ?hint ~code fmt =
+  Printf.ksprintf (fun m -> raise (Line_error (Diag.error ?file ?line ?hint ~code m))) fmt
+
+let number ?file ?line what v =
+  match float_of_string_opt v with
+  | Some x -> x
+  | None -> fail_line ?file ?line ~code:"IO-007" "expected a number for %s, got %S" what v
+
+let words line = String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
+
+(* the cell and port names a pin reference resolves through *)
+type names = {
+  cells : (string, Design.cell_id) Hashtbl.t;
+  ports : (string, Design.port_id) Hashtbl.t;
+}
+
+let known tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
+
+(* the pin a [cell:pin] or [port:name] reference names *)
+let resolve ?file ?line names d r =
+  let fail = fail_line ?file ?line in
+  match String.index_opt r ':' with
+  | Some i when String.sub r 0 i = "port" ->
+    let pname = String.sub r (i + 1) (String.length r - i - 1) in
+    (match Hashtbl.find_opt names.ports pname with
+    | Some p -> Design.port_pin d p
+    | None ->
+      fail ~code:"IO-003" ?hint:(Diag.did_you_mean pname (known names.ports)) "unknown port %s"
+        pname)
+  | Some i ->
+    let cname = String.sub r 0 i in
+    let pin = String.sub r (i + 1) (String.length r - i - 1) in
+    (match Hashtbl.find_opt names.cells cname with
+    | Some c -> (
+      try Design.cell_pin d c pin with Not_found -> fail ~code:"IO-005" "unknown pin %s" r)
+    | None ->
+      fail ~code:"IO-004" ?hint:(Diag.did_you_mean cname (known names.cells)) "unknown cell %s"
+        cname)
+  | None -> fail ~code:"IO-009" "malformed pin reference %s" r
+
 let of_string ?source ?(policy = Abort) ~library s =
   let col = Diag.collector () in
-  let fail ?hint ~code lineno fmt =
-    Printf.ksprintf
-      (fun m -> raise (Line_error (Diag.error ?file:source ~line:lineno ?hint ~code m)))
-      fmt
-  in
-  let number lineno what v =
-    match float_of_string_opt v with
-    | Some x -> x
-    | None -> fail ~code:"IO-007" lineno "expected a number for %s, got %S" what v
-  in
+  let fail ?hint ~code lineno fmt = fail_line ?file:source ~line:lineno ?hint ~code fmt in
+  let number lineno what v = number ?file:source ~line:lineno what v in
   let lines = String.split_on_char '\n' s in
   let design = ref None in
-  let cells = Hashtbl.create 64 in
-  let ports = Hashtbl.create 16 in
+  let names = { cells = Hashtbl.create 64; ports = Hashtbl.create 16 } in
+  let cells = names.cells and ports = names.ports in
   let pending_die = ref None in
   let header = ref None in
-  let known tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
   let get_design lineno =
     match !design with
     | Some d -> d
@@ -229,30 +178,9 @@ let of_string ?source ?(policy = Abort) ~library s =
       design := Some (Design.create ~name ~library ~die ~clock_period:period ())
     | _ -> ()
   in
-  let resolve lineno d r =
-    match String.index_opt r ':' with
-    | Some i when String.sub r 0 i = "port" ->
-      let pname = String.sub r (i + 1) (String.length r - i - 1) in
-      (match Hashtbl.find_opt ports pname with
-      | Some p -> Design.port_pin d p
-      | None ->
-        fail ~code:"IO-003" ?hint:(Diag.did_you_mean pname (known ports)) lineno
-          "unknown port %s" pname)
-    | Some i ->
-      let cname = String.sub r 0 i in
-      let pin = String.sub r (i + 1) (String.length r - i - 1) in
-      (match Hashtbl.find_opt cells cname with
-      | Some c -> (
-        try Design.cell_pin d c pin
-        with Not_found -> fail ~code:"IO-005" lineno "unknown pin %s" r)
-      | None ->
-        fail ~code:"IO-004" ?hint:(Diag.did_you_mean cname (known cells)) lineno
-          "unknown cell %s" cname)
-    | None -> fail ~code:"IO-009" lineno "malformed pin reference %s" r
-  in
+  let resolve lineno d r = resolve ?file:source ~line:lineno names d r in
   let parse_line lineno line =
-    let words = String.split_on_char ' ' line |> List.filter (fun w -> w <> "") in
-    match words with
+    match words line with
     | [ "design"; name; "period"; t ] ->
       header := Some (name, number lineno "the clock period" t);
       maybe_create ()
@@ -350,6 +278,98 @@ let of_string ?source ?(policy = Abort) ~library s =
         (Diag.error ?file:source ~code:"IO-002"
            "missing design header (need 'design <name> period <T>' and 'die <lx> <ly> <hx> <hy>')");
     Error (Diag.diags col)
+
+(* The inverse of the line writers: each edit is parsed as [of_string]
+   parses its line and written through the design's mutators onto the
+   entity it addresses, which must bear the name the line gives. Pin
+   references need the name tables, built once, on the first net line.
+   The nets set, and those their sinks came from, must end with every
+   sink pointing back at them: a pin on two net lines is a netlist
+   [of_string] would reject. *)
+let apply_lines d edits =
+  let fail = fail_line in
+  let names =
+    lazy
+      (let names =
+         { cells = Hashtbl.create (Design.num_cells d); ports = Hashtbl.create 16 }
+       in
+       Design.iter_cells d (fun c -> Hashtbl.replace names.cells (Design.cell_name d c) c);
+       Design.iter_ports d (fun p -> Hashtbl.replace names.ports (Design.port_name d p) p);
+       names)
+  in
+  let in_range what count id =
+    if id < 0 || id >= count then
+      fail ~code:"IO-013" "edit of %s %d, the design holds %d" what id count
+  in
+  let named what name_of id name =
+    if name <> name_of id then
+      fail ~code:"IO-013" "edit of %s %d names %s, not %s" what id name (name_of id)
+  in
+  let cell = named "cell" (Design.cell_name d) in
+  let unrecognized l = fail ~code:"IO-001" "unrecognized line: %s" l in
+  let nets = ref [] in
+  let apply edit =
+    (match edit with
+    | Net_line (n, _) -> in_range "net" (Design.num_nets d) n
+    | Cell_line (c, _) | Latency_line (c, _) | Bounds_line (c, _) ->
+      in_range "cell" (Design.num_cells d) c);
+    match edit with
+    | Cell_line (c, l) -> (
+      match words l with
+      | [ "cell"; name; master; x; y ] ->
+        cell c name;
+        let pos = Point.make (number "cell x" x) (number "cell y" y) in
+        (try Design.swap_master d c master with
+        | Not_found -> fail ~code:"IO-006" "unknown master %s" master
+        | Invalid_argument m -> fail ~code:"IO-006" "%s" m);
+        Design.move_cell d c pos
+      | _ -> unrecognized l)
+    | Net_line (n, l) -> (
+      match words l with
+      | "net" :: name :: driver :: sinks ->
+        named "net" (Design.net_name d) n name;
+        let names = Lazy.force names in
+        if resolve names d driver <> Design.net_driver_id d n then
+          fail ~code:"IO-013" "edit of net %s changes its driver" name;
+        let sinks = List.map (resolve names d) sinks in
+        (* the nets the sinks come from must let go of them too *)
+        List.iter
+          (fun p ->
+            let old = Design.pin_net_id d p in
+            if old >= 0 && old <> n then nets := old :: !nets)
+          sinks;
+        (try Design.set_net_sinks d n sinks
+         with Invalid_argument m -> fail ~code:"IO-012" "cannot build net %s: %s" name m);
+        nets := n :: !nets
+      | _ -> unrecognized l)
+    | Latency_line (c, None) -> Design.set_scheduled_latency d c 0.0
+    | Latency_line (c, Some l) -> (
+      match words l with
+      | [ "latency"; name; v ] ->
+        cell c name;
+        Design.set_scheduled_latency d c (number "the latency" v)
+      | _ -> unrecognized l)
+    | Bounds_line (c, None) -> Design.clear_latency_bounds d c
+    | Bounds_line (c, Some l) -> (
+      match words l with
+      | [ "bounds"; name; lo; hi ] -> (
+        cell c name;
+        try
+          Design.set_latency_bounds d c ~lo:(number "the lower bound" lo)
+            ~hi:(number "the upper bound" hi)
+        with Invalid_argument m -> fail ~code:"IO-010" "bad latency bounds: %s" m)
+      | _ -> unrecognized l)
+  in
+  let on_its_net n =
+    Design.iter_net_sinks d n (fun p ->
+        if Design.pin_net_id d p <> n then
+          fail ~code:"IO-012" "net %s: a sink pin is on another net too" (Design.net_name d n))
+  in
+  try
+    List.iter apply edits;
+    List.iter on_its_net (List.sort_uniq compare !nets);
+    Ok ()
+  with Line_error diag -> Error diag
 
 let first_error ds =
   match List.find_opt Diag.is_error ds with Some d -> d | None -> List.hd ds

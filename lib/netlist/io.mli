@@ -20,7 +20,7 @@
     Malformed input never escapes as a raw exception: the primary entry
     points ({!of_string}, {!load}) return [result]s carrying
     severity-tagged {!Css_util.Diag.t} diagnostics (codes
-    [IO-000..IO-012], catalogued in [docs/ROBUSTNESS.md]); the [*_exn]
+    [IO-000..IO-013], catalogued in [docs/ROBUSTNESS.md]); the [*_exn]
     convenience wrappers re-raise the first error as [Failure] with the
     diagnostic's one-line rendering. *)
 
@@ -45,10 +45,10 @@ val to_string : Design.t -> string
     line per cell with a non-zero scheduled latency and one [bounds]
     line per flip-flop with a non-default window, both in cell-id
     order. A durable session's checkpoint journal records a design as
-    replacement lines against the text its base checkpoint holds;
-    {!apply_edits} splices them back in. The line functions below are
-    the ones {!to_string} writes with, so an edited text is byte for
-    byte the text of the edited design. *)
+    the current lines of the entities it changed, written by the line
+    functions below (the ones {!to_string} writes with); {!apply_lines}
+    replays them onto the design parsed from the base, so the replayed
+    design prints byte for byte as the edited one. *)
 
 type edit =
   | Cell_line of Design.cell_id * string  (** the cell's new [cell] line *)
@@ -63,12 +63,20 @@ val net_line : Design.t -> Design.net_id -> string
 val latency_line : Design.t -> Design.cell_id -> string option
 val bounds_line : Design.t -> Design.cell_id -> string option
 
-(** [apply_edits text edits] is [text] with [edits] applied in order (a
-    later edit of a line wins). [text] must be laid out as {!to_string}
-    writes it; [[]] returns [text] itself.
-    @raise Failure when [text] is not so laid out or an edit addresses
-    a cell or net the text does not hold. *)
-val apply_edits : string -> edit list -> string
+(** [apply_lines d edits] applies [edits] in order to the
+    entities of [d] they address, through [d]'s mutators: a [cell] line
+    swaps the master and moves the cell, a [net] line sets the sink list
+    in its order ({!Design.set_net_sinks}), a [latency] line sets the
+    scheduled latency ([None]: [0.0]), a [bounds] line sets the window
+    ([None]: the default). Each line parses as {!of_string} parses it,
+    with its diagnostic codes; an id [d] does not hold, a line naming
+    another entity than its id's, or a net line with another driver is
+    [IO-013]. The cell and port name tables pin references need are
+    built once per call, at its first net line. After the last edit,
+    every sink of a net set, or of a net one of its sinks came from,
+    must point back at that net ([IO-012] otherwise). The first error
+    stops the replay, leaving [d] partly edited; nothing raises. *)
+val apply_lines : Design.t -> edit list -> (unit, Css_util.Diag.t) result
 
 (** Recover-or-abort policy for malformed lines:
     - [Abort] (default): stop at the first error and return [Error].

@@ -127,11 +127,6 @@ let load ?policy path =
     Error [ Diag.error ~file:path ~code:"SDC-000" (Printf.sprintf "cannot read: %s" m) ]
   | s -> parse ~source:path ?policy s
 
-let load_exn path =
-  match load path with
-  | Ok (t, _) -> t
-  | Error ds -> failwith (Diag.to_string (first_error ds))
-
 let apply ?(policy = Abort) t design =
   let col = Diag.collector () in
   let ff_names =

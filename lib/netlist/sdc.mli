@@ -63,10 +63,6 @@ val load :
     commands. *)
 val parse_exn : string -> t
 
-(** [load_exn path] reads and parses a file.
-    @raise Failure as {!parse_exn}. *)
-val load_exn : string -> t
-
 (** [apply ?policy t design] installs the per-flip-flop latency windows
     on the design and validates the clock period. An unknown flip-flop
     name produces an [SDC-003] diagnostic with a nearest-name

@@ -28,9 +28,6 @@ type engine =
   | Full_graph  (** exhaustive extraction — the reference semantics *)
   | Iccss  (** the IC-CSS+ baseline (Section III-E) *)
 
-(** [engine_name e] is ["ours"], ["full"] or ["iccss"]. *)
-val engine_name : engine -> string
-
 (** One engine run's observable outcome: post-schedule timing at both
     corners, the scheduler's trajectory summary, and the per-flip-flop
     scheduled latencies (name-sorted) for bitwise comparison. *)

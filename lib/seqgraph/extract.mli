@@ -51,8 +51,6 @@ type stats = {
   mutable rounds : int;  (** extraction rounds performed *)
 }
 
-val fresh_stats : unit -> stats
-
 (** {1 The unified engine API} *)
 
 (** Which extraction strategy {!run} instantiates. *)

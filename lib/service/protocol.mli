@@ -81,11 +81,6 @@ val request_to_json : request -> Css_util.Json.t
 (** @raise Bad_request on schema violations. *)
 val request_of_json : Css_util.Json.t -> request
 
-val delta_to_json : Css_flow.Session.delta -> Css_util.Json.t
-
-(** @raise Bad_request on schema violations. *)
-val delta_of_json : Css_util.Json.t -> Css_flow.Session.delta
-
 (** {1 Responses} *)
 
 (** [ok fields] is [{"ok": true, <fields>}]. *)

@@ -205,7 +205,6 @@ let build design =
     ff_d;
   }
 
-let design t = t.design
 let num_nodes t = Array.length t.node_pin
 let num_arcs t = Array.length t.a_from
 

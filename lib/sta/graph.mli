@@ -43,7 +43,6 @@ type t
     @raise Failure if the combinational network contains a cycle. *)
 val build : Css_netlist.Design.t -> t
 
-val design : t -> Css_netlist.Design.t
 val num_nodes : t -> int
 val num_arcs : t -> int
 

@@ -138,7 +138,6 @@ type t = {
 let graph t = t.graph
 let design t = t.design
 let config t = t.cfg
-let obs t = t.obs
 
 (* ------------------------------------------------------------------ *)
 (* Loads                                                               *)

@@ -57,17 +57,12 @@ val build : ?config:config -> ?obs:Css_util.Obs.t -> Css_netlist.Design.t -> t
 val graph : t -> Graph.t
 val design : t -> Css_netlist.Design.t
 val config : t -> config
-val obs : t -> Css_util.Obs.t
 
 (** {1 Propagation} *)
 
-(** [propagate t] recomputes all arrivals, slews and required times from
-    scratch. *)
-val propagate : t -> unit
-
 (** [update_latencies t ffs] incrementally re-propagates after the clock
     latencies of [ffs] changed (scheduled or physical, e.g. after
-    reconnection). Equivalent to [propagate] but touches only the affected
+    reconnection). Equivalent to a full propagation but touches only the affected
     cones, each node at most once per direction, in work proportional to
     the nodes recomputed and their arcs (a level-bucket worklist, see
     DESIGN.md §4). Allocates only a constant under release inlining.
@@ -111,13 +106,6 @@ val endpoint_slack : t -> corner -> Graph.endpoint -> float
     over all of [l]'s outgoing timing paths); for [Early] the analogous
     worst early slack over outgoing paths. *)
 val launch_slack : t -> corner -> Graph.launcher -> float
-
-(** [launch_latency t l] is the current clock latency of the launcher
-    (0 for ports). *)
-val launch_latency : t -> Graph.launcher -> float
-
-(** [endpoint_latency t e] is the capture clock latency (0 for ports). *)
-val endpoint_latency : t -> Graph.endpoint -> float
 
 (** [edge_slack t corner ~launcher ~endpoint ~delay] evaluates Eq. (1) or
     (2) for a sequential edge given its pure combinational path [delay]

@@ -19,7 +19,6 @@ let make ?file ?line ?hint severity ~code message =
 
 let error ?file ?line ?hint ~code message = make ?file ?line ?hint Error ~code message
 let warning ?file ?line ?hint ~code message = make ?file ?line ?hint Warning ~code message
-let info ?file ?line ?hint ~code message = make ?file ?line ?hint Info ~code message
 
 let is_error d = d.severity = Error
 

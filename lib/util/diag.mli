@@ -13,9 +13,6 @@ type severity =
   | Warning
   | Error
 
-(** [severity_name s] is ["info"], ["warning"] or ["error"]. *)
-val severity_name : severity -> string
-
 type t = {
   severity : severity;
   code : string;  (** stable identifier, e.g. ["IO-004"] *)
@@ -25,12 +22,8 @@ type t = {
   hint : string option;  (** suggested fix, e.g. ["did you mean ff12?"] *)
 }
 
-val make :
-  ?file:string -> ?line:int -> ?hint:string -> severity -> code:string -> string -> t
-
 val error : ?file:string -> ?line:int -> ?hint:string -> code:string -> string -> t
 val warning : ?file:string -> ?line:int -> ?hint:string -> code:string -> string -> t
-val info : ?file:string -> ?line:int -> ?hint:string -> code:string -> string -> t
 
 val is_error : t -> bool
 
@@ -65,14 +58,8 @@ val error_count : collector -> int
 
 (** {1 Name suggestions} *)
 
-(** [edit_distance a b] is the Levenshtein distance. *)
-val edit_distance : string -> string -> int
-
-(** [nearest name candidates] is the candidate closest to [name] by edit
-    distance, if one is plausibly a typo (distance at most
-    [max 2 (length name / 3)]); ties break toward the earlier
-    candidate. *)
-val nearest : string -> string list -> string option
-
-(** [did_you_mean name candidates] renders {!nearest} as a hint string. *)
+(** [did_you_mean name candidates] is a hint naming the candidate
+    closest to [name] by Levenshtein distance, if one is plausibly a
+    typo (distance at most [max 2 (length name / 3)]); ties break toward
+    the earlier candidate. *)
 val did_you_mean : string -> string list -> string option

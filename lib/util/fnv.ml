@@ -3,14 +3,6 @@ let prime = 0x100000001b3L
 
 let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
-let mix_int64 h x =
-  let h = ref h in
-  for shift = 0 to 7 do
-    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
-  done;
-  !h
-
-
 (* a loop, not [String.iter]: a ref captured by a closure escapes, and
    every byte would box a fresh Int64 *)
 let of_string s =

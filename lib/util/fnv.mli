@@ -2,19 +2,13 @@
 
     The repo's content hashes (checkpoint bases and journal records) all
     use the same primitive so two layers never disagree about what a
-    given byte sequence hashes to. Numeric payloads are folded in as
-    whole 64-bit words, one byte at a time, exactly as FNV-1a would
-    consume their little-endian serialization — so [mix_int64 basis x]
-    equals [of_string (le_bytes x)] without materializing the string. *)
+    given byte sequence hashes to. *)
 
 (** The FNV-1a 64-bit offset basis. *)
 val basis : int64
 
 (** [mix_byte h b] folds the low 8 bits of [b] into [h]. *)
 val mix_byte : int64 -> int -> int64
-
-(** [mix_int64 h x] folds all 8 bytes of [x] into [h], little-endian. *)
-val mix_int64 : int64 -> int64 -> int64
 
 (** [of_string s] is the FNV-1a hash of the bytes of [s]. *)
 val of_string : string -> int64

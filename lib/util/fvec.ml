@@ -7,8 +7,6 @@ let create ?(capacity = 0) () = { data = Array.make (max capacity 1) 0.0; len = 
 
 let make n x = { data = Array.make (max n 1) x; len = n }
 
-let[@inline] length v = v.len
-
 let check v i name =
   if i < 0 || i >= v.len then
     invalid_arg (Printf.sprintf "Fvec.%s: index %d out of bounds [0,%d)" name i v.len)
@@ -37,17 +35,5 @@ let push v x =
   let i = v.len in
   v.len <- v.len + 1;
   i
-
-let clear v = v.len <- 0
-
-let fill v x =
-  for i = 0 to v.len - 1 do
-    Array.unsafe_set v.data i x
-  done
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i (Array.unsafe_get v.data i)
-  done
 
 let to_array v = Array.sub v.data 0 v.len

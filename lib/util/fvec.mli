@@ -16,8 +16,6 @@ val create : ?capacity:int -> unit -> t
 (** [make n x] is a vector of length [n] filled with [x]. O(n). *)
 val make : int -> float -> t
 
-val length : t -> int
-
 (** [get v i] / [set v i x] are bounds-checked element access. O(1).
     @raise Invalid_argument when [i] is out of bounds. *)
 val get : t -> int -> float
@@ -34,10 +32,4 @@ val unsafe_set : t -> int -> float -> unit
     O(1), doubling growth. *)
 val push : t -> float -> int
 
-val clear : t -> unit
-
-(** [fill v x] overwrites every element with [x]. O(n). *)
-val fill : t -> float -> unit
-
-val iteri : (int -> float -> unit) -> t -> unit
 val to_array : t -> float array

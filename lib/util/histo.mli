@@ -36,11 +36,8 @@ val observe_int : t -> int -> unit
 (** [bucket_of v] is the index [v] lands in (exposed for tests). *)
 val bucket_of : float -> int
 
-(** [bucket_lo i] / [bucket_mid i] are the geometric lower edge and
-    midpoint of bucket [i >= 1]. *)
+(** [bucket_lo i] is the geometric lower edge of bucket [i >= 1]. *)
 val bucket_lo : int -> float
-
-val bucket_mid : int -> float
 
 val count : t -> int
 val sum : t -> float

@@ -5,11 +5,7 @@ type t = {
 
 let create ?(capacity = 0) () = { data = Array.make (max capacity 1) 0; len = 0 }
 
-let make n x = { data = Array.make (max n 1) x; len = n }
-
 let[@inline] length v = v.len
-
-let is_empty v = v.len = 0
 
 let check v i name =
   if i < 0 || i >= v.len then
@@ -24,8 +20,6 @@ let[@inline] unsafe_get v i = Array.unsafe_get v.data i
 let[@inline] set v i x =
   check v i "set";
   Array.unsafe_set v.data i x
-
-let[@inline] unsafe_set v i x = Array.unsafe_set v.data i x
 
 let grow v =
   let cap = Array.length v.data in
@@ -45,24 +39,10 @@ let pop v =
   v.len <- v.len - 1;
   Array.unsafe_get v.data v.len
 
-let clear v = v.len <- 0
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)
   done
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i (Array.unsafe_get v.data i)
-  done
-
-let fold f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc (Array.unsafe_get v.data i)
-  done;
-  !acc
 
 let to_list v =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (Array.unsafe_get v.data i :: acc) in

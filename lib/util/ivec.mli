@@ -14,11 +14,7 @@ type t
 (** [create ?capacity ()] is an empty vector. O(1). *)
 val create : ?capacity:int -> unit -> t
 
-(** [make n x] is a vector of length [n] filled with [x]. O(n). *)
-val make : int -> int -> t
-
 val length : t -> int
-val is_empty : t -> bool
 
 (** [get v i] / [set v i x] are bounds-checked element access. O(1).
     @raise Invalid_argument when [i] is out of bounds. *)
@@ -26,11 +22,9 @@ val get : t -> int -> int
 
 val set : t -> int -> int -> unit
 
-(** [unsafe_get v i] / [unsafe_set v i x] skip the bounds check — for
-    inner loops whose index range was validated outside the loop. O(1). *)
+(** [unsafe_get v i] skips the bounds check — for inner loops whose
+    index range was validated outside the loop. O(1). *)
 val unsafe_get : t -> int -> int
-
-val unsafe_set : t -> int -> int -> unit
 
 (** [push v x] appends and returns the new element's index. Amortized
     O(1), doubling growth. *)
@@ -40,10 +34,7 @@ val push : t -> int -> int
     @raise Invalid_argument on an empty vector. *)
 val pop : t -> int
 
-val clear : t -> unit
 val iter : (int -> unit) -> t -> unit
-val iteri : (int -> int -> unit) -> t -> unit
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val to_list : t -> int list
 val to_array : t -> int array
 val of_list : int list -> t

@@ -57,7 +57,6 @@ let make on n =
 let null = make false 0
 let create () = make true initial_events
 let enabled t = t.on
-let epoch t = t.run_epoch
 
 let intern t s =
   if not t.on then 0

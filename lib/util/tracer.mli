@@ -12,8 +12,9 @@
     open directly; schema and recipe in docs/OBSERVABILITY.md.
 
     Timestamps come from the monotonic {!Wall_clock.now}, relative to
-    tracer creation; {!epoch} carries the single wall-clock anchor for
-    correlating the trace with the outside world. *)
+    tracer creation; the export's [otherData.epoch_s] carries the single
+    wall-clock anchor for correlating the trace with the outside
+    world. *)
 
 type t
 
@@ -31,10 +32,6 @@ val create : unit -> t
 
 (** [enabled t] is [false] exactly for {!null}. *)
 val enabled : t -> bool
-
-(** [epoch t] is the wall-clock time at tracer creation (seconds since
-    the Unix epoch). *)
-val epoch : t -> float
 
 (** [intern t s] returns the id for event name [s], registering it on
     first use. Call at setup, not per event. On {!null} returns a

@@ -483,7 +483,7 @@ let test_partial_write_detected () =
       let n = String.length pristine * frac / 100 in
       Out_channel.with_open_bin file (fun oc ->
           Out_channel.output_string oc (String.sub pristine 0 n));
-      match Css_flow.Persist.load ~dir with
+      match Css_flow.Persist.load ~library:(Design.library design) ~dir with
       | Ok _ when frac < 100 -> Alcotest.failf "a %d%% prefix loaded as a valid checkpoint" frac
       | Ok _ -> ()
       | Error (d :: _) ->

@@ -514,7 +514,7 @@ let test_failed_checkpoint_write () =
         checkb ("save raises ENOSPC: " ^ msg) true (contains ~sub:"No space left on device" msg));
       checkb "the tmp link is removed" false (exists_no_follow tmp);
       checkb "the previous checkpoint is intact" true (read final = before);
-      checkb "the previous checkpoint loads" true (Result.is_ok (Persist.load ~dir:other));
+      checkb "the previous checkpoint loads" true (Result.is_ok (Persist.load ~library ~dir:other));
       Alcotest.check Alcotest.int "a direct save is not a session failure" 0 (failed obs);
       (* the next durable request replaces the design, so its first write
          is a base: that one fails, the rest land *)
@@ -525,7 +525,7 @@ let test_failed_checkpoint_write () =
       | Error _ -> Alcotest.fail "the durable request failed with its checkpoint write");
       Alcotest.check Alcotest.int "flow.persist_failed counts the lost write" 1 (failed obs);
       checkb "the tmp link is removed after the request" false (exists_no_follow tmp);
-      checkb "the request's checkpoint loads" true (Result.is_ok (Persist.load ~dir)))
+      checkb "the request's checkpoint loads" true (Result.is_ok (Persist.load ~library ~dir)))
 
 (* The append goes to /dev/full: the request still answers what an
    in-memory session answers, the lost record is counted and warned

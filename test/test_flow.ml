@@ -5,6 +5,7 @@ module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
 module Flow = Css_flow.Flow
 module Persist = Css_flow.Persist
+module Io = Css_netlist.Io
 module Budget = Css_util.Budget
 module Diag = Css_util.Diag
 module Generator = Css_benchgen.Generator
@@ -240,6 +241,21 @@ let test_flow_with_cts () =
 (* {2 Durable checkpoints, budgets and resume} *)
 
 let fresh_dir () = Temp_dirs.dir "css-flow-test-"
+let load dir = Persist.load ~library:Css_liberty.Library.default ~dir
+
+let anchor_bits d =
+  Array.init (Design.num_cells d) (fun c ->
+      let p = Design.cell_orig_pos d c in
+      (Int64.bits_of_float p.Css_geometry.Point.x, Int64.bits_of_float p.Css_geometry.Point.y))
+
+(* what a loaded checkpoint holds, comparable with [=]: the design text,
+   the anchors bit for bit, and the rest of the run state *)
+let view (lv : Persist.live) =
+  let d = lv.Persist.lv_design in
+  ( (Io.to_string d, anchor_bits d),
+    (lv.Persist.lv_algo, lv.Persist.lv_rounds, lv.Persist.lv_rung),
+    lv.Persist.lv_progress,
+    lv.Persist.lv_engines )
 
 let test_persist_roundtrip () =
   let dir = fresh_dir () in
@@ -247,20 +263,20 @@ let test_persist_roundtrip () =
   let config = { Flow.default_config with Flow.checkpoint_dir = Some dir; Flow.rounds = 1 } in
   let r = Flow.run ~config ~algo:Flow.Ours design in
   checkb "run completed" true (r.Flow.stop_reason <> "interrupted");
-  match Persist.load ~dir with
+  match load dir with
   | Error ds -> Alcotest.failf "load failed: %s" (match ds with d :: _ -> d.Diag.message | [] -> "?")
-  | Ok ps ->
-    let run = ps.Persist.ps_progress in
-    checks "algo" "Ours" ps.Persist.ps_algo;
-    checks "design name" (Design.name design) ps.Persist.ps_design;
+  | Ok lv ->
+    let run = lv.Persist.lv_progress in
+    checks "algo" "Ours" lv.Persist.lv_algo;
+    checks "design name" (Design.name design) (Design.name lv.Persist.lv_design);
     checkb "phases recorded" true (run.Persist.phases_done >= 1);
     checkb "best carried" true (run.best <> None);
-    checkb "engines carried" true (ps.Persist.ps_engines <> []);
+    checkb "engines carried" true (lv.Persist.lv_engines <> []);
     checkb "trace carried" true (List.length run.trace_rev > 1);
-    checki "anchors sized" (Design.num_cells design) (Array.length ps.Persist.ps_anchors)
+    checki "design carried" (Design.num_cells design) (Design.num_cells lv.Persist.lv_design)
 
 let load_code dir =
-  match Persist.load ~dir with
+  match load dir with
   | Ok _ -> "ok"
   | Error (d :: _) -> d.Diag.code
   | Error [] -> "no-diag"
@@ -339,10 +355,10 @@ let test_interrupt_persists_and_resumes () =
   in
   let r = Flow.run ~config ~algo:Flow.Ours design in
   checks "stop reason" "interrupted" r.Flow.stop_reason;
-  match Persist.load ~dir with
+  match load dir with
   | Error _ -> Alcotest.fail "no checkpoint after interrupt"
-  | Ok ps -> (
-    checki "exactly one phase persisted" 1 ps.Persist.ps_progress.Persist.phases_done;
+  | Ok lv -> (
+    checki "exactly one phase persisted" 1 lv.Persist.lv_progress.Persist.phases_done;
     match
       Flow.resume
         ~config:{ Flow.default_config with Flow.checkpoint_dir = Some dir }
@@ -379,10 +395,10 @@ let test_signal_persists_and_resumes () =
         Persist.with_signal_handlers (fun () -> Flow.run ~config ~algo:Flow.Ours design))
   in
   checks "stop reason" "interrupted" r.Flow.stop_reason;
-  match Persist.load ~dir with
+  match load dir with
   | Error _ -> Alcotest.fail "no checkpoint after SIGTERM"
-  | Ok ps -> (
-    checki "exactly one phase persisted" 1 ps.Persist.ps_progress.Persist.phases_done;
+  | Ok lv -> (
+    checki "exactly one phase persisted" 1 lv.Persist.lv_progress.Persist.phases_done;
     match
       Flow.resume
         ~config:{ Flow.default_config with Flow.checkpoint_dir = Some dir }
@@ -443,17 +459,17 @@ let index_of s sub =
 
 let test_golden_checkpoint () =
   let golden = read_file fixture in
-  match Persist.load ~dir:(ckpt_dir golden) with
+  match load (ckpt_dir golden) with
   | Error _ -> Alcotest.fail "the golden checkpoint does not load"
-  | Ok st -> (
+  | Ok lv -> (
     let out = fresh_dir () in
-    Persist.save ~dir:out st;
+    Persist.save ~dir:out lv;
     checkb "load then save reproduces the fixture byte for byte" true
       (read_file (Persist.path ~dir:out) = golden);
     (* older versions are rejected, not migrated: the same body under a
        version-2 header is refused with CKPT-002 and raises nothing *)
     let v2 = ckpt_dir (with_header ~version:2 (body_of golden)) in
-    (match Persist.load ~dir:v2 with
+    (match load v2 with
     | Ok _ -> Alcotest.fail "a version-2 checkpoint loads"
     | Error ds -> checks "version 2 rejected" "CKPT-002" (List.hd ds).Diag.code);
     match Session.reopen ~library:(Design.library (Generator.micro ())) ~dir:v2 () with
@@ -462,18 +478,21 @@ let test_golden_checkpoint () =
       Alcotest.fail "a version-2 checkpoint reopens"
     | Error ds -> checks "reopen rejects version 2" "CKPT-002" (List.hd ds).Diag.code)
 
-(* Empty arrays keep their "key " line: the golden state with every
-   array emptied saves, loads back equal and re-saves byte for byte. *)
+(* Empty arrays keep their "key " line: the golden state on a design of
+   no cells, with every best-checkpoint array emptied, saves, loads back
+   equal and re-saves byte for byte. *)
 let test_empty_arrays_round_trip () =
-  match Persist.load ~dir:(ckpt_dir (read_file fixture)) with
+  match load (ckpt_dir (read_file fixture)) with
   | Error _ -> Alcotest.fail "the golden checkpoint does not load"
-  | Ok st -> (
-    let p = st.Persist.ps_progress in
+  | Ok lv -> (
+    let p = lv.Persist.lv_progress and d = lv.Persist.lv_design in
     let empty =
       {
-        st with
-        Persist.ps_anchors = [||];
-        ps_progress =
+        lv with
+        Persist.lv_design =
+          Design.create ~name:(Design.name d) ~library:(Design.library d) ~die:(Design.die d)
+            ~clock_period:(Design.clock_period d) ();
+        lv_progress =
           {
             p with
             Persist.best =
@@ -496,14 +515,14 @@ let test_empty_arrays_round_trip () =
     Persist.save ~dir empty;
     let text = read_file (Persist.path ~dir) in
     checkb "an empty anchor array is written as 'ax '" true (index_of text "\nax \nay \n" > 0);
-    match Persist.load ~dir with
+    match load dir with
     | Error ds ->
       Alcotest.failf "empty arrays do not load: %s"
         (match ds with d :: _ -> d.Diag.message | [] -> "?")
-    | Ok st' ->
-      checkb "loads back equal" true (st' = empty);
+    | Ok lv' ->
+      checkb "loads back equal" true (view lv' = view empty);
       let out = fresh_dir () in
-      Persist.save ~dir:out st';
+      Persist.save ~dir:out lv';
       checkb "re-saves byte for byte" true (read_file (Persist.path ~dir:out) = text))
 
 (* Hash-valid checkpoints whose arrays do not fit their own design must
@@ -527,6 +546,10 @@ let test_reopen_shape_check () =
     if starts pfx l then "engine ours-middle " ^ String.sub l 18 (String.length l - 18)
     else l
   in
+  (* cell 0's best-checkpoint master (an LCB) replaced by [m] *)
+  let first_master m l =
+    if starts "bm LCB " l then "bm " ^ m ^ String.sub l 6 (String.length l - 6) else l
+  in
   let cases =
     [
       ( "one extra movement anchor",
@@ -536,6 +559,10 @@ let test_reopen_shape_check () =
             else l) );
       ( "a best-checkpoint FF that is an LCB",
         edit (fun l -> if starts "bf " l then "bf 0 3 4" else l) );
+      ( "a best-checkpoint LCB that is a flip-flop",
+        edit (fun l -> if starts "bb " l then "bb 2 1 1" else l) );
+      ("a best-checkpoint master the library lacks", edit (first_master "NOPE"));
+      ("a best-checkpoint master of another interface", edit (first_master "INV_X1"));
       ("an unknown engine slot", edit rename_slot);
     ]
   in
@@ -558,7 +585,6 @@ let test_reopen_shape_check () =
    session's state exactly: the design text of a fresh [Io.to_string]
    byte for byte and the movement anchors bit for bit. *)
 
-module Io = Css_netlist.Io
 module Oracles = Css_oracle.Oracles
 
 let check_durable_identity what s ~dir =
@@ -574,13 +600,7 @@ let check_durable_identity what s ~dir =
         let d = Session.design s and d' = Session.design r in
         checkb (what ^ ": reopened design text = fresh Io.to_string") true
           (Io.to_string d' = Io.to_string d);
-        let anchors d =
-          Array.init (Design.num_cells d) (fun c ->
-              let p = Design.cell_orig_pos d c in
-              ( Int64.bits_of_float p.Css_geometry.Point.x,
-                Int64.bits_of_float p.Css_geometry.Point.y ))
-        in
-        checkb (what ^ ": anchors bitwise") true (anchors d' = anchors d))
+        checkb (what ^ ": anchors bitwise") true (anchor_bits d' = anchor_bits d))
 
 (* the daemon's session settings *)
 let daemon_config ~dir =
@@ -745,17 +765,13 @@ let record_offsets journal =
 (* what a reopen of [dir] restores: design text, anchors, and the run's
    progress record *)
 let reopened dir =
-  match (Session.reopen ~library:Css_liberty.Library.default ~dir (), Persist.load ~dir) with
+  match (Session.reopen ~library:Css_liberty.Library.default ~dir (), load dir) with
   | Error ds, _ | _, Error ds -> Error (List.hd ds).Diag.code
-  | Ok r, Ok st ->
+  | Ok r, Ok lv ->
     let d = Session.design r in
-    let anchors =
-      Array.init (Design.num_cells d) (fun c ->
-          let p = Design.cell_orig_pos d c in
-          (Int64.bits_of_float p.Css_geometry.Point.x, Int64.bits_of_float p.Css_geometry.Point.y))
-    in
+    let anchors = anchor_bits d in
     Session.close r;
-    Ok (Io.to_string d, anchors, st.Persist.ps_progress)
+    Ok (Io.to_string d, anchors, lv.Persist.lv_progress)
 
 let test_journal_torn_tail () =
   let dir = journaled_session () in
@@ -812,18 +828,19 @@ let test_journal_stale () =
   in
   let jfile = Persist.journal_path ~dir in
   (* compaction: a new base and an empty journal naming it *)
-  (match Persist.load ~dir with
+  (match load dir with
   | Error _ -> Alcotest.fail "the journaled checkpoint does not load"
-  | Ok st -> Persist.save ~dir st);
+  | Ok lv -> Persist.save ~dir lv);
   let compacted = reopened dir in
   checkb "the compacted checkpoint reopens" true (Result.is_ok compacted);
   (* a crash between the base's rename and the journal's: the old
      journal sits beside the new base and must not be replayed *)
   write_file jfile !stale;
   checkb "the stale journal is ignored" true (reopened dir = compacted);
-  let st = Persist.load ~dir in
+  let loaded () = Result.map view (load dir) in
+  let st = loaded () in
   Sys.remove jfile;
-  checkb "a missing journal loads the base alone" true (Persist.load ~dir = st)
+  checkb "a missing journal loads the base alone" true (loaded () = st)
 
 (* {2 The change set under every mutator}
 

@@ -45,8 +45,9 @@ let test_round_trip_after_flow_byte_identical () =
   checkb "post-flow round trip byte-identical" true (String.equal s1 s2)
 
 (* ------------------------------------------------------------------ *)
-(* Line edits: splicing one edited entity's lines into the previous text
-   must give, edit after edit, exactly the text of a fresh write *)
+(* Line edits: replaying one edited entity's lines onto a design parsed
+   from the previous text must give, edit after edit, exactly the text of
+   the edited design *)
 
 let contains s sub =
   let n = String.length sub in
@@ -55,13 +56,16 @@ let contains s sub =
 
 let test_line_edits_track_edits () =
   let d = gen 17 in
-  let text = ref (Io.to_string d) in
+  let replayed = reload (Io.to_string d) in
   let step what edits =
-    text := Io.apply_edits !text edits;
-    checkb (what ^ ": edited text = fresh text") true (String.equal !text (Io.to_string d));
-    !text
+    (match Io.apply_lines replayed edits with
+    | Ok () -> ()
+    | Error diag -> Alcotest.failf "%s: %s" what (Css_util.Diag.to_string diag));
+    let text = Io.to_string replayed in
+    checkb (what ^ ": replayed text = fresh text") true (String.equal text (Io.to_string d));
+    text
   in
-  checkb "no edits returns the text itself" true (Io.apply_edits !text [] == !text);
+  ignore (step "no edits" []);
   let cell_named master =
     let found = ref (-1) in
     Design.iter_cells d (fun c ->
@@ -92,6 +96,13 @@ let test_line_edits_track_edits () =
   Design.set_scheduled_latency d ff 0.0;
   Design.clear_latency_bounds d ff;
   ignore (step "clear latency and bounds" [ latency (); bounds () ]);
+  (* a -0.0 latency writes no line and replays as +0.0, as a reparse of
+     the text reads it *)
+  Design.set_scheduled_latency replayed ff 7.0;
+  Design.set_scheduled_latency d ff (-0.0);
+  ignore (step "latency -0.0" [ latency () ]);
+  checkb "a -0.0 latency replays as +0.0" true
+    (Int64.bits_of_float (Design.scheduled_latency replayed ff) = 0L);
   let ck = Design.pin_net_id d (Design.cell_pin d ff "CK") in
   let lcbs = Design.lcbs d in
   let other = Option.get (Array.find_opt (fun l -> l <> Design.lcb_of_ff d ff) lcbs) in
@@ -100,13 +111,30 @@ let test_line_edits_track_edits () =
   ignore
     (step "reconnect_ff_to_lcb"
        [ Io.Net_line (ck, Io.net_line d ck); Io.Net_line (to_net, Io.net_line d to_net) ]);
+  checki "the clock pin follows its net" to_net
+    (Design.pin_net_id replayed (Design.cell_pin replayed ff "CK"));
+  let before_swap = Io.cell_line d inv in
   Design.swap_master d inv "INV_X4";
   ignore (step "swap_master" [ cell inv ]);
   (* the later of two edits of one line wins *)
-  ignore (step "two edits of one line" [ Io.Cell_line (inv, "cell stale"); cell inv ]);
-  match Io.apply_edits !text [ Io.Cell_line (Design.num_cells d, "cell x") ] with
-  | _ -> Alcotest.fail "an edit past the last cell applies"
-  | exception Failure _ -> ()
+  ignore (step "two edits of one line" [ Io.Cell_line (inv, before_swap); cell inv ]);
+  (* an edit that does not fit the design is a diagnostic, never an
+     exception *)
+  let rejected what code edits =
+    match Io.apply_lines replayed edits with
+    | Ok () -> Alcotest.failf "%s applies" what
+    | Error diag -> Alcotest.(check string) what code diag.Css_util.Diag.code
+    | exception e -> Alcotest.failf "%s raises %s" what (Printexc.to_string e)
+  in
+  rejected "an edit past the last cell" "IO-013" [ Io.Cell_line (Design.num_cells d, "cell x") ];
+  rejected "a latency edit past the last cell" "IO-013" [ Io.Latency_line (-1, None) ];
+  rejected "a cell line naming another cell" "IO-013" [ Io.Cell_line (ff, Io.cell_line d inv) ];
+  rejected "a net edit past the last net" "IO-013"
+    [ Io.Net_line (Design.num_nets d, Io.net_line d ck) ];
+  rejected "an unknown master" "IO-006"
+    [ Io.Cell_line (inv, Printf.sprintf "cell %s NOPE 0 0" (Design.cell_name d inv)) ];
+  rejected "a pin left on two nets" "IO-012"
+    [ Io.Net_line (ck, Printf.sprintf "%s %s:CK" (Io.net_line d ck) (Design.cell_name d ff)) ]
 
 (* ------------------------------------------------------------------ *)
 (* id stability: fingerprints over every id space *)

@@ -166,7 +166,9 @@ let test_change_set () =
       Design.reconnect_ff_to_lcb d ~ff:ff1 ~lcb:lcb2);
   let root_net = Design.pin_net_id d (Design.cell_pin d lcb "CKI") in
   expect "net_add_sink" ~nets:[| root_net |] (fun () ->
-      Design.net_add_sink d root_net (Design.cell_pin d lcb2 "CKI"))
+      Design.net_add_sink d root_net (Design.cell_pin d lcb2 "CKI"));
+  expect "set_net_sinks" ~nets:[| ck2 |] (fun () ->
+      Design.set_net_sinks d ck2 (List.rev (Design.net_sinks d ck2)))
 
 let test_add_net_validation () =
   let d, ff1, _, _, _ = build_small () in
@@ -267,6 +269,10 @@ let test_hpwl_column () =
       ignore (Design.add_net d ~name:"cts_net0" ~driver:(Design.cell_pin d lcb3 "CKO") ~sinks:[]);
       Design.reconnect_ff_to_lcb d ~ff:ff1 ~lcb:lcb3);
   step "swap_master" ~moves:false (fun () -> Design.swap_master d inv1 "INV_X4");
+  (* ff2's clock pin taken back onto the old clock net by its line *)
+  let ck_net = Design.pin_net_id d (Design.cell_pin d lcb "CKO") in
+  step "set_net_sinks" (fun () ->
+      Design.set_net_sinks d ck_net (Design.cell_pin d ff2 "CK" :: Design.net_sinks d ck_net));
   (* a rollback moves every cell back to a checkpoint's columns *)
   let xs, ys = Design.positions d in
   step "move every cell" (fun () ->
@@ -274,6 +280,58 @@ let test_hpwl_column () =
           Design.move_cell d c (p (Design.cell_x d c +. 7.) (Design.cell_y d c +. 3.))));
   step "restore every cell" (fun () ->
       Array.iteri (fun c x -> Design.move_cell d c (p x ys.(c))) xs)
+
+(* [set_net_sinks] replays a recorded net line: a clock pin moving
+   between two LCB nets lands on its new net whichever of the two lines
+   comes first, a spare pin on no net joins a signal net, and the result
+   is what a fresh parse of the edited design's text gives. *)
+let test_set_net_sinks () =
+  let build () =
+    let d, ff1, ff2, lcb, inv1 = build_small () in
+    let lcb2 = Design.add_cell d ~name:"lcb2" ~master:"LCB" ~pos:(p 800. 800.) in
+    let root_net = Design.pin_net_id d (Design.cell_pin d lcb "CKI") in
+    Design.net_add_sink d root_net (Design.cell_pin d lcb2 "CKI");
+    ignore (Design.add_net d ~name:"nck2" ~driver:(Design.cell_pin d lcb2 "CKO") ~sinks:[]);
+    let spare = Design.add_cell d ~name:"spare" ~master:"BUF_X2" ~pos:(p 600. 300.) in
+    (d, ff1, ff2, lcb, lcb2, spare, inv1)
+  in
+  let live, ff1, ff2, lcb, lcb2, spare, inv1 = build () in
+  let out_net c = Design.pin_net_id live (Design.cell_pin live c "CKO") in
+  let nck = out_net lcb and nck2 = out_net lcb2 in
+  let nd1 = Design.pin_net_id live (Design.cell_pin live inv1 "Z") in
+  Design.reconnect_ff_to_lcb live ~ff:ff1 ~lcb:lcb2;
+  Design.net_add_sink live nd1 (Design.cell_pin live spare "A");
+  let fresh = Io.of_string_exn ~library:Library.default (Io.to_string live) in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (what, order) ->
+      let d, _, _, _, _, _, _ = build () in
+      (* the per-net columns are current before the lines land *)
+      ignore (Design.total_hpwl d);
+      List.iter (fun n -> Design.set_net_sinks d n (Design.net_sinks live n)) order;
+      checkb (what ^ ": text of a fresh parse") true (Io.to_string d = Io.to_string fresh);
+      checkb (what ^ ": every pin's net") true
+        (List.init (Design.num_pins d) (Design.pin_net d)
+        = List.init (Design.num_pins fresh) (Design.pin_net fresh));
+      List.iter
+        (fun ff ->
+          checki (what ^ ": lcb_of_ff") (Design.lcb_of_ff fresh ff) (Design.lcb_of_ff d ff))
+        [ ff1; ff2 ];
+      checki (what ^ ": ff1 on lcb2") lcb2 (Design.lcb_of_ff d ff1);
+      checkb (what ^ ": total_hpwl bits") true
+        (bits (Design.total_hpwl d) = bits (Design.total_hpwl fresh));
+      checkb (what ^ ": check") true (Design.check d = Design.check fresh && Design.check d = []))
+    [ ("old clock net first", [ nck; nck2; nd1 ]); ("new clock net first", [ nck2; nck; nd1 ]) ];
+  (* until the line of the net a pin was taken from lands, that net
+     reports *)
+  let d, _, _, _, _, _, _ = build () in
+  checkb "well-formed before" true (Design.check d = []);
+  Design.set_net_sinks d nck2 (Design.net_sinks live nck2);
+  Alcotest.(check (list string))
+    "the net a pin was taken from" [ "net nck: sink pin points to another net" ] (Design.check d);
+  match Design.set_net_sinks live nd1 [ Design.cell_pin live spare "Z" ] with
+  | () -> Alcotest.fail "a signal source joined a net as a sink"
+  | exception Invalid_argument _ -> ()
 
 let test_pin_queries () =
   let d, ff1, _, _, _ = build_small () in
@@ -518,6 +576,7 @@ let () =
           Alcotest.test_case "hpwl" `Quick test_hpwl;
           Alcotest.test_case "hpwl = list formula" `Quick test_hpwl_list_formula;
           Alcotest.test_case "hpwl column under every mutator" `Quick test_hpwl_column;
+          Alcotest.test_case "set_net_sinks = fresh parse" `Quick test_set_net_sinks;
           Alcotest.test_case "pin queries" `Quick test_pin_queries;
         ] );
       ( "verilog",
