@@ -383,9 +383,10 @@ let paper_scale () =
   let t =
     Table.create
       [ "design"; "cells"; "FFs"; "flow s"; "cells/s"; "RSS MB"; "lTNS before"; "lTNS after";
-        "ess/full edges" ]
+        "eTNS before"; "eTNS after"; "ess/full edges" ]
   in
-  Table.set_aligns t Table.[ Left; Right; Right; Right; Right; Right; Right; Right; Right ];
+  Table.set_aligns t
+    Table.[ Left; Right; Right; Right; Right; Right; Right; Right; Right; Right; Right ];
   let obs = Obs.create () in
   List.iter
     (fun name ->
@@ -424,6 +425,8 @@ let paper_scale () =
           string_of_int (peak_rss / (1024 * 1024));
           fmt_f initial.Evaluator.tns_late;
           fmt_f r.Flow.report.Evaluator.tns_late;
+          fmt_f initial.Evaluator.tns_early;
+          fmt_f r.Flow.report.Evaluator.tns_early;
           Printf.sprintf "%d/%d (%.1f%%)" edges_essential edges_full
             (100.0 *. float_of_int edges_essential /. float_of_int (max 1 edges_full));
         ])

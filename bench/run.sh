@@ -18,9 +18,9 @@
 #                         late-css and reconnect spans (seconds)
 #   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
 #                         on the ~1M-cell "-paper" profile variants,
-#                         printing cells/sec, peak RSS and the
-#                         essential/full edge ratio, and writing the
-#                         flows' Obs stats dump to CSS_BENCH_JSON
+#                         printing cells/sec, peak RSS, late and early
+#                         TNS and the essential/full edge ratio, and
+#                         writing the flows' Obs stats dump to CSS_BENCH_JSON
 #                         (default BENCH_css.json at the repository root;
 #                         a few minutes; see docs/PERFORMANCE.md).
 #                         Before running, the harness probes available
@@ -77,7 +77,7 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: expected exit 2 on malformed input, got $rc" >&2
     exit 1
   fi
-  # streaming tracer end-to-end: a traced run must produce a Chrome
+  # the timeline end-to-end: a traced run must produce a Chrome
   # trace_event JSON (css_trace.json — CI uploads it as the Perfetto
   # artifact) that exports every recorded event with sound nesting
   dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet \
@@ -87,30 +87,9 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   # the log never drops: every recorded event is exported and every B
-  # is closed by its E. The CLI attaches its tracer to Obs only: the
-  # session's phase spans and the OPT spans nested in them must still
-  # reach it
-  python3 - "$PWD/css_trace.json" <<'PY'
-import json, sys
-trace = json.load(open(sys.argv[1]))
-events = [e for e in trace["traceEvents"] if e.get("ph") != "M"]
-recorded = trace["otherData"]["recorded_events"]
-if recorded != len(events):
-    sys.exit("smoke: %d events recorded, %d exported" % (recorded, len(events)))
-stack = []
-for e in events:
-    if e.get("ph") == "B":
-        stack.append(e.get("name"))
-    elif e.get("ph") == "E":
-        if not stack or stack.pop() != e.get("name"):
-            sys.exit("smoke: unmatched end of %s" % e.get("name"))
-if stack:
-    sys.exit("smoke: spans left open: %s" % ", ".join(stack))
-spans = {e.get("name") for e in events if e.get("ph") == "B"}
-missing = [n for n in ("late-css", "reconnect") if n not in spans]
-if missing:
-    sys.exit("smoke: trace has no %s span" % " or ".join(missing))
-PY
+  # is closed by its E. The session's phase spans and the OPT spans
+  # nested in them reach the trace through the CLI's one Obs context
+  python3 bench/check_trace.py "$PWD/css_trace.json" --span late-css --span reconnect
   echo "smoke: ok"
   exit 0
 fi

@@ -6,7 +6,6 @@ module Evaluator = Css_eval.Evaluator
 module Flow = Css_flow.Flow
 module Persist = Css_flow.Persist
 module Obs = Css_util.Obs
-module Tracer = Css_util.Tracer
 open Cmdliner
 
 let algo_conv =
@@ -180,15 +179,7 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
     else if stats_json <> None || trace_out <> None then Obs.create ()
     else Obs.null
   in
-  let tracer =
-    match trace_out with
-    | None -> Tracer.null
-    | Some _ ->
-      let t = Tracer.create () in
-      Obs.attach_tracer obs t;
-      Tracer.install_gc_alarm t;
-      t
-  in
+  if trace_out <> None then Obs.install_gc_alarm obs;
   let budget =
     {
       Css_util.Budget.no_limits with
@@ -233,9 +224,9 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
       | None -> true
       | Some path -> (
         try
-          Tracer.write_chrome_json tracer path;
-          Tracer.close tracer;
-          say "wrote %s (%d events)\n" path (Tracer.recorded tracer);
+          Obs.write_chrome_json obs path;
+          Obs.remove_gc_alarm obs;
+          say "wrote %s (%d events)\n" path (Obs.recorded obs);
           true
         with Sys_error m ->
           prerr_endline ("css_opt: cannot write trace: " ^ m);

@@ -9,7 +9,6 @@
 
 module Json = Css_util.Json
 module Obs = Css_util.Obs
-module Tracer = Css_util.Tracer
 module Diag = Css_util.Diag
 module Io = Css_netlist.Io
 module Design = Css_netlist.Design
@@ -79,14 +78,6 @@ let serve_cmd =
       stats_json trace_out verbose quiet =
     setup_logs verbose quiet;
     let obs = if stats_json <> None || trace_out <> None then Obs.create () else Obs.null in
-    let tracer =
-      match trace_out with
-      | None -> Tracer.null
-      | Some _ ->
-        let t = Tracer.create () in
-        Obs.attach_tracer obs t;
-        t
-    in
     let cfg =
       {
         Server.default_config with
@@ -112,9 +103,7 @@ let serve_cmd =
       stats_json;
     Option.iter
       (fun path ->
-        try
-          Tracer.write_chrome_json tracer path;
-          Tracer.close tracer
+        try Obs.write_chrome_json obs path
         with Sys_error m -> Printf.eprintf "css_serve: cannot write trace: %s\n" m)
       trace_out
   in

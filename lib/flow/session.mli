@@ -171,11 +171,10 @@ type config = {
           ["flow.point"] snapshot per trajectory sample, the
           [opt.reconnect.*] / [opt.cell_move.*] counters, and the
           [flow.checkpoints] / [flow.rollbacks] counters.
-          A tracer attached with {!Css_util.Obs.attach_tracer} is the
-          run's one streaming timeline: it mirrors those spans and
-          snapshots, and the budget governor (["budget.wall_s"] / ["budget.rss_bytes"] counter
-          lanes) read it from [obs]. The session never exports or
-          closes it: that is the tracer's owner's job.
+          The spans and snapshots land on [obs]'s timeline, beside
+          the budget governor's ["budget.wall_s"] / ["budget.rss_bytes"]
+          counter lanes. The session never exports it: that is the
+          context's owner's job ({!Css_util.Obs.write_chrome_json}).
           Default {!Css_util.Obs.null} (zero overhead). *)
   jobs : int;
       (** accepted and ignored (default 1). Extraction runs on the

@@ -34,8 +34,6 @@ type t = {
   eend : Ivec.t;  (* encoded endpoint per edge: the binding path's *)
   eseen : int list Css_util.Vec.t;  (* encoded endpoints landed on the edge, newest first *)
   by_pair : (int, edge_id) Hashtbl.t;  (* src * nverts + dst -> edge *)
-  out_adj : edge_id list array;
-  in_adj : edge_id list array;
   by_endpoint : (int, edge_id list) Hashtbl.t;  (* encoded endpoint *)
 }
 
@@ -53,8 +51,6 @@ let create verts ~corner =
     eend = Ivec.create ();
     eseen = Css_util.Vec.create ();
     by_pair = Hashtbl.create 256;
-    out_adj = Array.make n [];
-    in_adj = Array.make n [];
     by_endpoint = Hashtbl.create 256;
   }
 
@@ -126,8 +122,6 @@ let add_edge t ~launcher ~endpoint ~delay ~weight =
     ignore (Ivec.push t.elaunch el);
     ignore (Ivec.push t.eend ee);
     Hashtbl.replace t.by_pair key id;
-    t.out_adj.(src) <- id :: t.out_adj.(src);
-    t.in_adj.(dst) <- id :: t.in_adj.(dst);
     ignore (Css_util.Vec.push t.eseen []);
     index_endpoint t ee id;
     Inserted
@@ -145,10 +139,6 @@ let iter_edges t f =
   done
 
 let edge_ids t = List.init (num_edges t) Fun.id
-
-let out_edges t v = List.rev t.out_adj.(v)
-
-let in_edges t v = List.rev t.in_adj.(v)
 
 let min_weight_from_endpoint t endpoint =
   match Hashtbl.find_opt t.by_endpoint (enc_endpoint endpoint) with

@@ -113,13 +113,6 @@ val iter_edges : t -> (edge_id -> unit) -> unit
 (** [edge_ids t] lists the edge ids in insertion order. O(edges). *)
 val edge_ids : t -> edge_id list
 
-(** [out_edges t v] / [in_edges t v] are [v]'s edges in scheduling
-    orientation, in insertion order — [out_edges] drives the Eq. (6)
-    out-weight check during arborescence construction. O(degree). *)
-val out_edges : t -> Vertex.id -> edge_id list
-
-val in_edges : t -> Vertex.id -> edge_id list
-
 (** [min_weight_from_endpoint t e] is the smallest current weight among
     stored edges that a path to [e] landed on, binding or collapsed
     ([infinity] when none) — used to decide whether a violated endpoint

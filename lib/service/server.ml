@@ -1,6 +1,5 @@
 module Json = Css_util.Json
 module Obs = Css_util.Obs
-module Tracer = Css_util.Tracer
 module Budget = Css_util.Budget
 module Diag = Css_util.Diag
 module Histo = Css_util.Histo
@@ -63,7 +62,7 @@ type t = {
      [cfg.obs] is [Obs.null] (whose counters are shared no-ops) *)
   mutable n_requests : int;
   mutable n_errors : int;
-  tr_request : Tracer.name;
+  request_lane : Obs.lane;
 }
 
 (* Bump the daemon's Obs mirror of a stats counter (no-op under
@@ -317,8 +316,7 @@ let respond t req =
   let op = op_name req in
   Histo.observe (histo t op) dt;
   Histo.observe (Obs.histogram t.cfg.obs ("service.seconds." ^ op)) dt;
-  let tracer = Obs.tracer t.cfg.obs in
-  if Tracer.enabled tracer then Tracer.sample tracer t.tr_request dt;
+  Obs.sample t.request_lane dt;
   t.n_requests <- t.n_requests + 1;
   obs_incr t "service.requests";
   obs_incr t ("service." ^ op);
@@ -450,7 +448,7 @@ let serve ?(on_ready = fun () -> ()) cfg =
       in_request = Atomic.make false;
       n_requests = 0;
       n_errors = 0;
-      tr_request = Tracer.intern (Obs.tracer cfg.obs) "service.request_s";
+      request_lane = Obs.lane cfg.obs "service.request_s";
     }
   in
   restore_sessions t;

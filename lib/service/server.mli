@@ -13,8 +13,8 @@
     into [service.*] counters on [config.obs], feeds per-op request
     latencies into {!Css_util.Histo} histograms (exposed by [stats] as
     [request_seconds], gateable via [css_stats --gate]), and samples
-    request durations onto the tracer attached to [config.obs]
-    ({!Css_util.Obs.attach_tracer}).
+    request durations onto the ["service.request_s"] lane of
+    [config.obs]'s timeline ({!Css_util.Obs.lane}).
 
     {2 Crash safety}
 
@@ -44,7 +44,7 @@ type config = {
   max_sessions : int;  (** [open] beyond this answers [SRV-002] *)
   obs : Css_util.Obs.t;
       (** the daemon's and every session's observability sink; its
-          attached tracer, if any, is the one streaming timeline *)
+          timeline is the one the daemon's trace exports *)
 }
 
 val default_config : config

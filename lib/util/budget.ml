@@ -35,9 +35,9 @@ type t = {
   mutable wall_soft : bool; (* first Soft "wall" trip already recorded *)
   mutable rss_soft : bool;
   mutable hard_reason : string option; (* sticky: budgets never un-trip *)
-  (* counter lanes on [obs]'s tracer: budget pressure over time *)
-  tr_wall : Tracer.name;
-  tr_rss : Tracer.name;
+  (* counter lanes on [obs]'s timeline: budget pressure over time *)
+  wall_lane : Obs.lane;
+  rss_lane : Obs.lane;
 }
 
 let create ?(obs = Obs.null) limits =
@@ -59,8 +59,8 @@ let create ?(obs = Obs.null) limits =
     wall_soft = false;
     rss_soft = false;
     hard_reason = None;
-    tr_wall = Tracer.intern (Obs.tracer obs) "budget.wall_s";
-    tr_rss = Tracer.intern (Obs.tracer obs) "budget.rss_bytes";
+    wall_lane = Obs.lane obs "budget.wall_s";
+    rss_lane = Obs.lane obs "budget.rss_bytes";
   }
 
 let elapsed_seconds t = Wall_clock.now () -. t.started
@@ -95,11 +95,8 @@ let poll t =
       | Some limit -> classify ~soft_frac:t.limits.soft_frac ~used:wall_used ~limit
     in
     let rss_used = float_of_int (Rusage.current_rss_bytes ()) in
-    let tr = Obs.tracer t.obs in
-    if Tracer.enabled tr then begin
-      Tracer.sample tr t.tr_wall wall_used;
-      if rss_used > 0. then Tracer.sample tr t.tr_rss rss_used
-    end;
+    Obs.sample t.wall_lane wall_used;
+    if rss_used > 0. then Obs.sample t.rss_lane rss_used;
     let rss_state =
       match t.limits.rss_bytes with
       | None -> `Under

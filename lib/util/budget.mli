@@ -15,10 +15,10 @@
     Observability: every context bumps [budget.polls]; threshold
     crossings bump [budget.soft_trips] / [budget.hard_trips] and emit
     one ["budget"] snapshot each with the level, reason, measured use
-    and the limit (schema in [docs/OBSERVABILITY.md]). When [obs] carries
-    an attached tracer ({!Obs.attach_tracer}), every poll additionally
-    samples the ["budget.wall_s"] and ["budget.rss_bytes"] counter lanes,
-    rendering resource pressure as curves on the Perfetto timeline.
+    and the limit (schema in [docs/OBSERVABILITY.md]). Every poll
+    also samples the ["budget.wall_s"] and ["budget.rss_bytes"] counter
+    lanes ({!Obs.lane}) on [obs]'s timeline, rendering resource pressure
+    as curves in Perfetto.
 
     The wall limit is the run's one wall-clock watchdog: nothing else
     stops a flow on elapsed time.
@@ -38,9 +38,7 @@ val no_limits : limits
 
 type t
 
-(** [create ?obs limits] arms the budget; the clock starts now. Attach
-    [obs]'s tracer before [create]: the counter-lane names are interned
-    here.
+(** [create ?obs limits] arms the budget; the clock starts now.
     @raise Invalid_argument on a non-positive limit or [soft_frac]
     outside (0, 1]. *)
 val create : ?obs:Obs.t -> limits -> t

@@ -1,6 +1,6 @@
 (* A minimal self-contained JSON tree (the container has no yojson).
-   Formerly nested inside [Obs]; hoisted so [Histo], [Tracer] and
-   [Regress] can use it without depending on the observability context.
+   Formerly nested inside [Obs]; hoisted so [Histo] and [Regress] can
+   use it without depending on the observability context.
    [Obs.Json] remains an alias. *)
 
 type t =

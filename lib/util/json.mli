@@ -2,8 +2,7 @@
     the printer and parser round-trip ([of_string (to_string v) = v] for
     trees without non-finite floats).
 
-    Hoisted out of [Obs] so the rest of [Css_util] ([Histo], [Tracer],
-    [Regress]) can produce and consume JSON without depending on the
+    Hoisted out of [Obs] so the rest of [Css_util] ([Histo], [Regress]) can produce and consume JSON without depending on the
     observability context; [Obs.Json] is an alias of this module. *)
 
 type t =

@@ -1,36 +1,47 @@
-(** Observability: counters, phase spans, per-iteration snapshots.
+(** Observability: counters, phase spans, per-iteration snapshots and
+    the timeline they are recorded on.
 
     Every layer of the pipeline (timer, extraction engines, scheduler,
-    baselines, flow) reports into an [Obs.t] context:
+    baselines, flow, budget, daemon) reports into an [Obs.t] context:
 
     - {b monotone counters} — cheap named integers bumped on the hot path
       (edges extracted, endpoints walked, timer propagations, two-pass
       sweeps, arborescence builds, ...). The taxonomy is documented in
       [docs/OBSERVABILITY.md].
     - {b hierarchical phase spans} — wall-clock timed open/close pairs
-      ("flow" > "round1" > "late-css"), nested by a stack, each recording
-      total elapsed seconds and entry count per path.
+      ("flow" > "round1" > "late-css"), nested by a stack; {!spans}
+      reports total elapsed seconds and entry count per path.
     - {b per-iteration snapshots} — one labelled record of named fields
       per scheduler iteration (WNS/TNS, edge counts, max increment), the
       feedback signal Fig. 8 plots.
+    - {b the timeline} — one append-only in-memory log of fixed-size
+      events (about 25 bytes each: kind, name id, monotonic stamp, one
+      float argument). A span is recorded once, as its begin/end pair in
+      the log; a snapshot adds an instant; counter {!lane}s add samples.
+      The log starts at 4096 events and doubles its columns when full
+      (the only time it allocates), so nothing recorded is dropped.
+      {!write_chrome_json} exports it for Perfetto.
 
     Three sinks:
 
     - {!null}: the shared disabled context. All operations on it are
       allocation-free no-ops — counters resolve to one dummy cell, spans
-      skip the clock read — so instrumented code pays (almost) nothing
-      when observability is off.
+      skip the clock read, samples record nothing — so instrumented code
+      pays (almost) nothing when observability is off.
     - {!create_trace}: human-readable lines pushed to an [out_channel] as
       spans close and snapshots arrive.
     - {!create}: in-memory collection, dumped as JSON ({!to_json},
       {!write_json}) in the stats-dump schema of docs/OBSERVABILITY.md.
 
-    A trace context also collects, so every live context can be dumped. *)
+    Every enabled context ({!create}, {!create_trace}) collects and
+    records the timeline, so every live context can be dumped and
+    exported. Record from one domain: the exporter renders a single
+    timeline lane. *)
 
 (** {1 JSON values}
 
     The JSON tree lives in {!Json} (lib/util/json.ml) so sibling
-    modules ([Histo], [Tracer], [Regress]) can use it; this alias keeps
+    modules ([Histo], [Regress]) can use it; this alias keeps
     the historical [Obs.Json] path working. *)
 
 module Json = Json
@@ -55,20 +66,12 @@ val create_trace : out_channel -> t
 val enabled : t -> bool
 
 (** [epoch t] is the wall-clock time (seconds since the Unix epoch) at
-    context creation — the run's one correlation anchor. Span timings
-    themselves use the monotonic {!Wall_clock.now}. [0.0] on {!null}. *)
+    context creation — the run's one correlation anchor, written as
+    [clock.epoch_s] by {!to_json} and as [otherData.epoch_s] by
+    {!write_chrome_json}. Span timings and timeline stamps use the
+    monotonic {!Wall_clock.now}, relative to creation. [0.0] on
+    {!null}. *)
 val epoch : t -> float
-
-(** [attach_tracer t tracer] mirrors every span open/close and
-    snapshot onto [tracer]'s timeline, so existing
-    instrumentation renders in Perfetto without further changes. No-op
-    on {!null}. *)
-val attach_tracer : t -> Tracer.t -> unit
-
-(** [tracer t] is the attached tracer ({!Tracer.null} if none), for
-    instrumentation that wants to emit richer timeline events than the
-    mirror provides. *)
-val tracer : t -> Tracer.t
 
 (** {1 Counters} *)
 
@@ -128,8 +131,9 @@ val close_span : t -> string -> unit
 
 (** [spans t] lists [(path, total_seconds, count)] per distinct span
     path (path components joined with ['/']), sorted by path so a
-    parent precedes its children. Still-open spans contribute only
-    their completed visits. *)
+    parent precedes its children, read out of the timeline's
+    begin/end pairs. Still-open spans contribute only their completed
+    visits. *)
 val spans : t -> (string * float * int) list
 
 (** {1 Snapshots} *)
@@ -137,7 +141,8 @@ val spans : t -> (string * float * int) list
 (** [snapshot t ~label fields] records one per-iteration observation.
     [label] names the stream (e.g. ["late-css"]); [fields] are
     name/value pairs (WNS, TNS, edge counts...). The current span path
-    and a sequence number are attached. *)
+    and a sequence number are attached, and the timeline records an
+    instant named [label]. *)
 val snapshot : t -> label:string -> (string * Json.t) list -> unit
 
 (** [snapshots t] returns recorded snapshots in order as
@@ -155,3 +160,37 @@ val to_json : t -> Json.t
     top-level key per line), atomically via tmp+rename: an interrupted
     run never leaves a truncated stats file. *)
 val write_json : t -> string -> unit
+
+(** {1 Timeline} *)
+
+(** A counter lane: a named series of samples on the timeline, which
+    Perfetto renders as a curve. *)
+type lane
+
+(** [lane t name] finds or registers [name] on [t]'s timeline. On
+    {!null} it returns a shared dummy lane. Like {!counter}: resolve
+    once at setup and keep the handle; the lookup hashes, {!sample}
+    does not. *)
+val lane : t -> string -> lane
+
+(** [sample l v] records the counter sample [v] on [l]. Allocation-free
+    (a no-op on {!null}'s lane). *)
+val sample : lane -> float -> unit
+
+(** [recorded t] is the number of timeline events recorded so far, all
+    of them still in the log; [0] on {!null}. *)
+val recorded : t -> int
+
+(** [install_gc_alarm t] registers a [Gc.alarm] recording a
+    ["gc.major"] instant and a ["gc.heap_words"] counter sample at the
+    end of every major collection cycle. Idempotent; no-op on {!null}. *)
+val install_gc_alarm : t -> unit
+
+(** [remove_gc_alarm t] removes the alarm, if any. Idempotent. *)
+val remove_gc_alarm : t -> unit
+
+(** [write_chrome_json t path] writes the timeline as Chrome
+    [trace_event] JSON (Perfetto and chrome://tracing open it), every
+    event recorded so far in order, atomically (tmp+rename). Schema in
+    docs/OBSERVABILITY.md. @raise Invalid_argument on {!null}. *)
+val write_chrome_json : t -> string -> unit

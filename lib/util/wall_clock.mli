@@ -8,7 +8,7 @@
 
 (** [now ()] is the current monotonic time in seconds. Only differences
     are meaningful. Declared as an unboxed external so cross-module
-    callers (the tracer's record path, span timing) pay no float boxing
+    callers (the timeline's record path, span timing) pay no float boxing
     even under [-opaque]. *)
 external now : unit -> (float[@unboxed])
   = "css_monotonic_seconds_byte" "css_monotonic_seconds_unboxed"

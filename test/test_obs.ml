@@ -1,6 +1,8 @@
 (* Unit tests for the observability subsystem: counter monotonicity,
-   nested span timing, JSON round-trip, and the null sink's
-   allocation-free hot path. *)
+   nested span timing, JSON round-trip, the text sink, the timeline's
+   lossless Chrome export (also with the GC alarm recording from
+   finalisers), a session's spans reaching it through its [obs], and
+   the null sink's allocation-free hot path. *)
 
 module Obs = Css_util.Obs
 module Json = Css_util.Obs.Json
@@ -274,48 +276,352 @@ let test_clock_key () =
       | None -> false)
   | None -> Alcotest.fail "no clock object in to_json"
 
-(* --- tracer mirroring --- *)
+(* --- the stats dump and the trace share one epoch --- *)
 
-let test_tracer_mirroring () =
-  let module Tracer = Css_util.Tracer in
-  let t = Obs.create () in
-  let tr = Tracer.create () in
-  Obs.attach_tracer t tr;
-  checkb "tracer attached" true (Tracer.enabled (Obs.tracer t));
-  Obs.span t "phase" (fun () ->
-      Obs.snapshot t ~label:"sched.iter" [ ("wns", Json.Float (-1.0)) ]);
-  (* span open+close and the snapshot instant: three tracer events *)
-  checki "mirrored events" 3 (Tracer.recorded tr);
-  let path = Filename.temp_file "obs_mirror" ".json" in
+let read_file path =
+  let ic = open_in_bin path in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Tracer.close tr)
-    (fun () ->
-      Tracer.write_chrome_json tr path;
-      let ic = open_in path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let events =
-        match Json.member "traceEvents" (Json.of_string s) with
-        | Some (Json.List l) -> l
-        | _ -> []
-      in
-      let phase_of e =
-        match Json.member "ph" e with Some (Json.String p) -> p | _ -> "?"
-      in
-      let named n e = Json.member "name" e = Some (Json.String n) in
-      checkb "span begin exported" true
-        (List.exists (fun e -> phase_of e = "B" && named "phase" e) events);
-      checkb "span end exported" true
-        (List.exists (fun e -> phase_of e = "E") events);
-      checkb "snapshot exported as instant" true
-        (List.exists (fun e -> phase_of e = "i" && named "sched.iter" e) events));
-  (* a null obs never touches an attached tracer *)
-  Obs.attach_tracer Obs.null tr;
-  let before = Tracer.recorded tr in
-  Obs.span Obs.null "x" (fun () -> ());
-  checki "null obs mirrors nothing" before (Tracer.recorded tr)
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let with_tmp ext f =
+  let path = Filename.temp_file "css_obs" ext in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let test_one_epoch () =
+  let t = Obs.create () in
+  Obs.span t "phase" (fun () -> ());
+  let epoch_of path key j =
+    match Option.bind (Json.member key j) (Json.member "epoch_s") with
+    | Some v -> Json.to_float v
+    | None -> Alcotest.failf "%s has no %s.epoch_s" path key
+  in
+  with_tmp ".json" @@ fun stats ->
+  with_tmp ".json" @@ fun trace ->
+  Obs.write_json t stats;
+  Obs.write_chrome_json t trace;
+  let dumped = epoch_of stats "clock" (Json.of_string (read_file stats)) in
+  let traced = epoch_of trace "otherData" (Json.of_string (read_file trace)) in
+  checkb "clock.epoch_s = otherData.epoch_s" true (dumped = traced);
+  checkb "the context's epoch" true (Float.abs (dumped -. Obs.epoch t) < 0.01)
+
+(* --- the text sink --- *)
+
+let test_text_sink () =
+  with_tmp ".log" @@ fun path ->
+  let oc = open_out path in
+  let t = Obs.create_trace oc in
+  Obs.span t "outer" (fun () ->
+      Obs.span t "inner" (fun () -> ());
+      Obs.snapshot t ~label:"sched.iter" [ ("wns", Json.Float (-1.5)); ("edges", Json.Int 7) ]);
+  close_out oc;
+  let lines = String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "") in
+  let words l = String.split_on_char ' ' l |> List.filter (( <> ) "") in
+  let spans = List.filter (String.starts_with ~prefix:"[obs] span") lines in
+  let snaps = List.filter (String.starts_with ~prefix:"[obs] snap") lines in
+  checki "every line is a span or a snapshot" (List.length lines)
+    (List.length spans + List.length snaps);
+  (* one line per closed span, innermost first, naming its path *)
+  checkb "span lines" true
+    (List.map (fun l -> List.nth (words l) 2) spans = [ "outer/inner"; "outer" ]);
+  List.iter
+    (fun l ->
+      match List.rev (words l) with
+      | "ms" :: ms :: _ -> checkb "elapsed ms" true (float_of_string ms >= 0.0)
+      | _ -> Alcotest.failf "span line without ms: %s" l)
+    spans;
+  checkb "snapshot line" true
+    (List.map words snaps = [ [ "[obs]"; "snap"; "sched.iter#0"; "wns=-1.50"; "edges=7" ] ]);
+  (* the text sink collects as well *)
+  checki "spans collected" 2 (List.length (Obs.spans t));
+  checki "timeline recorded" 5 (Obs.recorded t)
+
+(* --- the timeline --- *)
+
+(* The log starts at 4096 events (obs.ml); every sweep below records
+   well past that, so each crosses at least one growth. *)
+let initial_events = 4096
+
+(* What the exporter must reproduce: kind, name and argument of every
+   recorded event, in order. *)
+type ev = { ph : string; name : string; arg : float option }
+
+let record_mix t ~iters =
+  let lane = Obs.lane t "lane" in
+  for i = 1 to iters do
+    Obs.open_span t "outer";
+    Obs.open_span t "inner";
+    Obs.sample lane (float_of_int i);
+    Obs.close_span t "inner";
+    Obs.snapshot t ~label:"tick" [];
+    Obs.close_span t "outer"
+  done
+
+let expected_mix ~iters =
+  List.concat_map
+    (fun i ->
+      [
+        { ph = "B"; name = "outer"; arg = None };
+        { ph = "B"; name = "inner"; arg = None };
+        { ph = "C"; name = "lane"; arg = Some (float_of_int i) };
+        { ph = "E"; name = "inner"; arg = None };
+        { ph = "i"; name = "tick"; arg = Some 0.0 };
+        { ph = "E"; name = "outer"; arg = None };
+      ])
+    (List.init iters (fun i -> i + 1))
+
+let trace_events t =
+  with_tmp ".json" @@ fun out ->
+  Obs.write_chrome_json t out;
+  let j = Json.of_string (read_file out) in
+  let all =
+    match Json.member "traceEvents" j with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  (* the process is labelled after the running executable *)
+  let process_label =
+    List.find_map
+      (fun e ->
+        if Json.member "name" e = Some (Json.String "process_name") then
+          Option.bind (Json.member "args" e) (Json.member "name")
+        else None)
+      all
+  in
+  checkb "process_name names the test binary" true
+    (process_label = Some (Json.String "test_obs"));
+  let events = List.filter (fun e -> Json.member "ph" e <> Some (Json.String "M")) all in
+  (match Json.member "otherData" j with
+  | Some od ->
+    checkb "recorded_events = exported events" true
+      (Json.member "recorded_events" od = Some (Json.Int (List.length events)))
+  | None -> Alcotest.fail "no otherData");
+  events
+
+let exported t =
+  let events = trace_events t in
+  let ts e = match Json.member "ts" e with Some ts -> Json.to_float ts | None -> nan in
+  ignore
+    (List.fold_left
+       (fun last e ->
+         checkb "monotone timestamps" true (ts e >= last);
+         ts e)
+       neg_infinity events);
+  let str k e = match Json.member k e with Some (Json.String s) -> s | _ -> "?" in
+  let arg e =
+    let v k = Option.bind (Json.member "args" e) (Json.member k) |> Option.map Json.to_float in
+    match str "ph" e with "i" -> v "v" | "C" -> v "value" | _ -> None
+  in
+  List.map (fun e -> { ph = str "ph" e; name = str "name" e; arg = arg e }) events
+
+(* every E closes the innermost open B of the same name, none stays open *)
+let check_nesting events =
+  let open_spans =
+    List.fold_left
+      (fun stack e ->
+        match (e.ph, stack) with
+        | "B", _ -> e.name :: stack
+        | "E", top :: rest when top = e.name -> rest
+        | "E", _ -> Alcotest.fail ("unmatched end " ^ e.name)
+        | _ -> stack)
+      [] events
+  in
+  checki "spans left open" 0 (List.length open_spans)
+
+let check_same expected events =
+  checki "event count" (List.length expected) (List.length events);
+  List.iteri
+    (fun i (x, e) ->
+      if x <> e then
+        Alcotest.failf "event %d: expected %s %s, exported %s %s" i x.ph x.name e.ph e.name)
+    (List.combine expected events)
+
+(* Exports [t] and checks it against [expected], leaving out the GC
+   alarm's events, which land wherever a major cycle ends; returns how
+   many of those there were. *)
+let check_export t expected =
+  let events = exported t in
+  checki "exported = recorded" (Obs.recorded t) (List.length events);
+  let is_gc e = String.starts_with ~prefix:"gc." e.name in
+  check_same expected (List.filter (fun e -> not (is_gc e)) events);
+  check_nesting events;
+  List.length (List.filter is_gc events)
+
+let test_lossless_export () =
+  let t = Obs.create () in
+  let iters = initial_events in
+  record_mix t ~iters;
+  checkb "log grew" true (Obs.recorded t > 4 * initial_events);
+  checki "no gc events" 0 (check_export t (expected_mix ~iters));
+  (* the span totals are read back out of the grown log *)
+  checkb "span visits" true
+    (List.map (fun (p, _, n) -> (p, n)) (Obs.spans t)
+    = [ ("outer", iters); ("outer/inner", iters) ])
+
+let test_lossless_under_gc_alarm () =
+  (* a finaliser can run inside a growth's column allocations. With a
+     small space_overhead and a different amount of garbage before each
+     context, major cycles end at shifting points, some of them inside
+     a growth, so the alarm records while the log is being copied.
+     Export only after all the recording: parsing allocates enough to
+     move the cycles elsewhere *)
+  let saved = Gc.get () in
+  let contexts =
+    Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+    Gc.set { saved with Gc.space_overhead = 5 };
+    List.init 20 (fun k ->
+        ignore (Sys.opaque_identity (Array.make (1 + (k * 997)) 0));
+        let t = Obs.create () in
+        Obs.install_gc_alarm t;
+        record_mix t ~iters:(initial_events / 2);
+        Obs.remove_gc_alarm t;
+        t)
+  in
+  let expected = expected_mix ~iters:(initial_events / 2) in
+  List.iter (fun t -> ignore (check_export t expected)) contexts;
+  (* forced major collections between bursts: the alarm records between
+     events, and the log grows past them *)
+  let t = Obs.create () in
+  Obs.install_gc_alarm t;
+  let iters = initial_events / 8 in
+  for _ = 1 to 6 do
+    record_mix t ~iters;
+    Gc.full_major ()
+  done;
+  Obs.remove_gc_alarm t;
+  let expected = expected_mix ~iters in
+  let alarms = check_export t (List.concat (List.init 6 (fun _ -> expected))) in
+  checkb "gc alarm recorded" true (alarms > 0)
+
+let test_spans_and_snapshots_on_timeline () =
+  let t = Obs.create () in
+  Obs.span t "phase" (fun () ->
+      spin_for 0.002;
+      Obs.snapshot t ~label:"sched.iter" [ ("wns", Json.Float (-1.0)) ]);
+  (* span open+close and the snapshot instant: three events *)
+  checki "recorded events" 3 (Obs.recorded t);
+  let events = trace_events t in
+  let ph e = match Json.member "ph" e with Some (Json.String p) -> p | _ -> "?" in
+  let name e = match Json.member "name" e with Some (Json.String n) -> n | _ -> "?" in
+  checkb "B, instant, E" true
+    (List.map (fun e -> (ph e, name e)) events
+    = [ ("B", "phase"); ("i", "sched.iter"); ("E", "phase") ]);
+  (* the stats dump's span total is the exported E - B, to the export's
+     microsecond rounding *)
+  let ts e = match Json.member "ts" e with Some v -> Json.to_float v | None -> nan in
+  match (Obs.spans t, events) with
+  | [ ("phase", total, 1) ], [ b; _; e ] ->
+    checkb "total = E - B" true (Float.abs ((total *. 1e6) -. (ts e -. ts b)) < 0.01);
+    checkb "total measured the spin" true (total >= 0.002)
+  | _ -> Alcotest.fail "expected one phase span"
+
+(* --- a session's one observability context --- *)
+
+let test_session_traces_through_obs () =
+  (* the session's phase spans and the budget governor reach the
+     timeline only through the session's [obs] *)
+  let module Session = Css_flow.Session in
+  let module Budget = Css_util.Budget in
+  let obs = Obs.create () in
+  let config =
+    {
+      Session.default_config with
+      obs;
+      budget = { Budget.no_limits with Budget.wall_seconds = Some 3600.0 };
+    }
+  in
+  let s =
+    Session.open_ ~config ~algo:Session.Ours
+      (Css_benchgen.Generator.generate Css_benchgen.Profile.tiny)
+  in
+  let r = Session.finish s in
+  Session.close s;
+  checkb "budget never tripped" true (r.Session.degradations = []);
+  let events = trace_events obs in
+  let named name ph =
+    List.filter
+      (fun e ->
+        Json.member "name" e = Some (Json.String name) && Json.member "ph" e = Some (Json.String ph))
+      events
+  in
+  List.iter
+    (fun name ->
+      let spans = named name "B" in
+      checkb (name ^ " spans") true (spans <> []);
+      List.iter
+        (fun e -> checkb (name ^ " on the one lane") true (Json.member "tid" e = Some (Json.Int 0)))
+        spans)
+    [ "late-css"; "reconnect" ];
+  checkb "budget.wall_s samples" true (named "budget.wall_s" "C" <> [])
+
+(* --- null context on the timeline --- *)
+
+let test_timeline_null_noops () =
+  let t = Obs.null in
+  let l = Obs.lane t "anything" in
+  Obs.open_span t "anything";
+  Obs.close_span t "anything";
+  Obs.snapshot t ~label:"anything" [];
+  Obs.sample l 1.0;
+  Obs.install_gc_alarm t;
+  Gc.full_major ();
+  Obs.remove_gc_alarm t;
+  checki "nothing recorded" 0 (Obs.recorded t);
+  checkb "export refused" true
+    (match Obs.write_chrome_json t "/nonexistent/x.json" with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
+(* --- allocation-free sample path (calibration idiom from test_layout) --- *)
+
+let float_box_words =
+  let fv = Css_util.Fvec.make 16 0.5 in
+  let acc = [| 0.0 |] in
+  for i = 0 to 15 do
+    acc.(0) <- acc.(0) +. Css_util.Fvec.get fv i
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 15 do
+    acc.(0) <- acc.(0) +. Css_util.Fvec.get fv i
+  done;
+  (Gc.minor_words () -. before) /. 16.0
+
+let alloc_sweep t =
+  let l = Obs.lane t "hot" in
+  let iters = 10_000 in
+  for i = 1 to 64 do
+    Obs.sample l (float_of_int i)
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to iters do
+    Obs.sample l (float_of_int i)
+  done;
+  let allocated = Gc.minor_words () -. before in
+  (* one boxed float per iteration for the sample argument under dev
+     -opaque; the record path itself must not allocate *)
+  (allocated, (float_of_int iters *. 2.0 *. float_box_words) +. 256.0)
+
+let test_sample_allocation_free () =
+  (* enabled context; the sweep's 10,064 events grow the log twice. A
+     grown column is too large for the minor heap, so growth is paid on
+     the major heap, amortised over the events that filled the log *)
+  let t = Obs.create () in
+  let allocated, budget = alloc_sweep t in
+  checkb "sweep crossed two growths" true (Obs.recorded t > 2 * initial_events);
+  checkb
+    (Printf.sprintf "enabled sweep allocation-free (%.0f minor words, budget %.0f)" allocated
+       budget)
+    true
+    (allocated <= budget);
+  (* null context: same sweep, same budget *)
+  let allocated, budget = alloc_sweep Obs.null in
+  checkb
+    (Printf.sprintf "null sweep allocation-free (%.0f minor words, budget %.0f)" allocated
+       budget)
+    true
+    (allocated <= budget)
 
 (* --- atomic stats writes --- *)
 
@@ -405,8 +711,23 @@ let () =
           Alcotest.test_case "write_json atomic" `Quick test_write_json_atomic;
         ] );
       ( "histograms", [ Alcotest.test_case "registry" `Quick test_histogram_registry ] );
-      ( "clock", [ Alcotest.test_case "monotonic source and epoch" `Quick test_clock_key ] );
-      ( "tracer", [ Alcotest.test_case "mirroring" `Quick test_tracer_mirroring ] );
+      ( "clock",
+        [
+          Alcotest.test_case "monotonic source and epoch" `Quick test_clock_key;
+          Alcotest.test_case "stats and trace share the epoch" `Quick test_one_epoch;
+        ] );
+      ( "text sink", [ Alcotest.test_case "span and snapshot lines" `Quick test_text_sink ] );
+      ( "tracer",
+        [
+          Alcotest.test_case "spans and snapshots on the timeline" `Quick
+            test_spans_and_snapshots_on_timeline;
+          Alcotest.test_case "lossless export" `Quick test_lossless_export;
+          Alcotest.test_case "lossless under gc alarm" `Quick test_lossless_under_gc_alarm;
+          Alcotest.test_case "session traces through obs" `Quick
+            test_session_traces_through_obs;
+          Alcotest.test_case "null no-ops" `Quick test_timeline_null_noops;
+          Alcotest.test_case "hot path allocation-free" `Quick test_sample_allocation_free;
+        ] );
       ( "null sink",
         [
           Alcotest.test_case "no-op semantics" `Quick test_null_sink_noop;

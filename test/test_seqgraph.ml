@@ -220,9 +220,13 @@ let test_adjacency () =
   add 0 1 (-1.0);
   add 0 2 (-2.0);
   add 3 1 (-3.0);
-  checki "out of v0" 2 (List.length (Seq_graph.out_edges g (Vertex.of_ff verts ffs.(0))));
-  checki "in of v1" 2 (List.length (Seq_graph.in_edges g (Vertex.of_ff verts ffs.(1))));
-  checki "out of v1" 0 (List.length (Seq_graph.out_edges g (Vertex.of_ff verts ffs.(1))));
+  (* degrees in scheduling orientation, counted over every vertex *)
+  let count f = List.length (List.filter f (List.init (Vertex.num verts) Fun.id)) in
+  let edge src dst = Seq_graph.find g ~src ~dst <> None in
+  let v0 = Vertex.of_ff verts ffs.(0) and v1 = Vertex.of_ff verts ffs.(1) in
+  checki "out of v0" 2 (count (edge v0));
+  checki "in of v1" 2 (count (fun w -> edge w v1));
+  checki "out of v1" 0 (count (edge v1));
   checkf 1e-9 "min weight at endpoint v1" (-3.0)
     (Seq_graph.min_weight_from_endpoint g (Graph.End_ff ffs.(1)));
   checkb "min weight of unseen endpoint" true
