@@ -443,15 +443,8 @@ let run_ablation ~name ~config ~limit p =
   let timer = Timer.build design in
   let verts = Vertex.of_design design in
   let engine = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
-  let extraction =
-    {
-      Scheduler.extract = (fun () -> Extract.round ?limit engine);
-      graph = Extract.graph engine;
-      on_cap_hit = (fun _ -> ());
-    }
-  in
   let t0 = Css_util.Wall_clock.now () in
-  let result = Scheduler.run ~config timer extraction in
+  let result = Scheduler.run ~config timer (Scheduler.extraction_of ?limit engine) in
   let dt = Css_util.Wall_clock.now () -. t0 in
   let stats = Extract.stats engine in
   ( name,

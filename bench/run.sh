@@ -12,7 +12,8 @@
 #                         two identical runs give byte-identical
 #                         results, that a run resumed from its
 #                         checkpoint directory saves the same result
-#                         (with and without --resize),
+#                         (default flags, --resize, -a iccss+ and
+#                         --setup-uncertainty 40),
 #                         that malformed input exits 2, and
 #                         that --trace-out writes a trace holding
 #                         late-css and reconnect spans (seconds)
@@ -53,15 +54,19 @@ if [ "${1:-}" = "--smoke" ]; then
   fi
   # durable round trip: a run that checkpoints into a directory, then
   # a resume from it (base + journal replay) must save the same design;
-  # with --resize the journal also carries master swaps
-  for resize in "" --resize; do
-    dir="$ckpt/run${resize:-plain}"
-    dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet $resize \
+  # with --resize the journal also carries master swaps, -a iccss+
+  # resumes IC-CSS engine slots, and --setup-uncertainty must reach the
+  # resumed run's timer as it reaches a fresh one's
+  n=0
+  for flags in "" "--resize" "-a iccss+" "--setup-uncertainty 40"; do
+    n=$((n + 1))
+    dir="$ckpt/run$n"
+    dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet $flags \
       --checkpoint-dir "$dir" -o "$out1"
-    dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet $resize \
+    dune exec bin/css_opt_cli.exe -- --benchmark tiny --rounds 1 --quiet $flags \
       --checkpoint-dir "$dir" --resume -o "$out2"
     if ! cmp -s "$out1" "$out2"; then
-      echo "smoke: a resumed ${resize:-default} run saved a different result than the run it resumed" >&2
+      echo "smoke: a resumed run (${flags:-default flags}) saved a different result than the run it resumed" >&2
       exit 1
     fi
   done

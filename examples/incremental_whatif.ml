@@ -70,8 +70,8 @@ let () =
 
   (* raise one launcher: only the endpoints it newly violates get walked *)
   let graph = Extract.graph engine in
-  let some_edge = List.hd (Seq_graph.edge_ids graph) in
-  (match Vertex.ff_of verts (Seq_graph.src graph some_edge) with
+  (* edge ids count up from 0 in insertion order: take round 1's first *)
+  (match Vertex.ff_of verts (Seq_graph.src graph 0) with
   | Some ff ->
     Design.set_scheduled_latency design ff 60.0;
     Timer.update_latencies timer [ ff ];

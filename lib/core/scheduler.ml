@@ -31,11 +31,9 @@ let default_config =
     should_stop = None;
   }
 
-type extraction = {
-  extract : unit -> Extract.outcome;
-  graph : Seq_graph.t;
-  on_cap_hit : Vertex.id -> unit;
-}
+type extraction = { extract : unit -> Extract.outcome; engine : Extract.t }
+
+let extraction_of ?limit engine = { extract = (fun () -> Extract.round ?limit engine); engine }
 
 type iteration = {
   index : int;
@@ -71,7 +69,7 @@ type result = {
 }
 
 let run ?(config = default_config) ?(obs = Obs.null) timer ext =
-  let graph = ext.graph in
+  let graph = Extract.graph ext.engine in
   let verts = Seq_graph.vertices graph in
   let corner = Seq_graph.corner graph in
   let corner_name = match corner with Timer.Late -> "late" | Timer.Early -> "early" in
@@ -336,7 +334,7 @@ let run ?(config = default_config) ?(obs = Obs.null) timer ext =
                 tp.Two_pass.l.(Arborescence.parent arb v) -. Arborescence.parent_weight arb v
               in
               if tp.Two_pass.l.(v) +. 1e-9 >= cap && cap < unconstrained -. 1e-9 then
-                ext.on_cap_hit v
+                Extract.cap_hit ext.engine v
             end
           done;
           solve_done ();

@@ -1,9 +1,10 @@
 (** The iterative clock skew scheduler — Algorithm 1 of the paper.
 
-    The scheduler is parameterized by an {!extraction} so the same loop
-    drives both the paper's engine (iterative essential extraction) and
-    the IC-CSS+ baseline (callback extraction + constraint-edge
-    callbacks):
+    The scheduler runs over any {!Css_seqgraph.Extract} engine, wrapped
+    once by {!extraction_of}: the paper's iterative essential
+    extraction, the exhaustive reference, or the IC-CSS+ baseline, whose
+    callback extraction and Eq. (11) constraint-edge step
+    ({!Css_seqgraph.Extract.cap_hit}) live in the engine itself:
 
     {v
     repeat
@@ -41,18 +42,24 @@ type config = {
 
 val default_config : config
 
-(** How the scheduler obtains sequential edges. *)
+(** How the scheduler obtains sequential edges. Build it with
+    {!extraction_of}. *)
 type extraction = {
   extract : unit -> Css_seqgraph.Extract.outcome;
       (** run one extraction round against the timer's current state;
           a zero-increment iteration ends the run {!Converged} only when
           the round's outcome changed nothing and was not truncated *)
-  graph : Css_seqgraph.Seq_graph.t;  (** the partial sequential graph *)
-  on_cap_hit : Css_seqgraph.Vertex.id -> unit;
-      (** called when a vertex's Eq. (11) cross-corner cap was the binding
-          constraint — IC-CSS+ charges its constraint-edge extraction
-          here; the paper's engine does nothing *)
+  engine : Css_seqgraph.Extract.t;
+      (** the engine whose partial sequential graph
+          ({!Css_seqgraph.Extract.graph}) the scheduler solves, and which
+          {!Css_seqgraph.Extract.cap_hit} is told of every vertex whose
+          Eq. (11) cross-corner cap was the binding constraint *)
 }
+
+(** [extraction_of ?limit engine] runs [Extract.round ?limit engine] as
+    each iteration's extraction round ([limit] caps the endpoints an
+    [Essential] round walks; default unlimited). *)
+val extraction_of : ?limit:int -> Css_seqgraph.Extract.t -> extraction
 
 type iteration = {
   index : int;
@@ -100,7 +107,7 @@ type result = {
 }
 
 (** [run ?config ?obs timer extraction] executes Algorithm 1 for the
-    corner of [extraction.graph], mutating the design's scheduled
+    corner of [extraction.engine]'s graph, mutating the design's scheduled
     latencies and the timer.
 
     [obs] (default {!Css_util.Obs.null}) receives the [sched.*]

@@ -536,15 +536,10 @@ let css_opt_phase st ~round ~corner =
   Wall_clock.start st.css_clock;
   let scheduled =
     Obs.span st.cfg.obs (phase ^ "-css") @@ fun () ->
-    let run_scheduler eng ~on_cap_hit =
+    let run_scheduler kind =
+      let eng = engine_for st kind corner in
       refresh_weights st (Extract.graph eng);
-      let extraction =
-        {
-          Scheduler.extract = (fun () -> Extract.round ?limit:extract_limit eng);
-          graph = Extract.graph eng;
-          on_cap_hit;
-        }
-      in
+      let extraction = Scheduler.extraction_of ?limit:extract_limit eng in
       let res = Scheduler.run ~config:sched_config ~obs:st.cfg.obs st.timer extraction in
       note_scheduler_phase st ~round ~phase res;
       if res.Scheduler.stop_reason = Scheduler.Interrupted then None
@@ -555,14 +550,8 @@ let css_opt_phase st ~round ~corner =
       end
     in
     match engine with
-    | `Ours -> run_scheduler (engine_for st Extract.Essential corner) ~on_cap_hit:(fun _ -> ())
-    | `Iccss ->
-      let eng = engine_for st Extract.Iccss corner in
-      run_scheduler eng
-        ~on_cap_hit:(fun v ->
-          match Vertex.ff_of st.verts v with
-          | Some ff -> ignore (Extract.constraint_edges eng ff)
-          | None -> ())
+    | `Ours -> run_scheduler Extract.Essential
+    | `Iccss -> run_scheduler Extract.Iccss
     | `Fpm ->
       let res, stats = Css_baselines.Fpm.run ~obs:st.cfg.obs st.timer in
       st.run.edges <- st.run.edges + stats.Extract.edges_extracted;
@@ -1027,21 +1016,10 @@ let stage ?(validate = true) ?(repair = true) ~timer:timer_cfg design deltas =
                (Design.clock_period !cur))
         | Some _ | None -> ());
         (* analysis knobs fold into the timer configuration the way the
-           CLI folds an SDC file: uncertainties only ever tighten, the
-           derate overrides when present. A changed timer config forces
-           the from-scratch fallback — a built timer's corner setup is a
-           construction parameter. *)
-        tcfg :=
-          {
-            !tcfg with
-            Timer.setup_uncertainty =
-              Float.max !tcfg.Timer.setup_uncertainty sdc.Sdc.setup_uncertainty;
-            Timer.hold_uncertainty =
-              Float.max !tcfg.Timer.hold_uncertainty sdc.Sdc.hold_uncertainty;
-          };
-        (match sdc.Sdc.early_derate with
-        | Some d -> tcfg := { !tcfg with Timer.early_derate = d }
-        | None -> ());
+           CLI folds an SDC file ({!Timer.fold_sdc}). A changed timer
+           config forces the from-scratch fallback — a built timer's
+           corner setup is a construction parameter. *)
+        tcfg := Timer.fold_sdc !tcfg sdc;
         List.concat_map
           (fun (name, lo, hi) -> resolve_bounds ~unknown_code:"SDC-003" name lo hi)
           sdc.Sdc.latency_bounds)

@@ -8,24 +8,14 @@ module Obs = Css_util.Obs
 module Timer = Css_sta.Timer
 module Scheduler = Css_core.Scheduler
 module Engine = Css_core.Engine
+module Extract = Css_seqgraph.Extract
 module Optimum = Css_core.Optimum
-module Iccss_plus = Css_baselines.Iccss_plus
 module Evaluator = Css_eval.Evaluator
 module Flow = Css_flow.Flow
 module Fault_seq = Css_benchgen.Fault_seq
 
-type engine =
-  | Ours
-  | Full_graph
-  | Iccss
-
-let engine_name = function
-  | Ours -> "ours"
-  | Full_graph -> "full"
-  | Iccss -> "iccss"
-
 type run = {
-  engine : engine;
+  engine : Extract.engine;
   corner : Timer.corner;
   wns_early : float;
   tns_early : float;
@@ -71,12 +61,7 @@ let report_diffs ~label (a : Evaluator.report) (b : Evaluator.report) =
 let schedule ?config engine design ~corner =
   let design = Flow.clone design in
   let timer = Timer.build design in
-  let result, stats =
-    match engine with
-    | Ours -> Engine.run_ours ?config timer ~corner
-    | Full_graph -> Engine.run_full ?config timer ~corner
-    | Iccss -> Iccss_plus.run ?config timer ~corner
-  in
+  let result, stats = Engine.run ?config ~engine timer ~corner in
   {
     engine;
     corner;
@@ -86,7 +71,7 @@ let schedule ?config engine design ~corner =
     tns_late = Timer.tns timer Timer.Late;
     iterations = result.Scheduler.iterations;
     stop_reason = Scheduler.stop_reason_name result.Scheduler.stop_reason;
-    edges_extracted = stats.Css_seqgraph.Extract.edges_extracted;
+    edges_extracted = stats.Extract.edges_extracted;
     latencies = latencies_of design;
     scheduled = design;
   }
@@ -104,7 +89,8 @@ let check_parity ?(wns_tol = 0.5) ?(tns_rel_tol = 0.5) ?(tns_abs_tol = 10.0) ~re
     candidate =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let rname = engine_name reference.engine and cname = engine_name candidate.engine in
+  let rname = Extract.engine_name reference.engine
+  and cname = Extract.engine_name candidate.engine in
   if reference.corner <> candidate.corner then
     fail "%s vs %s: runs scheduled different corners" rname cname
   else begin

@@ -10,10 +10,11 @@
 
     Three oracle families:
 
-    - {b differential}: the paper's iterative engine ({!Ours}), the
-      exhaustive reference ({!Full_graph}) and the IC-CSS+ baseline
-      ({!Iccss}) must agree on the achieved WNS/TNS within tolerance
-      ({!check_parity});
+    - {b differential}: the paper's iterative engine
+      ([Extract.Essential]), the exhaustive reference ([Extract.Full])
+      and the IC-CSS+ baseline ([Extract.Iccss]), each run through
+      {!Css_core.Engine.run}, must agree on the achieved WNS/TNS within
+      tolerance ({!check_parity});
     - {b feasibility}: a produced schedule must respect the latency
       windows, be numerically sane, and never beat the theoretical
       minimum-cycle-mean bound ({!check_feasible});
@@ -22,17 +23,11 @@
       in a typed rejection or a never-worse-than-input result
       ({!pipeline}). *)
 
-(** The engines under differential test. *)
-type engine =
-  | Ours  (** iterative essential extraction (the paper's Algorithm 1) *)
-  | Full_graph  (** exhaustive extraction — the reference semantics *)
-  | Iccss  (** the IC-CSS+ baseline (Section III-E) *)
-
 (** One engine run's observable outcome: post-schedule timing at both
     corners, the scheduler's trajectory summary, and the per-flip-flop
     scheduled latencies (name-sorted) for bitwise comparison. *)
 type run = {
-  engine : engine;
+  engine : Css_seqgraph.Extract.engine;
   corner : Css_sta.Timer.corner;  (** the corner the scheduler optimized *)
   wns_early : float;
   tns_early : float;
@@ -51,7 +46,7 @@ type run = {
     reports the outcome; the caller's design is never mutated. *)
 val schedule :
   ?config:Css_core.Scheduler.config ->
-  engine ->
+  Css_seqgraph.Extract.engine ->
   Css_netlist.Design.t ->
   corner:Css_sta.Timer.corner ->
   run

@@ -381,23 +381,28 @@ let iccss_round t =
   ignore (walk t ~n:fired (fun i -> iccss_collect t selected.(i)));
   fired
 
-let constraint_edges t ff =
-  let corner = Seq_graph.corner t.graph in
-  let other = match corner with Timer.Late -> Timer.Early | Timer.Early -> Timer.Late in
-  let count, visited =
-    match other with
-    | Timer.Early ->
-      let found, visited = Timer.cone_to_endpoint t.timer Timer.Early (Graph.End_ff ff) in
-      (List.length found, visited)
-    | Timer.Late ->
-      let found, visited = Timer.cone_from_launcher t.timer Timer.Late (Graph.Launch_ff ff) in
-      (List.length found, visited)
-  in
-  t.stats.cone_nodes <- t.stats.cone_nodes + visited;
-  Obs.add t.oc.o_cone visited;
-  t.stats.edges_extracted <- t.stats.edges_extracted + count;
-  Obs.add t.o_constraint count;
-  count
+(* Section III-E(ii): when [v]'s Eq. (11) cap binds, IC-CSS enumerates
+   all cross-corner constraint edges of its flip-flop (its incoming
+   early paths when optimizing late, and vice versa) and charges them
+   to the extraction cost. *)
+let cap_hit t v =
+  if t.kind = Iccss then
+    match Vertex.ff_of t.verts v with
+    | None -> ()
+    | Some ff ->
+      let count, visited =
+        match Seq_graph.corner t.graph with
+        | Timer.Late ->
+          let found, visited = Timer.cone_to_endpoint t.timer Timer.Early (Graph.End_ff ff) in
+          (List.length found, visited)
+        | Timer.Early ->
+          let found, visited = Timer.cone_from_launcher t.timer Timer.Late (Graph.Launch_ff ff) in
+          (List.length found, visited)
+      in
+      t.stats.cone_nodes <- t.stats.cone_nodes + visited;
+      Obs.add t.oc.o_cone visited;
+      t.stats.edges_extracted <- t.stats.edges_extracted + count;
+      Obs.add t.o_constraint count
 
 (* ------------------------------------------------------------------ *)
 (* Unified entry point                                                 *)

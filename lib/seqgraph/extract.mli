@@ -42,7 +42,7 @@
 type stats = {
   mutable edges_extracted : int;
       (** the paper's "#Extract Edge": [edges_new], plus the constraint
-          edges {!constraint_edges} charges to [Iccss] *)
+          edges {!cap_hit} charges to [Iccss] *)
   mutable edges_new : int;  (** kept edges that grew the graph *)
   mutable re_extractions : int;
       (** kept edges that landed on an already stored vertex pair (not
@@ -105,12 +105,17 @@ type outcome = {
       edge count, subsequent calls report 0 ([limit] is ignored). *)
 val round : ?limit:int -> t -> outcome
 
-(** [constraint_edges t ff] fires IC-CSS's Section III-E(ii) callback:
-    all cross-corner constraint edges of [ff] (its incoming early paths
-    when optimizing late, and vice versa) are enumerated and charged to
-    the extraction cost. Returns the number of edges seen. Only
-    meaningful for the [Iccss] engine. *)
-val constraint_edges : t -> Css_netlist.Design.cell_id -> int
+(** [cap_hit t v] is IC-CSS+'s Section III-E(ii) step, which the
+    scheduler calls when vertex [v]'s Eq. (11) cross-corner cap was the
+    binding constraint. On an [Iccss] engine it enumerates every
+    cross-corner constraint edge of [v]'s flip-flop (its incoming early
+    paths when optimizing late, and vice versa; [v] is mapped through
+    the engine's own vertex registry, and a supernode has none) and
+    charges them to [edges_extracted], [cone_nodes] and the
+    [extract.iccss.constraint_edges] counter. On [Essential] and [Full]
+    engines it does nothing: the paper's engine reads the caps from the
+    timer for free. *)
+val cap_hit : t -> Vertex.id -> unit
 
 val graph : t -> Seq_graph.t
 val stats : t -> stats

@@ -138,8 +138,6 @@ let iter_edges t f =
     f id
   done
 
-let edge_ids t = List.init (num_edges t) Fun.id
-
 let min_weight_from_endpoint t endpoint =
   match Hashtbl.find_opt t.by_endpoint (enc_endpoint endpoint) with
   | None -> infinity

@@ -110,9 +110,6 @@ val find : t -> src:Vertex.id -> dst:Vertex.id -> edge_id option
     O(k·m') bound). Allocation-free apart from what [f] does. *)
 val iter_edges : t -> (edge_id -> unit) -> unit
 
-(** [edge_ids t] lists the edge ids in insertion order. O(edges). *)
-val edge_ids : t -> edge_id list
-
 (** [min_weight_from_endpoint t e] is the smallest current weight among
     stored edges that a path to [e] landed on, binding or collapsed
     ([infinity] when none) — used to decide whether a violated endpoint

@@ -6,6 +6,7 @@ module Histo = Css_util.Histo
 module Wall_clock = Css_util.Wall_clock
 module Io = Css_netlist.Io
 module Validate = Css_netlist.Validate
+module Timer = Css_sta.Timer
 module Session = Css_flow.Session
 module Persist = Css_flow.Persist
 
@@ -97,20 +98,48 @@ let session_dir t name =
 let meta_file dir = Filename.concat dir "session.json"
 
 (* Everything [Session.reopen] cannot recover from the checkpoint
-   itself: the open request's knobs, re-applied at daemon restart. *)
-let write_meta ~dir ~(p : Protocol.open_params) ~(sc : Session.config) =
+   itself: the session's knobs and its timer config (the open request's,
+   with every SDC delta since folded in), re-applied at daemon restart.
+   The timer config's floats are hex literals, so a restart reads back
+   the exact bits. *)
+let write_meta ~dir session =
+  let sc = Session.config session in
+  let tc = sc.Session.timer in
   let opt v f = match v with None -> Json.Null | Some x -> f x in
+  let hex f = Json.String (Printf.sprintf "%h" f) in
   Json.write_file (meta_file dir) (fun oc ->
       output_string oc
         (Json.to_string
            (Json.Obj
               [
-                ("algo", Json.String p.o_algo);
+                ("algo", Json.String (Session.algo_name (Session.algo session)));
                 ("final_eval", Json.Bool sc.Session.final_eval);
                 ("rollback", Json.Bool sc.Session.rollback);
                 ("wall_seconds", opt sc.Session.budget.Budget.wall_seconds (fun f -> Json.Float f));
                 ("rss_bytes", opt sc.Session.budget.Budget.rss_bytes (fun i -> Json.Int i));
+                ( "timer",
+                  Json.Obj
+                    [
+                      ("early_derate", hex tc.Timer.early_derate);
+                      ("setup_uncertainty", hex tc.Timer.setup_uncertainty);
+                      ("hold_uncertainty", hex tc.Timer.hold_uncertainty);
+                    ] );
               ])))
+
+(* A session.json without the timer config (or with a field that does
+   not parse) keeps the default for what is missing. *)
+let timer_of_meta meta =
+  let d = Timer.default_config in
+  let field name default =
+    match Option.bind (Json.member "timer" meta) (Json.member name) with
+    | Some (Json.String s) -> Option.value ~default (float_of_string_opt s)
+    | _ -> default
+  in
+  {
+    Timer.early_derate = field "early_derate" d.Timer.early_derate;
+    setup_uncertainty = field "setup_uncertainty" d.Timer.setup_uncertainty;
+    hold_uncertainty = field "hold_uncertainty" d.Timer.hold_uncertainty;
+  }
 
 let rec mkdir_p path =
   if not (Sys.file_exists path) then begin
@@ -199,7 +228,7 @@ let handle_open t (p : Protocol.open_params) =
             }
           in
           Hashtbl.replace t.sessions p.Protocol.o_session sx;
-          Option.iter (fun d -> write_meta ~dir:d ~p ~sc) dir;
+          Option.iter (fun dir -> write_meta ~dir session) dir;
           obs_incr t "service.opens";
           Log.info (fun m ->
               m "open %s: %s, %d cells" sx.sx_name p.Protocol.o_algo
@@ -229,9 +258,16 @@ let handle_request t (req : Protocol.request) =
     | Error e -> e
     | Ok sx -> (
       sx.sx_requests <- sx.sx_requests + 1;
+      let timer_before = (Session.config sx.sx_session).Session.timer in
       match Session.apply_delta sx.sx_session deltas with
       | Error diags -> Protocol.error_of_diags diags
       | Ok o ->
+        (* an SDC delta that moved the timer config must survive a restart *)
+        (match sx.sx_dir with
+        | Some dir when (Session.config sx.sx_session).Session.timer <> timer_before -> (
+          try write_meta ~dir sx.sx_session
+          with Sys_error m -> Log.warn (fun m' -> m' "session %s: session.json: %s" sx.sx_name m))
+        | _ -> ());
         record_result sx o.Session.d_result;
         Protocol.ok
           [
@@ -398,7 +434,9 @@ let restore_sessions t =
                   | _ -> None);
               }
             in
-            let sc = session_config t.cfg ~p ~dir:(Some dir) in
+            let sc =
+              { (session_config t.cfg ~p ~dir:(Some dir)) with Session.timer = timer_of_meta meta }
+            in
             (match Session.reopen ~config:sc ~library:t.cfg.library ~dir () with
             | Error diags ->
               Log.warn (fun m ->

@@ -21,7 +21,8 @@
     With [state_dir] set, every session lives in
     [<state_dir>/<name>/]: the {!Css_flow.Persist} checkpoint the
     session maintains plus a [session.json] with the open request's
-    knobs. A daemon started over the same directory resumes every
+    knobs and the session's timer config (rewritten after an
+    [apply_delta] that changed it). A daemon started over the same directory resumes every
     session bitwise where its last completed phase left it — including
     after SIGKILL, since checkpoints are written at open and after each
     completed request/phase. SIGINT/SIGTERM are owned by ONE

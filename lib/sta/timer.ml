@@ -19,6 +19,13 @@ type config = {
 
 let default_config = { early_derate = 0.88; setup_uncertainty = 0.0; hold_uncertainty = 0.0 }
 
+let fold_sdc config (sdc : Css_netlist.Sdc.t) =
+  {
+    setup_uncertainty = Float.max config.setup_uncertainty sdc.setup_uncertainty;
+    hold_uncertainty = Float.max config.hold_uncertainty sdc.hold_uncertainty;
+    early_derate = Option.value ~default:config.early_derate sdc.early_derate;
+  }
+
 (* Slew at launch pins (ps), drive resistance of input ports and pin
    cap of output ports (fF). *)
 let initial_slew = 10.0

@@ -34,6 +34,11 @@ type config = {
 (** Derate 0.88, no uncertainty. *)
 val default_config : config
 
+(** [fold_sdc config sdc] folds an SDC's analysis knobs into [config]:
+    each uncertainty only ever tightens (the larger margin wins), and
+    the SDC's early derate, when it sets one, overrides. *)
+val fold_sdc : config -> Css_netlist.Sdc.t -> config
+
 type t
 
 (** [build ?config ?obs design] constructs the graph and runs a full

@@ -7,7 +7,6 @@ module Timer = Css_sta.Timer
 module Extract = Css_seqgraph.Extract
 module Scheduler = Css_core.Scheduler
 module Engine = Css_core.Engine
-module Iccss_plus = Css_baselines.Iccss_plus
 module Fpm = Css_baselines.Fpm
 module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
@@ -75,7 +74,7 @@ let test_iccss_signoff_pinned () =
 let test_iccss_plus_improves () =
   let _, timer = fresh () in
   let tns0 = Timer.tns timer Timer.Late in
-  let result, _ = Iccss_plus.run timer ~corner:Timer.Late in
+  let result, _ = Engine.run ~engine:Extract.Iccss timer ~corner:Timer.Late in
   checkb "late TNS improved" true (Timer.tns timer Timer.Late > tns0);
   checkb "iterated" true (result.Scheduler.iterations >= 1)
 
@@ -86,7 +85,7 @@ let test_iccss_plus_matches_ours_quality () =
   let d1, t1 = fresh () in
   ignore (Engine.run_ours t1 ~corner:Timer.Late);
   let d2, t2 = fresh () in
-  ignore (Iccss_plus.run t2 ~corner:Timer.Late);
+  ignore (Engine.run ~engine:Extract.Iccss t2 ~corner:Timer.Late);
   checkf 0.5 "late WNS agree" (Timer.wns t1 Timer.Late) (Timer.wns t2 Timer.Late);
   let tns1 = Timer.tns t1 Timer.Late and tns2 = Timer.tns t2 Timer.Late in
   checkb "late TNS within 2%" true
@@ -98,7 +97,7 @@ let test_iccss_plus_extracts_more () =
   let _, t1 = fresh () in
   let _, stats1 = Engine.run_ours t1 ~corner:Timer.Late in
   let _, t2 = fresh () in
-  let _, stats2 = Iccss_plus.run t2 ~corner:Timer.Late in
+  let _, stats2 = Engine.run ~engine:Extract.Iccss t2 ~corner:Timer.Late in
   checkb "IC-CSS+ extracts more edges" true
     (stats2.Extract.edges_extracted > stats1.Extract.edges_extracted);
   checkb "IC-CSS+ walks more gate-level nodes" true
@@ -107,7 +106,7 @@ let test_iccss_plus_extracts_more () =
 let test_iccss_plus_early () =
   let _, timer = fresh () in
   let tns0 = Timer.tns timer Timer.Early in
-  ignore (Iccss_plus.run timer ~corner:Timer.Early);
+  ignore (Engine.run ~engine:Extract.Iccss timer ~corner:Timer.Early);
   checkb "early TNS improved" true (Timer.tns timer Timer.Early > tns0)
 
 (* ------------------------------------------------------------------ *)

@@ -492,11 +492,8 @@ let test_scheduler_truncated_round_never_converges () =
   let verts = Vertex.of_design design in
   let engine = Extract.run ~engine:Extract.Essential timer verts ~corner:Timer.Late in
   let graph = Extract.graph engine in
-  let extraction =
-    { Scheduler.extract = (fun () -> Extract.round ~limit:1 engine); graph; on_cap_hit = ignore }
-  in
   let config = { Scheduler.default_config with Scheduler.max_iterations = 5000 } in
-  let result = Scheduler.run ~config timer extraction in
+  let result = Scheduler.run ~config timer (Scheduler.extraction_of ~limit:1 engine) in
   Alcotest.(check string) "ends converged" "converged"
     (Scheduler.stop_reason_name result.Scheduler.stop_reason);
   List.iter
@@ -641,7 +638,7 @@ let test_scheduler_never_assigns_to_supernodes () =
   let design = Generator.micro () in
   let timer = Timer.build design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Seq_graph.vertices (Extract.graph extraction.Scheduler.engine) in
   let result = Scheduler.run timer extraction in
   checkf 1e-9 "IN stays 0" 0.0 result.Scheduler.target_latency.(Vertex.input_super verts);
   checkf 1e-9 "OUT stays 0" 0.0 result.Scheduler.target_latency.(Vertex.output_super verts)
@@ -682,7 +679,7 @@ let test_scheduler_targets_match_design_state () =
   let design = Generator.micro () in
   let timer = Timer.build design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Seq_graph.vertices (Extract.graph extraction.Scheduler.engine) in
   let result = Scheduler.run timer extraction in
   Array.iter
     (fun ff ->
@@ -752,7 +749,7 @@ let test_scheduler_should_stop_after_n () =
   let result = Scheduler.run ~config timer extraction in
   checkb "interrupted" true (result.Scheduler.stop_reason = Scheduler.Interrupted);
   checkb "bounded iterations" true (result.Scheduler.iterations <= 2);
-  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Seq_graph.vertices (Extract.graph extraction.Scheduler.engine) in
   Array.iter
     (fun ff ->
       checkf 1e-9 "partial targets = design state"
@@ -790,7 +787,7 @@ let test_scheduler_best_restore_matches_design () =
   let timer = Timer.build design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
   let result = Scheduler.run timer extraction in
-  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Seq_graph.vertices (Extract.graph extraction.Scheduler.engine) in
   Array.iter
     (fun ff ->
       checkf 1e-9 "restored targets = design state"
@@ -839,7 +836,7 @@ let test_scheduler_best_restore_forced () =
   checki "one restore counted" 1
     (Css_util.Obs.value (Css_util.Obs.counter obs "sched.best_restores"));
   checkb "latencies bitwise equal to iteration 1's" true (bits () = !best);
-  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Seq_graph.vertices (Extract.graph extraction.Scheduler.engine) in
   Array.iter
     (fun ff ->
       checkf 0.0 "restored targets = design state"

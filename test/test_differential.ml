@@ -50,9 +50,9 @@ let test_engine_parity corner cname () =
           let ctx engine =
             Printf.sprintf "%s/seed%d/%s/%s" profile.Profile.name seed cname engine
           in
-          let reference = Oracles.schedule Oracles.Full_graph design ~corner in
-          let ours = Oracles.schedule Oracles.Ours design ~corner in
-          let iccss = Oracles.schedule Oracles.Iccss design ~corner in
+          let reference = Oracles.schedule Css_seqgraph.Extract.Full design ~corner in
+          let ours = Oracles.schedule Css_seqgraph.Extract.Essential design ~corner in
+          let iccss = Oracles.schedule Css_seqgraph.Extract.Iccss design ~corner in
           fail_all (ctx "ours-vs-full") (Oracles.check_parity ~reference ours);
           fail_all (ctx "iccss-vs-full") (Oracles.check_parity ~reference iccss);
           (* every engine extracts *something* on these violating designs;

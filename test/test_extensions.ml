@@ -197,7 +197,7 @@ let test_cts_plan_pure () =
   let design = Generator.generate Profile.tiny in
   let timer = Timer.build design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-  let verts = Css_seqgraph.Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Css_seqgraph.Seq_graph.vertices (Css_seqgraph.Extract.graph extraction.Scheduler.engine) in
   let result = Scheduler.run timer extraction in
   let targets = collect_targets design result verts in
   let cells_before = Design.num_cells design in
@@ -215,7 +215,7 @@ let test_cts_apply_inserts_lcbs () =
   let design = Generator.generate Profile.tiny in
   let timer = Timer.build design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-  let verts = Css_seqgraph.Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Css_seqgraph.Seq_graph.vertices (Css_seqgraph.Extract.graph extraction.Scheduler.engine) in
   let result = Scheduler.run timer extraction in
   let targets = collect_targets design result verts in
   if targets <> [] then begin
@@ -245,7 +245,7 @@ let test_cts_apply_improves_physical_timing () =
   let timer = Timer.build design in
   let physical_before = (Evaluator.evaluate design).Evaluator.tns_late in
   let extraction, _ = Engine.ours timer ~corner:Timer.Late in
-  let verts = Css_seqgraph.Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Css_seqgraph.Seq_graph.vertices (Css_seqgraph.Extract.graph extraction.Scheduler.engine) in
   let result = Scheduler.run timer extraction in
   let targets = collect_targets design result verts in
   if targets <> [] then begin

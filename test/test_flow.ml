@@ -68,7 +68,7 @@ let test_ours_extracts_fewer_edges_than_iccss () =
   let _, s1 = Css_core.Engine.run_ours t1 ~corner:Css_sta.Timer.Late in
   let design2 = Flow.clone (Lazy.force base_design) in
   let t2 = Css_sta.Timer.build design2 in
-  let _, s2 = Css_baselines.Iccss_plus.run t2 ~corner:Css_sta.Timer.Late in
+  let _, s2 = Css_core.Engine.run ~engine:Css_seqgraph.Extract.Iccss t2 ~corner:Css_sta.Timer.Late in
   checkb "fewer edges (the -90% claim, in shape)" true
     (s1.Css_seqgraph.Extract.edges_extracted < s2.Css_seqgraph.Extract.edges_extracted)
 

@@ -9,6 +9,7 @@ module Engine = Css_core.Engine
 module Scheduler = Css_core.Scheduler
 module Vertex = Css_seqgraph.Vertex
 module Seq_graph = Css_seqgraph.Seq_graph
+module Extract = Css_seqgraph.Extract
 module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
 module Point = Css_geometry.Point
@@ -80,7 +81,7 @@ let test_reconnect_reduces_violation_after_css () =
   let timer = Timer.build design in
   let eval0 = Css_eval.Evaluator.evaluate design in
   let extraction, _ = Engine.ours timer ~corner:Timer.Early in
-  let verts = Seq_graph.vertices extraction.Scheduler.graph in
+  let verts = Seq_graph.vertices (Extract.graph extraction.Scheduler.engine) in
   let result = Scheduler.run timer extraction in
   let targets = ref [] in
   Array.iteri

@@ -67,12 +67,12 @@ let test_orientation () =
   let launcher = Graph.Launch_ff ffs.(0) and endpoint = Graph.End_ff ffs.(1) in
   let late = Seq_graph.create verts ~corner:Timer.Late in
   ignore (Seq_graph.add_edge late ~launcher ~endpoint ~delay:10.0 ~weight:(-5.0));
-  let e = List.hd (Seq_graph.edge_ids late) in
+  let e = 0 in
   checki "late: src = launcher" (Vertex.of_ff verts ffs.(0)) (Seq_graph.src late e);
   checki "late: dst = endpoint" (Vertex.of_ff verts ffs.(1)) (Seq_graph.dst late e);
   let early = Seq_graph.create verts ~corner:Timer.Early in
   ignore (Seq_graph.add_edge early ~launcher ~endpoint ~delay:10.0 ~weight:(-5.0));
-  let e2 = List.hd (Seq_graph.edge_ids early) in
+  let e2 = 0 in
   checki "early: src = endpoint" (Vertex.of_ff verts ffs.(1)) (Seq_graph.src early e2);
   checki "early: dst = launcher" (Vertex.of_ff verts ffs.(0)) (Seq_graph.dst early e2)
 
@@ -167,7 +167,7 @@ let test_collapsed_port_pair () =
       ignore (Seq_graph.add_edge g ~launcher ~endpoint ~delay ~weight:(slack p)))
     [ a; b ];
   checki "one collapsed pair" 1 (Seq_graph.num_edges g);
-  let id = List.hd (Seq_graph.edge_ids g) in
+  let id = 0 in
   checkb "binding endpoint labels the pair" true (Seq_graph.endpoint g id = fst b);
   checkf 1e-9 "binding delay" (snd b) (Seq_graph.delay g id);
   List.iter
@@ -193,7 +193,10 @@ let test_snapshot_keeps_collapsed_endpoints () =
   ignore (Extract.round live);
   let g = Extract.graph live in
   checkb "some pair has a collapsed endpoint" true
-    (List.exists (fun id -> Seq_graph.collapsed_endpoints g id <> []) (Seq_graph.edge_ids g));
+    (let found = ref false in
+     Seq_graph.iter_edges g (fun id ->
+         if Seq_graph.collapsed_endpoints g id <> [] then found := true);
+     !found);
   let restored = Extract.restore (Extract.snapshot live) timer verts ~corner:Timer.Late in
   let rg = Extract.graph restored in
   checki "same edges" (Seq_graph.num_edges g) (Seq_graph.num_edges rg);
@@ -240,7 +243,7 @@ let test_eq10_update () =
   ignore
     (Seq_graph.add_edge g ~launcher:(Graph.Launch_ff ffs.(0)) ~endpoint:(Graph.End_ff ffs.(1))
        ~delay:1.0 ~weight:(-10.0));
-  let e = List.hd (Seq_graph.edge_ids g) in
+  let e = 0 in
   let deltas = Array.make (Vertex.num verts) 0.0 in
   deltas.(Vertex.of_ff verts ffs.(1)) <- 4.0;
   deltas.(Vertex.of_ff verts ffs.(0)) <- 1.0;
@@ -364,15 +367,51 @@ let test_iccss_extracts_critical_outgoing () =
   checki "no re-expansion without latency change" 0 fired2;
   ignore design
 
+(* [Extract.cap_hit] on every vertex: an IC-CSS engine charges each
+   flip-flop's cross-corner constraint edges (its early fan-in when
+   optimizing late, its late fan-out when optimizing early) and nothing
+   for a supernode; the other engines charge nothing. *)
 let test_iccss_constraint_edges_charge_cost () =
   let design, timer = tiny_timer () in
   let verts = Vertex.of_design design in
-  let iccss = Extract.run ~engine:Extract.Iccss timer verts ~corner:Timer.Late in
-  let before = (Extract.stats iccss).Extract.edges_extracted in
-  let ff = (Design.ffs design).(0) in
-  let n = Extract.constraint_edges iccss ff in
-  let after = (Extract.stats iccss).Extract.edges_extracted in
-  checki "cost charged" (before + n) after
+  List.iter
+    (fun corner ->
+      let expected = ref 0 and visited = ref 0 in
+      Array.iter
+        (fun ff ->
+          let n, seen =
+            match corner with
+            | Timer.Late ->
+              let found, seen = Timer.cone_to_endpoint timer Timer.Early (Graph.End_ff ff) in
+              (List.length found, seen)
+            | Timer.Early ->
+              let found, seen = Timer.cone_from_launcher timer Timer.Late (Graph.Launch_ff ff) in
+              (List.length found, seen)
+          in
+          expected := !expected + n;
+          visited := !visited + seen)
+        (Design.ffs design);
+      checkb "some constraint edges" true (!expected > 0);
+      List.iter
+        (fun engine ->
+          let obs = Obs.create () in
+          let eng = Extract.run ~obs ~engine timer verts ~corner in
+          let s = Extract.stats eng in
+          let edges0 = s.Extract.edges_extracted and cone0 = s.Extract.cone_nodes in
+          for v = 0 to Vertex.num verts - 1 do
+            Extract.cap_hit eng v
+          done;
+          let charged, walked =
+            match engine with Extract.Iccss -> (!expected, !visited) | _ -> (0, 0)
+          in
+          let name = Extract.engine_name engine in
+          checki (name ^ " edges charged") (edges0 + charged) s.Extract.edges_extracted;
+          checki (name ^ " cone nodes charged") (cone0 + walked) s.Extract.cone_nodes;
+          checki (name ^ " counter") charged
+            (Option.value ~default:0
+               (List.assoc_opt "extract.iccss.constraint_edges" (Obs.counters obs))))
+        [ Extract.Iccss; Extract.Essential; Extract.Full ])
+    [ Timer.Late; Timer.Early ]
 
 let test_iccss_criticality_grows_with_latency () =
   (* raising a latency can only make more vertices critical (Eq. 8 uses

@@ -533,6 +533,68 @@ let test_daemon_sigkill_resume () =
   ignore (Client.expect_ok (Client.rpc c4 Protocol.Shutdown));
   ignore (Unix.waitpid [] !pid)
 
+(* A restart keeps the timer settings an SDC delta made: the resumed
+   session's sign-off, its next warm answer and the latencies after each
+   are bitwise those of a local session that never restarted. (The flow
+   realizes every scheduled latency physically, so the [latencies] op
+   reads 0 for every flip-flop on both sides; the sign-off slacks are
+   where a wrong timer config shows.) *)
+let test_daemon_sigkill_keeps_sdc_timer () =
+  let socket = fresh_socket () in
+  let state = fresh_dir () in
+  let dcfg = daemon_config ~state_dir:(Some state) ~socket () in
+  let pid = ref (fork_daemon dcfg) in
+  Fun.protect ~finally:(fun () -> reap !pid) @@ fun () ->
+  let d0 = tiny_design () in
+  let text = Io.to_string d0 in
+  let sdc =
+    [
+      Session.Apply_sdc
+        "set_clock_uncertainty -setup 25\nset_clock_uncertainty -hold 10\nset_timing_derate -early 0.9\n";
+    ]
+  in
+  let name = Design.cell_name d0 (Design.ffs d0).(0) in
+  let p = Design.cell_pos d0 (Design.ffs d0).(0) in
+  let move = [ Session.Move_cell { cell = name; x = p.Point.x +. 150.0; y = p.Point.y } ] in
+  let local = Session.open_ ~config:(svc_config ()) ~algo:Session.Ours (Flow.clone d0) in
+  let apply deltas =
+    match Session.apply_delta local deltas with
+    | Ok o -> o.Session.d_result
+    | Error _ -> Alcotest.fail "local delta rejected"
+  in
+  ignore (apply sdc);
+  checkb "sdc delta took effect" true
+    ((Session.config local).Session.timer
+    = { Timer.setup_uncertainty = 25.0; hold_uncertainty = 10.0; early_derate = 0.9 });
+  let same_signoff c label resp (r : Session.result) =
+    let want = Protocol.summary_of_result r in
+    List.iter
+      (fun field ->
+        match Option.bind (Json.member "result" resp) (Json.member field) with
+        | Some got -> checkb (label ^ " " ^ field) true (Some got = Json.member field want)
+        | None -> Alcotest.failf "%s: response lacks %s" label field)
+      [ "wns_early"; "tns_early"; "wns_late"; "tns_late" ];
+    let remote = latencies_of_response (Client.expect_ok (Client.rpc c (Protocol.Latencies "sdc"))) in
+    check_same_latencies label (exact_latencies (Session.design local)) remote
+  in
+  let c1 = Client.wait_for_socket ~timeout:30.0 socket in
+  ignore (Client.expect_ok (Client.rpc c1 (open_params ~session:"sdc" text)));
+  ignore (Client.expect_ok (Client.rpc c1 (Protocol.Apply_delta ("sdc", sdc))));
+  Unix.kill !pid Sys.sigkill;
+  ignore (Unix.waitpid [] !pid);
+  Client.close c1;
+  pid := fork_daemon dcfg;
+  let c2 = Client.wait_for_socket ~timeout:30.0 socket in
+  Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
+  same_signoff c2 "run after restart"
+    (Client.expect_ok (Client.rpc c2 (Protocol.Run "sdc")))
+    (Session.finish local);
+  same_signoff c2 "warm delta after restart"
+    (Client.expect_ok (Client.rpc c2 (Protocol.Apply_delta ("sdc", move))))
+    (apply move);
+  ignore (Client.expect_ok (Client.rpc c2 Protocol.Shutdown));
+  ignore (Unix.waitpid [] !pid)
+
 let test_daemon_concurrent_budgets () =
   let socket = fresh_socket () in
   let pid = fork_daemon (daemon_config ~socket ()) in
@@ -666,6 +728,8 @@ let () =
           Alcotest.test_case "round trip + error codes" `Quick test_daemon_roundtrip;
           Alcotest.test_case "open with a legacy cache field" `Quick test_daemon_legacy_open_field;
           Alcotest.test_case "sigkill resume" `Quick test_daemon_sigkill_resume;
+          Alcotest.test_case "sigkill keeps sdc timer settings" `Quick
+            test_daemon_sigkill_keeps_sdc_timer;
           Alcotest.test_case "concurrent sessions + budgets" `Quick test_daemon_concurrent_budgets;
         ] );
       ( "eco-identity",
