@@ -159,6 +159,11 @@ val swap_master : t -> cell_id -> string -> unit
     @raise Not_found if absent. *)
 val cell_pin : t -> cell_id -> string -> pin_id
 
+(** [cell_pin_of_token t c tok] is the pin of [c] whose master pin name
+    has the token [tok] ({!pin_name_token}), or [-1]: {!cell_pin}
+    without the name lookup. O(#pins of [c]), allocation-free. *)
+val cell_pin_of_token : t -> cell_id -> int -> pin_id
+
 val port_name : t -> port_id -> string
 val port_dir : t -> port_id -> port_dir
 val port_pos : t -> port_id -> Css_geometry.Point.t

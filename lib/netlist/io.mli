@@ -14,8 +14,22 @@
     v}
 
     where [<ref>] is [cell:pin] for instance pins and [port:<name>] for
-    primary ports. Loading requires the same cell library the design was
-    built against (masters are referenced by name).
+    primary ports: the part before a reference's first [:] names the
+    cell, or is [port], and the rest names the pin or the port (a cell
+    named [port] cannot be referenced). Loading requires the same cell
+    library the design was built against (masters are referenced by
+    name).
+
+    Lines end at ['\n'] and are numbered from 1, blank ones included;
+    a text ending in ['\n'] ends with an empty line. Each line is
+    trimmed at both ends of [String.trim]'s whitespace ([' '], ['\t'],
+    ['\r'], ['\012']), so CRLF text reads as LF text. A trimmed line
+    that is empty or starts with [#] is skipped; a [#] later in a line
+    is an ordinary character. Fields are separated by runs of [' ']
+    alone: a tab inside a line belongs to the field around it. Numbers
+    are whatever [float_of_string] accepts ([1_000], [0x1p3], [inf],
+    [-0], ...). The reader is one pass over the text: fields are byte
+    ranges, and names are looked up where they lie.
 
     Malformed input never escapes as a raw exception: the primary entry
     points ({!of_string}, {!load}) return [result]s carrying
@@ -71,8 +85,10 @@ val bounds_line : Design.t -> Design.cell_id -> string option
     ([None]: the default). Each line parses as {!of_string} parses it,
     with its diagnostic codes; an id [d] does not hold, a line naming
     another entity than its id's, or a net line with another driver is
-    [IO-013]. The cell and port name tables pin references need are
-    built once per call, at its first net line. After the last edit,
+    [IO-013]. An edit line is split at [' '] as it stands: nothing
+    is trimmed and no comment is skipped. The cell and port
+    name tables pin references need are built once per call, at its
+    first net line. After the last edit,
     every sink of a net set, or of a net one of its sinks came from,
     must point back at that net ([IO-012] otherwise). The first error
     stops the replay, leaving [d] partly edited; nothing raises. *)

@@ -287,7 +287,7 @@ let check_eco_identity ?(config = Flow.default_config) ~deltas design ~algo =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let bits = Int64.bits_of_float in
-  let compare_latencies ~label wd cd =
+  let compare_designs ~label wd cd =
     let wl = latencies_of wd and cl = latencies_of cd in
     if List.length wl <> List.length cl then
       fail "%s: flip-flop count diverged (%d vs %d)" label (List.length wl) (List.length cl)
@@ -298,7 +298,22 @@ let check_eco_identity ?(config = Flow.default_config) ~deltas design ~algo =
           else if bits lw <> bits lc then
             fail "%s: flip-flop %s latency not bit-identical (warm %.17g vs cold %.17g)" label
               name lw lc)
-        wl cl
+        wl cl;
+    (* latencies alone miss what OPT did: it sets the scheduled latency
+       of every flip-flop it reconnects to 0, so the design text is
+       compared too *)
+    let wt = Css_netlist.Io.to_string wd and ct = Css_netlist.Io.to_string cd in
+    if wt <> ct then begin
+      let wl = String.split_on_char '\n' wt and cl = String.split_on_char '\n' ct in
+      let rec first i = function
+        | w :: ws, c :: cs -> if w = c then first (i + 1) (ws, cs) else (i, w, c)
+        | w :: _, [] -> (i, w, "<end>")
+        | [], c :: _ -> (i, "<end>", c)
+        | [], [] -> (i, "", "")
+      in
+      let i, w, c = first 1 (wl, cl) in
+      fail "%s: design text differs at line %d (warm %S vs cold %S)" label i w c
+    end
   in
   let base =
     {
@@ -320,7 +335,7 @@ let check_eco_identity ?(config = Flow.default_config) ~deltas design ~algo =
     (fun () ->
       ignore (Session.finish session);
       ignore (Flow.run ~config:base ~algo cold_design);
-      compare_latencies ~label:"initial run" warm_design cold_design;
+      compare_designs ~label:"initial run" warm_design cold_design;
       let cold_timer = ref base.Flow.timer in
       List.iteri
         (fun k batch ->
@@ -340,7 +355,7 @@ let check_eco_identity ?(config = Flow.default_config) ~deltas design ~algo =
             | Ok sg ->
               cold_timer := sg.Session.sg_timer;
               ignore (Flow.run ~config:{ base with Flow.timer = !cold_timer } ~algo cold_design);
-              compare_latencies ~label warm_design cold_design))
+              compare_designs ~label warm_design cold_design))
         deltas);
   List.rev !failures
 

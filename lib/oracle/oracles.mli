@@ -121,7 +121,10 @@ val random_deltas :
     history cold on another clone ([Flow.run], then per delta batch
     {!Css_flow.Session.stage} + a from-scratch [Flow.run] on the
     post-delta design), and requires {e bit-identical} per-flip-flop
-    latencies after the initial run and after every batch.
+    latencies and byte-identical design text ({!Css_netlist.Io.to_string},
+    which also holds what OPT changed: placement, reconnections and the
+    realized latencies it zeroes) after the initial run and after every
+    batch.
     [config]'s rollback/persistence/debug knobs
     are overridden (identity needs both sides on the live-timer path
     and free of budget degradation). *)
