@@ -76,8 +76,9 @@ val config : t -> config
 val update_latencies : t -> Css_netlist.Design.cell_id list -> unit
 
 (** [update_moved_cells t cells] incrementally re-propagates after the
-    placement of [cells] changed. Flip-flops among them also get their
-    clock latency refreshed. *)
+    placement of [cells] changed. Flip-flops among them, and the
+    flip-flops an LCB among them drives, also get their clock latency
+    refreshed. *)
 val update_moved_cells : t -> Css_netlist.Design.cell_id list -> unit
 
 (** [resize_cell t c master] swaps instance [c]'s library master (gate
