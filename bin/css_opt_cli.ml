@@ -106,10 +106,11 @@ let checkpoint_dir =
 let resume_flag =
   let doc =
     "Resume an interrupted run from the checkpoint in --checkpoint-dir instead of starting \
-     fresh. The checkpoint carries the design, algorithm and round count; the timer flags \
-     (--setup-uncertainty, --hold-uncertainty, --sdc) apply as they do to a fresh run, so \
-     pass the interrupted run's. A truncated or corrupt checkpoint is reported (CKPT-* \
-     diagnostics) and the run falls back to a fresh start."
+     fresh. The checkpoint carries the design, the algorithm and the run's settings (rounds, \
+     timer config, --resize, --cts, budgets), so --checkpoint-dir is all a resume needs; \
+     setting flags passed beside it are ignored. A truncated or corrupt checkpoint is \
+     reported (CKPT-* diagnostics) and the run falls back to a fresh start under the flags \
+     given."
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
@@ -248,93 +249,92 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
     | None -> ());
     if stats_ok && trace_ok then 0 else 1
   in
-  (* One timer config and one flow config serve the fresh and the
-     resumed run alike: the SDC's analysis knobs fold into the timer
-     config, and its latency windows go onto a fresh design only (a
-     checkpoint's design already carries them). *)
-  let constraints =
-    match sdc with
-    | None -> Ok Css_netlist.Sdc.empty
-    | Some path -> (
-      match Css_netlist.Sdc.load path with
-      | Error ds -> Error ds
-      | Ok (c, warns) ->
-        List.iter
-          (fun d -> if not quiet then prerr_endline ("css_opt: " ^ Css_util.Diag.to_string d))
-          warns;
-        Ok c)
-  in
-  match constraints with
-  | Error ds -> input_error ds
-  | Ok constraints -> (
-  let timer_cfg =
-    Css_sta.Timer.fold_sdc
-      {
-        Css_sta.Timer.default_config with
-        Css_sta.Timer.setup_uncertainty = su;
-        Css_sta.Timer.hold_uncertainty = hu;
-      }
-      constraints
-  in
-  let config =
-    {
-      Flow.default_config with
-      rounds;
-      Flow.use_resize = resize;
-      Flow.use_cts = cts;
-      Flow.timer = timer_cfg;
-      Flow.obs = obs;
-      Flow.budget = budget;
-      Flow.checkpoint_dir;
-    }
-  in
+  (* A fresh run: the SDC's analysis knobs fold into the timer config,
+     and its latency windows go onto the design. *)
   let fresh () =
-  match load_design benchmark input scale with
-  | Error (`Usage m) ->
-    prerr_endline ("css_opt: " ^ m);
-    1
-  | Error (`Diags ds) -> input_error ds
-  | Ok design -> (
-    try
-    (match sdc with
-    | Some path ->
-      (match Css_netlist.Sdc.apply constraints design with
-      | Ok _ -> ()
-      | Error ds -> raise (Css_util.Diag.Failed ds));
-      say "applied %s (%d latency windows)\n%!" path
-        (List.length constraints.Css_netlist.Sdc.latency_bounds)
-    | None -> ());
-    say "design %s: %d cells, %d FFs, %d LCBs, %d nets\n%!" (Design.name design)
-      (Design.num_cells design)
-      (Array.length (Design.ffs design))
-      (Array.length (Design.lcbs design))
-      (Design.num_nets design);
-    let before = Evaluator.evaluate ~timer:timer_cfg design in
-    say "before: %s\n%!" (Evaluator.summary before);
-    (match checkpoint_dir with
-    | Some dir -> say "checkpointing to %s\n%!" dir
-    | None -> ());
-    let res = guarded (fun () -> Flow.run ~config ~algo design) in
-    finish res design
-    with
-    (* malformed or degenerate input: one diagnostic line, never a raw
-       backtrace *)
-    | Failure m ->
-      prerr_endline ("css_opt: " ^ m);
-      2
-    | Css_util.Diag.Failed ds -> input_error ds
-    | Css_netlist.Validate.Invalid ds -> input_error ds)
+    let constraints =
+      match sdc with
+      | None -> Ok Css_netlist.Sdc.empty
+      | Some path -> (
+        match Css_netlist.Sdc.load path with
+        | Error ds -> Error ds
+        | Ok (c, warns) ->
+          List.iter
+            (fun d -> if not quiet then prerr_endline ("css_opt: " ^ Css_util.Diag.to_string d))
+            warns;
+          Ok c)
+    in
+    match constraints with
+    | Error ds -> input_error ds
+    | Ok constraints -> (
+      let timer_cfg =
+        Css_sta.Timer.fold_sdc
+          {
+            Css_sta.Timer.default_config with
+            Css_sta.Timer.setup_uncertainty = su;
+            Css_sta.Timer.hold_uncertainty = hu;
+          }
+          constraints
+      in
+      let config =
+        {
+          Flow.default_config with
+          rounds;
+          Flow.use_resize = resize;
+          Flow.use_cts = cts;
+          Flow.timer = timer_cfg;
+          Flow.obs = obs;
+          Flow.budget = budget;
+          Flow.checkpoint_dir;
+        }
+      in
+      match load_design benchmark input scale with
+      | Error (`Usage m) ->
+        prerr_endline ("css_opt: " ^ m);
+        1
+      | Error (`Diags ds) -> input_error ds
+      | Ok design -> (
+        try
+          (match sdc with
+          | Some path ->
+            (match Css_netlist.Sdc.apply constraints design with
+            | Ok _ -> ()
+            | Error ds -> raise (Css_util.Diag.Failed ds));
+            say "applied %s (%d latency windows)\n%!" path
+              (List.length constraints.Css_netlist.Sdc.latency_bounds)
+          | None -> ());
+          say "design %s: %d cells, %d FFs, %d LCBs, %d nets\n%!" (Design.name design)
+            (Design.num_cells design)
+            (Array.length (Design.ffs design))
+            (Array.length (Design.lcbs design))
+            (Design.num_nets design);
+          let before = Evaluator.evaluate ~timer:timer_cfg design in
+          say "before: %s\n%!" (Evaluator.summary before);
+          (match checkpoint_dir with
+          | Some dir -> say "checkpointing to %s\n%!" dir
+          | None -> ());
+          let res = guarded (fun () -> Flow.run ~config ~algo design) in
+          finish res design
+        with
+        (* malformed or degenerate input: one diagnostic line, never a raw
+           backtrace *)
+        | Failure m ->
+          prerr_endline ("css_opt: " ^ m);
+          2
+        | Css_util.Diag.Failed ds -> input_error ds
+        | Css_netlist.Validate.Invalid ds -> input_error ds))
   in
   match (resume_flag, checkpoint_dir) with
   | true, None ->
     prerr_endline "css_opt: --resume requires --checkpoint-dir";
     1
   | true, Some dir -> (
-    (* resumed runs carry their design, algorithm and round count in the
-       checkpoint; the timer flags apply as they do to a fresh run. On an
-       unusable checkpoint (CKPT-* diagnostics) fall back to a fresh run
-       so an interrupted pipeline invocation can be retried verbatim —
-       input errors in the fresh path still exit 2. *)
+    (* The checkpoint carries the design and every setting, so the
+       setting flags are not read. On an unusable checkpoint (CKPT-*
+       diagnostics) fall back to a fresh run so an interrupted pipeline
+       invocation can be retried verbatim — input errors in the fresh
+       path still exit 2. *)
+    let config = { Flow.default_config with Flow.obs; checkpoint_dir } in
     match guarded (fun () -> Flow.resume ~config ~library:Css_liberty.Library.default ~dir ()) with
     | Ok (res, design) ->
       say "resumed from %s\n%!" dir;
@@ -345,7 +345,7 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         ds;
       prerr_endline "css_opt: checkpoint unusable, starting a fresh run";
       fresh ())
-  | false, _ -> fresh ())
+  | false, _ -> fresh ()
 
 let cmd =
   let doc = "clock skew scheduling and slack optimization" in

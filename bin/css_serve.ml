@@ -148,6 +148,7 @@ let request_cmd =
 (* The reference replays the session's life locally: Flow.run on the
    same generated design, Session.stage for each delta, Flow.run again.
    Both sides start from the same design text and the same anchors, so
+   the sign-off WNS/TNS strings of every run and apply_delta answer and
    the latencies must match bitwise (the ECO-identity contract). *)
 
 let exact_latencies design =
@@ -238,15 +239,26 @@ let drive_cmd =
               o_wall_seconds = None;
               o_rss_mb = None;
             }));
+    let mismatches = ref 0 in
+    (* OPT zeroes the latencies it realizes, so the sign-off strings are
+       compared as well *)
+    let check_signoff what resp r =
+      match Protocol.signoff_diffs resp r with
+      | [] -> ()
+      | fields ->
+        incr mismatches;
+        Printf.eprintf "css_serve: %s: %s differ from local Flow.run\n" what
+          (String.concat ", " fields)
+    in
     let run_resp = rpc (Protocol.Run session) in
     say "run: %s\n" (Json.to_string (Option.get (Json.member "result" run_resp)));
-    if not no_identity then ignore (Flow.run ~config:cfg ~algo:Flow.Ours local);
+    if not no_identity then
+      check_signoff "run" run_resp (Flow.run ~config:cfg ~algo:Flow.Ours local);
     let ffs = Design.ffs local in
     if Array.length ffs = 0 then begin
       prerr_endline "css_serve: profile generated no flip-flops";
       exit 2
     end;
-    let mismatches = ref 0 in
     let service_s = ref 0.0 and local_s = ref 0.0 in
     for k = 0 to ndeltas - 1 do
       let ff = ffs.(k mod Array.length ffs) in
@@ -274,21 +286,12 @@ let drive_cmd =
             ("css_serve: local stage failed: " ^ String.concat "; " (List.map Diag.to_string ds));
           exit 2);
         let t0 = Css_util.Wall_clock.now () in
-        ignore (Flow.run ~config:cfg ~algo:Flow.Ours local);
+        let r = Flow.run ~config:cfg ~algo:Flow.Ours local in
         local_s := !local_s +. (Css_util.Wall_clock.now () -. t0);
+        check_signoff (Printf.sprintf "delta %d" k) resp r;
         let remote = latencies_of_response (rpc (Protocol.Latencies session)) in
-        let mine = exact_latencies local in
-        if remote <> mine then begin
+        if remote <> exact_latencies local then begin
           incr mismatches;
-          let n = min (Array.length remote) (Array.length mine) in
-          let shown = ref 0 in
-          for i = 0 to n - 1 do
-            if remote.(i) <> mine.(i) && !shown < 3 then begin
-              incr shown;
-              let rf, rv = remote.(i) and mf, mv = mine.(i) in
-              Printf.eprintf "  mismatch %s=%s (service) vs %s=%s (local)\n" rf rv mf mv
-            end
-          done;
           Printf.eprintf "css_serve: delta %d: latencies differ from local Flow.run\n" k
         end
       end

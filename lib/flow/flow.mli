@@ -35,10 +35,9 @@ val run : ?config:config -> algo:algo -> Css_netlist.Design.t -> result
     phase is deterministic, the final scheduled latencies are bitwise
     those of the same run uninterrupted.
 
-    [config] supplies everything a checkpoint does not carry (evaluator
-    and scheduler settings, budgets, [checkpoint_dir] for further
-    persistence — typically the same config the original run used);
-    [config.rounds] is overridden by the checkpoint's own horizon. On
+    The checkpoint's settings ({!Persist.settings}) replace [config]'s,
+    so [config] supplies only process-local fields ({!Session.reopen}):
+    [{ default_config with checkpoint_dir = Some dir }] resumes any run. On
     [Error], the diagnostics carry the [CKPT-*] codes of {!Persist}
     ([CKPT-006] when the checkpoint names an unknown algorithm or engine
     slot, its design does not parse against [library], or its arrays do

@@ -6,6 +6,8 @@ module Evaluator = Css_eval.Evaluator
 module Point = Css_geometry.Point
 module Diag = Css_util.Diag
 module Fnv = Css_util.Fnv
+module Timer = Css_sta.Timer
+module Budget = Css_util.Budget
 
 let log_src = Logs.Src.create "css.persist" ~doc:"durable flow checkpoints"
 
@@ -113,12 +115,22 @@ let fresh_progress ~hpwl_before =
     best = None;
   }
 
+type settings = {
+  rounds : int;
+  timer : Timer.config;
+  use_resize : bool;
+  use_cts : bool;
+  rollback : bool;
+  final_eval : bool;
+  budget : Budget.limits;
+}
+
 let path ~dir = Filename.concat dir "checkpoint.ckpt"
 let journal_path ~dir = Filename.concat dir "checkpoint.journal"
 
 type live = {
   lv_algo : string;
-  lv_rounds : int;
+  lv_settings : settings;
   lv_progress : progress;
   lv_rung : int;
   lv_design : Design.t;
@@ -130,9 +142,11 @@ type live = {
 
 let magic = "css-checkpoint"
 
-(* Version 3 dropped version 2's cone-cache section and renumbered the
-   degradation rungs; older files are rejected, not migrated. *)
-let version = 3
+(* Version 4 carries the session's settings (the base's [settings] line
+   replaced version 3's [rounds], and every journal record repeats it);
+   older files are rejected, not migrated. A journal's records follow
+   the format of the base it names. *)
+let version = 4
 let journal_magic = "css-journal"
 let journal_version = 1
 let fstr = Io.float_to_string
@@ -168,6 +182,16 @@ let add_launcher b = function
 let add_endpoint b = function
   | Graph.End_ff c -> add_id b 'f' c
   | Graph.End_port p -> add_id b 'p' p
+
+(* Every setting on one line, the floats bit for bit, a limit that is
+   not set as [-]. *)
+let add_settings b s =
+  let t = s.timer and l = s.budget in
+  let bit v = if v then 1 else 0 and opt f = function None -> "-" | Some v -> f v in
+  line b "settings %d %s %s %s %d %d %d %d %s %s %s" s.rounds (fstr t.Timer.early_derate)
+    (fstr t.Timer.setup_uncertainty) (fstr t.Timer.hold_uncertainty) (bit s.use_resize)
+    (bit s.use_cts) (bit s.rollback) (bit s.final_eval) (opt fstr l.Budget.wall_seconds)
+    (opt string_of_int l.Budget.rss_bytes) (fstr l.Budget.soft_frac)
 
 (* The base and the journal records share their sections: the run's
    scalar fields (a base puts the movement anchors between its head and
@@ -277,7 +301,7 @@ let body_of_live lv =
   let b = Buffer.create (String.length text + 4096) in
   line b "algo %s" lv.lv_algo;
   line b "design %s" (Design.name d);
-  line b "rounds %d" lv.lv_rounds;
+  add_settings b lv.lv_settings;
   add_run_head b p;
   (* movement anchors: a reparsed design re-anchors at its parsed
      positions, so the original run's legality reference is carried
@@ -412,6 +436,7 @@ let trace_delta ~old cur =
 let record_body f (ch : Design.changes) lv =
   let d = lv.lv_design and p = lv.lv_progress in
   let b = Buffer.create 4096 in
+  add_settings b lv.lv_settings;
   add_run_head b p;
   add_run_tail b p ~rung:lv.lv_rung;
   let kept, fresh = trace_delta ~old:f.trace p.trace_rev in
@@ -571,6 +596,32 @@ let engine_of_name cur = function
   | "essential" -> Extract.Essential
   | "iccss" -> Extract.Iccss
   | s -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "unknown engine '%s'" s)
+
+let parse_settings cur =
+  let flag key s = int_of cur key s <> 0 in
+  let opt conv key = function "-" -> None | s -> Some (conv cur key s) in
+  match split_ws (field cur "settings") with
+  | [ rounds; derate; setup; hold; resize; cts; rollback; final_eval; wall; rss; soft ] ->
+    {
+      rounds = int_of cur "settings.rounds" rounds;
+      timer =
+        {
+          Timer.early_derate = float_of cur "settings.early_derate" derate;
+          setup_uncertainty = float_of cur "settings.setup_uncertainty" setup;
+          hold_uncertainty = float_of cur "settings.hold_uncertainty" hold;
+        };
+      use_resize = flag "settings.use_resize" resize;
+      use_cts = flag "settings.use_cts" cts;
+      rollback = flag "settings.rollback" rollback;
+      final_eval = flag "settings.final_eval" final_eval;
+      budget =
+        {
+          Budget.wall_seconds = opt float_of "settings.wall_seconds" wall;
+          rss_bytes = opt int_of "settings.rss_bytes" rss;
+          soft_frac = float_of cur "settings.soft_frac" soft;
+        };
+    }
+  | _ -> bad ~file:cur.file "CKPT-005" "malformed settings line"
 
 let parse_run_head cur =
   let phases_done = int_field cur "phases-done" in
@@ -745,7 +796,7 @@ let parse_engines ?(convert = true) cur =
 let parse_body cur =
   let lv_algo = field cur "algo" in
   ignore (field cur "design");
-  let lv_rounds = int_field cur "rounds" in
+  let lv_settings = parse_settings cur in
   let head = parse_run_head cur in
   let nanchors = int_field cur "anchors" in
   let ax = array_field cur "ax" nanchors float_of in
@@ -761,7 +812,7 @@ let parse_body cur =
   ( text,
     ax,
     ay,
-    fun lv_design -> { lv_algo; lv_rounds; lv_progress; lv_rung; lv_design; lv_engines } )
+    fun lv_design -> { lv_algo; lv_settings; lv_progress; lv_rung; lv_design; lv_engines } )
 
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
 
@@ -770,6 +821,7 @@ let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop 
    for one {!Io.apply_lines} after the last record. *)
 let parse_record ~last cur lv edits =
   let d = lv.lv_design and old = lv.lv_progress in
+  let lv_settings = parse_settings cur in
   let head = parse_run_head cur in
   let progress, lv_rung = parse_run_tail cur head in
   let kept, nfresh =
@@ -824,7 +876,7 @@ let parse_record ~last cur lv edits =
   let lv_engines = parse_engines ~convert:last cur in
   if cur.pos <> String.length cur.buf then
     bad ~file:cur.file "CKPT-005" "trailing bytes after a journal record's end marker";
-  { lv with lv_progress = { progress with trace_rev; best }; lv_rung; lv_engines }
+  { lv with lv_settings; lv_progress = { progress with trace_rev; best }; lv_rung; lv_engines }
 
 let read_file file =
   match open_in_bin file with

@@ -8,14 +8,15 @@
     - [<dir>/checkpoint.ckpt] (see {!path}), the base: a versioned
       header, an FNV-1a 64 content hash ({!Css_util.Fnv}), then a
       line-oriented body carrying the complete resumable flow state —
-      the run's {!progress}, the serialized design (via
+      the {!settings}, the run's {!progress}, the serialized design (via
       {!Css_netlist.Io}'s shortest-round-trip floats, so reloading
       perturbs no bit), the movement anchors, and one
       {!Css_seqgraph.Extract.snapshot} per live extraction engine;
     - [<dir>/checkpoint.journal] (see {!journal_path}): a header naming
       the base by its hash, then one record per durable write since the
-      base, each a length, an FNV-1a 64 hash and a body holding what
-      changed: the run's scalar fields and new trace points, the cells,
+      base, each a length, an FNV-1a 64 hash and a body holding the
+      {!settings} and what changed: the run's scalar fields and new
+      trace points, the cells,
       nets, latencies, bounds and anchors the design's change set lists
       ({!Css_netlist.Design.take_changes}, as
       {!Css_netlist.Io.edit}s of the base's design text, each with its
@@ -24,7 +25,8 @@
       movement anchors).
 
     {!load} parses the base's design once and replays the records onto
-    it. Both formats are documented in [docs/ROBUSTNESS.md].
+    it. Both formats (version 4; older files get [CKPT-002]) are
+    documented in [docs/ROBUSTNESS.md].
 
     {2 Crash safety}
 
@@ -156,6 +158,18 @@ type progress = {
     started a phase yet. *)
 val fresh_progress : hpwl_before:float -> progress
 
+(** The {!Session.config} fields that decide what a run computes, timer
+    floats bit for bit; the base and every journal record carry them. *)
+type settings = {
+  rounds : int;
+  timer : Css_sta.Timer.config;  (** as the last SDC delta left it *)
+  use_resize : bool;
+  use_cts : bool;
+  rollback : bool;
+  final_eval : bool;
+  budget : Css_util.Budget.limits;
+}
+
 (** Everything needed to continue a flow run from a completed-phase
     boundary: what a live session hands over at every durable write,
     and what {!load} gives back. Partial phases are never represented:
@@ -164,7 +178,7 @@ val fresh_progress : hpwl_before:float -> progress
     — determinism makes the redo bitwise-identical. *)
 type live = {
   lv_algo : string;  (** {!Session.algo_name} of the running algorithm *)
-  lv_rounds : int;  (** configured round count at save time *)
+  lv_settings : settings;  (** the session's settings at save time *)
   lv_progress : progress;  (** the run's progress; file order is chronological *)
   lv_rung : int;  (** degradation-ladder position *)
   lv_design : Css_netlist.Design.t;

@@ -107,6 +107,32 @@ let default_config =
     debug_interrupt_after_iteration = None;
   }
 
+(* What a checkpoint carries of a config, and a config under a
+   checkpoint's settings: the caller keeps only the process-local
+   fields. *)
+let settings (c : config) =
+  {
+    Persist.rounds = c.rounds;
+    timer = c.timer;
+    use_resize = c.use_resize;
+    use_cts = c.use_cts;
+    rollback = c.rollback;
+    final_eval = c.final_eval;
+    budget = c.budget;
+  }
+
+let with_settings (c : config) (s : Persist.settings) =
+  {
+    c with
+    rounds = s.Persist.rounds;
+    timer = s.Persist.timer;
+    use_resize = s.Persist.use_resize;
+    use_cts = s.Persist.use_cts;
+    rollback = s.Persist.rollback;
+    final_eval = s.Persist.final_eval;
+    budget = s.Persist.budget;
+  }
+
 (* The text round trip keeps every float exactly; the movement anchors,
    which the text does not carry, are copied over. *)
 let clone design =
@@ -476,7 +502,7 @@ let consider_checkpoint st ~label =
 let live st =
   {
     Persist.lv_algo = algo_name st.algo;
-    lv_rounds = st.cfg.rounds;
+    lv_settings = settings st.cfg;
     lv_progress =
       {
         st.run with
@@ -884,9 +910,9 @@ let reopen ?(config = default_config) ~library ~dir () =
       match shape_errors lv with
       | _ :: _ as errors -> Error errors
       | [] ->
-        (* the checkpoint's configured horizon wins: continuation must
-           count rounds the way the interrupted run did *)
-        let config = { config with rounds = lv.Persist.lv_rounds } in
+        (* the checkpoint's settings win: continuation must compute
+           what the interrupted run would have *)
+        let config = with_settings config lv.Persist.lv_settings in
         let st = create ~config ~algo ~validation:[] ~resume:lv lv.Persist.lv_design in
         (* writing back where it loaded from, the session appends to
            the journal it just replayed *)

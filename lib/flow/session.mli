@@ -57,7 +57,8 @@
       after every completed phase one small record of what changed is
       appended and fsynced ({!Persist.write}), and {!reopen} (base +
       replay) continues a killed run to a final result bitwise
-      identical to an uninterrupted one. Under
+      identical to an uninterrupted one, under the settings
+      ({!Persist.settings}) the base and every record carry. Under
       {!Persist.with_signal_handlers} (or a daemon's
       {!Persist.install_handlers}), SIGINT/SIGTERM become a cooperative
       stop whose last act is that same durable checkpoint; the session
@@ -263,7 +264,8 @@ val timer : t -> Css_sta.Timer.t
 val score : t -> Css_eval.Evaluator.report
 
 (** The session's current configuration. [Apply_sdc] deltas can change
-    the [timer] sub-config; everything else is as given to {!open_}. *)
+    the [timer] sub-config; everything else is as given to {!open_} (or
+    as the checkpoint holds it, after {!reopen}). *)
 val config : t -> config
 
 val algo : t -> algo
@@ -373,7 +375,9 @@ val save : t -> dir:string -> unit
     ({!Persist.load}, whose design the session adopts) into a fresh
     session positioned mid-run: {!finish} continues to the bitwise
     result of the uninterrupted run, and the session then keeps serving
-    deltas. [config.rounds] is overridden by the checkpoint's horizon.
+    deltas. The checkpoint's {!Persist.settings} replace [config]'s, so
+    [config] supplies only [obs], [checkpoint_dir], [on_phase_end], the
+    debug interrupts, [validate], [repair], [jobs] and [cache_bytes].
     Errors carry {!Persist}'s [CKPT-*] codes; [CKPT-006] also reports a
     checkpoint whose shape does not fit the design it carries (anchor
     count, best-checkpoint FFs, LCBs, masters and array lengths,

@@ -155,6 +155,35 @@ let check_feasible ?(slack_tol = 0.5) design ~corner =
 (* ------------------------------------------------------------------ *)
 (* Resume identity *)
 
+(* Where design [b] differs from [a], each line prefixed by [label]:
+   every flip-flop's scheduled latency bit for bit, then the design
+   text, which also holds what OPT did (placement, reconnections and
+   the realized latencies it zeroes, which latencies alone miss). *)
+let design_diffs ~label a b =
+  let diff fmt = Printf.ksprintf (fun m -> [ label ^ ": " ^ m ]) fmt in
+  let la = latencies_of a and lb = latencies_of b in
+  let latencies =
+    if List.length la <> List.length lb then
+      diff "flip-flop count diverged (%d vs %d)" (List.length la) (List.length lb)
+    else
+      List.concat
+        (List.map2
+           (fun (n, x) (n', y) ->
+             if n <> n' then diff "flip-flop set diverged (%s vs %s)" n n'
+             else if Int64.bits_of_float x <> Int64.bits_of_float y then
+               diff "flip-flop %s latency not bit-identical (%.17g vs %.17g)" n x y
+             else [])
+           la lb)
+  in
+  let rec first i = function
+    | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+    | x :: _, y :: _ -> diff "design text differs at line %d (%S vs %S)" i x y
+    | x :: _, [] | [], x :: _ -> diff "design text ends early before line %d (%S)" i x
+    | [], [] -> []
+  in
+  let lines d = String.split_on_char '\n' (Io.to_string d) in
+  latencies @ first 1 (lines a, lines b)
+
 (* Durable checkpoints are only correct if continuation is invisible:
    kill a flow at an arbitrary boundary, resume from disk, and the final
    state must be bitwise the one an uninterrupted run reaches. The kill
@@ -174,21 +203,21 @@ let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
   in
   let reference_design = Flow.clone design in
   let reference = Flow.run ~config:base ~algo reference_design in
-  let interrupted_design = Flow.clone design in
-  let interrupted =
-    Flow.run
-      ~config:
-        {
-          base with
-          Flow.checkpoint_dir = Some dir;
-          Flow.debug_interrupt_after_phase = kill_after_phase;
-          Flow.debug_interrupt_after_iteration = kill_after_iteration;
-        }
-      ~algo interrupted_design
-  in
-  ignore interrupted;
-  match Flow.resume ~config:{ base with Flow.checkpoint_dir = Some dir }
-          ~library:(Design.library design) ~dir ()
+  ignore
+    (Flow.run
+       ~config:
+         {
+           base with
+           Flow.checkpoint_dir = Some dir;
+           Flow.debug_interrupt_after_phase = kill_after_phase;
+           Flow.debug_interrupt_after_iteration = kill_after_iteration;
+         }
+       ~algo (Flow.clone design));
+  (* the checkpoint carries the run's settings: the resume passes none *)
+  match
+    Flow.resume
+      ~config:{ Flow.default_config with Flow.checkpoint_dir = Some dir }
+      ~library:(Design.library design) ~dir ()
   with
   | Error ds ->
     fail "resume rejected the checkpoint: %s"
@@ -202,31 +231,9 @@ let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
     if resumed.Flow.rolled_back <> reference.Flow.rolled_back then
       fail "rollback decision diverged: resumed %b vs uninterrupted %b" resumed.Flow.rolled_back
         reference.Flow.rolled_back;
-    let bits = Int64.bits_of_float in
-    let cmp_f name a b =
-      if bits a <> bits b then fail "%s not bit-identical (%.17g vs %.17g)" name b a
-    in
-    cmp_f "final WNS(early)" reference.Flow.report.Evaluator.wns_early
-      resumed.Flow.report.Evaluator.wns_early;
-    cmp_f "final WNS(late)" reference.Flow.report.Evaluator.wns_late
-      resumed.Flow.report.Evaluator.wns_late;
-    cmp_f "final TNS(early)" reference.Flow.report.Evaluator.tns_early
-      resumed.Flow.report.Evaluator.tns_early;
-    cmp_f "final TNS(late)" reference.Flow.report.Evaluator.tns_late
-      resumed.Flow.report.Evaluator.tns_late;
-    cmp_f "final HPWL" reference.Flow.report.Evaluator.hpwl resumed.Flow.report.Evaluator.hpwl;
-    let ref_lat = latencies_of reference_design and res_lat = latencies_of resumed_design in
-    if List.length ref_lat <> List.length res_lat then
-      fail "flip-flop count diverged (%d vs %d)" (List.length ref_lat) (List.length res_lat)
-    else
-      List.iter2
-        (fun (name, lr) (name', ls) ->
-          if name <> name' then fail "flip-flop set diverged (%s vs %s)" name name'
-          else if bits lr <> bits ls then
-            fail "flip-flop %s latency not bit-identical after resume (%.17g vs %.17g)" name ls
-              lr)
-        ref_lat res_lat;
     List.rev !failures
+    @ report_diffs ~label:"final report" reference.Flow.report resumed.Flow.report
+    @ design_diffs ~label:"uninterrupted vs resumed" reference_design resumed_design
 
 (* ------------------------------------------------------------------ *)
 (* ECO identity *)
@@ -286,34 +293,8 @@ let random_deltas rng design ~n =
 let check_eco_identity ?(config = Flow.default_config) ~deltas design ~algo =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let bits = Int64.bits_of_float in
   let compare_designs ~label wd cd =
-    let wl = latencies_of wd and cl = latencies_of cd in
-    if List.length wl <> List.length cl then
-      fail "%s: flip-flop count diverged (%d vs %d)" label (List.length wl) (List.length cl)
-    else
-      List.iter2
-        (fun (name, lw) (name', lc) ->
-          if name <> name' then fail "%s: flip-flop set diverged (%s vs %s)" label name name'
-          else if bits lw <> bits lc then
-            fail "%s: flip-flop %s latency not bit-identical (warm %.17g vs cold %.17g)" label
-              name lw lc)
-        wl cl;
-    (* latencies alone miss what OPT did: it sets the scheduled latency
-       of every flip-flop it reconnects to 0, so the design text is
-       compared too *)
-    let wt = Css_netlist.Io.to_string wd and ct = Css_netlist.Io.to_string cd in
-    if wt <> ct then begin
-      let wl = String.split_on_char '\n' wt and cl = String.split_on_char '\n' ct in
-      let rec first i = function
-        | w :: ws, c :: cs -> if w = c then first (i + 1) (ws, cs) else (i, w, c)
-        | w :: _, [] -> (i, w, "<end>")
-        | [], c :: _ -> (i, "<end>", c)
-        | [], [] -> (i, "", "")
-      in
-      let i, w, c = first 1 (wl, cl) in
-      fail "%s: design text differs at line %d (warm %S vs cold %S)" label i w c
-    end
+    failures := List.rev_append (design_diffs ~label:(label ^ ", warm vs cold") wd cd) !failures
   in
   let base =
     {

@@ -92,9 +92,10 @@ val check_feasible :
     again with a deterministic debug interrupt injected after
     [kill_after_phase] completed phases and/or [kill_after_iteration]
     scheduler polls (persisting checkpoints under [dir]), resumes from
-    disk with {!Css_flow.Flow.resume}, and requires the resumed run's
-    final per-flip-flop latencies, evaluator report and stop reason to
-    be {e bit-identical} to the uninterrupted run's. A kill point past
+    disk with {!Css_flow.Flow.resume} under no config of its own, and
+    requires the resumed run's final per-flip-flop latencies, evaluator
+    report, stop reason and design text to be {e bit-identical} to the
+    uninterrupted run's. A kill point past
     the end of the run degrades to resume-of-a-complete-run, which must
     also be an identity. [config] must leave persistence and the debug
     knobs unset (the check owns them). *)

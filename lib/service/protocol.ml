@@ -255,6 +255,15 @@ let summary_of_result (r : Session.result) =
       ("tns_late", fstr rep.Css_eval.Evaluator.tns_late);
     ]
 
+let signoff_diffs resp r =
+  let want = summary_of_result r in
+  List.filter
+    (fun field ->
+      match Option.bind (Json.member "result" resp) (Json.member field) with
+      | Some got -> Some got <> Json.member field want
+      | None -> true)
+    [ "wns_early"; "tns_early"; "wns_late"; "tns_late" ]
+
 let latencies_json design =
   let module Design = Css_netlist.Design in
   let ffs = Design.ffs design in

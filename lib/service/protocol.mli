@@ -103,6 +103,10 @@ val is_ok : Css_util.Json.t -> bool
     counts, and the evaluator's WNS/TNS per corner as exact strings. *)
 val summary_of_result : Css_flow.Session.result -> Css_util.Json.t
 
+(** [signoff_diffs resp r] names the WNS/TNS fields of [resp]'s
+    [result] that differ from {!summary_of_result}[ r]'s, or are missing. *)
+val signoff_diffs : Css_util.Json.t -> Css_flow.Session.result -> string list
+
 (** [latencies_json design] is every flip-flop's scheduled latency as
     [[{"ff": name, "latency": exact-string}, ...]], in {!Css_netlist.Design.ffs}
     order — the bitwise ECO-identity payload. *)

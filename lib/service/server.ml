@@ -6,7 +6,6 @@ module Histo = Css_util.Histo
 module Wall_clock = Css_util.Wall_clock
 module Io = Css_netlist.Io
 module Validate = Css_netlist.Validate
-module Timer = Css_sta.Timer
 module Session = Css_flow.Session
 module Persist = Css_flow.Persist
 
@@ -95,52 +94,6 @@ let op_name : Protocol.request -> string = function
 let session_dir t name =
   Option.map (fun root -> Filename.concat root name) t.cfg.state_dir
 
-let meta_file dir = Filename.concat dir "session.json"
-
-(* Everything [Session.reopen] cannot recover from the checkpoint
-   itself: the session's knobs and its timer config (the open request's,
-   with every SDC delta since folded in), re-applied at daemon restart.
-   The timer config's floats are hex literals, so a restart reads back
-   the exact bits. *)
-let write_meta ~dir session =
-  let sc = Session.config session in
-  let tc = sc.Session.timer in
-  let opt v f = match v with None -> Json.Null | Some x -> f x in
-  let hex f = Json.String (Printf.sprintf "%h" f) in
-  Json.write_file (meta_file dir) (fun oc ->
-      output_string oc
-        (Json.to_string
-           (Json.Obj
-              [
-                ("algo", Json.String (Session.algo_name (Session.algo session)));
-                ("final_eval", Json.Bool sc.Session.final_eval);
-                ("rollback", Json.Bool sc.Session.rollback);
-                ("wall_seconds", opt sc.Session.budget.Budget.wall_seconds (fun f -> Json.Float f));
-                ("rss_bytes", opt sc.Session.budget.Budget.rss_bytes (fun i -> Json.Int i));
-                ( "timer",
-                  Json.Obj
-                    [
-                      ("early_derate", hex tc.Timer.early_derate);
-                      ("setup_uncertainty", hex tc.Timer.setup_uncertainty);
-                      ("hold_uncertainty", hex tc.Timer.hold_uncertainty);
-                    ] );
-              ])))
-
-(* A session.json without the timer config (or with a field that does
-   not parse) keeps the default for what is missing. *)
-let timer_of_meta meta =
-  let d = Timer.default_config in
-  let field name default =
-    match Option.bind (Json.member "timer" meta) (Json.member name) with
-    | Some (Json.String s) -> Option.value ~default (float_of_string_opt s)
-    | _ -> default
-  in
-  {
-    Timer.early_derate = field "early_derate" d.Timer.early_derate;
-    setup_uncertainty = field "setup_uncertainty" d.Timer.setup_uncertainty;
-    hold_uncertainty = field "hold_uncertainty" d.Timer.hold_uncertainty;
-  }
-
 let rec mkdir_p path =
   if not (Sys.file_exists path) then begin
     mkdir_p (Filename.dirname path);
@@ -181,6 +134,10 @@ let session_config (cfg : config) ~(p : Protocol.open_params) ~dir : Session.con
       };
   }
 
+let add_sess t name session ~dir ~stop =
+  Hashtbl.replace t.sessions name
+    { sx_name = name; sx_session = session; sx_dir = dir; sx_last_stop = stop; sx_requests = 0 }
+
 let find_sess t name =
   match Hashtbl.find_opt t.sessions name with
   | Some sx -> Ok sx
@@ -212,30 +169,20 @@ let handle_open t (p : Protocol.open_params) =
       with
       | Error diags -> Protocol.error_of_diags diags
       | Ok (design, parse_diags) -> (
-        let dir = session_dir t p.Protocol.o_session in
-        Option.iter mkdir_p dir;
-        let sc = session_config t.cfg ~p ~dir in
-        match Session.open_ ~config:sc ~algo design with
+        (* the session's first checkpoint write makes its directory *)
+        let name = p.Protocol.o_session in
+        let dir = session_dir t name in
+        match Session.open_ ~config:(session_config t.cfg ~p ~dir) ~algo design with
         | exception Validate.Invalid diags -> Protocol.error_of_diags diags
         | session ->
-          let sx =
-            {
-              sx_name = p.Protocol.o_session;
-              sx_session = session;
-              sx_dir = dir;
-              sx_last_stop = "";
-              sx_requests = 0;
-            }
-          in
-          Hashtbl.replace t.sessions p.Protocol.o_session sx;
-          Option.iter (fun dir -> write_meta ~dir session) dir;
+          add_sess t name session ~dir ~stop:"";
           obs_incr t "service.opens";
           Log.info (fun m ->
-              m "open %s: %s, %d cells" sx.sx_name p.Protocol.o_algo
+              m "open %s: %s, %d cells" name p.Protocol.o_algo
                 (Css_netlist.Design.num_cells design));
           Protocol.ok
             [
-              ("session", Json.String sx.sx_name);
+              ("session", Json.String name);
               ("cells", Json.Int (Css_netlist.Design.num_cells design));
               ("ffs", Json.Int (Array.length (Css_netlist.Design.ffs design)));
               ("diags", Json.Int (List.length parse_diags));
@@ -258,16 +205,9 @@ let handle_request t (req : Protocol.request) =
     | Error e -> e
     | Ok sx -> (
       sx.sx_requests <- sx.sx_requests + 1;
-      let timer_before = (Session.config sx.sx_session).Session.timer in
       match Session.apply_delta sx.sx_session deltas with
       | Error diags -> Protocol.error_of_diags diags
       | Ok o ->
-        (* an SDC delta that moved the timer config must survive a restart *)
-        (match sx.sx_dir with
-        | Some dir when (Session.config sx.sx_session).Session.timer <> timer_before -> (
-          try write_meta ~dir sx.sx_session
-          with Sys_error m -> Log.warn (fun m' -> m' "session %s: session.json: %s" sx.sx_name m))
-        | _ -> ());
         record_result sx o.Session.d_result;
         Protocol.ok
           [
@@ -390,14 +330,9 @@ let handle_client_frame t fd =
 (* ------------------------------------------------------------------ *)
 (* Restart: bring back every session the state directory holds         *)
 
-let read_meta dir =
-  let path = meta_file dir in
-  if not (Sys.file_exists path) then None
-  else
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error _ -> None
-    | text -> ( match Json.of_string text with exception Failure _ -> None | j -> Some j)
-
+(* Every [<state>/<name>/] holding a checkpoint is a session: its
+   settings travel in the checkpoint, so it reopens under the daemon's
+   own sink and writes back where it was read. *)
 let restore_sessions t =
   match t.cfg.state_dir with
   | None -> ()
@@ -407,52 +342,21 @@ let restore_sessions t =
       (fun name ->
         let dir = Filename.concat root name in
         if Sys.is_directory dir then
-          match read_meta dir with
-          | None -> Log.warn (fun m -> m "state dir %s has no readable session.json; skipped" dir)
-          | Some meta ->
-            let p =
-              {
-                Protocol.o_session = name;
-                o_design = "";
-                o_algo =
-                  (match Json.member "algo" meta with Some (Json.String a) -> a | _ -> "Ours");
-                o_rounds = None;
-                o_final_eval =
-                  (match Json.member "final_eval" meta with
-                  | Some (Json.Bool b) -> Some b
-                  | _ -> None);
-                o_rollback =
-                  (match Json.member "rollback" meta with Some (Json.Bool b) -> Some b | _ -> None);
-                o_wall_seconds =
-                  (match Json.member "wall_seconds" meta with
-                  | Some (Json.Float f) -> Some f
-                  | Some (Json.Int i) -> Some (float_of_int i)
-                  | _ -> None);
-                o_rss_mb =
-                  (match Json.member "rss_bytes" meta with
-                  | Some (Json.Int b) -> Some (b / (1024 * 1024))
-                  | _ -> None);
-              }
+          if not (Sys.file_exists (Persist.path ~dir)) then
+            Log.info (fun m -> m "state dir %s holds no checkpoint; skipped" dir)
+          else
+            let config =
+              { Session.default_config with obs = t.cfg.obs; checkpoint_dir = Some dir }
             in
-            let sc =
-              { (session_config t.cfg ~p ~dir:(Some dir)) with Session.timer = timer_of_meta meta }
-            in
-            (match Session.reopen ~config:sc ~library:t.cfg.library ~dir () with
+            match Session.reopen ~config ~library:t.cfg.library ~dir () with
             | Error diags ->
               Log.warn (fun m ->
                   m "session %s did not resume: %s" name
                     (String.concat "; " (List.map Diag.to_string diags)))
             | Ok session ->
-              Hashtbl.replace t.sessions name
-                {
-                  sx_name = name;
-                  sx_session = session;
-                  sx_dir = Some dir;
-                  sx_last_stop = "resumed";
-                  sx_requests = 0;
-                };
+              add_sess t name session ~dir:(Some dir) ~stop:"resumed";
               obs_incr t "service.resumes";
-              Log.info (fun m -> m "resumed session %s" name)))
+              Log.info (fun m -> m "resumed session %s" name))
       (Sys.readdir root)
 
 (* ------------------------------------------------------------------ *)

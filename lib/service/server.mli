@@ -19,13 +19,14 @@
     {2 Crash safety}
 
     With [state_dir] set, every session lives in
-    [<state_dir>/<name>/]: the {!Css_flow.Persist} checkpoint the
-    session maintains plus a [session.json] with the open request's
-    knobs and the session's timer config (rewritten after an
-    [apply_delta] that changed it). A daemon started over the same directory resumes every
-    session bitwise where its last completed phase left it — including
-    after SIGKILL, since checkpoints are written at open and after each
-    completed request/phase. SIGINT/SIGTERM are owned by ONE
+    [<state_dir>/<name>/], which holds only the {!Css_flow.Persist}
+    checkpoint the session maintains, settings included. A daemon
+    started over the same directory reopens every checkpoint there and
+    resumes it bitwise where its last completed phase left it —
+    including after SIGKILL, mid-request, since checkpoints are written
+    at open, at every request start and after every completed phase;
+    one that does not load is logged with its [CKPT-*] code and
+    skipped. SIGINT/SIGTERM are owned by ONE
     {!Css_flow.Persist.install_handlers} handler that raises the
     cooperative interrupt (stopping any in-flight run at its next poll)
     and saves all sessions' checkpoints when the loop is idle; cleanly

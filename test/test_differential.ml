@@ -444,6 +444,33 @@ let test_resume_identity_sweep () =
         resume_algos)
     (profiles 424242)
 
+(* The checkpoint carries the run's settings, so the oracle's resume
+   passes none: each of these runs, killed after its first phase, must
+   continue exactly under a default config. *)
+let resume_settings =
+  let d = Css_flow.Flow.default_config in
+  [
+    ("default", d);
+    ("use_resize", { d with Css_flow.Flow.use_resize = true });
+    ("use_cts", { d with Css_flow.Flow.use_cts = true });
+    ( "timer",
+      {
+        d with
+        Css_flow.Flow.timer =
+          { Timer.early_derate = 0.9; setup_uncertainty = 25.0; hold_uncertainty = 10.0 };
+      } );
+    ("rollback off", { d with Css_flow.Flow.rollback = false });
+    ("final_eval and rollback off", { d with Css_flow.Flow.final_eval = false; rollback = false });
+  ]
+
+let test_resume_settings () =
+  List.iter
+    (fun (what, config) ->
+      fail_all ("resume/" ^ what)
+        (Oracles.check_resume_identity ~config ~kill_after_phase:1 (Generator.generate Profile.tiny)
+           ~algo:Css_flow.Flow.Ours ~dir:(fresh_dir ())))
+    resume_settings
+
 (* mid-phase kills: the scheduler aborts between iterations, nothing of
    the partial phase survives, and the redo is bitwise the same *)
 let resume_identity_prop =
@@ -601,6 +628,8 @@ let () =
         [
           Alcotest.test_case "identity sweep (3 profiles x 3 algos)" `Quick
             test_resume_identity_sweep;
+          Alcotest.test_case "identity under each setting, no flags on resume" `Quick
+            test_resume_settings;
           QCheck_alcotest.to_alcotest resume_identity_prop;
           Alcotest.test_case "partial writes detected" `Quick test_partial_write_detected;
         ] );

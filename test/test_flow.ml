@@ -253,7 +253,7 @@ let anchor_bits d =
 let view (lv : Persist.live) =
   let d = lv.Persist.lv_design in
   ( (Io.to_string d, anchor_bits d),
-    (lv.Persist.lv_algo, lv.Persist.lv_rounds, lv.Persist.lv_rung),
+    (lv.Persist.lv_algo, lv.Persist.lv_settings, lv.Persist.lv_rung),
     lv.Persist.lv_progress,
     lv.Persist.lv_engines )
 
@@ -429,8 +429,10 @@ module Obs = Css_util.Obs
 (* {2 The checkpoint format}
 
    [data/micro.ckpt] was written from [Generator.micro] with [Ours] and
-   [rounds = 1]. It pins the on-disk format: regenerate it only together
-   with a format version bump. *)
+   [rounds = 1]: a [Flow.run] with [checkpoint_dir] set, whose
+   checkpoint [Persist.load] read and [Persist.save] wrote as one base
+   into a fresh directory. It pins the on-disk format: regenerate it
+   only by this recipe, together with a format version bump. *)
 
 let fixture = "data/micro.ckpt"
 let read_file f = In_channel.with_open_bin f In_channel.input_all
@@ -467,16 +469,84 @@ let test_golden_checkpoint () =
     checkb "load then save reproduces the fixture byte for byte" true
       (read_file (Persist.path ~dir:out) = golden);
     (* older versions are rejected, not migrated: the same body under a
-       version-2 header is refused with CKPT-002 and raises nothing *)
-    let v2 = ckpt_dir (with_header ~version:2 (body_of golden)) in
-    (match load v2 with
-    | Ok _ -> Alcotest.fail "a version-2 checkpoint loads"
-    | Error ds -> checks "version 2 rejected" "CKPT-002" (List.hd ds).Diag.code);
-    match Session.reopen ~library:(Design.library (Generator.micro ())) ~dir:v2 () with
+       version-3 header is refused with CKPT-002 and raises nothing *)
+    let v3 = ckpt_dir (with_header ~version:3 (body_of golden)) in
+    (match load v3 with
+    | Ok _ -> Alcotest.fail "a version-3 checkpoint loads"
+    | Error ds -> checks "version 3 rejected" "CKPT-002" (List.hd ds).Diag.code);
+    match Session.reopen ~library:(Design.library (Generator.micro ())) ~dir:v3 () with
     | Ok s ->
       Session.close s;
-      Alcotest.fail "a version-2 checkpoint reopens"
-    | Error ds -> checks "reopen rejects version 2" "CKPT-002" (List.hd ds).Diag.code)
+      Alcotest.fail "a version-3 checkpoint reopens"
+    | Error ds -> checks "reopen rejects version 3" "CKPT-002" (List.hd ds).Diag.code)
+
+(* The settings a reopened session runs under, floats as bits. *)
+let settings_bits (c : Session.config) =
+  let b = Int64.bits_of_float in
+  let t = c.Session.timer and l = c.Session.budget in
+  ( c.Session.rounds,
+    (b t.Css_sta.Timer.early_derate, b t.setup_uncertainty, b t.hold_uncertainty),
+    (c.use_resize, c.use_cts, c.rollback, c.final_eval),
+    (Option.map b l.Budget.wall_seconds, l.rss_bytes, b l.soft_frac) )
+
+(* A checkpoint carries the session's settings: a session reopened
+   from its base, from its records, and from the records of an SDC
+   request that changed its timer config runs under them, whatever
+   config its caller passes; the caller keeps the process-local
+   fields. CTS adds cells, so a CTS session's writes are bases; the
+   resize session's request is read back from journal records. *)
+let test_settings_round_trip ~use_cts () =
+  let dir = fresh_dir () in
+  let original =
+    {
+      Session.default_config with
+      Session.rounds = 2;
+      timer =
+        {
+          Css_sta.Timer.early_derate = 0.1 +. 0.8;
+          setup_uncertainty = 25.5;
+          hold_uncertainty = 0.1 +. 0.2;
+        };
+      use_resize = not use_cts;
+      use_cts;
+      rollback = false;
+      final_eval = false;
+      budget =
+        { Budget.wall_seconds = Some 3600.25; rss_bytes = Some (8 lsl 30); soft_frac = 0.7 };
+      checkpoint_dir = Some dir;
+    }
+  in
+  let caller =
+    {
+      Session.default_config with
+      Session.rounds = 5;
+      timer = { Css_sta.Timer.default_config with Css_sta.Timer.setup_uncertainty = 1.0 };
+      budget = { Budget.no_limits with Budget.wall_seconds = Some 1.0 };
+    }
+  in
+  let reopened what (want : Session.config) =
+    match Session.reopen ~config:caller ~library:Css_liberty.Library.default ~dir () with
+    | Error ds ->
+      Alcotest.failf "%s: reopen failed: %s" what (String.concat "; " (List.map Diag.to_string ds))
+    | Ok r ->
+      let got = Session.config r in
+      Session.close r;
+      checkb (what ^ ": the checkpoint's settings") true (settings_bits got = settings_bits want);
+      checkb (what ^ ": the caller's checkpoint_dir") true (got.Session.checkpoint_dir = None)
+  in
+  let s = Session.open_ ~config:original ~algo:Session.Ours (Generator.generate Profile.tiny) in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      reopened "the base" original;
+      ignore (Session.finish s);
+      reopened "after the run" original;
+      match Session.apply_delta s [ Session.Apply_sdc "set_clock_uncertainty -hold 7.125\n" ] with
+      | Error _ -> Alcotest.fail "the sdc delta was rejected"
+      | Ok _ ->
+        checkb "the sdc delta moved the timer config" true
+          (settings_bits (Session.config s) <> settings_bits original);
+        reopened "after the sdc request" (Session.config s))
 
 (* Empty arrays keep their "key " line: the golden state on a design of
    no cells, with every best-checkpoint array emptied, saves, loads back
@@ -536,7 +606,7 @@ let test_reopen_shape_check () =
   | Error _ -> Alcotest.fail "the golden checkpoint does not reopen");
   let edit f =
     let lines = String.split_on_char '\n' (body_of golden) in
-    with_header ~version:3 (String.concat "\n" (List.map f lines))
+    with_header ~version:4 (String.concat "\n" (List.map f lines))
   in
   let starts pfx l =
     String.length l >= String.length pfx && String.sub l 0 (String.length pfx) = pfx
@@ -1022,6 +1092,10 @@ let () =
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
           Alcotest.test_case "golden checkpoint round-trips" `Quick test_golden_checkpoint;
           Alcotest.test_case "empty arrays round-trip" `Quick test_empty_arrays_round_trip;
+          Alcotest.test_case "settings round-trip (resize)" `Quick
+            (test_settings_round_trip ~use_cts:false);
+          Alcotest.test_case "settings round-trip (cts)" `Quick
+            (test_settings_round_trip ~use_cts:true);
           Alcotest.test_case "reopen shape check (CKPT-006)" `Quick test_reopen_shape_check;
           Alcotest.test_case "durable checkpoints are byte-identical" `Quick
             test_durable_checkpoint_identity;
