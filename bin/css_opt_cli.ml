@@ -141,10 +141,7 @@ let load_design benchmark input scale =
     | Ok (design, _) -> Ok design
     | Error ds -> Error (`Diags ds))
   | Some name, None -> (
-    let profile =
-      if name = "tiny" then Some Css_benchgen.Profile.tiny else Css_benchgen.Profile.by_name name
-    in
-    match profile with
+    match Css_benchgen.Profile.by_name name with
     | None -> Error (`Usage (Printf.sprintf "unknown benchmark %S" name))
     | Some p ->
       let p = if scale = 1.0 then p else Css_benchgen.Profile.scale scale p in

@@ -203,7 +203,6 @@ let drive_cmd =
     let prof =
       match Profile.by_name profile with
       | Some p -> if scale <> 1.0 then Profile.scale scale p else p
-      | None when profile = "tiny" -> Profile.tiny
       | None ->
         Printf.eprintf "css_serve: unknown profile %S\n" profile;
         exit 2

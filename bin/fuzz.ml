@@ -26,8 +26,7 @@ let base_corpus profile =
     match profile with
     | "micro" -> Generator.micro ()
     | name -> (
-      let p = if name = "tiny" then Some Profile.tiny else Profile.by_name name in
-      match p with
+      match Profile.by_name name with
       | Some p -> Generator.generate p
       | None -> failwith (Printf.sprintf "unknown profile %S" name))
   in

@@ -27,10 +27,7 @@ let def =
   Arg.(value & opt (some string) None & info [ "def" ] ~docv:"FILE" ~doc)
 
 let main profile_name out scale seed verilog def =
-  let profile =
-    if profile_name = "tiny" then Some Css_benchgen.Profile.tiny else Css_benchgen.Profile.by_name profile_name
-  in
-  match profile with
+  match Css_benchgen.Profile.by_name profile_name with
   | None ->
     Printf.eprintf "gen_design: unknown profile %S\n" profile_name;
     1

@@ -24,10 +24,7 @@ let main input benchmark npaths =
     match (input, benchmark) with
     | Some file, None -> Some (Css_netlist.Io.load_exn ~library:Css_liberty.Library.default file)
     | None, Some name ->
-      let p =
-        if name = "tiny" then Some Css_benchgen.Profile.tiny else Css_benchgen.Profile.by_name name
-      in
-      Option.map Css_benchgen.Generator.generate p
+      Option.map Css_benchgen.Generator.generate (Css_benchgen.Profile.by_name name)
     | _ -> None
   in
   match design with

@@ -35,8 +35,9 @@ type t = {
     sb1, sb3, sb4, sb5, sb7, sb10, sb16, sb18. *)
 val presets : t list
 
-(** [by_name n] finds a preset ("sb1" .. "sb18") or its paper-size
-    variant ("sb1-paper" .. "sb18-paper", see {!paper}). O(#presets). *)
+(** [by_name n] finds {!tiny}, a preset ("sb1" .. "sb18") or a preset's
+    paper-size variant ("sb1-paper" .. "sb18-paper", see {!paper}).
+    O(#presets). *)
 val by_name : string -> t option
 
 (** [scale f p] multiplies the entity counts by [f] (at least 1 of each),

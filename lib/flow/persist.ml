@@ -71,8 +71,7 @@ type trace_point = {
    uninterrupted run would. *)
 type checkpoint = {
   label : string;
-  ck_ffs : Design.cell_id array;
-  ck_latencies : float array;  (* scheduled, per entry of [ck_ffs] *)
+  ck_latencies : float array;  (* scheduled, per entry of [Design.ffs] *)
   ck_lcb_of : Design.cell_id array;  (* -1 when unresolved *)
   ck_x : float array;  (* position per cell id *)
   ck_y : float array;
@@ -142,11 +141,10 @@ type live = {
 
 let magic = "css-checkpoint"
 
-(* Version 4 carries the session's settings (the base's [settings] line
-   replaced version 3's [rounds], and every journal record repeats it);
-   older files are rejected, not migrated. A journal's records follow
-   the format of the base it names. *)
-let version = 4
+(* Version 5 writes a base as its design text plus one record; older
+   files are rejected, not migrated. A journal's records follow the
+   format of the base it names. *)
+let version = 5
 let journal_magic = "css-journal"
 let journal_version = 1
 let fstr = Io.float_to_string
@@ -193,10 +191,8 @@ let add_settings b s =
     (bit s.use_cts) (bit s.rollback) (bit s.final_eval) (opt fstr l.Budget.wall_seconds)
     (opt string_of_int l.Budget.rss_bytes) (fstr l.Budget.soft_frac)
 
-(* The base and the journal records share their sections: the run's
-   scalar fields (a base puts the movement anchors between its head and
-   its tail), trace points, the best checkpoint and the engines. *)
-let add_run_head b p =
+(* the run's scalar fields and the rung *)
+let add_run b p ~rung =
   line b "phases-done %d" p.phases_done;
   line b "hold-done %d" (if p.hold_done then 1 else 0);
   line b "iterations %d" p.iterations;
@@ -205,9 +201,7 @@ let add_run_head b p =
   line b "stall-best %s" (fstr p.stall_best);
   line b "stall-count %d" p.stall_count;
   line b "stop %s" (match p.stop with None -> "-" | Some s -> s);
-  line b "hpwl-before %s" (fstr p.hpwl_before)
-
-let add_run_tail b p ~rung =
+  line b "hpwl-before %s" (fstr p.hpwl_before);
   line b "css-seconds %s" (fstr p.css_seconds);
   line b "opt-seconds %s" (fstr p.opt_seconds);
   line b "rung %d" rung;
@@ -222,37 +216,32 @@ let add_trace_point b t =
    NaN never matches, which at worst writes an unchanged value again *)
 let[@inline] same_bits (a : float) (b : float) = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
 
-(* A base writes the best checkpoint's positions in full. A journal
-   record passes [anchors], the design whose movement anchors the
-   reader rebuilds, and lists only the positions off their anchors
-   (every position past the design's cells): most cells never move, so
-   they need no formatting. *)
-let add_best ?anchors b = function
+(* The ids below [n] whose position ([x], [y]) is not their movement
+   anchor in [d], every id past [d]'s cells included: most cells never
+   move, so only these need formatting. *)
+let off_anchors d n x y =
+  let anchored c =
+    c < Design.num_cells d
+    && same_bits (Design.cell_orig_x d c) (x c)
+    && same_bits (Design.cell_orig_y d c) (y c)
+  in
+  Array.of_seq (Seq.filter (fun c -> not (anchored c)) (Seq.init n Fun.id))
+
+(* The best checkpoint's positions are the movement anchors of [d] (the
+   reader has rebuilt them by the time it reads the best checkpoint) but
+   for those listed. *)
+let add_best b d = function
   | None -> line b "best -"
   | Some cp ->
     let r = cp.ck_report in
     line b "best %s" cp.label;
-    line b "bn %d %d %d" (Array.length cp.ck_ffs) (Array.length cp.ck_x)
+    line b "bn %d %d %d" (Array.length cp.ck_latencies) (Array.length cp.ck_x)
       (List.length r.Evaluator.constraint_errors);
-    add_ints b "bf" cp.ck_ffs;
     add_floats b "bl" cp.ck_latencies;
     add_ints b "bb" cp.ck_lcb_of;
-    (match anchors with
-    | None ->
-      add_floats b "bx" cp.ck_x;
-      add_floats b "by" cp.ck_y
-    | Some d ->
-      let anchored c =
-        c < Design.num_cells d
-        && same_bits (Design.cell_orig_x d c) cp.ck_x.(c)
-        && same_bits (Design.cell_orig_y d c) cp.ck_y.(c)
-      in
-      let off = ref [] in
-      for c = Array.length cp.ck_x - 1 downto 0 do
-        if not (anchored c) then off := c :: !off
-      done;
-      line b "bp %d" (List.length !off);
-      List.iter (fun c -> line b "p %d %s %s" c (fstr cp.ck_x.(c)) (fstr cp.ck_y.(c))) !off);
+    let off = off_anchors d (Array.length cp.ck_x) (Array.get cp.ck_x) (Array.get cp.ck_y) in
+    line b "bp %d" (Array.length off);
+    Array.iter (fun c -> line b "p %d %s %s" c (fstr cp.ck_x.(c)) (fstr cp.ck_y.(c))) off;
     add_array b "bm" (Array.length cp.ck_masters) (fun c -> Buffer.add_string b cp.ck_masters.(c));
     line b "br %s %s %s %s %d %d %s"
       (fstr r.Evaluator.wns_early)
@@ -295,30 +284,68 @@ let add_engines b engines =
     engines;
   line b "end"
 
-let body_of_live lv =
+(* [cur] extends [old] when [old] is one of its tails: trace lists only
+   grow by consing within a run, and a new run starts a new list. *)
+let trace_delta ~old cur =
+  let rec go l acc =
+    if l == old then Some acc else match l with [] -> None | x :: rest -> go rest (x :: acc)
+  in
+  match go cur [] with
+  | Some fresh -> (List.length old, fresh)
+  | None -> (0, List.rev cur)
+
+(* A record: the settings, the run's scalar fields, the trace points and
+   best checkpoint unless they are the ones [since] says the files hold
+   (a base has no [since]), the anchors and design lines [ch] lists, each
+   with its current value, and the engines. *)
+let add_record b ?since (ch : Design.changes) lv =
   let d = lv.lv_design and p = lv.lv_progress in
-  let text = Io.to_string d in
-  let b = Buffer.create (String.length text + 4096) in
-  line b "algo %s" lv.lv_algo;
-  line b "design %s" (Design.name d);
   add_settings b lv.lv_settings;
-  add_run_head b p;
-  (* movement anchors: a reparsed design re-anchors at its parsed
-     positions, so the original run's legality reference is carried
-     explicitly *)
-  let n = Design.num_cells d in
-  line b "anchors %d" n;
-  add_array b "ax" n (fun c -> Buffer.add_string b (fstr (Design.cell_orig_x d c)));
-  add_array b "ay" n (fun c -> Buffer.add_string b (fstr (Design.cell_orig_y d c)));
-  add_run_tail b p ~rung:lv.lv_rung;
-  line b "trace %d" (List.length p.trace_rev);
-  List.iter (add_trace_point b) (List.rev p.trace_rev);
-  add_best b p.best;
-  line b "design-text %d" (String.length text);
-  Buffer.add_string b text;
-  Buffer.add_char b '\n';
-  add_engines b lv.lv_engines;
-  Buffer.contents b
+  add_run b p ~rung:lv.lv_rung;
+  let kept, fresh =
+    match since with
+    | Some (trace, _) -> trace_delta ~old:trace p.trace_rev
+    | None -> (0, List.rev p.trace_rev)
+  in
+  line b "trace %d %d" kept (List.length fresh);
+  List.iter (add_trace_point b) fresh;
+  line b "anchors %d" (Array.length ch.anchors);
+  Array.iter
+    (fun c ->
+      let a = Design.cell_orig_pos d c in
+      line b "a %d %s %s" c (fstr a.Point.x) (fstr a.Point.y))
+    ch.anchors;
+  (match since with
+  | Some (_, best) when p.best == best -> line b "best ="
+  | _ -> add_best b d p.best);
+  let opt = function Some l -> l | None -> "-" in
+  line b "edits %d"
+    (Array.length ch.cells + Array.length ch.nets + Array.length ch.latencies
+   + Array.length ch.bounds);
+  Array.iter (fun c -> line b "c %d %s" c (Io.cell_line d c)) ch.cells;
+  Array.iter (fun n -> line b "n %d %s" n (Io.net_line d n)) ch.nets;
+  Array.iter (fun c -> line b "l %d %s" c (opt (Io.latency_line d c))) ch.latencies;
+  Array.iter (fun c -> line b "b %d %s" c (opt (Io.bounds_line d c))) ch.bounds;
+  add_engines b lv.lv_engines
+
+(* A base: the algorithm, the design text, and the record that carries
+   the rest onto the design a parse of that text gives, which anchors
+   every cell at its position there. That record's anchors are the cells
+   anchored elsewhere, and its design lines none. *)
+let body_of_live lv =
+  let d = lv.lv_design in
+  let text = Io.to_string d in
+  let anchors = off_anchors d (Design.num_cells d) (Design.cell_x d) (Design.cell_y d) in
+  let none = [||] and b = Buffer.create 4096 in
+  add_record b { Design.cells = none; latencies = none; bounds = none; anchors; nets = none } lv;
+  (* one copy of the text, into a string of the body's exact size *)
+  String.concat ""
+    [
+      Printf.sprintf "algo %s\ndesign-text %d\n" lv.lv_algo (String.length text);
+      text;
+      "\n";
+      Buffer.contents b;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -333,7 +360,8 @@ let write_atomic final pieces =
   (try
      List.iter (output_string oc) pieces;
      flush oc;
-     (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
+     (try Unix.fsync (Unix.descr_of_out_channel oc)
+      with Unix.Unix_error (e, _, _) -> raise (io_error tmp e));
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -357,7 +385,7 @@ let append_file file s =
         while !off < n do
           off := !off + Unix.write_substring fd s !off (n - !off)
         done;
-        try Unix.fsync fd with Unix.Unix_error _ -> ()
+        Unix.fsync fd
       with Unix.Unix_error (e, _, _) -> raise (io_error file e))
 
 let journal_header hash = Printf.sprintf "%s %d %016Lx\n" journal_magic journal_version hash
@@ -382,11 +410,7 @@ let write_base ~dir lv =
 
 let save ~dir lv = ignore (write_base ~dir lv)
 
-(* {2 The journal handle}
-
-   A record carries the lines the design's change set lists
-   ({!Design.take_changes}), each with its current value, and the trace
-   points and best checkpoint unless they are the persisted ones. *)
+(* {2 The journal handle} *)
 
 type files = {
   base_bytes : int;
@@ -423,43 +447,6 @@ let same_shape f d =
   && f.nets = Design.num_nets d
   && f.pins = Design.num_pins d
 
-(* [cur] extends [old] when [old] is one of its tails: trace lists only
-   grow by consing within a run, and a new run starts a new list. *)
-let trace_delta ~old cur =
-  let rec go l acc =
-    if l == old then Some acc else match l with [] -> None | x :: rest -> go rest (x :: acc)
-  in
-  match go cur [] with
-  | Some fresh -> (List.length old, fresh)
-  | None -> (0, List.rev cur)
-
-let record_body f (ch : Design.changes) lv =
-  let d = lv.lv_design and p = lv.lv_progress in
-  let b = Buffer.create 4096 in
-  add_settings b lv.lv_settings;
-  add_run_head b p;
-  add_run_tail b p ~rung:lv.lv_rung;
-  let kept, fresh = trace_delta ~old:f.trace p.trace_rev in
-  line b "trace %d %d" kept (List.length fresh);
-  List.iter (add_trace_point b) fresh;
-  line b "anchors %d" (Array.length ch.anchors);
-  Array.iter
-    (fun c ->
-      let a = Design.cell_orig_pos d c in
-      line b "a %d %s %s" c (fstr a.Point.x) (fstr a.Point.y))
-    ch.anchors;
-  if p.best != f.best then add_best ~anchors:d b p.best else line b "best =";
-  let opt = function Some l -> l | None -> "-" in
-  line b "edits %d"
-    (Array.length ch.cells + Array.length ch.nets + Array.length ch.latencies
-   + Array.length ch.bounds);
-  Array.iter (fun c -> line b "c %d %s" c (Io.cell_line d c)) ch.cells;
-  Array.iter (fun n -> line b "n %d %s" n (Io.net_line d n)) ch.nets;
-  Array.iter (fun c -> line b "l %d %s" c (opt (Io.latency_line d c))) ch.latencies;
-  Array.iter (fun c -> line b "b %d %s" c (opt (Io.bounds_line d c))) ch.bounds;
-  add_engines b lv.lv_engines;
-  Buffer.contents b
-
 type journal = {
   j_dir : string;
   mutable files : files option;  (* [None]: the next write is a base *)
@@ -477,7 +464,9 @@ let base j lv =
 let write j lv =
   match j.files with
   | Some f when same_shape f lv.lv_design ->
-    let body = record_body f (Design.take_changes lv.lv_design) lv in
+    let b = Buffer.create 4096 in
+    add_record b ~since:(f.trace, f.best) (Design.take_changes lv.lv_design) lv;
+    let body = Buffer.contents b in
     let framed = Printf.sprintf "record %d %016Lx\n%s" (String.length body) (Fnv.of_string body) body in
     let n = String.length framed in
     if f.journal_bytes + n >= f.base_bytes then base j lv
@@ -623,7 +612,8 @@ let parse_settings cur =
     }
   | _ -> bad ~file:cur.file "CKPT-005" "malformed settings line"
 
-let parse_run_head cur =
+(* the run's scalar fields, and the rung *)
+let parse_run cur =
   let phases_done = int_field cur "phases-done" in
   let hold_done = int_field cur "hold-done" <> 0 in
   let iterations = int_field cur "iterations" in
@@ -633,26 +623,26 @@ let parse_run_head cur =
   let stall_count = int_field cur "stall-count" in
   let stop = match field cur "stop" with "-" -> None | s -> Some s in
   let hpwl_before = float_field cur "hpwl-before" in
-  {
-    (fresh_progress ~hpwl_before) with
-    phases_done;
-    hold_done;
-    iterations;
-    edges;
-    cones;
-    stall_best;
-    stall_count;
-    stop;
-  }
-
-(* the tail fields into [p], and the rung *)
-let parse_run_tail cur p =
   let css_seconds = float_field cur "css-seconds" in
   let opt_seconds = float_field cur "opt-seconds" in
   let rung = int_field cur "rung" in
   let ndeg = int_field cur "degraded" in
   let degradations = List.init ndeg (fun _ -> field cur "d") in
-  ({ p with css_seconds; opt_seconds; degradations_rev = List.rev degradations }, rung)
+  ( {
+      (fresh_progress ~hpwl_before) with
+      phases_done;
+      hold_done;
+      iterations;
+      edges;
+      cones;
+      stall_best;
+      stall_count;
+      stop;
+      css_seconds;
+      opt_seconds;
+      degradations_rev = List.rev degradations;
+    },
+    rung )
 
 let parse_trace_point cur =
   match split_ws (field cur "t") with
@@ -668,41 +658,30 @@ let parse_trace_point cur =
     }
   | _ -> bad ~file:cur.file "CKPT-005" "malformed trace entry"
 
-(* the best checkpoint after its [best <label>] line; a journal record's
-   positions are the movement anchors of [anchors] but for those it
-   lists *)
-let parse_best ?anchors cur label =
+(* the best checkpoint after its [best <label>] line, its positions the
+   movement anchors of [d] but for those it lists *)
+let parse_best cur d label =
   let nffs, ncells, nerrs =
     match split_ws (field cur "bn") with
     | [ a; b'; c ] -> (int_of cur "bn.ffs" a, int_of cur "bn.cells" b', int_of cur "bn.errs" c)
     | _ -> bad ~file:cur.file "CKPT-005" "malformed bn line"
   in
-  let ck_ffs = array_field cur "bf" nffs int_of in
   let ck_latencies = array_field cur "bl" nffs float_of in
   let ck_lcb_of = array_field cur "bb" nffs int_of in
-  let ck_x, ck_y =
-    match anchors with
-    | None ->
-      let bx = array_field cur "bx" ncells float_of in
-      let by = array_field cur "by" ncells float_of in
-      (bx, by)
-    | Some d ->
-      if ncells < 0 then bad ~file:cur.file "CKPT-005" "negative bn cell count";
-      let n = Design.num_cells d in
-      let xs = Array.init ncells (fun c -> if c < n then Design.cell_orig_x d c else Float.nan) in
-      let ys = Array.init ncells (fun c -> if c < n then Design.cell_orig_y d c else Float.nan) in
-      for _ = 1 to int_field cur "bp" do
-        match split_ws (field cur "p") with
-        | [ c; x; y ] ->
-          let c = int_of cur "p.cell" c in
-          if c < 0 || c >= ncells then
-            bad ~file:cur.file "CKPT-005" (Printf.sprintf "best position of cell %d out of range" c);
-          xs.(c) <- float_of cur "p.x" x;
-          ys.(c) <- float_of cur "p.y" y
-        | _ -> bad ~file:cur.file "CKPT-005" "malformed best position entry"
-      done;
-      (xs, ys)
-  in
+  if ncells < 0 then bad ~file:cur.file "CKPT-005" "negative bn cell count";
+  let n = Design.num_cells d in
+  let ck_x = Array.init ncells (fun c -> if c < n then Design.cell_orig_x d c else Float.nan) in
+  let ck_y = Array.init ncells (fun c -> if c < n then Design.cell_orig_y d c else Float.nan) in
+  for _ = 1 to int_field cur "bp" do
+    match split_ws (field cur "p") with
+    | [ c; x; y ] ->
+      let c = int_of cur "p.cell" c in
+      if c < 0 || c >= ncells then
+        bad ~file:cur.file "CKPT-005" (Printf.sprintf "best position of cell %d out of range" c);
+      ck_x.(c) <- float_of cur "p.x" x;
+      ck_y.(c) <- float_of cur "p.y" y
+    | _ -> bad ~file:cur.file "CKPT-005" "malformed best position entry"
+  done;
   let ck_masters = array_field cur "bm" ncells string_of in
   let report =
     match split_ws (field cur "br") with
@@ -722,7 +701,6 @@ let parse_best ?anchors cur label =
   let errs = List.init nerrs (fun _ -> field cur "be") in
   {
     label;
-    ck_ffs;
     ck_latencies;
     ck_lcb_of;
     ck_x;
@@ -734,7 +712,7 @@ let parse_best ?anchors cur label =
 (* With [~convert:false] the section is walked line by line but not
    converted, and reads as no engines: a later journal record replaces
    it anyway. *)
-let parse_engines ?(convert = true) cur =
+let parse_engines ~convert cur =
   let nengines = int_field cur "engines" in
   let engine () =
     match split_ws (field cur "engine") with
@@ -789,52 +767,28 @@ let parse_engines ?(convert = true) cur =
   | l -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "expected end marker, got '%s'" l));
   engines
 
-(* The base's sections: the design text, the movement anchors, and the
-   state that waits for the design [load] parses from that text once
-   the hash has checked out. The [design] line repeats the text's
-   design name. *)
-let parse_body cur =
-  let lv_algo = field cur "algo" in
-  ignore (field cur "design");
-  let lv_settings = parse_settings cur in
-  let head = parse_run_head cur in
-  let nanchors = int_field cur "anchors" in
-  let ax = array_field cur "ax" nanchors float_of in
-  let ay = array_field cur "ay" nanchors float_of in
-  let progress, lv_rung = parse_run_tail cur head in
-  let ntrace = int_field cur "trace" in
-  let trace = List.init ntrace (fun _ -> parse_trace_point cur) in
-  let best = match field cur "best" with "-" -> None | label -> Some (parse_best cur label) in
-  let n = int_field cur "design-text" in
-  let text = take_blob cur n in
-  let lv_engines = parse_engines cur in
-  let lv_progress = { progress with trace_rev = List.rev trace; best } in
-  ( text,
-    ax,
-    ay,
-    fun lv_design -> { lv_algo; lv_settings; lv_progress; lv_rung; lv_design; lv_engines } )
-
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
 
-(* One journal record onto [lv]: its anchors go straight onto the
-   design, and its design edits are prepended to [edits] (newest first)
-   for one {!Io.apply_lines} after the last record. *)
-let parse_record ~last cur lv edits =
-  let d = lv.lv_design and old = lv.lv_progress in
+(* One record onto the design [d] that the base's text parsed into: the
+   base's own ([prev] is [None]) or a journal record continuing the run
+   state [prev]. Its anchors go straight onto [d], and its design edits
+   are prepended to [edits] (newest first) for one {!Io.apply_lines}
+   after the last record. *)
+let parse_record ~last cur ~algo d prev edits =
   let lv_settings = parse_settings cur in
-  let head = parse_run_head cur in
-  let progress, lv_rung = parse_run_tail cur head in
+  let progress, lv_rung = parse_run cur in
   let kept, nfresh =
     match split_ws (field cur "trace") with
     | [ k; n ] -> (int_of cur "trace.kept" k, int_of cur "trace.new" n)
     | _ -> bad ~file:cur.file "CKPT-005" "malformed trace line"
   in
-  let have = List.length old.trace_rev in
+  let old = match prev with Some p -> p.trace_rev | None -> [] in
+  let have = List.length old in
   if kept < 0 || kept > have then
     bad ~file:cur.file "CKPT-005"
       (Printf.sprintf "record keeps %d trace points of %d" kept have);
   let fresh = List.init nfresh (fun _ -> parse_trace_point cur) in
-  let trace_rev = List.rev_append fresh (drop (have - kept) old.trace_rev) in
+  let trace_rev = List.rev_append fresh (drop (have - kept) old) in
   let nanchors = int_field cur "anchors" in
   for _ = 1 to nanchors do
     match split_ws (field cur "a") with
@@ -846,10 +800,11 @@ let parse_record ~last cur lv edits =
     | _ -> bad ~file:cur.file "CKPT-005" "malformed anchor entry"
   done;
   let best =
-    match field cur "best" with
-    | "=" -> old.best
-    | "-" -> None
-    | label -> Some (parse_best ~anchors:d cur label)
+    match (field cur "best", prev) with
+    | "=", Some p -> p.best
+    | "=", None -> bad ~file:cur.file "CKPT-005" "a base's best checkpoint reads '='"
+    | "-", _ -> None
+    | label, _ -> Some (parse_best cur d label)
   in
   let nedits = int_field cur "edits" in
   for _ = 1 to nedits do
@@ -875,8 +830,15 @@ let parse_record ~last cur lv edits =
   done;
   let lv_engines = parse_engines ~convert:last cur in
   if cur.pos <> String.length cur.buf then
-    bad ~file:cur.file "CKPT-005" "trailing bytes after a journal record's end marker";
-  { lv with lv_settings; lv_progress = { progress with trace_rev; best }; lv_rung; lv_engines }
+    bad ~file:cur.file "CKPT-005" "trailing bytes after a record's end marker";
+  {
+    lv_algo = algo;
+    lv_settings;
+    lv_progress = { progress with trace_rev; best };
+    lv_rung;
+    lv_design = d;
+    lv_engines;
+  }
 
 let read_file file =
   match open_in_bin file with
@@ -897,21 +859,36 @@ let parse_base_header cur =
   | _ -> bad ~file:cur.file "CKPT-002" "not a css-checkpoint file (bad magic)");
   hex64 cur "hash line" (field cur "hash")
 
+(* The base's algorithm and design text, and a cursor over its record,
+   which waits for the design [load] parses from that text. Structure
+   comes before the hash, so that a torn tail reports as truncation
+   (CKPT-004), not as the hash mismatch it also causes: the body must
+   end with its only [end] line. *)
 let load_base ~dir =
   let file = path ~dir in
   let raw = read_file file in
+  let len = String.length raw in
   let cur = { buf = raw; file; pos = 0 } in
   let stored_hash = parse_base_header cur in
-  let body = String.sub cur.buf cur.pos (String.length cur.buf - cur.pos) in
-  (* structure first: a torn tail reports as truncation (CKPT-004),
-     not as the hash mismatch it would also cause *)
-  let base = parse_body cur in
-  if cur.pos <> String.length cur.buf then bad ~file "CKPT-005" "trailing bytes after end marker";
-  let actual = Fnv.of_string body in
+  let body = cur.pos in
+  let algo = field cur "algo" in
+  let text = take_blob cur (int_field cur "design-text") in
+  (* the offset past the first [end] line at or after [pos] *)
+  let rec end_line pos =
+    match String.index_from_opt raw pos '\n' with
+    | None -> None
+    | Some nl when nl - pos = 3 && String.sub raw pos 3 = "end" -> Some (nl + 1)
+    | Some nl -> end_line (nl + 1)
+  in
+  (match end_line cur.pos with
+  | None -> bad ~file "CKPT-004" "no end marker after the design text (truncated checkpoint)"
+  | Some e when e < len -> bad ~file "CKPT-005" "trailing bytes after end marker"
+  | Some _ -> ());
+  let actual = Fnv.of_string (String.sub raw body (len - body)) in
   if actual <> stored_hash then
     bad ~file "CKPT-003"
       (Printf.sprintf "content hash mismatch (stored %016Lx, computed %016Lx)" stored_hash actual);
-  (base, stored_hash)
+  (algo, text, { cur with buf = String.sub raw cur.pos (len - cur.pos); pos = 0 }, stored_hash)
 
 (* The frame at [pos] of a journal [raw] of [len] bytes. *)
 let frame raw len pos =
@@ -969,30 +946,27 @@ let scan_journal ~dir ~base_hash =
       else records [] cur.pos
     | _ -> bad ~file "CKPT-002" "not a css-journal file (bad magic)"
 
-(* The base's design text is parsed once; its anchors and the journal's
-   records are then replayed onto that design. *)
+(* The base's design text is parsed once; the base's record and then
+   the journal's are replayed onto that design. The base's engines are
+   converted only when no journal record replaces them. *)
 let load ~library ~dir =
   try
-    let (text, ax, ay, live_of), base_hash = load_base ~dir in
+    let algo, text, cur, base_hash = load_base ~dir in
     let bodies, _ = scan_journal ~dir ~base_hash in
     match Io.of_string ~source:(path ~dir) ~library text with
     | Error diags ->
       let msg = "checkpoint design does not parse against this cell library" in
       Error (Diag.error ~code:"CKPT-006" msg :: diags)
     | Ok (design, _) ->
-      let ncells = Design.num_cells design in
-      if Array.length ax <> ncells then
-        bad "CKPT-006"
-          (Printf.sprintf "checkpoint carries %d movement anchors for a design of %d cells"
-             (Array.length ax) ncells);
-      Array.iteri (fun c x -> Design.set_cell_orig_pos design c (Point.make x ay.(c))) ax;
       let file = journal_path ~dir in
       let edits = ref [] and n = List.length bodies in
+      let record ~last cur prev = parse_record ~last cur ~algo design prev edits in
       let lv =
         List.fold_left
           (fun (i, lv) body ->
-            (i + 1, parse_record ~last:(i = n) { buf = body; file; pos = 0 } lv edits))
-          (1, live_of design) bodies
+            (i + 1, record ~last:(i = n) { buf = body; file; pos = 0 } (Some lv.lv_progress)))
+          (1, record ~last:(n = 0) cur None)
+          bodies
         |> snd
       in
       (match Io.apply_lines design (List.rev !edits) with

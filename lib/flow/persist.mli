@@ -6,27 +6,30 @@
     A checkpoint directory holds a {e base} and a {e journal}:
 
     - [<dir>/checkpoint.ckpt] (see {!path}), the base: a versioned
-      header, an FNV-1a 64 content hash ({!Css_util.Fnv}), then a
-      line-oriented body carrying the complete resumable flow state —
-      the {!settings}, the run's {!progress}, the serialized design (via
-      {!Css_netlist.Io}'s shortest-round-trip floats, so reloading
-      perturbs no bit), the movement anchors, and one
-      {!Css_seqgraph.Extract.snapshot} per live extraction engine;
+      header, an FNV-1a 64 content hash ({!Css_util.Fnv}), then the
+      algorithm's name, the serialized design (via {!Css_netlist.Io}'s
+      shortest-round-trip floats, so reloading perturbs no bit) and one
+      record carrying the rest of the resumable flow state onto the
+      design a parse of that text gives;
     - [<dir>/checkpoint.journal] (see {!journal_path}): a header naming
       the base by its hash, then one record per durable write since the
-      base, each a length, an FNV-1a 64 hash and a body holding the
-      {!settings} and what changed: the run's scalar fields and new
-      trace points, the cells,
-      nets, latencies, bounds and anchors the design's change set lists
-      ({!Css_netlist.Design.take_changes}, as
-      {!Css_netlist.Io.edit}s of the base's design text, each with its
-      current value), the live engine snapshots, and the best checkpoint
-      when it changed (its positions only where they differ from the
-      movement anchors).
+      base, each framed by a length and an FNV-1a 64 hash.
 
-    {!load} parses the base's design once and replays the records onto
-    it. Both formats (version 4; older files get [CKPT-002]) are
-    documented in [docs/ROBUSTNESS.md].
+    A record holds the {!settings}, the run's scalar fields, its trace
+    points and best checkpoint unless the files already hold them, the
+    movement anchors and design lines that differ from what the files
+    hold, each with its current value, and one
+    {!Css_seqgraph.Extract.snapshot} per live extraction engine. A
+    journal record's anchors and design lines are what the design's
+    change set lists ({!Css_netlist.Design.take_changes}, as
+    {!Css_netlist.Io.edit}s of the base's design text); a base's record
+    lists the cells anchored off their position in the text, and no
+    design line. The best checkpoint's positions are listed only where
+    they differ from the movement anchors.
+
+    {!load} parses the base's design once and replays the base's record
+    and then the journal's onto it. The format (version 5; older files
+    get [CKPT-002]) is documented in [docs/ROBUSTNESS.md].
 
     {2 Crash safety}
 
@@ -44,11 +47,11 @@
     - [CKPT-003] — content hash mismatch (bit rot, partial overwrite),
       including a journal record that fails its hash before the tail
     - [CKPT-004] — truncated (short read mid-structure)
-    - [CKPT-005] — malformed section or field, or journal edits that do
-      not fit the base's design
+    - [CKPT-005] — malformed section or field (an anchor or position of
+      a cell out of range included), bytes after a base's end marker, or
+      journal edits that do not fit the base's design
     - [CKPT-006] — checkpoint/build mismatch: emitted by {!load} when
-      the base's design does not parse against the cell library or its
-      movement anchors do not count the design's cells, and by
+      the base's design does not parse against the cell library, and by
       {!Session.reopen} (and so {!Flow.resume}) when the checkpoint
       names an unknown algorithm or engine slot, or its best checkpoint
       does not fit the design it carries *)
@@ -117,14 +120,14 @@ type trace_point = {
 (** The rollback checkpoint: a restorable snapshot of everything the OPT
     passes mutate, scored by the independent evaluator. Restore arrays
     are indexed by the dense cell ids the design-text round-trip
-    preserves; the evaluator report is stored (not re-derived) so a
-    resumed run's final rollback compares the exact floats an
-    uninterrupted run would. *)
+    preserves, or by the design's flip-flops ({!Css_netlist.Design.ffs}:
+    no step of a run adds or removes one); the evaluator report is
+    stored (not re-derived) so a resumed run's final rollback compares
+    the exact floats an uninterrupted run would. *)
 type checkpoint = {
   label : string;
-  ck_ffs : Css_netlist.Design.cell_id array;
-  ck_latencies : float array;  (** scheduled, per entry of [ck_ffs] *)
-  ck_lcb_of : Css_netlist.Design.cell_id array;  (** -1 when unresolved *)
+  ck_latencies : float array;  (** scheduled, per flip-flop *)
+  ck_lcb_of : Css_netlist.Design.cell_id array;  (** per flip-flop; -1 when unresolved *)
   ck_x : float array;  (** position per cell id, as the design's columns *)
   ck_y : float array;
   ck_masters : string array;  (** master name per cell id *)
@@ -207,15 +210,15 @@ val save : dir:string -> live -> unit
 
 (** [load ~library ~dir] reads and verifies the base and scans the
     journal, then parses the base's design text once against [library]
-    ({!Css_netlist.Io.of_string}), sets the base's movement anchors on
-    it and replays each record that continues the base onto that design
-    and the run state: anchors through
-    {!Css_netlist.Design.set_cell_orig_pos}, design lines through
-    {!Css_netlist.Io.apply_lines}. The design it returns prints byte for
-    byte as the one that was written, with its anchors bit for bit. On
-    [Error], the first diagnostic carries one of the [CKPT-*] codes
-    above: [CKPT-006] when the design text does not parse (the parser's
-    diagnostics follow) or the anchors do not count its cells. *)
+    ({!Css_netlist.Io.of_string}, which anchors every cell at its parsed
+    position) and replays the base's record and each journal record
+    that continues the base onto that design and the run state: anchors
+    through {!Css_netlist.Design.set_cell_orig_pos}, design lines
+    through {!Css_netlist.Io.apply_lines}. The design it returns prints
+    byte for byte as the one that was written, with its anchors bit for
+    bit. On [Error], the first diagnostic carries one of the [CKPT-*]
+    codes above: [CKPT-006] when the design text does not parse (the
+    parser's diagnostics follow). *)
 val load :
   library:Css_liberty.Library.t -> dir:string -> (live, Css_util.Diag.t list) result
 

@@ -331,30 +331,24 @@ let set_stop st reason =
 (* {2 Degradation ladder}
 
    Soft budget pressure sheds fidelity one rung per poll instead of dying
-   at the hard limit: 2. switch to the cheapest extraction, 3. stop with
-   the best result so far. Rung 1 (which shed extraction worker domains)
-   is retired but keeps its number, so persisted rungs read the same.
-   Rungs whose knob is already at bottom are skipped. The rung survives
-   a session's delta requests: budget pressure is a property of the
-   session, not of one request. *)
+   at the hard limit: 1. switch to the cheapest extraction, 2. stop with
+   the best result so far. Rungs whose knob is already at bottom are
+   skipped. The rung survives a session's delta requests: budget
+   pressure is a property of the session, not of one request. *)
 
 let cheap_extract_limit = 4096
 
-let rung_name = function 2 -> "cheap-extraction" | _ -> "early-stop"
-
-let rung_applicable st = function
-  | 1 -> false (* retired *)
-  | 2 -> st.engine0 <> `Fpm
-  | _ -> true
+let rung_name = function 1 -> "cheap-extraction" | _ -> "early-stop"
+let rung_applicable st = function 1 -> st.engine0 <> `Fpm | _ -> true
 
 let rec degrade st ~reason =
-  if st.run.stop = None && st.rung < 3 then begin
+  if st.run.stop = None && st.rung < 2 then begin
     let rung = st.rung + 1 in
     st.rung <- rung;
     if not (rung_applicable st rung) then degrade st ~reason
     else begin
       let step = rung_name rung in
-      if rung = 3 then set_stop st ("budget-" ^ reason);
+      if rung = 2 then set_stop st ("budget-" ^ reason);
       st.run.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.run.degradations_rev;
       Obs.incr (Obs.counter st.cfg.obs "flow.degradations");
       if Obs.enabled st.cfg.obs then
@@ -433,7 +427,6 @@ let take_checkpoint st ~label report =
   let ck_x, ck_y = Design.positions design in
   {
     Persist.label;
-    ck_ffs = ffs;
     ck_latencies = Array.map (fun ff -> Design.scheduled_latency design ff) ffs;
     ck_lcb_of =
       Array.map (fun ff -> try Design.lcb_of_ff design ff with Not_found -> -1) ffs;
@@ -480,7 +473,7 @@ let restore st (cp : Persist.checkpoint) =
          let cur = try Some (Design.lcb_of_ff design ff) with Not_found -> None in
          if cur <> Some lcb then Design.reconnect_ff_to_lcb design ~ff ~lcb);
       Design.set_scheduled_latency design ff cp.ck_latencies.(i))
-    cp.ck_ffs;
+    (Design.ffs design);
   resync st
 
 (* Score first; copy the design state only for a new best. *)
@@ -555,9 +548,9 @@ let persist_checkpoint st =
 let css_opt_phase st ~round ~corner =
   let phase = match corner with Timer.Early -> "early" | Timer.Late -> "late" in
   let engine =
-    match st.engine0 with `Iccss when st.rung >= 2 -> `Ours | e -> e
+    match st.engine0 with `Iccss when st.rung >= 1 -> `Ours | e -> e
   in
-  let extract_limit = if st.rung >= 2 then Some cheap_extract_limit else None in
+  let extract_limit = if st.rung >= 1 then Some cheap_extract_limit else None in
   let sched_config = scheduler_config st in
   Wall_clock.start st.css_clock;
   let scheduled =
@@ -879,8 +872,7 @@ let shape_errors (lv : Persist.live) =
   let best =
     match lv.Persist.lv_progress.best with
     | Some cp
-      when Array.length cp.ck_ffs <> Array.length (Design.ffs design)
-           || Array.exists (fun ff -> not (cell ff && Design.is_ff design ff)) cp.ck_ffs
+      when Array.length cp.ck_latencies <> Array.length (Design.ffs design)
            || Array.exists
                 (fun lcb -> lcb <> -1 && not (cell lcb && Design.is_lcb design lcb))
                 cp.ck_lcb_of

@@ -19,6 +19,15 @@ let test_presets_named () =
     names;
   checkb "unknown" true (Profile.by_name "sb99" = None)
 
+(* [by_name] finds [tiny], so every binary's [--profile tiny --scale N]
+   scales it; it stays out of [presets], which the suite benches
+   iterate *)
+let test_tiny_by_name () =
+  checkb "by_name \"tiny\" is tiny" true (Profile.by_name "tiny" = Some Profile.tiny);
+  checki "still eight presets" 8 (List.length Profile.presets);
+  checkb "tiny is not a preset" false
+    (List.exists (fun p -> p.Profile.name = "tiny") Profile.presets)
+
 let test_scale () =
   let p = Option.get (Profile.by_name "sb18") in
   let half = Profile.scale 0.5 p in
@@ -163,6 +172,7 @@ let () =
       ( "profile",
         [
           Alcotest.test_case "presets" `Quick test_presets_named;
+          Alcotest.test_case "tiny by name" `Quick test_tiny_by_name;
           Alcotest.test_case "scale" `Quick test_scale;
           Alcotest.test_case "paper variants" `Quick test_paper_variants;
           Alcotest.test_case "sb7 conflicts" `Quick test_conflict_pairs_present_in_sb7_profile;

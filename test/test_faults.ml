@@ -576,6 +576,87 @@ let test_failed_journal_append () =
         Session.close r;
         checkb "reopen restores the live design" true same)
 
+(* {2 A failed fsync}
+
+   An fsync that fails is a failed write, not a durable one. Linux
+   refuses to fsync /dev/null with EINVAL after the write itself
+   succeeded, so a link to it fails a write at its fsync alone. *)
+
+let fsync_fails () =
+  match Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> match Unix.fsync fd with () -> false | exception Unix.Unix_error _ -> true)
+
+(* the [kind] of each [flow.checkpoint] snapshot, in write order *)
+let write_kinds obs =
+  List.filter_map
+    (fun (label, _, fields) ->
+      match (label, List.assoc_opt "kind" fields) with
+      | "flow.checkpoint", Some (Obs.Json.String k) -> Some k
+      | _ -> None)
+    (Obs.snapshots obs)
+
+(* The journal links to /dev/null after the base: the run's first record
+   is lost and counted, the run finishes, and the next write is a base. *)
+let test_failed_journal_fsync () =
+  if not (fsync_fails ()) then Alcotest.skip ();
+  let dir = Temp_dirs.dir "css-faults-" in
+  let obs = Obs.create () in
+  let design = Generator.micro () in
+  let s = Session.open_ ~config:(durable_config ~obs dir) ~algo:Session.Ours design in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      let journal = Persist.journal_path ~dir in
+      Sys.remove journal;
+      Unix.symlink "/dev/null" journal;
+      let r = Session.finish s in
+      checkb "the run finishes" true (r.Flow.stop_reason <> "interrupted");
+      Alcotest.check Alcotest.int "flow.persist_failed counts the lost record" 1 (failed obs);
+      (match write_kinds obs with
+      | "base" :: "base" :: _ -> ()
+      | _ -> Alcotest.fail "the write after the lost record is not a base");
+      checkb "the journal is a file again" true
+        ((Unix.lstat journal).Unix.st_kind = Unix.S_REG);
+      match Session.reopen ~library:(Design.library design) ~dir () with
+      | Error _ -> Alcotest.fail "the checkpoint does not reopen after the lost record"
+      | Ok r ->
+        let same = Io.to_string (Session.design r) = Io.to_string (Session.design s) in
+        Session.close r;
+        checkb "reopen restores the live design" true same)
+
+(* The base's temporary file links to /dev/null: the save raises, and
+   the previous base stays, loadable, with no temporary file left. *)
+let test_failed_base_fsync () =
+  if not (fsync_fails ()) then Alcotest.skip ();
+  let dir = Temp_dirs.dir "css-faults-" in
+  let s =
+    Session.open_ ~config:(durable_config ~obs:Obs.null dir) ~algo:Session.Ours (Generator.micro ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      ignore (Session.finish s);
+      let other = Temp_dirs.dir "css-faults-" in
+      Session.save s ~dir:other;
+      let final = Persist.path ~dir:other in
+      let tmp = final ^ ".tmp" in
+      let before = read final in
+      Unix.symlink "/dev/null" tmp;
+      (match Persist.load ~library ~dir:other with
+      | Error _ -> Alcotest.fail "the first base does not load"
+      | Ok lv -> (
+        match Persist.save ~dir:other lv with
+        | () -> Alcotest.fail "a save whose fsync failed succeeded"
+        | exception Sys_error msg ->
+          checkb ("save raises EINVAL: " ^ msg) true (contains ~sub:"Invalid argument" msg)));
+      checkb "the tmp link is removed" false (exists_no_follow tmp);
+      checkb "the previous base is intact" true (read final = before);
+      checkb "the previous base loads" true (Result.is_ok (Persist.load ~library ~dir:other)))
+
 let () =
   let netlist_cases =
     List.map
@@ -648,5 +729,9 @@ let () =
             test_failed_checkpoint_write;
           Alcotest.test_case "failed journal append keeps serving" `Quick
             test_failed_journal_append;
+          Alcotest.test_case "failed journal fsync is a lost record" `Quick
+            test_failed_journal_fsync;
+          Alcotest.test_case "failed base fsync keeps the previous base" `Quick
+            test_failed_base_fsync;
         ] );
     ]

@@ -281,6 +281,41 @@ let load_code dir =
   | Error (d :: _) -> d.Diag.code
   | Error [] -> "no-diag"
 
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+let write_file f s = Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+
+(* A fresh checkpoint directory holding [text]. *)
+let ckpt_dir text =
+  let dir = fresh_dir () in
+  write_file (Persist.path ~dir) text;
+  dir
+
+(* The body below the two header lines (magic + version, hash). *)
+let body_of text =
+  let first = String.index text '\n' in
+  let second = String.index_from text (first + 1) '\n' in
+  String.sub text (second + 1) (String.length text - second - 1)
+
+(* [body] under a version header, with its content hash recomputed. *)
+let with_header ~version body =
+  Printf.sprintf "css-checkpoint %d\nhash %016Lx\n%s" version (Css_util.Fnv.of_string body) body
+
+let index_of s sub =
+  let n = String.length sub in
+  let rec go i = if String.sub s i n = sub then i else go (i + 1) in
+  go 0
+
+let has s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let starts pfx l = String.length l >= String.length pfx && String.sub l 0 (String.length pfx) = pfx
+
+(* [body]'s lines through [f], under a version-5 header *)
+let edit_lines body f =
+  with_header ~version:5 (String.concat "\n" (List.concat_map f (String.split_on_char '\n' body)))
+
 let test_checkpoint_corruption () =
   let dir = fresh_dir () in
   let design = Generator.micro () in
@@ -306,6 +341,27 @@ let test_checkpoint_corruption () =
   (* trailing garbage after the end marker *)
   write (pristine ^ "junk\n");
   checks "trailing bytes" "CKPT-005" (load_code dir);
+  (* cut inside the record that follows the design text, and right
+     after the design text *)
+  let record = index_of pristine "\nsettings " + 1 in
+  write (String.sub pristine 0 (index_of pristine "\nanchors " + 1));
+  checks "cut inside the record" "CKPT-004" (load_code dir);
+  write (String.sub pristine 0 record);
+  checks "cut after the design text" "CKPT-004" (load_code dir);
+  (* a base has no earlier best checkpoint to keep: its best section,
+     up to the edits line, replaced by [best =] *)
+  let body = body_of pristine in
+  let best = index_of body "\nbest " and edits = index_of body "\nedits " in
+  write
+    (with_header ~version:5
+       (String.sub body 0 best ^ "\nbest =" ^ String.sub body edits (String.length body - edits)));
+  checks "a base's best reads '='" "CKPT-005" (load_code dir);
+  (* an anchor of a cell past the design's last *)
+  let ncells = Design.num_cells design in
+  write
+    (edit_lines (body_of pristine) (fun l ->
+         if starts "anchors " l then [ "anchors 1"; Printf.sprintf "a %d 0 0" ncells ] else [ l ]));
+  checks "anchor out of range" "CKPT-005" (load_code dir);
   (* missing file *)
   Sys.remove file;
   checks "missing" "CKPT-001" (load_code dir)
@@ -324,7 +380,7 @@ let test_budget_ladder () =
   in
   let r = Flow.run ~config ~algo:Flow.Ours design in
   checks "stop reason" "budget-wall" r.Flow.stop_reason;
-  (* rung 1 is retired: the ladder starts at the cheapest extraction *)
+  (* rung 1 is the cheapest extraction, rung 2 the early stop *)
   checkb "ladder steps named" true
     (r.Flow.degradations = [ "cheap-extraction(wall)"; "early-stop(wall)" ]);
   checkb "no worse than input" true
@@ -435,29 +491,6 @@ module Obs = Css_util.Obs
    only by this recipe, together with a format version bump. *)
 
 let fixture = "data/micro.ckpt"
-let read_file f = In_channel.with_open_bin f In_channel.input_all
-let write_file f s = Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
-
-(* A fresh checkpoint directory holding [text]. *)
-let ckpt_dir text =
-  let dir = fresh_dir () in
-  write_file (Persist.path ~dir) text;
-  dir
-
-(* The body below the two header lines (magic + version, hash). *)
-let body_of text =
-  let first = String.index text '\n' in
-  let second = String.index_from text (first + 1) '\n' in
-  String.sub text (second + 1) (String.length text - second - 1)
-
-(* [body] under a version header, with its content hash recomputed. *)
-let with_header ~version body =
-  Printf.sprintf "css-checkpoint %d\nhash %016Lx\n%s" version (Css_util.Fnv.of_string body) body
-
-let index_of s sub =
-  let n = String.length sub in
-  let rec go i = if String.sub s i n = sub then i else go (i + 1) in
-  go 0
 
 let test_golden_checkpoint () =
   let golden = read_file fixture in
@@ -469,16 +502,16 @@ let test_golden_checkpoint () =
     checkb "load then save reproduces the fixture byte for byte" true
       (read_file (Persist.path ~dir:out) = golden);
     (* older versions are rejected, not migrated: the same body under a
-       version-3 header is refused with CKPT-002 and raises nothing *)
-    let v3 = ckpt_dir (with_header ~version:3 (body_of golden)) in
-    (match load v3 with
-    | Ok _ -> Alcotest.fail "a version-3 checkpoint loads"
-    | Error ds -> checks "version 3 rejected" "CKPT-002" (List.hd ds).Diag.code);
-    match Session.reopen ~library:(Design.library (Generator.micro ())) ~dir:v3 () with
+       version-4 header is refused with CKPT-002 and raises nothing *)
+    let v4 = ckpt_dir (with_header ~version:4 (body_of golden)) in
+    (match load v4 with
+    | Ok _ -> Alcotest.fail "a version-4 checkpoint loads"
+    | Error ds -> checks "version 4 rejected" "CKPT-002" (List.hd ds).Diag.code);
+    match Session.reopen ~library:(Design.library (Generator.micro ())) ~dir:v4 () with
     | Ok s ->
       Session.close s;
-      Alcotest.fail "a version-3 checkpoint reopens"
-    | Error ds -> checks "reopen rejects version 3" "CKPT-002" (List.hd ds).Diag.code)
+      Alcotest.fail "a version-4 checkpoint reopens"
+    | Error ds -> checks "reopen rejects version 4" "CKPT-002" (List.hd ds).Diag.code)
 
 (* The settings a reopened session runs under, floats as bits. *)
 let settings_bits (c : Session.config) =
@@ -570,8 +603,7 @@ let test_empty_arrays_round_trip () =
                 (fun cp ->
                   {
                     cp with
-                    Persist.ck_ffs = [||];
-                    ck_latencies = [||];
+                    Persist.ck_latencies = [||];
                     ck_lcb_of = [||];
                     ck_x = [||];
                     ck_y = [||];
@@ -584,7 +616,8 @@ let test_empty_arrays_round_trip () =
     let dir = fresh_dir () in
     Persist.save ~dir empty;
     let text = read_file (Persist.path ~dir) in
-    checkb "an empty anchor array is written as 'ax '" true (index_of text "\nax \nay \n" > 0);
+    checkb "empty best-checkpoint arrays are written as 'bl '" true
+      (has text "\nbl \nbb \nbp 0\nbm \n");
     match load dir with
     | Error ds ->
       Alcotest.failf "empty arrays do not load: %s"
@@ -604,13 +637,7 @@ let test_reopen_shape_check () =
   (match reopen golden with
   | Ok s -> Session.close s
   | Error _ -> Alcotest.fail "the golden checkpoint does not reopen");
-  let edit f =
-    let lines = String.split_on_char '\n' (body_of golden) in
-    with_header ~version:4 (String.concat "\n" (List.map f lines))
-  in
-  let starts pfx l =
-    String.length l >= String.length pfx && String.sub l 0 (String.length pfx) = pfx
-  in
+  let edit f = edit_lines (body_of golden) (fun l -> [ f l ]) in
   let rename_slot l =
     let pfx = "engine ours-early " in
     if starts pfx l then "engine ours-middle " ^ String.sub l 18 (String.length l - 18)
@@ -622,13 +649,17 @@ let test_reopen_shape_check () =
   in
   let cases =
     [
-      ( "one extra movement anchor",
+      ( "a best checkpoint of more cells than the design",
         edit (fun l ->
-            if starts "anchors " l then "anchors 27"
-            else if starts "ax " l || starts "ay " l then l ^ " 0"
+            if starts "bn " l then "bn 3 27 0"
+            else if starts "bp " l then "bp 1\np 26 0 0"
+            else if starts "bm " l then l ^ " DFF"
             else l) );
-      ( "a best-checkpoint FF that is an LCB",
-        edit (fun l -> if starts "bf " l then "bf 0 3 4" else l) );
+      ( "a best checkpoint of fewer flip-flops than the design",
+        edit (fun l ->
+            if starts "bn " l then "bn 2 26 0"
+            else if starts "bl " l || starts "bb " l then String.sub l 0 (String.rindex l ' ')
+            else l) );
       ( "a best-checkpoint LCB that is a flip-flop",
         edit (fun l -> if starts "bb " l then "bb 2 1 1" else l) );
       ("a best-checkpoint master the library lacks", edit (first_master "NOPE"));
@@ -912,6 +943,65 @@ let test_journal_stale () =
   Sys.remove jfile;
   checkb "a missing journal loads the base alone" true (loaded () = st)
 
+(* {2 The base is a record}
+
+   A base is its design text plus the record a journal write produces:
+   a parse of the text anchors every cell at its position, so a base
+   lists only the anchors and best-checkpoint positions off those. *)
+
+let test_base_at_open () =
+  let dir = fresh_dir () in
+  let config = { Session.default_config with Session.checkpoint_dir = Some dir } in
+  let s = Session.open_ ~config ~algo:Session.Ours (Generator.generate Profile.tiny) in
+  Session.close s;
+  let text = read_file (Persist.path ~dir) in
+  checkb "no anchor off its position" true (has text "\nanchors 0\n");
+  checkb "the start checkpoint at the anchors" true (has text "\nbp 0\n")
+
+(* the best checkpoint with its floats as bits *)
+let best_bits (p : Persist.progress) =
+  Option.map
+    (fun (cp : Persist.checkpoint) ->
+      let bits = Array.map Int64.bits_of_float in
+      ( { cp with Persist.ck_latencies = [||]; ck_x = [||]; ck_y = [||] },
+        (bits cp.Persist.ck_latencies, bits cp.Persist.ck_x, bits cp.Persist.ck_y) ))
+    p.Persist.best
+
+(* A mid-run session saved into another directory, which writes a base
+   alone, reopens as its own directory's base and records do. *)
+let test_base_alone_equals_records () =
+  let dir = fresh_dir () and other = fresh_dir () in
+  let config =
+    { Session.default_config with Session.rounds = 2; checkpoint_dir = Some dir }
+  in
+  let s = Session.open_ ~config ~algo:Session.Ours (Generator.generate Profile.tiny) in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      for _ = 1 to 5 do
+        ignore (Session.step s)
+      done;
+      Session.save s ~dir;
+      Session.save s ~dir:other);
+  let records = List.length (record_offsets (read_file (Persist.journal_path ~dir))) in
+  checkb "its own directory holds records" true (records > 0);
+  checki "the other holds a base alone" 0
+    (List.length (record_offsets (read_file (Persist.journal_path ~dir:other))));
+  let base = read_file (Persist.path ~dir:other) in
+  checkb "the base lists moved anchors" false (has base "\nanchors 0\n");
+  checkb "the base lists best positions off the anchors" false (has base "\nbp 0\n");
+  match (load dir, load other) with
+  | Ok a, Ok b ->
+    let design_a, run_a, progress_a, engines_a = view a
+    and design_b, run_b, progress_b, engines_b = view b in
+    checkb "design text and anchors" true (design_a = design_b);
+    checkb "algorithm, settings and rung" true (run_a = run_b);
+    checkb "progress and trace" true (progress_a = progress_b);
+    checkb "the best checkpoint, bit for bit" true
+      (progress_a.Persist.best <> None && best_bits progress_a = best_bits progress_b);
+    checkb "engine snapshots" true (engines_a = engines_b)
+  | _ -> Alcotest.fail "a directory does not load"
+
 (* {2 The change set under every mutator}
 
    A record carries what the design's change set lists. Random batches
@@ -1092,6 +1182,9 @@ let () =
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
           Alcotest.test_case "golden checkpoint round-trips" `Quick test_golden_checkpoint;
           Alcotest.test_case "empty arrays round-trip" `Quick test_empty_arrays_round_trip;
+          Alcotest.test_case "the base at open lists no anchor" `Quick test_base_at_open;
+          Alcotest.test_case "a base alone = a base and records" `Quick
+            test_base_alone_equals_records;
           Alcotest.test_case "settings round-trip (resize)" `Quick
             (test_settings_round_trip ~use_cts:false);
           Alcotest.test_case "settings round-trip (cts)" `Quick
